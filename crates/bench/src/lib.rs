@@ -9,7 +9,6 @@
 //! roughly an order of magnitude; shapes of the results are preserved).
 
 pub mod experiments;
-pub mod report;
 pub mod timing;
 
 pub use experiments::{

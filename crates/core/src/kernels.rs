@@ -4,48 +4,54 @@
 //! weight matrix: the accelerator streams 7-byte blocks (1 index byte + 6
 //! data bytes per 8 clusters) and multiplies decoded integer lanes into two
 //! per-channel accumulators, one per scale class. These kernels are the
-//! software mirror of that dataflow:
+//! software mirror of that dataflow, with **two** block decoders that
+//! yield the identical width-split integers in the identical lane order
+//! (cross-checked exhaustively), each used where it has measured faster:
 //!
-//! * full blocks decode through [`decode_block_swar`]: the 48-bit data
-//!   word loads into one `u64` and all eight clusters (24 lanes) resolve
-//!   in a single SWAR pass of register-wide shifts and masks, with the
-//!   scale-class split selected per cluster from the index byte — the
-//!   software form of the paper's Fig. 6 parallel MUX decode, where all
-//!   eight clusters of a block resolve without serial control flow;
-//! * partial tail blocks (and the [`PackedChannel::dot_scalar`] reference
-//!   path) decode through the compile-time lookup tables instead —
-//!   [`DECODE_INTS`] for the raw signed triples (the same `ClusterCode` →
-//!   lane mapping the `fineq-accel` hardware decoder implements as a MUX
-//!   network, which cross-checks against this table) and [`SPLIT_LANES`],
-//!   its width-split form: each `(code, six)` entry carries the cluster's
-//!   three lanes **pre-sorted into scale classes**. The SWAR decode yields
-//!   the identical width-split integers in the identical lane order
-//!   (cross-checked exhaustively), so every kernel stays **bit-identical**
-//!   to the scalar path and the batch/thread/shard determinism contracts
-//!   survive unchanged;
+//! * the compile-time lookup tables — [`DECODE_INTS`] for the raw signed
+//!   triples (the same `ClusterCode` → lane mapping the `fineq-accel`
+//!   hardware decoder implements as a MUX network, which cross-checks
+//!   against this table) and [`SPLIT_LANES`], its width-split form: each
+//!   `(code, six)` entry carries the cluster's three lanes **pre-sorted
+//!   into scale classes**. The GEMV ([`PackedChannel::dot`]) walks them
+//!   cluster by cluster, as does every partial tail block;
+//! * [`decode_block_swar`]: the 48-bit data word loads into one `u64` and
+//!   all eight clusters (24 lanes) resolve in a single SWAR pass of
+//!   register-wide shifts and masks, with the scale-class split selected
+//!   per cluster from the index byte — the software form of the paper's
+//!   Fig. 6 parallel MUX decode. The column kernels (GEMM over a batch of
+//!   `n` activations) and [`PackedChannel::dequantize_into`] decode full
+//!   blocks this way;
+//! * which decoder a loop uses was measured, not assumed: on the one host
+//!   class ever recorded (2-vCPU Firecracker guest) the SWAR pass is
+//!   4–12 % faster than the LUT walk inside the column kernel at batch 1
+//!   and batch 16, while in the GEMV the LUT walk is ~1.16× faster than a
+//!   SWAR body, per channel or four channels grouped — so the GEMV has
+//!   exactly one body, the LUT walk. Both decoders are **bit-identical**,
+//!   so the choice never touches the batch/thread/shard determinism
+//!   contracts;
 //! * no per-lane **width dispatch** survives into any hot loop. The GEMV
-//!   ([`PackedChannel::dot`]) is fully branchless: every lane accumulates
-//!   `acc2 += q2·x` **and** `acc3 += q3·x` unconditionally (one term is
-//!   always zero), with no `q == 0` skip — measured ~1.5× faster than the
-//!   branchy form, whose data-dependent branches mispredict on quantized
-//!   weights. The column kernels (GEMM over a batch of `n` activations)
-//!   instead pick the one live class and skip dead lanes, because there a
-//!   skip saves an entire `n`-wide FMA pass (measured: the unconditional
-//!   form halves batch-16 throughput);
-//! * blocks whose 24 lanes are all in-bounds take the SWAR fast path with
-//!   the `i >= len` bounds check hoisted out entirely; only the final
-//!   partial block of a channel pays per-lane checks;
+//!   is fully branchless: every lane accumulates `acc2 += q2·x` **and**
+//!   `acc3 += q3·x` unconditionally (one term is always zero), with no
+//!   `q == 0` skip — measured ~1.5× faster than the branchy form, whose
+//!   data-dependent branches mispredict on quantized weights. The column
+//!   kernels instead pick the one live class and skip dead lanes, because
+//!   there a skip saves an entire `n`-wide FMA pass (measured: the
+//!   unconditional form halves batch-16 throughput);
+//! * blocks whose 24 lanes are all in-bounds skip the `i >= len` bounds
+//!   check entirely; only the final partial block of a channel pays
+//!   per-lane checks;
 //! * the result combines once per channel as `s2·acc2 + s3·acc3` — exactly
 //!   the dual-accumulator scheme of the paper's PE array;
 //! * no intermediate `Matrix` is ever allocated: weight traffic is the
 //!   packed 2.33 bits per weight, not fp32.
 //!
 //! Channels are independent, so the matrix-level kernels
-//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_with`],
-//! [`PackedMatrix::matmul_t_into_with`]) optionally distribute the channel
-//! loop over a [`ThreadPool`](crate::pool::ThreadPool). Each channel's
-//! accumulation order is untouched by the distribution, so parallel output
-//! is **bit-identical to the serial path at any thread count** — the
+//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`])
+//! optionally distribute the channel loop over a
+//! [`ThreadPool`](crate::pool::ThreadPool). Each channel's accumulation
+//! order is untouched by the distribution, so parallel output is
+//! **bit-identical to the serial path at any thread count** — the
 //! invariant the batched serving engine's composition guarantee rests on.
 //!
 //! [`PackedChannel::dequantize_into`] / [`PackedMatrix::dequantize_into`]
@@ -149,9 +155,9 @@ pub const SPLIT_LANES: [[([i8; 3], [i8; 3]); 64]; 4] = {
 };
 
 /// The width-split lanes of cluster `k_in` within a block, straight from
-/// the index byte and 48-bit data word — the per-cluster LUT walk. The
-/// partial-tail loops and the scalar reference path use this; full blocks
-/// go through [`decode_block_swar`] instead.
+/// the index byte and 48-bit data word — the per-cluster LUT walk of the
+/// GEMV and of every partial-tail loop; the column kernels' full blocks go
+/// through [`decode_block_swar`] instead.
 #[inline(always)]
 fn split_lanes_at(idx: u8, data: u64, k_in: usize) -> &'static ([i8; 3], [i8; 3]) {
     let code = ((idx >> (CODE_BITS * (k_in / 2))) & 0b11) as usize;
@@ -162,10 +168,9 @@ fn split_lanes_at(idx: u8, data: u64, k_in: usize) -> &'static ([i8; 3], [i8; 3]
 /// The per-lane LUT walk of a channel's blocks from block `start` onward:
 /// calls `lane(i, two, three)` for every in-bounds weight index in order.
 /// This is the **one** definition of the bounds-checked slow path — every
-/// kernel's partial-tail handling (and the whole of
-/// [`PackedChannel::dot_scalar`]'s tail) goes through it, so the decode
-/// walk cannot drift between call sites and silently break the
-/// bit-identity contract the differential harness asserts.
+/// kernel's partial-tail handling goes through it, so the decode walk
+/// cannot drift between call sites and silently break the bit-identity
+/// contract the differential harness asserts.
 #[inline(always)]
 fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usize, i8, i8)) {
     for (bb, block) in ch.blocks.chunks_exact(BLOCK_BYTES).skip(start).enumerate() {
@@ -195,17 +200,16 @@ fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usi
 // clusters of a block resolve from the 48-bit data word in one pass of
 // register-wide shifts and masks (SIMD-within-a-register on `u64` byte
 // lanes), with the scale-class split selected per cluster from the index
-// byte — no per-cluster [`SPLIT_LANES`] lookups in the full-block hot
-// loops. std-only by design: this workspace builds without crates.io (and
-// therefore without portable-SIMD or intrinsics shims), and SWAR on `u64`
-// gives wide, branch-free unpacking on any target.
+// byte — no per-cluster [`SPLIT_LANES`] lookups in the column kernels'
+// full-block loops. std-only by design: this workspace builds without
+// crates.io (and therefore without portable-SIMD or intrinsics shims),
+// and SWAR on `u64` gives wide, branch-free unpacking on any target.
 //
 // Every step operates on one byte lane per cluster. Borrow isolation uses
 // the guarded-subtraction SWAR identity, specialized to subtrahends whose
 // bytes never exceed 0x7F (field magnitudes never exceed 3), which cuts
 // the general 5-op per-byte subtract down to 2 ops — the decode runs a
-// strict op budget because on the GEMV path it competes with a plain L1
-// table load.
+// strict op budget because it competes with a plain L1 table load.
 
 /// `0x01` in every byte lane.
 const SWAR_ONES: u64 = 0x0101_0101_0101_0101;
@@ -349,84 +353,6 @@ pub fn decode_block_swar(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; W
         }
     }
     (out_two, out_three)
-}
-
-/// Number of channels the fused GEMV decodes and accumulates together:
-/// enough independent accumulator chains to hide the float-add latency a
-/// single channel's (order-fixed) chain is bound by, few enough that the
-/// per-block decoded bytes (48 per channel) stay in L1-resident stack
-/// slots. Each activation element is loaded once per group instead of
-/// once per channel.
-const GEMV_CHANNEL_GROUP: usize = 4;
-
-/// Fused GEMV over a run of equal-length channels: `out[c] =
-/// channels[c] · x`, with channels processed [`GEMV_CHANNEL_GROUP`] at a
-/// time through the SWAR block decode. Within a group every channel keeps
-/// its own accumulator pair and its own accumulation order — block by
-/// block, lane by lane, exactly the order of [`PackedChannel::dot`] and
-/// [`PackedChannel::dot_scalar`] — so each output element is
-/// **bit-identical** to the per-channel scalar path; the group only
-/// interleaves *independent* chains, which is what lets the CPU overlap
-/// float-add latencies the serial chain cannot. The win therefore exists
-/// on cores where the scalar loop is pinned at its float-add latency wall
-/// (typical desktop/server cores: one dependent `addss` per weight per
-/// class ≈ 4 cycles/weight) — the `packed_batch` CI gate asserts ≥ 1.2×
-/// there and self-calibrates via a chain-rate probe, because on
-/// narrow/virtualized cores that are µop-throughput-bound instead, the
-/// grouped form measures slightly *below* the scalar loop (0.89× on the
-/// 1-CPU build container) and the gate records without enforcing. The
-/// group remainder falls back to per-channel [`dot`].
-fn matvec_channels(channels: &[PackedChannel], x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(channels.len(), out.len());
-    let mut groups = channels.chunks_exact(GEMV_CHANNEL_GROUP);
-    let mut outs = out.chunks_exact_mut(GEMV_CHANNEL_GROUP);
-    for (chs, os) in groups.by_ref().zip(outs.by_ref()) {
-        let len = chs[0].len;
-        debug_assert!(chs.iter().all(|c| c.len == len && c.len == x.len()));
-        let full = len / WEIGHTS_PER_BLOCK;
-        // Explicit scalar accumulators (not an array): each must live in
-        // its own register — an indexed array here compiles to a
-        // store/reload on every add, putting a store-forwarding round
-        // trip on the chain the grouping exists to hide.
-        let (mut a2_0, mut a2_1, mut a2_2, mut a2_3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        let (mut a3_0, mut a3_1, mut a3_2, mut a3_3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for b in 0..full {
-            let bytes = b * BLOCK_BYTES..(b + 1) * BLOCK_BYTES;
-            let d0 = DecodedBlockBytes::decode(&chs[0].blocks[bytes.clone()]);
-            let d1 = DecodedBlockBytes::decode(&chs[1].blocks[bytes.clone()]);
-            let d2 = DecodedBlockBytes::decode(&chs[2].blocks[bytes.clone()]);
-            let d3 = DecodedBlockBytes::decode(&chs[3].blocks[bytes]);
-            let xs = &x[b * WEIGHTS_PER_BLOCK..(b + 1) * WEIGHTS_PER_BLOCK];
-            for k in 0..CLUSTERS_PER_BLOCK {
-                for j in 0..3 {
-                    let xv = xs[k * 3 + j];
-                    let ((t0, h0), (t1, h1)) = (d0.lanes(k, j), d1.lanes(k, j));
-                    let ((t2, h2), (t3, h3)) = (d2.lanes(k, j), d3.lanes(k, j));
-                    a2_0 += t0 as f32 * xv;
-                    a3_0 += h0 as f32 * xv;
-                    a2_1 += t1 as f32 * xv;
-                    a3_1 += h1 as f32 * xv;
-                    a2_2 += t2 as f32 * xv;
-                    a3_2 += h2 as f32 * xv;
-                    a2_3 += t3 as f32 * xv;
-                    a3_3 += h3 as f32 * xv;
-                }
-            }
-        }
-        let mut acc2 = [a2_0, a2_1, a2_2, a2_3];
-        let mut acc3 = [a3_0, a3_1, a3_2, a3_3];
-        for (c, ch) in chs.iter().enumerate() {
-            // Partial tail, per channel: the same per-lane walk as `dot`.
-            for_each_lane_from(ch, full, |i, two, three| {
-                acc2[c] += two as f32 * x[i];
-                acc3[c] += three as f32 * x[i];
-            });
-            os[c] = ch.scale2 * acc2[c] + ch.scale3 * acc3[c];
-        }
-    }
-    for (ch, o) in groups.remainder().iter().zip(outs.into_remainder()) {
-        *o = ch.dot(x);
-    }
 }
 
 /// Reusable kernel scratch: the column-major activation restage and the
@@ -601,55 +527,18 @@ fn accumulate_columns(
 
 impl PackedChannel {
     /// Fused dot product `wᵀx` computed straight from the packed blocks —
-    /// the serving GEMV inner loop. Never materializes the dequantized
+    /// the serving GEMV inner loop, and the reference every other kernel
+    /// is asserted bit-identical to. Never materializes the dequantized
     /// channel. Branchless: every lane feeds both class accumulators (one
     /// term is always zero via [`SPLIT_LANES`], adding an exact `±0.0`
     /// for finite `x`), and full blocks skip the bounds check entirely.
+    /// Clusters decode through the per-cluster [`SPLIT_LANES`] walk, which
+    /// measures faster here than the SWAR pass the column kernels use.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the channel length.
     pub fn dot(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.len, "input length must equal channel length");
-        let mut acc2 = 0.0f32;
-        let mut acc3 = 0.0f32;
-        let full = self.len / WEIGHTS_PER_BLOCK;
-        for (b, block) in self.blocks.chunks_exact(BLOCK_BYTES).take(full).enumerate() {
-            // SWAR fast path: all 24 lanes decode in one wide pass; the
-            // FMA loop below accumulates them in the same lane order (and
-            // with the same decoded integers) as [`Self::dot_scalar`], so
-            // the result is bit-identical.
-            let d = DecodedBlockBytes::decode(block);
-            let xs = &x[b * WEIGHTS_PER_BLOCK..(b + 1) * WEIGHTS_PER_BLOCK];
-            for k in 0..CLUSTERS_PER_BLOCK {
-                for j in 0..3 {
-                    let xv = xs[k * 3 + j];
-                    let (two, three) = d.lanes(k, j);
-                    acc2 += two as f32 * xv;
-                    acc3 += three as f32 * xv;
-                }
-            }
-        }
-        for_each_lane_from(self, full, |i, two, three| {
-            acc2 += two as f32 * x[i];
-            acc3 += three as f32 * x[i];
-        });
-        self.scale2 * acc2 + self.scale3 * acc3
-    }
-
-    /// The scalar reference form of [`PackedChannel::dot`]: the same
-    /// branchless dual-accumulator GEMV, but with every cluster decoded
-    /// through the per-cluster [`SPLIT_LANES`] walk instead of the SWAR
-    /// wide-word pass. Kept public as the differential-testing and
-    /// benchmarking baseline — `dot` must equal it **bit for bit** on every
-    /// input (asserted exhaustively by the decode harness), which is what
-    /// lets the batch/thread/shard determinism contracts survive the SWAR
-    /// rewrite unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the channel length.
-    pub fn dot_scalar(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.len, "input length must equal channel length");
         let mut acc2 = 0.0f32;
         let mut acc3 = 0.0f32;
@@ -674,6 +563,14 @@ impl PackedChannel {
             acc3 += three as f32 * x[i];
         });
         self.scale2 * acc2 + self.scale3 * acc3
+    }
+
+    /// Alias of [`PackedChannel::dot`], which *is* the scalar LUT walk.
+    /// The name survives because `bench/`'s GEMV probe (frozen between
+    /// benchmark issues) calls it, and the differential tests use it to
+    /// say "the reference" when checking the SWAR column kernels.
+    pub fn dot_scalar(&self, x: &[f32]) -> f32 {
+        self.dot(x)
     }
 
     /// Decodes the channel into a caller-provided buffer (padding
@@ -736,11 +633,9 @@ impl PackedMatrix {
     }
 
     /// In-place fused GEMV: `y = W x` written into `out`, the channel loop
-    /// optionally distributed over `pool`. Channels stream through the
-    /// grouped SWAR kernel ([`GEMV_CHANNEL_GROUP`] channels per decode
-    /// pass) and are whole work items each writing only its own `out[r]`,
-    /// so the result is bit-identical to the serial per-channel path at
-    /// any thread count.
+    /// optionally distributed over `pool`. Each channel is a whole work
+    /// item ([`PackedChannel::dot`]) writing only its own `out[r]`, so the
+    /// result is bit-identical to the serial path at any thread count.
     ///
     /// # Panics
     ///
@@ -748,102 +643,21 @@ impl PackedMatrix {
     pub fn matvec_into(&self, x: &[f32], out: &mut [f32], pool: Option<&ThreadPool>) {
         assert_eq!(x.len(), self.cols(), "input length must equal cols");
         assert_eq!(out.len(), self.rows(), "output length must equal rows");
+        let channel_range = |start: usize, out: &mut [f32]| {
+            for (o, ch) in out.iter_mut().zip(&self.channels()[start..]) {
+                *o = ch.dot(x);
+            }
+        };
         match pool {
             Some(pool) if pool.threads() > 1 => {
                 let writer = SendSlice::new(out);
-                // min_chunk = the GEMV group size: the pool sizes chunks
-                // as a multiple of it, so no chunk but the last strands
-                // channels in the ungrouped remainder path and loses the
-                // latency-hiding the grouping buys (chunking never
-                // affects output bits).
-                pool.run(self.rows(), GEMV_CHANNEL_GROUP, &|_, start, end| {
+                pool.run(self.rows(), 1, &|_, start, end| {
                     // Safety: chunks from `ThreadPool::run` are disjoint.
-                    let out = unsafe { writer.slice_mut(start, end) };
-                    matvec_channels(&self.channels()[start..end], x, out);
+                    channel_range(start, unsafe { writer.slice_mut(start, end) });
                 });
             }
-            _ => matvec_channels(self.channels(), x, out),
+            _ => channel_range(0, out),
         }
-    }
-
-    /// Fused GEMM `Y = W X` (`X` is `cols x n`, `Y` is `rows x n`). Each
-    /// cluster is decoded exactly once; decoded lanes broadcast across the
-    /// `n` activation columns, the input-stationary dataflow of the
-    /// accelerator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != cols`.
-    pub fn matmul(&self, x: &Matrix) -> Matrix {
-        self.matmul_with(x, &mut KernelScratch::new(), None)
-    }
-
-    /// [`PackedMatrix::matmul`] with reusable scratch and an optional
-    /// channel-parallel pool (row `r` of `Y` is produced entirely by the
-    /// worker that owns channel `r`, so output is bit-identical to serial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != cols`.
-    pub fn matmul_with(
-        &self,
-        x: &Matrix,
-        scratch: &mut KernelScratch,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        assert_eq!(
-            x.rows(),
-            self.cols(),
-            "matmul shape mismatch: packed {}x{} @ {}x{}",
-            self.rows(),
-            self.cols(),
-            x.rows(),
-            x.cols()
-        );
-        let n = x.cols();
-        let mut out = Matrix::zeros(self.rows(), n);
-        // `X` is `cols x n` row-major: weight index `i`'s activation row is
-        // already the contiguous run `x[i*n..(i+1)*n]` — the exact layout
-        // `accumulate_columns` wants, no restaging needed.
-        let act = x.as_slice();
-        let channel_range =
-            |start: usize, end: usize, acc2: &mut [f32], acc3: &mut [f32], rows: &mut [f32]| {
-                for (r, ch) in self.channels()[start..end].iter().enumerate() {
-                    accumulate_columns(ch, act, n, acc2, acc3);
-                    let (s2, s3) = (ch.scale2(), ch.scale3());
-                    let orow = &mut rows[r * n..(r + 1) * n];
-                    for (o, (&a2, &a3)) in orow.iter_mut().zip(acc2.iter().zip(acc3.iter())) {
-                        *o = s2 * a2 + s3 * a3;
-                    }
-                }
-            };
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                let writer = SendSlice::new(out.as_mut_slice());
-                // One reused accumulator pair per pool worker; `run`
-                // guarantees at most one live chunk per worker index.
-                let accs = SendSlice::new(worker_accs(&mut scratch.worker_acc, pool.threads(), n));
-                pool.run(self.rows(), 1, &|worker, start, end| {
-                    // Safety: worker indices are exclusive, channel ranges
-                    // are disjoint, and channel `r` owns exactly the
-                    // output row `r*n..(r+1)*n`.
-                    let (acc2, acc3) = unsafe { &mut accs.slice_mut(worker, worker + 1)[0] };
-                    let rows = unsafe { writer.slice_mut(start * n, end * n) };
-                    channel_range(start, end, acc2, acc3, rows);
-                });
-            }
-            _ => {
-                let KernelScratch { acc2, acc3, .. } = scratch;
-                channel_range(
-                    0,
-                    self.rows(),
-                    resized(acc2, n),
-                    resized(acc3, n),
-                    out.as_mut_slice(),
-                );
-            }
-        }
-        out
     }
 
     /// Fused `Y = A Wᵀ` (`A` is `T x cols`, `Y` is `T x rows`) — the
@@ -979,72 +793,18 @@ impl PackedMatrix {
 /// Validates a shard list: every slice's columns match the activations,
 /// every output range `offset..offset + rows` is in bounds, and ranges are
 /// pairwise disjoint (the safety contract of the concurrent writes).
-fn assert_shard_ranges(
-    shards: &[(usize, PackedMatrix)],
-    a_cols: usize,
-    out_cols: usize,
-    kernel: &str,
-) {
+fn assert_shard_ranges(shards: &[(usize, PackedMatrix)], a_cols: usize, out_cols: usize) {
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(shards.len());
     for (off, m) in shards {
         let off = *off;
-        assert_eq!(m.cols(), a_cols, "{kernel}: shard columns must match the activations");
+        assert_eq!(m.cols(), a_cols, "shard columns must match the activations");
         let end = off.checked_add(m.rows()).expect("shard range overflows");
-        assert!(end <= out_cols, "{kernel}: shard range {off}..{end} exceeds output {out_cols}");
+        assert!(end <= out_cols, "shard range {off}..{end} exceeds output {out_cols}");
         ranges.push((off, end));
     }
     ranges.sort_unstable();
     for w in ranges.windows(2) {
-        assert!(w[0].1 <= w[1].0, "{kernel}: shard ranges {:?} and {:?} overlap", w[0], w[1]);
-    }
-}
-
-/// Shard-parallel fused GEMV gather: for every `(offset, slice)`,
-/// `out[offset..offset + slice.rows()] = slice @ x`, with whole shards
-/// fanned over `pool` as the work items (the shard **is** the parallelism
-/// grain here — inner channel loops stay serial, so the entry composes
-/// with a pool already owned by a higher layer without nesting jobs).
-/// Each channel's dot product is the exact scalar-path arithmetic, so when
-/// the shards are row slices of one matrix the gathered output is
-/// bit-identical to the unsharded [`PackedMatrix::matvec_into`] at any
-/// shard count and thread count. A single shard covering the whole output
-/// delegates to the channel-parallel unsharded kernel.
-///
-/// # Panics
-///
-/// Panics if a slice's columns differ from `x.len()`, a range exceeds
-/// `out`, or ranges overlap. Ranges need not cover all of `out`; uncovered
-/// entries are left untouched.
-pub fn matvec_sharded_into(
-    shards: &[(usize, PackedMatrix)],
-    x: &[f32],
-    out: &mut [f32],
-    pool: Option<&ThreadPool>,
-) {
-    assert_shard_ranges(shards, x.len(), out.len(), "matvec_sharded");
-    if let [(0, m)] = shards {
-        if m.rows() == out.len() {
-            return m.matvec_into(x, out, pool);
-        }
-    }
-    let serial = |shards: &[(usize, PackedMatrix)], out: &mut [f32]| {
-        for (off, m) in shards {
-            matvec_channels(m.channels(), x, &mut out[*off..off + m.rows()]);
-        }
-    };
-    match pool {
-        Some(pool) if pool.threads() > 1 && shards.len() > 1 => {
-            let writer = SendSlice::new(out);
-            pool.run(shards.len(), 1, &|_, start, end| {
-                for (off, m) in &shards[start..end] {
-                    // Safety: shard ranges are asserted disjoint above and
-                    // each shard belongs to exactly one chunk.
-                    let slice = unsafe { writer.slice_mut(*off, off + m.rows()) };
-                    matvec_channels(m.channels(), x, slice);
-                }
-            });
-        }
-        _ => serial(shards, out),
+        assert!(w[0].1 <= w[1].0, "shard ranges {:?} and {:?} overlap", w[0], w[1]);
     }
 }
 
@@ -1073,7 +833,7 @@ pub fn matmul_t_sharded_into(
     let t_len = a.rows();
     let out_cols = out.cols();
     assert_eq!(out.rows(), t_len, "matmul_t_sharded output must have {t_len} rows");
-    assert_shard_ranges(shards, a.cols(), out_cols, "matmul_t_sharded");
+    assert_shard_ranges(shards, a.cols(), out_cols);
     if let [(0, m)] = shards {
         if m.rows() == out_cols {
             return m.matmul_t_into_with(a, out, scratch, pool);
@@ -1206,22 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_is_bit_identical_to_dot_scalar() {
-        // Full blocks, partial tails down to a single lane, and the empty
-        // channel: the SWAR GEMV must equal the scalar reference exactly.
-        for (cols, seed) in
-            [(24usize, 61u64), (48, 62), (96, 63), (25, 64), (47, 65), (7, 66), (1, 67), (2, 68)]
-        {
-            let (_, packed) = random_packed(6, cols, seed);
-            let mut rng = Rng::seed_from(seed ^ 0xD07);
-            let x: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
-            for (r, ch) in packed.channels().iter().enumerate() {
-                assert_eq!(ch.dot(&x), ch.dot_scalar(&x), "cols {cols} row {r}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_dot_matches_dequantized_dot() {
         for (cols, seed) in [(24usize, 1u64), (25, 2), (47, 3), (96, 4), (1, 5), (2, 6)] {
             let (_, packed) = random_packed(4, cols, seed);
@@ -1263,16 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matmul_matches_dense_matmul() {
-        let (_, packed) = random_packed(9, 50, 11);
-        let mut rng = Rng::seed_from(12);
-        let x = Matrix::from_fn(50, 7, |_, _| rng.normal(0.0, 1.0));
-        let fused = packed.matmul(&x);
-        let reference = packed.dequantize().matmul(&x);
-        assert!(fused.sub(&reference).abs_max() < 1e-5);
-    }
-
-    #[test]
     fn fused_matmul_t_matches_dense_path() {
         let (_, packed) = random_packed(10, 31, 13);
         let mut rng = Rng::seed_from(14);
@@ -1309,10 +1043,8 @@ mod tests {
             let mut rng = Rng::seed_from(seed ^ 0xF00);
             let x: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
             let a = Matrix::from_fn(5, cols, |_, _| rng.normal(0.0, 1.0));
-            let xm = Matrix::from_fn(cols, 3, |_, _| rng.normal(0.0, 1.0));
             let serial_mv = packed.matvec(&x);
             let serial_mt = packed.matmul_t(&a);
-            let serial_mm = packed.matmul(&xm);
             for threads in [2usize, 4, 7] {
                 let pool = ThreadPool::new(threads);
                 let mut scratch = KernelScratch::new();
@@ -1322,8 +1054,6 @@ mod tests {
                 let mut mt = Matrix::zeros(5, rows);
                 packed.matmul_t_into_with(&a, &mut mt, &mut scratch, Some(&pool));
                 assert_eq!(mt, serial_mt, "matmul_t {rows}x{cols} threads {threads}");
-                let mm = packed.matmul_with(&xm, &mut scratch, Some(&pool));
-                assert_eq!(mm, serial_mm, "matmul {rows}x{cols} threads {threads}");
             }
         }
     }
@@ -1331,14 +1061,12 @@ mod tests {
     #[test]
     fn sharded_gathers_are_bit_identical_to_unsharded() {
         // Row slices of one matrix, gathered shard-parallel, must equal the
-        // unsharded kernels exactly — uneven splits, a 1-row slice, and a
+        // unsharded kernel exactly — uneven splits, a 1-row slice, and a
         // split finer than the channel count all included.
         for (rows, cols, seed) in [(13usize, 67usize, 51u64), (4, 24, 52), (1, 9, 53)] {
             let (_, packed) = random_packed(rows, cols, seed);
             let mut rng = Rng::seed_from(seed ^ 0x5A5A);
-            let x: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
             let a = Matrix::from_fn(5, cols, |_, _| rng.normal(0.0, 1.0));
-            let serial_mv = packed.matvec(&x);
             let serial_mt = packed.matmul_t(&a);
             for n_shards in [1usize, 2, 3, 5] {
                 // Contiguous split, deliberately uneven: ceil-sized head.
@@ -1353,9 +1081,6 @@ mod tests {
                 for threads in [1usize, 3] {
                     let pool = ThreadPool::new(threads);
                     let mut scratch = KernelScratch::new();
-                    let mut mv = vec![f32::NAN; rows];
-                    matvec_sharded_into(&slices, &x, &mut mv, Some(&pool));
-                    assert_eq!(mv, serial_mv, "{rows}x{cols} shards {n_shards} t {threads}");
                     let mut mt = Matrix::zeros(5, rows);
                     matmul_t_sharded_into(&slices, &a, &mut mt, &mut scratch, Some(&pool));
                     assert_eq!(mt, serial_mt, "{rows}x{cols} shards {n_shards} t {threads}");
@@ -1370,8 +1095,8 @@ mod tests {
         let (_, packed) = random_packed(6, 24, 54);
         let a = packed.slice_rows(0, 4);
         let b = packed.slice_rows(2, 6);
-        let mut out = vec![0.0f32; 6];
-        matvec_sharded_into(&[(0, a), (2, b)], &[0.0; 24], &mut out, None);
+        let (x, mut out) = (Matrix::zeros(1, 24), Matrix::zeros(1, 6));
+        matmul_t_sharded_into(&[(0, a), (2, b)], &x, &mut out, &mut KernelScratch::new(), None);
     }
 
     #[test]

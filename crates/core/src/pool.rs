@@ -3,7 +3,7 @@
 //! The paper's accelerator keeps every PE lane busy by decoding 8 clusters
 //! per block in parallel; the software mirror of that is keeping every CPU
 //! core busy across the **channel** dimension, which is embarrassingly
-//! parallel: each output channel of `matvec`/`matmul`/`matmul_t` is an
+//! parallel: each output channel of `matvec`/`matmul_t` is an
 //! independent accumulation over its own packed block stream. This module
 //! supplies the worker substrate (the build container has no crates.io
 //! access, so it is `std`-only: long-lived `std::thread` workers draining a

@@ -7,9 +7,7 @@
 //! * **Disabled is one relaxed load.** Every handle embeds the registry's
 //!   shared `enabled` flag; `Counter::add`, `Histogram::record` and
 //!   `Histogram::span` check it first and touch nothing else when it is
-//!   off. Building with `--no-default-features` (the `telemetry` feature
-//!   off) constant-folds that check to `false`, compiling the recording
-//!   paths out entirely — the CI overhead gate compares the two builds.
+//!   off.
 //! * **Deterministic under test.** Time comes from a pluggable [`Clock`]:
 //!   [`MonotonicClock`] in production, [`FakeClock`] (manually advanced)
 //!   in tests, so histogram bucket placement is exactly reproducible.
@@ -94,17 +92,10 @@ impl Clock for FakeClock {
     }
 }
 
-/// The one gate every recording path checks: a single relaxed load when
-/// the `telemetry` feature is compiled in, the constant `false` when not
-/// (letting the optimizer erase the recording branch entirely).
+/// The one gate every recording path checks: a single relaxed load.
 #[inline(always)]
 fn armed(enabled: &AtomicBool) -> bool {
-    if cfg!(feature = "telemetry") {
-        enabled.load(Ordering::Relaxed)
-    } else {
-        let _ = enabled;
-        false
-    }
+    enabled.load(Ordering::Relaxed)
 }
 
 /// Increment shards per counter. Eight 64-byte lines bound worst-case
@@ -604,8 +595,7 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// One relaxed load (constant `false` when the `telemetry` feature is
-    /// compiled out).
+    /// One relaxed load.
     #[inline]
     pub fn enabled(&self) -> bool {
         armed(&self.enabled)
@@ -843,7 +833,7 @@ impl KernelProfiler {
     /// One relaxed load — the whole disabled-path cost.
     #[inline]
     pub fn enabled() -> bool {
-        cfg!(feature = "telemetry") && KERNEL_ENABLED.load(Ordering::Relaxed)
+        KERNEL_ENABLED.load(Ordering::Relaxed)
     }
 
     /// `Some(start_micros)` when this call is sampled; pass it to
@@ -906,7 +896,6 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), FINITE_BUCKETS);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn counter_sums_across_threads() {
         let reg = MetricsRegistry::new();
@@ -937,16 +926,10 @@ mod tests {
         reg.set_enabled(true);
         c.add(5);
         h.record(10);
-        if cfg!(feature = "telemetry") {
-            assert_eq!(c.get(), 5);
-            assert_eq!(h.count(), 1);
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(h.count(), 0);
-        }
+        assert_eq!(c.get(), 5);
+        assert_eq!(h.count(), 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn fake_clock_drives_span_buckets_deterministically() {
         let clock = Arc::new(FakeClock::new());
@@ -969,7 +952,6 @@ mod tests {
         assert_eq!(h.p99(), 4096);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn cancelled_span_records_nothing() {
         let clock = Arc::new(FakeClock::new());
@@ -981,7 +963,6 @@ mod tests {
         assert_eq!(h.count(), 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn percentiles_are_bucket_upper_bounds() {
         let h = Histogram::standalone();
@@ -993,7 +974,6 @@ mod tests {
         assert_eq!(h.percentile(90.0), 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn snapshot_roundtrips_through_wire_encoding() {
         let reg = MetricsRegistry::new();
@@ -1014,7 +994,6 @@ mod tests {
         assert_eq!(MetricsSnapshot::decode(&v), Err(SnapshotDecodeError::BadVersion(99)));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn merged_snapshots_add_counters_and_buckets() {
         let a = MetricsRegistry::new();
@@ -1029,7 +1008,6 @@ mod tests {
         assert_eq!(snap.histograms["h"].count, 2);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn ingest_remote_replaces_per_source() {
         let reg = MetricsRegistry::new();
@@ -1047,7 +1025,6 @@ mod tests {
 
     /// Golden pin of the text exposition format. If this test needs
     /// editing, the scrape format changed — bump deliberately.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn golden_text_exposition() {
         let clock = Arc::new(FakeClock::new());
@@ -1097,7 +1074,6 @@ fineq_ttft_us_count 2
         assert_eq!(text, expected);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_server_serves_the_rendered_text() {
         let reg = Arc::new(MetricsRegistry::new());
@@ -1113,7 +1089,6 @@ fineq_ttft_us_count 2
         assert!(resp.contains("fineq_scrapes_total 1"), "{resp}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn kernel_profiler_samples_when_enabled() {
         // Global state: serialize against other tests via the lock itself.

@@ -344,8 +344,12 @@ fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
+/// `n` f32s at `off`. `n` comes from peer-controlled header fields, so the
+/// byte range is computed with checked arithmetic and sliced out of the
+/// bytes actually present before anything is allocated.
 fn get_f32s(payload: &[u8], off: usize, n: usize) -> Result<Vec<f32>, TransportError> {
-    let bytes = payload.get(off..off + n * 4).ok_or_else(|| {
+    let end = n.checked_mul(4).and_then(|len| off.checked_add(len));
+    let bytes = end.and_then(|end| payload.get(off..end)).ok_or_else(|| {
         TransportError::Protocol(format!("payload carries fewer than {n} f32 values"))
     })?;
     Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
@@ -515,7 +519,10 @@ impl Worker {
             if t_len == 0 || cols == 0 {
                 return Err(TransportError::Protocol("empty gather batch".into()));
             }
-            let data = get_f32s(payload, 20, t_len * cols)?;
+            let n = t_len.checked_mul(cols).ok_or_else(|| {
+                TransportError::Protocol(format!("gather shape {t_len}x{cols} overflows"))
+            })?;
+            let data = get_f32s(payload, 20, n)?;
             Ok((nonce, sid, Matrix::from_vec(t_len, cols, data)))
         })();
         let (nonce, sid, a) = match parsed {
@@ -2323,6 +2330,21 @@ mod tests {
             panic!("expected a frame reply");
         };
         assert_eq!(kind, KIND_ERROR);
+        // Hostile shapes in a well-framed header-only gather: the f32
+        // count fits a 64-bit usize but its byte length does not (for the
+        // first it would wrap to exactly 0). Neither may panic or wrap.
+        for dim in [0x8000_0000u32, 0xFFFF_FFFF] {
+            let mut hostile = req[..12].to_vec();
+            hostile.extend_from_slice(&dim.to_le_bytes());
+            hostile.extend_from_slice(&dim.to_le_bytes());
+            let WorkerReply::Frame(kind, msg) =
+                worker.handle(KIND_GATHER, &hostile).expect("handled")
+            else {
+                panic!("expected a frame reply");
+            };
+            assert_eq!(kind, KIND_ERROR, "{dim:#x}");
+            assert!(String::from_utf8_lossy(&msg).contains("malformed gather"), "{dim:#x}");
+        }
         assert_eq!(worker.loaded_sites(), 0);
     }
 

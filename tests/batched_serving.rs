@@ -24,7 +24,7 @@ fn fitted_tiny() -> (fineq::lm::Transformer, Corpus) {
 /// Batch-of-1 through the full packed serving pipeline reproduces
 /// `generate` on the packed model, token for token.
 #[test]
-fn packed_batch_of_one_is_token_identical_to_generate() {
+fn batch_of_one_packed_is_token_identical_to_generate() {
     let (model, corpus) = fitted_tiny();
     let (mut sched, _) =
         serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 1);

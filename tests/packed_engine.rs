@@ -7,7 +7,7 @@ use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::eval::perplexity;
 use fineq::lm::memory::ServingMemory;
-use fineq::lm::{KvCache, WeightSite};
+use fineq::lm::{KvCache, ModelConfig, Transformer, WeightSite};
 use fineq::pipeline::{quantize_model, quantize_model_packed, PipelineConfig};
 use fineq::tensor::{Matrix, Rng};
 
@@ -53,18 +53,14 @@ fn fused_matvec_matches_dequantize_then_matvec() {
     }
 }
 
-/// Fused batched kernels agree with the dense reference on random shapes.
+/// The fused batched kernel agrees with the dense reference on random shapes.
 #[test]
-fn fused_matmul_variants_match_reference() {
+fn fused_matmul_t_matches_reference() {
     let mut rng = Rng::seed_from(7);
     for (rows, cols, n) in [(3usize, 9usize, 4usize), (8, 65, 7), (17, 130, 3), (5, 44, 1)] {
         let w = laplace_matrix(rows, cols, &mut rng);
         let packed = pack(&w);
         let dq = packed.dequantize();
-
-        let x = Matrix::from_fn(cols, n, |_, _| rng.normal(0.0, 1.0));
-        let y = packed.matmul(&x);
-        assert!(y.sub(&dq.matmul(&x)).abs_max() < 1e-5, "matmul {rows}x{cols}x{n}");
 
         let a = Matrix::from_fn(n, cols, |_, _| rng.normal(0.0, 1.0));
         let yt = packed.matmul_t(&a);
@@ -144,13 +140,24 @@ fn packed_model_perplexity_equals_dequantized_reference() {
     assert!(pp < fp16 * 20.0, "packed ppl {pp} vs fp16 {fp16}");
 }
 
-/// The serving-memory model sees the measured packed footprint.
+/// The serving-memory model sees the measured packed footprint, and on
+/// serving-shaped widths (the benchmark's gate model) the packed body is at
+/// most 0.16x the dense fp32 bytes — 2.33/32 ≈ 0.073 plus per-channel
+/// scales and block padding.
 #[test]
 fn packed_model_shrinks_measured_serving_footprint() {
-    let corpus = Corpus::wiki_like(64, 29);
-    let (model, _) = build_fitted_model(&BuilderSpec::tiny(), &corpus, 2_000, 5);
+    let mut model = Transformer::zeros(ModelConfig::new(64, 256, 2, 4, 512));
+    let mut rng = Rng::seed_from(29);
+    for l in 0..model.n_layers() {
+        for site in WeightSite::ALL {
+            let (rows, cols) = (model.weight(l, site).rows(), model.weight(l, site).cols());
+            *model.weight_mut(l, site) = laplace_matrix(rows, cols, &mut rng).into();
+        }
+    }
     let (packed_model, _) =
         quantize_model_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default());
+    let ratio = packed_model.body_weight_bytes() as f64 / model.body_weight_bytes() as f64;
+    assert!(ratio <= 0.16, "packed body must be <= 0.16x dense fp32, got {ratio:.4}");
     let device = 2.0 * model.weight_footprint_bytes() as f64;
     let dense_plan = ServingMemory::from_model(&model, device);
     let packed_plan = ServingMemory::from_model(&packed_model, device);
