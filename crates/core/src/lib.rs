@@ -64,6 +64,6 @@ pub use retry::RetryPolicy;
 pub use serialize::{shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader};
 pub use stats::ClusterStats;
 pub use telemetry::{
-    Clock, Counter, FakeClock, Gauge, Histogram, KernelProfiler, MetricsRegistry, MetricsServer,
-    MetricsSnapshot, MonotonicClock, Span,
+    Clock, Counter, FakeClock, Gauge, Histogram, MetricsRegistry, MetricsServer, MetricsSnapshot,
+    MonotonicClock, Span,
 };

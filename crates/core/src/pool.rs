@@ -199,12 +199,6 @@ impl ThreadPool {
         Self { shared, workers, submit: Mutex::new(()), threads }
     }
 
-    /// A pool sized by [`default_threads`] (`FINEQ_THREADS` override, else
-    /// available parallelism).
-    pub fn from_env() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Total compute threads (workers + the submitting thread).
     pub fn threads(&self) -> usize {
         self.threads

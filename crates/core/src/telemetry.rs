@@ -1,4 +1,4 @@
-//! Dependency-free serving telemetry: sharded-atomic counters, gauges,
+//! Dependency-free serving telemetry: atomic counters, gauges,
 //! fixed-bucket latency histograms, span timing guards, a Prometheus-style
 //! text exposition, and a tiny `std::net` scrape endpoint.
 //!
@@ -11,9 +11,6 @@
 //! * **Deterministic under test.** Time comes from a pluggable [`Clock`]:
 //!   [`MonotonicClock`] in production, [`FakeClock`] (manually advanced)
 //!   in tests, so histogram bucket placement is exactly reproducible.
-//! * **Sharded counters.** [`Counter`] spreads increments over
-//!   cache-line-padded shards keyed by a per-thread index, so worker
-//!   threads never contend on one line; reads sum the shards.
 //! * **Fixed power-of-two buckets.** [`Histogram`] buckets are upper
 //!   bounds `1, 2, 4, … 2^25` µs plus an overflow bucket. Percentiles
 //!   report the upper bound of the bucket containing the rank — a
@@ -23,13 +20,15 @@
 //!   registry; it binary-encodes for the worker `STATS` frame and renders
 //!   the same Prometheus-style text everywhere, so coordinator and worker
 //!   registries aggregate into a single cluster view via
-//!   [`MetricsRegistry::ingest_remote`].
+//!   [`MetricsRegistry::ingest_remote`]. Counts that arrive from a peer
+//!   are summed with saturating arithmetic — a hostile or wrapped value
+//!   pins a metric at its maximum instead of panicking the scrape thread.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read as _, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Monotonic microsecond time source for spans and histograms.
@@ -98,42 +97,16 @@ fn armed(enabled: &AtomicBool) -> bool {
     enabled.load(Ordering::Relaxed)
 }
 
-/// Increment shards per counter. Eight 64-byte lines bound worst-case
-/// contention without bloating registries that hold dozens of counters.
-const COUNTER_SHARDS: usize = 8;
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-/// The calling thread's counter shard: assigned round-robin on first use,
-/// cached in a thread-local.
-fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-            s.set(v);
-        }
-        v
-    })
-}
-
-/// Monotonically increasing event count, sharded across cache lines.
+/// Monotonically increasing event count.
 #[derive(Debug)]
 pub struct Counter {
     enabled: Arc<AtomicBool>,
-    shards: [PaddedU64; COUNTER_SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     fn with_flag(enabled: Arc<AtomicBool>) -> Self {
-        Self { enabled, shards: Default::default() }
+        Self { enabled, value: AtomicU64::new(0) }
     }
 
     /// A counter not tied to any registry, always enabled — for tests and
@@ -150,13 +123,12 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if armed(&self.enabled) {
-            self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Sum over all shards.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -325,8 +297,7 @@ impl HistogramData {
         Self { buckets: vec![0; HISTOGRAM_BUCKETS], sum: 0, count: 0 }
     }
 
-    /// Records one value (used by the lock-protected kernel profiler,
-    /// which needs no atomics).
+    /// Records one value.
     pub fn record(&mut self, micros: u64) {
         if self.buckets.is_empty() {
             self.buckets = vec![0; HISTOGRAM_BUCKETS];
@@ -336,16 +307,17 @@ impl HistogramData {
         self.count += 1;
     }
 
-    /// Adds `other`'s buckets into this.
+    /// Adds `other`'s buckets into this. Saturating: `other` may have
+    /// been decoded from a peer's `STATS` reply.
     pub fn merge(&mut self, other: &HistogramData) {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+            *b = b.saturating_add(*o);
         }
-        self.sum += other.sum;
-        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.count = self.count.saturating_add(other.count);
     }
 
     /// The upper bound (µs) of the bucket containing rank
@@ -358,7 +330,7 @@ impl HistogramData {
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_bound_micros(i.min(FINITE_BUCKETS - 1));
             }
@@ -403,13 +375,17 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Adds `other` into this: counters and histogram buckets add, gauges
-    /// sum (a cluster-wide gauge is the sum of its members).
+    /// sum (a cluster-wide gauge is the sum of its members). Every add
+    /// saturates — `other` may be a peer's decoded `STATS` reply, and a
+    /// peer must not be able to overflow the coordinator's scrape thread.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            let c = self.counters.entry(k.clone()).or_insert(0);
+            *c = c.saturating_add(*v);
         }
         for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
+            let g = self.gauges.entry(k.clone()).or_insert(0);
+            *g = g.saturating_add(*v);
         }
         for (k, v) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(v);
@@ -523,7 +499,7 @@ impl MetricsSnapshot {
             out.push_str(&format!("# TYPE {name} histogram\n"));
             let mut cum = 0u64;
             for (i, &c) in h.buckets.iter().take(FINITE_BUCKETS).enumerate() {
-                cum += c;
+                cum = cum.saturating_add(c);
                 out.push_str(&format!(
                     "{name}_bucket{{le=\"{}\"}} {cum}\n",
                     bucket_bound_micros(i)
@@ -659,13 +635,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Own metrics, plus the kernel profiler's (when enabled), plus every
-    /// ingested remote snapshot — the cluster view.
+    /// Own metrics plus every ingested remote snapshot — the cluster view.
     pub fn cluster_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.snapshot();
-        if KernelProfiler::enabled() {
-            snap.merge(&KernelProfiler::snapshot());
-        }
         let inner = self.lock();
         for remote in inner.remote.values() {
             snap.merge(remote);
@@ -787,95 +759,6 @@ fn drain_request(conn: &mut std::net::TcpStream, deadline: Duration) {
                 }
             }
         }
-    }
-}
-
-/// Per-site kernel decode accounting, recorded under the profiler lock
-/// (sampled calls only — no atomics needed).
-#[derive(Debug, Clone, Default)]
-struct KernelSiteStats {
-    decode: HistogramData,
-    packed_bytes: u64,
-}
-
-static KERNEL_ENABLED: AtomicBool = AtomicBool::new(false);
-static KERNEL_SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
-static KERNEL_TICK: AtomicU64 = AtomicU64::new(0);
-
-fn kernel_sites() -> &'static Mutex<BTreeMap<&'static str, KernelSiteStats>> {
-    static SITES: OnceLock<Mutex<BTreeMap<&'static str, KernelSiteStats>>> = OnceLock::new();
-    SITES.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn kernel_clock() -> &'static MonotonicClock {
-    static CLOCK: OnceLock<MonotonicClock> = OnceLock::new();
-    CLOCK.get_or_init(MonotonicClock::new)
-}
-
-/// Process-global, off-by-default kernel profiler for the
-/// `LinearWeight`/`PackedMatrix` decode seam. Disabled cost is one
-/// relaxed load per kernel call; enabled, every `sample_every`-th call is
-/// timed and its packed bytes charged to its site label.
-pub struct KernelProfiler;
-
-impl KernelProfiler {
-    /// Enables sampling: every `sample_every`-th kernel call is timed
-    /// (clamped to ≥ 1).
-    pub fn enable(sample_every: u64) {
-        KERNEL_SAMPLE_EVERY.store(sample_every.max(1), Ordering::Relaxed);
-        KERNEL_ENABLED.store(true, Ordering::Relaxed);
-    }
-
-    pub fn disable() {
-        KERNEL_ENABLED.store(false, Ordering::Relaxed);
-    }
-
-    /// One relaxed load — the whole disabled-path cost.
-    #[inline]
-    pub fn enabled() -> bool {
-        KERNEL_ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// `Some(start_micros)` when this call is sampled; pass it to
-    /// [`record`](Self::record) after the kernel returns.
-    #[inline]
-    pub fn begin_sample() -> Option<u64> {
-        if !Self::enabled() {
-            return None;
-        }
-        let every = KERNEL_SAMPLE_EVERY.load(Ordering::Relaxed);
-        if !KERNEL_TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(every) {
-            return None;
-        }
-        Some(kernel_clock().now_micros())
-    }
-
-    /// Charges a sampled kernel call to `label`.
-    pub fn record(label: &'static str, started_at_micros: u64, packed_bytes: u64) {
-        let elapsed = kernel_clock().now_micros().saturating_sub(started_at_micros);
-        let mut sites = kernel_sites().lock().unwrap_or_else(|e| e.into_inner());
-        let s = sites.entry(label).or_default();
-        s.decode.record(elapsed);
-        s.packed_bytes += packed_bytes;
-    }
-
-    /// Snapshot as `fineq_kernel_<label>_decode_us` histograms and
-    /// `fineq_kernel_<label>_packed_bytes_total` counters.
-    pub fn snapshot() -> MetricsSnapshot {
-        let sites = kernel_sites().lock().unwrap_or_else(|e| e.into_inner());
-        let mut snap = MetricsSnapshot::default();
-        for (label, s) in sites.iter() {
-            snap.counters
-                .insert(format!("fineq_kernel_{label}_packed_bytes_total"), s.packed_bytes);
-            snap.histograms.insert(format!("fineq_kernel_{label}_decode_us"), s.decode.clone());
-        }
-        snap
-    }
-
-    /// Clears all recorded site stats and the sampling tick.
-    pub fn reset() {
-        kernel_sites().lock().unwrap_or_else(|e| e.into_inner()).clear();
-        KERNEL_TICK.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1008,6 +891,78 @@ mod tests {
         assert_eq!(snap.histograms["h"].count, 2);
     }
 
+    /// Counts in an ingested snapshot arrive in a peer's `STATS` reply:
+    /// two workers reporting `u64::MAX` and `1` must pin the cluster view
+    /// at the maximum, not overflow (and kill) the scrape thread.
+    #[test]
+    fn merged_peer_counts_saturate() {
+        let peer = |counter: u64, gauge: i64, bucket: u64| {
+            let mut snap = MetricsSnapshot::default();
+            snap.counters.insert("x".into(), counter);
+            snap.gauges.insert("g".into(), gauge);
+            let mut h = HistogramData::new();
+            (h.buckets[0], h.buckets[1], h.sum, h.count) = (bucket, bucket, counter, counter);
+            snap.histograms.insert("h".into(), h);
+            snap
+        };
+        let reg = MetricsRegistry::new();
+        reg.ingest_remote("w0", peer(u64::MAX, i64::MAX, 1 << 63));
+        reg.ingest_remote("w1", peer(1, 1, 1));
+        let cluster = reg.cluster_snapshot();
+        assert_eq!(cluster.counters["x"], u64::MAX);
+        assert_eq!(cluster.gauges["g"], i64::MAX);
+        let h = &cluster.histograms["h"];
+        assert_eq!((h.buckets[0], h.sum, h.count), ((1 << 63) + 1, u64::MAX, u64::MAX));
+        // Two buckets past 2^63 each: the running totals saturate too.
+        assert_eq!(h.percentile(100.0), 2);
+        let text = reg.render_text();
+        assert!(text.contains("\nx 18446744073709551615\n"), "{text}");
+        assert!(text.contains("h_bucket{le=\"2\"} 18446744073709551615\n"), "{text}");
+    }
+
+    /// The FQMS hostile-bytes sweep (FNQF frames have the same pair): a
+    /// snapshot truncated at any byte is `Truncated`, and one with any
+    /// byte flipped either fails typed or decodes to a snapshot every
+    /// consumer survives — the flips reach bucket counts next to one
+    /// already holding 2^63, so running totals are pushed past `u64::MAX`.
+    #[test]
+    fn snapshot_hostile_bytes_are_typed_errors_never_panics() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("a_total".into(), 7);
+        snap.counters.insert("b_total".into(), u64::MAX);
+        snap.gauges.insert("g".into(), -3);
+        let mut h = HistogramData::new();
+        (h.buckets[2], h.buckets[5], h.sum, h.count) = (1 << 63, 4, 99, (1 << 63) + 4);
+        snap.histograms.insert("h_us".into(), h);
+        let bytes = snap.encode();
+        assert_eq!(MetricsSnapshot::decode(&bytes), Ok(snap));
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                MetricsSnapshot::decode(&bytes[..cut]),
+                Err(SnapshotDecodeError::Truncated),
+                "cut at byte {cut}"
+            );
+        }
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
+            let mut hostile = bytes.clone();
+            hostile[i] ^= 0xFF;
+            if let Ok(got) = MetricsSnapshot::decode(&hostile) {
+                decoded += 1;
+                assert!(!got.render_text().is_empty(), "flip at byte {i}");
+                for h in got.histograms.values() {
+                    assert!(h.percentile(99.0) <= bucket_bound_micros(FINITE_BUCKETS - 1));
+                }
+                // And through the registry path a STATS reply takes.
+                let reg = MetricsRegistry::new();
+                reg.ingest_remote("w0", got.clone());
+                reg.ingest_remote("w1", got);
+                assert!(!reg.render_text().is_empty(), "flip at byte {i}");
+            }
+        }
+        assert!(decoded > 0, "value-byte flips must still decode");
+    }
+
     #[test]
     fn ingest_remote_replaces_per_source() {
         let reg = MetricsRegistry::new();
@@ -1087,20 +1042,5 @@ fineq_ttft_us_count 2
         conn.read_to_string(&mut resp).expect("response");
         assert!(resp.starts_with("HTTP/1.0 200 OK"), "{resp}");
         assert!(resp.contains("fineq_scrapes_total 1"), "{resp}");
-    }
-
-    #[test]
-    fn kernel_profiler_samples_when_enabled() {
-        // Global state: serialize against other tests via the lock itself.
-        KernelProfiler::reset();
-        assert!(KernelProfiler::begin_sample().is_none(), "off by default");
-        KernelProfiler::enable(1);
-        let start = KernelProfiler::begin_sample().expect("sampling every call");
-        KernelProfiler::record("test_site", start, 42);
-        KernelProfiler::disable();
-        let snap = KernelProfiler::snapshot();
-        assert_eq!(snap.counters["fineq_kernel_test_site_packed_bytes_total"], 42);
-        assert_eq!(snap.histograms["fineq_kernel_test_site_decode_us"].count, 1);
-        KernelProfiler::reset();
     }
 }

@@ -237,10 +237,9 @@ impl BatchKvCache {
     }
 
     /// **Used** (logical) bytes at fp16: per-copy accounting over cached
-    /// positions, blind to page sharing and tail-page slack. This is the
-    /// byte-budget admission unit
-    /// ([`crate::memory::ServingMemory::kv_cache_bytes_used`]); physical
-    /// residency is [`BatchKvCache::allocated_fp16_bytes`].
+    /// positions, blind to page sharing and tail-page slack (what
+    /// [`crate::memory::ServingMemory::kv_cache_bytes_used`] accounts);
+    /// physical residency is [`BatchKvCache::allocated_fp16_bytes`].
     pub fn fp16_bytes(&self) -> usize {
         2 * self.n_layers * self.d_model * self.total_tokens() * 2
     }
@@ -965,21 +964,12 @@ impl Transformer {
             slots,
             cache,
             pool,
-            // The profiled form: a no-op unless KernelProfiler sampling
-            // is armed, in which case per-site decode time and packed
-            // bytes aggregate under the site's metric label. Site groups
-            // run in order — in-process there is nothing to overlap.
+            // Site groups run in order — in-process there is nothing to
+            // overlap.
             |l, sites, a| {
                 Ok(sites
                     .iter()
-                    .map(|&site| {
-                        self.weight(l, site).matmul_t_profiled(
-                            site.metric_label(),
-                            a,
-                            scratch,
-                            pool,
-                        )
-                    })
+                    .map(|&site| self.weight(l, site).matmul_t_with(a, scratch, pool))
                     .collect())
             },
         )

@@ -72,14 +72,14 @@ pub use builder::{build_fitted_model, BuilderSpec};
 pub use config::{Activation, ModelConfig, SimPreset};
 pub use corpus::{Corpus, TokenStream};
 pub use eval::{cross_entropy, perplexity};
-pub use fineq_core::{FakeClock, KernelProfiler, MetricsRegistry, MetricsServer, MetricsSnapshot};
+pub use fineq_core::{FakeClock, MetricsRegistry, MetricsServer, MetricsSnapshot};
 pub use fineq_core::{KernelScratch, ThreadPool};
 pub use generate::{BatchKvCache, KvCache, PAGE_TOKENS};
 pub use memory::ServingMemory;
 pub use model::{LinearWeight, Transformer, WeightSite};
 pub use remote::{
-    run_worker, run_worker_configured, run_worker_with, HealthReport, RemoteShardedModel,
-    TransportConfig, TransportError, TransportHealth, Worker, WorkerEvent,
+    run_worker_configured, HealthReport, RemoteShardedModel, TransportConfig, TransportError,
+    TransportHealth, Worker, WorkerEvent,
 };
 pub use serving::{
     AdmissionError, BatchScheduler, DistributedScheduler, FailedSequence, FinishReason,

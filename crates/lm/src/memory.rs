@@ -135,8 +135,7 @@ impl ServingMemory {
     /// over slots of their cached tokens, ignoring page rounding and
     /// sharing — each sequence charged as if it owned its whole history.
     /// Equals the cache's own [`BatchKvCache::fp16_bytes`] when
-    /// `kv_bytes_per_elem` is 2. This is the byte-budget admission
-    /// metric (`Scheduler::set_kv_budget`), and the gap to
+    /// `kv_bytes_per_elem` is 2. The gap to
     /// [`ServingMemory::kv_cache_bytes_for`] is what prefix sharing
     /// saves (minus page-rounding waste).
     ///

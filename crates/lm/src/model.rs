@@ -190,36 +190,6 @@ impl LinearWeight {
             LinearWeight::Packed(p) => p.storage_bytes(),
         }
     }
-
-    /// [`LinearWeight::matmul_t_with`] wrapped in a
-    /// [`KernelProfiler`](fineq_core::KernelProfiler) sampling hook:
-    /// when profiling is enabled and this call lands on a sample tick,
-    /// the decode+GEMM time and the site's packed footprint are recorded
-    /// under `label` (per-site aggregation, e.g. `"attn_q"` from
-    /// [`WeightSite::label`]). Off — the default — it is one relaxed
-    /// atomic load on top of the kernel, so the batched decode loops
-    /// call this form unconditionally. Output is bit-identical either
-    /// way; profiling only observes.
-    ///
-    /// # Panics
-    ///
-    /// As [`LinearWeight::matmul_t_with`].
-    pub fn matmul_t_profiled(
-        &self,
-        label: &'static str,
-        a: &Matrix,
-        scratch: &mut KernelScratch,
-        pool: Option<&ThreadPool>,
-    ) -> Matrix {
-        match fineq_core::KernelProfiler::begin_sample() {
-            Some(t0) => {
-                let out = self.matmul_t_with(a, scratch, pool);
-                fineq_core::KernelProfiler::record(label, t0, self.footprint_bytes() as u64);
-                out
-            }
-            None => self.matmul_t_with(a, scratch, pool),
-        }
-    }
 }
 
 impl From<Matrix> for LinearWeight {
@@ -299,8 +269,7 @@ impl WeightSite {
 
     /// [`WeightSite::label`] in metric-name form (`[a-z0-9_]` only, so
     /// it can be embedded in a Prometheus-style metric name): `attn_q`,
-    /// …, `ffn_down`. Also the per-site label the kernel profiler
-    /// aggregates under.
+    /// …, `ffn_down`.
     pub fn metric_label(self) -> &'static str {
         match self {
             WeightSite::AttnQ => "attn_q",

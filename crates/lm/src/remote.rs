@@ -3,8 +3,8 @@
 //! [`crate::shard`] proved the topology in one process: row-shard every
 //! packed weight site, broadcast activations, gather partial outputs, and
 //! the result is bit-identical to the unsharded engine. This module puts a
-//! wire in the seam. A **worker** ([`run_worker`], shipped as the
-//! `fineq-worker` binary) loads its FNQS shard envelopes — the exact
+//! wire in the seam. A **worker** ([`run_worker_configured`], shipped as
+//! the `fineq-worker` binary) loads its FNQS shard envelopes — the exact
 //! bytes [`fineq_core::serialize::shard_to_bytes`] produces — and serves
 //! batched gather requests over the checksummed frame protocol of
 //! [`fineq_core::frame`]. The **coordinator** ([`RemoteShardedModel`])
@@ -12,11 +12,11 @@
 //! implements the same gather interface the in-process engine consumes:
 //! each linear site broadcasts the batch's activations to every involved
 //! shard's primary replica, then gathers their partial outputs. Sites
-//! that share one input (Q/K/V) are **pipelined**: up to
-//! [`TransportConfig::pipeline_depth`] nonce-tagged requests ride each
-//! connection at once, and replies complete out of order into their
-//! slots — the workers compute in parallel across shards *and* across
-//! sites, while the coordinator waits only on the slowest chain.
+//! that share one input (Q/K/V) are **pipelined**: the whole group's
+//! nonce-tagged requests ride each connection at once, and replies
+//! complete out of order into their slots — the workers compute in
+//! parallel across shards *and* across sites, while the coordinator
+//! waits only on the slowest chain.
 //!
 //! ## Protocol (version 2)
 //!
@@ -140,11 +140,11 @@ use fineq_core::frame::{
 };
 use fineq_core::pool::default_threads;
 use fineq_core::retry::RetryPolicy;
-use fineq_core::serialize::{shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader};
+use fineq_core::serialize::{shard_from_bytes, DecodeError};
 use fineq_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use fineq_core::{matmul_t_sharded_into, KernelScratch, PackedMatrix, ThreadPool};
 use fineq_tensor::Matrix;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -187,7 +187,7 @@ pub const KIND_ERROR: u8 = 0xEE;
 /// that a healthy LAN deployment never trips them, while a hung worker
 /// is detected within one gather deadline.
 ///
-/// When workers run with an idle deadline ([`run_worker_with`] /
+/// When workers run with an idle deadline ([`run_worker_configured`] /
 /// `fineq-worker <addr> [idle-timeout-ms]`), the operator must call
 /// [`RemoteShardedModel::heartbeat`] at a cadence **shorter than that
 /// idle deadline** during traffic gaps: each PING resets the worker's
@@ -204,32 +204,14 @@ pub struct TransportConfig {
     pub load_timeout: Duration,
     /// Read/write deadline for one gather send or one partial reply.
     pub gather_timeout: Duration,
-    /// Read/write deadline for one PING/PONG round trip.
+    /// Read/write deadline for one heartbeat probe round trip (PING/PONG,
+    /// or STATS once a [`MetricsRegistry`] is installed).
     pub heartbeat_timeout: Duration,
     /// Backoff schedule for reconnecting dead replicas: background
     /// rejoin probes are tick-gated by it, and `max_attempts` bounds the
     /// blocking recovery a single gather may attempt when a whole group
     /// is dead before surfacing [`TransportError::NoLiveReplica`].
     pub retry: RetryPolicy,
-    /// Maximum nonce-tagged `GATHER` requests kept in flight per replica
-    /// connection. `1` restores strictly serial request/reply; the
-    /// default `3` lets the Q/K/V site group (which shares one broadcast
-    /// input) ride each connection together, with replies completing
-    /// out of order into their slots by nonce. Output is bit-identical
-    /// at any depth — the oracle the `distributed-gate` overlap gate
-    /// enforces. Depth > 1 relies on OS socket buffering to absorb the
-    /// in-flight window; with the activation/partial sizes this repo
-    /// serves, the window is orders of magnitude below buffer limits.
-    /// `0` is treated as `1`.
-    pub pipeline_depth: usize,
-    /// When `true` (the default) and a [`MetricsRegistry`] is installed,
-    /// heartbeat probes use a `STATS` round-trip instead of `PING`:
-    /// liveness is proven by the same exchange that refreshes the
-    /// worker's metrics snapshot, so a heartbeat cadence gets cluster
-    /// scrapes for free instead of paying dedicated
-    /// [`RemoteShardedModel::scrape_worker_stats`] round-trips. With
-    /// telemetry disabled (or `false`) heartbeats stay PING/PONG.
-    pub scrape_stats_on_heartbeat: bool,
 }
 
 impl Default for TransportConfig {
@@ -240,8 +222,6 @@ impl Default for TransportConfig {
             gather_timeout: Duration::from_secs(30),
             heartbeat_timeout: Duration::from_secs(2),
             retry: RetryPolicy::default(),
-            pipeline_depth: 3,
-            scrape_stats_on_heartbeat: true,
         }
     }
 }
@@ -413,8 +393,8 @@ impl WorkerMetrics {
 /// Worker-side protocol state: the loaded slices plus reused kernel
 /// scratch. [`Worker::handle`] is the pure request → reply step, exposed
 /// so tests and examples can drive a worker in-process (including
-/// injecting failures between frames); [`run_worker`] is the process
-/// entry that wires it to a socket. Each worker owns a local
+/// injecting failures between frames); [`run_worker_configured`] is the
+/// process entry that wires it to a socket. Each worker owns a local
 /// [`MetricsRegistry`] (request counts, gather-kernel latency, packed
 /// bytes streamed) that a coordinator scrapes with a [`KIND_STATS`]
 /// frame — or an operator scrapes directly via the binary's
@@ -477,15 +457,10 @@ impl Worker {
                 self.metrics.pings.inc();
                 Ok(WorkerReply::Frame(KIND_PONG, payload.to_vec()))
             }
-            KIND_STATS => {
-                // cluster_snapshot folds in this process's kernel-profile
-                // counters when sampling is on, so one STATS reply carries
-                // the worker's full local view.
-                Ok(WorkerReply::Frame(
-                    KIND_STATS,
-                    self.metrics.registry.cluster_snapshot().encode(),
-                ))
-            }
+            KIND_STATS => Ok(WorkerReply::Frame(
+                KIND_STATS,
+                self.metrics.registry.cluster_snapshot().encode(),
+            )),
             KIND_SHUTDOWN => Ok(WorkerReply::Shutdown),
             other => Ok(error_reply(format!("unknown frame kind {other:#04x}"))),
         }
@@ -599,39 +574,21 @@ pub fn serve_connection(conn: &mut Stream, worker: &mut Worker) -> Result<bool, 
 /// reconnect without re-shipping weights. On a clean SHUTDOWN exit a
 /// Unix socket file is removed rather than left for the next bind.
 ///
-/// # Errors
-///
-/// Returns bind/accept failures; per-connection stream errors are logged
-/// to stderr and the worker accepts the next connection.
-pub fn run_worker(addr: &str) -> Result<(), TransportError> {
-    run_worker_with(addr, None)
-}
-
-/// [`run_worker`] with an optional per-connection idle deadline: a
-/// connection that sends nothing for `idle_timeout` is dropped and the
-/// worker returns to `accept`. Because a worker serves one connection at
-/// a time, this is what lets a *rejoining* coordinator get through when
-/// the previous coordinator vanished without closing its socket —
-/// without it, one hung peer wedges the worker forever.
-///
-/// The worker cannot distinguish a vanished coordinator from a merely
-/// idle one — only traffic can. A coordinator that may go quiet must
-/// therefore call [`RemoteShardedModel::heartbeat`] at a cadence shorter
-/// than `idle_timeout` (each PING resets the idle clock); one that does
-/// not pays a reconnect-and-replay on its next step after a long gap.
-/// This coupling is asserted by the
+/// With `idle_timeout` set, a connection that sends nothing for that long
+/// is dropped and the worker returns to `accept`. Because a worker serves
+/// one connection at a time, this is what lets a *rejoining* coordinator
+/// get through when the previous coordinator vanished without closing its
+/// socket — without it, one hung peer wedges the worker forever. The
+/// worker cannot distinguish a vanished coordinator from a merely idle
+/// one — only traffic can. A coordinator that may go quiet must therefore
+/// call [`RemoteShardedModel::heartbeat`] at a cadence shorter than
+/// `idle_timeout` (each probe resets the idle clock); one that does not
+/// pays a reconnect-and-replay on its next step after a long gap. This
+/// coupling is asserted by the
 /// `heartbeats_within_the_worker_idle_window_keep_connections_alive`
 /// test and documented on [`TransportConfig`].
 ///
-/// # Errors
-///
-/// As [`run_worker`].
-pub fn run_worker_with(addr: &str, idle_timeout: Option<Duration>) -> Result<(), TransportError> {
-    run_worker_configured(addr, idle_timeout, None)
-}
-
-/// [`run_worker_with`] plus an optional local metrics endpoint: when
-/// `metrics_addr` is `Some("host:port")`, the worker's registry is
+/// When `metrics_addr` is `Some("host:port")`, the worker's registry is
 /// served as Prometheus-style text from that address for the life of
 /// the process (the `fineq-worker --metrics <addr>` flag). The endpoint
 /// renders the same registry [`Worker::handle`] writes to, so an
@@ -639,9 +596,10 @@ pub fn run_worker_with(addr: &str, idle_timeout: Option<Duration>) -> Result<(),
 ///
 /// # Errors
 ///
-/// As [`run_worker`]; a metrics endpoint that fails to bind is also a
-/// hard error — an operator who asked for observability should not
-/// silently lose it.
+/// Returns bind/accept failures; per-connection stream errors are logged
+/// to stderr and the worker accepts the next connection. A metrics
+/// endpoint that fails to bind is also a hard error — an operator who
+/// asked for observability should not silently lose it.
 pub fn run_worker_configured(
     addr: &str,
     idle_timeout: Option<Duration>,
@@ -944,16 +902,6 @@ impl RemoteState {
         Ok((replica, conn))
     }
 
-    /// [`RemoteState::checkout_primary`] for a *specific* live replica —
-    /// heartbeat probes and STATS scrapes visit spares too, not just the
-    /// primary. The caller verified `conn` is present.
-    fn checkout_primary_at(&mut self, shard: usize, replica: usize) -> (usize, Stream) {
-        let r = &mut self.groups[shard].replicas[replica];
-        let conn = r.conn.take().expect("checkout of a live replica");
-        r.borrowed = true;
-        (replica, conn)
-    }
-
     /// Returns a borrowed connection to the table after successful I/O,
     /// stamping the traffic tick heartbeats key their piggyback skip on.
     fn checkin(&mut self, shard: usize, replica: usize, conn: Stream) {
@@ -1253,27 +1201,7 @@ impl RemoteShardedModel {
             // Slice once per shard; every replica receives the identical
             // envelope bytes (what makes replay — and rejoin — bit-
             // identical). Kept for the life of the deployment.
-            let envelopes: Vec<Vec<u8>> = plan
-                .sites()
-                .iter()
-                .filter(|sp| {
-                    let (start, end) = sp.range(shard);
-                    start < end
-                })
-                .map(|sp| {
-                    let (start, end) = sp.range(shard);
-                    let p = model.weight(sp.layer, sp.site).as_packed().expect("packed model");
-                    let header = ShardHeader {
-                        shard_index: shard as u16,
-                        n_shards: n_shards as u16,
-                        site_id: site_id(sp.layer, sp.site),
-                        row_start: start as u32,
-                        total_rows: sp.rows as u32,
-                    };
-                    shard_to_bytes(&p.slice_rows(start, end), &header)
-                })
-                .collect();
-            shard_envelopes.push(Arc::new(envelopes));
+            shard_envelopes.push(Arc::new(plan.envelopes(model, shard)));
         }
         // Connect + LOAD every replica of every shard in parallel: the
         // fleet is up after one slowest-replica handshake instead of the
@@ -1369,65 +1297,31 @@ impl RemoteShardedModel {
     /// replica with successful traffic since the previous heartbeat
     /// (gathers are keep-alives too) already proved liveness, so it is
     /// not probed — during steady serving only idle spares pay a
-    /// round-trip. **STATS-as-heartbeat:** with telemetry installed and
-    /// [`TransportConfig::scrape_stats_on_heartbeat`] on, the probe is a
-    /// `STATS` exchange whose reply refreshes that worker's metrics
-    /// snapshot — liveness and cluster scraping share one round-trip.
-    /// Probe I/O runs with the connections checked out and **no state
-    /// lock held**, so observability readers never stall behind a slow
-    /// replica.
+    /// round-trip. **STATS-as-heartbeat:** with telemetry installed the
+    /// probe is a `STATS` exchange whose reply refreshes that worker's
+    /// metrics snapshot — liveness and cluster scraping share one
+    /// round-trip; without it heartbeats stay PING/PONG. Probe I/O runs
+    /// with the connections checked out and **no state lock held**, so
+    /// observability readers never stall behind a slow replica.
     ///
     /// Heartbeats double as keep-alives: a cadence shorter than **half**
     /// the workers' idle deadline stops idle workers from hanging up
-    /// between requests (the coupling [`run_worker_with`] documents —
-    /// half, because the piggyback skip may leave a just-active replica
-    /// unprobed for one extra heartbeat interval).
+    /// between requests (the coupling [`run_worker_configured`]
+    /// documents — half, because the piggyback skip may leave a
+    /// just-active replica unprobed for one extra heartbeat interval).
     pub fn heartbeat(&self) -> HealthReport {
         let _op = self.op.lock().expect("transport op");
         self.maybe_rejoin();
-        // Plan under the state lock: decide who needs probing, check
-        // their connections out.
-        let (mut probes, scrape) = {
+        let (floor, scrape) = {
             let mut st = self.lock_state();
             let floor = st.last_heartbeat_tick;
             st.last_heartbeat_tick = st.tick;
-            let scrape = self.transport.scrape_stats_on_heartbeat && st.metrics.registry.enabled();
-            let mut probes = Vec::new();
-            for shard in 0..st.groups.len() {
-                for replica in 0..st.groups[shard].replicas.len() {
-                    let r = &st.groups[shard].replicas[replica];
-                    if r.conn.is_none() || r.last_ok_tick > floor {
-                        // Dead (rejoin probes own it) or recently active
-                        // (its traffic already proved liveness).
-                        continue;
-                    }
-                    let (rep, conn) = st.checkout_primary_at(shard, replica);
-                    probes.push(ControlProbe { shard, replica: rep, conn });
-                }
-            }
-            (probes, scrape)
+            (floor, st.metrics.registry.enabled())
         };
-        // Probe I/O, unlocked.
-        let outcomes: Vec<Result<Option<MetricsSnapshot>, TransportError>> =
-            probes.iter_mut().map(|p| self.probe_replica(p, scrape)).collect();
-        // Install outcomes and build the report under the lock.
+        // Replicas active since the previous heartbeat sit this one out:
+        // their traffic already proved liveness.
+        self.control_round(|r| r.last_ok_tick <= floor, scrape);
         let mut st = self.lock_state();
-        for (p, outcome) in probes.into_iter().zip(outcomes) {
-            match outcome {
-                Ok(snap) => {
-                    if let Some(snap) = snap {
-                        st.metrics
-                            .registry
-                            .ingest_remote(&format!("shard{}_replica{}", p.shard, p.replica), snap);
-                    }
-                    st.checkin(p.shard, p.replica, p.conn);
-                }
-                Err(e) => {
-                    let _ = p.conn.shutdown();
-                    st.mark_dead(p.shard, p.replica, &e);
-                }
-            }
-        }
         for shard in 0..st.groups.len() {
             let _ = st.elect_primary(shard);
         }
@@ -1483,47 +1377,53 @@ impl RemoteShardedModel {
     /// failover path — the next gather elects a spare, rejoin probes
     /// bring it back. No-op while telemetry is disabled. Returns the
     /// number of replicas scraped.
-    ///
-    /// Scrape I/O runs with the connections checked out and **no state
-    /// lock held** (the rejoin-probe plan/IO/install pattern): a slow or
-    /// hung replica stalls only this call, never
-    /// [`RemoteShardedModel::transport_health`] or
-    /// [`RemoteShardedModel::take_events`] readers on other threads.
     pub fn scrape_worker_stats(&self) -> usize {
         let _op = self.op.lock().expect("transport op");
-        // Plan under the lock: check out every live connection.
-        let mut probes = {
+        if !self.lock_state().metrics.registry.enabled() {
+            return 0;
+        }
+        self.control_round(|_| true, true)
+    }
+
+    /// One round of control probes over every connected replica `pick`
+    /// selects, in the rejoin-probe plan/IO/install pattern: connections
+    /// are checked out under the state lock, probed with **no state lock
+    /// held**, then checked back in (a `STATS` snapshot folded into the
+    /// registry as source `shard{s}_replica{r}`) or marked dead. A slow
+    /// or hung replica therefore stalls only this call, never
+    /// [`RemoteShardedModel::transport_health`] or
+    /// [`RemoteShardedModel::take_events`] readers on other threads.
+    /// Returns the number of replicas that answered.
+    fn control_round(&self, pick: impl Fn(&Replica) -> bool, scrape: bool) -> usize {
+        let mut probes = Vec::new();
+        {
             let mut st = self.lock_state();
-            if !st.metrics.registry.enabled() {
-                return 0;
-            }
-            let mut probes = Vec::new();
-            for shard in 0..st.groups.len() {
-                for replica in 0..st.groups[shard].replicas.len() {
-                    if st.groups[shard].replicas[replica].conn.is_none() {
+            for (shard, group) in st.groups.iter_mut().enumerate() {
+                for (replica, r) in group.replicas.iter_mut().enumerate() {
+                    if !pick(r) {
                         continue;
                     }
-                    let (rep, conn) = st.checkout_primary_at(shard, replica);
-                    probes.push(ControlProbe { shard, replica: rep, conn });
+                    // Dead replicas are the rejoin probes' to revive.
+                    let Some(conn) = r.conn.take() else { continue };
+                    r.borrowed = true;
+                    probes.push(ControlProbe { shard, replica, conn });
                 }
             }
-            probes
-        };
-        // STATS I/O, unlocked.
+        }
         let outcomes: Vec<Result<Option<MetricsSnapshot>, TransportError>> =
-            probes.iter_mut().map(|p| self.probe_replica(p, true)).collect();
-        // Install: fold snapshots in, fail hung replicas over.
+            probes.iter_mut().map(|p| self.probe_replica(p, scrape)).collect();
         let mut st = self.lock_state();
-        let mut scraped = 0;
+        let mut answered = 0;
         for (p, outcome) in probes.into_iter().zip(outcomes) {
             match outcome {
                 Ok(snap) => {
-                    let snap = snap.expect("STATS probe returns a snapshot");
-                    st.metrics
-                        .registry
-                        .ingest_remote(&format!("shard{}_replica{}", p.shard, p.replica), snap);
+                    if let Some(snap) = snap {
+                        st.metrics
+                            .registry
+                            .ingest_remote(&format!("shard{}_replica{}", p.shard, p.replica), snap);
+                    }
                     st.checkin(p.shard, p.replica, p.conn);
-                    scraped += 1;
+                    answered += 1;
                 }
                 Err(e) => {
                     let _ = p.conn.shutdown();
@@ -1531,7 +1431,7 @@ impl RemoteShardedModel {
                 }
             }
         }
-        scraped
+        answered
     }
 
     /// One heartbeat/scrape round-trip on a checked-out connection:
@@ -1900,13 +1800,13 @@ impl RemoteShardedModel {
 
     /// One *group* of linear sites sharing the same broadcast input,
     /// distributed and pipelined: each site becomes a nonce-tagged
-    /// request, up to [`TransportConfig::pipeline_depth`] of them ride
-    /// every involved shard's connection at once, and replies complete
-    /// out of order into their slots by nonce — Q/K/V overlap on the
-    /// wire and on the workers while the coordinator waits only on the
-    /// slowest chain. Outputs are returned in `sites` order and are
-    /// bit-identical to serial execution at any depth (nothing about
-    /// scheduling touches arithmetic).
+    /// request, the whole group (Q/K/V, or one site — far below what OS
+    /// socket buffers absorb) rides every involved shard's connection at
+    /// once, and replies complete out of order into their slots by nonce
+    /// — Q/K/V overlap on the wire and on the workers while the
+    /// coordinator waits only on the slowest chain. Outputs are returned
+    /// in `sites` order and are bit-identical to serial execution
+    /// (nothing about scheduling touches arithmetic).
     ///
     /// Each call ticks the rejoin clock, so dead replicas whose backoff
     /// is due get probed on the way in. Any mid-flight failure replays
@@ -1934,7 +1834,6 @@ impl RemoteShardedModel {
         // hold it across the broadcast/gather I/O below.
         let tm = self.lock_state().metrics.clone();
         let started = tm.registry.enabled().then(|| tm.registry.now_micros());
-        let depth = self.transport.pipeline_depth.max(1);
         // One blocking-recovery budget for the whole group: a
         // repeatedly-failing fleet cannot stall a step forever.
         let mut budget = self.transport.retry.max_attempts;
@@ -1962,24 +1861,13 @@ impl RemoteShardedModel {
         };
         let mut links: HashMap<usize, ShardLink> = HashMap::new();
         let result: Result<(), TransportError> = (|| {
-            let mut window: VecDeque<usize> = VecDeque::new();
             for j in 0..reqs.len() {
-                if window.len() >= depth {
-                    let done = window.pop_front().expect("non-empty window");
-                    self.complete_req(done, &mut reqs, &mut links, &mut budget)?;
-                    if let Some(t0) = started {
-                        tm.gather_us[sites[done].index()]
-                            .record(tm.registry.now_micros().saturating_sub(t0));
-                    }
-                }
                 self.dispatch_req(j, &reqs, &mut links, &mut budget)?;
-                window.push_back(j);
             }
-            while let Some(done) = window.pop_front() {
-                self.complete_req(done, &mut reqs, &mut links, &mut budget)?;
+            for (j, site) in sites.iter().enumerate() {
+                self.complete_req(j, &mut reqs, &mut links, &mut budget)?;
                 if let Some(t0) = started {
-                    tm.gather_us[sites[done].index()]
-                        .record(tm.registry.now_micros().saturating_sub(t0));
+                    tm.gather_us[site.index()].record(tm.registry.now_micros().saturating_sub(t0));
                 }
             }
             Ok(())
@@ -2354,26 +2242,19 @@ mod tests {
         let plan = ShardPlan::new(&model, 2);
         let sp = plan.site(0, WeightSite::FfnUp);
         let (start, end) = sp.range(1);
-        let p = model.weight(0, WeightSite::FfnUp).as_packed().expect("packed");
-        let header = ShardHeader {
-            shard_index: 1,
-            n_shards: 2,
-            site_id: site_id(0, WeightSite::FfnUp),
-            row_start: start as u32,
-            total_rows: sp.rows as u32,
-        };
-        let envelope = shard_to_bytes(&p.slice_rows(start, end), &header);
+        let sid = site_id(0, WeightSite::FfnUp);
+        // Shard 1 owns rows of every site, so its envelopes index by site id.
+        let envelope = &plan.envelopes(&model, 1)[sid as usize];
         let mut worker = Worker::new();
-        let WorkerReply::Frame(kind, ack) = worker.handle(KIND_LOAD, &envelope).expect("load")
+        let WorkerReply::Frame(kind, ack) = worker.handle(KIND_LOAD, envelope).expect("load")
         else {
             panic!("expected LOADED");
         };
-        assert_eq!((kind, get_u32(&ack, 0).expect("ack")), (KIND_LOADED, header.site_id));
+        assert_eq!((kind, get_u32(&ack, 0).expect("ack")), (KIND_LOADED, sid));
         let mut rng = Rng::seed_from(5);
         let a = Matrix::from_fn(3, sp.cols, |_, _| rng.normal(0.0, 1.0));
-        let WorkerReply::Frame(kind, reply) = worker
-            .handle(KIND_GATHER, &encode_gather(0xDEAD_BEEF_CAFE, header.site_id, &a))
-            .expect("gather")
+        let WorkerReply::Frame(kind, reply) =
+            worker.handle(KIND_GATHER, &encode_gather(0xDEAD_BEEF_CAFE, sid, &a)).expect("gather")
         else {
             panic!("expected PARTIAL");
         };
@@ -2514,10 +2395,10 @@ mod tests {
     }
 
     /// The heartbeat-cadence / worker-idle-deadline coupling documented
-    /// on [`run_worker_with`]: heartbeats inside the idle window keep an
-    /// otherwise-silent connection alive (no deaths); going fully silent
-    /// past the window drops it worker-side, and the next step pays a
-    /// recovered-and-invisible reconnect.
+    /// on [`run_worker_configured`]: heartbeats inside the idle window
+    /// keep an otherwise-silent connection alive (no deaths); going fully
+    /// silent past the window drops it worker-side, and the next step
+    /// pays a recovered-and-invisible reconnect.
     #[test]
     fn heartbeats_within_the_worker_idle_window_keep_connections_alive() {
         let model = packed_tiny(16);
@@ -2529,8 +2410,8 @@ mod tests {
             let mut worker = Worker::new();
             loop {
                 let Ok(mut conn) = listener.accept() else { return };
-                // The run_worker_with idle deadline, inlined so the test
-                // controls the listener's lifetime.
+                // The run_worker_configured idle deadline, inlined so the
+                // test controls the listener's lifetime.
                 let _ = conn.set_read_timeout(Some(idle));
                 let _ = conn.set_write_timeout(Some(idle));
                 match serve_connection(&mut conn, &mut worker) {

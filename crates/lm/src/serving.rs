@@ -26,33 +26,27 @@
 //! the two steps share one step body, so whole scheduler runs are
 //! **identical at any shard count**.
 //!
-//! Both admit by slot count and, optionally, by **KV headroom**: give the
-//! scheduler a KV budget ([`BatchScheduler::set_kv_budget`]) and a request
-//! is only admitted while the live cache
-//! ([`ServingMemory::kv_cache_bytes_used`]) plus the worst-case growth of
-//! everything already admitted plus the request's own worst case fits the
-//! budget — over-budget requests wait in the FIFO queue, and a request
-//! that could *never* fit is refused at submit with a typed
-//! [`AdmissionError`] (the queue and every admitted sequence unaffected).
-//!
-//! The cache behind both schedulers is **paged** (fixed-size token pages
-//! from a shared pool — see [`BatchKvCache`]), which unlocks a second,
-//! page-granular admission mode: [`Scheduler::set_page_budget`] caps the
-//! pool at `max_pages` physical pages and admits a request as soon as the
-//! pool has headroom for its *next step* rather than reserving its whole
-//! worst case up front. Over-commitment is resolved by **preemption**: when
-//! the pool cannot cover the next step, the youngest sequence's pages are
-//! evicted, the sequence is parked on a resume queue, and a typed
-//! [`PreemptionEvent`] records the eviction. A resumed sequence replays its
-//! prompt and already-generated tokens *without re-consuming its sampling
-//! RNG*, so a preempted-and-resumed run is token-identical to an
-//! unpressured one (asserted by tests at every thread × shard count).
+//! The cache behind every scheduler is **paged** (fixed-size token pages
+//! from a shared pool — see [`BatchKvCache`]), and pages are the one KV
+//! budget: besides slot count, admission is limited by
+//! [`Scheduler::set_page_budget`], which caps the pool at `max_pages`
+//! physical pages ([`crate::memory::ServingMemory::max_pages`] turns a
+//! device plan into that number) and admits a request as soon as the pool
+//! has headroom for its *next step* rather than reserving its whole worst
+//! case up front. A request that could *never* fit the pool is
+//! refused at submit with a typed [`AdmissionError`] (the queue and every
+//! admitted sequence unaffected). Over-commitment is resolved by
+//! **preemption**: when the pool cannot cover the next step, the youngest
+//! sequence's pages are evicted, the sequence is parked on a resume queue,
+//! and a typed [`PreemptionEvent`] records the eviction. A resumed sequence
+//! replays its prompt and already-generated tokens *without re-consuming
+//! its sampling RNG*, so a preempted-and-resumed run is token-identical to
+//! an unpressured one (asserted by tests at every thread × shard count).
 //! [`Scheduler::enable_prefix_sharing`] additionally maps equal prompt
 //! prefixes onto the same physical pages copy-on-write, so common-system-
 //! prompt traffic pays KV bytes once instead of per sequence.
 
 use crate::generate::{sample_token, BatchKvCache};
-use crate::memory::ServingMemory;
 use crate::model::Transformer;
 use crate::shard::ShardedModel;
 use fineq_core::telemetry::{Counter, Histogram, MetricsRegistry};
@@ -155,33 +149,18 @@ impl ActiveSeq {
 /// Why a request (or a budget installation) was refused admission. Unlike
 /// the contract violations `submit` panics on (empty prompt,
 /// out-of-vocabulary token, non-positive temperature or budget), an
-/// impossible request under a KV budget is an *operational* condition — a
-/// well-formed request meeting a deliberately tight deployment limit — so
-/// it surfaces as a typed error the caller can handle (shed the request,
-/// split it, route it to a bigger pool) without unwinding the scheduler.
-/// The scheduler's queue and every admitted sequence are untouched by a
-/// rejection (asserted by tests).
+/// impossible request under a page budget is an *operational* condition —
+/// a well-formed request meeting a deliberately tight deployment limit —
+/// so it surfaces as a typed error the caller can handle (shed the
+/// request, split it, route it to a bigger pool) without unwinding the
+/// scheduler. The scheduler's queue and every admitted sequence are
+/// untouched by a rejection (asserted by tests).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
-    /// The request's worst-case KV footprint exceeds the configured byte
-    /// budget even on an otherwise empty cache: it could never be admitted
-    /// and would block the FIFO head forever.
-    KvBudgetExceeded {
-        /// The offending request's id.
-        id: u64,
-        /// Bytes the request's worst case (`prompt + max_new_tokens`
-        /// cached tokens) would need.
-        required_bytes: f64,
-        /// The configured budget.
-        budget_bytes: f64,
-        /// The worst case expressed in whole KV pages.
-        required_pages: usize,
-        /// Pages the byte budget could hold when empty — the most that
-        /// could ever be free for this request.
-        free_pages: usize,
-    },
     /// The request's worst case needs more physical pages than the
-    /// configured page pool holds in total.
+    /// configured page pool holds in total: it could never be admitted
+    /// (or, once evicted, never resume) and would block the FIFO head
+    /// forever.
     PageBudgetExceeded {
         /// The offending request's (or sequence's) id.
         id: u64,
@@ -195,24 +174,12 @@ pub enum AdmissionError {
 
 impl std::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdmissionError::KvBudgetExceeded {
-                id,
-                required_bytes,
-                budget_bytes,
-                required_pages,
-                free_pages,
-            } => write!(
-                f,
-                "request {id} can never fit the KV budget: needs {required_bytes:.0} bytes \
-                 of {budget_bytes:.0} ({required_pages} pages of at most {free_pages} free)"
-            ),
-            AdmissionError::PageBudgetExceeded { id, required_pages, budget_pages } => write!(
-                f,
-                "request {id} can never fit the page pool: needs {required_pages} pages \
-                 of {budget_pages}"
-            ),
-        }
+        let AdmissionError::PageBudgetExceeded { id, required_pages, budget_pages } = self;
+        write!(
+            f,
+            "request {id} can never fit the page pool: needs {required_pages} pages \
+             of {budget_pages}"
+        )
     }
 }
 
@@ -270,48 +237,12 @@ pub struct FailedSequence {
     pub error: StepError,
 }
 
-/// KV-limited admission configuration: a serving-memory plan supplying the
-/// KV byte arithmetic and a byte budget the live-plus-committed cache must
-/// never exceed.
-#[derive(Debug, Clone)]
-struct KvBudget {
-    plan: ServingMemory,
-    budget_bytes: f64,
-}
-
-impl KvBudget {
-    /// Worst-case cached tokens of one request over its whole lifetime.
-    /// A sequence feeds (and therefore caches) at most
-    /// `prompt_len + max_new_tokens - 1` tokens — the final sampled token
-    /// is never fed back — so this bound is safe with a token to spare.
-    fn bound_tokens(prompt_len: usize, max_new_tokens: usize) -> usize {
-        prompt_len + max_new_tokens
-    }
-
-    /// Whether a request's worst case fits an *empty* cache under this
-    /// budget — the feasibility check shared by submit-time and
-    /// install-time validation (a request failing it would wait in the
-    /// FIFO queue forever). `page_tokens` translates the byte arithmetic
-    /// into the page-granular context the error carries.
-    fn check_request_feasible(
-        &self,
-        req: &ServeRequest,
-        page_tokens: usize,
-    ) -> Result<(), AdmissionError> {
-        let bound = KvBudget::bound_tokens(req.prompt.len(), req.max_new_tokens);
-        let need = self.plan.kv_cache_bytes(bound as f64);
-        if need > self.budget_bytes {
-            let page_bytes = self.plan.kv_cache_bytes(page_tokens as f64);
-            return Err(AdmissionError::KvBudgetExceeded {
-                id: req.id,
-                required_bytes: need,
-                budget_bytes: self.budget_bytes,
-                required_pages: bound.div_ceil(page_tokens),
-                free_pages: (self.budget_bytes / page_bytes).floor() as usize,
-            });
-        }
-        Ok(())
-    }
+/// Worst-case cached tokens of one request over its whole lifetime.
+/// A sequence feeds (and therefore caches) at most
+/// `prompt_len + max_new_tokens - 1` tokens — the final sampled token
+/// is never fed back — so this bound is safe with a token to spare.
+fn bound_tokens(prompt_len: usize, max_new_tokens: usize) -> usize {
+    prompt_len + max_new_tokens
 }
 
 /// One preemption, recorded when pool pressure evicts a sequence's pages.
@@ -364,51 +295,6 @@ pub struct SchedulerStats {
     /// attempts, open deadlines) when the served model is distributed;
     /// `None` for in-process engines, which have no transport.
     pub transport: Option<crate::remote::TransportHealth>,
-}
-
-impl SchedulerStats {
-    /// A stable single-line JSON rendering for the metrics plane: fixed
-    /// field order, integers only, `null` for absent optionals. Pinned by
-    /// tests alongside the Prometheus text exposition — dashboards may
-    /// parse it.
-    pub fn to_json(&self) -> String {
-        let free_pages = self.free_pages.map_or_else(|| "null".to_owned(), |p| p.to_string());
-        let transport = self.transport.as_ref().map_or_else(
-            || "null".to_owned(),
-            |t| {
-                format!(
-                    "{{\"live_replicas\":{},\"dead_replicas\":{},\"deaths\":{},\
-                     \"failovers\":{},\"rejoins\":{},\"retry_attempts\":{},\
-                     \"timeouts\":{},\"deadline_ms\":{}}}",
-                    t.live_replicas,
-                    t.dead_replicas,
-                    t.deaths,
-                    t.failovers,
-                    t.rejoins,
-                    t.retry_attempts,
-                    t.timeouts,
-                    t.deadline_ms
-                )
-            },
-        );
-        format!(
-            "{{\"queued\":{},\"active\":{},\"preempted\":{},\"preemptions\":{},\
-             \"finished\":{},\"allocated_pages\":{},\"free_pages\":{free_pages},\
-             \"shared_pages\":{},\"cow_copies\":{},\"page_tokens\":{},\
-             \"shared_prefix_tokens\":{},\"failed\":{},\"transport\":{transport}}}",
-            self.queued,
-            self.active,
-            self.preempted,
-            self.preemptions,
-            self.finished,
-            self.allocated_pages,
-            self.shared_pages,
-            self.cow_copies,
-            self.page_tokens,
-            self.shared_prefix_tokens,
-            self.failed,
-        )
-    }
 }
 
 /// A queued request plus its registry-clock submission stamp (0 when
@@ -494,7 +380,6 @@ struct SchedulerCore {
     failed_steps: u64,
     steps: u64,
     stepped_tokens: u64,
-    kv_budget: Option<KvBudget>,
     /// Physical-page pool cap; installed by `set_page_budget` together
     /// with the cache-side capacity.
     page_budget: Option<usize>,
@@ -521,7 +406,6 @@ impl SchedulerCore {
             failed_steps: 0,
             steps: 0,
             stepped_tokens: 0,
-            kv_budget: None,
             page_budget: None,
             prefix_sharing: false,
             preemptions: 0,
@@ -543,13 +427,10 @@ impl SchedulerCore {
         }
         assert!(request.temperature > 0.0, "temperature must be positive");
         assert!(request.max_new_tokens > 0, "max_new_tokens must be positive");
-        if let Some(kv) = &self.kv_budget {
-            kv.check_request_feasible(&request, page_tokens)?;
-        }
         if let Some(budget_pages) = self.page_budget {
             Self::check_pages_feasible(
                 request.id,
-                KvBudget::bound_tokens(request.prompt.len(), request.max_new_tokens),
+                bound_tokens(request.prompt.len(), request.max_new_tokens),
                 page_tokens,
                 budget_pages,
             )?;
@@ -561,10 +442,11 @@ impl SchedulerCore {
     }
 
     /// Whether a worst case of `bound` cached tokens could ever fit a pool
-    /// of `budget_pages` — the page-granular analogue of
-    /// [`KvBudget::check_request_feasible`]. This is also the invariant
-    /// preemption convergence rests on: a lone admitted sequence always
-    /// fits, so evicting down to one sequence always unblocks the step.
+    /// of `budget_pages` — the feasibility check shared by submit-time and
+    /// install-time validation (a request failing it would wait at the
+    /// FIFO head forever). This is also the invariant preemption
+    /// convergence rests on: a lone admitted sequence always fits, so
+    /// evicting down to one sequence always unblocks the step.
     fn check_pages_feasible(
         id: u64,
         bound: usize,
@@ -578,29 +460,12 @@ impl SchedulerCore {
         Ok(())
     }
 
-    fn set_kv_budget(
-        &mut self,
-        plan: ServingMemory,
-        budget_bytes: f64,
-        page_tokens: usize,
-    ) -> Result<(), AdmissionError> {
-        assert!(budget_bytes > 0.0, "KV budget must be positive");
-        let kv = KvBudget { plan, budget_bytes };
-        // Requests queued before the budget was installed get the same
-        // feasibility check submit applies afterwards — otherwise an
-        // already-queued impossible request would block the FIFO head
-        // forever and `run` would spin without progress. Rejecting the
-        // installation leaves the scheduler exactly as it was.
-        for queued in &self.queue {
-            kv.check_request_feasible(&queued.req, page_tokens)?;
-        }
-        self.kv_budget = Some(kv);
-        Ok(())
-    }
-
     /// Installs a page-pool cap of `max_pages` after revalidating every
-    /// queued, parked and active sequence's worst case against it; the
-    /// caller caps the cache only after this succeeds.
+    /// queued, parked and active sequence's worst case against it —
+    /// otherwise an already-queued impossible request would block the FIFO
+    /// head forever and `run` would spin without progress. Rejecting the
+    /// installation leaves the scheduler exactly as it was; the caller
+    /// caps the cache only after this succeeds.
     fn set_page_budget(
         &mut self,
         max_pages: usize,
@@ -610,12 +475,12 @@ impl SchedulerCore {
         let bounds = self
             .queue
             .iter()
-            .map(|q| (q.req.id, KvBudget::bound_tokens(q.req.prompt.len(), q.req.max_new_tokens)))
+            .map(|q| (q.req.id, bound_tokens(q.req.prompt.len(), q.req.max_new_tokens)))
             .chain(
                 self.preempted
                     .iter()
                     .chain(self.slots.iter().flatten())
-                    .map(|s| (s.id, KvBudget::bound_tokens(s.prompt.len(), s.max_new_tokens))),
+                    .map(|s| (s.id, bound_tokens(s.prompt.len(), s.max_new_tokens))),
             );
         for (id, bound) in bounds {
             Self::check_pages_feasible(id, bound, page_tokens, max_pages)?;
@@ -624,49 +489,24 @@ impl SchedulerCore {
         Ok(())
     }
 
-    fn kv_budget_bytes(&self) -> Option<f64> {
-        self.kv_budget.as_ref().map(|kv| kv.budget_bytes)
-    }
-
     /// Slot ids of every occupied slot, in slot order.
     fn active_slots(&self) -> Vec<usize> {
         (0..self.slots.len()).filter(|&s| self.slots[s].is_some()).collect()
     }
 
-    /// Whether a sequence with worst case `prompt_len + max_new_tokens`
-    /// can be admitted *now* under the configured budgets.
-    ///
-    /// The byte budget reserves conservatively: live bytes
-    /// ([`ServingMemory::kv_cache_bytes_used`]) plus the worst-case growth
-    /// of every active sequence plus the newcomer's own worst case must
-    /// fit — admission order alone keeps the cache under budget forever.
-    /// The page budget is deliberately *optimistic*: it only asks for
-    /// headroom covering the batch's next step plus one page for the
-    /// newcomer, because preemption recovers from pressure that only
-    /// materializes later. That optimism is where paged throughput comes
-    /// from — slots fill on actual usage, not on reservations.
-    fn fits_budgets(&self, prompt_len: usize, max_new_tokens: usize, cache: &BatchKvCache) -> bool {
-        if let Some(kv) = &self.kv_budget {
-            let live = kv.plan.kv_cache_bytes_used(cache);
-            let mut growth_tokens = 0usize;
-            for (slot, seq) in self.slots.iter().enumerate() {
-                if let Some(seq) = seq {
-                    let bound = KvBudget::bound_tokens(seq.prompt.len(), seq.max_new_tokens);
-                    growth_tokens += bound.saturating_sub(cache.slot_len(slot));
-                }
-            }
-            let need = KvBudget::bound_tokens(prompt_len, max_new_tokens);
-            if live + kv.plan.kv_cache_bytes((growth_tokens + need) as f64) > kv.budget_bytes {
-                return false;
-            }
+    /// Whether one more sequence can be admitted *now* under the page
+    /// budget (always, without one). The check is deliberately
+    /// *optimistic*: it only asks for headroom covering the batch's next
+    /// step plus one page for the newcomer, because preemption recovers
+    /// from pressure that only materializes later. That optimism is where
+    /// paged throughput comes from — slots fill on actual usage, not on
+    /// reservations.
+    fn has_headroom(&self, cache: &BatchKvCache) -> bool {
+        if self.page_budget.is_none() {
+            return true;
         }
-        if self.page_budget.is_some() {
-            let headroom = cache.free_pages().expect("page budget installs a cache capacity");
-            if headroom < cache.pages_needed_for_step(&self.active_slots()) + 1 {
-                return false;
-            }
-        }
-        true
+        let headroom = cache.free_pages().expect("page budget installs a cache capacity");
+        headroom > cache.pages_needed_for_step(&self.active_slots())
     }
 
     /// Installs a sequence into `slot`, replay-priming it from its script:
@@ -696,20 +536,15 @@ impl SchedulerCore {
             if self.slots[slot].is_some() {
                 continue;
             }
-            if let Some(parked) = self.preempted.front() {
-                if !self.fits_budgets(parked.prompt.len(), parked.max_new_tokens, cache) {
-                    break;
-                }
-                let seq = self.preempted.pop_front().expect("peeked head exists");
+            if !self.has_headroom(cache) {
+                break;
+            }
+            if let Some(seq) = self.preempted.pop_front() {
                 self.metrics.resumed.inc();
                 self.install(slot, seq, cache);
                 continue;
             }
-            let Some(head) = self.queue.front() else { break };
-            if !self.fits_budgets(head.req.prompt.len(), head.req.max_new_tokens, cache) {
-                break;
-            }
-            let queued = self.queue.pop_front().expect("peeked head exists");
+            let Some(queued) = self.queue.pop_front() else { break };
             self.metrics.admitted.inc();
             if let Some(now) = now {
                 self.metrics.queue_wait_us.record(now.saturating_sub(queued.submitted_us));
@@ -1012,14 +847,13 @@ pub type ShardedScheduler = Scheduler<ShardedModel>;
 /// [`RemoteShardedModel`](crate::remote::RemoteShardedModel) — each step's
 /// linear sites broadcast activations to remote worker processes over the
 /// checksummed frame protocol and gather their partial outputs. Sites
-/// sharing one input (Q/K/V) are **pipelined**: up to
-/// `TransportConfig::pipeline_depth` nonce-tagged requests ride each
-/// worker connection at once, replies complete out of order into their
-/// slots, and replica failover replays the full in-flight window under
-/// the original nonces. Output is **bit-identical** to [`BatchScheduler`]
-/// for the same requests at any shard, replica count, *and* pipeline
-/// depth, worker crashes included (the `distributed-gate` CI job enforces
-/// this with real subprocesses).
+/// sharing one input (Q/K/V) are **pipelined**: the whole group's
+/// nonce-tagged requests ride each worker connection at once, replies
+/// complete out of order into their slots, and replica failover replays
+/// the full in-flight window under the original nonces. Output is
+/// **bit-identical** to [`BatchScheduler`] for the same requests at any
+/// shard and replica count, worker crashes included (the
+/// `distributed-gate` CI job enforces this with real subprocesses).
 pub type DistributedScheduler = Scheduler<crate::remote::RemoteShardedModel>;
 
 impl<M: ServeModel> Scheduler<M> {
@@ -1101,48 +935,16 @@ impl<M: ServeModel> Scheduler<M> {
         self.core.stepped_tokens
     }
 
-    /// Limits admission by KV-cache headroom: a request only enters the
-    /// batch while the live cache (`plan.kv_cache_bytes_used`) plus the
-    /// worst-case growth of every admitted sequence plus the request's own
-    /// worst case (`prompt + max_new_tokens` cached tokens) stays within
-    /// `budget_bytes`. Over-budget requests wait in the FIFO queue; the
-    /// cache can therefore never outgrow the budget (asserted by tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdmissionError::KvBudgetExceeded`] if an already-queued
-    /// request could never fit the new budget (it would block the FIFO
-    /// head forever); the scheduler is left unchanged — the new budget is
-    /// not installed and any previously installed budget stays in
-    /// effect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's KV shape does not match the model or the
-    /// budget is not positive.
-    pub fn set_kv_budget(
-        &mut self,
-        plan: ServingMemory,
-        budget_bytes: f64,
-    ) -> Result<(), AdmissionError> {
-        let cfg = self.model.config();
-        assert_eq!(plan.n_layers, cfg.n_layers, "KV plan layer count mismatch");
-        assert_eq!(plan.d_model, cfg.d_model, "KV plan width mismatch");
-        self.core.set_kv_budget(plan, budget_bytes, self.cache.page_tokens())
-    }
-
-    /// The configured KV budget, if any.
-    pub fn kv_budget_bytes(&self) -> Option<f64> {
-        self.core.kv_budget_bytes()
-    }
-
-    /// Caps the physical KV page pool at `max_pages` and switches
-    /// admission to page granularity: a request is admitted as soon as the
-    /// pool has headroom for the batch's next step (plus one page for the
-    /// newcomer) instead of reserving its whole worst case. Pool pressure
-    /// later is resolved by preempting the youngest sequence — see
+    /// Caps the physical KV page pool at `max_pages` — the one KV budget
+    /// ([`crate::memory::ServingMemory::max_pages`] sizes it from a device
+    /// plan): a request is admitted as soon as the pool has headroom for
+    /// the batch's next step (plus one page for the newcomer) instead of
+    /// reserving its whole worst case. Pool pressure later is resolved by
+    /// preempting the youngest sequence — see
     /// [`Scheduler::take_preemption_events`] — and resumed sequences
-    /// replay to token-identical output.
+    /// replay to token-identical output. A pool holding every slot's worst
+    /// case (`max_batch × ceil((prompt + max_new) / page_tokens)` pages)
+    /// never preempts.
     ///
     /// # Errors
     ///
@@ -1239,12 +1041,10 @@ impl<M: ServeModel> Scheduler<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`AdmissionError::KvBudgetExceeded`] if a configured KV
-    /// byte budget — or [`AdmissionError::PageBudgetExceeded`] if a
-    /// configured page pool — is too small to ever hold the request's
-    /// worst case: an operational rejection, not a panic, because a
-    /// well-formed request meeting a tight deployment limit is the
-    /// serving layer's to handle.
+    /// Returns [`AdmissionError::PageBudgetExceeded`] if a configured
+    /// page pool is too small to ever hold the request's worst case: an
+    /// operational rejection, not a panic, because a well-formed request
+    /// meeting a tight deployment limit is the serving layer's to handle.
     /// A rejected request leaves the queue and every already-admitted
     /// sequence untouched (asserted by tests).
     ///
@@ -1467,178 +1267,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_budget_serializes_admission_without_changing_outputs() {
-        // A budget holding exactly one worst-case sequence: requests run
-        // one at a time even though two slots exist, the live cache never
-        // exceeds the budget, and every request's tokens still match the
-        // unrestricted run (batch composition is invisible per request).
-        let (model, corpus) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let submit_all = |sched: &mut BatchScheduler| {
-            for id in 0..4u64 {
-                let prompt = corpus.generate(4, 300 + id).tokens().to_vec();
-                sched.submit(request(id, prompt, 5)).expect("fits the budget");
-            }
-        };
-        let mut unrestricted = BatchScheduler::new(model.clone(), 2);
-        submit_all(&mut unrestricted);
-        let mut reference = unrestricted.run();
-        reference.sort_by_key(|f| f.id);
-
-        let mut sched = BatchScheduler::new(model, 2);
-        // Exactly one in-flight worst case (4 prompt + 5 budget tokens).
-        let budget = plan.kv_cache_bytes(9.0);
-        sched.set_kv_budget(plan.clone(), budget).expect("queue is empty");
-        assert_eq!(sched.kv_budget_bytes(), Some(budget));
-        submit_all(&mut sched);
-        let mut peak = 0.0f64;
-        while !sched.is_idle() {
-            sched.step();
-            assert!(sched.active() <= 1, "budget admits one sequence at a time");
-            peak = peak.max(plan.kv_cache_bytes_used(sched.cache()));
-        }
-        assert!(peak <= budget, "live KV {peak} must stay within budget {budget}");
-        assert!(peak > 0.0);
-        let mut done = sched.take_finished();
-        done.sort_by_key(|f| f.id);
-        assert_eq!(done, reference, "KV-limited admission never changes request output");
-    }
-
-    #[test]
-    fn kv_budget_admits_concurrently_when_headroom_allows() {
-        let (model, corpus) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let mut sched = BatchScheduler::new(model, 3);
-        // Room for all three worst cases at once.
-        sched.set_kv_budget(plan, 1e12).expect("queue is empty");
-        for id in 0..3u64 {
-            let prompt = corpus.generate(4, 320 + id).tokens().to_vec();
-            sched.submit(request(id, prompt, 4)).expect("fits the budget");
-        }
-        sched.step();
-        assert_eq!(sched.active(), 3, "a generous budget must not serialize the batch");
-        assert_eq!(sched.run().len(), 3);
-    }
-
-    #[test]
-    fn impossible_request_is_rejected_at_submit_with_a_typed_error() {
-        let (model, _) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let mut sched = BatchScheduler::new(model, 2);
-        let tiny_budget = plan.kv_cache_bytes(2.0);
-        sched.set_kv_budget(plan.clone(), tiny_budget).expect("queue is empty");
-        // Needs 11 cached tokens against a 2-token budget: typed error,
-        // not a panic, and the scheduler stays usable.
-        let err = sched.submit(ServeRequest::new(9, vec![1, 2, 3], 8)).unwrap_err();
-        let AdmissionError::KvBudgetExceeded {
-            id,
-            required_bytes,
-            budget_bytes,
-            required_pages,
-            free_pages,
-        } = err.clone()
-        else {
-            panic!("expected a byte-budget rejection, got {err:?}");
-        };
-        assert_eq!(id, 9);
-        assert_eq!(required_bytes, plan.kv_cache_bytes(11.0));
-        assert_eq!(budget_bytes, tiny_budget);
-        // Page context rides along: 11 tokens is one (partial) default
-        // page, and a 2-token byte budget holds zero whole pages.
-        assert_eq!(required_pages, 11usize.div_ceil(sched.cache().page_tokens()));
-        assert_eq!(free_pages, 0);
-        assert!(err.to_string().contains("can never fit the KV budget"), "{err}");
-        assert_eq!(sched.queued(), 0, "a rejected request must not enter the queue");
-        assert!(sched.is_idle());
-    }
-
-    #[test]
-    fn rejection_leaves_previously_admitted_sequences_unaffected() {
-        // Admit work, advance it mid-decode, then submit an impossible
-        // request: the rejection must change nothing — not the queue, not
-        // the in-flight sequences, not their tokens. The run must finish
-        // identical to a run that never saw the rejected request.
-        let (model, corpus) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let budget = plan.kv_cache_bytes(2.0 * 9.0); // two worst-case requests
-        let prompts: Vec<Vec<usize>> =
-            (0..2).map(|i| corpus.generate(4, 500 + i).tokens().to_vec()).collect();
-
-        let mut reference = BatchScheduler::new(model.clone(), 2);
-        reference.set_kv_budget(plan.clone(), budget).expect("queue is empty");
-        for (i, p) in prompts.iter().enumerate() {
-            reference.submit(request(i as u64, p.clone(), 5)).expect("fits the budget");
-        }
-        let expect = reference.run();
-
-        let mut sched = BatchScheduler::new(model, 2);
-        sched.set_kv_budget(plan, budget).expect("queue is empty");
-        for (i, p) in prompts.iter().enumerate() {
-            sched.submit(request(i as u64, p.clone(), 5)).expect("fits the budget");
-        }
-        // Let admission and a few decode steps happen first.
-        sched.step();
-        sched.step();
-        let (active, queued) = (sched.active(), sched.queued());
-        assert!(active > 0, "sequences must be in flight before the rejection");
-        let err = sched.submit(ServeRequest::new(99, vec![1; 30], 30));
-        assert!(matches!(err, Err(AdmissionError::KvBudgetExceeded { id: 99, .. })), "{err:?}");
-        assert_eq!((sched.active(), sched.queued()), (active, queued), "rejection is a no-op");
-        assert_eq!(sched.run(), expect, "in-flight output must be untouched by the rejection");
-    }
-
-    #[test]
-    fn failed_budget_tightening_keeps_the_old_budget_in_effect() {
-        // Tightening an installed budget below a queued request's worst
-        // case must fail without touching the existing configuration: the
-        // OLD budget — not none — keeps gating admission afterwards.
-        let (model, _) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let mut sched = BatchScheduler::new(model, 2);
-        let generous = plan.kv_cache_bytes(11.0);
-        sched.set_kv_budget(plan.clone(), generous).expect("queue is empty");
-        sched.submit(ServeRequest::new(3, vec![1, 2, 3], 8)).expect("fits the budget");
-        let tiny = plan.kv_cache_bytes(2.0);
-        let err = sched.set_kv_budget(plan, tiny).unwrap_err();
-        assert!(matches!(err, AdmissionError::KvBudgetExceeded { id: 3, .. }), "{err:?}");
-        assert_eq!(
-            sched.kv_budget_bytes(),
-            Some(generous),
-            "the previous budget must remain installed after a failed tightening"
-        );
-        assert_eq!(sched.queued(), 1);
-        assert_eq!(sched.run().len(), 1, "the queued request still runs under the old budget");
-    }
-
-    #[test]
-    fn budget_installed_after_queueing_revalidates_the_queue() {
-        // The reverse order — submit first, then install a too-small
-        // budget — must fail at set_kv_budget, not leave `run` spinning on
-        // a head that can never be admitted. The failed installation
-        // leaves the scheduler budget-free and the queue intact.
-        let (model, _) = fitted_tiny();
-        let plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        let mut sched = BatchScheduler::new(model, 2);
-        sched.submit(ServeRequest::new(0, vec![1, 2, 3], 8)).expect("no budget yet");
-        let tiny_budget = plan.kv_cache_bytes(2.0);
-        let err = sched.set_kv_budget(plan, tiny_budget).unwrap_err();
-        assert!(matches!(err, AdmissionError::KvBudgetExceeded { id: 0, .. }), "{err:?}");
-        assert_eq!(sched.kv_budget_bytes(), None, "a rejected budget must not install");
-        assert_eq!(sched.queued(), 1, "the queued request survives the failed installation");
-        assert_eq!(sched.run().len(), 1, "and still runs to completion without a budget");
-    }
-
-    #[test]
-    #[should_panic(expected = "layer count mismatch")]
-    fn kv_budget_plan_must_match_the_model() {
-        let (model, _) = fitted_tiny();
-        let mut plan = crate::memory::ServingMemory::from_model(&model, 1e9);
-        plan.n_layers += 1;
-        let mut sched = BatchScheduler::new(model, 2);
-        let _ = sched.set_kv_budget(plan, 1e9);
-    }
-
-    #[test]
     #[should_panic(expected = "prompt must not be empty")]
     fn empty_prompt_is_rejected_at_submit() {
         let (model, _) = fitted_tiny();
@@ -1712,8 +1340,8 @@ mod tests {
 
     #[test]
     fn page_budget_rejects_impossible_requests_with_a_typed_error() {
-        let (model, _) = fitted_tiny();
-        let mut sched = BatchScheduler::with_page_tokens(model, 2, 2);
+        let (model, corpus) = fitted_tiny();
+        let mut sched = BatchScheduler::with_page_tokens(model.clone(), 2, 2);
         sched.set_page_budget(3).expect("nothing queued yet");
         // 4 prompt + 5 new = 9 tokens = 5 pages against a 3-page pool.
         let err = sched.submit(ServeRequest::new(11, vec![1, 2, 3, 4], 5)).unwrap_err();
@@ -1734,6 +1362,43 @@ mod tests {
         );
         assert_eq!(sched.page_budget(), Some(3), "failed tightening is a no-op");
         assert_eq!(sched.run().len(), 1, "the queued request still runs");
+
+        // The reverse order — submit first, then install a too-small pool
+        // — must fail at set_page_budget, not leave `run` spinning on a
+        // head that can never be admitted. The failed installation leaves
+        // the scheduler budget-free and the queue intact.
+        let mut sched = BatchScheduler::with_page_tokens(model.clone(), 2, 2);
+        sched.submit(ServeRequest::new(0, vec![1, 2, 3], 8)).expect("no budget yet");
+        let err = sched.set_page_budget(2).unwrap_err();
+        assert!(matches!(err, AdmissionError::PageBudgetExceeded { id: 0, .. }), "{err:?}");
+        assert_eq!(sched.page_budget(), None, "a rejected budget must not install");
+        assert_eq!(sched.stats().free_pages, None, "nor cap the cache");
+        assert_eq!(sched.queued(), 1, "the queued request survives the failed installation");
+        assert_eq!(sched.run().len(), 1, "and still runs to completion without a budget");
+
+        // A rejection submitted mid-decode must change nothing — not the
+        // queue, not the in-flight sequences, not their tokens: the run
+        // finishes identical to one that never saw the rejected request.
+        let start = || {
+            let mut sched = BatchScheduler::with_page_tokens(model.clone(), 2, 2);
+            // Two worst cases: 4 prompt + 5 new = 9 tokens = 5 pages each.
+            sched.set_page_budget(10).expect("nothing queued yet");
+            for id in 0..2u64 {
+                let prompt = corpus.generate(4, 500 + id).tokens().to_vec();
+                sched.submit(request(id, prompt, 5)).expect("feasible");
+            }
+            sched
+        };
+        let expect = start().run();
+        let mut sched = start();
+        sched.step();
+        sched.step();
+        let (active, queued) = (sched.active(), sched.queued());
+        assert!(active > 0, "sequences must be in flight before the rejection");
+        let err = sched.submit(ServeRequest::new(99, vec![1; 30], 30));
+        assert!(matches!(err, Err(AdmissionError::PageBudgetExceeded { id: 99, .. })), "{err:?}");
+        assert_eq!((sched.active(), sched.queued()), (active, queued), "rejection is a no-op");
+        assert_eq!(sched.run(), expect, "in-flight output must be untouched by the rejection");
     }
 
     #[test]

@@ -164,6 +164,44 @@ impl ShardPlan {
         self.sites.iter().map(|sp| sp.shard_bytes[shard]).sum()
     }
 
+    /// The bytes shard `shard` holds: one FNQS envelope
+    /// ([`shard_to_bytes`]) per site the shard owns rows of, in
+    /// [`ShardPlan::sites`] order. The in-process [`ShardedModel`] decodes
+    /// them and the multi-process coordinator ships them, so every
+    /// topology serves exactly these bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= n_shards()` or the plan does not describe
+    /// `model`'s sites exactly.
+    pub fn envelopes(&self, model: &Transformer, shard: usize) -> Vec<Vec<u8>> {
+        assert!(shard < self.n_shards, "shard {shard} out of plan");
+        let mut envelopes = Vec::new();
+        for sp in &self.sites {
+            let p = model.weight(sp.layer, sp.site).as_packed().expect("fully packed model");
+            assert_eq!(
+                (p.rows(), p.cols()),
+                (sp.rows, sp.cols),
+                "plan shape mismatch at layer {} {}",
+                sp.layer,
+                sp.site.label()
+            );
+            let (start, end) = sp.range(shard);
+            if start == end {
+                continue; // fewer rows than shards: this worker sits out
+            }
+            let header = ShardHeader {
+                shard_index: shard as u16,
+                n_shards: self.n_shards as u16,
+                site_id: site_id(sp.layer, sp.site),
+                row_start: start as u32,
+                total_rows: sp.rows as u32,
+            };
+            envelopes.push(shard_to_bytes(&p.slice_rows(start, end), &header));
+        }
+        envelopes
+    }
+
     /// Logical parameters shard `shard` holds (`rows_in_shard * cols`
     /// summed over sites).
     ///
@@ -239,40 +277,16 @@ impl ShardedModel {
     ///
     /// Panics if the plan does not describe `model`'s sites exactly.
     pub fn from_plan(model: &Transformer, plan: ShardPlan) -> Self {
-        let mut site_slices = Vec::with_capacity(plan.sites().len());
-        for sp in plan.sites() {
-            let p = model.weight(sp.layer, sp.site).as_packed().expect("fully packed model");
-            assert_eq!(
-                (p.rows(), p.cols()),
-                (sp.rows, sp.cols),
-                "plan shape mismatch at layer {} {}",
-                sp.layer,
-                sp.site.label()
-            );
-            let mut slices = Vec::new();
-            for shard in 0..plan.n_shards() {
-                let (start, end) = sp.range(shard);
-                if start == end {
-                    continue; // fewer rows than shards: this worker sits out
-                }
-                let slice = p.slice_rows(start, end);
-                let header = ShardHeader {
-                    shard_index: shard as u16,
-                    n_shards: plan.n_shards() as u16,
-                    site_id: site_id(sp.layer, sp.site),
-                    row_start: start as u32,
-                    total_rows: sp.rows as u32,
-                };
+        let mut site_slices = vec![Vec::new(); plan.sites().len()];
+        for shard in 0..plan.n_shards() {
+            for bytes in plan.envelopes(model, shard) {
                 // The wire round trip: what this worker serves is exactly
-                // what decodes from the shipped bytes.
-                let bytes = shard_to_bytes(&slice, &header);
-                let (got, back) =
+                // what decodes from the shipped bytes. Shards ascend, so
+                // each site's slices land in ascending offset order.
+                let (header, slice) =
                     shard_from_bytes(&bytes).expect("self-produced shard bytes must decode");
-                debug_assert_eq!(got, header);
-                debug_assert_eq!(back, slice);
-                slices.push((start, back));
+                site_slices[header.site_id as usize].push((header.row_start as usize, slice));
             }
-            site_slices.push(slices);
         }
         Self {
             cfg: model.config().clone(),

@@ -357,7 +357,7 @@ pub fn serve_sharded_with_threads(
 /// the one-call **multi-process** serving entry point.
 ///
 /// `replica_addrs[shard]` lists the worker addresses (`tcp:host:port` or
-/// `unix:/path`, each running [`fineq_lm::run_worker`] — the
+/// `unix:/path`, each running [`fineq_lm::run_worker_configured`] — the
 /// `fineq-worker` binary) that replicate shard `shard`; the first is the
 /// initial primary, the rest are hot spares for failover. The scheduler's
 /// output is bit-identical to [`serve_packed`]'s for the same requests at

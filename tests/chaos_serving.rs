@@ -187,7 +187,6 @@ fn chaos_transport() -> TransportConfig {
             max_attempts: 3,
             jitter_seed: 0xC4A0_5EED,
         },
-        ..TransportConfig::default()
     }
 }
 

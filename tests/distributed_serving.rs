@@ -7,15 +7,15 @@
 //! SIGKILLed mid-run with replicas enabled (the failover oracle). The
 //! `distributed-gate` CI job runs these tests on every push; the gate
 //! tests additionally pin the output digest to [`GATE_OUTPUT_HASH`], a
-//! source constant, so in-process, multi-process and every pipeline depth
-//! are held to one recorded token stream.
+//! source constant, so in-process and multi-process are held to one
+//! recorded token stream.
 
 use fineq::core::frame::{read_frame, write_frame, FrameError, Stream};
 use fineq::core::FineQuantizer;
 use fineq::lm::builder::{llm_like_matrix, BuilderSpec};
 use fineq::lm::{
     BatchScheduler, DistributedScheduler, FinishedSequence, ModelConfig, RemoteShardedModel,
-    ServeRequest, Transformer, TransportConfig, WeightSite, WorkerEvent,
+    ServeRequest, Transformer, WeightSite, WorkerEvent,
 };
 use fineq::tensor::{Matrix, Rng};
 use std::path::PathBuf;
@@ -200,10 +200,10 @@ fn multi_process_stream_matches_in_process() {
 
 /// SIGKILL one worker mid-run with replicas enabled: the token stream is
 /// still byte-identical, and the death + failover are reported as typed
-/// events. The transport runs at pipeline depth 3 (set explicitly here,
-/// also the default), so the kill lands with **multiple nonce-tagged
-/// gathers in flight** on the dying connection — failover must replay
-/// the entire unreceived window on the spare under the original nonces.
+/// events. The Q/K/V group rides each connection together, so the kill
+/// lands with **multiple nonce-tagged gathers in flight** on the dying
+/// connection — failover must replay the entire unreceived window on the
+/// spare under the original nonces.
 /// This is the failover oracle the `distributed-gate` CI job enforces on
 /// every host.
 #[test]
@@ -221,9 +221,7 @@ fn sigkilled_worker_is_output_invisible_with_replicas() {
         vec![workers[0].addr.clone(), workers[1].addr.clone()],
         vec![workers[2].addr.clone(), workers[3].addr.clone()],
     ];
-    let tc = TransportConfig { pipeline_depth: 3, ..TransportConfig::default() };
-    let remote =
-        RemoteShardedModel::connect_with(&model, &groups, tc).expect("connect coordinator");
+    let remote = RemoteShardedModel::connect(&model, &groups).expect("connect coordinator");
     let mut sched = DistributedScheduler::new(remote, 4);
     submit_gate_workload(vocab, |r| sched.submit(r).expect("no KV budget"));
     // Let the run get under way, then kill shard 0's primary replica.
@@ -281,32 +279,6 @@ fn distributed_gate_hash_matches_in_process_and_pinned() {
         "3 worker processes must reproduce the pinned gate hash"
     );
     sched.model().shutdown_workers();
-}
-
-/// The overlap gate: the same gate workload at pipeline depth 1 (serial
-/// request/reply per site) and at a deep window must produce the
-/// **identical output hash** — and it must be the pinned
-/// [`GATE_OUTPUT_HASH`], tying pipelining to the same determinism
-/// contract as sharding itself. Scheduling must never touch arithmetic.
-#[test]
-fn pipeline_depth_overlap_gate_hashes_are_identical() {
-    let packed = gate_packed_model();
-    let vocab = packed.config().vocab;
-    for depth in [1usize, 3, 8] {
-        let workers = spawn_workers(2);
-        let tc = TransportConfig { pipeline_depth: depth, ..TransportConfig::default() };
-        let remote = RemoteShardedModel::connect_with(&packed, &solo_groups(&workers), tc)
-            .expect("connect coordinator");
-        let mut sched = DistributedScheduler::new(remote, 4);
-        submit_gate_workload(vocab, |r| sched.submit(r).expect("no KV budget"));
-        let hash = finished_hash(sched.run());
-        assert_eq!(
-            format!("{hash:016x}"),
-            format!("{GATE_OUTPUT_HASH:016x}"),
-            "pipeline depth {depth} must reproduce the pinned gate hash"
-        );
-        sched.model().shutdown_workers();
-    }
 }
 
 /// Transport abuse against a live worker process: corrupt bytes drop the

@@ -152,40 +152,6 @@ fn pipeline_sharded_serving_matches_packed_serving() {
     }
 }
 
-/// KV-limited admission composes with sharding: the sharded scheduler
-/// under a one-sequence budget still matches the unrestricted unsharded
-/// run per request, and its live cache never exceeds the budget.
-#[test]
-fn kv_budget_on_the_sharded_scheduler_preserves_outputs() {
-    let model = packed_model(16, 4);
-    let requests: Vec<ServeRequest> = (0..4u64)
-        .map(|id| ServeRequest {
-            temperature: 0.8,
-            seed: 90 + id,
-            ..ServeRequest::new(id, vec![1 + id as usize, 2, 3], 4)
-        })
-        .collect();
-    let mut reference = {
-        let mut sched = BatchScheduler::new(model.clone(), 2);
-        requests.iter().for_each(|r| sched.submit(r.clone()).expect("fits the budget"));
-        sched.run()
-    };
-    reference.sort_by_key(|f| f.id);
-    let plan = fineq::lm::ServingMemory::from_model(&model, 1e9);
-    let budget = plan.kv_cache_bytes(7.0); // one worst case: 3 prompt + 4 new
-    let mut sched = ShardedScheduler::new(ShardedModel::new(&model, 3), 2);
-    sched.set_kv_budget(plan.clone(), budget).expect("queue is empty");
-    requests.iter().for_each(|r| sched.submit(r.clone()).expect("fits the budget"));
-    while !sched.is_idle() {
-        sched.step();
-        assert!(sched.active() <= 1, "budget admits one sequence at a time");
-        assert!(plan.kv_cache_bytes_used(sched.cache()) <= budget);
-    }
-    let mut done = sched.take_finished();
-    done.sort_by_key(|f| f.id);
-    assert_eq!(done, reference);
-}
-
 /// Wire-format round trip of a whole sharded model: every slice
 /// re-serializes under its plan header and decodes back identical; headers
 /// carry the right ranges; rebuilt models compare equal.

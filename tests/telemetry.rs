@@ -161,7 +161,6 @@ fn fast_transport() -> TransportConfig {
             max_attempts: 3,
             jitter_seed: 0xC4A0_5EED,
         },
-        ..TransportConfig::default()
     }
 }
 
@@ -306,11 +305,6 @@ fn distributed_replica_cut_is_bit_identical_and_fully_observed() {
         ] {
             assert!(body.contains(needle), "scrape body must contain {needle:?}:\n{body}");
         }
-
-        // 7. SchedulerStats' stable JSON rendering carries the same story.
-        let json = sched.stats().to_json();
-        assert!(json.contains("\"transport\":{"), "stats JSON must embed transport: {json}");
-        assert!(json.contains("\"deaths\":1"), "stats JSON must agree on deaths: {json}");
 
         sched.model().shutdown_workers();
     });
