@@ -6,7 +6,7 @@
 //! has no crates.io access, so criterion is not available.
 
 use fineq::accel::{SystolicArray, TemporalArray};
-use fineq::core::FineQuantizer;
+use fineq::core::{ClusterCode, FineQuantizer, KernelScratch, PackedChannel, PackedMatrix};
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
@@ -62,6 +62,57 @@ fn bench_pack_decode() {
     });
 }
 
+/// A packed matrix with **every stored lane nonzero** (random codes,
+/// 2-bit lanes ±1, 3-bit lanes ±1..=3): the worst case for a kernel that
+/// walks only live clusters, and traffic no quantized model produces.
+fn all_live(rows: usize, cols: usize, seed: u64) -> PackedMatrix {
+    let mut rng = Rng::seed_from(seed);
+    let n_clusters = cols.div_ceil(3);
+    let nonzero = |rng: &mut Rng, max: usize| {
+        let mag = 1 + rng.below(max) as i32;
+        if rng.chance(0.5) {
+            -mag
+        } else {
+            mag
+        }
+    };
+    let channels = (0..rows)
+        .map(|_| {
+            let codes: Vec<ClusterCode> =
+                (0..n_clusters.div_ceil(2)).map(|_| ClusterCode::ALL[rng.below(4)]).collect();
+            let q: Vec<[i32; 3]> = (0..n_clusters)
+                .map(|k| match codes[k / 2].zeroed_position() {
+                    None => [0, 1, 2].map(|_| nonzero(&mut rng, 1)),
+                    Some(z) => [0, 1, 2].map(|p| if p == z { 0 } else { nonzero(&mut rng, 3) }),
+                })
+                .collect();
+            PackedChannel::pack(0.02, 0.05, cols, &codes, &q)
+        })
+        .collect();
+    PackedMatrix::new(rows, cols, channels)
+}
+
+/// The batched GEMM at the row counts that exercise each tile of the lane
+/// walk (1, a padded 10, a full 16, two panels at 32), over the traffic
+/// the kernel is built for (the quantizer's: most clusters dead) and over
+/// the traffic it must not be over-fitted against (every lane live).
+fn bench_matmul_t() {
+    section("matmul_t 256x512, rows of activations");
+    let fixture = FineQuantizer::paper().quantize_packed(&weights(256, 512, 11));
+    let dense = all_live(256, 512, 12);
+    let mut rng = Rng::seed_from(13);
+    let mut scratch = KernelScratch::new();
+    for (name, packed) in [("quantizer fixture", &fixture), ("all lanes live", &dense)] {
+        for t_len in [1usize, 10, 16, 32] {
+            let a = Matrix::from_fn(t_len, 512, |_, _| rng.normal(0.0, 1.0));
+            let mut out = Matrix::zeros(t_len, 256);
+            bench(&format!("matmul_t {name} x{t_len}"), || {
+                packed.matmul_t_into_with(black_box(&a), &mut out, &mut scratch, None);
+            });
+        }
+    }
+}
+
 fn bench_arrays() {
     section("array GEMM 32x256x64");
     let w = weights(32, 256, 5);
@@ -85,6 +136,7 @@ fn bench_forward() {
 fn main() {
     bench_quantizers();
     bench_pack_decode();
+    bench_matmul_t();
     bench_arrays();
     bench_forward();
 }

@@ -3,48 +3,54 @@
 //! The serving path the paper argues for never materializes a dequantized
 //! weight matrix: the accelerator streams 7-byte blocks (1 index byte + 6
 //! data bytes per 8 clusters) and multiplies decoded integer lanes into two
-//! per-channel accumulators, one per scale class. These kernels are the
-//! software mirror of that dataflow, with **two** block decoders that
-//! yield the identical width-split integers in the identical lane order
-//! (cross-checked exhaustively), each used where it has measured faster:
+//! per-channel accumulators, one per scale class, combined once per channel
+//! as `s2·acc2 + s3·acc3`. Its temporal array spends cycles in proportion
+//! to a weight's magnitude — a zero lane emits no pulse. These kernels are
+//! the software mirror of both halves: the packed stream is the only
+//! representation (2.33 bits of weight traffic per weight, no side table,
+//! no load-time cache), and the cost of a pass is per **live** lane, not
+//! per stored lane.
 //!
-//! * the compile-time lookup tables — [`DECODE_INTS`] for the raw signed
-//!   triples (the same `ClusterCode` → lane mapping the `fineq-accel`
-//!   hardware decoder implements as a MUX network, which cross-checks
-//!   against this table) and [`SPLIT_LANES`], its width-split form: each
-//!   `(code, six)` entry carries the cluster's three lanes **pre-sorted
-//!   into scale classes**. The GEMV ([`PackedChannel::dot`]) walks them
-//!   cluster by cluster, as does every partial tail block;
-//! * [`decode_block_swar`]: the 48-bit data word loads into one `u64` and
-//!   all eight clusters (24 lanes) resolve in a single SWAR pass of
-//!   register-wide shifts and masks, with the scale-class split selected
-//!   per cluster from the index byte — the software form of the paper's
-//!   Fig. 6 parallel MUX decode. The column kernels (GEMM over a batch of
-//!   `n` activations) and [`PackedChannel::dequantize_into`] decode full
-//!   blocks this way;
-//! * which decoder a loop uses was measured, not assumed: on the one host
-//!   class ever recorded (2-vCPU Firecracker guest) the SWAR pass is
-//!   4–12 % faster than the LUT walk inside the column kernel at batch 1
-//!   and batch 16, while in the GEMV the LUT walk is ~1.16× faster than a
-//!   SWAR body, per channel or four channels grouped — so the GEMV has
-//!   exactly one body, the LUT walk. Both decoders are **bit-identical**,
-//!   so the choice never touches the batch/thread/shard determinism
-//!   contracts;
-//! * no per-lane **width dispatch** survives into any hot loop. The GEMV
-//!   is fully branchless: every lane accumulates `acc2 += q2·x` **and**
-//!   `acc3 += q3·x` unconditionally (one term is always zero), with no
-//!   `q == 0` skip — measured ~1.5× faster than the branchy form, whose
-//!   data-dependent branches mispredict on quantized weights. The column
-//!   kernels instead pick the one live class and skip dead lanes, because
-//!   there a skip saves an entire `n`-wide FMA pass (measured: the
-//!   unconditional form halves batch-16 throughput);
-//! * blocks whose 24 lanes are all in-bounds skip the `i >= len` bounds
-//!   check entirely; only the final partial block of a channel pays
-//!   per-lane checks;
-//! * the result combines once per channel as `s2·acc2 + s3·acc3` — exactly
-//!   the dual-accumulator scheme of the paper's PE array;
-//! * no intermediate `Matrix` is ever allocated: weight traffic is the
-//!   packed 2.33 bits per weight, not fp32.
+//! * **One accumulate loop.** The private const-generic `walk::<N>` is the
+//!   body of every kernel: [`PackedChannel::dot`] is `N = 1`, the batched
+//!   GEMM ([`PackedMatrix::matmul_t_into_with`]), the sharded gather
+//!   ([`matmul_t_sharded_into`]) and through it the remote worker run
+//!   `N ∈ {1, 4, 8, 16}` over activations restaged column-major in panels
+//!   of at most 16 rows, zero-padded to the tile — any batch of 1–16 rows
+//!   is one pass over the stream, each further 16 rows one more. Per block
+//!   it derives a *live-cluster* mask from the raw index byte and 48-bit
+//!   data word in about ten register ops (a field is dead iff its magnitude
+//!   bits are clear), then visits only the set bits: one [`DECODE_INTS`]
+//!   lookup per live cluster, the accumulator chosen once per cluster (a
+//!   cluster is single-class), the sacrificed lane skipped by position, the
+//!   accumulators `[f32; N]` locals that stay in registers.
+//! * **Why.** On the model every `BENCHMARK.json` workload serves, 0.2 % of
+//!   the 1 081 344 stored lanes are live 2-bit lanes, 8.4 % live 3-bit
+//!   lanes, and 22 % of clusters hold any nonzero lane (pinned by
+//!   `gate_model_lane_census_is_on_record` in `tests/packed_engine.rs`).
+//!   The kernels this walk replaced decoded and visited every lane: one
+//!   pass over the twelve sites cost ≈ 2.2 ms at batch 1 and ≈ 2.4 ms at
+//!   batch 16 (`kernels.sites_us_b1` / `_b16`, 2-vCPU Firecracker guest —
+//!   the one host class ever recorded); the walk costs ≈ 0.68 ms and
+//!   ≈ 0.91 ms, of which ≈ 0.2 ms is the scan that finds the dead blocks
+//!   dead. It is not fitted to that census: with *every* lane live it is
+//!   still faster than the full-block kernels at 1, 10, 16 and 32 rows
+//!   (`matmul_t` rows of `cargo bench -p fineq-bench --bench kernels`).
+//!   A batch-16 step at short context is now ≈ 1.3 ms, ≈ 0.9 ms of it these
+//!   sites; at 256 cached positions attention, not the weights, is most of
+//!   a ≈ 4.7 ms step.
+//! * **Bit identity.** For any fixed activation column the float sequence
+//!   is the same at every `N`, thread count and shard count: each
+//!   accumulator receives its live lanes in index order, mul then add.
+//!   Omitting a dead lane's `±0.0` term changes no bit (see `walk`), so
+//!   every golden that held under the lane-by-lane kernels still holds.
+//! * **SWAR** ([`decode_block_swar`]: all 24 lanes of a block in one pass
+//!   of register-wide shifts and masks, the software form of the paper's
+//!   Fig. 6 parallel MUX decode) remains where every lane is wanted:
+//!   [`PackedChannel::dequantize_into`] and the public block decoder the
+//!   `fineq-accel` model cross-checks against. It yields exactly the
+//!   integers of [`DECODE_INTS`] / [`SPLIT_LANES`] (cross-checked
+//!   exhaustively). The accumulate kernels no longer use it.
 //!
 //! Channels are independent, so the matrix-level kernels
 //! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`])
@@ -56,8 +62,8 @@
 //!
 //! [`PackedChannel::dequantize_into`] / [`PackedMatrix::dequantize_into`]
 //! provide the allocation-free fallback for callers that do want a dense
-//! copy, and [`KernelScratch`] lets a caller reuse the restaging and
-//! accumulator buffers across calls (e.g. across a transformer's layers).
+//! copy, and [`KernelScratch`] lets a caller reuse the restaging buffer
+//! across calls (e.g. across a transformer's layers).
 
 use crate::pack::{
     block_data_word, block_index_byte, PackedChannel, PackedMatrix, BLOCK_BYTES,
@@ -122,11 +128,10 @@ pub const LANE_WIDTHS: [[u8; 3]; 4] = [[2, 2, 2], [0, 3, 3], [3, 0, 3], [3, 3, 0
 /// is a 2-bit lane and `0` otherwise, and symmetrically for `three_bit`.
 /// Sacrificed lanes are zero in both.
 ///
-/// Splitting at table-build time is what makes the kernel inner loop
-/// branchless: each lane contributes `two_bit[j]·x` to `acc2` **and**
-/// `three_bit[j]·x` to `acc3` unconditionally (one term is always zero),
-/// so no `width == 2` dispatch survives into the hot loop. Cross-checked
-/// exhaustively against [`DECODE_INTS`] × [`LANE_WIDTHS`] by tests.
+/// Splitting at table-build time keeps every per-lane consumer free of a
+/// `width == 2` dispatch: a lane's value is `two_bit[j]·s2 + three_bit[j]·s3`
+/// with one term always zero. Cross-checked exhaustively against
+/// [`DECODE_INTS`] × [`LANE_WIDTHS`] by tests.
 pub const SPLIT_LANES: [[([i8; 3], [i8; 3]); 64]; 4] = {
     let mut table = [[([0i8; 3], [0i8; 3]); 64]; 4];
     let mut code = 0usize;
@@ -155,9 +160,8 @@ pub const SPLIT_LANES: [[([i8; 3], [i8; 3]); 64]; 4] = {
 };
 
 /// The width-split lanes of cluster `k_in` within a block, straight from
-/// the index byte and 48-bit data word — the per-cluster LUT walk of the
-/// GEMV and of every partial-tail loop; the column kernels' full blocks go
-/// through [`decode_block_swar`] instead.
+/// the index byte and 48-bit data word — the per-cluster LUT walk of
+/// [`for_each_lane_from`].
 #[inline(always)]
 fn split_lanes_at(idx: u8, data: u64, k_in: usize) -> &'static ([i8; 3], [i8; 3]) {
     let code = ((idx >> (CODE_BITS * (k_in / 2))) & 0b11) as usize;
@@ -166,11 +170,9 @@ fn split_lanes_at(idx: u8, data: u64, k_in: usize) -> &'static ([i8; 3], [i8; 3]
 }
 
 /// The per-lane LUT walk of a channel's blocks from block `start` onward:
-/// calls `lane(i, two, three)` for every in-bounds weight index in order.
-/// This is the **one** definition of the bounds-checked slow path — every
-/// kernel's partial-tail handling goes through it, so the decode walk
-/// cannot drift between call sites and silently break the bit-identity
-/// contract the differential harness asserts.
+/// calls `lane(i, two, three)` for every in-bounds weight index in order —
+/// the bounds-checked (`k >= n_clusters`, `i >= len`) slow path behind
+/// [`PackedChannel::dequantize_into`]'s partial tail block.
 #[inline(always)]
 fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usize, i8, i8)) {
     for (bb, block) in ch.blocks.chunks_exact(BLOCK_BYTES).skip(start).enumerate() {
@@ -200,10 +202,12 @@ fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usi
 // clusters of a block resolve from the 48-bit data word in one pass of
 // register-wide shifts and masks (SIMD-within-a-register on `u64` byte
 // lanes), with the scale-class split selected per cluster from the index
-// byte — no per-cluster [`SPLIT_LANES`] lookups in the column kernels'
-// full-block loops. std-only by design: this workspace builds without
-// crates.io (and therefore without portable-SIMD or intrinsics shims),
-// and SWAR on `u64` gives wide, branch-free unpacking on any target.
+// byte — no per-cluster [`SPLIT_LANES`] lookups when a caller wants all 24
+// lanes ([`PackedChannel::dequantize_into`], [`decode_block_swar`]; the
+// accumulate kernels never do — see the lane walk below). std-only by
+// design: this workspace builds without crates.io (and therefore without
+// portable-SIMD or intrinsics shims), and SWAR on `u64` gives wide,
+// branch-free unpacking on any target.
 //
 // Every step operates on one byte lane per cluster. Borrow isolation uses
 // the guarded-subtraction SWAR identity, specialized to subtrahends whose
@@ -253,9 +257,8 @@ const fn swar_spread4(x: u64) -> u64 {
 /// The raw SWAR decode of one block: six `u64` words, each holding one
 /// lane position's value for all eight clusters (byte lane `k` of
 /// `two[j]` / `three[j]` is cluster `k`'s lane `j` as an `i8`, split by
-/// scale class). The hot loops consume this form directly — extracting a
-/// lane is one shift — so no transpose to lane order is ever materialized
-/// on the hot path. [`decode_block_swar`] is the lane-ordered public view.
+/// scale class). [`DecodedBlockBytes`] stages this form as plain bytes;
+/// [`decode_block_swar`] is the lane-ordered public view.
 ///
 /// The pass: spread the 48-bit word into one byte lane per cluster, decode
 /// **both** field interpretations of every cluster at once (three 2-bit
@@ -299,7 +302,7 @@ fn swar_decode_words(idx: u8, data: u64) -> ([u64; 3], [u64; 3]) {
     (two, three)
 }
 
-/// One block's SWAR decode staged for the hot loops: the six decoded
+/// One block's SWAR decode staged for per-lane reads: the six decoded
 /// words stored as plain bytes — `two[j][k]` / `three[j][k]` is lane `j`
 /// of cluster `k` (an `i8` stored as its `u8` bit pattern). Six 8-byte
 /// stores, no per-lane transpose; consumers read single bytes back at
@@ -355,22 +358,15 @@ pub fn decode_block_swar(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; W
     (out_two, out_three)
 }
 
-/// Reusable kernel scratch: the column-major activation restage and the
-/// per-class accumulators of the batched kernels — one accumulator pair
-/// for serial runs plus one pair per pool worker for parallel runs.
-/// Threading one of these through a sequence of calls (e.g. a
-/// transformer's per-layer forward loop) replaces every per-call
-/// allocation with buffer reuse; capacities grow to the largest shape
-/// seen and stay.
+/// Reusable kernel scratch: the column-major activation restage of the
+/// batched kernels. Threading one of these through a sequence of calls
+/// (e.g. a transformer's per-layer forward loop) replaces the per-call
+/// allocation with buffer reuse; capacity grows to the largest shape seen
+/// and stays. (The accumulators are register-resident locals of the walk
+/// and need no scratch.)
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
     a_t: Vec<f32>,
-    acc2: Vec<f32>,
-    acc3: Vec<f32>,
-    /// Accumulator pairs indexed by pool worker; `ThreadPool::run` hands
-    /// each body its worker index and guarantees at most one live chunk
-    /// per index, so access is raceless without locks.
-    worker_acc: Vec<(Vec<f32>, Vec<f32>)>,
 }
 
 impl KernelScratch {
@@ -380,48 +376,49 @@ impl KernelScratch {
     }
 }
 
-/// The per-worker accumulator pairs of a scratch's `worker_acc` field,
-/// grown to `workers` entries and each resized to `len` (contents cleared
-/// to zero). A free function over the field so callers that have already
-/// split the scratch into disjoint field borrows can use it too.
-fn worker_accs(
-    worker_acc: &mut Vec<(Vec<f32>, Vec<f32>)>,
-    workers: usize,
-    len: usize,
-) -> &mut [(Vec<f32>, Vec<f32>)] {
-    if worker_acc.len() < workers {
-        worker_acc.resize_with(workers, Default::default);
-    }
-    for (a2, a3) in worker_acc.iter_mut().take(workers) {
-        resized(a2, len);
-        resized(a3, len);
-    }
-    &mut worker_acc[..workers]
+/// The widest row tile the walk is instantiated at: a batch is cut into
+/// panels of at most this many activation rows, one stream walk each.
+const MAX_TILE: usize = 16;
+
+/// The row panels of a `t_len`-row batch as `(first_row, rows, tile)`:
+/// `rows <= MAX_TILE` rows served by the narrowest instantiated tile
+/// (1, 4, 8 or 16 columns) that holds them.
+fn row_panels(t_len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..t_len).step_by(MAX_TILE).map(move |t0| {
+        let rows = (t_len - t0).min(MAX_TILE);
+        let tile = match rows {
+            1 => 1,
+            2..=4 => 4,
+            5..=8 => 8,
+            _ => MAX_TILE,
+        };
+        (t0, rows, tile)
+    })
 }
 
-/// Resizes a scratch buffer to exactly `len` without preserving contents
-/// (clear-then-resize skips the copy a plain `resize` of stale data pays).
-fn resized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    buf.clear();
-    buf.resize(len, 0.0);
-    &mut buf[..]
-}
-
-/// Restages row-major activations `a` (`T x cols`) column-major into
-/// `buf`: afterwards `buf[i * T + t] == a[(t, i)]`, the layout
-/// `accumulate_columns` consumes (`T` contiguous values per weight index).
-/// Factored out of the batched GEMM so the sharded gather restages the
-/// batch **once** and broadcasts the same buffer to every shard.
+/// Restages row-major activations `a` (`T x cols`) into `buf` as one
+/// column-major panel per [`row_panels`] entry, back to back: within a
+/// panel of tile width `n`, `panel[i * n + t] == a[(first_row + t, i)]`
+/// and the columns past the panel's rows are zero — the layout
+/// [`walk`] consumes (`n` contiguous values per weight index). Factored
+/// out of the batched GEMM so the sharded gather restages the batch
+/// **once** and broadcasts the same buffer to every shard.
 fn restage_columns<'s>(a: &Matrix, buf: &'s mut Vec<f32>) -> &'s [f32] {
-    let t_len = a.rows();
     let cols = a.cols();
-    let staged = resized(buf, cols * t_len);
-    for (t, arow) in a.as_slice().chunks_exact(cols).enumerate() {
-        for (i, &v) in arow.iter().enumerate() {
-            staged[i * t_len + t] = v;
+    let padded: usize = row_panels(a.rows()).map(|(_, _, tile)| tile).sum();
+    buf.clear();
+    buf.resize(cols * padded, 0.0);
+    let mut panels = &mut buf[..];
+    for (t0, rows, tile) in row_panels(a.rows()) {
+        let (panel, rest) = panels.split_at_mut(cols * tile);
+        for t in 0..rows {
+            for (i, &v) in a.row(t0 + t).iter().enumerate() {
+                panel[i * tile + t] = v;
+            }
         }
+        panels = rest;
     }
-    staged
+    buf
 }
 
 /// Mutable access to disjoint ranges of one output buffer from concurrent
@@ -457,118 +454,169 @@ impl<T> SendSlice<T> {
     }
 }
 
-/// Accumulates one live lane across `n` activation columns: the one class
-/// accumulator the split-lane decode selected receives `q · col[c]`.
-/// Callers skip dead lanes (sacrificed or zero-valued) before slicing the
-/// column, saving the entire `n`-wide FMA pass — at column counts > 1 the
-/// saved pass dwarfs the skip branch (measured: the unconditional
-/// two-class form halves batch-16 throughput). A live lane has exactly one
-/// nonzero class, selected here without a width lookup.
-#[inline(always)]
-fn lane_accumulate(two_j: i8, three_j: i8, col: &[f32], acc2: &mut [f32], acc3: &mut [f32]) {
-    let (q, acc) = if two_j != 0 { (two_j as f32, acc2) } else { (three_j as f32, acc3) };
-    for (a, &xv) in acc.iter_mut().zip(col) {
-        *a += q * xv;
+// ---- the sparse-aware lane walk ------------------------------------------
+
+/// Bit `6k` for every cluster `k` of a 48-bit data word.
+const CLUSTER_LSB: u64 = 0x0410_4104_1041;
+
+/// `MAGNITUDE_BITS[idx]`: the magnitude bits of every stored field of a
+/// data word under index byte `idx` — bits {0, 2, 4} of a three-2-bit
+/// cluster, bits {0, 1, 3, 4} of a two-3-bit one, the layout chosen per
+/// cluster pair from its code. A field decodes to zero iff its magnitude
+/// bits are clear (the sign bit alone is negative zero).
+const MAGNITUDE_BITS: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut idx = 0usize;
+    while idx < 256 {
+        let mut pair = 0usize;
+        while pair < 4 {
+            let fields = if (idx >> (CODE_BITS * pair)) & 0b11 == 0 { 0x555 } else { 0x6DB };
+            table[idx] |= fields << (2 * CLUSTER_DATA_BITS * pair);
+            pair += 1;
+        }
+        idx += 1;
     }
+    table
+};
+
+/// The live-cluster mask of a block: bit `6k` is set iff cluster `k` holds
+/// a nonzero lane, straight from the raw bits in a handful of register ops
+/// — nothing is decoded to find out that a cluster is dead.
+#[inline(always)]
+fn live_clusters(idx: u8, data: u64) -> u64 {
+    let m = data & MAGNITUDE_BITS[idx as usize];
+    let m = m | (m >> 1) | (m >> 2);
+    (m | (m >> 3)) & CLUSTER_LSB
 }
 
-/// Accumulates one channel's packed stream over column-major activations:
-/// lane `i` contributes `two[j]·act[i·n + c]` to `acc2[c]` or
-/// `three[j]·act[i·n + c]` to `acc3[c]` — the class choice comes straight
-/// from the width-split LUT, so no width dispatch survives into the loop;
-/// dead lanes skip their `n`-wide pass entirely.
-///
-/// `act` holds `n` contiguous values per weight index (the column-major
-/// restage of the batched kernels — or a matrix whose rows are activation
-/// columns, which is the same layout). Lanes stream in index order and a
-/// live lane adds exactly the term [`PackedChannel::dot`] adds, so for any
-/// fixed column the accumulation matches the scalar path term for term —
-/// the per-row identity the batched serving path relies on. (For finite
-/// activations `dot`'s branchless zero terms only ever add `±0.0`, which
-/// `==`-equality is insensitive to; non-finite activations are outside
-/// the kernels' contract — there `0·inf = NaN` makes the two forms
-/// diverge, as it would any rearrangement of float accumulation.)
-fn accumulate_columns(
-    ch: &PackedChannel,
-    act: &[f32],
-    n: usize,
-    acc2: &mut [f32],
-    acc3: &mut [f32],
+/// Accumulates one block into the two class accumulators: only the live
+/// clusters are visited (in index order), each decoded through
+/// [`DECODE_INTS`]. A cluster is single-class, so the accumulator is picked
+/// once per cluster from its code and the sacrificed lane is skipped by
+/// position; `cols[i]` is the activation tile of the block's lane `i`, and
+/// `cols.len()` bounds the walk — 24 (a constant after inlining) for a
+/// full block, fewer for a channel's partial tail, whose padding lanes
+/// peer bytes are free to set.
+#[inline(always)]
+fn accumulate_block<const N: usize>(
+    block: &[u8],
+    cols: &[[f32; N]],
+    acc2: &mut [f32; N],
+    acc3: &mut [f32; N],
 ) {
-    debug_assert_eq!(act.len(), ch.len() * n);
-    debug_assert!(acc2.len() == n && acc3.len() == n);
-    acc2.fill(0.0);
-    acc3.fill(0.0);
-    let full = ch.len / WEIGHTS_PER_BLOCK;
-    for (b, block) in ch.blocks.chunks_exact(BLOCK_BYTES).take(full).enumerate() {
-        // All 24 lanes decode in one SWAR pass and are in bounds: no
-        // `i >= len` checks. Lane order (and therefore accumulation order)
-        // is identical to the per-cluster walk of the tail below.
-        let d = DecodedBlockBytes::decode(block);
-        let cols = &act[b * WEIGHTS_PER_BLOCK * n..(b + 1) * WEIGHTS_PER_BLOCK * n];
-        for k in 0..CLUSTERS_PER_BLOCK {
-            for j in 0..3 {
-                let (two, three) = d.lanes(k, j);
-                if two == 0 && three == 0 {
-                    continue;
-                }
-                let i = k * 3 + j;
-                lane_accumulate(two, three, &cols[i * n..(i + 1) * n], acc2, acc3);
+    let idx = block_index_byte(block);
+    let data = block_data_word(block);
+    // Lane `i` as `(weight, activation tile)`; a lane past the bound reads
+    // as a zero weight over a zero tile, the exact no-op `+0.0` term.
+    let lane = |q: i8, i: usize| cols.get(i).map_or((0.0, &[0.0; N]), |x| (q as f32, x));
+    let mut live = live_clusters(idx, data);
+    while live != 0 {
+        let shift = live.trailing_zeros() as usize;
+        live &= live - 1;
+        let k = shift / CLUSTER_DATA_BITS;
+        let code = ((idx >> (CODE_BITS * (k / 2))) & 0b11) as usize;
+        let q = &DECODE_INTS[code][(data >> shift) as usize & 0x3F];
+        if code == 0 {
+            let ((q0, x0), (q1, x1)) = (lane(q[0], 3 * k), lane(q[1], 3 * k + 1));
+            let (q2, x2) = lane(q[2], 3 * k + 2);
+            for c in 0..N {
+                acc2[c] += q0 * x0[c];
+                acc2[c] += q1 * x1[c];
+                acc2[c] += q2 * x2[c];
+            }
+        } else {
+            // Code `c` sacrifices lane `c - 1`: the stored pair is lanes
+            // (1, 2), (0, 2) or (0, 1).
+            let (j0, j1) = ((code == 1) as usize, 2 - (code == 3) as usize);
+            let ((q0, x0), (q1, x1)) = (lane(q[j0], 3 * k + j0), lane(q[j1], 3 * k + j1));
+            for c in 0..N {
+                acc3[c] += q0 * x0[c];
+                acc3[c] += q1 * x1[c];
             }
         }
     }
-    for_each_lane_from(ch, full, |i, two, three| {
-        if two == 0 && three == 0 {
-            return;
+}
+
+/// The one accumulate loop of the module: streams a channel's blocks once
+/// against an `N`-column activation panel (`panel[i * N + c]` is column
+/// `c`'s activation for weight `i`) into per-column class accumulators
+/// kept as `[f32; N]` locals throughout, and returns the per-column
+/// results `s2·acc2[c] + s3·acc3[c]`.
+///
+/// Every kernel is an instance — [`PackedChannel::dot`] is `N = 1` over
+/// the activation vector itself — so for any fixed column the float
+/// sequence is the same at every `N`: each accumulator receives its live
+/// lanes in index order, mul then add. Relative to adding every lane's
+/// term, the walk only ever omits `±0.0` terms (a zero weight times a
+/// finite activation), and that is a bit-exact no-op: an accumulator that
+/// starts at `+0.0` never becomes `-0.0` under round-to-nearest, and
+/// `a + ±0.0 == a` bit for bit for every other `a` (pinned with `to_bits`
+/// against both forms in `tests/swar_decode.rs`). Non-finite activations
+/// are outside the kernels' contract — there `0·inf = NaN` makes the forms
+/// diverge, as it would any rearrangement of float accumulation.
+fn walk<const N: usize>(ch: &PackedChannel, panel: &[f32]) -> [f32; N] {
+    let (cols, _) = panel.as_chunks::<N>();
+    debug_assert_eq!(cols.len(), ch.len);
+    let (mut acc2, mut acc3) = ([0.0f32; N], [0.0f32; N]);
+    // In-bounds lanes: both the weight count and the cluster count bound
+    // the stream (`PackedChannel::pack` takes them independently).
+    let bound = ch.len.min(3 * ch.n_clusters);
+    let full = bound / WEIGHTS_PER_BLOCK;
+    let mut blocks = ch.blocks.chunks_exact(BLOCK_BYTES);
+    for (block, cols) in blocks.by_ref().take(full).zip(cols.chunks_exact(WEIGHTS_PER_BLOCK)) {
+        accumulate_block(block, cols, &mut acc2, &mut acc3);
+    }
+    if let Some(block) = blocks.next() {
+        accumulate_block(block, &cols[full * WEIGHTS_PER_BLOCK..bound], &mut acc2, &mut acc3);
+    }
+    std::array::from_fn(|c| ch.scale2 * acc2[c] + ch.scale3 * acc3[c])
+}
+
+/// One channel against every panel of a restaged batch (the layout of
+/// [`restage_columns`]): one [`walk`] per panel at the panel's tile width,
+/// then `emit(t, y[t])` for each of the batch's rows.
+fn channel_rows(
+    ch: &PackedChannel,
+    staged: &[f32],
+    t_len: usize,
+    mut emit: impl FnMut(usize, f32),
+) {
+    let mut panels = staged;
+    for (t0, rows, tile) in row_panels(t_len) {
+        let (panel, rest) = panels.split_at(ch.len * tile);
+        panels = rest;
+        let mut y = [0.0f32; MAX_TILE];
+        match tile {
+            1 => y[..1].copy_from_slice(&walk::<1>(ch, panel)),
+            4 => y[..4].copy_from_slice(&walk::<4>(ch, panel)),
+            8 => y[..8].copy_from_slice(&walk::<8>(ch, panel)),
+            _ => y = walk::<MAX_TILE>(ch, panel),
         }
-        lane_accumulate(two, three, &act[i * n..(i + 1) * n], acc2, acc3);
-    });
+        for (t, &v) in y[..rows].iter().enumerate() {
+            emit(t0 + t, v);
+        }
+    }
 }
 
 impl PackedChannel {
     /// Fused dot product `wᵀx` computed straight from the packed blocks —
-    /// the serving GEMV inner loop, and the reference every other kernel
-    /// is asserted bit-identical to. Never materializes the dequantized
-    /// channel. Branchless: every lane feeds both class accumulators (one
-    /// term is always zero via [`SPLIT_LANES`], adding an exact `±0.0`
-    /// for finite `x`), and full blocks skip the bounds check entirely.
-    /// Clusters decode through the per-cluster [`SPLIT_LANES`] walk, which
-    /// measures faster here than the SWAR pass the column kernels use.
+    /// the serving GEMV inner loop, the single-column instance of the
+    /// `walk` every batched kernel runs. Never materializes the
+    /// dequantized channel.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the channel length.
     pub fn dot(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.len, "input length must equal channel length");
-        let mut acc2 = 0.0f32;
-        let mut acc3 = 0.0f32;
-        let full = self.len / WEIGHTS_PER_BLOCK;
-        for (b, block) in self.blocks.chunks_exact(BLOCK_BYTES).take(full).enumerate() {
-            let idx = block_index_byte(block);
-            let data = block_data_word(block);
-            let xs = &x[b * WEIGHTS_PER_BLOCK..(b + 1) * WEIGHTS_PER_BLOCK];
-            for k_in in 0..CLUSTERS_PER_BLOCK {
-                let (two, three) = split_lanes_at(idx, data, k_in);
-                let xo = &xs[k_in * 3..k_in * 3 + 3];
-                acc2 += two[0] as f32 * xo[0];
-                acc3 += three[0] as f32 * xo[0];
-                acc2 += two[1] as f32 * xo[1];
-                acc3 += three[1] as f32 * xo[1];
-                acc2 += two[2] as f32 * xo[2];
-                acc3 += three[2] as f32 * xo[2];
-            }
-        }
-        for_each_lane_from(self, full, |i, two, three| {
-            acc2 += two as f32 * x[i];
-            acc3 += three as f32 * x[i];
-        });
-        self.scale2 * acc2 + self.scale3 * acc3
+        let [y] = walk::<1>(self, x);
+        y
     }
 
-    /// Alias of [`PackedChannel::dot`], which *is* the scalar LUT walk.
-    /// The name survives because `bench/`'s GEMV probe (frozen between
-    /// benchmark issues) calls it, and the differential tests use it to
-    /// say "the reference" when checking the SWAR column kernels.
+    /// Alias of [`PackedChannel::dot`]. The name survives because
+    /// `bench/`'s GEMV probe (frozen between benchmark issues) calls it,
+    /// and the differential tests use it to say "the reference" when
+    /// checking the batched kernels.
     pub fn dot_scalar(&self, x: &[f32]) -> f32 {
         self.dot(x)
     }
@@ -662,8 +710,9 @@ impl PackedMatrix {
 
     /// Fused `Y = A Wᵀ` (`A` is `T x cols`, `Y` is `T x rows`) — the
     /// transformer's linear-layer orientation (activations row-major, one
-    /// output feature per weight channel). Each cluster is decoded once and
-    /// its lanes accumulate down the `T` activation rows.
+    /// output feature per weight channel). Each live cluster is decoded once
+    /// per panel of up to 16 activation rows and its lanes accumulate down
+    /// them.
     ///
     /// # Panics
     ///
@@ -690,14 +739,15 @@ impl PackedMatrix {
     /// optional channel-parallel pool — the batched serving GEMM.
     ///
     /// The activations are restaged column-major once per call (into
-    /// `scratch`, reused across calls), so every decoded lane reads its `T`
-    /// activation values from one contiguous run — the weight stream is
-    /// decoded **once** for the whole batch and the per-lane inner loop
+    /// `scratch`, reused across calls) in panels of at most 16 rows, so
+    /// every live lane reads its panel's activation values from one
+    /// contiguous tile — the weight stream is walked **once** per panel
+    /// (once for any batch of 1–16 rows) and the per-lane inner loop
     /// vectorizes over the batch dimension. A row of the result is
     /// bit-identical to [`PackedChannel::dot`] on the matching activation
-    /// row: the batched path accumulates each sequence's lanes in the same
-    /// order as single-sequence decoding (asserted by tests), which is what
-    /// lets a batch-of-1 serving step reproduce `forward_step` exactly.
+    /// row — both are the same walk, at different tile widths (asserted by
+    /// tests) — which is what lets a batch-of-1 serving step reproduce
+    /// `forward_step` exactly.
     ///
     /// With a pool, the channel loop is distributed; each channel `r` is
     /// computed whole by one worker and owns the output column `r`, so the
@@ -731,38 +781,23 @@ impl PackedMatrix {
             (t_len, rows),
             "matmul_t output must be {t_len}x{rows}"
         );
-        let KernelScratch { a_t, acc2, acc3, worker_acc } = scratch;
-        // Column-major restaging: a_t[i] holds activation column i across
-        // the T batch rows, contiguous for the lane accumulate below.
-        let a_t: &[f32] = restage_columns(a, a_t);
+        // Column-major restaging: a_t holds activation column i across the
+        // batch rows of each panel, contiguous for the walk's lane tiles.
+        let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
         let writer = SendSlice::new(out.as_mut_slice());
-        let channel_range = |start: usize, end: usize, acc2: &mut [f32], acc3: &mut [f32]| {
+        let channel_range = |start: usize, end: usize| {
             for (ro, ch) in self.channels()[start..end].iter().enumerate() {
                 let r = start + ro;
-                accumulate_columns(ch, a_t, t_len, acc2, acc3);
-                let (s2, s3) = (ch.scale2(), ch.scale3());
-                for t in 0..t_len {
-                    // Safety: channel `r` is owned by exactly one worker
-                    // and writes only the `t*rows + r` column entries.
-                    unsafe { writer.write(t * rows + r, s2 * acc2[t] + s3 * acc3[t]) };
-                }
+                // Safety: channel `r` is owned by exactly one worker and
+                // writes only the `t*rows + r` column entries.
+                channel_rows(ch, a_t, t_len, |t, y| unsafe { writer.write(t * rows + r, y) });
             }
         };
         match pool {
             Some(pool) if pool.threads() > 1 => {
-                // One reused accumulator pair per pool worker; `run`
-                // guarantees at most one live chunk per worker index.
-                let accs = SendSlice::new(worker_accs(worker_acc, pool.threads(), t_len));
-                pool.run(rows, 1, &|worker, start, end| {
-                    // Safety: worker indices are exclusive while a chunk
-                    // is live, so each pair has one user at a time.
-                    let (acc2, acc3) = unsafe { &mut accs.slice_mut(worker, worker + 1)[0] };
-                    channel_range(start, end, acc2, acc3);
-                });
+                pool.run(rows, 1, &|_, start, end| channel_range(start, end));
             }
-            _ => {
-                channel_range(0, rows, resized(acc2, t_len), resized(acc3, t_len));
-            }
+            _ => channel_range(0, rows),
         }
     }
 
@@ -839,35 +874,24 @@ pub fn matmul_t_sharded_into(
             return m.matmul_t_into_with(a, out, scratch, pool);
         }
     }
-    let KernelScratch { a_t, acc2, acc3, worker_acc } = scratch;
-    let a_t: &[f32] = restage_columns(a, a_t);
+    let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
     let writer = SendSlice::new(out.as_mut_slice());
-    let shard_range = |start: usize, end: usize, acc2: &mut [f32], acc3: &mut [f32]| {
+    let shard_range = |start: usize, end: usize| {
         for (off, m) in &shards[start..end] {
             for (r, ch) in m.channels().iter().enumerate() {
-                accumulate_columns(ch, a_t, t_len, acc2, acc3);
-                let (s2, s3) = (ch.scale2(), ch.scale3());
-                for t in 0..t_len {
-                    // Safety: shard ranges are disjoint and channel `r`
-                    // writes only its own `off + r` output column.
-                    unsafe { writer.write(t * out_cols + off + r, s2 * acc2[t] + s3 * acc3[t]) };
-                }
+                // Safety: shard ranges are disjoint and channel `r` writes
+                // only its own `off + r` output column.
+                channel_rows(ch, a_t, t_len, |t, y| unsafe {
+                    writer.write(t * out_cols + off + r, y)
+                });
             }
         }
     };
     match pool {
         Some(pool) if pool.threads() > 1 && shards.len() > 1 => {
-            // One reused accumulator pair per pool worker; `run` guarantees
-            // at most one live chunk per worker index.
-            let accs = SendSlice::new(worker_accs(worker_acc, pool.threads(), t_len));
-            pool.run(shards.len(), 1, &|worker, start, end| {
-                // Safety: worker indices are exclusive while a chunk is
-                // live, so each accumulator pair has one user at a time.
-                let (acc2, acc3) = unsafe { &mut accs.slice_mut(worker, worker + 1)[0] };
-                shard_range(start, end, acc2, acc3);
-            });
+            pool.run(shards.len(), 1, &|_, start, end| shard_range(start, end));
         }
-        _ => shard_range(0, shards.len(), resized(acc2, t_len), resized(acc3, t_len)),
+        _ => shard_range(0, shards.len()),
     }
 }
 
@@ -963,6 +987,49 @@ mod tests {
         let (two, three) = decode_block_swar(0b1110_0100, 0xFFFF_FFFF_FFFF);
         let with_junk = decode_block_swar(0b1110_0100, 0xFFFF_FFFF_FFFF_FFFF);
         assert_eq!((two, three), with_junk);
+    }
+
+    #[test]
+    fn live_cluster_mask_is_exact_over_the_full_code_six_space() {
+        // Every (code, six) at every cluster position, the other seven
+        // clusters random and the bits above the data word set: cluster
+        // k's live bit must say exactly "DECODE_INTS has a nonzero lane".
+        let mut rng = Rng::seed_from(0x11FE);
+        for (code, by_six) in DECODE_INTS.iter().enumerate() {
+            for (six, ints) in by_six.iter().enumerate() {
+                for k in 0..CLUSTERS_PER_BLOCK {
+                    let pair_shift = CODE_BITS * (k / 2);
+                    let idx = (rng.below(256) as u8 & !(0b11 << pair_shift))
+                        | ((code as u8) << pair_shift);
+                    let noise = (rng.below(1 << 24) as u64) | ((rng.below(1 << 24) as u64) << 24);
+                    let field = 0x3F << (CLUSTER_DATA_BITS * k);
+                    let data = (noise & !field) | ((six as u64) << (CLUSTER_DATA_BITS * k));
+                    let live = live_clusters(idx, data | !0 << 48);
+                    assert_eq!(live & !CLUSTER_LSB, 0, "only bits 6k may be set");
+                    assert_eq!(
+                        (live >> (CLUSTER_DATA_BITS * k)) & 1 == 1,
+                        *ints != [0; 3],
+                        "code {code} six {six:06b} at cluster {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_fields_and_dead_blocks_read_dead() {
+        // Sign bit alone (2-bit 0b10, 3-bit 0b100) is negative zero: dead.
+        assert_eq!(live_clusters(0b00, 0b10_10_10), 0);
+        assert_eq!(live_clusters(0b01, 0b100_100), 0);
+        assert_eq!(live_clusters(0b01, 0b100_101), 1);
+        // Eight dead clusters under every index byte, whatever sits above
+        // the data word.
+        for idx in 0..=255u8 {
+            assert_eq!(live_clusters(idx, 0), 0);
+            assert_eq!(live_clusters(idx, !0 << 48), 0);
+            let neg_zero = !MAGNITUDE_BITS[idx as usize] & 0xFFFF_FFFF_FFFF;
+            assert_eq!(live_clusters(idx, neg_zero), 0, "idx {idx:08b}");
+        }
     }
 
     #[test]
@@ -1163,5 +1230,28 @@ mod tests {
     fn empty_channel_dot_is_zero() {
         let ch = crate::PackedChannel::pack(0.0, 0.0, 0, &[], &[]);
         assert_eq!(ch.dot(&[]), 0.0);
+    }
+
+    #[test]
+    fn zero_column_matmul_t_is_zero() {
+        // `dot` on an empty channel is 0.0; the batched kernels must agree
+        // instead of panicking in the restage (`chunks_exact(0)`).
+        let a = Matrix::zeros(2, 0);
+        let empty = || crate::PackedChannel::pack(0.0, 0.0, 0, &[], &[]);
+        for rows in [0usize, 3] {
+            let packed = PackedMatrix::new(rows, 0, (0..rows).map(|_| empty()).collect());
+            assert_eq!(packed.matmul_t(&a), Matrix::zeros(2, rows));
+            let mut out = Matrix::from_fn(2, rows, |_, _| 9.0);
+            let pool = ThreadPool::new(2);
+            packed.matmul_t_into_with(&a, &mut out, &mut KernelScratch::new(), Some(&pool));
+            assert_eq!(out, Matrix::zeros(2, rows));
+            let mut out = Matrix::from_fn(2, rows + 1, |_, _| 9.0);
+            let shards = [(1, packed)];
+            matmul_t_sharded_into(&shards, &a, &mut out, &mut KernelScratch::new(), None);
+            assert_eq!(out.col(0), vec![9.0; 2], "columns outside every shard are untouched");
+            for r in 0..rows {
+                assert_eq!(out.col(1 + r), vec![0.0; 2]);
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! kernels against their dequantize-reference, and a FineQ-packed
 //! transformer against the dequantized fp32 copy, end to end.
 
-use fineq::core::{FineQuantizer, PackedMatrix};
-use fineq::lm::builder::{build_fitted_model, BuilderSpec};
+use fineq::core::{block_data_word, decode_block_swar, FineQuantizer, PackedMatrix};
+use fineq::lm::builder::{build_fitted_model, llm_like_matrix, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::eval::perplexity;
 use fineq::lm::memory::ServingMemory;
@@ -138,6 +138,69 @@ fn packed_model_perplexity_equals_dequantized_reference() {
     // path asserts.
     let fp16 = perplexity(&model, test.tokens(), 256);
     assert!(pp < fp16 * 20.0, "packed ppl {pp} vs fp16 {fp16}");
+}
+
+/// Lane traffic of a packed model, counted from the SWAR decode of every
+/// stored block (padding lanes included): the workload shape the sparse
+/// lane walk in `kernels.rs` is designed around.
+#[derive(Debug, Default)]
+struct LaneCensus {
+    lanes: usize,
+    live_two_bit: usize,
+    live_three_bit: usize,
+    live_clusters: usize,
+}
+
+fn lane_census(model: &Transformer) -> LaneCensus {
+    let mut census = LaneCensus::default();
+    for l in 0..model.n_layers() {
+        for site in WeightSite::ALL {
+            let packed = model.weight(l, site).as_packed().expect("packed site");
+            for block in packed.channels().iter().flat_map(|ch| ch.blocks().chunks_exact(7)) {
+                let (two, three) = decode_block_swar(block[0], block_data_word(block));
+                census.lanes += two.len();
+                census.live_two_bit += two.iter().filter(|&&q| q != 0).count();
+                census.live_three_bit += three.iter().filter(|&&q| q != 0).count();
+                census.live_clusters += (two.chunks(3).zip(three.chunks(3)))
+                    .filter(|(t, h)| t.iter().chain(*h).any(|&q| q != 0))
+                    .count();
+            }
+        }
+    }
+    census
+}
+
+/// Traffic on record: the lane census of the served gate model (the same
+/// config, seed and draw order as `bench/`'s `gate_model()`, the model all
+/// four `BENCHMARK.json` workloads serve). Under today's quantizer a 2-bit
+/// lane is almost never live (its scale is the channel's non-outlier
+/// maximum, so only weights past half of it round to ±1) and fewer than
+/// one cluster in four holds any nonzero lane — the shape the kernels'
+/// live-cluster walk is built for. A quantizer change that moves these
+/// shares changes what the kernel should be; it must fail here, loudly.
+#[test]
+fn gate_model_lane_census_is_on_record() {
+    let mut model = Transformer::zeros(ModelConfig::new(64, 256, 2, 4, 512));
+    let spec = BuilderSpec::tiny();
+    let mut rng = Rng::seed_from(41);
+    // The embedding and head draws come first in the benchmark's model.
+    for _ in 0..2 * 64 * 256 {
+        rng.normal(0.0, 0.3);
+    }
+    for l in 0..model.n_layers() {
+        for site in WeightSite::ALL {
+            let (rows, cols) = (model.weight(l, site).rows(), model.weight(l, site).cols());
+            *model.weight_mut(l, site) = llm_like_matrix(rows, cols, &spec, &mut rng).into();
+        }
+    }
+    let (packed, _) =
+        quantize_model_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default());
+    let c = lane_census(&packed);
+    let share = |n: usize, of: usize| (n as f64 / of as f64 * 1e3).round() / 1e3;
+    assert_eq!(c.lanes, 1_081_344);
+    assert_eq!(share(c.live_two_bit, c.lanes), 0.002, "live 2-bit lanes: {c:?}");
+    assert_eq!(share(c.live_three_bit, c.lanes), 0.084, "live 3-bit lanes: {c:?}");
+    assert_eq!(share(c.live_clusters, c.lanes / 3), 0.224, "live clusters: {c:?}");
 }
 
 /// The serving-memory model sees the measured packed footprint, and on

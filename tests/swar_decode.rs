@@ -1,31 +1,38 @@
-//! Differential harness for the SWAR wide-word decode: the wide path must
-//! be **bit-identical** to the scalar per-cluster LUT walk everywhere it
-//! can possibly be reached — `assert_eq!`, never approximate.
+//! Differential harness for the packed decode paths: the SWAR wide-word
+//! decode and the sparse lane walk of the accumulate kernels must be
+//! **bit-identical** to the scalar per-cluster LUT semantics everywhere
+//! they can possibly be reached — `assert_eq!`, never approximate.
 //!
 //! Layer by layer:
 //!
 //! 1. block level — `decode_block_swar` against `SPLIT_LANES` /
 //!    `DECODE_INTS` over the **full** `code × six` space (every cluster
 //!    position, plus random mixed blocks);
-//! 2. channel level — `dot` (the LUT-walk GEMV, a.k.a. `dot_scalar`) and
-//!    `dequantize_into` (SWAR full blocks) against an independent
+//! 2. channel level — `dot` (the `N = 1` lane walk, a.k.a. `dot_scalar`)
+//!    and `dequantize_into` (SWAR full blocks) against an independent
 //!    `cluster_ints` reconstruction for every partial-tail length 1..=24,
 //!    alone and behind a full block, under every cluster code;
-//! 3. matrix level — seeded-random whole-matrix sweeps (odd shapes,
-//!    1-row, 1-col) of `matvec` and the SWAR column kernel `matmul_t`
-//!    against the `dot_scalar` reference;
-//! 4. serving level — whole `BatchScheduler` / `ShardedScheduler` runs at
+//! 3. tile level — every row-tile width and remainder of the batched walk
+//!    × tail shape × lane population × signed zeros and subnormals,
+//!    `to_bits`-equal to `dot`, and `dot` `to_bits`-equal to lane-by-lane
+//!    references that add every term / only the nonzero terms;
+//! 4. matrix level — seeded-random whole-matrix sweeps (odd shapes,
+//!    1-row, 1-col) of `matvec` and the batched `matmul_t` against the
+//!    `dot_scalar` reference;
+//! 5. serving level — whole `BatchScheduler` / `ShardedScheduler` runs at
 //!    threads {1, 2, 4, 7} × shards {1, 2, 3, 5}, all bit-identical to
 //!    the serial unsharded reference.
 //!
-//! Together these are the proof obligation the SWAR decode carries: the
+//! Together these are the proof obligation the kernels carry: the
 //! batch-composition, thread-count and shard-count determinism contracts
-//! of PRs 2–4 survive because the decoded integers and the accumulation
-//! order never changed.
+//! of PRs 2–4 survive because the decoded integers and each accumulator's
+//! order of nonzero terms never changed.
 
 use fineq::core::kernels::{DECODE_INTS, LANE_WIDTHS, SPLIT_LANES};
 use fineq::core::pack::{BLOCK_BYTES, CLUSTERS_PER_BLOCK, WEIGHTS_PER_BLOCK};
-use fineq::core::{decode_block_swar, ClusterCode, FineQuantizer, PackedChannel, PackedMatrix};
+use fineq::core::{
+    block_data_word, decode_block_swar, ClusterCode, FineQuantizer, PackedChannel, PackedMatrix,
+};
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::ServeRequest;
@@ -116,7 +123,7 @@ fn random_channel(len: usize, rng: &mut Rng) -> PackedChannel {
     PackedChannel::pack(0.3, 0.1, len, &codes, &quantized)
 }
 
-/// Channel-level differential: `dot` (the LUT walk, which `dot_scalar`
+/// Channel-level differential: `dot` (the lane walk, which `dot_scalar`
 /// forwards to) and `dequantize_into` (SWAR full blocks + per-lane tail)
 /// against an independent reconstruction from `cluster_ints` +
 /// `LANE_WIDTHS` — every partial tail length 1..=24, bare and behind one
@@ -187,7 +194,7 @@ fn random_packed(rows: usize, cols: usize, seed: u64) -> PackedMatrix {
 /// Matrix-level differential sweep: seeded-random matrices in odd shapes
 /// (1-row, 1-col, partial tails, widths crossing several blocks) — every
 /// GEMV/GEMM output element must equal the scalar `dot_scalar` reference
-/// exactly, through the per-channel GEMV and the SWAR column kernel.
+/// exactly, through the per-channel GEMV and the batched column kernel.
 #[test]
 fn whole_matrix_kernels_equal_the_scalar_reference() {
     for (rows, cols, seed) in [
@@ -214,7 +221,111 @@ fn whole_matrix_kernels_equal_the_scalar_reference() {
     }
 }
 
-/// Serving-level differential: complete scheduler runs over the SWAR
+/// The two lane-by-lane references of a channel's dot product, decoded
+/// from the raw blocks through `DECODE_INTS` alone: with `every_term` each
+/// lane adds `two·x` to `acc2` **and** `three·x` to `acc3` (the branchless
+/// form the sparse walk replaced — most terms are `±0.0`); without it only
+/// nonzero weights add a term. Same lane order, mul then add, same
+/// `s2·acc2 + s3·acc3` combine.
+fn reference_dot(ch: &PackedChannel, x: &[f32], every_term: bool) -> f32 {
+    let (mut acc2, mut acc3) = (0.0f32, 0.0f32);
+    for (i, &xv) in x.iter().enumerate() {
+        let (k, j) = (i / 3, i % 3);
+        let block = &ch.blocks()[k / CLUSTERS_PER_BLOCK * BLOCK_BYTES..][..BLOCK_BYTES];
+        let k_in = k % CLUSTERS_PER_BLOCK;
+        let code = ((block[0] >> (2 * (k_in / 2))) & 0b11) as usize;
+        let six = ((block_data_word(block) >> (6 * k_in)) & 0x3F) as usize;
+        let q = DECODE_INTS[code][six][j];
+        let (two, three) = match LANE_WIDTHS[code][j] {
+            2 => (q, 0),
+            3 => (0, q),
+            _ => (0, 0),
+        };
+        if every_term || two != 0 {
+            acc2 += two as f32 * xv;
+        }
+        if every_term || three != 0 {
+            acc3 += three as f32 * xv;
+        }
+    }
+    ch.scale2() * acc2 + ch.scale3() * acc3
+}
+
+/// The channel `pack` builds, with every padding bit of its last block
+/// (the clusters past `n_clusters`) set: what a peer's bytes may contain.
+fn with_padding_set(ch: PackedChannel) -> PackedChannel {
+    let mut blocks = ch.blocks().to_vec();
+    let used = ch.n_clusters() % CLUSTERS_PER_BLOCK;
+    if used != 0 {
+        let last = blocks.len() - BLOCK_BYTES;
+        let data = block_data_word(&blocks[last..]) | (!0u64 << (6 * used));
+        blocks[last + 1..].copy_from_slice(&data.to_le_bytes()[..BLOCK_BYTES - 1]);
+    }
+    PackedChannel::from_raw_parts(ch.scale2(), ch.scale3(), ch.len(), blocks)
+}
+
+/// Four channels of `len` weights, one per lane population the walk must
+/// not care about: every lane dead, every lane a live 2-bit lane, every
+/// cluster an outlier cluster (stored lanes random, zeros included), and
+/// what the quantizer emits. The lanes of the last cluster past `len` are
+/// nonzero and the padding clusters are all-ones.
+fn population_channels(len: usize, rng: &mut Rng) -> PackedMatrix {
+    let n_clusters = len.div_ceil(3);
+    let pairs = n_clusters.div_ceil(2);
+    let pack = |codes: &[ClusterCode], q: &[[i32; 3]]| {
+        with_padding_set(PackedChannel::pack(0.3, 0.1, len, codes, q))
+    };
+    let dead = pack(&vec![ClusterCode::ALL[rng.below(4)]; pairs], &vec![[0; 3]; n_clusters]);
+    let sign = |rng: &mut Rng| if rng.chance(0.5) { -1 } else { 1 };
+    let live2: Vec<[i32; 3]> = (0..n_clusters).map(|_| [0, 1, 2].map(|_| sign(rng))).collect();
+    let live2 = pack(&vec![ClusterCode::AllTwoBit; pairs], &live2);
+    let codes: Vec<ClusterCode> = (0..pairs).map(|_| ClusterCode::ALL[1 + rng.below(3)]).collect();
+    let q: Vec<[i32; 3]> =
+        (0..n_clusters).map(|_| [0, 1, 2].map(|_| rng.below(7) as i32 - 3)).collect();
+    let outlier = pack(&codes, &q);
+    let fixture = match len {
+        0 => pack(&[], &[]),
+        _ => with_padding_set(random_packed(1, len, 0xF1C + len as u64).channels()[0].clone()),
+    };
+    PackedMatrix::new(4, len, vec![dead, live2, outlier, fixture])
+}
+
+/// Tile-level differential, the proof obligation of the sparse walk: at
+/// every tile width and remainder (`t_len` 1..=33), every tail shape and
+/// every lane population, over activations salted with `+0.0`, `-0.0` and
+/// subnormals, each batched output row is **`to_bits`-equal** to `dot` on
+/// that row, and `dot` is `to_bits`-equal to both lane-by-lane references
+/// — the one that adds every `±0.0` term and the one that adds none. That
+/// pins the signed-zero argument the walk rests on (skipping a `±0.0`
+/// term never changes a bit) rather than asserting it in a comment.
+#[test]
+fn every_tile_is_bit_equal_to_dot_and_dot_to_both_lane_references() {
+    let mut rng = Rng::seed_from(0x711E);
+    let salt = [0.0f32, -0.0, f32::from_bits(1), -f32::from_bits(0x0040_0000), f32::MIN_POSITIVE];
+    for len in [0usize, 1, 2, 3, 23, 24, 25, 47, 256, 515] {
+        let packed = population_channels(len, &mut rng);
+        for t_len in [1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17, 33] {
+            let a = Matrix::from_fn(t_len, len, |_, _| match rng.below(4) {
+                0 => salt[rng.below(salt.len())],
+                _ => rng.normal(0.0, 1.0),
+            });
+            let batched = packed.matmul_t(&a);
+            for (r, ch) in packed.channels().iter().enumerate() {
+                for t in 0..t_len {
+                    let dot = ch.dot(a.row(t));
+                    let at = format!("len {len} t_len {t_len} row {t} population {r}");
+                    assert_eq!(batched[(t, r)].to_bits(), dot.to_bits(), "{at}: tile vs dot");
+                    let every = reference_dot(ch, a.row(t), true);
+                    assert_eq!(dot.to_bits(), every.to_bits(), "{at}: dot vs every-term walk");
+                    let nonzero = reference_dot(ch, a.row(t), false);
+                    assert_eq!(dot.to_bits(), nonzero.to_bits(), "{at}: dot vs nonzero-term walk");
+                }
+            }
+        }
+    }
+}
+
+/// Serving-level differential: complete scheduler runs over the packed
 /// kernels at every thread × shard combination — admission, sampling,
 /// retirement included — must be identical to the serial unsharded
 /// reference, finished sequence for finished sequence.
