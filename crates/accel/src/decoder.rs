@@ -111,8 +111,8 @@ mod tests {
     }
 
     /// Exhaustive cross-check of the Fig. 6 MUX network against the
-    /// shared decode table the fused software kernels use
-    /// (`fineq_core::kernels::DECODE_INTS`): every (code, data-bits)
+    /// decode table every per-cluster software reader uses
+    /// (`fineq_core::pack::DECODE_INTS`): every (code, data-bits)
     /// combination must agree, so the hardware model and the packed
     /// execution engine provably read the wire format identically.
     #[test]
@@ -120,7 +120,7 @@ mod tests {
         for code in 0..4u8 {
             for six in 0..64u8 {
                 let lanes = HardwareDecoder::decode_cluster(code, six);
-                let expect = fineq_core::kernels::DECODE_INTS[code as usize][six as usize];
+                let expect = fineq_core::pack::DECODE_INTS[code as usize][six as usize];
                 for (j, lane) in lanes.iter().enumerate() {
                     assert_eq!(
                         lane.signed(),
@@ -130,7 +130,7 @@ mod tests {
                 }
                 // Scale class must match the per-code lane widths too.
                 for (j, lane) in lanes.iter().enumerate() {
-                    let width = fineq_core::kernels::LANE_WIDTHS[code as usize][j];
+                    let width = ClusterCode::from_bits(code).bit_width_at(j);
                     assert_eq!(lane.three_bit, width != 2, "code {code:02b} lane {j}");
                 }
             }
@@ -142,8 +142,10 @@ mod tests {
     /// lane values must agree, and every lane's scale class must match the
     /// SWAR width split (a 2-bit lane decodes into the `two` array, a
     /// 3-bit lane into `three`, a sacrificed lane into neither). Together
-    /// with `mux_decode_matches_shared_decode_table` this closes the
-    /// triangle hardware MUX == LUT == SWAR on the wire format.
+    /// with `mux_decode_matches_shared_decode_table` and the exhaustive
+    /// SWAR-vs-table check in `tests/swar_decode.rs` this closes the
+    /// triangle MUX == table == SWAR over the three readers of the wire
+    /// format.
     #[test]
     fn mux_decode_matches_swar_block_decode() {
         let mut state = 0x1234_5678_9abc_def0u64;

@@ -44,157 +44,45 @@
 //!   accumulator receives its live lanes in index order, mul then add.
 //!   Omitting a dead lane's `±0.0` term changes no bit (see `walk`), so
 //!   every golden that held under the lane-by-lane kernels still holds.
-//! * **SWAR** ([`decode_block_swar`]: all 24 lanes of a block in one pass
-//!   of register-wide shifts and masks, the software form of the paper's
-//!   Fig. 6 parallel MUX decode) remains where every lane is wanted:
-//!   [`PackedChannel::dequantize_into`] and the public block decoder the
-//!   `fineq-accel` model cross-checks against. It yields exactly the
-//!   integers of [`DECODE_INTS`] / [`SPLIT_LANES`] (cross-checked
-//!   exhaustively). The accumulate kernels no longer use it.
+//! * **Two decoders, chosen by what the operation needs.** An operation
+//!   that wants only the live clusters reads them through the
+//!   [`DECODE_INTS`] table (the walk above; [`PackedChannel::code_of`] and
+//!   [`PackedChannel::cluster_ints`] in `pack.rs`). An operation that wants
+//!   all 24 lanes of a block reads it through **SWAR**
+//!   ([`decode_block_swar`]: one pass of register-wide shifts and masks,
+//!   the software form of the paper's Fig. 6 parallel MUX decode):
+//!   [`PackedChannel::dequantize_into`], with
+//!   [`PackedChannel::dequantize`] / [`PackedMatrix::dequantize`] its
+//!   allocating wrappers, and the public block decoder itself. The partial
+//!   tail block is decoded whole and its in-bounds prefix kept. There is no
+//!   third software reader: SWAR is checked exhaustively over `code × six`
+//!   against the table, and the table against `pack_cluster` and the
+//!   independent `fineq-accel` MUX model. On a 64×1536 matrix
+//!   (`cargo bench -p fineq-bench --bench kernels`, 2-vCPU guest)
+//!   `dequantize_into` reads 79–84 µs and `dequantize()` 90–98 µs (the
+//!   allocation); a table-only `dequantize_into` was sized at 94–116 µs
+//!   against SWAR's 78–84 µs, which is why the table does not serve the
+//!   all-lanes case too.
 //!
 //! Channels are independent, so the matrix-level kernels
-//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`])
-//! optionally distribute the channel loop over a
-//! [`ThreadPool`](crate::pool::ThreadPool). Each channel's accumulation
-//! order is untouched by the distribution, so parallel output is
-//! **bit-identical to the serial path at any thread count** — the
-//! invariant the batched serving engine's composition guarantee rests on.
-//!
-//! [`PackedChannel::dequantize_into`] / [`PackedMatrix::dequantize_into`]
-//! provide the allocation-free fallback for callers that do want a dense
-//! copy, and [`KernelScratch`] lets a caller reuse the restaging buffer
-//! across calls (e.g. across a transformer's layers).
+//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`],
+//! [`matmul_t_sharded_into`]) are one private channel loop over
+//! `(offset, slice)` pairs whose flat channel range is optionally
+//! distributed over a [`ThreadPool`]: GEMV is its one-row case, the
+//! unsharded GEMM its one-slice case. Each channel's accumulation order is
+//! untouched by the distribution, so parallel output is **bit-identical to
+//! the serial path at any thread and shard count** — the invariant the
+//! batched serving engine's composition guarantee rests on.
+//! [`KernelScratch`] lets a caller reuse the restaging buffer across calls
+//! (e.g. across a transformer's layers).
 
 use crate::pack::{
     block_data_word, block_index_byte, PackedChannel, PackedMatrix, BLOCK_BYTES,
-    CLUSTERS_PER_BLOCK, CLUSTER_DATA_BITS, CODE_BITS, WEIGHTS_PER_BLOCK,
+    CLUSTERS_PER_BLOCK, CLUSTER_DATA_BITS, CODE_BITS, DECODE_INTS, WEIGHTS_PER_BLOCK,
 };
 use crate::pool::ThreadPool;
 use fineq_tensor::Matrix;
-
-/// Decodes an `n`-bit sign-magnitude field in a `const` context.
-const fn sign_mag_const(field: u8, bits: u32) -> i8 {
-    let mag_bits = bits - 1;
-    let mag = (field as u32 & ((1 << mag_bits) - 1)) as i8;
-    if (field as u32 >> mag_bits) & 1 == 1 {
-        -mag
-    } else {
-        mag
-    }
-}
-
-/// Decodes one cluster's 6 data bits under a 2-bit code in a `const`
-/// context (mirrors `pack::unpack_cluster`).
-const fn decode_cluster_const(code: u8, six: u8) -> [i8; 3] {
-    match code {
-        0b00 => [
-            sign_mag_const(six & 0b11, 2),
-            sign_mag_const((six >> 2) & 0b11, 2),
-            sign_mag_const((six >> 4) & 0b11, 2),
-        ],
-        0b01 => [0, sign_mag_const(six & 0b111, 3), sign_mag_const((six >> 3) & 0b111, 3)],
-        0b10 => [sign_mag_const(six & 0b111, 3), 0, sign_mag_const((six >> 3) & 0b111, 3)],
-        _ => [sign_mag_const(six & 0b111, 3), sign_mag_const((six >> 3) & 0b111, 3), 0],
-    }
-}
-
-/// Full decode table: `DECODE_INTS[code][six]` is the signed integer
-/// triple of a cluster whose index bits are `code` and data bits `six`.
-///
-/// This is the single source of truth for the wire format's value
-/// semantics; the `fineq-accel` hardware decoder model re-derives the same
-/// mapping through its Fig. 6 MUX network and is tested against this table.
-pub const DECODE_INTS: [[[i8; 3]; 64]; 4] = {
-    let mut table = [[[0i8; 3]; 64]; 4];
-    let mut code = 0usize;
-    while code < 4 {
-        let mut six = 0usize;
-        while six < 64 {
-            table[code][six] = decode_cluster_const(code as u8, six as u8);
-            six += 1;
-        }
-        code += 1;
-    }
-    table
-};
-
-/// Per-lane bit widths of each code (`0` = sacrificed lane): the scale
-/// class selector. 2-bit lanes use the channel's `scale2`, 3-bit lanes
-/// `scale3`.
-pub const LANE_WIDTHS: [[u8; 3]; 4] = [[2, 2, 2], [0, 3, 3], [3, 0, 3], [3, 3, 0]];
-
-/// Width-split decode table: `SPLIT_LANES[code][six]` is
-/// `(two_bit, three_bit)` where `two_bit[j]` holds lane `j`'s integer if it
-/// is a 2-bit lane and `0` otherwise, and symmetrically for `three_bit`.
-/// Sacrificed lanes are zero in both.
-///
-/// Splitting at table-build time keeps every per-lane consumer free of a
-/// `width == 2` dispatch: a lane's value is `two_bit[j]·s2 + three_bit[j]·s3`
-/// with one term always zero. Cross-checked exhaustively against
-/// [`DECODE_INTS`] × [`LANE_WIDTHS`] by tests.
-pub const SPLIT_LANES: [[([i8; 3], [i8; 3]); 64]; 4] = {
-    let mut table = [[([0i8; 3], [0i8; 3]); 64]; 4];
-    let mut code = 0usize;
-    while code < 4 {
-        let mut six = 0usize;
-        while six < 64 {
-            let ints = DECODE_INTS[code][six];
-            let widths = LANE_WIDTHS[code];
-            let mut two = [0i8; 3];
-            let mut three = [0i8; 3];
-            let mut j = 0usize;
-            while j < 3 {
-                if widths[j] == 2 {
-                    two[j] = ints[j];
-                } else if widths[j] == 3 {
-                    three[j] = ints[j];
-                }
-                j += 1;
-            }
-            table[code][six] = (two, three);
-            six += 1;
-        }
-        code += 1;
-    }
-    table
-};
-
-/// The width-split lanes of cluster `k_in` within a block, straight from
-/// the index byte and 48-bit data word — the per-cluster LUT walk of
-/// [`for_each_lane_from`].
-#[inline(always)]
-fn split_lanes_at(idx: u8, data: u64, k_in: usize) -> &'static ([i8; 3], [i8; 3]) {
-    let code = ((idx >> (CODE_BITS * (k_in / 2))) & 0b11) as usize;
-    let six = ((data >> (CLUSTER_DATA_BITS * k_in)) & 0x3F) as usize;
-    &SPLIT_LANES[code][six]
-}
-
-/// The per-lane LUT walk of a channel's blocks from block `start` onward:
-/// calls `lane(i, two, three)` for every in-bounds weight index in order —
-/// the bounds-checked (`k >= n_clusters`, `i >= len`) slow path behind
-/// [`PackedChannel::dequantize_into`]'s partial tail block.
-#[inline(always)]
-fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usize, i8, i8)) {
-    for (bb, block) in ch.blocks.chunks_exact(BLOCK_BYTES).skip(start).enumerate() {
-        let b = start + bb;
-        let idx = block_index_byte(block);
-        let data = block_data_word(block);
-        for k_in in 0..CLUSTERS_PER_BLOCK {
-            let k = b * CLUSTERS_PER_BLOCK + k_in;
-            if k >= ch.n_clusters {
-                break;
-            }
-            let (two, three) = split_lanes_at(idx, data, k_in);
-            for j in 0..3 {
-                let i = k * 3 + j;
-                if i >= ch.len {
-                    break;
-                }
-                lane(i, two[j], three[j]);
-            }
-        }
-    }
-}
+use std::borrow::Borrow;
 
 // ---- SWAR wide-word block decode -----------------------------------------
 //
@@ -202,8 +90,8 @@ fn for_each_lane_from(ch: &PackedChannel, start: usize, mut lane: impl FnMut(usi
 // clusters of a block resolve from the 48-bit data word in one pass of
 // register-wide shifts and masks (SIMD-within-a-register on `u64` byte
 // lanes), with the scale-class split selected per cluster from the index
-// byte — no per-cluster [`SPLIT_LANES`] lookups when a caller wants all 24
-// lanes ([`PackedChannel::dequantize_into`], [`decode_block_swar`]; the
+// byte — no per-cluster table lookups when a caller wants all 24 lanes
+// ([`PackedChannel::dequantize_into`], [`decode_block_swar`]; the
 // accumulate kernels never do — see the lane walk below). std-only by
 // design: this workspace builds without crates.io (and therefore without
 // portable-SIMD or intrinsics shims), and SWAR on `u64` gives wide,
@@ -339,10 +227,9 @@ impl DecodedBlockBytes {
 
 /// Decodes all eight clusters of a block in one SWAR pass. Returns the
 /// width-split lane values in index order — `two[3k + j]` / `three[3k + j]`
-/// is lane `j` of cluster `k` — exactly the values the per-cluster
-/// [`SPLIT_LANES`] walk yields lane by lane (cross-checked exhaustively by
-/// tests), so routing a kernel through this decoder never changes its
-/// arithmetic, only how the integers were produced.
+/// is lane `j` of cluster `k`: the [`DECODE_INTS`] integer in the array of
+/// the lane's scale class (`two` under code `00`, `three` otherwise) and
+/// zero in the other (cross-checked exhaustively by tests).
 #[inline(always)]
 pub fn decode_block_swar(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; WEIGHTS_PER_BLOCK]) {
     let d = DecodedBlockBytes::from_words(idx, data);
@@ -433,17 +320,6 @@ unsafe impl<T: Send> Sync for SendSlice<T> {}
 impl<T> SendSlice<T> {
     fn new(s: &mut [T]) -> Self {
         Self(s.as_mut_ptr())
-    }
-
-    /// # Safety
-    ///
-    /// `start..end` must be in bounds and disjoint from every range handed
-    /// to other threads.
-    // Handing out `&mut` from `&self` is this type's whole purpose: the
-    // disjointness contract above is what makes it sound.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, start: usize, end: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(start), end - start)
     }
 
     /// # Safety
@@ -558,16 +434,16 @@ fn walk<const N: usize>(ch: &PackedChannel, panel: &[f32]) -> [f32; N] {
     let (cols, _) = panel.as_chunks::<N>();
     debug_assert_eq!(cols.len(), ch.len);
     let (mut acc2, mut acc3) = ([0.0f32; N], [0.0f32; N]);
-    // In-bounds lanes: both the weight count and the cluster count bound
-    // the stream (`PackedChannel::pack` takes them independently).
-    let bound = ch.len.min(3 * ch.n_clusters);
-    let full = bound / WEIGHTS_PER_BLOCK;
+    let full = ch.len / WEIGHTS_PER_BLOCK;
     let mut blocks = ch.blocks.chunks_exact(BLOCK_BYTES);
     for (block, cols) in blocks.by_ref().take(full).zip(cols.chunks_exact(WEIGHTS_PER_BLOCK)) {
         accumulate_block(block, cols, &mut acc2, &mut acc3);
     }
     if let Some(block) = blocks.next() {
-        accumulate_block(block, &cols[full * WEIGHTS_PER_BLOCK..bound], &mut acc2, &mut acc3);
+        // `..ch.len` rather than `..`: it is the explicit bound that shows
+        // the optimizer a tail of fewer than 24 lanes (measured: the open
+        // range costs 15-20 % of a 512-column GEMV).
+        accumulate_block(block, &cols[full * WEIGHTS_PER_BLOCK..ch.len], &mut acc2, &mut acc3);
     }
     std::array::from_fn(|c| ch.scale2 * acc2[c] + ch.scale3 * acc3[c])
 }
@@ -585,16 +461,63 @@ fn channel_rows(
     for (t0, rows, tile) in row_panels(t_len) {
         let (panel, rest) = panels.split_at(ch.len * tile);
         panels = rest;
-        let mut y = [0.0f32; MAX_TILE];
+        let mut emit_rows = |y: &[f32]| {
+            for (t, &v) in y[..rows].iter().enumerate() {
+                emit(t0 + t, v);
+            }
+        };
         match tile {
-            1 => y[..1].copy_from_slice(&walk::<1>(ch, panel)),
-            4 => y[..4].copy_from_slice(&walk::<4>(ch, panel)),
-            8 => y[..8].copy_from_slice(&walk::<8>(ch, panel)),
-            _ => y = walk::<MAX_TILE>(ch, panel),
+            1 => emit_rows(&walk::<1>(ch, panel)),
+            4 => emit_rows(&walk::<4>(ch, panel)),
+            8 => emit_rows(&walk::<8>(ch, panel)),
+            _ => emit_rows(&walk::<MAX_TILE>(ch, panel)),
         }
-        for (t, &v) in y[..rows].iter().enumerate() {
-            emit(t0 + t, v);
+    }
+}
+
+/// The one channel loop of the module: `Y[t, offset + r]` = channel `r` of
+/// `slice` against batch row `t`, for every `(offset, slice)` pair. `staged`
+/// is the batch in [`restage_columns`] layout and `out` the row-major
+/// `t_len x out_cols` result. The slices' channels form one flat range
+/// that `pool`, when given, distributes; each channel is computed whole by
+/// one worker and owns its output column, so the result is bit-identical
+/// at any thread count and under any slicing of the same channels.
+///
+/// The caller guarantees every `offset..offset + rows` lies within
+/// `out_cols` and that the ranges are pairwise disjoint — the safety
+/// contract of the concurrent writes ([`assert_shard_ranges`]).
+fn channel_loop<M: Borrow<PackedMatrix> + Sync>(
+    shards: &[(usize, M)],
+    staged: &[f32],
+    t_len: usize,
+    out: &mut [f32],
+    out_cols: usize,
+    pool: Option<&ThreadPool>,
+) {
+    debug_assert_eq!(out.len(), t_len * out_cols);
+    let writer = SendSlice::new(out);
+    let channel_range = |start: usize, end: usize| {
+        let mut base = 0;
+        for (off, m) in shards {
+            let m = m.borrow();
+            let lo = start.saturating_sub(base).min(m.rows());
+            let hi = end.saturating_sub(base).min(m.rows());
+            for (r, ch) in m.channels()[lo..hi].iter().enumerate() {
+                let col = off + lo + r;
+                // Safety: a channel belongs to exactly one chunk of the flat
+                // range and writes only the `t * out_cols + col` entries of
+                // its own column.
+                channel_rows(ch, staged, t_len, |t, y| unsafe {
+                    writer.write(t * out_cols + col, y)
+                });
+            }
+            base += m.rows();
         }
+    };
+    let total = shards.iter().map(|(_, m)| m.borrow().rows()).sum();
+    match pool {
+        Some(pool) => pool.run(total, 1, &|_, start, end| channel_range(start, end)),
+        None => channel_range(0, total),
     }
 }
 
@@ -621,31 +544,50 @@ impl PackedChannel {
         self.dot(x)
     }
 
+    /// Decodes the channel back to real weights (padding stripped):
+    /// allocates the result, then [`PackedChannel::dequantize_into`].
+    pub fn dequantize(&self) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.len];
+        self.dequantize_into(&mut out);
+        out
+    }
+
     /// Decodes the channel into a caller-provided buffer (padding
-    /// stripped), the allocation-free counterpart of
-    /// [`PackedChannel::dequantize`](crate::PackedChannel::dequantize).
-    /// Every in-bounds lane is written exactly once
-    /// (`two[j]·s2 + three[j]·s3`, one term always zero).
+    /// stripped), the allocation-free form of
+    /// [`PackedChannel::dequantize`]. Every element of `out` is written
+    /// exactly once (`two[j]·s2 + three[j]·s3`, one term always zero).
+    /// Every block goes through the SWAR decode, the partial tail block
+    /// included: it is decoded whole and only its in-bounds lanes are read
+    /// back, so the padding lanes (which peer bytes are free to set) are
+    /// decoded and dropped.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` differs from the channel length.
     pub fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len, "output length must equal channel length");
-        let full = self.len / WEIGHTS_PER_BLOCK;
-        for (b, block) in self.blocks.chunks_exact(BLOCK_BYTES).take(full).enumerate() {
+        let weight = |d: &DecodedBlockBytes, k: usize, j: usize| {
+            let (two, three) = d.lanes(k, j);
+            two as f32 * self.scale2 + three as f32 * self.scale3
+        };
+        let (full, tail) = out.as_chunks_mut::<WEIGHTS_PER_BLOCK>();
+        let mut blocks = self.blocks.chunks_exact(BLOCK_BYTES);
+        for (os, block) in full.iter_mut().zip(blocks.by_ref()) {
             let d = DecodedBlockBytes::decode(block);
-            let os = &mut out[b * WEIGHTS_PER_BLOCK..(b + 1) * WEIGHTS_PER_BLOCK];
             for k in 0..CLUSTERS_PER_BLOCK {
                 for j in 0..3 {
-                    let (two, three) = d.lanes(k, j);
-                    os[k * 3 + j] = two as f32 * self.scale2 + three as f32 * self.scale3;
+                    os[k * 3 + j] = weight(&d, k, j);
                 }
             }
         }
-        for_each_lane_from(self, full, |i, two, three| {
-            out[i] = two as f32 * self.scale2 + three as f32 * self.scale3;
-        });
+        if let Some(block) = blocks.next() {
+            let d = DecodedBlockBytes::decode(block);
+            for (k, os) in tail.chunks_mut(3).enumerate() {
+                for (j, o) in os.iter_mut().enumerate() {
+                    *o = weight(&d, k, j);
+                }
+            }
+        }
     }
 
     /// Storage bytes of the channel in serving form: the packed blocks
@@ -681,8 +623,10 @@ impl PackedMatrix {
     }
 
     /// In-place fused GEMV: `y = W x` written into `out`, the channel loop
-    /// optionally distributed over `pool`. Each channel is a whole work
-    /// item ([`PackedChannel::dot`]) writing only its own `out[r]`, so the
+    /// optionally distributed over `pool` — the one-row case of the batched
+    /// kernel (an activation vector is its own tile-1 panel, so nothing is
+    /// restaged). Each channel is a whole work item
+    /// ([`PackedChannel::dot`]) writing only its own `out[r]`, so the
     /// result is bit-identical to the serial path at any thread count.
     ///
     /// # Panics
@@ -691,21 +635,7 @@ impl PackedMatrix {
     pub fn matvec_into(&self, x: &[f32], out: &mut [f32], pool: Option<&ThreadPool>) {
         assert_eq!(x.len(), self.cols(), "input length must equal cols");
         assert_eq!(out.len(), self.rows(), "output length must equal rows");
-        let channel_range = |start: usize, out: &mut [f32]| {
-            for (o, ch) in out.iter_mut().zip(&self.channels()[start..]) {
-                *o = ch.dot(x);
-            }
-        };
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                let writer = SendSlice::new(out);
-                pool.run(self.rows(), 1, &|_, start, end| {
-                    // Safety: chunks from `ThreadPool::run` are disjoint.
-                    channel_range(start, unsafe { writer.slice_mut(start, end) });
-                });
-            }
-            _ => channel_range(0, out),
-        }
+        channel_loop(&[(0, self)], x, 1, out, self.rows(), pool);
     }
 
     /// Fused `Y = A Wᵀ` (`A` is `T x cols`, `Y` is `T x rows`) — the
@@ -784,21 +714,15 @@ impl PackedMatrix {
         // Column-major restaging: a_t holds activation column i across the
         // batch rows of each panel, contiguous for the walk's lane tiles.
         let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
-        let writer = SendSlice::new(out.as_mut_slice());
-        let channel_range = |start: usize, end: usize| {
-            for (ro, ch) in self.channels()[start..end].iter().enumerate() {
-                let r = start + ro;
-                // Safety: channel `r` is owned by exactly one worker and
-                // writes only the `t*rows + r` column entries.
-                channel_rows(ch, a_t, t_len, |t, y| unsafe { writer.write(t * rows + r, y) });
-            }
-        };
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                pool.run(rows, 1, &|_, start, end| channel_range(start, end));
-            }
-            _ => channel_range(0, rows),
-        }
+        channel_loop(&[(0, self)], a_t, t_len, out.as_mut_slice(), rows, pool);
+    }
+
+    /// Decodes the whole matrix: allocates the result, then
+    /// [`PackedMatrix::dequantize_into`].
+    pub fn dequantize(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows(), self.cols());
+        self.dequantize_into(&mut out);
+        out
     }
 
     /// Decodes the whole matrix into a caller-provided dense matrix — the
@@ -847,12 +771,11 @@ fn assert_shard_ranges(shards: &[(usize, PackedMatrix)], a_cols: usize, out_cols
 /// A @ sliceᵀ` for every `(offset, slice)` — the batched serving op of a
 /// row-sharded weight site. The activations are restaged column-major
 /// **once** (the broadcast half of a sharded step) and every shard reads
-/// the same buffer; whole shards fan out over `pool`, each writing its own
-/// disjoint output columns. Per-channel accumulation is identical to
-/// [`PackedMatrix::matmul_t_into_with`], so gathering row slices of one
-/// matrix reproduces the unsharded output **bit for bit** at any shard and
-/// thread count. A single shard covering the whole output delegates to the
-/// channel-parallel unsharded kernel.
+/// the same buffer; the shards' channels fan out over `pool` as one flat
+/// range, each writing its own output column. It is the loop of
+/// [`PackedMatrix::matmul_t_into_with`] over more than one slice, so
+/// gathering row slices of one matrix reproduces the unsharded output
+/// **bit for bit** at any shard and thread count.
 ///
 /// # Panics
 ///
@@ -869,37 +792,14 @@ pub fn matmul_t_sharded_into(
     let out_cols = out.cols();
     assert_eq!(out.rows(), t_len, "matmul_t_sharded output must have {t_len} rows");
     assert_shard_ranges(shards, a.cols(), out_cols);
-    if let [(0, m)] = shards {
-        if m.rows() == out_cols {
-            return m.matmul_t_into_with(a, out, scratch, pool);
-        }
-    }
     let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
-    let writer = SendSlice::new(out.as_mut_slice());
-    let shard_range = |start: usize, end: usize| {
-        for (off, m) in &shards[start..end] {
-            for (r, ch) in m.channels().iter().enumerate() {
-                // Safety: shard ranges are disjoint and channel `r` writes
-                // only its own `off + r` output column.
-                channel_rows(ch, a_t, t_len, |t, y| unsafe {
-                    writer.write(t * out_cols + off + r, y)
-                });
-            }
-        }
-    };
-    match pool {
-        Some(pool) if pool.threads() > 1 && shards.len() > 1 => {
-            pool.run(shards.len(), 1, &|_, start, end| shard_range(start, end));
-        }
-        _ => shard_range(0, shards.len()),
-    }
+    channel_loop(shards, a_t, t_len, out.as_mut_slice(), out_cols, pool);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantizer::FineQuantizer;
-    use crate::ClusterCode;
     use fineq_tensor::Rng;
 
     fn random_packed(rows: usize, cols: usize, seed: u64) -> (Matrix, PackedMatrix) {
@@ -916,66 +816,7 @@ mod tests {
         (w, packed)
     }
 
-    #[test]
-    fn decode_table_matches_unpacker_via_cluster_ints() {
-        // The LUT and the reference bit-unpacker must agree on every
-        // (code, six) combination reachable through packing.
-        let codes = [ClusterCode::AllTwoBit, ClusterCode::ZeroSecond, ClusterCode::ZeroThird];
-        let q = [[1, -1, 0], [0, 1, 1], [3, 0, -2], [-3, 0, 1], [2, -2, 0]];
-        let ch = crate::PackedChannel::pack(0.3, 0.1, 15, &codes, &q);
-        for k in 0..ch.n_clusters() {
-            let code = ch.code_of(k).bits() as usize;
-            let block = k / CLUSTERS_PER_BLOCK;
-            let data =
-                block_data_word(&ch.blocks()[block * BLOCK_BYTES..(block + 1) * BLOCK_BYTES]);
-            let six = ((data >> (6 * (k % CLUSTERS_PER_BLOCK))) & 0x3F) as usize;
-            let lut: [i32; 3] = [
-                DECODE_INTS[code][six][0] as i32,
-                DECODE_INTS[code][six][1] as i32,
-                DECODE_INTS[code][six][2] as i32,
-            ];
-            assert_eq!(lut, ch.cluster_ints(k), "cluster {k}");
-        }
-    }
-
-    #[test]
-    fn lane_widths_match_cluster_codes() {
-        for code in ClusterCode::ALL {
-            for (pos, &width) in LANE_WIDTHS[code.bits() as usize].iter().enumerate() {
-                assert_eq!(width, code.bit_width_at(pos), "{code} pos {pos}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_lanes_partition_decode_ints_exhaustively() {
-        // Every (code, six) entry: the two class vectors are supported on
-        // the right lanes, never overlap, and sum back to DECODE_INTS.
-        for code in 0..4usize {
-            for six in 0..64usize {
-                let ints = DECODE_INTS[code][six];
-                let (two, three) = SPLIT_LANES[code][six];
-                for j in 0..3 {
-                    assert_eq!(
-                        two[j] + three[j],
-                        ints[j],
-                        "code {code} six {six} lane {j}: classes must sum to the decode"
-                    );
-                    assert!(
-                        two[j] == 0 || three[j] == 0,
-                        "code {code} six {six} lane {j}: a lane has one width"
-                    );
-                    match LANE_WIDTHS[code][j] {
-                        2 => assert_eq!(three[j], 0, "2-bit lane leaked into the 3-bit class"),
-                        3 => assert_eq!(two[j], 0, "3-bit lane leaked into the 2-bit class"),
-                        _ => assert_eq!((two[j], three[j]), (0, 0), "sacrificed lane must be 0"),
-                    }
-                }
-            }
-        }
-    }
-
-    // The exhaustive and random SWAR-vs-LUT differential sweeps live in
+    // The exhaustive and random SWAR-vs-table differential sweeps live in
     // the workspace-level harness (`tests/swar_decode.rs`), which owns
     // the reference walk; the unit tests here cover only the properties
     // internal to this module.

@@ -20,13 +20,19 @@
 //! paper reports, and every block starts on a byte boundary (the paper's
 //! "aligned memory access").
 //!
-//! The same bytes are consumed by the hardware decoder model in
-//! `fineq-accel`, which re-implements the Fig. 6 datapath on this layout.
+//! This module is the one place that knows the cluster bit layout in both
+//! directions: the encoder ([`PackedChannel::pack`]) and [`DECODE_INTS`],
+//! the table every per-cluster software reader goes through
+//! ([`PackedChannel::code_of`], [`PackedChannel::cluster_ints`], the
+//! kernels' live-cluster walk). The only other software reader is the SWAR
+//! whole-block decode in [`crate::kernels`], used where all 24 lanes of a
+//! block are wanted (`dequantize`, `dequantize_into`) and checked
+//! exhaustively against the table. The same bytes are consumed by the
+//! hardware decoder model in `fineq-accel`, which re-implements the Fig. 6
+//! MUX datapath on this layout independently and is checked exhaustively
+//! against the table too.
 
-use crate::cluster::Cluster;
 use crate::encoding::ClusterCode;
-use fineq_quant::SymmetricGrid;
-use fineq_tensor::Matrix;
 
 /// Number of clusters per packed block.
 pub const CLUSTERS_PER_BLOCK: usize = 8;
@@ -83,17 +89,6 @@ fn to_sign_mag(q: i32, bits: u32) -> u8 {
     ((sign << mag_bits) | mag) as u8
 }
 
-/// Decodes an `n`-bit sign-magnitude field.
-fn from_sign_mag(field: u8, bits: u32) -> i32 {
-    let mag_bits = bits - 1;
-    let mag = (field as u32 & ((1 << mag_bits) - 1)) as i32;
-    if (field as u32 >> mag_bits) & 1 == 1 {
-        -mag
-    } else {
-        mag
-    }
-}
-
 /// Packs a cluster's three integer codes into its 6 data bits.
 fn pack_cluster(q: [i32; 3], code: ClusterCode) -> u8 {
     match code.zeroed_position() {
@@ -111,30 +106,52 @@ fn pack_cluster(q: [i32; 3], code: ClusterCode) -> u8 {
     }
 }
 
-/// Unpacks a cluster's 6 data bits into three integer codes.
-fn unpack_cluster(bits6: u8, code: ClusterCode) -> [i32; 3] {
-    let mut out = [0i32; 3];
-    match code.zeroed_position() {
-        None => {
-            out[0] = from_sign_mag(bits6 & 0b11, 2);
-            out[1] = from_sign_mag((bits6 >> 2) & 0b11, 2);
-            out[2] = from_sign_mag((bits6 >> 4) & 0b11, 2);
-        }
-        Some(z) => {
-            let fields = [bits6 & 0b111, (bits6 >> 3) & 0b111];
-            let mut fi = 0;
-            for (p, item) in out.iter_mut().enumerate() {
-                if p == z {
-                    *item = 0;
-                } else {
-                    *item = from_sign_mag(fields[fi], 3);
-                    fi += 1;
-                }
-            }
-        }
+/// Decodes an `n`-bit sign-magnitude field in a `const` context.
+const fn sign_mag_const(field: u8, bits: u32) -> i8 {
+    let mag_bits = bits - 1;
+    let mag = (field as u32 & ((1 << mag_bits) - 1)) as i8;
+    if (field as u32 >> mag_bits) & 1 == 1 {
+        -mag
+    } else {
+        mag
     }
-    out
 }
+
+/// Decodes one cluster's 6 data bits under a 2-bit code in a `const`
+/// context — the inverse of `pack_cluster`, and the builder of
+/// [`DECODE_INTS`].
+const fn decode_cluster_const(code: u8, six: u8) -> [i8; 3] {
+    match code {
+        0b00 => [
+            sign_mag_const(six & 0b11, 2),
+            sign_mag_const((six >> 2) & 0b11, 2),
+            sign_mag_const((six >> 4) & 0b11, 2),
+        ],
+        0b01 => [0, sign_mag_const(six & 0b111, 3), sign_mag_const((six >> 3) & 0b111, 3)],
+        0b10 => [sign_mag_const(six & 0b111, 3), 0, sign_mag_const((six >> 3) & 0b111, 3)],
+        _ => [sign_mag_const(six & 0b111, 3), sign_mag_const((six >> 3) & 0b111, 3), 0],
+    }
+}
+
+/// Full decode table: `DECODE_INTS[code][six]` is the signed integer
+/// triple of a cluster whose index bits are `code` and data bits `six`.
+///
+/// This is the single source of truth for the wire format's value
+/// semantics; the `fineq-accel` hardware decoder model re-derives the same
+/// mapping through its Fig. 6 MUX network and is tested against this table.
+pub const DECODE_INTS: [[[i8; 3]; 64]; 4] = {
+    let mut table = [[[0i8; 3]; 64]; 4];
+    let mut code = 0usize;
+    while code < 4 {
+        let mut six = 0usize;
+        while six < 64 {
+            table[code][six] = decode_cluster_const(code as u8, six as u8);
+            six += 1;
+        }
+        code += 1;
+    }
+    table
+};
 
 /// One packed weight channel: two fp16-accounted Eq. 1 scales plus the
 /// 7-byte cluster blocks.
@@ -143,7 +160,6 @@ pub struct PackedChannel {
     pub(crate) scale2: f32,
     pub(crate) scale3: f32,
     pub(crate) len: usize,
-    pub(crate) n_clusters: usize,
     pub(crate) blocks: Vec<u8>,
 }
 
@@ -155,7 +171,10 @@ impl PackedChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `codes` does not cover every cluster.
+    /// Panics unless `quantized` holds exactly the `ceil(len / 3)` clusters
+    /// of a `len`-weight channel (the invariant
+    /// [`PackedChannel::from_raw_parts`] enforces on stored bytes) and
+    /// `codes` covers every cluster pair.
     pub fn pack(
         scale2: f32,
         scale3: f32,
@@ -164,6 +183,7 @@ impl PackedChannel {
         quantized: &[[i32; 3]],
     ) -> Self {
         let n_clusters = quantized.len();
+        assert_eq!(n_clusters, len.div_ceil(3), "one cluster per three weights required");
         assert_eq!(codes.len(), n_clusters.div_ceil(2), "one code per cluster pair required");
         let n_blocks = n_clusters.div_ceil(CLUSTERS_PER_BLOCK);
         let mut blocks = vec![0u8; n_blocks * BLOCK_BYTES];
@@ -193,7 +213,7 @@ impl PackedChannel {
                 *byte = ((data >> (8 * i)) & 0xFF) as u8;
             }
         }
-        Self { scale2, scale3, len, n_clusters, blocks }
+        Self { scale2, scale3, len, blocks }
     }
 
     /// Reassembles a channel from its stored parts (deserialization).
@@ -203,10 +223,9 @@ impl PackedChannel {
     /// Panics if the block byte count does not match the cluster count
     /// implied by `len`.
     pub fn from_raw_parts(scale2: f32, scale3: f32, len: usize, blocks: Vec<u8>) -> Self {
-        let n_clusters = len.div_ceil(3);
-        let expect = n_clusters.div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES;
+        let expect = len.div_ceil(3).div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES;
         assert_eq!(blocks.len(), expect, "block bytes must match channel length");
-        Self { scale2, scale3, len, n_clusters, blocks }
+        Self { scale2, scale3, len, blocks }
     }
 
     /// Eq. 1 scale for 2-bit fields (`absmax / 1`).
@@ -231,7 +250,7 @@ impl PackedChannel {
 
     /// Number of stored clusters (including a zero-padded tail cluster).
     pub fn n_clusters(&self) -> usize {
-        self.n_clusters
+        self.len.div_ceil(3)
     }
 
     /// The raw packed bytes (`n_blocks * 7`), exactly what the accelerator's
@@ -246,7 +265,7 @@ impl PackedChannel {
     ///
     /// Panics if `k >= n_clusters()`.
     pub fn code_of(&self, k: usize) -> ClusterCode {
-        assert!(k < self.n_clusters, "cluster {k} out of range");
+        assert!(k < self.n_clusters(), "cluster {k} out of range");
         let pair = k / 2;
         let block = pair / 4;
         let idx = self.blocks[block * BLOCK_BYTES];
@@ -259,65 +278,17 @@ impl PackedChannel {
     ///
     /// Panics if `k >= n_clusters()`.
     pub fn cluster_ints(&self, k: usize) -> [i32; 3] {
-        assert!(k < self.n_clusters, "cluster {k} out of range");
-        let block = k / CLUSTERS_PER_BLOCK;
-        let base = block * BLOCK_BYTES;
+        let code = self.code_of(k);
+        let base = k / CLUSTERS_PER_BLOCK * BLOCK_BYTES;
         let data = block_data_word(&self.blocks[base..base + BLOCK_BYTES]);
-        let six = ((data >> (CLUSTER_DATA_BITS * (k % CLUSTERS_PER_BLOCK))) & 0x3F) as u8;
-        unpack_cluster(six, self.code_of(k))
-    }
-
-    /// Decodes the channel back to real weights (padding stripped).
-    pub fn dequantize(&self) -> Vec<f32> {
-        let g2 = grid_from_scale(self.scale2, 2);
-        let g3 = grid_from_scale(self.scale3, 3);
-        let mut out = Vec::with_capacity(self.len);
-        for k in 0..self.n_clusters {
-            let code = self.code_of(k);
-            let dq = Cluster::dequantize(self.cluster_ints(k), code, &g2, &g3);
-            for (j, &v) in dq.iter().enumerate() {
-                if k * 3 + j < self.len {
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes the channel to **unified 3-bit integers in `scale3` units**:
-    /// 2-bit values are rescaled by 3 (exact, since `s2 = 3·s3`), so the
-    /// whole channel shares one scale — the integer-domain form the
-    /// temporal-coding accelerator consumes. Magnitudes stay within 3.
-    pub fn dequantize_ints_unified(&self) -> Vec<i8> {
-        let mut out = Vec::with_capacity(self.len);
-        for k in 0..self.n_clusters {
-            let code = self.code_of(k);
-            let q = self.cluster_ints(k);
-            for (j, &v) in q.iter().enumerate() {
-                if k * 3 + j >= self.len {
-                    continue;
-                }
-                let unified = match code.bit_width_at(j) {
-                    2 => v * 3,
-                    _ => v,
-                };
-                out.push(unified as i8);
-            }
-        }
-        out
+        let six = (data >> (CLUSTER_DATA_BITS * (k % CLUSTERS_PER_BLOCK))) & 0x3F;
+        DECODE_INTS[code.bits() as usize][six as usize].map(i32::from)
     }
 
     /// Storage bytes of the packed blocks.
     pub fn data_bytes(&self) -> usize {
         self.blocks.len()
     }
-}
-
-/// Rebuilds a grid whose step is already known (used on the decode side,
-/// where only the scales are stored).
-fn grid_from_scale(scale: f32, bits: u8) -> SymmetricGrid {
-    let qmax = (1i32 << (bits - 1)) - 1;
-    SymmetricGrid::from_abs_max(scale * qmax as f32, bits)
 }
 
 /// A fully packed weight matrix: one [`PackedChannel`] per row.
@@ -376,16 +347,6 @@ impl PackedMatrix {
         }
     }
 
-    /// Decodes the whole matrix.
-    pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for (r, ch) in self.channels.iter().enumerate() {
-            let vals = ch.dequantize();
-            out.row_mut(r).copy_from_slice(&vals);
-        }
-        out
-    }
-
     /// Data-only storage cost in bits per weight (the paper's 2.33 for
     /// matrices whose rows are multiples of 24).
     pub fn avg_bits_data(&self) -> f64 {
@@ -405,16 +366,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sign_magnitude_round_trips() {
-        for q in -3i32..=3 {
-            assert_eq!(from_sign_mag(to_sign_mag(q, 3), 3), q, "3-bit {q}");
-        }
-        for q in -1i32..=1 {
-            assert_eq!(from_sign_mag(to_sign_mag(q, 2), 2), q, "2-bit {q}");
-        }
-    }
-
-    #[test]
     fn negative_zero_normalizes_to_plus_zero() {
         assert_eq!(to_sign_mag(0, 3), 0);
         assert_eq!(to_sign_mag(-0, 3), 0);
@@ -422,23 +373,35 @@ mod tests {
 
     #[test]
     fn sign_magnitude_clamps_overlarge_magnitudes() {
-        assert_eq!(from_sign_mag(to_sign_mag(9, 3), 3), 3);
-        assert_eq!(from_sign_mag(to_sign_mag(-9, 3), 3), -3);
+        assert_eq!(to_sign_mag(9, 3), 0b011);
+        assert_eq!(to_sign_mag(-9, 3), 0b111);
     }
 
     #[test]
-    fn cluster_pack_unpack_all_codes() {
+    fn decode_table_inverts_pack_cluster_exhaustively() {
         for code in ClusterCode::ALL {
-            let q = match code.zeroed_position() {
-                None => [1, 0, -1],
-                Some(0) => [0, -3, 2],
-                Some(1) => [3, 0, -2],
-                Some(2) => [-1, 3, 0],
-                _ => unreachable!(),
-            };
-            let packed = pack_cluster(q, code);
-            assert!(packed < 64, "6 bits only");
-            assert_eq!(unpack_cluster(packed, code), q, "{code}");
+            let table = &DECODE_INTS[code.bits() as usize];
+            // Every in-range integer triple survives pack -> table.
+            let qmax = if code.is_outlier() { 3 } else { 1 };
+            for a in -qmax..=qmax {
+                for b in -qmax..=qmax {
+                    for c in -qmax..=qmax {
+                        let mut q = [a, b, c];
+                        if let Some(z) = code.zeroed_position() {
+                            q[z] = 0;
+                        }
+                        let six = pack_cluster(q, code);
+                        assert!(six < 64, "6 bits only");
+                        assert_eq!(table[six as usize].map(i32::from), q, "{code} {q:?}");
+                    }
+                }
+            }
+            // Every bit pattern decodes to integers that pack back to the
+            // same integers (negative-zero fields normalize to +0).
+            for (six, ints) in table.iter().enumerate() {
+                let again = pack_cluster(ints.map(i32::from), code);
+                assert_eq!(&table[again as usize], ints, "{code} six {six:06b}");
+            }
         }
     }
 
@@ -472,8 +435,9 @@ mod tests {
         assert_eq!(data >> (CLUSTER_DATA_BITS * CLUSTERS_PER_BLOCK), 0, "48 bits only");
         // Cluster k's six bits land at [6k, 6k + 6).
         for k in 0..ch.n_clusters() {
-            let six = ((data >> (CLUSTER_DATA_BITS * k)) & 0x3F) as u8;
-            assert_eq!(unpack_cluster(six, ch.code_of(k)), ch.cluster_ints(k), "cluster {k}");
+            let six = ((data >> (CLUSTER_DATA_BITS * k)) & 0x3F) as usize;
+            let ints = DECODE_INTS[ch.code_of(k).bits() as usize][six].map(i32::from);
+            assert_eq!(ints, ch.cluster_ints(k), "cluster {k}");
         }
     }
 
@@ -508,21 +472,6 @@ mod tests {
         assert!((dq[6] - 0.3).abs() < 1e-6);
         assert_eq!(dq[7], 0.0);
         assert!((dq[8] + 0.2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn unified_ints_rescale_two_bit_fields_by_three() {
-        let ch = demo_channel();
-        let ints = ch.dequantize_ints_unified();
-        // Cluster 0 was 2-bit [1,-1,0] -> [3,-3,0] in scale3 units.
-        assert_eq!(&ints[0..3], &[3, -3, 0]);
-        // Cluster 2 was 3-bit [3,0,-2] -> unchanged.
-        assert_eq!(&ints[6..9], &[3, 0, -2]);
-        // Consistency: ints * scale3 == dequantize().
-        let dq = ch.dequantize();
-        for (i, &q) in ints.iter().enumerate() {
-            assert!((q as f32 * ch.scale3() - dq[i]).abs() < 1e-6, "weight {i}");
-        }
     }
 
     #[test]
@@ -562,6 +511,14 @@ mod tests {
     #[should_panic(expected = "one code per cluster pair")]
     fn pack_rejects_missing_codes() {
         let _ = PackedChannel::pack(1.0, 0.3, 9, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cluster per three weights")]
+    fn pack_rejects_a_cluster_count_that_disagrees_with_len() {
+        // 30 weights need 10 clusters; with 2 the readers used to disagree
+        // (`dot` summed 6 lanes, `dequantize_into` left `out[24..30]` stale).
+        let _ = PackedChannel::pack(1.0, 0.3, 30, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 2]);
     }
 
     #[test]

@@ -59,14 +59,28 @@ impl Default for FineQConfig {
 /// Result of quantizing one channel before packing.
 #[derive(Debug, Clone)]
 struct ChannelPlan {
-    scale2: f32,
-    scale3: f32,
+    /// The channel's 2-bit and 3-bit grids (their steps are the stored
+    /// Eq. 1 scales).
+    g2: SymmetricGrid,
+    g3: SymmetricGrid,
     len: usize,
     /// One code per cluster (duplicated across a pair when the constraint
     /// is active).
     codes: Vec<ClusterCode>,
     quantized: Vec<[i32; 3]>,
-    dequantized: Vec<f32>,
+}
+
+impl ChannelPlan {
+    /// The plan's real-valued reconstruction (padding stripped), straight
+    /// from the integers and grids. Only configurations the packed format
+    /// cannot hold read it; packable ones dequantize the packed bytes.
+    fn dequantized(&self) -> Vec<f32> {
+        let lanes = self.quantized.iter().zip(&self.codes);
+        lanes
+            .flat_map(|(&q, &code)| Cluster::dequantize(q, code, &self.g2, &self.g3))
+            .take(self.len)
+            .collect()
+    }
 }
 
 /// FineQ quantizer (Algorithm 1 of the paper).
@@ -142,17 +156,7 @@ impl FineQuantizer {
         let quantized: Vec<[i32; 3]> =
             clusters.iter().zip(&codes).map(|(c, &code)| c.quantize(code, &g2, &g3)).collect();
 
-        let mut dequantized = Vec::with_capacity(len);
-        for (k, (&q, &code)) in quantized.iter().zip(&codes).enumerate() {
-            let dq = Cluster::dequantize(q, code, &g2, &g3);
-            for (j, &v) in dq.iter().enumerate() {
-                if k * 3 + j < len {
-                    dequantized.push(v);
-                }
-            }
-        }
-
-        ChannelPlan { scale2: g2.scale(), scale3: g3.scale(), len, codes, quantized, dequantized }
+        ChannelPlan { g2, g3, len, codes, quantized }
     }
 
     /// Exhaustive per-cluster code choice (used by the no-pair-constraint
@@ -209,8 +213,8 @@ impl FineQuantizer {
                 // Collapse duplicated per-cluster codes into per-pair codes.
                 let pair_codes: Vec<ClusterCode> = plan.codes.iter().step_by(2).copied().collect();
                 PackedChannel::pack(
-                    plan.scale2,
-                    plan.scale3,
+                    plan.g2.scale(),
+                    plan.g3.scale(),
                     plan.len,
                     &pair_codes,
                     &plan.quantized,
@@ -258,7 +262,7 @@ impl WeightQuantizer for FineQuantizer {
             let mut dq = Matrix::zeros(w.rows(), w.cols());
             for r in 0..w.rows() {
                 let plan = self.plan_channel(w.row(r));
-                dq.row_mut(r).copy_from_slice(&plan.dequantized);
+                dq.row_mut(r).copy_from_slice(&plan.dequantized());
             }
             let scale_overhead = 32.0 / w.cols().max(1) as f64;
             QuantResult { dequantized: dq, avg_bits: self.config.nominal_bits() + scale_overhead }
@@ -338,7 +342,7 @@ mod tests {
             let mut dq = Matrix::zeros(w.rows(), w.cols());
             for r in 0..w.rows() {
                 let plan = q.plan_channel(w.row(r));
-                dq.row_mut(r).copy_from_slice(&plan.dequantized);
+                dq.row_mut(r).copy_from_slice(&plan.dequantized());
             }
             dq
         };

@@ -1,6 +1,6 @@
 //! Byte serialization of the packed format.
 //!
-//! A [`PackedMatrix`](crate::PackedMatrix) is what a deployment would ship
+//! A [`PackedMatrix`] is what a deployment would ship
 //! to the accelerator's off-chip memory, so it needs a stable on-disk
 //! form. The layout is deliberately simple and versioned:
 //!

@@ -131,7 +131,7 @@ struct PageSlot {
 /// Prefix sharing ([`BatchKvCache::share_prefix`]) maps a new slot onto a
 /// donor's leading pages copy-on-write: the shared pages' refcounts rise,
 /// and the first write into a shared tail page copies it first
-/// ([`BatchKvCache::begin_step`]), so divergence never mutates a
+/// (`BatchKvCache::begin_step`), so divergence never mutates a
 /// batchmate's history. Equality ([`PartialEq`]) is **logical**: two
 /// caches are equal when every slot holds the same fed tokens and the same
 /// gathered K/V rows, whatever the physical page layout.
@@ -338,7 +338,7 @@ impl BatchKvCache {
     /// shared tail page is fine: positions past the shared length hold
     /// donor data this slot never reads (attention walks `0..len` only)
     /// and the first write into the page copies it first (see
-    /// [`BatchKvCache::begin_step`]).
+    /// `BatchKvCache::begin_step`).
     ///
     /// Ties prefer the lowest donor slot index (deterministic). Allocates
     /// nothing — only refcounts rise.
@@ -935,7 +935,7 @@ impl Transformer {
     }
 
     /// [`Transformer::forward_step_batch`] with caller-owned kernel
-    /// scratch, so a serving loop reuses the restaging/accumulator buffers
+    /// scratch, so a serving loop reuses the activation-restage buffer
     /// across **steps**, not just across one step's layers (the
     /// [`crate::serving::BatchScheduler`] holds one scratch for its whole
     /// lifetime). Scratch reuse never changes arithmetic — outputs are

@@ -123,7 +123,7 @@ impl LinearWeight {
 
     /// [`LinearWeight::matmul_t`] with reusable kernel scratch and an
     /// optional channel-parallel [`ThreadPool`] — the form the per-layer
-    /// forward loops call so restaging/accumulator buffers survive across
+    /// forward loops call so the activation-restage buffer survives across
     /// layers and packed sites fan out across cores. Output is
     /// bit-identical to the serial path at any thread count (dense sites
     /// run the unchanged dense GEMM either way).

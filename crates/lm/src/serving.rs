@@ -360,369 +360,29 @@ impl ServingMetrics {
     }
 }
 
-/// The engine-independent half of a continuous-batching scheduler: the
-/// request queue, sequence slots, sampling state and retirement logic.
-/// [`BatchScheduler`] and [`ShardedScheduler`] both drive this exact state
-/// machine, which is what makes their runs identical step for step — the
-/// only thing that differs between them is who computes the logits.
-#[derive(Debug, Clone)]
-struct SchedulerCore {
-    slots: Vec<Option<ActiveSeq>>,
-    queue: VecDeque<QueuedRequest>,
-    /// Sequences evicted under pool pressure, in eviction order. Resumes
-    /// take priority over the FIFO queue so preempted work cannot starve.
-    preempted: VecDeque<ActiveSeq>,
-    finished: Vec<FinishedSequence>,
-    /// Sequences killed by a transport failure, drained through
-    /// `take_failed` — the graceful-degradation ledger.
-    failed: Vec<FailedSequence>,
-    /// Batched steps that died in flight (each fails its whole batch).
-    failed_steps: u64,
-    steps: u64,
-    stepped_tokens: u64,
-    /// Physical-page pool cap; installed by `set_page_budget` together
-    /// with the cache-side capacity.
-    page_budget: Option<usize>,
-    prefix_sharing: bool,
-    preemptions: u64,
-    preemption_events: Vec<PreemptionEvent>,
-    /// Monotonic admission stamp source (counts re-admissions too).
-    admit_counter: u64,
-    /// Registry handles for lifecycle counters and latency histograms;
-    /// points at a disabled registry until `set_telemetry` installs a
-    /// live one.
-    metrics: ServingMetrics,
-}
-
-impl SchedulerCore {
-    fn new(max_batch: usize) -> Self {
-        assert!(max_batch > 0, "scheduler needs at least one slot");
-        Self {
-            slots: (0..max_batch).map(|_| None).collect(),
-            queue: VecDeque::new(),
-            preempted: VecDeque::new(),
-            finished: Vec::new(),
-            failed: Vec::new(),
-            failed_steps: 0,
-            steps: 0,
-            stepped_tokens: 0,
-            page_budget: None,
-            prefix_sharing: false,
-            preemptions: 0,
-            preemption_events: Vec::new(),
-            admit_counter: 0,
-            metrics: ServingMetrics::new(Arc::new(MetricsRegistry::disabled())),
-        }
+/// Whether a worst case of `bound` cached tokens could ever fit a pool of
+/// `budget_pages` — the feasibility check shared by submit-time and
+/// install-time validation (a request failing it would wait at the FIFO
+/// head forever). This is also the invariant preemption convergence rests
+/// on: a lone admitted sequence always fits, so evicting down to one
+/// sequence always unblocks the step.
+fn check_pages_feasible(
+    id: u64,
+    bound: usize,
+    page_tokens: usize,
+    budget_pages: usize,
+) -> Result<(), AdmissionError> {
+    let required_pages = bound.div_ceil(page_tokens);
+    if required_pages > budget_pages {
+        return Err(AdmissionError::PageBudgetExceeded { id, required_pages, budget_pages });
     }
-
-    fn submit(
-        &mut self,
-        request: ServeRequest,
-        vocab: usize,
-        page_tokens: usize,
-    ) -> Result<(), AdmissionError> {
-        assert!(!request.prompt.is_empty(), "prompt must not be empty");
-        for &tok in &request.prompt {
-            assert!(tok < vocab, "prompt token id {tok} out of vocabulary");
-        }
-        assert!(request.temperature > 0.0, "temperature must be positive");
-        assert!(request.max_new_tokens > 0, "max_new_tokens must be positive");
-        if let Some(budget_pages) = self.page_budget {
-            Self::check_pages_feasible(
-                request.id,
-                bound_tokens(request.prompt.len(), request.max_new_tokens),
-                page_tokens,
-                budget_pages,
-            )?;
-        }
-        self.metrics.submitted.inc();
-        let submitted_us = self.metrics.now().unwrap_or(0);
-        self.queue.push_back(QueuedRequest { req: request, submitted_us });
-        Ok(())
-    }
-
-    /// Whether a worst case of `bound` cached tokens could ever fit a pool
-    /// of `budget_pages` — the feasibility check shared by submit-time and
-    /// install-time validation (a request failing it would wait at the
-    /// FIFO head forever). This is also the invariant preemption
-    /// convergence rests on: a lone admitted sequence always fits, so
-    /// evicting down to one sequence always unblocks the step.
-    fn check_pages_feasible(
-        id: u64,
-        bound: usize,
-        page_tokens: usize,
-        budget_pages: usize,
-    ) -> Result<(), AdmissionError> {
-        let required_pages = bound.div_ceil(page_tokens);
-        if required_pages > budget_pages {
-            return Err(AdmissionError::PageBudgetExceeded { id, required_pages, budget_pages });
-        }
-        Ok(())
-    }
-
-    /// Installs a page-pool cap of `max_pages` after revalidating every
-    /// queued, parked and active sequence's worst case against it —
-    /// otherwise an already-queued impossible request would block the FIFO
-    /// head forever and `run` would spin without progress. Rejecting the
-    /// installation leaves the scheduler exactly as it was; the caller
-    /// caps the cache only after this succeeds.
-    fn set_page_budget(
-        &mut self,
-        max_pages: usize,
-        page_tokens: usize,
-    ) -> Result<(), AdmissionError> {
-        assert!(max_pages > 0, "page budget must be positive");
-        let bounds = self
-            .queue
-            .iter()
-            .map(|q| (q.req.id, bound_tokens(q.req.prompt.len(), q.req.max_new_tokens)))
-            .chain(
-                self.preempted
-                    .iter()
-                    .chain(self.slots.iter().flatten())
-                    .map(|s| (s.id, bound_tokens(s.prompt.len(), s.max_new_tokens))),
-            );
-        for (id, bound) in bounds {
-            Self::check_pages_feasible(id, bound, page_tokens, max_pages)?;
-        }
-        self.page_budget = Some(max_pages);
-        Ok(())
-    }
-
-    /// Slot ids of every occupied slot, in slot order.
-    fn active_slots(&self) -> Vec<usize> {
-        (0..self.slots.len()).filter(|&s| self.slots[s].is_some()).collect()
-    }
-
-    /// Whether one more sequence can be admitted *now* under the page
-    /// budget (always, without one). The check is deliberately
-    /// *optimistic*: it only asks for headroom covering the batch's next
-    /// step plus one page for the newcomer, because preemption recovers
-    /// from pressure that only materializes later. That optimism is where
-    /// paged throughput comes from — slots fill on actual usage, not on
-    /// reservations.
-    fn has_headroom(&self, cache: &BatchKvCache) -> bool {
-        if self.page_budget.is_none() {
-            return true;
-        }
-        let headroom = cache.free_pages().expect("page budget installs a cache capacity");
-        headroom > cache.pages_needed_for_step(&self.active_slots())
-    }
-
-    /// Installs a sequence into `slot`, replay-priming it from its script:
-    /// with prefix sharing the slot maps every page an already-resident
-    /// sequence has for the same token prefix (copy-on-write), and `fed`
-    /// skips past whatever was shared. `finish_step` then replays the
-    /// remaining script tokens without sampling, so admission — first or
-    /// repeated — never consumes RNG state.
-    fn install(&mut self, slot: usize, mut seq: ActiveSeq, cache: &mut BatchKvCache) {
-        cache.reset_slot(slot);
-        let script = seq.script();
-        let shared = if self.prefix_sharing { cache.share_prefix(slot, &script) } else { 0 };
-        seq.fed = shared;
-        seq.next_token = script[shared];
-        seq.admitted_at = self.admit_counter;
-        self.admit_counter += 1;
-        self.slots[slot] = Some(seq);
-    }
-
-    /// Moves work into free slots (continuous-batching backfill), called
-    /// at the start of every step. Preempted sequences resume first, then
-    /// the FIFO queue; under a budget the head waits — no skip-ahead —
-    /// until headroom opens up.
-    fn admit(&mut self, cache: &mut BatchKvCache) {
-        let now = self.metrics.now();
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].is_some() {
-                continue;
-            }
-            if !self.has_headroom(cache) {
-                break;
-            }
-            if let Some(seq) = self.preempted.pop_front() {
-                self.metrics.resumed.inc();
-                self.install(slot, seq, cache);
-                continue;
-            }
-            let Some(queued) = self.queue.pop_front() else { break };
-            self.metrics.admitted.inc();
-            if let Some(now) = now {
-                self.metrics.queue_wait_us.record(now.saturating_sub(queued.submitted_us));
-            }
-            let req = queued.req;
-            self.install(
-                slot,
-                ActiveSeq {
-                    id: req.id,
-                    prompt: req.prompt,
-                    fed: 0,
-                    next_token: 0,
-                    generated: Vec::new(),
-                    max_new_tokens: req.max_new_tokens,
-                    temperature: req.temperature,
-                    eos: req.eos,
-                    rng: Rng::seed_from(req.seed),
-                    admitted_at: 0,
-                    submitted_us: queued.submitted_us,
-                    last_token_us: 0,
-                },
-                cache,
-            );
-        }
-    }
-
-    /// Evicts sequences until the pool can cover the batch's next step.
-    /// Runs after admission, before the forward step. Victims are chosen
-    /// youngest-first (largest admission stamp), so the oldest work keeps
-    /// its cache and drains the pool by finishing. Submit-time feasibility
-    /// guarantees a lone sequence always fits, so this always terminates
-    /// with a steppable batch.
-    fn preempt_for_headroom(&mut self, cache: &mut BatchKvCache) {
-        if self.page_budget.is_none() {
-            return;
-        }
-        loop {
-            let active = self.active_slots();
-            if active.len() <= 1 {
-                return;
-            }
-            let headroom = cache.free_pages().expect("page budget installs a cache capacity");
-            if cache.pages_needed_for_step(&active) <= headroom {
-                return;
-            }
-            let victim = *active
-                .iter()
-                .max_by_key(|&&s| self.slots[s].as_ref().expect("active slot").admitted_at)
-                .expect("active is non-empty");
-            let seq = self.slots[victim].take().expect("victim slot is occupied");
-            self.preemption_events.push(PreemptionEvent {
-                id: seq.id,
-                step: self.steps,
-                dropped_cached_tokens: cache.slot_len(victim),
-            });
-            cache.reset_slot(victim);
-            self.preempted.push_back(seq);
-            self.preemptions += 1;
-            self.metrics.preempted.inc();
-        }
-    }
-
-    /// The tokens and slot ids of every active sequence, in slot order —
-    /// the batched step's inputs.
-    fn step_inputs(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut tokens = Vec::new();
-        let mut slot_ids = Vec::new();
-        for (slot, seq) in self.slots.iter().enumerate() {
-            if let Some(seq) = seq {
-                tokens.push(seq.next_token);
-                slot_ids.push(slot);
-            }
-        }
-        (tokens, slot_ids)
-    }
-
-    /// Applies one step's logits: samples continuations for sequences past
-    /// their prompt and retires finished ones.
-    fn finish_step(&mut self, logits: &Matrix, slot_ids: &[usize], cache: &mut BatchKvCache) {
-        self.steps += 1;
-        self.stepped_tokens += slot_ids.len() as u64;
-        self.metrics.steps.inc();
-        self.metrics.stepped_tokens.add(slot_ids.len() as u64);
-        // One clock read per step, shared by every row below — per-token
-        // latency resolution is the step, which is exactly the grain the
-        // batched engine schedules at.
-        let now = self.metrics.now();
-        for (row, &slot) in slot_ids.iter().enumerate() {
-            let seq = self.slots[slot].as_mut().expect("stepped slot is occupied");
-            seq.fed += 1;
-            if seq.fed < seq.prompt.len() {
-                // Still prefilling: feed the next prompt token, ignore the
-                // logits (exactly what `generate` does).
-                seq.next_token = seq.prompt[seq.fed];
-                continue;
-            }
-            let replayed = seq.fed - seq.prompt.len();
-            if replayed < seq.generated.len() {
-                // Replaying a preempted sequence's already-sampled tokens:
-                // feed them back like prompt tokens, without sampling — the
-                // RNG stays exactly where eviction left it, which is what
-                // makes resumed output token-identical. (An unpreempted
-                // sequence never reaches this branch: when it samples,
-                // `fed` equals `prompt + generated` exactly.)
-                seq.next_token = seq.generated[replayed];
-                continue;
-            }
-            // Decode: sample from this step's logits through the same
-            // helper `Transformer::generate` uses.
-            let tok = sample_token(logits.row(row), seq.temperature, &mut seq.rng);
-            seq.generated.push(tok);
-            if let Some(now) = now {
-                if seq.generated.len() == 1 {
-                    // First token of the request (a resumed sequence replays
-                    // past this branch): TTFT from submission.
-                    self.metrics.ttft_us.record(now.saturating_sub(seq.submitted_us));
-                } else if seq.last_token_us > 0 {
-                    self.metrics.inter_token_us.record(now.saturating_sub(seq.last_token_us));
-                }
-                seq.last_token_us = now;
-            }
-            let hit_eos = seq.eos == Some(tok);
-            let spent = seq.generated.len() >= seq.max_new_tokens;
-            if hit_eos || spent {
-                let seq = self.slots[slot].take().expect("finishing slot is occupied");
-                // Free the K/V history immediately: an idle scheduler holds
-                // no cache, and KV-headroom accounting sees only live
-                // sequences.
-                cache.reset_slot(slot);
-                self.metrics.finished.inc();
-                self.finished.push(FinishedSequence {
-                    id: seq.id,
-                    prompt_len: seq.prompt.len(),
-                    generated: seq.generated,
-                    reason: if hit_eos { FinishReason::Eos } else { FinishReason::MaxTokens },
-                });
-            } else {
-                seq.next_token = tok;
-            }
-        }
-    }
-
-    /// Fails every sequence that was riding the step that just died:
-    /// each keeps its partial output and the typed error, its KV pages
-    /// are freed (the dead step never committed, so the cache holds no
-    /// half-written state to roll back), and queued requests stay queued
-    /// for when capacity returns. The step counter still advances so
-    /// audit timelines (preemption events) stay monotone.
-    fn fail_step(&mut self, slot_ids: &[usize], error: &StepError, cache: &mut BatchKvCache) {
-        self.steps += 1;
-        self.failed_steps += 1;
-        self.metrics.steps.inc();
-        self.metrics.failed.add(slot_ids.len() as u64);
-        for &slot in slot_ids {
-            let seq = self.slots[slot].take().expect("stepped slot is occupied");
-            cache.reset_slot(slot);
-            self.failed.push(FailedSequence {
-                id: seq.id,
-                prompt_len: seq.prompt.len(),
-                generated: seq.generated,
-                error: error.clone(),
-            });
-        }
-    }
-
-    fn active(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.preempted.is_empty() && self.slots.iter().all(Option::is_none)
-    }
+    Ok(())
 }
 
 /// A model a continuous-batching scheduler can serve: one batched decode
 /// step over slot-addressed K/V histories. Implemented by the unsharded
 /// [`Transformer`] (fused in-place kernels) and the row-sharded
-/// [`ShardedModel`](crate::shard::ShardedModel) (broadcast +
+/// [`ShardedModel`] (broadcast +
 /// shard-parallel gather). Both run the same shared step body, so any two
 /// implementations over the same weights are bit-identical — which is why
 /// one generic [`Scheduler`] serves both.
@@ -819,24 +479,49 @@ impl ServeModel for ShardedModel {
 
 /// Continuous-batching engine: a queue of requests, `max_batch` sequence
 /// slots, and one batched decode step that drives them all. Generic over
-/// the [`ServeModel`] computing each step's logits — scheduling, sampling
-/// and retirement are the engine-independent [`SchedulerCore`], so every
-/// instantiation runs the identical state machine.
+/// the [`ServeModel`] computing each step's logits — the request queue,
+/// slots, sampling state and retirement logic never look at the model, so
+/// every instantiation runs the identical state machine and the only thing
+/// that differs between engines is who computes the logits.
 #[derive(Debug, Clone)]
 pub struct Scheduler<M> {
     model: M,
     cache: BatchKvCache,
-    core: SchedulerCore,
-    /// Kernel restaging/accumulator buffers, reused across every step of
+    /// The kernels' activation-restage buffer, reused across every step of
     /// the scheduler's lifetime (pure scratch: never affects output).
     scratch: KernelScratch,
+    slots: Vec<Option<ActiveSeq>>,
+    queue: VecDeque<QueuedRequest>,
+    /// Sequences evicted under pool pressure, in eviction order. Resumes
+    /// take priority over the FIFO queue so preempted work cannot starve.
+    preempted: VecDeque<ActiveSeq>,
+    finished: Vec<FinishedSequence>,
+    /// Sequences killed by a transport failure, drained through
+    /// `take_failed` — the graceful-degradation ledger.
+    failed: Vec<FailedSequence>,
+    /// Batched steps that died in flight (each fails its whole batch).
+    failed_steps: u64,
+    steps: u64,
+    stepped_tokens: u64,
+    /// Physical-page pool cap; installed by `set_page_budget` together
+    /// with the cache-side capacity.
+    page_budget: Option<usize>,
+    prefix_sharing: bool,
+    preemptions: u64,
+    preemption_events: Vec<PreemptionEvent>,
+    /// Monotonic admission stamp source (counts re-admissions too).
+    admit_counter: u64,
+    /// Registry handles for lifecycle counters and latency histograms;
+    /// points at a disabled registry until `set_telemetry` installs a
+    /// live one.
+    metrics: ServingMetrics,
 }
 
 /// The unsharded scheduler: a [`Scheduler`] over a [`Transformer`].
 pub type BatchScheduler = Scheduler<Transformer>;
 
 /// The sharded scheduler: a [`Scheduler`] over a
-/// [`ShardedModel`](crate::shard::ShardedModel) — each step broadcasts
+/// [`ShardedModel`] — each step broadcasts
 /// the batch's activations, runs worker shards on the thread pool, and
 /// gathers per-shard partial outputs into the full channel range. Output
 /// is **bit-identical** to [`BatchScheduler`] for the same requests at
@@ -864,9 +549,7 @@ impl<M: ServeModel> Scheduler<M> {
     ///
     /// Panics if `max_batch` is zero.
     pub fn new(model: M, max_batch: usize) -> Self {
-        let cfg = model.config();
-        let cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, max_batch);
-        Self { model, cache, core: SchedulerCore::new(max_batch), scratch: KernelScratch::new() }
+        Self::with_page_tokens(model, max_batch, crate::generate::PAGE_TOKENS)
     }
 
     /// Like [`Scheduler::new`] but with an explicit KV page granule
@@ -877,10 +560,29 @@ impl<M: ServeModel> Scheduler<M> {
     ///
     /// Panics if `max_batch` or `page_tokens` is zero.
     pub fn with_page_tokens(model: M, max_batch: usize, page_tokens: usize) -> Self {
+        assert!(max_batch > 0, "scheduler needs at least one slot");
         let cfg = model.config();
         let cache =
             BatchKvCache::with_page_tokens(cfg.n_layers, cfg.d_model, max_batch, page_tokens);
-        Self { model, cache, core: SchedulerCore::new(max_batch), scratch: KernelScratch::new() }
+        Self {
+            model,
+            cache,
+            scratch: KernelScratch::new(),
+            slots: (0..max_batch).map(|_| None).collect(),
+            queue: VecDeque::new(),
+            preempted: VecDeque::new(),
+            finished: Vec::new(),
+            failed: Vec::new(),
+            failed_steps: 0,
+            steps: 0,
+            stepped_tokens: 0,
+            page_budget: None,
+            prefix_sharing: false,
+            preemptions: 0,
+            preemption_events: Vec::new(),
+            admit_counter: 0,
+            metrics: ServingMetrics::new(Arc::new(MetricsRegistry::disabled())),
+        }
     }
 
     /// The served model.
@@ -906,33 +608,33 @@ impl<M: ServeModel> Scheduler<M> {
 
     /// Sequence slots (the maximum concurrent batch).
     pub fn max_batch(&self) -> usize {
-        self.core.slots.len()
+        self.slots.len()
     }
 
     /// Requests waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.core.queue.len()
+        self.queue.len()
     }
 
     /// Sequences currently occupying slots.
     pub fn active(&self) -> usize {
-        self.core.active()
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Whether nothing is queued or in flight.
     pub fn is_idle(&self) -> bool {
-        self.core.is_idle()
+        self.queue.is_empty() && self.preempted.is_empty() && self.slots.iter().all(Option::is_none)
     }
 
     /// Batched steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.core.steps
+        self.steps
     }
 
     /// Tokens fed across all sequences and steps (prefill + decode) — the
     /// numerator of a tokens/sec measurement.
     pub fn stepped_tokens(&self) -> u64 {
-        self.core.stepped_tokens
+        self.stepped_tokens
     }
 
     /// Caps the physical KV page pool at `max_pages` — the one KV budget
@@ -957,14 +659,32 @@ impl<M: ServeModel> Scheduler<M> {
     ///
     /// Panics if `max_pages` is zero.
     pub fn set_page_budget(&mut self, max_pages: usize) -> Result<(), AdmissionError> {
-        self.core.set_page_budget(max_pages, self.cache.page_tokens())?;
+        assert!(max_pages > 0, "page budget must be positive");
+        // Revalidate every queued, parked and active sequence's worst case
+        // first — otherwise an already-queued impossible request would
+        // block the FIFO head forever and `run` would spin without
+        // progress. A rejection leaves scheduler and cache as they were.
+        let bounds = self
+            .queue
+            .iter()
+            .map(|q| (q.req.id, bound_tokens(q.req.prompt.len(), q.req.max_new_tokens)))
+            .chain(
+                self.preempted
+                    .iter()
+                    .chain(self.slots.iter().flatten())
+                    .map(|s| (s.id, bound_tokens(s.prompt.len(), s.max_new_tokens))),
+            );
+        for (id, bound) in bounds {
+            check_pages_feasible(id, bound, self.cache.page_tokens(), max_pages)?;
+        }
+        self.page_budget = Some(max_pages);
         self.cache.set_capacity_pages(Some(max_pages));
         Ok(())
     }
 
     /// The configured page-pool cap, if any.
     pub fn page_budget(&self) -> Option<usize> {
-        self.core.page_budget
+        self.page_budget
     }
 
     /// Enables (or disables) copy-on-write prefix sharing: a newly
@@ -974,27 +694,27 @@ impl<M: ServeModel> Scheduler<M> {
     /// sharing-unaware schedulers; turning it on never changes served
     /// tokens, only KV bytes and prefill work (asserted by tests).
     pub fn enable_prefix_sharing(&mut self, on: bool) {
-        self.core.prefix_sharing = on;
+        self.prefix_sharing = on;
     }
 
     /// Whether copy-on-write prefix sharing is enabled.
     pub fn prefix_sharing(&self) -> bool {
-        self.core.prefix_sharing
+        self.prefix_sharing
     }
 
     /// Sequences evicted under pool pressure, currently parked for resume.
     pub fn preempted(&self) -> usize {
-        self.core.preempted.len()
+        self.preempted.len()
     }
 
     /// Total preemptions so far (one sequence may be evicted repeatedly).
     pub fn preemptions(&self) -> u64 {
-        self.core.preemptions
+        self.preemptions
     }
 
     /// Drains the recorded [`PreemptionEvent`]s (oldest first).
     pub fn take_preemption_events(&mut self) -> Vec<PreemptionEvent> {
-        std::mem::take(&mut self.core.preemption_events)
+        std::mem::take(&mut self.preemption_events)
     }
 
     /// Installs a [`MetricsRegistry`] as this scheduler's telemetry
@@ -1007,31 +727,31 @@ impl<M: ServeModel> Scheduler<M> {
     /// served tokens (the repo-wide determinism contract).
     pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         self.model.install_telemetry(&registry);
-        self.core.metrics = ServingMetrics::new(registry);
+        self.metrics = ServingMetrics::new(registry);
     }
 
     /// The scheduler's metrics registry (the default is a disabled one:
     /// instrumented but free).
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
-        &self.core.metrics.registry
+        &self.metrics.registry
     }
 
     /// A point-in-time occupancy snapshot: request states and page-pool
     /// spend. Cheap — counters and free-list arithmetic only.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            queued: self.core.queue.len(),
-            active: self.core.active(),
-            preempted: self.core.preempted.len(),
-            preemptions: self.core.preemptions,
-            finished: self.core.finished.len(),
+            queued: self.queue.len(),
+            active: self.active(),
+            preempted: self.preempted.len(),
+            preemptions: self.preemptions,
+            finished: self.finished.len(),
             allocated_pages: self.cache.allocated_pages(),
             free_pages: self.cache.free_pages(),
             shared_pages: self.cache.shared_pages(),
             cow_copies: self.cache.cow_copies(),
             page_tokens: self.cache.page_tokens(),
             shared_prefix_tokens: self.cache.shared_prefix_tokens(),
-            failed: self.core.failed.len(),
+            failed: self.failed.len(),
             transport: self.model.transport_health(),
         }
     }
@@ -1056,7 +776,245 @@ impl<M: ServeModel> Scheduler<M> {
     /// request is rejected at submission instead of panicking steps later
     /// inside a batch that holds other requests' work.
     pub fn submit(&mut self, request: ServeRequest) -> Result<(), AdmissionError> {
-        self.core.submit(request, self.model.config().vocab, self.cache.page_tokens())
+        assert!(!request.prompt.is_empty(), "prompt must not be empty");
+        let vocab = self.model.config().vocab;
+        for &tok in &request.prompt {
+            assert!(tok < vocab, "prompt token id {tok} out of vocabulary");
+        }
+        assert!(request.temperature > 0.0, "temperature must be positive");
+        assert!(request.max_new_tokens > 0, "max_new_tokens must be positive");
+        if let Some(budget_pages) = self.page_budget {
+            check_pages_feasible(
+                request.id,
+                bound_tokens(request.prompt.len(), request.max_new_tokens),
+                self.cache.page_tokens(),
+                budget_pages,
+            )?;
+        }
+        self.metrics.submitted.inc();
+        let submitted_us = self.metrics.now().unwrap_or(0);
+        self.queue.push_back(QueuedRequest { req: request, submitted_us });
+        Ok(())
+    }
+
+    /// Slot ids of every occupied slot, in slot order.
+    fn active_slots(&self) -> Vec<usize> {
+        (0..self.slots.len()).filter(|&s| self.slots[s].is_some()).collect()
+    }
+
+    /// Whether one more sequence can be admitted *now* under the page
+    /// budget (always, without one). The check is deliberately
+    /// *optimistic*: it only asks for headroom covering the batch's next
+    /// step plus one page for the newcomer, because preemption recovers
+    /// from pressure that only materializes later. That optimism is where
+    /// paged throughput comes from — slots fill on actual usage, not on
+    /// reservations.
+    fn has_headroom(&self) -> bool {
+        if self.page_budget.is_none() {
+            return true;
+        }
+        let headroom = self.cache.free_pages().expect("page budget installs a cache capacity");
+        headroom > self.cache.pages_needed_for_step(&self.active_slots())
+    }
+
+    /// Installs a sequence into `slot`, replay-priming it from its script:
+    /// with prefix sharing the slot maps every page an already-resident
+    /// sequence has for the same token prefix (copy-on-write), and `fed`
+    /// skips past whatever was shared. `finish_step` then replays the
+    /// remaining script tokens without sampling, so admission — first or
+    /// repeated — never consumes RNG state.
+    fn install(&mut self, slot: usize, mut seq: ActiveSeq) {
+        self.cache.reset_slot(slot);
+        let script = seq.script();
+        let shared = if self.prefix_sharing { self.cache.share_prefix(slot, &script) } else { 0 };
+        seq.fed = shared;
+        seq.next_token = script[shared];
+        seq.admitted_at = self.admit_counter;
+        self.admit_counter += 1;
+        self.slots[slot] = Some(seq);
+    }
+
+    /// Moves work into free slots (continuous-batching backfill), called
+    /// at the start of every step. Preempted sequences resume first, then
+    /// the FIFO queue; under a budget the head waits — no skip-ahead —
+    /// until headroom opens up.
+    fn admit(&mut self) {
+        let now = self.metrics.now();
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].is_some() {
+                continue;
+            }
+            if !self.has_headroom() {
+                break;
+            }
+            if let Some(seq) = self.preempted.pop_front() {
+                self.metrics.resumed.inc();
+                self.install(slot, seq);
+                continue;
+            }
+            let Some(queued) = self.queue.pop_front() else { break };
+            self.metrics.admitted.inc();
+            if let Some(now) = now {
+                self.metrics.queue_wait_us.record(now.saturating_sub(queued.submitted_us));
+            }
+            let req = queued.req;
+            self.install(
+                slot,
+                ActiveSeq {
+                    id: req.id,
+                    prompt: req.prompt,
+                    fed: 0,
+                    next_token: 0,
+                    generated: Vec::new(),
+                    max_new_tokens: req.max_new_tokens,
+                    temperature: req.temperature,
+                    eos: req.eos,
+                    rng: Rng::seed_from(req.seed),
+                    admitted_at: 0,
+                    submitted_us: queued.submitted_us,
+                    last_token_us: 0,
+                },
+            );
+        }
+    }
+
+    /// Evicts sequences until the pool can cover the batch's next step.
+    /// Runs after admission, before the forward step. Victims are chosen
+    /// youngest-first (largest admission stamp), so the oldest work keeps
+    /// its cache and drains the pool by finishing. Submit-time feasibility
+    /// guarantees a lone sequence always fits, so this always terminates
+    /// with a steppable batch.
+    fn preempt_for_headroom(&mut self) {
+        if self.page_budget.is_none() {
+            return;
+        }
+        loop {
+            let active = self.active_slots();
+            if active.len() <= 1 {
+                return;
+            }
+            let headroom = self.cache.free_pages().expect("page budget installs a cache capacity");
+            if self.cache.pages_needed_for_step(&active) <= headroom {
+                return;
+            }
+            let victim = *active
+                .iter()
+                .max_by_key(|&&s| self.slots[s].as_ref().expect("active slot").admitted_at)
+                .expect("active is non-empty");
+            let seq = self.slots[victim].take().expect("victim slot is occupied");
+            self.preemption_events.push(PreemptionEvent {
+                id: seq.id,
+                step: self.steps,
+                dropped_cached_tokens: self.cache.slot_len(victim),
+            });
+            self.cache.reset_slot(victim);
+            self.preempted.push_back(seq);
+            self.preemptions += 1;
+            self.metrics.preempted.inc();
+        }
+    }
+
+    /// The tokens and slot ids of every active sequence, in slot order —
+    /// the batched step's inputs.
+    fn step_inputs(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut tokens = Vec::new();
+        let mut slot_ids = Vec::new();
+        for (slot, seq) in self.slots.iter().enumerate() {
+            if let Some(seq) = seq {
+                tokens.push(seq.next_token);
+                slot_ids.push(slot);
+            }
+        }
+        (tokens, slot_ids)
+    }
+
+    /// Applies one step's logits: samples continuations for sequences past
+    /// their prompt and retires finished ones.
+    fn finish_step(&mut self, logits: &Matrix, slot_ids: &[usize]) {
+        self.steps += 1;
+        self.stepped_tokens += slot_ids.len() as u64;
+        self.metrics.steps.inc();
+        self.metrics.stepped_tokens.add(slot_ids.len() as u64);
+        // One clock read per step, shared by every row below — per-token
+        // latency resolution is the step, which is exactly the grain the
+        // batched engine schedules at.
+        let now = self.metrics.now();
+        for (row, &slot) in slot_ids.iter().enumerate() {
+            let seq = self.slots[slot].as_mut().expect("stepped slot is occupied");
+            seq.fed += 1;
+            if seq.fed < seq.prompt.len() {
+                // Still prefilling: feed the next prompt token, ignore the
+                // logits (exactly what `generate` does).
+                seq.next_token = seq.prompt[seq.fed];
+                continue;
+            }
+            let replayed = seq.fed - seq.prompt.len();
+            if replayed < seq.generated.len() {
+                // Replaying a preempted sequence's already-sampled tokens:
+                // feed them back like prompt tokens, without sampling — the
+                // RNG stays exactly where eviction left it, which is what
+                // makes resumed output token-identical. (An unpreempted
+                // sequence never reaches this branch: when it samples,
+                // `fed` equals `prompt + generated` exactly.)
+                seq.next_token = seq.generated[replayed];
+                continue;
+            }
+            // Decode: sample from this step's logits through the same
+            // helper `Transformer::generate` uses.
+            let tok = sample_token(logits.row(row), seq.temperature, &mut seq.rng);
+            seq.generated.push(tok);
+            if let Some(now) = now {
+                if seq.generated.len() == 1 {
+                    // First token of the request (a resumed sequence replays
+                    // past this branch): TTFT from submission.
+                    self.metrics.ttft_us.record(now.saturating_sub(seq.submitted_us));
+                } else if seq.last_token_us > 0 {
+                    self.metrics.inter_token_us.record(now.saturating_sub(seq.last_token_us));
+                }
+                seq.last_token_us = now;
+            }
+            let hit_eos = seq.eos == Some(tok);
+            let spent = seq.generated.len() >= seq.max_new_tokens;
+            if hit_eos || spent {
+                let seq = self.slots[slot].take().expect("finishing slot is occupied");
+                // Free the K/V history immediately: an idle scheduler holds
+                // no cache, and KV-headroom accounting sees only live
+                // sequences.
+                self.cache.reset_slot(slot);
+                self.metrics.finished.inc();
+                self.finished.push(FinishedSequence {
+                    id: seq.id,
+                    prompt_len: seq.prompt.len(),
+                    generated: seq.generated,
+                    reason: if hit_eos { FinishReason::Eos } else { FinishReason::MaxTokens },
+                });
+            } else {
+                seq.next_token = tok;
+            }
+        }
+    }
+
+    /// Fails every sequence that was riding the step that just died:
+    /// each keeps its partial output and the typed error, its KV pages
+    /// are freed (the dead step never committed, so the cache holds no
+    /// half-written state to roll back), and queued requests stay queued
+    /// for when capacity returns. The step counter still advances so
+    /// audit timelines (preemption events) stay monotone.
+    fn fail_step(&mut self, slot_ids: &[usize], error: &StepError) {
+        self.steps += 1;
+        self.failed_steps += 1;
+        self.metrics.steps.inc();
+        self.metrics.failed.add(slot_ids.len() as u64);
+        for &slot in slot_ids {
+            let seq = self.slots[slot].take().expect("stepped slot is occupied");
+            self.cache.reset_slot(slot);
+            self.failed.push(FailedSequence {
+                id: seq.id,
+                prompt_len: seq.prompt.len(),
+                generated: seq.generated,
+                error: error.clone(),
+            });
+        }
     }
 
     /// Runs one batched step: admits queued requests into free slots,
@@ -1066,10 +1024,10 @@ impl<M: ServeModel> Scheduler<M> {
     ///
     /// Returns the number of sequences stepped (0 when idle).
     pub fn step(&mut self) -> usize {
-        let step_started = self.core.metrics.now();
-        self.core.admit(&mut self.cache);
-        self.core.preempt_for_headroom(&mut self.cache);
-        let (tokens, slot_ids) = self.core.step_inputs();
+        let step_started = self.metrics.now();
+        self.admit();
+        self.preempt_for_headroom();
+        let (tokens, slot_ids) = self.step_inputs();
         if tokens.is_empty() {
             return 0;
         }
@@ -1079,30 +1037,30 @@ impl<M: ServeModel> Scheduler<M> {
             &mut self.cache,
             &mut self.scratch,
         ) {
-            Ok(logits) => self.core.finish_step(&logits, &slot_ids, &mut self.cache),
-            Err(e) => self.core.fail_step(&slot_ids, &e, &mut self.cache),
+            Ok(logits) => self.finish_step(&logits, &slot_ids),
+            Err(e) => self.fail_step(&slot_ids, &e),
         }
         if let Some(t0) = step_started {
-            let elapsed = self.core.metrics.registry.now_micros().saturating_sub(t0);
-            self.core.metrics.step_us.record(elapsed);
+            let elapsed = self.metrics.registry.now_micros().saturating_sub(t0);
+            self.metrics.step_us.record(elapsed);
         }
         tokens.len()
     }
 
     /// Completed sequences accumulated so far, drained.
     pub fn take_finished(&mut self) -> Vec<FinishedSequence> {
-        std::mem::take(&mut self.core.finished)
+        std::mem::take(&mut self.finished)
     }
 
     /// Sequences killed by a transport failure, not yet drained.
     pub fn failed(&self) -> usize {
-        self.core.failed.len()
+        self.failed.len()
     }
 
     /// Drains the sequences killed by transport failures (oldest first),
     /// each carrying its partial output and the typed [`StepError`].
     pub fn take_failed(&mut self) -> Vec<FailedSequence> {
-        std::mem::take(&mut self.core.failed)
+        std::mem::take(&mut self.failed)
     }
 
     /// Steps until every queued and active request completes, returning

@@ -1,4 +1,4 @@
-//! Per-tensor symmetric uniform quantization ("Uniform" baseline, [14] in
+//! Per-tensor symmetric uniform quantization ("Uniform" baseline, \[14\] in
 //! the paper).
 //!
 //! One symmetric grid is fit to the whole tensor. With outlier-heavy LLM

@@ -1,6 +1,9 @@
 //! Integration tests of the packed-weight inference engine: the fused
 //! kernels against their dequantize-reference, and a FineQ-packed
-//! transformer against the dequantized fp32 copy, end to end.
+//! transformer against the dequantized fp32 copy, end to end. The dense
+//! reference is independent of the kernels' decoder: `dequantize()` reads
+//! the blocks through the SWAR whole-block decode, the fused kernels
+//! through the `DECODE_INTS` table.
 
 use fineq::core::{block_data_word, decode_block_swar, FineQuantizer, PackedMatrix};
 use fineq::lm::builder::{build_fitted_model, llm_like_matrix, BuilderSpec};
@@ -68,7 +71,8 @@ fn fused_matmul_t_matches_reference() {
     }
 }
 
-/// `dequantize_into` is the allocation-free twin of `dequantize`.
+/// `dequantize` is allocate-then-`dequantize_into`: a stale buffer is
+/// overwritten in full (`NaN != NaN` would fail an unwritten element).
 #[test]
 fn dequantize_into_reuses_buffers_faithfully() {
     let mut rng = Rng::seed_from(9);

@@ -1,17 +1,21 @@
 //! Differential harness for the packed decode paths: the SWAR wide-word
 //! decode and the sparse lane walk of the accumulate kernels must be
-//! **bit-identical** to the scalar per-cluster LUT semantics everywhere
-//! they can possibly be reached — `assert_eq!`, never approximate.
+//! **bit-identical** to the per-cluster decode table (`DECODE_INTS`)
+//! everywhere they can possibly be reached — `assert_eq!`, never
+//! approximate. Every reference here is written in this file from the
+//! table and `code != 0` (a cluster is 2-bit class iff its code is `00`).
 //!
 //! Layer by layer:
 //!
-//! 1. block level — `decode_block_swar` against `SPLIT_LANES` /
-//!    `DECODE_INTS` over the **full** `code × six` space (every cluster
-//!    position, plus random mixed blocks);
+//! 1. block level — `decode_block_swar` against `DECODE_INTS` over the
+//!    **full** `code × six` space (every cluster position, plus random
+//!    mixed blocks);
 //! 2. channel level — `dot` (the `N = 1` lane walk, a.k.a. `dot_scalar`)
-//!    and `dequantize_into` (SWAR full blocks) against an independent
-//!    `cluster_ints` reconstruction for every partial-tail length 1..=24,
-//!    alone and behind a full block, under every cluster code;
+//!    against a lane-by-lane table walk for every partial-tail length
+//!    1..=24, alone and behind full blocks, under every cluster code; and
+//!    `dequantize_into` / `dequantize` (SWAR, whole blocks) against the
+//!    table for every length 0..=49 × lane population × zero scales, with
+//!    the padding bits set;
 //! 3. tile level — every row-tile width and remainder of the batched walk
 //!    × tail shape × lane population × signed zeros and subnormals,
 //!    `to_bits`-equal to `dot`, and `dot` `to_bits`-equal to lane-by-lane
@@ -28,8 +32,7 @@
 //! of PRs 2–4 survive because the decoded integers and each accumulator's
 //! order of nonzero terms never changed.
 
-use fineq::core::kernels::{DECODE_INTS, LANE_WIDTHS, SPLIT_LANES};
-use fineq::core::pack::{BLOCK_BYTES, CLUSTERS_PER_BLOCK, WEIGHTS_PER_BLOCK};
+use fineq::core::pack::{BLOCK_BYTES, CLUSTERS_PER_BLOCK, DECODE_INTS, WEIGHTS_PER_BLOCK};
 use fineq::core::{
     block_data_word, decode_block_swar, ClusterCode, FineQuantizer, PackedChannel, PackedMatrix,
 };
@@ -39,18 +42,16 @@ use fineq::lm::ServeRequest;
 use fineq::pipeline::{serve_packed_with_threads, serve_sharded_with_threads, PipelineConfig};
 use fineq::tensor::{Matrix, Rng};
 
-/// The scalar reference for one whole block: the per-cluster LUT walk.
-fn split_lanes_block(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; WEIGHTS_PER_BLOCK]) {
+/// The scalar reference for one whole block: the per-cluster table walk,
+/// each cluster's `DECODE_INTS` triple filed under its scale class.
+fn table_block(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; WEIGHTS_PER_BLOCK]) {
     let mut two = [0i8; WEIGHTS_PER_BLOCK];
     let mut three = [0i8; WEIGHTS_PER_BLOCK];
     for k in 0..CLUSTERS_PER_BLOCK {
         let code = ((idx >> (2 * (k / 2))) & 0b11) as usize;
-        let six = ((data >> (6 * k)) & 0x3F) as usize;
-        let (t, h) = SPLIT_LANES[code][six];
-        for j in 0..3 {
-            two[k * 3 + j] = t[j];
-            three[k * 3 + j] = h[j];
-        }
+        let ints = DECODE_INTS[code][((data >> (6 * k)) & 0x3F) as usize];
+        let class = if code != 0 { &mut three } else { &mut two };
+        class[k * 3..k * 3 + 3].copy_from_slice(&ints);
     }
     (two, three)
 }
@@ -58,7 +59,7 @@ fn split_lanes_block(idx: u8, data: u64) -> ([i8; WEIGHTS_PER_BLOCK], [i8; WEIGH
 /// Exhaustive `code × six` coverage: every combination replicated across
 /// all clusters, and every combination alone at each of the 8 cluster
 /// positions — 4 × 64 × 9 block decodes, each checked lane for lane
-/// against the LUT walk and summed back against `DECODE_INTS`.
+/// against the `DECODE_INTS` walk.
 #[test]
 fn swar_decode_covers_the_full_code_six_space() {
     for code in 0..4u8 {
@@ -68,24 +69,11 @@ fn swar_decode_covers_the_full_code_six_space() {
             for data in
                 std::iter::once(everywhere).chain((0..CLUSTERS_PER_BLOCK).map(|k| six << (6 * k)))
             {
-                let (two, three) = decode_block_swar(idx, data);
                 assert_eq!(
-                    (two, three),
-                    split_lanes_block(idx, data),
+                    decode_block_swar(idx, data),
+                    table_block(idx, data),
                     "code {code} six {six:06b} data {data:012x}"
                 );
-                // The class split must also sum back to the raw decode
-                // table (the accelerator's reference semantics).
-                for k in 0..CLUSTERS_PER_BLOCK {
-                    let six_k = ((data >> (6 * k)) & 0x3F) as usize;
-                    for j in 0..3 {
-                        assert_eq!(
-                            two[k * 3 + j] + three[k * 3 + j],
-                            DECODE_INTS[code as usize][six_k][j],
-                            "code {code} cluster {k} lane {j}"
-                        );
-                    }
-                }
             }
         }
     }
@@ -103,7 +91,7 @@ fn swar_decode_matches_lut_walk_on_random_mixed_blocks() {
         let data = (rng.below(1 << 24) as u64) | ((rng.below(1 << 24) as u64) << 24);
         assert_eq!(
             decode_block_swar(idx, data),
-            split_lanes_block(idx, data),
+            table_block(idx, data),
             "trial {trial}: idx {idx:08b} data {data:012x}"
         );
     }
@@ -124,10 +112,10 @@ fn random_channel(len: usize, rng: &mut Rng) -> PackedChannel {
 }
 
 /// Channel-level differential: `dot` (the lane walk, which `dot_scalar`
-/// forwards to) and `dequantize_into` (SWAR full blocks + per-lane tail)
-/// against an independent reconstruction from `cluster_ints` +
-/// `LANE_WIDTHS` — every partial tail length 1..=24, bare and behind one
-/// full block, many seeds.
+/// forwards to) against the lane-by-lane `DECODE_INTS` walk — every
+/// partial tail length 1..=24, bare and behind full blocks, many seeds.
+/// (The dequantizers' half of this level is
+/// `both_dequantizers_are_bit_equal_to_the_table_at_every_length`.)
 #[test]
 fn dot_equals_scalar_reference_for_every_tail_length() {
     let mut rng = Rng::seed_from(0xD1FF);
@@ -138,41 +126,9 @@ fn dot_equals_scalar_reference_for_every_tail_length() {
                 let ch = random_channel(len, &mut rng);
                 assert_eq!(ch.data_bytes(), len.div_ceil(3).div_ceil(8) * BLOCK_BYTES);
                 let x: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-                let fused = ch.dot(&x);
-                assert_eq!(
-                    fused,
-                    ch.dot_scalar(&x),
-                    "tail {tail} lead {lead_blocks} round {round}"
-                );
-                // Third decoder: the pack-module bit unpacker, accumulated
-                // with the kernels' exact expression and order.
-                let (mut acc2, mut acc3) = (0.0f32, 0.0f32);
-                for (i, &xv) in x.iter().enumerate() {
-                    let (k, j) = (i / 3, i % 3);
-                    let q = ch.cluster_ints(k)[j];
-                    let (two, three) = match LANE_WIDTHS[ch.code_of(k).bits() as usize][j] {
-                        2 => (q, 0),
-                        3 => (0, q),
-                        _ => (0, 0),
-                    };
-                    acc2 += two as f32 * xv;
-                    acc3 += three as f32 * xv;
-                }
-                let reference = ch.scale2() * acc2 + ch.scale3() * acc3;
-                assert_eq!(fused, reference, "tail {tail} lead {lead_blocks} round {round}");
-                // Dequantize must agree element-wise with the same walk.
-                let mut dq = vec![f32::NAN; len];
-                ch.dequantize_into(&mut dq);
-                for (i, &v) in dq.iter().enumerate() {
-                    let (k, j) = (i / 3, i % 3);
-                    let q = ch.cluster_ints(k)[j];
-                    let expect = match LANE_WIDTHS[ch.code_of(k).bits() as usize][j] {
-                        2 => q as f32 * ch.scale2(),
-                        3 => q as f32 * ch.scale3(),
-                        _ => 0.0,
-                    };
-                    assert_eq!(v, expect, "weight {i} of len {len}");
-                }
+                let at = format!("tail {tail} lead {lead_blocks} round {round}");
+                assert_eq!(ch.dot(&x), ch.dot_scalar(&x), "{at}");
+                assert_eq!(ch.dot(&x), reference_dot(&ch, &x, true), "{at}");
             }
         }
     }
@@ -221,6 +177,17 @@ fn whole_matrix_kernels_equal_the_scalar_reference() {
     }
 }
 
+/// Lane `i` of a channel read from the raw blocks through `DECODE_INTS`
+/// alone: its integer and its cluster's 2-bit code.
+fn lane_at(ch: &PackedChannel, i: usize) -> (i8, usize) {
+    let k = i / 3;
+    let block = &ch.blocks()[k / CLUSTERS_PER_BLOCK * BLOCK_BYTES..][..BLOCK_BYTES];
+    let k_in = k % CLUSTERS_PER_BLOCK;
+    let code = ((block[0] >> (2 * (k_in / 2))) & 0b11) as usize;
+    let six = ((block_data_word(block) >> (6 * k_in)) & 0x3F) as usize;
+    (DECODE_INTS[code][six][i % 3], code)
+}
+
 /// The two lane-by-lane references of a channel's dot product, decoded
 /// from the raw blocks through `DECODE_INTS` alone: with `every_term` each
 /// lane adds `two·x` to `acc2` **and** `three·x` to `acc3` (the branchless
@@ -230,17 +197,8 @@ fn whole_matrix_kernels_equal_the_scalar_reference() {
 fn reference_dot(ch: &PackedChannel, x: &[f32], every_term: bool) -> f32 {
     let (mut acc2, mut acc3) = (0.0f32, 0.0f32);
     for (i, &xv) in x.iter().enumerate() {
-        let (k, j) = (i / 3, i % 3);
-        let block = &ch.blocks()[k / CLUSTERS_PER_BLOCK * BLOCK_BYTES..][..BLOCK_BYTES];
-        let k_in = k % CLUSTERS_PER_BLOCK;
-        let code = ((block[0] >> (2 * (k_in / 2))) & 0b11) as usize;
-        let six = ((block_data_word(block) >> (6 * k_in)) & 0x3F) as usize;
-        let q = DECODE_INTS[code][six][j];
-        let (two, three) = match LANE_WIDTHS[code][j] {
-            2 => (q, 0),
-            3 => (0, q),
-            _ => (0, 0),
-        };
+        let (q, code) = lane_at(ch, i);
+        let (two, three) = if code != 0 { (0, q) } else { (q, 0) };
         if every_term || two != 0 {
             acc2 += two as f32 * xv;
         }
@@ -320,6 +278,46 @@ fn every_tile_is_bit_equal_to_dot_and_dot_to_both_lane_references() {
                     let nonzero = reference_dot(ch, a.row(t), false);
                     assert_eq!(dot.to_bits(), nonzero.to_bits(), "{at}: dot vs nonzero-term walk");
                 }
+            }
+        }
+    }
+}
+
+/// The dequantizers' differential: for every length on both sides of two
+/// block boundaries, every lane population of [`population_channels`]
+/// (padding bits set) and the channel's own scales plus zero ones,
+/// `dequantize_into` into a NaN-prefilled buffer (an unwritten lane fails)
+/// and `dequantize()` are `to_bits`-equal to the table reference
+/// `DECODE_INTS · (code != 0 ? s3 : s2)`.
+///
+/// One fold, under a **zero** scale only: a negative integer times `0.0`
+/// is `-0.0`, while SWAR's `two·s2 + three·s3` sums it to `+0.0`. Both are
+/// the same weight, and the quantizer cannot emit the case (a zero scale
+/// quantizes every weight to 0) — peer bytes can. With the fold this test
+/// also passed against the separate per-cluster `dequantize()` that
+/// existed before it became allocate-then-`dequantize_into`.
+#[test]
+fn both_dequantizers_are_bit_equal_to_the_table_at_every_length() {
+    let mut rng = Rng::seed_from(0xDE0A);
+    for len in 0..=2 * WEIGHTS_PER_BLOCK + 1 {
+        for (p, ch) in population_channels(len, &mut rng).channels().iter().enumerate() {
+            for (s2, s3) in [(ch.scale2(), ch.scale3()), (0.0, 0.0), (0.7, 0.0), (0.0, 0.2)] {
+                let ch = PackedChannel::from_raw_parts(s2, s3, len, ch.blocks().to_vec());
+                let fold = s2 == 0.0 || s3 == 0.0;
+                let bits = |v: &[f32]| -> Vec<u32> {
+                    v.iter().map(|&x| if fold { x + 0.0 } else { x }.to_bits()).collect()
+                };
+                let reference: Vec<f32> = (0..len)
+                    .map(|i| {
+                        let (q, code) = lane_at(&ch, i);
+                        q as f32 * if code != 0 { s3 } else { s2 }
+                    })
+                    .collect();
+                let mut into = vec![f32::NAN; len];
+                ch.dequantize_into(&mut into);
+                let at = format!("len {len} population {p} scales ({s2}, {s3})");
+                assert_eq!(bits(&into), bits(&reference), "{at}: dequantize_into");
+                assert_eq!(bits(&ch.dequantize()), bits(&reference), "{at}: dequantize");
             }
         }
     }
