@@ -9,10 +9,15 @@ use fineq::accel::{SystolicArray, TemporalArray};
 use fineq::core::{ClusterCode, FineQuantizer, KernelScratch, PackedChannel, PackedMatrix};
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
+use fineq::lm::{BatchScheduler, ModelConfig, ServeRequest, Transformer, WeightSite};
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
 use fineq::tensor::{Matrix, Rng};
 use fineq_bench::timing::{bench, section};
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Timed repeats of a `first_token` row; the median is reported.
+const SAMPLES: usize = 9;
 
 fn weights(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = Rng::seed_from(seed);
@@ -133,7 +138,70 @@ fn bench_forward() {
     bench("transformer_forward_256tok", || model.forward(black_box(&tokens)));
 }
 
+/// A serving-sized model (the `bench/` gate shape, 64-token vocabulary,
+/// 256 wide, 2 layers) with every site packed from the quantizer fixture's
+/// weight distribution.
+fn fixture_model() -> Transformer {
+    let cfg = ModelConfig::new(64, 256, 2, 4, 512);
+    let mut rng = Rng::seed_from(21);
+    let mut model = Transformer::zeros(cfg.clone());
+    *model.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.3));
+    *model.head_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.3));
+    let quantizer = FineQuantizer::paper();
+    for l in 0..model.n_layers() {
+        for (s, site) in WeightSite::ALL.into_iter().enumerate() {
+            let (r, c) = (model.weight(l, site).rows(), model.weight(l, site).cols());
+            let seed = 30 + (l * WeightSite::ALL.len() + s) as u64;
+            *model.weight_mut(l, site) = quantizer.quantize_packed(&weights(r, c, seed)).into();
+        }
+    }
+    model
+}
+
+/// Steps and wall time from `submit` to the first sampled token of one
+/// request on a 16-slot scheduler — idle, or with 15 sequences already
+/// decoding (the closed-loop shape: a full panel, so the prompt still
+/// pays a step per token). The before/after row of any change to how a
+/// prompt is fed.
+fn bench_first_token() {
+    section("first token: submit -> first sampled token, 16 slots");
+    let model = fixture_model();
+    for decoding in [0usize, 15] {
+        for prompt_len in [8usize, 24, 104] {
+            let mut steps = 0;
+            let mut us: Vec<f64> = (0..SAMPLES)
+                .map(|_| {
+                    let mut sched = BatchScheduler::new(model.clone(), 16);
+                    for id in 0..decoding as u64 {
+                        let req = ServeRequest::new(id, vec![1 + id as usize], 1 << 20);
+                        sched.submit(req).expect("no page budget");
+                    }
+                    for _ in 0..8 {
+                        sched.step();
+                    }
+                    let prompt = (0..prompt_len).map(|i| (i * 5 + 1) % 64).collect();
+                    let t = Instant::now();
+                    sched.submit(ServeRequest::new(u64::MAX, prompt, 1)).expect("no page budget");
+                    steps = 0;
+                    while sched.take_finished().is_empty() {
+                        black_box(sched.step());
+                        steps += 1;
+                    }
+                    t.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            println!(
+                "{:<44} {steps:>4} steps {:>10.0} us   (median of {SAMPLES})",
+                format!("first_token prompt {prompt_len}, {decoding} decoding"),
+                us[SAMPLES / 2]
+            );
+        }
+    }
+}
+
 fn main() {
+    bench_first_token();
     bench_quantizers();
     bench_pack_decode();
     bench_matmul_t();

@@ -264,8 +264,11 @@ impl KernelScratch {
 }
 
 /// The widest row tile the walk is instantiated at: a batch is cut into
-/// panels of at most this many activation rows, one stream walk each.
-const MAX_TILE: usize = 16;
+/// panels of at most this many activation rows, one stream walk each —
+/// which is why a serving step with fewer rows than a whole number of
+/// panels has rows to give away (the scheduler in `fineq-lm` deals them to
+/// sequences with prompt or replay tokens still to feed).
+pub const MAX_TILE: usize = 16;
 
 /// The row panels of a `t_len`-row batch as `(first_row, rows, tile)`:
 /// `rows <= MAX_TILE` rows served by the narrowest instantiated tile

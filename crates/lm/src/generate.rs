@@ -11,12 +11,14 @@
 //! Batched serving builds on the same pieces: a [`BatchKvCache`] holds one
 //! independent K/V history per sequence slot, and
 //! [`forward_step_batch`](Transformer::forward_step_batch) stacks the
-//! current token of every active sequence into one activation matrix so
-//! each packed weight stream is decoded **once per layer per step** instead
-//! of once per sequence. Each sequence's arithmetic is row-independent and
-//! ordered exactly as in [`forward_step`](Transformer::forward_step), so a
-//! slot's logits are bit-identical to single-sequence decoding no matter
-//! which other sequences share the batch.
+//! next tokens of every active sequence (**one contiguous run of rows per
+//! slot**: consecutive positions of its sequence) into one activation
+//! matrix so each packed weight stream is decoded **once per layer per
+//! step** instead of once per sequence. Each row's arithmetic is
+//! independent of the other rows and ordered exactly as in
+//! [`forward_step`](Transformer::forward_step), so its logits are
+//! bit-identical to single-sequence decoding whatever else shares the
+//! batch and however a sequence's tokens are cut into runs.
 
 use crate::config::{Activation, ModelConfig};
 use crate::model::{rmsnorm_rows, Transformer, WeightSite};
@@ -427,63 +429,70 @@ impl BatchKvCache {
         self.pages.len() - 1
     }
 
-    /// Physical pages one batched step over `slots` would draw from the
-    /// pool: one per slot whose next position opens a fresh page or lands
-    /// in a shared tail page (copy-on-write). The serving layer compares
-    /// this against [`BatchKvCache::free_pages`] to decide preemption
-    /// *before* the step runs.
-    pub fn pages_needed_for_step(&self, slots: &[usize]) -> usize {
-        slots
-            .iter()
-            .filter(|&&slot| {
-                let ps = &self.slots[slot];
-                let page_idx = ps.tokens.len() / self.page_tokens;
-                page_idx == ps.table.len() || self.pages[ps.table[page_idx]].refs > 1
-            })
-            .count()
+    /// Page-table indices of `slot` that a run of `rows` more positions
+    /// would draw from the pool: each one it touches that is past the table
+    /// (a fresh page) or mapped by another slot too (copy-on-write). The
+    /// one walk counting ([`BatchKvCache::pages_needed_for_step`], the
+    /// scheduler's price of a spare row) and allocating (`begin_step`) go
+    /// through, so what the scheduler preempts on is what the step draws.
+    pub(crate) fn pages_to_reserve(
+        &self,
+        slot: usize,
+        rows: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let ps = &self.slots[slot];
+        let len = ps.tokens.len();
+        (len / self.page_tokens..(len + rows).div_ceil(self.page_tokens))
+            .filter(move |&idx| idx >= ps.table.len() || self.pages[ps.table[idx]].refs > 1)
     }
 
-    /// Reserves this step's write targets for every stepped slot — all
+    /// Physical pages one batched step over `slots` (one contiguous run
+    /// per slot) would draw from the pool: one per fresh page a run opens
+    /// and one per shared page it writes into (copy-on-write). The serving
+    /// layer compares this against [`BatchKvCache::free_pages`] to decide
+    /// preemption *before* the step runs.
+    pub fn pages_needed_for_step(&self, slots: &[usize]) -> usize {
+        slot_runs(slots).map(|run| self.pages_to_reserve(run[0], run.len()).count()).sum()
+    }
+
+    /// Reserves this step's write targets for every stepped run — all
     /// pool mutation of a batched step happens **here, serially**, before
-    /// the (possibly parallel) attention fan-out: a slot at a page
-    /// boundary gets a fresh page; a slot whose tail page is shared gets a
-    /// private copy first (copy-on-write). After this returns, each
-    /// stepped slot's tail page has `refs == 1` and is therefore that
-    /// slot's exclusive write target, every shared page is read-only for
-    /// the step, and the page tables themselves are frozen — the
-    /// disjoint-write safety the parallel attention path rests on.
+    /// the (possibly parallel) attention fan-out: every page a run grows
+    /// into is allocated; a shared page it writes into gets a private copy
+    /// first (copy-on-write). After this returns, every page a run writes
+    /// has `refs == 1` and is therefore that slot's exclusive write
+    /// target, every shared page is read-only for the step, and the page
+    /// tables themselves are frozen — the disjoint-write safety the
+    /// parallel attention path rests on.
     pub(crate) fn begin_step(&mut self, slots: &[usize]) {
-        for &slot in slots {
-            let len = self.slots[slot].tokens.len();
-            let page_idx = len / self.page_tokens;
-            if page_idx == self.slots[slot].table.len() {
+        for run in slot_runs(slots) {
+            let slot = run[0];
+            let reserve: Vec<usize> = self.pages_to_reserve(slot, run.len()).collect();
+            for page_idx in reserve {
                 let p = self.alloc_page();
-                self.slots[slot].table.push(p);
-                continue;
-            }
-            let tail = self.slots[slot].table[page_idx];
-            if self.pages[tail].refs > 1 {
-                let p = self.alloc_page();
-                let (src, dst) = if tail < p {
+                if page_idx == self.slots[slot].table.len() {
+                    self.slots[slot].table.push(p);
+                    continue;
+                }
+                let shared = self.slots[slot].table[page_idx];
+                let (src, dst) = if shared < p {
                     let (lo, hi) = self.pages.split_at_mut(p);
-                    (&lo[tail], &mut hi[0])
+                    (&lo[shared], &mut hi[0])
                 } else {
-                    let (lo, hi) = self.pages.split_at_mut(tail);
+                    let (lo, hi) = self.pages.split_at_mut(shared);
                     (&hi[0], &mut lo[p])
                 };
                 dst.data.copy_from_slice(&src.data);
-                self.pages[tail].refs -= 1;
+                self.pages[shared].refs -= 1;
                 self.slots[slot].table[page_idx] = p;
                 self.cow_copies += 1;
             }
         }
     }
 
-    /// Writes position `slot_len(slot)`'s K/V rows for one layer into the
-    /// slot's reserved tail page. Requires [`BatchKvCache::begin_step`]
-    /// to have reserved the page this step.
-    fn write_kv(&mut self, slot: usize, layer: usize, k: &[f32], v: &[f32]) {
-        let pos = self.slots[slot].tokens.len();
+    /// Writes position `pos`'s K/V rows for one layer into the page
+    /// [`BatchKvCache::begin_step`] reserved for it this step.
+    fn write_kv(&mut self, slot: usize, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
         let page = self.slots[slot].table[pos / self.page_tokens];
         let kb = self.kv_base(layer, 0, pos);
         let vb = self.kv_base(layer, 1, pos);
@@ -492,8 +501,8 @@ impl BatchKvCache {
         data[vb..vb + v.len()].copy_from_slice(v);
     }
 
-    /// Marks one decoded position committed for every stepped slot and
-    /// records the token that produced it — the end-of-step bookkeeping
+    /// Marks one decoded position committed per stepped row and records
+    /// the token that produced it — the end-of-step bookkeeping
     /// shared by the transformer's and the sharded engine's batched steps
     /// (both write per-layer K/V first, then commit the position once).
     /// The recorded token ids are what [`BatchKvCache::share_prefix`]
@@ -575,11 +584,19 @@ impl KvRows for PagedRows<'_> {
     }
 }
 
+/// The runs of a batched step's flat `slots` array: maximal stretches of
+/// equal slot ids, in row order. Row `i` of a run on a slot with `len`
+/// cached positions is that slot's position `len + i`.
+pub(crate) fn slot_runs(slots: &[usize]) -> impl Iterator<Item = &[usize]> {
+    slots.chunk_by(|a, b| a == b)
+}
+
 /// Shared argument validation of the batched step entry points
 /// ([`Transformer::forward_step_batch_with`] and the sharded engine's
-/// mirror): shape agreement, vocabulary bounds, and **slot uniqueness** —
-/// the invariant the parallel attention fan-out's disjoint-write safety
-/// rests on, which is why it is asserted here for every caller.
+/// mirror): shape agreement, vocabulary bounds, and **one contiguous run
+/// per slot** — `[0, 0, 1]` is a run of two and a run of one, `[0, 1, 0]`
+/// is rejected. Position arithmetic and the page reservation both walk
+/// runs, which is why it is asserted here for every caller.
 pub(crate) fn validate_batch_step(
     cfg: &ModelConfig,
     tokens: &[usize],
@@ -591,7 +608,8 @@ pub(crate) fn validate_batch_step(
     assert_eq!(cache.n_layers, cfg.n_layers, "cache layer count mismatch");
     assert_eq!(cache.d_model, cfg.d_model, "cache width mismatch");
     let mut seen = vec![false; cache.slots.len()];
-    for &slot in slots {
+    for run in slot_runs(slots) {
+        let slot = run[0];
         assert!(slot < cache.slots.len(), "slot {slot} out of range");
         assert!(!seen[slot], "slot {slot} appears twice in one step");
         seen[slot] = true;
@@ -639,23 +657,24 @@ fn attend_one<R: KvRows>(cfg: &ModelConfig, q: &[f32], rows: &R, t: usize, ctx: 
     }
 }
 
-/// One batched step's attention for one layer: writes row `i`'s new K/V
-/// into slot `slots[i]`'s reserved tail page and attends its query over
-/// that slot's page table, accumulating into `ctx` row `i`.
+/// One batched step's attention for one layer. Row `i` of a run on a slot
+/// with `len` cached positions is position `t = len + i`: all K/V rows
+/// land first, then each row's query attends over positions `0..=t` of its
+/// slot through the unchanged [`attend_one`], accumulating into `ctx` row
+/// `i` — it never reads the run's later rows, so its arithmetic is exactly
+/// what feeding the run one token per step computes.
 ///
 /// All pool mutation happened in [`BatchKvCache::begin_step`] (pages
-/// reserved, shared tails copied), so this function first lands every
-/// slot's K/V rows serially — each slot's tail page has `refs == 1` and
-/// belongs to it alone — and then attends with the page tables and pool
-/// **read-only**. Slots are sequence-independent, so with a pool and more
-/// than one row the attention loop fans out across workers — each work
-/// item reads only its own slot's table (shared pages are never written
-/// after their copy-on-write) and writes only its own `ctx` row (slot
-/// uniqueness is asserted by [`validate_batch_step`] in every caller), and
-/// per-slot arithmetic is exactly the serial loop, so output is
-/// **bit-identical at any thread count**. This cuts the serial fraction a
-/// batched step keeps after the linear sites are parallelized (the Amdahl
-/// remainder of the channel-parallel kernels).
+/// reserved, shared pages copied), so the K/V rows land serially — every
+/// page a run writes has `refs == 1` and belongs to its slot alone — and
+/// then the rows attend with the page tables and pool **read-only**. Rows
+/// are independent, so with a pool and more than one row the attention
+/// loop fans out across workers — each work item reads the cache and
+/// writes only its own `ctx` row, and per-row arithmetic is exactly the
+/// serial loop, so output is **bit-identical at any thread count**. This
+/// cuts the serial fraction a batched step keeps after the linear sites
+/// are parallelized (the Amdahl remainder of the channel-parallel
+/// kernels).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attend_batch(
     cfg: &ModelConfig,
@@ -668,22 +687,27 @@ pub(crate) fn attend_batch(
     ctx: &mut Matrix,
     pool: Option<&fineq_core::ThreadPool>,
 ) {
-    // K/V landing is a short serial memcpy loop; write order across slots
-    // is invisible (disjoint pages) and per-slot order is unchanged.
+    // Each row's position in its slot; K/V landing is a short serial
+    // memcpy loop (write order across slots is invisible — disjoint pages).
+    let mut pos = Vec::with_capacity(slots.len());
+    for run in slot_runs(slots) {
+        let len = cache.slots[run[0]].tokens.len();
+        pos.extend(len..len + run.len());
+    }
     for (i, &slot) in slots.iter().enumerate() {
-        cache.write_kv(slot, layer, k.row(i), v.row(i));
+        cache.write_kv(slot, layer, pos[i], k.row(i), v.row(i));
     }
     let d = cfg.d_model;
-    let attend_slot = |i: usize, slot: usize, crow: &mut [f32]| {
-        let ps = &cache.slots[slot];
+    assert_eq!((ctx.rows(), ctx.cols()), (slots.len(), d), "one ctx row per stepped row");
+    let attend_row = |i: usize, crow: &mut [f32]| {
         let rows = PagedRows {
             pages: &cache.pages,
-            table: &ps.table,
+            table: &cache.slots[slots[i]].table,
             layer,
             page_tokens: cache.page_tokens,
             d,
         };
-        attend_one(cfg, q.row(i), &rows, ps.tokens.len(), crow);
+        attend_one(cfg, q.row(i), &rows, pos[i], crow);
     };
     match pool {
         Some(pool) if pool.threads() > 1 && slots.len() > 1 => {
@@ -701,20 +725,21 @@ pub(crate) fn attend_batch(
             }
             let ctx_ptr = SendPtr(ctx.as_mut_slice().as_mut_ptr());
             pool.run(slots.len(), 1, &|_, start, end| {
-                for (i, &slot) in slots.iter().enumerate().take(end).skip(start) {
-                    // Safety: slot indices are unique within a step and
-                    // `ctx` row `i` belongs to this work item alone, so
-                    // every write is disjoint from every other worker's;
-                    // the cache is only read.
+                for i in start..end {
+                    // Safety: `ctx` has one `d`-wide row per entry of
+                    // `slots` and row `i` belongs to this work item alone
+                    // (the pool hands out disjoint `start..end` ranges),
+                    // so every write is disjoint from every other
+                    // worker's; the cache is only read.
                     let crow =
                         unsafe { std::slice::from_raw_parts_mut(ctx_ptr.get().add(i * d), d) };
-                    attend_slot(i, slot, crow);
+                    attend_row(i, crow);
                 }
             });
         }
         _ => {
-            for (i, &slot) in slots.iter().enumerate() {
-                attend_slot(i, slot, ctx.row_mut(i));
+            for i in 0..slots.len() {
+                attend_row(i, ctx.row_mut(i));
             }
         }
     }
@@ -754,7 +779,7 @@ pub(crate) fn batched_step_body<E>(
     mut site_forward: impl FnMut(usize, &[WeightSite], &Matrix) -> Result<Vec<Matrix>, E>,
 ) -> Result<Matrix, E> {
     validate_batch_step(cfg, tokens, slots, cache);
-    // Reserve every slot's write target up front (fresh pages, CoW tail
+    // Reserve every run's write targets up front (fresh pages, CoW
     // copies): all pool mutation is serial and done before any layer's
     // attention fan-out, so the parallel path sees frozen page tables.
     cache.begin_step(slots);
@@ -902,12 +927,15 @@ impl Transformer {
         vec_matmul_t(&hf, self.head())
     }
 
-    /// Decodes one token for **each** of several independent sequences in
-    /// a single pass: `tokens[i]` is appended to the sequence in cache slot
+    /// Decodes the next tokens of several independent sequences in a
+    /// single pass: `tokens[i]` is appended to the sequence in cache slot
     /// `slots[i]`, and row `i` of the returned `B x vocab` matrix holds
-    /// that sequence's next-token logits.
+    /// the next-token logits after it. `slots` holds **one contiguous run
+    /// per slot**: a slot listed `n` times side by side (`[0, 0, 0, 1]`)
+    /// feeds `n` consecutive positions of its sequence this step (a
+    /// sampler reads the run's last row); `[0, 1, 0]` panics.
     ///
-    /// The current tokens are stacked into one `B x d_model` activation
+    /// The tokens are stacked into one `B x d_model` activation
     /// matrix and every linear site runs through the batched
     /// [`LinearWeight::matmul_t`](crate::model::LinearWeight::matmul_t)
     /// path, so a packed weight stream is decoded once per layer per step
@@ -916,15 +944,16 @@ impl Transformer {
     /// history.
     ///
     /// Each row's arithmetic is independent of its batchmates and ordered
-    /// exactly as in [`Transformer::forward_step`], so slot logits are
-    /// **bit-identical** to stepping that sequence alone (asserted by
-    /// tests) — batch composition can never change a sequence's output.
+    /// exactly as in [`Transformer::forward_step`], so its logits are
+    /// **bit-identical** to stepping that sequence alone one token at a
+    /// time (asserted by tests) — neither batch composition nor the split
+    /// of a sequence into runs can change its output.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or length-mismatched with `slots`, a
-    /// token is out of vocabulary, a slot index is out of range or
-    /// repeated, or the cache shape does not match the model.
+    /// token is out of vocabulary, a slot index is out of range or appears
+    /// in two separate runs, or the cache shape does not match the model.
     pub fn forward_step_batch(
         &self,
         tokens: &[usize],
@@ -934,12 +963,12 @@ impl Transformer {
         self.forward_step_batch_with(tokens, slots, cache, &mut KernelScratch::new())
     }
 
-    /// [`Transformer::forward_step_batch`] with caller-owned kernel
-    /// scratch, so a serving loop reuses the activation-restage buffer
-    /// across **steps**, not just across one step's layers (the
-    /// [`crate::serving::BatchScheduler`] holds one scratch for its whole
-    /// lifetime). Scratch reuse never changes arithmetic — outputs are
-    /// identical to the allocating form.
+    /// [`Transformer::forward_step_batch`] (one contiguous run per slot)
+    /// with caller-owned kernel scratch, so a serving loop reuses the
+    /// activation-restage buffer across **steps**, not just across one
+    /// step's layers (the [`crate::serving::BatchScheduler`] holds one
+    /// scratch for its whole lifetime). Scratch reuse never changes
+    /// arithmetic — outputs are identical to the allocating form.
     ///
     /// # Panics
     ///
@@ -953,7 +982,7 @@ impl Transformer {
     ) -> Matrix {
         // The caller-owned scratch is shared across every layer's six
         // linear sites; the model's pool (if any) fans packed channel
-        // loops — and the per-slot attention loop — across workers without
+        // loops — and the per-row attention loop — across workers without
         // touching per-sequence arithmetic.
         let pool = self.pool_ref();
         batched_step_body::<std::convert::Infallible>(
@@ -1200,12 +1229,195 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "appears twice")]
+    #[should_panic(expected = "slot 0 appears twice in one step")]
     fn duplicate_slot_in_one_step_is_rejected() {
         let (model, _) = fitted_tiny();
         let cfg = model.config();
+        // `[0, 0]` is one run of two rows: positions 0 and 1 of slot 0.
         let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
-        let _ = model.forward_step_batch(&[1, 2], &[0, 0], &mut cache);
+        let run = model.forward_step_batch(&[1, 2], &[0, 0], &mut cache);
+        let mut solo = KvCache::new(cfg.n_layers, cfg.d_model);
+        for (row, tok) in [1, 2].into_iter().enumerate() {
+            assert_eq!(run.row(row), &model.forward_step(tok, &mut solo)[..]);
+        }
+        assert_eq!(cache.slot_tokens(0), &[1, 2]);
+        // A slot split by another is not a run.
+        let _ = model.forward_step_batch(&[3, 4, 5], &[0, 1, 0], &mut cache);
+    }
+
+    /// Cuts `total` into a seeded composition of run lengths in `1..=24`
+    /// (past one 16-row kernel panel).
+    fn random_runs(total: usize, rng: &mut Rng) -> Vec<usize> {
+        let mut runs = Vec::new();
+        let mut left = total;
+        while left > 0 {
+            let n = 1 + rng.below(left.min(24));
+            runs.push(n);
+            left -= n;
+        }
+        runs
+    }
+
+    /// Steps `cache` once over `runs` (`(slot, tokens)`, slot-ordered) and
+    /// checks every row's logits bit for bit against `reference` fed the
+    /// same tokens one per step.
+    fn assert_runs_match_reference(
+        model: &Transformer,
+        cache: &mut BatchKvCache,
+        reference: &mut BatchKvCache,
+        runs: &[(usize, &[usize])],
+        what: &str,
+    ) {
+        let tokens: Vec<usize> = runs.iter().flat_map(|(_, t)| t.iter().copied()).collect();
+        let slots: Vec<usize> =
+            runs.iter().flat_map(|&(slot, t)| std::iter::repeat_n(slot, t.len())).collect();
+        let logits = model.forward_step_batch(&tokens, &slots, cache);
+        for (row, (&tok, &slot)) in tokens.iter().zip(&slots).enumerate() {
+            let expect = model.forward_step_batch(&[tok], &[slot], reference);
+            let same =
+                logits.row(row).iter().zip(expect.row(0)).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{what}: row {row} (slot {slot})");
+        }
+    }
+
+    #[test]
+    fn any_split_into_runs_is_bit_identical_to_one_token_per_step() {
+        // Three slots. Slot 0 feeds a 40-token script cut into runs, then a
+        // 6-token extension; slot 1 decodes one row per step throughout;
+        // slot 2 maps the first 2½ pages of slot 0 copy-on-write once they
+        // exist and feeds its own 8-token tail in runs, so a run begins in
+        // a shared tail page (and slot 0's extension may too). Every row
+        // must carry exactly the logits the one-token-per-step schedule
+        // computes at that position, and the caches must end equal.
+        let (model, corpus) = fitted_tiny();
+        let (mut packed, _) = crate::model::pack_all_sites(&model);
+        let cfg = packed.config().clone();
+        let script = corpus.generate(40, 97).tokens().to_vec();
+        let ext0 = corpus.generate(6, 98).tokens().to_vec();
+        let decode1 = corpus.generate(64, 99).tokens().to_vec();
+        let mut tail2 = corpus.generate(8, 100).tokens().to_vec();
+
+        let mut compositions = vec![vec![1; script.len()], vec![script.len()]];
+        let mut rng = Rng::seed_from(2323);
+        compositions.extend((0..50).map(|_| random_runs(script.len(), &mut rng)));
+
+        for page_tokens in [1usize, 2, 3, 16] {
+            // 2½ pages of slot 0's script, then slot 2's own tokens; the
+            // tail must diverge at once or the shared prefix runs longer.
+            let shared_len = 5 * page_tokens / 2;
+            let next0 = script.iter().chain(&ext0).nth(shared_len).expect("slot 0 is longer");
+            if tail2[0] == *next0 {
+                tail2[0] = (tail2[0] + 1) % cfg.vocab;
+            }
+            let script2: Vec<usize> = script[..shared_len].iter().chain(&tail2).copied().collect();
+            let fed0: Vec<usize> = script.iter().chain(&ext0).copied().collect();
+
+            for threads in [1usize, 2] {
+                packed.set_thread_pool(
+                    (threads > 1)
+                        .then(|| std::sync::Arc::new(fineq_core::ThreadPool::new(threads))),
+                );
+                for (c, first_runs) in compositions.iter().enumerate() {
+                    let what = format!("page_tokens {page_tokens} threads {threads} split {c}");
+                    let mut cache =
+                        BatchKvCache::with_page_tokens(cfg.n_layers, cfg.d_model, 3, page_tokens);
+                    let mut reference = BatchKvCache::new(cfg.n_layers, cfg.d_model, 3);
+                    // Slot 1 rides every step with one row of its own.
+                    let mut decoded = 0;
+                    let mut at = 0;
+                    for &n in first_runs {
+                        let runs = [(0, &script[at..at + n]), (1, &decode1[decoded..decoded + 1])];
+                        assert_runs_match_reference(
+                            &packed,
+                            &mut cache,
+                            &mut reference,
+                            &runs,
+                            &what,
+                        );
+                        (at, decoded) = (at + n, decoded + 1);
+                    }
+                    assert_eq!(cache.share_prefix(2, &script2), shared_len, "{what}");
+                    assert_eq!(reference.share_prefix(2, &script2), shared_len, "{what}");
+                    let runs0 = random_runs(ext0.len(), &mut rng);
+                    let runs2 = random_runs(tail2.len(), &mut rng);
+                    let (mut at0, mut at2) = (0, 0);
+                    for k in 0..runs0.len().max(runs2.len()) {
+                        let n0 = runs0.get(k).copied().unwrap_or(0);
+                        let n2 = runs2.get(k).copied().unwrap_or(0);
+                        let mut runs = vec![
+                            (0, &ext0[at0..at0 + n0]),
+                            (1, &decode1[decoded..decoded + 1]),
+                            (2, &tail2[at2..at2 + n2]),
+                        ];
+                        runs.retain(|(_, t)| !t.is_empty());
+                        assert_runs_match_reference(
+                            &packed,
+                            &mut cache,
+                            &mut reference,
+                            &runs,
+                            &what,
+                        );
+                        (at0, at2, decoded) = (at0 + n0, at2 + n2, decoded + 1);
+                    }
+                    assert_eq!(cache.slot_tokens(0), &fed0[..], "{what}");
+                    assert_eq!(cache.slot_tokens(2), &script2[..], "{what}");
+                    assert!(cache == reference, "{what}: final caches differ");
+                    if shared_len % page_tokens != 0 {
+                        assert!(cache.cow_copies() > 0, "{what}: a run began in a shared page");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_reserves_every_page_it_touches_and_never_more_than_counted() {
+        // `pages_needed_for_step` must price a run exactly: with the pool
+        // capped at that count, `alloc_page`'s exhaustion assertion stays
+        // unreachable however many page boundaries the run crosses and
+        // whether or not it starts in a shared tail page.
+        let (model, corpus) = fitted_tiny();
+        let cfg = model.config().clone();
+        let script = corpus.generate(40, 83).tokens().to_vec();
+        for page_tokens in [1usize, 2, 3, 16] {
+            for first in [1usize, 5, 16, 23] {
+                let mut cache =
+                    BatchKvCache::with_page_tokens(cfg.n_layers, cfg.d_model, 2, page_tokens);
+                let _ = model.forward_step_batch(&script[..first], &vec![0; first], &mut cache);
+                assert_eq!(cache.allocated_pages(), first.div_ceil(page_tokens));
+                // Slot 1 maps all but the last cached position, so both
+                // slots' next runs start in (or just past) shared pages.
+                let shared = cache.share_prefix(1, &script[..first + 1]);
+                assert_eq!(shared, first);
+                for rows in [1usize, 2, 17] {
+                    let mut capped = cache.clone();
+                    let slots: Vec<usize> =
+                        std::iter::repeat_n(0, rows).chain(std::iter::repeat_n(1, rows)).collect();
+                    let tokens: Vec<usize> = script[first..first + rows]
+                        .iter()
+                        .chain(&script[shared..shared + rows])
+                        .copied()
+                        .collect();
+                    let needed = capped.pages_needed_for_step(&slots);
+                    assert_eq!(
+                        needed,
+                        capped.pages_to_reserve(0, rows).count()
+                            + capped.pages_to_reserve(1, rows).count()
+                    );
+                    let before = capped.allocated_pages();
+                    capped.set_capacity_pages(Some(before + needed));
+                    let _ = model.forward_step_batch(&tokens, &slots, &mut capped);
+                    let grown = capped.allocated_pages() - before;
+                    assert!(grown <= needed, "page_tokens {page_tokens}: {grown} > {needed}");
+                    // Over-counting is confined to one page: two slots
+                    // sharing a tail each price its copy, the second then
+                    // finds it exclusive.
+                    assert!(needed - grown <= 1, "page_tokens {page_tokens}: {grown} vs {needed}");
+                    assert_eq!(capped.slot_len(0), first + rows);
+                    assert_eq!(capped.slot_len(1), shared + rows);
+                }
+            }
+        }
     }
 
     #[test]

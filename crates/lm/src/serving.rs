@@ -12,6 +12,23 @@
 //! slots are backfilled from the queue at the start of the next step
 //! (continuous batching: the batch never drains to refill).
 //!
+//! **The row rule.** A slot appears in a step as one contiguous run of
+//! rows. Every active sequence feeds one token — the baseline admission
+//! and preemption decide on — and because the kernel walks the weight
+//! stream once per [`MAX_TILE`]-row panel whatever the panel holds
+//! (`kernels.sites_us_b1` ≈ 0.6 ms vs `kernels.sites_us_b16` ≈ 0.9 ms on
+//! the benchmark's gate model), the `MAX_TILE · ceil(active / MAX_TILE) −
+//! active` rows left in the last panel ride a walk the step makes anyway:
+//! they go,
+//! oldest admission first, to sequences that still have *forced* tokens
+//! (prompt, or the history a preempted sequence replays), each run capped
+//! by its remaining script and by the pages free after the baseline. No
+//! step opens a panel the one-row schedule would not have opened, no
+//! sequence gets fewer rows than under it, and a spare row never causes
+//! a preemption: a prompt costs as few steps as the spare rows allow
+//! (1 / 2 / 7 for 8 / 24 / 104 tokens on an idle 16-slot scheduler)
+//! instead of one per token.
+//!
 //! Because each slot's arithmetic in `forward_step_batch` is bit-identical
 //! to single-sequence decoding, a request produces **token-identical**
 //! output to [`Transformer::generate`] with the same prompt, temperature
@@ -46,9 +63,10 @@
 //! prefixes onto the same physical pages copy-on-write, so common-system-
 //! prompt traffic pays KV bytes once instead of per sequence.
 
-use crate::generate::{sample_token, BatchKvCache};
+use crate::generate::{sample_token, slot_runs, BatchKvCache};
 use crate::model::Transformer;
 use crate::shard::ShardedModel;
+use fineq_core::kernels::MAX_TILE;
 use fineq_core::telemetry::{Counter, Histogram, MetricsRegistry};
 use fineq_core::KernelScratch;
 use fineq_tensor::{Matrix, Rng};
@@ -104,18 +122,21 @@ pub struct FinishedSequence {
     pub reason: FinishReason,
 }
 
-/// A sequence occupying a batch slot: prefill progress, sampling state and
-/// the continuation so far.
+/// A sequence occupying a batch slot: its token script, how much of it the
+/// slot has cached, and the sampling state.
 #[derive(Debug, Clone)]
 struct ActiveSeq {
     id: u64,
-    prompt: Vec<usize>,
-    /// Prompt tokens fed so far; sampling starts once the prompt is spent.
+    /// The prompt, then every sampled token. The one feeding rule: a step
+    /// feeds `script[fed..fed + n]` and the sequence samples — appending
+    /// here — iff `fed` then reaches `script.len()`. A decoding sequence
+    /// has one unfed token; (re-)admission leaves a prompt or a whole
+    /// history of *forced* tokens, fed without sampling, so the RNG is not
+    /// re-consumed and resumed output is token-identical.
+    script: Vec<usize>,
+    prompt_len: usize,
+    /// Script tokens the slot has cached (fed, or mapped by prefix sharing).
     fed: usize,
-    /// Token to feed at the next step (next prompt token during prefill,
-    /// last sampled token during decode).
-    next_token: usize,
-    generated: Vec<usize>,
     max_new_tokens: usize,
     temperature: f32,
     eos: Option<usize>,
@@ -132,18 +153,6 @@ struct ActiveSeq {
     /// a resumed sequence's first new token records the real gap the
     /// eviction cost it.
     last_token_us: u64,
-}
-
-impl ActiveSeq {
-    /// The full token script this sequence has committed to so far:
-    /// prompt then generated continuation. On (re-)admission the slot
-    /// replays this script; the replay feeds tokens without sampling, so
-    /// the RNG is not re-consumed and resumed output is token-identical.
-    fn script(&self) -> Vec<usize> {
-        let mut s = self.prompt.clone();
-        s.extend_from_slice(&self.generated);
-        s
-    }
 }
 
 /// Why a request (or a budget installation) was refused admission. Unlike
@@ -339,6 +348,7 @@ impl ServingMetrics {
             failed: registry.counter("fineq_requests_failed_total"),
             preempted: registry.counter("fineq_preemptions_total"),
             steps: registry.counter("fineq_steps_total"),
+            // Rows, not sequences: a run of `n` rows in one step adds `n`.
             stepped_tokens: registry.counter("fineq_stepped_tokens_total"),
             queue_wait_us: registry.histogram("fineq_queue_wait_us"),
             ttft_us: registry.histogram("fineq_ttft_us"),
@@ -631,8 +641,9 @@ impl<M: ServeModel> Scheduler<M> {
         self.steps
     }
 
-    /// Tokens fed across all sequences and steps (prefill + decode) — the
-    /// numerator of a tokens/sec measurement.
+    /// Rows fed across all sequences and steps (prefill + replay + decode;
+    /// a run of `n` rows counts `n`) — the numerator of a tokens/sec
+    /// measurement.
     pub fn stepped_tokens(&self) -> u64 {
         self.stepped_tokens
     }
@@ -672,7 +683,7 @@ impl<M: ServeModel> Scheduler<M> {
                 self.preempted
                     .iter()
                     .chain(self.slots.iter().flatten())
-                    .map(|s| (s.id, bound_tokens(s.prompt.len(), s.max_new_tokens))),
+                    .map(|s| (s.id, bound_tokens(s.prompt_len, s.max_new_tokens))),
             );
         for (id, bound) in bounds {
             check_pages_feasible(id, bound, self.cache.page_tokens(), max_pages)?;
@@ -810,25 +821,19 @@ impl<M: ServeModel> Scheduler<M> {
     /// paged throughput comes from — slots fill on actual usage, not on
     /// reservations.
     fn has_headroom(&self) -> bool {
-        if self.page_budget.is_none() {
-            return true;
-        }
-        let headroom = self.cache.free_pages().expect("page budget installs a cache capacity");
-        headroom > self.cache.pages_needed_for_step(&self.active_slots())
+        self.cache
+            .free_pages()
+            .is_none_or(|free| free > self.cache.pages_needed_for_step(&self.active_slots()))
     }
 
-    /// Installs a sequence into `slot`, replay-priming it from its script:
-    /// with prefix sharing the slot maps every page an already-resident
-    /// sequence has for the same token prefix (copy-on-write), and `fed`
-    /// skips past whatever was shared. `finish_step` then replays the
-    /// remaining script tokens without sampling, so admission — first or
-    /// repeated — never consumes RNG state.
+    /// Installs a sequence into `slot` with its whole script still to
+    /// feed: with prefix sharing the slot maps every page an already-
+    /// resident sequence has for the same token prefix (copy-on-write),
+    /// and `fed` skips past whatever was shared. The rest is forced, so
+    /// admission — first or repeated — never consumes RNG state.
     fn install(&mut self, slot: usize, mut seq: ActiveSeq) {
         self.cache.reset_slot(slot);
-        let script = seq.script();
-        let shared = if self.prefix_sharing { self.cache.share_prefix(slot, &script) } else { 0 };
-        seq.fed = shared;
-        seq.next_token = script[shared];
+        seq.fed = if self.prefix_sharing { self.cache.share_prefix(slot, &seq.script) } else { 0 };
         seq.admitted_at = self.admit_counter;
         self.admit_counter += 1;
         self.slots[slot] = Some(seq);
@@ -862,10 +867,9 @@ impl<M: ServeModel> Scheduler<M> {
                 slot,
                 ActiveSeq {
                     id: req.id,
-                    prompt: req.prompt,
+                    prompt_len: req.prompt.len(),
+                    script: req.prompt,
                     fed: 0,
-                    next_token: 0,
-                    generated: Vec::new(),
                     max_new_tokens: req.max_new_tokens,
                     temperature: req.temperature,
                     eos: req.eos,
@@ -885,16 +889,13 @@ impl<M: ServeModel> Scheduler<M> {
     /// guarantees a lone sequence always fits, so this always terminates
     /// with a steppable batch.
     fn preempt_for_headroom(&mut self) {
-        if self.page_budget.is_none() {
-            return;
-        }
         loop {
             let active = self.active_slots();
             if active.len() <= 1 {
                 return;
             }
-            let headroom = self.cache.free_pages().expect("page budget installs a cache capacity");
-            if self.cache.pages_needed_for_step(&active) <= headroom {
+            let Some(free) = self.cache.free_pages() else { return };
+            if self.cache.pages_needed_for_step(&active) <= free {
                 return;
             }
             let victim = *active
@@ -914,22 +915,53 @@ impl<M: ServeModel> Scheduler<M> {
         }
     }
 
-    /// The tokens and slot ids of every active sequence, in slot order —
-    /// the batched step's inputs.
+    /// The batched step's inputs under the module's row rule: one
+    /// contiguous run per active sequence, in slot order — one row each,
+    /// then the last panel's spare rows dealt oldest admission first to
+    /// sequences with forced tokens left, each run capped by its remaining
+    /// script and by the pages free after the one-row-each baseline.
     fn step_inputs(&self) -> (Vec<usize>, Vec<usize>) {
+        let active = self.active_slots();
+        let seq = |slot: usize| self.slots[slot].as_ref().expect("active slot");
+        let mut rows = vec![1usize; self.slots.len()];
+        let mut spare_rows = active.len().next_multiple_of(MAX_TILE) - active.len();
+        if spare_rows > 0 {
+            let mut spare_pages = self
+                .cache
+                .free_pages()
+                .map(|free| free.saturating_sub(self.cache.pages_needed_for_step(&active)));
+            let forced = |slot: usize| seq(slot).script.len() - seq(slot).fed;
+            let mut oldest_first: Vec<usize> =
+                active.iter().copied().filter(|&slot| forced(slot) > 1).collect();
+            oldest_first.sort_by_key(|&slot| seq(slot).admitted_at);
+            for slot in oldest_first {
+                let want = forced(slot).min(1 + spare_rows);
+                let pages = |n: usize| self.cache.pages_to_reserve(slot, n).count();
+                let extra_pages = |n: usize| pages(n) - pages(1);
+                let mut n = 1;
+                while n < want && spare_pages.is_none_or(|p| extra_pages(n + 1) <= p) {
+                    n += 1;
+                }
+                if let Some(p) = &mut spare_pages {
+                    *p -= extra_pages(n);
+                }
+                spare_rows -= n - 1;
+                rows[slot] = n;
+            }
+        }
         let mut tokens = Vec::new();
         let mut slot_ids = Vec::new();
-        for (slot, seq) in self.slots.iter().enumerate() {
-            if let Some(seq) = seq {
-                tokens.push(seq.next_token);
-                slot_ids.push(slot);
-            }
+        for slot in active {
+            let (s, n) = (seq(slot), rows[slot]);
+            tokens.extend_from_slice(&s.script[s.fed..s.fed + n]);
+            slot_ids.extend(std::iter::repeat_n(slot, n));
         }
         (tokens, slot_ids)
     }
 
-    /// Applies one step's logits: samples continuations for sequences past
-    /// their prompt and retires finished ones.
+    /// Applies one step's logits: advances every stepped sequence by its
+    /// run, samples — from the **last** row of the run — for those whose
+    /// script is now fully fed, and retires finished ones.
     fn finish_step(&mut self, logits: &Matrix, slot_ids: &[usize]) {
         self.steps += 1;
         self.stepped_tokens += slot_ids.len() as u64;
@@ -939,34 +971,25 @@ impl<M: ServeModel> Scheduler<M> {
         // latency resolution is the step, which is exactly the grain the
         // batched engine schedules at.
         let now = self.metrics.now();
-        for (row, &slot) in slot_ids.iter().enumerate() {
+        let mut rows_done = 0;
+        for run in slot_runs(slot_ids) {
+            let slot = run[0];
+            rows_done += run.len();
             let seq = self.slots[slot].as_mut().expect("stepped slot is occupied");
-            seq.fed += 1;
-            if seq.fed < seq.prompt.len() {
-                // Still prefilling: feed the next prompt token, ignore the
-                // logits (exactly what `generate` does).
-                seq.next_token = seq.prompt[seq.fed];
+            seq.fed += run.len();
+            if seq.fed < seq.script.len() {
+                // Forced tokens (prompt or replay) remain: the logits are
+                // ignored, exactly what `generate` does while prefilling.
                 continue;
             }
-            let replayed = seq.fed - seq.prompt.len();
-            if replayed < seq.generated.len() {
-                // Replaying a preempted sequence's already-sampled tokens:
-                // feed them back like prompt tokens, without sampling — the
-                // RNG stays exactly where eviction left it, which is what
-                // makes resumed output token-identical. (An unpreempted
-                // sequence never reaches this branch: when it samples,
-                // `fed` equals `prompt + generated` exactly.)
-                seq.next_token = seq.generated[replayed];
-                continue;
-            }
-            // Decode: sample from this step's logits through the same
-            // helper `Transformer::generate` uses.
-            let tok = sample_token(logits.row(row), seq.temperature, &mut seq.rng);
-            seq.generated.push(tok);
+            // Sample from the run's last row through the same helper
+            // `Transformer::generate` uses.
+            let tok = sample_token(logits.row(rows_done - 1), seq.temperature, &mut seq.rng);
+            seq.script.push(tok);
+            let n_generated = seq.script.len() - seq.prompt_len;
             if let Some(now) = now {
-                if seq.generated.len() == 1 {
-                    // First token of the request (a resumed sequence replays
-                    // past this branch): TTFT from submission.
+                if n_generated == 1 {
+                    // First token of the request: TTFT from submission.
                     self.metrics.ttft_us.record(now.saturating_sub(seq.submitted_us));
                 } else if seq.last_token_us > 0 {
                     self.metrics.inter_token_us.record(now.saturating_sub(seq.last_token_us));
@@ -974,9 +997,8 @@ impl<M: ServeModel> Scheduler<M> {
                 seq.last_token_us = now;
             }
             let hit_eos = seq.eos == Some(tok);
-            let spent = seq.generated.len() >= seq.max_new_tokens;
-            if hit_eos || spent {
-                let seq = self.slots[slot].take().expect("finishing slot is occupied");
+            if hit_eos || n_generated >= seq.max_new_tokens {
+                let mut seq = self.slots[slot].take().expect("finishing slot is occupied");
                 // Free the K/V history immediately: an idle scheduler holds
                 // no cache, and KV-headroom accounting sees only live
                 // sequences.
@@ -984,12 +1006,10 @@ impl<M: ServeModel> Scheduler<M> {
                 self.metrics.finished.inc();
                 self.finished.push(FinishedSequence {
                     id: seq.id,
-                    prompt_len: seq.prompt.len(),
-                    generated: seq.generated,
+                    prompt_len: seq.prompt_len,
+                    generated: seq.script.split_off(seq.prompt_len),
                     reason: if hit_eos { FinishReason::Eos } else { FinishReason::MaxTokens },
                 });
-            } else {
-                seq.next_token = tok;
             }
         }
     }
@@ -1004,25 +1024,27 @@ impl<M: ServeModel> Scheduler<M> {
         self.steps += 1;
         self.failed_steps += 1;
         self.metrics.steps.inc();
-        self.metrics.failed.add(slot_ids.len() as u64);
-        for &slot in slot_ids {
-            let seq = self.slots[slot].take().expect("stepped slot is occupied");
-            self.cache.reset_slot(slot);
+        for run in slot_runs(slot_ids) {
+            let mut seq = self.slots[run[0]].take().expect("stepped slot is occupied");
+            self.cache.reset_slot(run[0]);
+            self.metrics.failed.inc();
             self.failed.push(FailedSequence {
                 id: seq.id,
-                prompt_len: seq.prompt.len(),
-                generated: seq.generated,
+                prompt_len: seq.prompt_len,
+                generated: seq.script.split_off(seq.prompt_len),
                 error: error.clone(),
             });
         }
     }
 
     /// Runs one batched step: admits queued requests into free slots,
-    /// feeds every active sequence's current token through the model's
-    /// batched decode step, samples continuations for sequences past
-    /// their prompt, and retires finished ones.
+    /// feeds every active sequence's next token (and the last panel's
+    /// spare rows, see the module's row rule) through the model's batched
+    /// decode step, samples continuations for sequences whose script is
+    /// fully fed, and retires finished ones.
     ///
-    /// Returns the number of sequences stepped (0 when idle).
+    /// Returns the number of **sequences** stepped (0 when idle); the rows
+    /// they fed are counted by [`Scheduler::stepped_tokens`].
     pub fn step(&mut self) -> usize {
         let step_started = self.metrics.now();
         self.admit();
@@ -1044,7 +1066,7 @@ impl<M: ServeModel> Scheduler<M> {
             let elapsed = self.metrics.registry.now_micros().saturating_sub(t0);
             self.metrics.step_us.record(elapsed);
         }
-        tokens.len()
+        slot_runs(&slot_ids).count()
     }
 
     /// Completed sequences accumulated so far, drained.
@@ -1182,10 +1204,13 @@ mod tests {
         assert_eq!(last_active, 0, "final step must retire every slot");
         let done = sched.take_finished();
         assert_eq!(done.len(), 3);
-        // Steps: 4 prompt-feeding steps + 5 decode steps (the final sampled
-        // token is not fed back; retirement is immediate).
-        assert_eq!(sched.steps(), (prompt.len() - 1 + 5) as u64);
-        assert_eq!(sched.stepped_tokens(), 3 * sched.steps());
+        // Steps: the three 4-token prompts fit the first 16-row panel, so
+        // the step that feeds them also samples, then 4 more decode steps
+        // (the final sampled token is not fed back; retirement is
+        // immediate). Rows are conserved: each sequence still feeds its 4
+        // prompt tokens and 4 of its 5 sampled ones.
+        assert_eq!(sched.steps(), 5);
+        assert_eq!(sched.stepped_tokens(), 3 * (prompt.len() - 1 + 5) as u64);
     }
 
     #[test]
@@ -1294,6 +1319,124 @@ mod tests {
         assert!(events.iter().all(|e| e.id < 5));
         assert!(sched.take_preemption_events().is_empty(), "events drain once");
         assert_eq!(sched.cache().allocated_pages(), 0, "idle pool is fully free");
+    }
+
+    #[test]
+    fn spare_rows_fill_the_last_panel_and_never_cost_a_page_the_pool_lacks() {
+        // Seeded request mixes trickled into 20 slots (so a step can span
+        // two kernel panels), with and without a tight page pool at every
+        // page size. Each step is planned twice — on a clone, mirroring
+        // `step()`'s prologue, then by `step()` itself — and the plan must
+        // keep the row rule: every active sequence one contiguous run of
+        // at least one row, no more rows than the panels the one-row-each
+        // schedule would open anyway, never more pages than are free.
+        let (model, corpus) = fitted_tiny();
+        for (page_tokens, budget) in
+            [(16, None), (1, Some(130)), (2, Some(65)), (3, Some(45)), (16, Some(10))]
+        {
+            for seed in 0..3u64 {
+                let what = format!("page_tokens {page_tokens} budget {budget:?} seed {seed}");
+                let mut rng = Rng::seed_from(seed);
+                let mut sched = BatchScheduler::with_page_tokens(model.clone(), 20, page_tokens);
+                if let Some(pages) = budget {
+                    // Worst case 40 + 12 tokens; 2.5 of them fit.
+                    sched.set_page_budget(pages).expect("nothing queued yet");
+                }
+                sched.enable_prefix_sharing(seed % 2 == 1);
+                let mut pending: VecDeque<ServeRequest> = (0..40u64)
+                    .map(|id| {
+                        let prompt = corpus.generate(1 + rng.below(40), 300 + id).tokens().to_vec();
+                        request(id, prompt, 1 + rng.below(12))
+                    })
+                    .collect();
+                let requests: Vec<ServeRequest> = pending.iter().cloned().collect();
+                let mut multi_row_runs = 0;
+                while !(pending.is_empty() && sched.is_idle()) {
+                    for _ in 0..rng.below(4) {
+                        if let Some(req) = pending.pop_front() {
+                            sched.submit(req).expect("feasible");
+                        }
+                    }
+                    let mut plan = sched.clone();
+                    plan.admit();
+                    plan.preempt_for_headroom();
+                    let (tokens, slot_ids) = plan.step_inputs();
+                    let active = plan.active_slots();
+                    assert_eq!(tokens.len(), slot_ids.len(), "{what}");
+                    assert!(
+                        slot_ids.len() <= active.len().next_multiple_of(MAX_TILE),
+                        "{what}: {} rows for {} sequences",
+                        slot_ids.len(),
+                        active.len()
+                    );
+                    let runs: Vec<&[usize]> = slot_runs(&slot_ids).collect();
+                    let run_slots: Vec<usize> = runs.iter().map(|run| run[0]).collect();
+                    assert_eq!(run_slots, active, "{what}: one run per active sequence");
+                    multi_row_runs += runs.iter().filter(|run| run.len() > 1).count();
+                    if let Some(free) = plan.cache().free_pages() {
+                        assert!(plan.cache().pages_needed_for_step(&slot_ids) <= free, "{what}");
+                    }
+                    let rows_before = sched.stepped_tokens();
+                    assert_eq!(sched.step(), active.len(), "{what}: step() counts sequences");
+                    assert_eq!(
+                        sched.stepped_tokens() - rows_before,
+                        slot_ids.len() as u64,
+                        "{what}: stepped_tokens counts rows"
+                    );
+                }
+                assert!(multi_row_runs > 0, "{what}: the mix must exercise spare rows");
+                assert_eq!(sched.preemptions() > 0, budget.is_some(), "{what}");
+                let mut done = sched.take_finished();
+                done.sort_by_key(|f| f.id);
+                assert_eq!(done.len(), requests.len(), "{what}");
+                for (fin, req) in done.iter().zip(&requests) {
+                    let mut rng = Rng::seed_from(req.seed);
+                    let expect =
+                        model.generate(&req.prompt, req.max_new_tokens, req.temperature, &mut rng);
+                    assert_eq!(fin.generated, expect, "{what}: request {}", req.id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_resumed_sequence_replays_a_panel_of_rows_per_step() {
+        // Two 8-token prompts decode in lockstep through a 12-page pool of
+        // 4-token pages until both need a 7th page: the younger (id 1) is
+        // evicted with 24 cached tokens in the very step the older samples
+        // its last token, so the resume runs alone and its replay is
+        // bounded by the panel, not by one token per step.
+        let (model, corpus) = fitted_tiny();
+        let prompts: Vec<Vec<usize>> =
+            (0..2).map(|id| corpus.generate(8, 640 + id).tokens().to_vec()).collect();
+        let mut sched = BatchScheduler::with_page_tokens(model.clone(), 2, 4);
+        sched.set_page_budget(12).expect("nothing queued yet");
+        sched.submit(request(0, prompts[0].clone(), 18)).expect("7 pages fit");
+        sched.submit(request(1, prompts[1].clone(), 40)).expect("12 pages fit");
+        while sched.preemptions() == 0 {
+            let stepped = sched.step();
+            let lockstep = if sched.preemptions() == 0 { 2 } else { 1 };
+            assert_eq!(stepped, lockstep, "both step until the pool runs out");
+        }
+        let events = sched.take_preemption_events();
+        let dropped = 8 + 17 - 1; // prompt + sampled so far - the unfed newest
+        assert_eq!(
+            events,
+            [PreemptionEvent { id: 1, step: 17, dropped_cached_tokens: dropped }],
+            "dropped_cached_tokens is the evicted slot's cached length"
+        );
+        assert_eq!((sched.active(), sched.preempted()), (0, 1), "the older finished that step");
+        let (steps_before, rows_before) = (sched.steps(), sched.stepped_tokens());
+        while sched.cache().total_tokens() < dropped {
+            assert_eq!(sched.step(), 1, "the resumed sequence is alone");
+        }
+        assert_eq!(sched.steps() - steps_before, dropped.div_ceil(MAX_TILE) as u64);
+        assert!(sched.stepped_tokens() - rows_before >= dropped as u64);
+        assert_eq!(sched.preemptions(), 1);
+        let done = sched.run();
+        let fin = done.iter().find(|f| f.id == 1).expect("resumed request finishes");
+        let mut rng = Rng::seed_from(101);
+        assert_eq!(fin.generated, model.generate(&prompts[1], 40, 0.9, &mut rng));
     }
 
     #[test]

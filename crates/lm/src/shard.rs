@@ -383,9 +383,9 @@ impl ShardedModel {
         out
     }
 
-    /// Sharded mirror of [`Transformer::forward_step_batch`]: decodes one
-    /// token for each sequence with every linear site gathered from its
-    /// worker shards. Allocating form of
+    /// Sharded mirror of [`Transformer::forward_step_batch`]: decodes the
+    /// step's rows (one contiguous run per slot) with every linear site
+    /// gathered from its worker shards. Allocating form of
     /// [`ShardedModel::forward_step_batch_with`].
     ///
     /// # Panics
