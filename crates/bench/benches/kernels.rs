@@ -6,14 +6,22 @@
 //! has no crates.io access, so criterion is not available.
 
 use fineq::accel::{SystolicArray, TemporalArray};
-use fineq::core::{ClusterCode, FineQuantizer, KernelScratch, PackedChannel, PackedMatrix};
+use fineq::core::frame::{frame_bytes, Listener};
+use fineq::core::{
+    ClusterCode, FineQuantizer, KernelScratch, MetricsRegistry, PackedChannel, PackedMatrix,
+};
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
-use fineq::lm::{BatchScheduler, ModelConfig, ServeRequest, Transformer, WeightSite};
+use fineq::lm::remote::{serve_connection, Worker};
+use fineq::lm::{
+    BatchKvCache, BatchScheduler, ModelConfig, RemoteShardedModel, ServeModel, ServeRequest,
+    ShardedModel, Transformer, WeightSite,
+};
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
 use fineq::tensor::{Matrix, Rng};
 use fineq_bench::timing::{bench, section};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Timed repeats of a `first_token` row; the median is reported.
@@ -200,11 +208,112 @@ fn bench_first_token() {
     }
 }
 
+/// Median µs of one 16-row batched step at 16..48 cached positions per
+/// slot, over [`SAMPLES`] fresh caches.
+fn batch16_step_us(
+    cfg: &ModelConfig,
+    mut step: impl FnMut(&[usize], &[usize], &mut BatchKvCache) -> Matrix,
+) -> f64 {
+    let slots: Vec<usize> = (0..16).collect();
+    let mut us = Vec::new();
+    for _ in 0..SAMPLES {
+        let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 16);
+        for s in 0..48usize {
+            let tokens: Vec<usize> = (0..16).map(|i| (i * 7 + s * 13 + 3) % cfg.vocab).collect();
+            let t = Instant::now();
+            black_box(step(&tokens, &slots, &mut cache));
+            if s >= 16 {
+                us.push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+    }
+    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    us[us.len() / 2]
+}
+
+/// The transport's own before/after: the frame codec on a gather-sized
+/// payload, and one batched step through [`RemoteShardedModel`] — two
+/// worker threads of this process behind Unix sockets — beside the same
+/// step through the in-process [`ShardedModel`]. The difference between
+/// the two step rows is what the wire costs.
+#[cfg(unix)]
+fn bench_wire() {
+    section("wire: frame codec; batch-16 step, 2 shards, in-process vs over Unix sockets");
+    let payload = vec![0xA5u8; 16 << 10];
+    let r =
+        bench("wire frame_bytes 16 KiB (checksum + copy)", || frame_bytes(3, black_box(&payload)));
+    println!("{:<44} {:>12.0} MB/s", "wire frame_bytes 16 KiB", 16384.0 / r.ns_per_iter * 1e3);
+
+    let model = fixture_model();
+    let cfg = model.config().clone();
+    let mut sharded = ShardedModel::new(&model, 2);
+    sharded.set_thread_pool(None);
+    let mut scratch = KernelScratch::new();
+    let local_us =
+        batch16_step_us(&cfg, |t, s, c| sharded.forward_step_batch_with(t, s, c, &mut scratch));
+
+    let dir = std::env::temp_dir().join(format!("fineq-bench-wire-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let mut addrs = Vec::new();
+    let mut workers = Vec::new();
+    for shard in 0..2 {
+        let addr = format!("unix:{}", dir.join(format!("w{shard}.sock")).display());
+        let listener = Listener::bind(&addr).expect("bind worker socket");
+        addrs.push(vec![addr]);
+        workers.push(std::thread::spawn(move || {
+            let mut worker = Worker::new();
+            while let Ok(mut conn) = listener.accept() {
+                if matches!(serve_connection(&mut conn, &mut worker), Ok(true)) {
+                    return;
+                }
+            }
+        }));
+    }
+    let remote = RemoteShardedModel::connect(&model, &addrs).expect("connect workers");
+    let registry = Arc::new(MetricsRegistry::new());
+    remote.set_telemetry(Arc::clone(&registry));
+    let remote_us =
+        batch16_step_us(&cfg, |t, s, c| remote.forward_step_batch_with(t, s, c, &mut scratch));
+    // The transport's own account of what it put on the sockets (48 steps
+    // per sample, warm-up included — every step moves the same bytes).
+    let steps = (SAMPLES * 48) as f64;
+    let per_step = |name: &str| {
+        registry.counter(&format!("fineq_transport_{name}_total")).get() as f64 / steps
+    };
+    remote.shutdown_workers();
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("{:<44} {local_us:>10.0} us/step", "wire step in-process ShardedModel");
+    println!("{:<44} {remote_us:>10.0} us/step", "wire step RemoteShardedModel");
+    println!(
+        "{:<44} {:>10.1} sent + {:.1} received frames/step, {:.1} + {:.1} payload KB/step",
+        "wire step RemoteShardedModel",
+        per_step("frames_sent"),
+        per_step("frames_received"),
+        per_step("payload_bytes_sent") / 1e3,
+        per_step("payload_bytes_received") / 1e3,
+    );
+}
+
+/// `cargo bench -p fineq-bench --bench kernels [-- <name>]`: every section,
+/// or only those whose name contains `<name>` (`wire`, `first_token`, ...).
 fn main() {
-    bench_first_token();
-    bench_quantizers();
-    bench_pack_decode();
-    bench_matmul_t();
-    bench_arrays();
-    bench_forward();
+    let sections: &[(&str, fn())] = &[
+        #[cfg(unix)]
+        ("wire", bench_wire),
+        ("first_token", bench_first_token),
+        ("quantizers", bench_quantizers),
+        ("pack_decode", bench_pack_decode),
+        ("matmul_t", bench_matmul_t),
+        ("arrays", bench_arrays),
+        ("forward", bench_forward),
+    ];
+    let only = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    for &(name, run) in sections {
+        if only.as_deref().is_none_or(|f| name.contains(f)) {
+            run();
+        }
+    }
 }

@@ -762,11 +762,11 @@ pub(crate) fn attend_batch(
 /// constructed) and unwrap.
 ///
 /// Sites that share one input arrive as a **group** (`&[WeightSite]`):
-/// Q/K/V are requested together so a transport-backed engine can keep
-/// all three gathers in flight on each connection, while in-process
-/// engines simply run the group in order — the closure must return one
-/// output per site, in group order, making the arithmetic identical
-/// either way.
+/// Q/K/V are requested together so a transport-backed engine can ship
+/// the shared activations once and gather all three in one exchange,
+/// while in-process engines simply run the group in order — the closure
+/// must return one output per site, in group order, making the
+/// arithmetic identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn batched_step_body<E>(
     cfg: &ModelConfig,
@@ -800,8 +800,8 @@ pub(crate) fn batched_step_body<E>(
         // ---- attention ----
         let x = rmsnorm_rows(&h);
         // Q/K/V consume the same normalized residual, so they form one
-        // site group: a pipelined transport can have all three gathers
-        // in flight per connection before the first reply lands.
+        // site group: a transport ships the activations once and gathers
+        // all three outputs in one exchange per shard.
         let mut qkv =
             site_forward(l, &[WeightSite::AttnQ, WeightSite::AttnK, WeightSite::AttnV], &x)?;
         debug_assert_eq!(qkv.len(), 3, "q/k/v group expects three outputs");

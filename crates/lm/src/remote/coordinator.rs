@@ -1,647 +1,32 @@
-//! Multi-process sharded serving: remote workers over `std::net`.
-//!
-//! [`crate::shard`] proved the topology in one process: row-shard every
-//! packed weight site, broadcast activations, gather partial outputs, and
-//! the result is bit-identical to the unsharded engine. This module puts a
-//! wire in the seam. A **worker** ([`run_worker_configured`], shipped as
-//! the `fineq-worker` binary) loads its FNQS shard envelopes — the exact
-//! bytes [`fineq_core::serialize::shard_to_bytes`] produces — and serves
-//! batched gather requests over the checksummed frame protocol of
-//! [`fineq_core::frame`]. The **coordinator** ([`RemoteShardedModel`])
-//! keeps the embedding, readout head and every sequence's KV cache, and
-//! implements the same gather interface the in-process engine consumes:
-//! each linear site broadcasts the batch's activations to every involved
-//! shard's primary replica, then gathers their partial outputs. Sites
-//! that share one input (Q/K/V) are **pipelined**: the whole group's
-//! nonce-tagged requests ride each connection at once, and replies
-//! complete out of order into their slots — the workers compute in
-//! parallel across shards *and* across sites, while the coordinator
-//! waits only on the slowest chain.
-//!
-//! ## Protocol (version 2)
-//!
-//! Every message is one frame (`kind`, payload). Integers are u32 LE
-//! (the nonce is u64 LE), activations/partials are f32 LE, row-major:
-//!
-//! ```text
-//! LOAD     -> payload = FNQS shard envelope        | reply LOADED(site_id)
-//! GATHER   -> nonce u64, site_id, t_len, cols,
-//!             t_len*cols f32                       | reply PARTIAL
-//! PARTIAL  <- nonce u64 (request's, echoed verbatim), site_id,
-//!             row_start, rows, t_len, t_len*rows f32
-//! PING     -> echo payload                         | reply PONG(payload)
-//! STATS    -> empty payload                        | reply STATS(FQMS snapshot)
-//! SHUTDOWN -> worker exits cleanly                 | no reply
-//! ERROR    <- utf-8 message (malformed but well-framed request)
-//! ```
-//!
-//! The nonce ([`PROTOCOL_VERSION`] 2) is what makes every `PARTIAL`
-//! **self-identifying**: the coordinator assigns a fresh u64 per gather
-//! request and the worker echoes it untouched, so a reply can be matched
-//! to its request no matter how requests and replies interleave on a
-//! connection. That turns two things from heuristics into structure:
-//! out-of-order pipelined completion (a reply fills exactly the slot its
-//! nonce names), and abort hygiene (a request abandoned mid-operation
-//! leaves its nonce on the replica's *abandoned* list — whatever read
-//! next touches that connection discards the stale reply by nonce match
-//! instead of blindly swallowing one frame and hoping it was the right
-//! one).
-//!
-//! A corrupt frame (checksum/magic/length failure) is not answerable — a
-//! length-prefixed stream cannot resynchronize after corruption — so the
-//! worker drops that connection and accepts the next one.
-//!
-//! ## Replicas, failover and replay
-//!
-//! Each shard is a **replica group**: N worker processes loaded with the
-//! identical slice bytes. Requests go to the group's primary; the other
-//! replicas idle as hot spares, health-checked by
-//! [`RemoteShardedModel::heartbeat`]. When any send or receive fails, the
-//! coordinator marks that replica dead (a [`WorkerEvent::WorkerDied`]
-//! event), promotes the next live replica
-//! ([`WorkerEvent::FailedOver`]), and **replays every in-flight gather
-//! request** there — the full pipelined window, not just the one that
-//! failed, each under its original nonce so completed slots are never
-//! re-filled. Replay is deterministic because workers are
-//! stateless: a partial output is a pure function of the shipped slice
-//! bytes and the broadcast activations, both byte-identical across
-//! replicas, and the kernels are bit-exact at any execution shape. All
-//! sequence state (the KV cache) lives on the coordinator and is only
-//! advanced by `commit_step` *after* every gather of a batch step has
-//! completed, so a worker crash mid-step is **output-invisible**: the
-//! step simply finishes on the spare, and the token stream equals the
-//! in-process unsharded [`crate::serving::BatchScheduler`] run exactly —
-//! the oracle `tests/distributed_serving.rs` and the `distributed-gate`
-//! CI job enforce, kill included.
-//!
-//! ## Deadlines, retry and rejoin
-//!
-//! Every coordinator operation — connect, LOAD, gather, heartbeat —
-//! carries a per-operation deadline from [`TransportConfig`], enforced
-//! end to end by [`read_frame_deadline`] / [`write_frame_deadline`] (the
-//! budget is absolute, so even a peer trickling one byte per interval
-//! cannot stretch a frame past it), so a replica that *hangs* surfaces
-//! as [`FrameError::TimedOut`] and takes the identical failover path as
-//! one that dies. Dead replicas are not gone for good: a [`RetryPolicy`]
-//! (capped exponential backoff with deterministic seeded jitter — no
-//! `SystemTime` in any decision) gates background reconnect probes,
-//! ticked once per gather or heartbeat. On success the coordinator
-//! re-ships the **identical FNQS envelope bytes** it kept from setup and
-//! the replica returns to the group as a hot spare
-//! ([`WorkerEvent::Rejoined`]); the primary does not move, so a healed
-//! partition restores capacity without perturbing routing. When a gather
-//! finds a whole group dead it makes a bounded number of *blocking*
-//! recovery attempts (the policy's `max_attempts`), then returns
-//! [`TransportError::NoLiveReplica`] instead of panicking — the
-//! scheduler above fails only the affected in-flight requests and keeps
-//! serving, and any surviving shard that was already sent part of the
-//! aborted broadcast keeps the owed nonces on its abandoned list — the
-//! stale `PARTIAL`s are discarded by nonce match on the next read, so an
-//! abort can never leave one to be misread as the answer to a later
-//! request. Setup and rejoin ship FNQS envelopes to all replicas **in
-//! parallel** on the coordinator's thread pool, so a fleet connects (and
-//! a healed partition re-ships) in one slowest-replica round instead of
-//! the sum. Reconnect probes, recovery backoff sleeps, heartbeat probes
-//! and STATS scrapes all run with **no state lock held**: a
-//! dead-but-slow replica never blocks
-//! [`RemoteShardedModel::transport_health`] or
-//! [`RemoteShardedModel::take_events`] readers.
-//! [`RemoteShardedModel::transport_health`] exposes the counters
-//! (deaths, failovers, rejoins, retries, timeouts) that `SchedulerStats`
-//! republishes.
-//!
-//! ## Telemetry
-//!
-//! Installing a [`MetricsRegistry`] (via
-//! [`RemoteShardedModel::set_telemetry`], or transitively through
-//! `Scheduler::set_telemetry`) mirrors every robustness counter into the
-//! metrics plane (`fineq_transport_*_total`), tracks live replicas as a
-//! gauge, and records a per-site-kind gather-latency histogram
-//! (`fineq_gather_us_attn_q` … `fineq_gather_us_ffn_down`) around each
-//! distributed linear site. Workers keep their own registry —
-//! [`Worker::handle`] counts loads/gathers/pings and times each gather
-//! kernel — and answer `STATS` frames with an encoded
-//! [`MetricsSnapshot`], which
-//! [`RemoteShardedModel::scrape_worker_stats`] folds into the
-//! coordinator's registry under per-replica source keys so one scrape
-//! endpoint serves the whole cluster view. The counters are bumped at
-//! exactly the sites that mutate the existing [`TransportHealth`]
-//! numbers, so the two planes always agree — and seeded chaos runs
-//! reproduce the metrics bit-for-bit along with the output.
+//! The coordinator side: replica groups, failover, rejoin and the
+//! one-exchange-per-shard site-group gather behind [`RemoteShardedModel`].
 
+#[cfg(doc)]
+use super::run_worker_configured;
+use super::wire::{check_loaded, decode_partial, encode_gather, get_u32, get_u64, SiteWant};
+#[cfg(doc)]
+use super::PROTOCOL_VERSION;
+use super::{
+    TransportConfig, TransportError, TransportHealth, KIND_ERROR, KIND_LOAD, KIND_LOADED,
+    KIND_PARTIAL, KIND_PING, KIND_PONG, KIND_SHUTDOWN, KIND_STATS,
+};
 use crate::config::ModelConfig;
 use crate::generate::{batched_step_body, BatchKvCache};
 use crate::model::{Transformer, WeightSite};
 use crate::serving::{ServeModel, StepError};
 use crate::shard::{site_id, ShardPlan};
 use fineq_core::frame::{
-    read_frame, read_frame_deadline, write_frame, write_frame_deadline, FrameError, Listener,
-    Stream,
+    read_frame_deadline, write_frame, write_frame_deadline, write_sealed_deadline, FrameError,
+    Stream, FRAME_HEADER_BYTES,
 };
 use fineq_core::pool::default_threads;
 use fineq_core::retry::RetryPolicy;
-use fineq_core::serialize::{shard_from_bytes, DecodeError};
 use fineq_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use fineq_core::{matmul_t_sharded_into, KernelScratch, PackedMatrix, ThreadPool};
+use fineq_core::{KernelScratch, ThreadPool};
 use fineq_tensor::Matrix;
-use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Version of the coordinator/worker payload protocol. Version 2 added
-/// the u64 request nonce to `GATHER`/`PARTIAL` (echoed verbatim by the
-/// worker), which is what makes pipelined out-of-order completion and
-/// nonce-matched abort draining structural rather than heuristic.
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Frame kind: ship one FNQS shard envelope to a worker.
-pub const KIND_LOAD: u8 = 1;
-/// Frame kind: worker acknowledges a loaded slice (payload echoes the
-/// site id).
-pub const KIND_LOADED: u8 = 2;
-/// Frame kind: batched gather request for one weight site.
-pub const KIND_GATHER: u8 = 3;
-/// Frame kind: a worker's partial output for one gather request.
-pub const KIND_PARTIAL: u8 = 4;
-/// Frame kind: heartbeat request (payload is echoed back).
-pub const KIND_PING: u8 = 5;
-/// Frame kind: heartbeat reply.
-pub const KIND_PONG: u8 = 6;
-/// Frame kind: ask the worker process to exit cleanly.
-pub const KIND_SHUTDOWN: u8 = 7;
-/// Frame kind: request (empty payload) or reply (encoded
-/// [`MetricsSnapshot`]) for a worker's local metrics registry.
-pub const KIND_STATS: u8 = 8;
-/// Frame kind: worker-side rejection of a well-framed but malformed
-/// request (payload is a utf-8 message).
-pub const KIND_ERROR: u8 = 0xEE;
-
-/// Per-operation deadlines and the retry policy of a coordinator.
-///
-/// Each field bounds one protocol operation end to end — the bound is
-/// absolute ([`read_frame_deadline`] / [`write_frame_deadline`]), not a
-/// per-syscall socket timeout, so slow-drip peers cannot stretch it. A
-/// deadline of zero disarms that bound (block forever — useful under a
-/// debugger, never in production). The defaults are generous enough
-/// that a healthy LAN deployment never trips them, while a hung worker
-/// is detected within one gather deadline.
-///
-/// When workers run with an idle deadline ([`run_worker_configured`] /
-/// `fineq-worker <addr> [idle-timeout-ms]`), the operator must call
-/// [`RemoteShardedModel::heartbeat`] at a cadence **shorter than that
-/// idle deadline** during traffic gaps: each PING resets the worker's
-/// idle clock. A coordinator that goes silent longer has its connection
-/// dropped worker-side and pays a reconnect (spare failover, or blocking
-/// recovery with a single replica) on its next step — recovered and
-/// output-invisible, but avoidable latency.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransportConfig {
-    /// Deadline for establishing one TCP connection to a replica.
-    pub connect_timeout: Duration,
-    /// Read/write deadline while shipping LOAD envelopes and awaiting
-    /// each LOADED ack (envelopes are large; gathers are not).
-    pub load_timeout: Duration,
-    /// Read/write deadline for one gather send or one partial reply.
-    pub gather_timeout: Duration,
-    /// Read/write deadline for one heartbeat probe round trip (PING/PONG,
-    /// or STATS once a [`MetricsRegistry`] is installed).
-    pub heartbeat_timeout: Duration,
-    /// Backoff schedule for reconnecting dead replicas: background
-    /// rejoin probes are tick-gated by it, and `max_attempts` bounds the
-    /// blocking recovery a single gather may attempt when a whole group
-    /// is dead before surfacing [`TransportError::NoLiveReplica`].
-    pub retry: RetryPolicy,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            connect_timeout: Duration::from_secs(5),
-            load_timeout: Duration::from_secs(60),
-            gather_timeout: Duration::from_secs(30),
-            heartbeat_timeout: Duration::from_secs(2),
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
-/// Cumulative transport robustness counters of a coordinator, snapshot
-/// by [`RemoteShardedModel::transport_health`] and republished through
-/// `SchedulerStats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransportHealth {
-    /// Replicas currently connected.
-    pub live_replicas: usize,
-    /// Replicas currently dead (awaiting rejoin).
-    pub dead_replicas: usize,
-    /// Times any replica was marked dead.
-    pub deaths: u64,
-    /// Times a group's primary moved to a spare.
-    pub failovers: u64,
-    /// Times a dead replica reconnected and was re-shipped its slices.
-    pub rejoins: u64,
-    /// Reconnect attempts made (successful or not).
-    pub retry_attempts: u64,
-    /// Deaths caused specifically by an expired deadline.
-    pub timeouts: u64,
-    /// The gather deadline currently armed on live connections, in
-    /// milliseconds (0 = unbounded).
-    pub deadline_ms: u64,
-}
-
-/// Errors crossing the coordinator/worker transport.
-#[derive(Debug)]
-pub enum TransportError {
-    /// The stream failed or a frame was corrupt.
-    Frame(FrameError),
-    /// A shard envelope failed to decode.
-    Decode(DecodeError),
-    /// A peer sent a well-formed frame that violates the protocol
-    /// (unexpected kind, malformed payload, or a worker `ERROR` reply).
-    Protocol(String),
-    /// Every replica of a shard group is dead — the condition serving
-    /// cannot mask.
-    NoLiveReplica {
-        /// The shard whose replica group is exhausted.
-        shard: usize,
-    },
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportError::Frame(e) => write!(f, "frame transport failed: {e}"),
-            TransportError::Decode(e) => write!(f, "shard envelope rejected: {e}"),
-            TransportError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            TransportError::NoLiveReplica { shard } => {
-                write!(f, "shard {shard} has no live replica left")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TransportError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TransportError::Frame(e) => Some(e),
-            TransportError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FrameError> for TransportError {
-    fn from(e: FrameError) -> Self {
-        TransportError::Frame(e)
-    }
-}
-
-impl From<DecodeError> for TransportError {
-    fn from(e: DecodeError) -> Self {
-        TransportError::Decode(e)
-    }
-}
-
-fn get_u32(payload: &[u8], off: usize) -> Result<u32, TransportError> {
-    payload
-        .get(off..off + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .ok_or_else(|| TransportError::Protocol(format!("payload truncated at offset {off}")))
-}
-
-fn get_u64(payload: &[u8], off: usize) -> Result<u64, TransportError> {
-    payload
-        .get(off..off + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        .ok_or_else(|| TransportError::Protocol(format!("payload truncated at offset {off}")))
-}
-
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    out.reserve(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// `n` f32s at `off`. `n` comes from peer-controlled header fields, so the
-/// byte range is computed with checked arithmetic and sliced out of the
-/// bytes actually present before anything is allocated.
-fn get_f32s(payload: &[u8], off: usize, n: usize) -> Result<Vec<f32>, TransportError> {
-    let end = n.checked_mul(4).and_then(|len| off.checked_add(len));
-    let bytes = end.and_then(|end| payload.get(off..end)).ok_or_else(|| {
-        TransportError::Protocol(format!("payload carries fewer than {n} f32 values"))
-    })?;
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
-}
-
-/// One gather request's wire payload (protocol v2): request nonce, site
-/// id, activation shape, then the activations row-major f32 LE. f32
-/// round-trips `to_le_bytes` exactly, so the broadcast is bit-faithful,
-/// and the bytes are nonce-complete — a failover replays this exact
-/// buffer, so the replayed reply carries the original nonce.
-fn encode_gather(nonce: u64, sid: u32, a: &Matrix) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(20 + a.as_slice().len() * 4);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    payload.extend_from_slice(&sid.to_le_bytes());
-    payload.extend_from_slice(&(a.rows() as u32).to_le_bytes());
-    payload.extend_from_slice(&(a.cols() as u32).to_le_bytes());
-    put_f32s(&mut payload, a.as_slice());
-    payload
-}
-
-/// One loaded weight-site slice on a worker.
-struct SiteSlice {
-    row_start: usize,
-    /// Single-entry gather list at offset 0 — the form
-    /// [`matmul_t_sharded_into`] consumes without a per-request clone.
-    gather: Vec<(usize, PackedMatrix)>,
-}
-
-/// What a worker does with one handled frame.
-pub enum WorkerReply {
-    /// Send this frame back on the connection.
-    Frame(u8, Vec<u8>),
-    /// The coordinator asked the worker process to exit.
-    Shutdown,
-}
-
-/// A worker's local metrics handles: registered once at construction so
-/// the per-frame hot path touches only pre-resolved atomics.
-struct WorkerMetrics {
-    registry: Arc<MetricsRegistry>,
-    loads: Arc<Counter>,
-    gathers: Arc<Counter>,
-    pings: Arc<Counter>,
-    gather_us: Arc<Histogram>,
-    packed_bytes: Arc<Counter>,
-}
-
-impl WorkerMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        WorkerMetrics {
-            loads: registry.counter("fineq_worker_loads_total"),
-            gathers: registry.counter("fineq_worker_gathers_total"),
-            pings: registry.counter("fineq_worker_pings_total"),
-            gather_us: registry.histogram("fineq_worker_gather_us"),
-            packed_bytes: registry.counter("fineq_worker_packed_bytes_streamed_total"),
-            registry,
-        }
-    }
-}
-
-/// Worker-side protocol state: the loaded slices plus reused kernel
-/// scratch. [`Worker::handle`] is the pure request → reply step, exposed
-/// so tests and examples can drive a worker in-process (including
-/// injecting failures between frames); [`run_worker_configured`] is the
-/// process entry that wires it to a socket. Each worker owns a local
-/// [`MetricsRegistry`] (request counts, gather-kernel latency, packed
-/// bytes streamed) that a coordinator scrapes with a [`KIND_STATS`]
-/// frame — or an operator scrapes directly via the binary's
-/// `--metrics <addr>` endpoint.
-pub struct Worker {
-    sites: HashMap<u32, SiteSlice>,
-    scratch: KernelScratch,
-    metrics: WorkerMetrics,
-}
-
-impl Default for Worker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Worker {
-    /// An empty worker (no slices loaded) with a fresh enabled registry.
-    pub fn new() -> Self {
-        Self::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// An empty worker recording into `registry` — the form
-    /// [`run_worker_configured`] uses so a metrics endpoint can render
-    /// the same registry the serving loop writes to.
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
-        Self {
-            sites: HashMap::new(),
-            scratch: KernelScratch::new(),
-            metrics: WorkerMetrics::new(registry),
-        }
-    }
-
-    /// The worker's local metrics registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
-    }
-
-    /// Number of weight-site slices loaded so far.
-    pub fn loaded_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Handles one well-framed request.
-    ///
-    /// Transport-intact but malformed requests (unknown site, shape
-    /// mismatch, undecodable envelope, unknown kind) produce an
-    /// [`KIND_ERROR`] reply and keep the connection serving; only I/O
-    /// belongs to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Never errs today; the `Result` reserves the signature for
-    /// worker-side failures that cannot be answered in-band.
-    pub fn handle(&mut self, kind: u8, payload: &[u8]) -> Result<WorkerReply, TransportError> {
-        match kind {
-            KIND_LOAD => Ok(self.load(payload)),
-            KIND_GATHER => Ok(self.gather(payload)),
-            KIND_PING => {
-                self.metrics.pings.inc();
-                Ok(WorkerReply::Frame(KIND_PONG, payload.to_vec()))
-            }
-            KIND_STATS => Ok(WorkerReply::Frame(
-                KIND_STATS,
-                self.metrics.registry.cluster_snapshot().encode(),
-            )),
-            KIND_SHUTDOWN => Ok(WorkerReply::Shutdown),
-            other => Ok(error_reply(format!("unknown frame kind {other:#04x}"))),
-        }
-    }
-
-    fn load(&mut self, payload: &[u8]) -> WorkerReply {
-        // The envelope's own checksum and range validation run here — a
-        // slice that was corrupted in transit or misframed never loads.
-        let (header, slice) = match shard_from_bytes(payload) {
-            Ok(decoded) => decoded,
-            Err(e) => return error_reply(format!("shard envelope rejected: {e}")),
-        };
-        let sid = header.site_id;
-        self.sites.insert(
-            sid,
-            SiteSlice { row_start: header.row_start as usize, gather: vec![(0, slice)] },
-        );
-        self.metrics.loads.inc();
-        WorkerReply::Frame(KIND_LOADED, sid.to_le_bytes().to_vec())
-    }
-
-    fn gather(&mut self, payload: &[u8]) -> WorkerReply {
-        let parsed = (|| {
-            // Protocol v2 layout: the request nonce leads the payload and
-            // is echoed verbatim in the reply — the worker never
-            // interprets it.
-            let nonce = get_u64(payload, 0)?;
-            let sid = get_u32(payload, 8)?;
-            let t_len = get_u32(payload, 12)? as usize;
-            let cols = get_u32(payload, 16)? as usize;
-            if t_len == 0 || cols == 0 {
-                return Err(TransportError::Protocol("empty gather batch".into()));
-            }
-            let n = t_len.checked_mul(cols).ok_or_else(|| {
-                TransportError::Protocol(format!("gather shape {t_len}x{cols} overflows"))
-            })?;
-            let data = get_f32s(payload, 20, n)?;
-            Ok((nonce, sid, Matrix::from_vec(t_len, cols, data)))
-        })();
-        let (nonce, sid, a) = match parsed {
-            Ok(p) => p,
-            Err(e) => return error_reply(format!("malformed gather (protocol v2): {e}")),
-        };
-        let Some(site) = self.sites.get(&sid) else {
-            return error_reply(format!("gather for unloaded site {sid}"));
-        };
-        let slice = &site.gather[0].1;
-        if slice.cols() != a.cols() {
-            return error_reply(format!(
-                "gather activations have {} columns, site {sid} expects {}",
-                a.cols(),
-                slice.cols()
-            ));
-        }
-        // The partial product this shard owes the step: `a @ sliceᵀ`,
-        // per-channel arithmetic identical to the in-process gather (and
-        // therefore to the unsharded engine) at any execution shape.
-        let rows = slice.rows();
-        let packed_bytes = slice.storage_bytes() as u64;
-        let mut out = Matrix::zeros(a.rows(), rows);
-        let started = self.metrics.registry.enabled().then(|| self.metrics.registry.now_micros());
-        matmul_t_sharded_into(&site.gather, &a, &mut out, &mut self.scratch, None);
-        if let Some(t0) = started {
-            self.metrics.gather_us.record(self.metrics.registry.now_micros().saturating_sub(t0));
-            self.metrics.gathers.inc();
-            self.metrics.packed_bytes.add(packed_bytes);
-        }
-        let mut reply = Vec::with_capacity(24 + out.as_slice().len() * 4);
-        reply.extend_from_slice(&nonce.to_le_bytes());
-        reply.extend_from_slice(&sid.to_le_bytes());
-        reply.extend_from_slice(&(site.row_start as u32).to_le_bytes());
-        reply.extend_from_slice(&(rows as u32).to_le_bytes());
-        reply.extend_from_slice(&(a.rows() as u32).to_le_bytes());
-        put_f32s(&mut reply, out.as_slice());
-        WorkerReply::Frame(KIND_PARTIAL, reply)
-    }
-}
-
-fn error_reply(msg: String) -> WorkerReply {
-    WorkerReply::Frame(KIND_ERROR, msg.into_bytes())
-}
-
-/// Serves one coordinator connection until it closes, the stream
-/// corrupts, or a `SHUTDOWN` frame arrives. Returns `true` when the
-/// worker process should exit.
-///
-/// # Errors
-///
-/// Returns the frame error that broke the stream; a clean close is
-/// `Ok(false)`.
-pub fn serve_connection(conn: &mut Stream, worker: &mut Worker) -> Result<bool, TransportError> {
-    loop {
-        match read_frame(conn) {
-            Ok((kind, payload)) => match worker.handle(kind, &payload)? {
-                WorkerReply::Frame(k, p) => write_frame(conn, k, &p)?,
-                WorkerReply::Shutdown => return Ok(true),
-            },
-            Err(FrameError::Closed) => return Ok(false),
-            // Corruption mid-stream: a length-prefixed protocol cannot
-            // resynchronize, so the only safe answer is dropping the
-            // connection (typed, loud — never a silently wrong reply).
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// The `fineq-worker` process body: binds `addr` (`tcp:host:port` or
-/// `unix:/path`), announces the bound address on stdout, and serves
-/// coordinator connections one at a time until a `SHUTDOWN` frame.
-/// Loaded slices survive a dropped connection, so a coordinator may
-/// reconnect without re-shipping weights. On a clean SHUTDOWN exit a
-/// Unix socket file is removed rather than left for the next bind.
-///
-/// With `idle_timeout` set, a connection that sends nothing for that long
-/// is dropped and the worker returns to `accept`. Because a worker serves
-/// one connection at a time, this is what lets a *rejoining* coordinator
-/// get through when the previous coordinator vanished without closing its
-/// socket — without it, one hung peer wedges the worker forever. The
-/// worker cannot distinguish a vanished coordinator from a merely idle
-/// one — only traffic can. A coordinator that may go quiet must therefore
-/// call [`RemoteShardedModel::heartbeat`] at a cadence shorter than
-/// `idle_timeout` (each probe resets the idle clock); one that does not
-/// pays a reconnect-and-replay on its next step after a long gap. This
-/// coupling is asserted by the
-/// `heartbeats_within_the_worker_idle_window_keep_connections_alive`
-/// test and documented on [`TransportConfig`].
-///
-/// When `metrics_addr` is `Some("host:port")`, the worker's registry is
-/// served as Prometheus-style text from that address for the life of
-/// the process (the `fineq-worker --metrics <addr>` flag). The endpoint
-/// renders the same registry [`Worker::handle`] writes to, so an
-/// operator scrape and a coordinator `STATS` scrape always agree.
-///
-/// # Errors
-///
-/// Returns bind/accept failures; per-connection stream errors are logged
-/// to stderr and the worker accepts the next connection. A metrics
-/// endpoint that fails to bind is also a hard error — an operator who
-/// asked for observability should not silently lose it.
-pub fn run_worker_configured(
-    addr: &str,
-    idle_timeout: Option<Duration>,
-    metrics_addr: Option<&str>,
-) -> Result<(), TransportError> {
-    let listener = Listener::bind(addr).map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
-    let bound = listener.local_addr().unwrap_or_else(|_| addr.to_string());
-    // The parent process parses this line to learn an OS-assigned port.
-    println!("fineq-worker listening on {bound}");
-    let _ = std::io::stdout().flush();
-    let mut worker = Worker::new();
-    let _metrics_server = match metrics_addr {
-        Some(maddr) => {
-            let registry = Arc::clone(worker.registry());
-            let server =
-                fineq_core::telemetry::MetricsServer::serve(maddr, move || registry.render_text())
-                    .map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
-            println!("fineq-worker metrics on {}", server.addr());
-            let _ = std::io::stdout().flush();
-            Some(server)
-        }
-        None => None,
-    };
-    loop {
-        let mut conn = listener.accept().map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
-        if let Some(t) = idle_timeout {
-            let _ = conn.set_read_timeout(Some(t));
-            let _ = conn.set_write_timeout(Some(t));
-        }
-        match serve_connection(&mut conn, &mut worker) {
-            Ok(true) => {
-                // Clean exit: do not leave a stale socket file behind.
-                if let Some(path) = bound.strip_prefix("unix:") {
-                    let _ = std::fs::remove_file(path);
-                }
-                return Ok(());
-            }
-            Ok(false) => {}
-            Err(e) => eprintln!("fineq-worker: dropping connection: {e}"),
-        }
-    }
-}
 
 /// Coordinator-side record of a replica-group state change, drained with
 /// [`RemoteShardedModel::take_events`].
@@ -712,7 +97,7 @@ struct Replica {
     /// is checked out (`borrowed`) for unlocked I/O.
     conn: Option<Stream>,
     /// The connection is temporarily out of the table for lock-free
-    /// frame I/O (a pipelined gather, heartbeat probe or STATS scrape).
+    /// frame I/O (a gather, heartbeat probe or STATS scrape).
     /// A borrowed replica is live: health counting and probe planning
     /// treat it as connected, and only the borrower may kill it.
     borrowed: bool,
@@ -773,6 +158,13 @@ struct TransportMetrics {
     rejoins: Arc<Counter>,
     retry_attempts: Arc<Counter>,
     timeouts: Arc<Counter>,
+    /// Frames and payload bytes this coordinator wrote to / read from
+    /// worker connections while serving (gathers and control probes; the
+    /// 13-byte frame headers are not payload).
+    frames_sent: Arc<Counter>,
+    payload_bytes_sent: Arc<Counter>,
+    frames_received: Arc<Counter>,
+    payload_bytes_received: Arc<Counter>,
     live_replicas: Arc<Gauge>,
     /// One gather-latency histogram per site kind, indexed by
     /// [`WeightSite::index`] (`fineq_gather_us_attn_q` …).
@@ -789,10 +181,27 @@ impl TransportMetrics {
             rejoins: registry.counter("fineq_transport_rejoins_total"),
             retry_attempts: registry.counter("fineq_transport_retry_attempts_total"),
             timeouts: registry.counter("fineq_transport_timeouts_total"),
+            frames_sent: registry.counter("fineq_transport_frames_sent_total"),
+            payload_bytes_sent: registry.counter("fineq_transport_payload_bytes_sent_total"),
+            frames_received: registry.counter("fineq_transport_frames_received_total"),
+            payload_bytes_received: registry
+                .counter("fineq_transport_payload_bytes_received_total"),
             live_replicas: registry.gauge("fineq_live_replicas"),
             gather_us,
             registry,
         }
+    }
+
+    /// One frame with `payload_bytes` of payload was written to a worker.
+    fn sent(&self, payload_bytes: usize) {
+        self.frames_sent.inc();
+        self.payload_bytes_sent.add(payload_bytes as u64);
+    }
+
+    /// One frame with `payload_bytes` of payload was read from a worker.
+    fn received(&self, payload_bytes: usize) {
+        self.frames_received.inc();
+        self.payload_bytes_received.add(payload_bytes as u64);
     }
 }
 
@@ -820,7 +229,10 @@ struct RemoteState {
 
 /// Connects to one replica and ships it the shard's envelopes: the whole
 /// setup (and rejoin) handshake, each frame bounded end to end by the
-/// load deadline.
+/// load deadline. Every `LOADED` ack must name the slice's site and this
+/// coordinator's [`PROTOCOL_VERSION`], so a worker of another protocol
+/// version is refused here, typed, instead of failing its first gather
+/// as an anonymous codec error.
 fn connect_replica(
     addr: &str,
     envelopes: &[Vec<u8>],
@@ -838,7 +250,8 @@ fn connect_replica(
         // and n_shards fields.
         let expect = get_u32(envelope, 10)?;
         match kind {
-            KIND_LOADED if get_u32(&payload, 0)? == expect => {}
+            KIND_LOADED => check_loaded(&payload, expect)
+                .map_err(|e| TransportError::Protocol(format!("worker {addr}: {e}")))?,
             KIND_ERROR => {
                 return Err(TransportError::Protocol(format!(
                     "worker {addr} rejected slice: {}",
@@ -853,6 +266,28 @@ fn connect_replica(
         }
     }
     Ok(conn)
+}
+
+/// [`connect_replica`] for every `(address, envelopes)` job at once on
+/// `pool` — a fleet (or a rejoin sweep) is up after one slowest-replica
+/// handshake instead of the sum. Outcomes come back in job order.
+fn connect_all(
+    pool: &ThreadPool,
+    jobs: &[(&str, &[Vec<u8>])],
+    tc: &TransportConfig,
+) -> Vec<Result<Stream, TransportError>> {
+    let slots: Vec<Mutex<Option<Result<Stream, TransportError>>>> =
+        jobs.iter().map(|_| Mutex::new(None)).collect();
+    pool.run(jobs.len(), 1, &|_, start, end| {
+        for i in start..end {
+            let outcome = connect_replica(jobs[i].0, jobs[i].1, tc);
+            *slots[i].lock().expect("connect slot") = Some(outcome);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("connect slot").expect("connect job ran"))
+        .collect()
 }
 
 impl RemoteState {
@@ -935,18 +370,24 @@ impl RemoteState {
         Ok(next)
     }
 
-    /// Advances the retry clock and collects the dead replicas whose
-    /// tick-gated backoff is due. Pacing is pure tick arithmetic (no
+    /// Advances the retry clock and collects dead replicas to probe:
+    /// every one whose tick-gated backoff is due, or — for the blocking
+    /// recovery of one exhausted group (`only`) — every dead replica of
+    /// that group, backoff ignored. Pacing is pure tick arithmetic (no
     /// wall clock), so a seeded run replays exactly. The connects
     /// themselves run *without* the state lock
     /// ([`RemoteShardedModel::run_probes`]); [`RemoteState::install_probe`]
     /// applies the outcomes.
-    fn plan_due_probes(&mut self) -> Vec<RejoinProbe> {
+    fn plan_probes(&mut self, only: Option<usize>) -> Vec<RejoinProbe> {
         self.tick += 1;
         let mut probes = Vec::new();
         for (shard, group) in self.groups.iter().enumerate() {
             for (replica, r) in group.replicas.iter().enumerate() {
-                if !r.is_live() && self.tick >= r.next_attempt_tick {
+                let picked = match only {
+                    Some(exhausted) => shard == exhausted,
+                    None => self.tick >= r.next_attempt_tick,
+                };
+                if picked && !r.is_live() {
                     probes.push(RejoinProbe {
                         shard,
                         replica,
@@ -956,28 +397,6 @@ impl RemoteState {
                 }
             }
         }
-        self.retry_attempts += probes.len() as u64;
-        self.metrics.retry_attempts.add(probes.len() as u64);
-        probes
-    }
-
-    /// Every dead replica of one exhausted group, backoff gating
-    /// ignored: blocking recovery probes them all each round.
-    fn plan_group_probes(&mut self, shard: usize) -> Vec<RejoinProbe> {
-        self.tick += 1;
-        let group = &self.groups[shard];
-        let probes: Vec<RejoinProbe> = group
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_live())
-            .map(|(replica, r)| RejoinProbe {
-                shard,
-                replica,
-                addr: r.addr.clone(),
-                envelopes: Arc::clone(&group.envelopes),
-            })
-            .collect();
         self.retry_attempts += probes.len() as u64;
         self.metrics.retry_attempts.add(probes.len() as u64);
         probes
@@ -1027,12 +446,13 @@ impl RemoteState {
         }
     }
 
+    /// Live replicas of each shard group.
+    fn live_per_shard(&self) -> Vec<usize> {
+        self.groups.iter().map(|g| g.replicas.iter().filter(|r| r.is_live()).count()).collect()
+    }
+
     fn health(&self, gather_timeout: Duration) -> TransportHealth {
-        let live_replicas = self
-            .groups
-            .iter()
-            .map(|g| g.replicas.iter().filter(|r| r.is_live()).count())
-            .sum::<usize>();
+        let live_replicas = self.live_per_shard().iter().sum::<usize>();
         let total = self.groups.iter().map(|g| g.replicas.len()).sum::<usize>();
         TransportHealth {
             live_replicas,
@@ -1047,75 +467,23 @@ impl RemoteState {
     }
 }
 
-/// Decodes one already-read `PARTIAL` payload (protocol v2: the nonce
-/// occupies bytes 0..8 and was matched by the caller) into `out`'s
-/// columns `range`, validating the header against the request it
-/// answers. A mismatch is a protocol violation: the nonce said this
-/// reply is ours, so the worker is confused and the connection dies.
-fn decode_partial(
-    payload: &[u8],
-    sid: u32,
-    range: (usize, usize),
-    out: &mut Matrix,
-) -> Result<(), TransportError> {
-    let (start, end) = range;
-    let got_sid = get_u32(payload, 8)?;
-    let row_start = get_u32(payload, 12)? as usize;
-    let rows = get_u32(payload, 16)? as usize;
-    let t_len = get_u32(payload, 20)? as usize;
-    if got_sid != sid || row_start != start || rows != end - start || t_len != out.rows() {
-        return Err(TransportError::Protocol(format!(
-            "misrouted partial: site {got_sid} rows {row_start}..{} x{t_len}, \
-             expected site {sid} rows {start}..{end} x{}",
-            row_start + rows,
-            out.rows()
-        )));
-    }
-    let data = get_f32s(payload, 24, t_len * rows)?;
-    for t in 0..t_len {
-        out.row_mut(t)[start..end].copy_from_slice(&data[t * rows..(t + 1) * rows]);
-    }
-    Ok(())
-}
-
-/// One site's request within a pipelined gather group: the encoded
-/// (nonce-complete) wire bytes, the output it fills, and the shards it
-/// involves.
-struct SiteReq {
-    sid: u32,
-    nonce: u64,
-    req: Vec<u8>,
-    out: Matrix,
-    involved: Vec<(usize, (usize, usize))>,
-}
-
-/// One pipelined request's place in a shard link's in-flight window.
-/// `sent` is per-*connection*: a failover resets it for unreceived
-/// entries so the whole window replays on the replacement replica.
-struct PendingReply {
-    /// Index into the group's [`SiteReq`] list.
-    site: usize,
-    sent: bool,
-    received: bool,
-}
-
-/// A shard's checked-out primary connection plus the ordered in-flight
-/// window riding it. Requests are written in window order; replies may
-/// complete out of order — the nonce says which entry each one fills.
+/// One involved shard's side of a group exchange: what its `PARTIAL`
+/// must contain, the checked-out primary connection, and how far the
+/// exchange got on that connection — the whole in-flight window of a
+/// link is this one request.
 struct ShardLink {
-    replica: usize,
-    conn: Stream,
-    pending: Vec<PendingReply>,
-}
-
-/// What [`RemoteShardedModel::match_partial`] decided about one
-/// `PARTIAL` frame.
-enum MatchOutcome {
-    /// The reply filled a pending slot of this operation.
-    Filled,
-    /// A stale reply from an aborted earlier operation, identified and
-    /// discarded by its abandoned nonce; read again.
-    Stale,
+    shard: usize,
+    /// Which of the group's sealed request frames this shard is sent.
+    frame: usize,
+    wanted: Vec<SiteWant>,
+    /// `(replica, connection)` once checked out; taken again when the
+    /// connection fails, until a failover installs the replacement.
+    conn: Option<(usize, Stream)>,
+    /// The request was written on the current connection. Cleared by a
+    /// failover, so the same bytes are written again on the replacement.
+    sent: bool,
+    /// The matching `PARTIAL` was received and decoded.
+    done: bool,
 }
 
 /// One heartbeat/STATS probe's checked-out connection, carried through
@@ -1203,29 +571,17 @@ impl RemoteShardedModel {
             // identical). Kept for the life of the deployment.
             shard_envelopes.push(Arc::new(plan.envelopes(model, shard)));
         }
-        // Connect + LOAD every replica of every shard in parallel: the
-        // fleet is up after one slowest-replica handshake instead of the
-        // sum of all of them. The pool is kept for rejoin re-ships.
-        let jobs: Vec<(usize, String)> = replica_addrs
+        // Connect + LOAD every replica of every shard in parallel. The
+        // pool is kept for rejoin re-ships.
+        let jobs: Vec<(&str, &[Vec<u8>])> = replica_addrs
             .iter()
-            .enumerate()
-            .flat_map(|(shard, addrs)| addrs.iter().map(move |a| (shard, a.clone())))
+            .zip(&shard_envelopes)
+            .flat_map(|(addrs, env)| addrs.iter().map(move |a| (a.as_str(), env.as_slice())))
             .collect();
         let pool = Arc::new(ThreadPool::new(default_threads().min(jobs.len()).max(1)));
-        let slots: Vec<Mutex<Option<Result<Stream, TransportError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        pool.run(jobs.len(), 1, &|_, start, end| {
-            for i in start..end {
-                let (shard, addr) = &jobs[i];
-                let outcome = connect_replica(addr, &shard_envelopes[*shard], &transport);
-                *slots[i].lock().expect("connect slot") = Some(outcome);
-            }
-        });
         // Assemble in deterministic (shard, replica) order; the first
         // failure in that order is the reported one.
-        let mut outcomes = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("connect slot").expect("connect job ran"));
+        let mut outcomes = connect_all(&pool, &jobs, &transport).into_iter();
         let mut groups = Vec::with_capacity(n_shards);
         for (shard, addrs) in replica_addrs.iter().enumerate() {
             let mut replicas = Vec::with_capacity(addrs.len());
@@ -1325,11 +681,7 @@ impl RemoteShardedModel {
         for shard in 0..st.groups.len() {
             let _ = st.elect_primary(shard);
         }
-        let live_per_shard = st
-            .groups
-            .iter()
-            .map(|g| g.replicas.iter().filter(|r| r.is_live()).count())
-            .collect::<Vec<_>>();
+        let live_per_shard = st.live_per_shard();
         let dead = st.groups.iter().map(|g| g.replicas.len()).sum::<usize>()
             - live_per_shard.iter().sum::<usize>();
         let primary_per_shard = st.groups.iter().map(|g| g.primary).collect();
@@ -1357,11 +709,7 @@ impl RemoteShardedModel {
     /// stays visible through [`RemoteShardedModel::transport_health`].
     pub fn set_telemetry(&self, registry: Arc<MetricsRegistry>) {
         let mut st = self.lock_state();
-        let live = st
-            .groups
-            .iter()
-            .map(|g| g.replicas.iter().filter(|r| r.is_live()).count())
-            .sum::<usize>();
+        let live = st.live_per_shard().iter().sum::<usize>();
         st.metrics = TransportMetrics::new(registry);
         st.metrics.live_replicas.set(live as i64);
     }
@@ -1396,7 +744,7 @@ impl RemoteShardedModel {
     /// Returns the number of replicas that answered.
     fn control_round(&self, pick: impl Fn(&Replica) -> bool, scrape: bool) -> usize {
         let mut probes = Vec::new();
-        {
+        let tm = {
             let mut st = self.lock_state();
             for (shard, group) in st.groups.iter_mut().enumerate() {
                 for (replica, r) in group.replicas.iter_mut().enumerate() {
@@ -1409,9 +757,10 @@ impl RemoteShardedModel {
                     probes.push(ControlProbe { shard, replica, conn });
                 }
             }
-        }
+            st.metrics.clone()
+        };
         let outcomes: Vec<Result<Option<MetricsSnapshot>, TransportError>> =
-            probes.iter_mut().map(|p| self.probe_replica(p, scrape)).collect();
+            probes.iter_mut().map(|p| self.probe_replica(p, scrape, &tm)).collect();
         let mut st = self.lock_state();
         let mut answered = 0;
         for (p, outcome) in probes.into_iter().zip(outcomes) {
@@ -1436,61 +785,55 @@ impl RemoteShardedModel {
 
     /// One heartbeat/scrape round-trip on a checked-out connection:
     /// `STATS` (returning the decoded snapshot) when `scrape`, else
-    /// `PING`/`PONG` echo. Reads skip stale `PARTIAL`s by abandoned
-    /// nonce ([`RemoteShardedModel::read_control`]).
+    /// `PING`/`PONG` echo.
     fn probe_replica(
         &self,
         p: &mut ControlProbe,
         scrape: bool,
+        tm: &TransportMetrics,
     ) -> Result<Option<MetricsSnapshot>, TransportError> {
         let timeout = self.transport.heartbeat_timeout;
-        if scrape {
-            write_frame_deadline(&mut p.conn, KIND_STATS, &[], timeout)?;
-            let (kind, payload) = self.read_control(&mut p.conn, p.shard, p.replica, timeout)?;
-            if kind != KIND_STATS {
-                return Err(TransportError::Protocol(format!(
-                    "expected STATS reply, got kind {kind:#04x}"
-                )));
-            }
-            let snap = MetricsSnapshot::decode(&payload)
-                .map_err(|e| TransportError::Protocol(format!("stats snapshot rejected: {e}")))?;
-            Ok(Some(snap))
-        } else {
-            let token: &[u8] = b"fineq-heartbeat";
-            write_frame_deadline(&mut p.conn, KIND_PING, token, timeout)?;
-            let (kind, payload) = self.read_control(&mut p.conn, p.shard, p.replica, timeout)?;
-            if kind == KIND_PONG && payload == token {
-                Ok(None)
-            } else {
-                Err(TransportError::Protocol(format!("expected PONG echo, got kind {kind:#04x}")))
-            }
+        let (kind, body): (u8, &[u8]) =
+            if scrape { (KIND_STATS, &[]) } else { (KIND_PING, b"fineq-heartbeat") };
+        write_frame_deadline(&mut p.conn, kind, body, timeout)?;
+        tm.sent(body.len());
+        let (got, payload) = self.read_fresh(&mut p.conn, p.shard, p.replica, timeout, tm)?;
+        match (scrape, got) {
+            (true, KIND_STATS) => MetricsSnapshot::decode(&payload)
+                .map(Some)
+                .map_err(|e| TransportError::Protocol(format!("stats snapshot rejected: {e}"))),
+            (false, KIND_PONG) if payload == body => Ok(None),
+            _ => Err(TransportError::Protocol(format!(
+                "expected {}, got kind {got:#04x}",
+                if scrape { "STATS reply" } else { "PONG echo" }
+            ))),
         }
     }
 
-    /// Reads one non-stale frame from a checked-out connection: a
-    /// `PARTIAL` whose nonce is on the replica's abandoned list is the
-    /// owed reply of an aborted operation — discarded, read again. A
-    /// `PARTIAL` with any other nonce is a protocol breach (nothing else
-    /// may be in flight on a checked-out control connection).
-    fn read_control(
+    /// Reads the next frame that is not a stale reply: a `PARTIAL` whose
+    /// nonce is on the replica's abandoned list is what an aborted
+    /// operation was still owed — discarded by that match, read again.
+    /// Every reader of a worker connection (gather, heartbeat, scrape)
+    /// reads through here, so an abort can never leave a reply to be
+    /// taken for the answer to a later request.
+    fn read_fresh(
         &self,
         conn: &mut Stream,
         shard: usize,
         replica: usize,
         timeout: Duration,
+        tm: &TransportMetrics,
     ) -> Result<(u8, Vec<u8>), TransportError> {
         loop {
             let (kind, payload) = read_frame_deadline(conn, timeout)?;
-            if kind != KIND_PARTIAL {
-                return Ok((kind, payload));
+            tm.received(payload.len());
+            if kind == KIND_PARTIAL {
+                let nonce = get_u64(&payload, 0)?;
+                if self.lock_state().groups[shard].replicas[replica].abandoned.remove(&nonce) {
+                    continue;
+                }
             }
-            let nonce = get_u64(&payload, 0)?;
-            if self.lock_state().groups[shard].replicas[replica].abandoned.remove(&nonce) {
-                continue;
-            }
-            return Err(TransportError::Protocol(format!(
-                "unsolicited PARTIAL (nonce {nonce:#018x}) on a control read"
-            )));
+            return Ok((kind, payload));
         }
     }
 
@@ -1529,18 +872,11 @@ impl RemoteShardedModel {
         if probes.is_empty() {
             return false;
         }
-        let slots: Vec<Mutex<Option<Result<Stream, TransportError>>>> =
-            probes.iter().map(|_| Mutex::new(None)).collect();
-        self.pool.run(probes.len(), 1, &|_, start, end| {
-            for i in start..end {
-                let outcome =
-                    connect_replica(&probes[i].addr, &probes[i].envelopes, &self.transport);
-                *slots[i].lock().expect("probe slot") = Some(outcome);
-            }
-        });
+        let jobs: Vec<(&str, &[Vec<u8>])> =
+            probes.iter().map(|p| (p.addr.as_str(), p.envelopes.as_slice())).collect();
+        let outcomes = connect_all(&self.pool, &jobs, &self.transport);
         let mut any = false;
-        for (probe, slot) in probes.into_iter().zip(slots) {
-            let outcome = slot.into_inner().expect("probe slot").expect("probe ran");
+        for (probe, outcome) in probes.into_iter().zip(outcomes) {
             any |= self.lock_state().install_probe(probe, outcome, &self.transport.retry);
         }
         any
@@ -1550,7 +886,7 @@ impl RemoteShardedModel {
     /// due. Called once per gather and per heartbeat, under the op lock
     /// but never the state lock while connecting.
     fn maybe_rejoin(&self) {
-        let probes = self.lock_state().plan_due_probes();
+        let probes = self.lock_state().plan_probes(None);
         self.run_probes(probes);
     }
 
@@ -1565,7 +901,7 @@ impl RemoteShardedModel {
             let attempt = self.transport.retry.max_attempts.saturating_sub(*budget) + 1;
             *budget -= 1;
             std::thread::sleep(self.transport.retry.backoff(attempt, shard as u64));
-            let probes = self.lock_state().plan_group_probes(shard);
+            let probes = self.lock_state().plan_probes(Some(shard));
             if self.run_probes(probes) {
                 return Ok(());
             }
@@ -1603,218 +939,117 @@ impl RemoteShardedModel {
         self.lock_state().mark_dead(shard, replica, error);
     }
 
-    /// Kills `shard`'s current link and fails the window over: the dead
-    /// replica is recorded, a replacement primary is checked out
-    /// (blocking recovery when the group is exhausted), and every
-    /// pending entry not yet received is marked unsent — the **full
-    /// in-flight window replays** on the replacement under the original
-    /// nonces, so already-received slots are never re-filled and the
-    /// replayed replies match their requests exactly.
-    fn fail_link(
-        &self,
-        shard: usize,
-        links: &mut HashMap<usize, ShardLink>,
-        error: &TransportError,
-        budget: &mut u32,
-    ) -> Result<(), TransportError> {
-        let ShardLink { replica, conn, mut pending } =
-            links.remove(&shard).expect("failing a live link");
-        self.return_dead(shard, replica, conn, error);
-        for e in pending.iter_mut().filter(|e| !e.received) {
-            e.sent = false;
-        }
-        let (replica, conn) = self.checkout_recovering(shard, budget)?;
-        links.insert(shard, ShardLink { replica, conn, pending });
-        Ok(())
+    /// Kills `link`'s current connection: the dead replica is recorded
+    /// and the request marked unsent, so the next send elects a
+    /// replacement primary and writes the same bytes there.
+    fn fail_link(&self, link: &mut ShardLink, error: &TransportError) {
+        let (replica, conn) = link.conn.take().expect("failing a live link");
+        self.return_dead(link.shard, replica, conn, error);
+        link.sent = false;
     }
 
-    /// Writes every unsent pending request of `shard`'s link, in window
-    /// order, failing over (and replaying the window) on any write
-    /// error. The requests' bytes are nonce-complete, so a replayed
-    /// write is byte-identical to the original.
-    fn flush_link(
+    /// Writes the group's sealed request on `link`'s connection —
+    /// checking the shard's primary out first, with bounded blocking
+    /// recovery when the whole group is dead — and fails over until a
+    /// write succeeds. The frame is nonce-complete, so a write after a
+    /// failover is byte-identical to the first.
+    fn send_group(
         &self,
-        shard: usize,
-        reqs: &[SiteReq],
-        links: &mut HashMap<usize, ShardLink>,
-        budget: &mut u32,
-    ) -> Result<(), TransportError> {
-        loop {
-            let link = links.get_mut(&shard).expect("flushing a live link");
-            let mut failure = None;
-            for e in link.pending.iter_mut() {
-                if e.received || e.sent {
-                    continue;
-                }
-                match write_frame_deadline(
-                    &mut link.conn,
-                    KIND_GATHER,
-                    &reqs[e.site].req,
-                    self.transport.gather_timeout,
-                ) {
-                    Ok(()) => e.sent = true,
-                    Err(err) => {
-                        failure = Some(TransportError::Frame(err));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => return Ok(()),
-                Some(err) => self.fail_link(shard, links, &err, budget)?,
-            }
-        }
-    }
-
-    /// Routes one `PARTIAL` payload by its nonce: a sent-unreceived
-    /// window entry's nonce fills that slot ([`MatchOutcome::Filled`]);
-    /// an abandoned nonce from an aborted earlier operation is discarded
-    /// ([`MatchOutcome::Stale`] — the structural replacement for the old
-    /// blind drain-on-abort); any other nonce is a protocol breach.
-    fn match_partial(
-        &self,
-        shard: usize,
         link: &mut ShardLink,
-        reqs: &mut [SiteReq],
-        payload: &[u8],
-    ) -> Result<MatchOutcome, TransportError> {
-        let nonce = get_u64(payload, 0)?;
-        let Some(entry) =
-            link.pending.iter_mut().find(|e| e.sent && !e.received && reqs[e.site].nonce == nonce)
-        else {
-            let stale =
-                self.lock_state().groups[shard].replicas[link.replica].abandoned.remove(&nonce);
-            return if stale {
-                Ok(MatchOutcome::Stale)
-            } else {
-                Err(TransportError::Protocol(format!(
-                    "PARTIAL carries unknown nonce {nonce:#018x}"
-                )))
-            };
-        };
-        let r = &mut reqs[entry.site];
-        let range = r.involved.iter().find(|&&(s, _)| s == shard).expect("involved shard").1;
-        decode_partial(payload, r.sid, range, &mut r.out)?;
-        entry.received = true;
-        Ok(MatchOutcome::Filled)
-    }
-
-    /// Receives until exactly one pending window entry of `shard`'s link
-    /// fills. Stale (abandoned-nonce) replies are discarded along the
-    /// way; every failure — stream, deadline, worker `ERROR`, misrouted
-    /// or unknown-nonce reply — kills the replica and replays the whole
-    /// unreceived window on a spare.
-    fn recv_one(
-        &self,
-        shard: usize,
-        reqs: &mut [SiteReq],
-        links: &mut HashMap<usize, ShardLink>,
+        frame: &[u8],
+        tm: &TransportMetrics,
         budget: &mut u32,
     ) -> Result<(), TransportError> {
         loop {
-            // (Re)send anything the current connection still owes the
-            // worker — after a failover this is the replayed window.
-            self.flush_link(shard, reqs, links, budget)?;
-            let link = links.get_mut(&shard).expect("receiving on a live link");
-            let failure = match read_frame_deadline(&mut link.conn, self.transport.gather_timeout) {
-                Ok((KIND_PARTIAL, payload)) => {
-                    match self.match_partial(shard, link, reqs, &payload) {
-                        Ok(MatchOutcome::Filled) => return Ok(()),
-                        Ok(MatchOutcome::Stale) => continue,
-                        Err(e) => e,
-                    }
+            if link.conn.is_none() {
+                link.conn = Some(self.checkout_recovering(link.shard, budget)?);
+            }
+            let (_, conn) = link.conn.as_mut().expect("just checked out");
+            match write_sealed_deadline(conn, frame, self.transport.gather_timeout) {
+                Ok(()) => {
+                    tm.sent(frame.len() - FRAME_HEADER_BYTES);
+                    link.sent = true;
+                    return Ok(());
                 }
-                Ok((KIND_ERROR, payload)) => TransportError::Protocol(format!(
+                Err(e) => self.fail_link(link, &TransportError::Frame(e)),
+            }
+        }
+    }
+
+    /// Awaits the `PARTIAL` carrying `nonce` on `link` and decodes it into
+    /// `outs`. Every failure — stream, deadline, worker `ERROR`, a reply
+    /// that is not the answer to what was asked — kills the replica and
+    /// replays the request on a spare under the same nonce.
+    fn await_group(
+        &self,
+        link: &mut ShardLink,
+        frame: &[u8],
+        nonce: u64,
+        outs: &mut [Matrix],
+        tm: &TransportMetrics,
+        budget: &mut u32,
+    ) -> Result<(), TransportError> {
+        loop {
+            if !link.sent {
+                self.send_group(link, frame, tm, budget)?;
+            }
+            let (shard, timeout) = (link.shard, self.transport.gather_timeout);
+            let (replica, conn) = link.conn.as_mut().expect("sent on a live link");
+            let failure = match self.read_fresh(conn, shard, *replica, timeout, tm) {
+                Ok((KIND_PARTIAL, rx)) => match decode_partial(&rx, nonce, &link.wanted, outs) {
+                    Ok(()) => {
+                        link.done = true;
+                        return Ok(());
+                    }
+                    Err(e) => e,
+                },
+                Ok((KIND_ERROR, rx)) => TransportError::Protocol(format!(
                     "worker rejected gather: {}",
-                    String::from_utf8_lossy(&payload)
+                    String::from_utf8_lossy(&rx)
                 )),
                 Ok((other, _)) => TransportError::Protocol(format!(
                     "expected PARTIAL, got frame kind {other:#04x}"
                 )),
-                Err(e) => TransportError::Frame(e),
+                Err(e) => e,
             };
-            self.fail_link(shard, links, &failure, budget)?;
+            self.fail_link(link, &failure);
         }
     }
 
-    /// Enqueues request `j` on every involved shard's link (checking the
-    /// primary out on first touch) and flushes immediately, so the wire
-    /// carries it while earlier requests are still computing.
-    fn dispatch_req(
-        &self,
-        j: usize,
-        reqs: &[SiteReq],
-        links: &mut HashMap<usize, ShardLink>,
-        budget: &mut u32,
-    ) -> Result<(), TransportError> {
-        for idx in 0..reqs[j].involved.len() {
-            let shard = reqs[j].involved[idx].0;
-            if let std::collections::hash_map::Entry::Vacant(slot) = links.entry(shard) {
-                let (replica, conn) = self.checkout_recovering(shard, budget)?;
-                slot.insert(ShardLink { replica, conn, pending: Vec::new() });
-            }
-            let link = links.get_mut(&shard).expect("just inserted");
-            link.pending.push(PendingReply { site: j, sent: false, received: false });
-            self.flush_link(shard, reqs, links, budget)?;
-        }
-        Ok(())
-    }
-
-    /// Completes request `j`: receives (in any order) until every
-    /// involved shard has delivered `j`'s partial.
-    fn complete_req(
-        &self,
-        j: usize,
-        reqs: &mut [SiteReq],
-        links: &mut HashMap<usize, ShardLink>,
-        budget: &mut u32,
-    ) -> Result<(), TransportError> {
-        for idx in 0..reqs[j].involved.len() {
-            let shard = reqs[j].involved[idx].0;
-            while !links[&shard].pending.iter().any(|e| e.site == j && e.received) {
-                self.recv_one(shard, reqs, links, budget)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns every checked-out connection to the state table. Entries
-    /// sent but never received still owe a `PARTIAL` on that connection:
-    /// their nonces go on the replica's abandoned list, and whatever
-    /// read next touches the connection (gather, heartbeat, scrape)
-    /// discards the stale replies by nonce match — the structural
-    /// guarantee that replaced `drain_abandoned`'s blind
-    /// read-and-discard.
-    fn release_links(&self, links: HashMap<usize, ShardLink>, reqs: &[SiteReq]) {
-        if links.is_empty() {
-            return;
-        }
+    /// Returns every checked-out connection to the state table. A
+    /// request sent but never answered still owes a `PARTIAL` on that
+    /// connection: its nonce goes on the replica's abandoned list, and
+    /// whatever read next touches the connection (gather, heartbeat,
+    /// scrape) discards the stale reply by nonce match.
+    fn release_links(&self, links: Vec<ShardLink>, nonce: u64) {
         let mut st = self.lock_state();
-        for (shard, link) in links {
-            for e in link.pending.iter().filter(|e| e.sent && !e.received) {
-                st.groups[shard].replicas[link.replica].abandoned.insert(reqs[e.site].nonce);
+        for link in links {
+            if let Some((replica, conn)) = link.conn {
+                if link.sent && !link.done {
+                    st.groups[link.shard].replicas[replica].abandoned.insert(nonce);
+                }
+                st.checkin(link.shard, replica, conn);
             }
-            st.checkin(shard, link.replica, link.conn);
         }
     }
 
-    /// One *group* of linear sites sharing the same broadcast input,
-    /// distributed and pipelined: each site becomes a nonce-tagged
-    /// request, the whole group (Q/K/V, or one site — far below what OS
-    /// socket buffers absorb) rides every involved shard's connection at
-    /// once, and replies complete out of order into their slots by nonce
-    /// — Q/K/V overlap on the wire and on the workers while the
-    /// coordinator waits only on the slowest chain. Outputs are returned
-    /// in `sites` order and are bit-identical to serial execution
-    /// (nothing about scheduling touches arithmetic).
+    /// One *group* of linear sites sharing the same broadcast input
+    /// (Q/K/V, or one site), distributed as **one exchange per involved
+    /// shard**: a single nonce-tagged `GATHER` carries the activations
+    /// once with the list of sites to apply them to, and the shard
+    /// answers with a single `PARTIAL` holding every site's rows. The
+    /// request is written to every shard before the first reply is
+    /// awaited, so the workers compute in parallel while the coordinator
+    /// collects in shard order. Outputs are returned in `sites` order
+    /// and are bit-identical to serial execution (nothing about grouping
+    /// touches arithmetic).
     ///
     /// Each call ticks the rejoin clock, so dead replicas whose backoff
     /// is due get probed on the way in. Any mid-flight failure replays
-    /// the **entire unreceived window** on a spare under the original
-    /// nonces ([`RemoteShardedModel::fail_link`]). On abort, owed
-    /// replies become abandoned nonces
-    /// ([`RemoteShardedModel::release_links`]) and can never be misread
-    /// by a later operation.
+    /// the request on a spare under the original nonce
+    /// ([`RemoteShardedModel::fail_link`]). On abort, owed replies become
+    /// abandoned nonces ([`RemoteShardedModel::release_links`]) and can
+    /// never be misread by a later operation.
     ///
     /// # Errors
     ///
@@ -1832,48 +1067,67 @@ impl RemoteShardedModel {
         self.maybe_rejoin();
         // Clone the handles out of the state lock: recording must not
         // hold it across the broadcast/gather I/O below.
-        let tm = self.lock_state().metrics.clone();
+        let (tm, nonce) = {
+            let mut st = self.lock_state();
+            st.next_nonce += 1;
+            (st.metrics.clone(), st.next_nonce - 1)
+        };
         let started = tm.registry.enabled().then(|| tm.registry.now_micros());
         // One blocking-recovery budget for the whole group: a
         // repeatedly-failing fleet cannot stall a step forever.
         let mut budget = self.transport.retry.max_attempts;
-        let mut reqs: Vec<SiteReq> = {
-            let mut st = self.lock_state();
-            sites
+        let mut outs: Vec<Matrix> = sites
+            .iter()
+            .map(|&site| Matrix::zeros(a.rows(), self.plan.site(layer, site).rows))
+            .collect();
+        // `(site subset, sealed frame)`: shards owning rows of the same
+        // sites share one frame — always, unless a site has fewer rows
+        // than there are shards.
+        let mut frames: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut links: Vec<ShardLink> = Vec::new();
+        for shard in 0..self.plan.n_shards() {
+            let wanted: Vec<SiteWant> = sites
                 .iter()
-                .map(|&site| {
-                    let sp = self.plan.site(layer, site);
-                    let sid = site_id(layer, site);
-                    let nonce = st.next_nonce;
-                    st.next_nonce += 1;
-                    SiteReq {
-                        sid,
-                        nonce,
-                        req: encode_gather(nonce, sid, a),
-                        out: Matrix::zeros(a.rows(), sp.rows),
-                        involved: (0..self.plan.n_shards())
-                            .map(|s| (s, sp.range(s)))
-                            .filter(|&(_, (start, end))| start < end)
-                            .collect(),
-                    }
+                .enumerate()
+                .map(|(out, &site)| (out, site, self.plan.site(layer, site).range(shard)))
+                .filter(|&(_, _, (start, end))| start < end)
+                .map(|(out, site, (start, end))| SiteWant {
+                    out,
+                    sid: site_id(layer, site),
+                    start,
+                    end,
                 })
-                .collect()
-        };
-        let mut links: HashMap<usize, ShardLink> = HashMap::new();
-        let result: Result<(), TransportError> = (|| {
-            for j in 0..reqs.len() {
-                self.dispatch_req(j, &reqs, &mut links, &mut budget)?;
+                .collect();
+            if wanted.is_empty() {
+                continue;
             }
-            for (j, site) in sites.iter().enumerate() {
-                self.complete_req(j, &mut reqs, &mut links, &mut budget)?;
-                if let Some(t0) = started {
-                    tm.gather_us[site.index()].record(tm.registry.now_micros().saturating_sub(t0));
-                }
+            let mask = wanted.iter().fold(0u32, |m, w| m | 1 << w.out);
+            let frame = frames.iter().position(|&(m, _)| m == mask).unwrap_or_else(|| {
+                let ids: Vec<u32> = wanted.iter().map(|w| w.sid).collect();
+                frames.push((mask, encode_gather(nonce, &ids, a)));
+                frames.len() - 1
+            });
+            links.push(ShardLink { shard, frame, wanted, conn: None, sent: false, done: false });
+        }
+        let result: Result<(), TransportError> = (|| {
+            for link in &mut links {
+                self.send_group(link, &frames[link.frame].1, &tm, &mut budget)?;
+            }
+            for link in &mut links {
+                let frame = &frames[link.frame].1;
+                self.await_group(link, frame, nonce, &mut outs, &tm, &mut budget)?;
             }
             Ok(())
         })();
-        self.release_links(links, &reqs);
-        result.map(|()| reqs.into_iter().map(|r| r.out).collect())
+        self.release_links(links, nonce);
+        result?;
+        if let Some(t0) = started {
+            let us = tm.registry.now_micros().saturating_sub(t0);
+            for site in sites {
+                tm.gather_us[site.index()].record(us);
+            }
+        }
+        Ok(outs)
     }
 }
 
@@ -1952,30 +1206,11 @@ impl From<TransportError> for StepError {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testutil::packed_tiny;
+    use super::super::{serve_connection, Worker, WorkerReply, KIND_GATHER, PROTOCOL_VERSION};
     use super::*;
     use crate::shard::ShardedModel;
-    use fineq_core::FineQuantizer;
-    use fineq_tensor::Rng;
-
-    fn packed_tiny(seed: u64) -> Transformer {
-        let cfg = ModelConfig::new(16, 8, 2, 2, 16);
-        let mut m = Transformer::zeros(cfg.clone());
-        let mut rng = Rng::seed_from(seed);
-        *m.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.5));
-        *m.head_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.5));
-        let q = FineQuantizer::paper();
-        for l in 0..m.n_layers() {
-            for site in WeightSite::ALL {
-                let (r, c) = {
-                    let w = m.weight(l, site);
-                    (w.rows(), w.cols())
-                };
-                let dense = Matrix::from_fn(r, c, |_, _| rng.laplace(0.0, 0.05));
-                *m.weight_mut(l, site) = q.quantize_packed(&dense).into();
-            }
-        }
-        m
-    }
+    use fineq_core::frame::{frame_bytes, read_frame, Listener};
 
     /// In-process worker threads: each binds a loopback TCP listener and
     /// serves [`serve_connection`] loops — the subprocess path without
@@ -2000,6 +1235,237 @@ mod tests {
             }));
         }
         (addrs, handles)
+    }
+
+    /// A worker thread under test control: `script(connection index,
+    /// request kind, request payload, real reply)` returns the reply
+    /// payload to send, or `None` to hang up without answering. Stops on
+    /// `SHUTDOWN`.
+    type Script = dyn FnMut(usize, u8, &[u8], Vec<u8>) -> Option<Vec<u8>> + Send;
+
+    fn spawn_scripted_worker(mut script: Box<Script>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = Listener::bind("tcp:127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let handle = std::thread::spawn(move || {
+            let mut worker = Worker::new();
+            for idx in 0usize.. {
+                let Ok(mut conn) = listener.accept() else { return };
+                while let Ok((kind, payload)) = read_frame(&mut conn) {
+                    let Ok(WorkerReply::Frame(k, real)) = worker.handle(kind, &payload) else {
+                        return; // SHUTDOWN
+                    };
+                    match script(idx, kind, &payload, real) {
+                        Some(reply) if write_frame(&mut conn, k, &reply).is_ok() => {}
+                        _ => break,
+                    }
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    /// Stops a scripted worker that the coordinator's own `SHUTDOWN` may
+    /// or may not have reached already (a refused connect means it has).
+    fn stop_worker(addr: &str, handle: std::thread::JoinHandle<()>) {
+        if let Ok(mut conn) = Stream::connect(addr) {
+            let _ = write_frame(&mut conn, KIND_SHUTDOWN, &[]);
+        }
+        handle.join().expect("worker thread");
+    }
+
+    fn fast_retry() -> TransportConfig {
+        TransportConfig {
+            connect_timeout: Duration::from_millis(500),
+            retry: RetryPolicy {
+                base: Duration::from_millis(1),
+                cap: Duration::from_millis(4),
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            },
+            ..TransportConfig::default()
+        }
+    }
+
+    /// The version check of the handshake: a hand-built v2 `LOADED` (site
+    /// id only), one cut inside the version field, and one naming another
+    /// version are each refused at connect with the typed mismatch.
+    #[test]
+    fn loaded_ack_of_another_protocol_version_is_refused_at_connect() {
+        let model = packed_tiny(21);
+        let acks: [fn(Vec<u8>) -> Vec<u8>; 3] = [
+            |ack| ack[..4].to_vec(),
+            |ack| ack[..5].to_vec(),
+            |ack| [&ack[..4], &(PROTOCOL_VERSION + 1).to_le_bytes()[..]].concat(),
+        ];
+        for (case, rewrite) in acks.into_iter().enumerate() {
+            let (addr, handle) = spawn_scripted_worker(Box::new(move |_, kind, _, real| {
+                Some(if kind == KIND_LOAD { rewrite(real) } else { real })
+            }));
+            let err = RemoteShardedModel::connect_with(&model, &[vec![addr.clone()]], fast_retry())
+                .expect_err("a worker of another protocol version must be refused");
+            let TransportError::Protocol(msg) = &err else { panic!("case {case}: {err}") };
+            assert!(
+                msg.contains("worker speaks")
+                    && msg.contains(&format!("coordinator v{PROTOCOL_VERSION}")),
+                "case {case}: {msg}"
+            );
+            stop_worker(&addr, handle);
+        }
+    }
+
+    /// Rejoin runs the same handshake: a replica that comes back speaking
+    /// v2 stays dead — no `Rejoined` event, the exhausted group fails the
+    /// step typed.
+    #[test]
+    fn rejoining_replica_of_another_protocol_version_stays_dead() {
+        let model = packed_tiny(22);
+        let cfg = model.config().clone();
+        let (addr, handle) = spawn_scripted_worker(Box::new(|conn, kind, _, real| {
+            Some(if conn > 0 && kind == KIND_LOAD { real[..4].to_vec() } else { real })
+        }));
+        let remote = RemoteShardedModel::connect_with(&model, &[vec![addr.clone()]], fast_retry())
+            .expect("the first connection speaks the current protocol");
+        let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
+        let mut scratch = KernelScratch::new();
+        remote.forward_step_batch_with(&[1], &[0], &mut cache, &mut scratch);
+        remote.lock_state().groups[0].replicas[0]
+            .conn
+            .as_mut()
+            .expect("live")
+            .shutdown()
+            .expect("sever the connection");
+        let err = remote
+            .try_forward_step_batch_with(&[2], &[0], &mut cache, &mut scratch)
+            .expect_err("no replica speaks the coordinator's protocol any more");
+        assert!(matches!(err, StepError::NoLiveReplica { shard: 0 }), "{err}");
+        let th = remote.transport_health();
+        assert_eq!((th.deaths, th.rejoins, th.live_replicas), (1, 0, 0), "{th:?}");
+        assert!(th.retry_attempts >= 1, "{th:?}");
+        assert!(
+            !remote.take_events().iter().any(|e| matches!(e, WorkerEvent::Rejoined { .. })),
+            "a v2 worker must not rejoin"
+        );
+        stop_worker(&addr, handle);
+    }
+
+    /// A failover replays the request it interrupted **byte for byte**:
+    /// the spare receives the very frame the dead primary was sent — same
+    /// nonce, same checksum — and the step's output is unaffected.
+    #[test]
+    fn failover_replays_byte_identical_frame_bytes_under_the_original_nonce() {
+        let model = packed_tiny(23);
+        let cfg = model.config().clone();
+        let seen: [Arc<Mutex<Vec<Vec<u8>>>>; 2] = Default::default();
+        let mut fleet = Vec::new();
+        for (replica, log) in seen.iter().enumerate() {
+            let log = Arc::clone(log);
+            fleet.push(spawn_scripted_worker(Box::new(move |_, kind, payload, real| {
+                if kind != KIND_GATHER {
+                    return Some(real);
+                }
+                // `read_frame` verified the checksum, so re-framing the
+                // payload reproduces the wire image exactly.
+                let mut log = log.lock().expect("gather log");
+                log.push(frame_bytes(kind, payload));
+                // The primary takes its third gather to the grave.
+                (replica == 1 || log.len() < 3).then_some(real)
+            })));
+        }
+        let addrs = vec![fleet.iter().map(|(addr, _)| addr.clone()).collect::<Vec<_>>()];
+        let remote = RemoteShardedModel::connect_with(&model, &addrs, fast_retry()).expect("up");
+        let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
+        let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
+        let mut scratch = KernelScratch::new();
+        let got = remote.forward_step_batch_with(&[1, 2], &[0, 1], &mut cache_r, &mut scratch);
+        assert_eq!(got, model.forward_step_batch(&[1, 2], &[0, 1], &mut cache_u));
+        let th = remote.transport_health();
+        assert_eq!((th.deaths, th.failovers), (1, 1), "{th:?}");
+        let primary = seen[0].lock().expect("gather log").clone();
+        let spare = seen[1].lock().expect("gather log").clone();
+        assert_eq!(primary.len(), 3, "the primary saw two gathers through and died on the third");
+        assert_eq!(spare[0], primary[2], "the replay is the interrupted frame, byte for byte");
+        let nonce = |frame: &[u8]| get_u64(frame, FRAME_HEADER_BYTES).expect("nonce");
+        assert_eq!(nonce(&spare[0]), nonce(&primary[2]));
+        assert!(nonce(&primary[2]) > nonce(&primary[1]), "fresh nonce per exchange");
+        remote.shutdown_workers();
+        for (addr, handle) in fleet {
+            stop_worker(&addr, handle);
+        }
+    }
+
+    /// The PARTIAL hostile-bytes sweep (GATHER and STATS have theirs in
+    /// `worker.rs`): a real worker's group reply, truncated at any byte,
+    /// with any header byte flipped (the nonce included), any count made
+    /// hostile or a byte appended, is a typed protocol error through the
+    /// coordinator's decode — never a panic, never silently accepted.
+    /// (Stale replies never reach the decode: `read_fresh` drops them by
+    /// abandoned nonce, which the abort test below drives end to end.)
+    #[test]
+    fn partial_payload_hostile_bytes_are_protocol_errors() {
+        let model = packed_tiny(24);
+        let plan = ShardPlan::new(&model, 2);
+        let mut worker = Worker::new();
+        for envelope in plan.envelopes(&model, 1) {
+            worker.handle(KIND_LOAD, &envelope).expect("load");
+        }
+        let qkv = [WeightSite::AttnQ, WeightSite::AttnK, WeightSite::AttnV];
+        let wanted: Vec<SiteWant> = qkv
+            .iter()
+            .enumerate()
+            .map(|(out, &site)| {
+                let (start, end) = plan.site(0, site).range(1);
+                SiteWant { out, sid: site_id(0, site), start, end }
+            })
+            .collect();
+        let (nonce, t_len) = (0x1122_3344_5566_7788u64, 2usize);
+        let a = Matrix::from_fn(t_len, model.config().d_model, |t, c| (t + c) as f32 * 0.1);
+        let ids: Vec<u32> = wanted.iter().map(|w| w.sid).collect();
+        let frame = encode_gather(nonce, &ids, &a);
+        let Ok(WorkerReply::Frame(KIND_PARTIAL, valid)) =
+            worker.handle(KIND_GATHER, &frame[FRAME_HEADER_BYTES..])
+        else {
+            panic!("expected a PARTIAL");
+        };
+        let fresh = || -> Vec<Matrix> {
+            qkv.iter().map(|&s| Matrix::zeros(t_len, plan.site(0, s).rows)).collect()
+        };
+        decode_partial(&valid, nonce, &wanted, &mut fresh()).expect("the worker's reply decodes");
+        let rejected = |payload: &[u8], what: String| {
+            let got = decode_partial(payload, nonce, &wanted, &mut fresh());
+            assert!(matches!(got, Err(TransportError::Protocol(_))), "{what}: {got:?}");
+        };
+        for cut in 0..valid.len() {
+            rejected(&valid[..cut], format!("truncated at byte {cut}"));
+        }
+        rejected(&[&valid[..], &[0u8][..]].concat(), "one byte appended".into());
+        // Header bytes: nonce, n_sites, t_len, then each section's site
+        // id, row_start and rows.
+        let mut headers: Vec<usize> = (0..16).collect();
+        let mut off = 16;
+        for w in &wanted {
+            headers.extend(off..off + 12);
+            off += 12 + t_len * (w.end - w.start) * 4;
+        }
+        assert_eq!(off, valid.len());
+        for &idx in &headers {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut hostile = valid.clone();
+                hostile[idx] ^= flip;
+                rejected(&hostile, format!("byte {idx} ^ {flip:#04x}"));
+            }
+        }
+        for field in [8usize, 12, 16 + 8] {
+            for count in [0u32, 0x8000_0000, 0xFFFF_FFFF] {
+                let mut hostile = valid.clone();
+                hostile[field..field + 4].copy_from_slice(&count.to_le_bytes());
+                rejected(&hostile, format!("field at {field} = {count:#x}"));
+            }
+        }
+        // A reply to another exchange is refused before a byte of it
+        // reaches the outputs.
+        let mut untouched = fresh();
+        assert!(decode_partial(&valid, nonce ^ 1, &wanted, &mut untouched).is_err());
+        assert_eq!(untouched, fresh());
     }
 
     #[test]
@@ -2184,103 +1650,6 @@ mod tests {
         }
         for h in handles {
             h.join().expect("worker thread");
-        }
-    }
-
-    #[test]
-    fn worker_rejects_malformed_requests_with_typed_errors() {
-        let mut worker = Worker::new();
-        // Unknown kind.
-        let WorkerReply::Frame(kind, msg) = worker.handle(0x99, &[]).expect("handled") else {
-            panic!("expected a frame reply");
-        };
-        assert_eq!(kind, KIND_ERROR);
-        assert!(String::from_utf8_lossy(&msg).contains("unknown frame kind"));
-        // Gather before load.
-        let req = encode_gather(0xA1, 7, &Matrix::zeros(1, 4));
-        let WorkerReply::Frame(kind, msg) = worker.handle(KIND_GATHER, &req).expect("handled")
-        else {
-            panic!("expected a frame reply");
-        };
-        assert_eq!(kind, KIND_ERROR);
-        assert!(String::from_utf8_lossy(&msg).contains("unloaded site"));
-        // Corrupt envelope.
-        let WorkerReply::Frame(kind, msg) =
-            worker.handle(KIND_LOAD, b"not an envelope").expect("handled")
-        else {
-            panic!("expected a frame reply");
-        };
-        assert_eq!(kind, KIND_ERROR);
-        assert!(String::from_utf8_lossy(&msg).contains("rejected"));
-        // Truncated gather payload.
-        let WorkerReply::Frame(kind, _) = worker.handle(KIND_GATHER, &req[..6]).expect("handled")
-        else {
-            panic!("expected a frame reply");
-        };
-        assert_eq!(kind, KIND_ERROR);
-        // Hostile shapes in a well-framed header-only gather: the f32
-        // count fits a 64-bit usize but its byte length does not (for the
-        // first it would wrap to exactly 0). Neither may panic or wrap.
-        for dim in [0x8000_0000u32, 0xFFFF_FFFF] {
-            let mut hostile = req[..12].to_vec();
-            hostile.extend_from_slice(&dim.to_le_bytes());
-            hostile.extend_from_slice(&dim.to_le_bytes());
-            let WorkerReply::Frame(kind, msg) =
-                worker.handle(KIND_GATHER, &hostile).expect("handled")
-            else {
-                panic!("expected a frame reply");
-            };
-            assert_eq!(kind, KIND_ERROR, "{dim:#x}");
-            assert!(String::from_utf8_lossy(&msg).contains("malformed gather"), "{dim:#x}");
-        }
-        assert_eq!(worker.loaded_sites(), 0);
-    }
-
-    #[test]
-    fn worker_partial_matches_local_slice_product() {
-        let model = packed_tiny(13);
-        let plan = ShardPlan::new(&model, 2);
-        let sp = plan.site(0, WeightSite::FfnUp);
-        let (start, end) = sp.range(1);
-        let sid = site_id(0, WeightSite::FfnUp);
-        // Shard 1 owns rows of every site, so its envelopes index by site id.
-        let envelope = &plan.envelopes(&model, 1)[sid as usize];
-        let mut worker = Worker::new();
-        let WorkerReply::Frame(kind, ack) = worker.handle(KIND_LOAD, envelope).expect("load")
-        else {
-            panic!("expected LOADED");
-        };
-        assert_eq!((kind, get_u32(&ack, 0).expect("ack")), (KIND_LOADED, sid));
-        let mut rng = Rng::seed_from(5);
-        let a = Matrix::from_fn(3, sp.cols, |_, _| rng.normal(0.0, 1.0));
-        let WorkerReply::Frame(kind, reply) =
-            worker.handle(KIND_GATHER, &encode_gather(0xDEAD_BEEF_CAFE, sid, &a)).expect("gather")
-        else {
-            panic!("expected PARTIAL");
-        };
-        assert_eq!(kind, KIND_PARTIAL);
-        // Protocol v2: the worker echoes the request nonce verbatim, so
-        // the reply is self-identifying.
-        assert_eq!(get_u64(&reply, 0).expect("nonce"), 0xDEAD_BEEF_CAFE);
-        // The partial equals the matching columns of the local gather.
-        let local = ShardedModel::new(&model, 2);
-        let mut full = Matrix::zeros(3, sp.rows);
-        let mut scratch = KernelScratch::new();
-        matmul_t_sharded_into(
-            local.site_slices(0, WeightSite::FfnUp),
-            &a,
-            &mut full,
-            &mut scratch,
-            None,
-        );
-        let rows = end - start;
-        let data = get_f32s(&reply, 24, 3 * rows).expect("payload");
-        for t in 0..3 {
-            assert_eq!(
-                &data[t * rows..(t + 1) * rows],
-                &full.row(t)[start..end],
-                "row {t} partial must be bit-identical to the in-process gather"
-            );
         }
     }
 

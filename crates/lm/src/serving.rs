@@ -542,10 +542,10 @@ pub type ShardedScheduler = Scheduler<ShardedModel>;
 /// [`RemoteShardedModel`](crate::remote::RemoteShardedModel) — each step's
 /// linear sites broadcast activations to remote worker processes over the
 /// checksummed frame protocol and gather their partial outputs. Sites
-/// sharing one input (Q/K/V) are **pipelined**: the whole group's
-/// nonce-tagged requests ride each worker connection at once, replies
-/// complete out of order into their slots, and replica failover replays
-/// the full in-flight window under the original nonces. Output is
+/// sharing one input (Q/K/V) travel as **one nonce-tagged exchange per
+/// shard** — the activations once, every site's rows back in one reply —
+/// and replica failover replays that request, byte for byte, under the
+/// original nonce. Output is
 /// **bit-identical** to [`BatchScheduler`] for the same requests at any
 /// shard and replica count, worker crashes included (the
 /// `distributed-gate` CI job enforces this with real subprocesses).

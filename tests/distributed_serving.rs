@@ -18,10 +18,10 @@ use fineq::lm::{
     ServeRequest, Transformer, WeightSite, WorkerEvent,
 };
 use fineq::tensor::{Matrix, Rng};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// A worker subprocess bound to a Unix socket, killed on drop so a failed
 /// assertion never leaks processes.
@@ -40,17 +40,20 @@ impl WorkerProc {
         let path: PathBuf =
             std::env::temp_dir().join(format!("fineq-w-{}-{n}.sock", std::process::id()));
         let addr = format!("unix:{}", path.display());
-        let child = Command::new(env!("CARGO_BIN_EXE_fineq-worker"))
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fineq-worker"))
             .arg(&addr)
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
             .expect("spawn fineq-worker");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !path.exists() {
-            assert!(Instant::now() < deadline, "worker never bound {addr}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Wait for the worker's own announcement, not for the socket file:
+        // the file appears at bind(), one syscall before listen(), and a
+        // connect landing in between is refused.
+        let mut announced = String::new();
+        BufReader::new(child.stdout.as_mut().expect("piped stdout"))
+            .read_line(&mut announced)
+            .expect("worker stdout");
+        assert!(announced.contains("listening on"), "worker never bound {addr}: {announced:?}");
         Self { child, addr }
     }
 
@@ -200,10 +203,9 @@ fn multi_process_stream_matches_in_process() {
 
 /// SIGKILL one worker mid-run with replicas enabled: the token stream is
 /// still byte-identical, and the death + failover are reported as typed
-/// events. The Q/K/V group rides each connection together, so the kill
-/// lands with **multiple nonce-tagged gathers in flight** on the dying
-/// connection — failover must replay the entire unreceived window on the
-/// spare under the original nonces.
+/// events. Whichever exchange the kill interrupts — a Q/K/V group
+/// `GATHER` carries three sites' work — failover must replay that request
+/// on the spare under the original nonce.
 /// This is the failover oracle the `distributed-gate` CI job enforces on
 /// every host.
 #[test]

@@ -32,11 +32,12 @@ use fineq::lm::{
     TransportConfig, WeightSite,
 };
 use fineq::tensor::{Matrix, Rng};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Past the LOAD envelopes, inside gather traffic (see chaos_serving.rs).
 const FAULT_AFTER: usize = 25_000;
@@ -55,18 +56,21 @@ impl ChaosWorker {
         let path: PathBuf =
             std::env::temp_dir().join(format!("fineq-telem-{}-{n}.sock", std::process::id()));
         let addr = format!("unix:{}", path.display());
-        let child = Command::new(env!("CARGO_BIN_EXE_fineq-worker"))
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fineq-worker"))
             .arg(&addr)
             .arg("1000")
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
             .expect("spawn fineq-worker");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !path.exists() {
-            assert!(Instant::now() < deadline, "worker never bound {addr}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Wait for the worker's own announcement, not for the socket file:
+        // the file appears at bind(), one syscall before listen(), and a
+        // connect landing in between is refused.
+        let mut announced = String::new();
+        BufReader::new(child.stdout.as_mut().expect("piped stdout"))
+            .read_line(&mut announced)
+            .expect("worker stdout");
+        assert!(announced.contains("listening on"), "worker never bound {addr}: {announced:?}");
         let proxy = plan.map(|p| FaultProxy::spawn(&addr, p).expect("spawn fault proxy"));
         Self { child, addr, proxy }
     }
