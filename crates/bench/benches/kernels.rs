@@ -14,8 +14,8 @@ use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::remote::{serve_connection, Worker};
 use fineq::lm::{
-    BatchKvCache, BatchScheduler, ModelConfig, RemoteShardedModel, ServeModel, ServeRequest,
-    ShardedModel, Transformer, WeightSite,
+    BatchKvCache, BatchScheduler, KvCache, ModelConfig, RemoteShardedModel, ServeModel,
+    ServeRequest, ShardedModel, Transformer, WeightSite,
 };
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
 use fineq::tensor::{Matrix, Rng};
@@ -144,6 +144,33 @@ fn bench_forward() {
     let (model, _) = build_fitted_model(&BuilderSpec::tiny(), &corpus, 2048, 3);
     let tokens = corpus.generate(256, 9).tokens().to_vec();
     bench("transformer_forward_256tok", || model.forward(black_box(&tokens)));
+
+    let packed = fixture_model();
+    let window: Vec<usize> = (0..256).map(|i| (i * 5 + 1) % 64).collect();
+    bench("transformer_forward_256tok packed gate shape", || packed.forward(black_box(&window)));
+
+    // A solo decode step at 64 cached positions: every sample steps its own
+    // copy of one 64-position cache, so the context never grows.
+    let cfg = packed.config();
+    let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
+    for &tok in &window[..64] {
+        packed.forward_step(tok, &mut cache);
+    }
+    const STEP_SAMPLES: usize = 31;
+    let mut us: Vec<f64> = (0..STEP_SAMPLES)
+        .map(|_| {
+            let mut c = cache.clone();
+            let t = Instant::now();
+            black_box(packed.forward_step(black_box(window[64]), &mut c));
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    println!(
+        "{:<44} {:>10.0} us   (median of {STEP_SAMPLES})",
+        "forward_step solo packed gate shape, 64 cached",
+        us[STEP_SAMPLES / 2]
+    );
 }
 
 /// A serving-sized model (the `bench/` gate shape, 64-token vocabulary,

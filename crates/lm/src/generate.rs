@@ -1060,8 +1060,9 @@ mod tests {
         for (t, &tok) in tokens.iter().enumerate() {
             let step_logits = model.forward_step(tok, &mut cache);
             for v in 0..model.config().vocab {
-                assert!(
-                    (step_logits[v] - full[(t, v)]).abs() < 1e-3,
+                assert_eq!(
+                    step_logits[v].to_bits(),
+                    full[(t, v)].to_bits(),
                     "position {t} vocab {v}: {} vs {}",
                     step_logits[v],
                     full[(t, v)]
@@ -1069,6 +1070,37 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), tokens.len());
+    }
+
+    #[test]
+    fn forward_is_one_run_and_its_rows_are_forward_steps() {
+        // `forward` over T tokens is bit for bit one batched run of T rows
+        // on a one-slot cache, at any page size, and its row t is the t-th
+        // `forward_step` — dense, packed, and packed on a 3-thread pool.
+        let (model, corpus) = fitted_tiny();
+        let (packed, _) = crate::model::pack_all_sites(&model);
+        let mut pooled = packed.clone();
+        pooled.set_thread_pool(Some(std::sync::Arc::new(fineq_core::ThreadPool::new(3))));
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (name, m) in [("dense", &model), ("packed", &packed), ("pooled", &pooled)] {
+            let cfg = m.config();
+            for t_len in [1usize, 2, 15, 16, 17, 33, 256] {
+                let tokens = corpus.generate(t_len, 300 + t_len as u64).tokens().to_vec();
+                let full = m.forward(&tokens);
+                for page_tokens in [1, 16, t_len] {
+                    let mut cache =
+                        BatchKvCache::with_page_tokens(cfg.n_layers, cfg.d_model, 1, page_tokens);
+                    let run = m.forward_step_batch(&tokens, &vec![0; t_len], &mut cache);
+                    let what = format!("{name} T {t_len} page_tokens {page_tokens}");
+                    assert_eq!(bits(full.as_slice()), bits(run.as_slice()), "{what}");
+                }
+                let mut solo = KvCache::new(cfg.n_layers, cfg.d_model);
+                for (t, &tok) in tokens.iter().enumerate() {
+                    let step = m.forward_step(tok, &mut solo);
+                    assert_eq!(bits(full.row(t)), bits(&step), "{name} T {t_len} row {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -865,12 +865,72 @@ mod tests {
         assert!((ms - 1.0).abs() < 1e-4);
     }
 
+    /// Multi-head causal attention with ALiBi bias over whole `T x d_model`
+    /// Q/K/V matrices: the independent reference the cached, paged
+    /// attention of the step body is checked against.
+    fn reference_attention(cfg: &ModelConfig, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        let t_len = q.rows();
+        let dh = cfg.d_head();
+        let inv_sqrt = 1.0 / (dh as f32).sqrt();
+        let mut ctx = Matrix::zeros(t_len, cfg.d_model);
+        let mut scores = vec![0.0f32; t_len];
+        for (head, &slope) in cfg.alibi_slopes.iter().enumerate() {
+            let off = head * dh;
+            for t in 0..t_len {
+                let qrow = &q.row(t)[off..off + dh];
+                for (j, s) in scores.iter_mut().enumerate().take(t + 1) {
+                    let krow = &k.row(j)[off..off + dh];
+                    let mut dot = 0.0f32;
+                    for (a, b) in qrow.iter().zip(krow) {
+                        dot += a * b;
+                    }
+                    *s = dot * inv_sqrt - slope * (t - j) as f32;
+                }
+                fineq_tensor::softmax_in_place(&mut scores[..t + 1]);
+                let crow = ctx.row_mut(t);
+                for (j, &a) in scores.iter().enumerate().take(t + 1) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let vrow = &v.row(j)[off..off + dh];
+                    for (c, &vv) in crow[off..off + dh].iter_mut().zip(vrow) {
+                        *c += a * vv;
+                    }
+                }
+            }
+        }
+        ctx
+    }
+
+    #[test]
+    fn traced_attention_context_matches_the_reference_attention() {
+        // Every layer's traced `attn_ctx` is exactly the reference
+        // attention over that layer's own Q/K/V projections.
+        let m = random_model(15);
+        let (packed, _) = pack_all_sites(&m);
+        let tokens = [1, 5, 9, 2, 0, 7, 7, 3, 11, 4, 8, 6, 15, 2, 1, 0, 9, 12];
+        for model in [&m, &packed] {
+            let (_, trace) = model.forward_with_trace(&tokens);
+            for (l, lt) in trace.layers.iter().enumerate() {
+                let [q, k, v] = [WeightSite::AttnQ, WeightSite::AttnK, WeightSite::AttnV]
+                    .map(|site| model.weight(l, site).matmul_t(&lt.attn_input));
+                let expect = reference_attention(model.config(), &q, &k, &v);
+                let same = lt
+                    .attn_ctx
+                    .as_slice()
+                    .iter()
+                    .zip(expect.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "layer {l} (packed: {})", model.is_fully_packed());
+            }
+        }
+    }
+
     #[test]
     fn alibi_locality_heads_attend_recent_tokens() {
         // With zero q/k the scores are pure ALiBi: a local head's context
         // must weight the latest token most.
         let cfg = ModelConfig::new(4, 4, 1, 2, 4);
-        let m = Transformer::zeros(cfg);
         let q = Matrix::zeros(3, 4);
         let k = Matrix::zeros(3, 4);
         // v rows are one-hot in the head-1 lane so the attention weights
@@ -878,7 +938,7 @@ mod tests {
         let mut v = Matrix::zeros(3, 4);
         v[(0, 2)] = 1.0;
         v[(2, 3)] = 1.0;
-        let ctx = m.attention(&q, &k, &v);
+        let ctx = reference_attention(&cfg, &q, &k, &v);
         // Head 0 (global, slope 0) at t=2: uniform 1/3 over positions.
         // Head 1 (slope 1) at t=2 weights j=2 > j=1 > j=0.
         let w_old = ctx[(2, 2)]; // weight on j=0 (head 1 lane 2)

@@ -77,7 +77,8 @@ fn fig7_temporal_coding_walkthrough() {
 }
 
 /// Quantized-model perplexity ordering (the paper's Table I shape):
-/// FP16 <= FineQ < {GPTQ, RTN} < Uniform at ~2 bits.
+/// FP16 <= FineQ < GPTQ < RTN < Uniform at ~2 bits, and the five values
+/// pinned exactly.
 #[test]
 fn table1_ordering_holds_on_a_small_model() {
     let corpus = Corpus::wiki_like(64, 3);
@@ -94,10 +95,27 @@ fn table1_ordering_holds_on_a_small_model() {
     };
     let fp16 = perplexity(&model, test.tokens(), 256);
     let fineq = ppl(&FineQuantizer::paper());
+    let gptq = ppl(&Gptq::new(2));
     let rtn = ppl(&Rtn::new(2));
     let uniform = ppl(&Uniform::new(2));
 
+    // The values themselves, pinned bit for bit: model fitting, GPTQ's
+    // calibration traces and every perplexity run through `forward`, so a
+    // change to any forward path's arithmetic moves at least one of them.
+    let pinned = [
+        ("fp16", fp16, 0x402d_019c_ac8b_9e8e_u64), // 14.503148452800158
+        ("fineq", fineq, 0x402f_8141_f857_bb70),   // 15.752456436833853
+        ("gptq", gptq, 0x4034_ae49_28fb_2075),     // 20.680803834257365
+        ("rtn", rtn, 0x4036_2495_beee_375d),       // 22.142909939916866
+        ("uniform", uniform, 0x405e_d8f3_394c_b2e3), // 123.38984520425906
+    ];
+    for (name, got, bits) in pinned {
+        assert_eq!(got.to_bits(), bits, "{name} perplexity {got} vs {}", f64::from_bits(bits));
+    }
+
     assert!(fp16 <= fineq * 1.02, "fp16 {fp16} vs fineq {fineq}");
+    assert!(fineq < gptq, "fineq {fineq} vs gptq {gptq}");
+    assert!(gptq < rtn, "gptq {gptq} vs rtn {rtn}");
     assert!(fineq < rtn, "fineq {fineq} vs rtn {rtn}");
     assert!(rtn < uniform * 1.5, "rtn {rtn} vs uniform {uniform}");
     assert!(fineq < uniform, "fineq {fineq} vs uniform {uniform}");
