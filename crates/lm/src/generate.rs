@@ -1,57 +1,51 @@
-//! Incremental decoding with a KV cache, and sampling-based generation.
+//! The transformer step: paged KV caches, the one layer loop every
+//! forward path runs, and sampling-based generation.
 //!
 //! The paper motivates weight quantization with the serving memory split
 //! (Fig. 2b): weights plus a KV cache that grows with every decoded
-//! token. This module implements that serving path: a per-layer
-//! [`KvCache`] holding the attention keys/values of all past positions,
-//! a single-token [`forward_step`](Transformer::forward_step) whose
-//! logits match the full-sequence forward pass bit-closely, and a
-//! temperature sampler.
+//! token. A [`BatchKvCache`] holds one paged K/V history per sequence
+//! slot, and [`forward_step_batch`](Transformer::forward_step_batch)
+//! stacks the next tokens of every active sequence (**one contiguous run
+//! of rows per slot**: consecutive positions of its sequence) into one
+//! activation matrix so each packed weight stream is decoded **once per
+//! layer per step** instead of once per sequence. Each row's arithmetic is
+//! independent of the other rows, so its logits are bit-identical whatever
+//! else shares the batch and however a sequence's tokens are cut into runs.
 //!
-//! Batched serving builds on the same pieces: a [`BatchKvCache`] holds one
-//! independent K/V history per sequence slot, and
-//! [`forward_step_batch`](Transformer::forward_step_batch) stacks the
-//! next tokens of every active sequence (**one contiguous run of rows per
-//! slot**: consecutive positions of its sequence) into one activation
-//! matrix so each packed weight stream is decoded **once per layer per
-//! step** instead of once per sequence. Each row's arithmetic is
-//! independent of the other rows and ordered exactly as in
-//! [`forward_step`](Transformer::forward_step), so its logits are
-//! bit-identical to single-sequence decoding whatever else shares the
-//! batch and however a sequence's tokens are cut into runs.
+//! That step body is the only code in the crate that computes a
+//! transformer layer. [`Transformer::forward`] is one run of the whole
+//! window on a fresh one-slot cache, and
+//! [`forward_step`](Transformer::forward_step) is a one-row step on a
+//! [`KvCache`] — itself a one-slot [`BatchKvCache`] — so a full-window
+//! pass, token-by-token decoding and batched serving agree bit for bit by
+//! construction. The sharded and remote engines run the same body with
+//! their own linear sites.
 
 use crate::config::{Activation, ModelConfig};
 use crate::model::{rmsnorm_rows, Transformer, WeightSite};
 use fineq_core::KernelScratch;
 use fineq_tensor::{activation, softmax_in_place, Matrix, Rng};
 
-/// Per-layer key/value history for incremental decoding.
-///
-/// Memory grows by `2 * n_layers * d_model` floats per decoded token —
-/// exactly the `kv_cache_bytes` accounting in [`crate::memory`].
+/// One sequence's key/value history for [`Transformer::forward_step`]: a
+/// one-slot [`BatchKvCache`], so a solo decode step is a one-row batched
+/// step.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KvCache {
-    /// `layers[l] = (keys, values)`, each a flattened `T x d_model`
-    /// row-major buffer.
-    layers: Vec<(Vec<f32>, Vec<f32>)>,
-    d_model: usize,
-    len: usize,
-}
+pub struct KvCache(BatchKvCache);
 
 impl KvCache {
     /// An empty cache for a model with the given shape.
     pub fn new(n_layers: usize, d_model: usize) -> Self {
-        Self { layers: vec![(Vec::new(), Vec::new()); n_layers], d_model, len: 0 }
+        Self(BatchKvCache::new(n_layers, d_model, 1))
     }
 
     /// Cached positions.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.slot_len(0)
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Bytes the cache would occupy at fp16 storage (the Fig. 2b unit):
@@ -60,25 +54,7 @@ impl KvCache {
     /// at `len` concurrent tokens (cross-checked by a regression test in
     /// `memory`).
     pub fn fp16_bytes(&self) -> usize {
-        2 * self.layers.len() * self.d_model * self.len * 2
-    }
-
-    /// One layer's contiguous key and value histories (`len` rows of
-    /// `d_model` each) — the comparison surface paged-cache tests gather
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer >= n_layers`.
-    pub fn layer_kv(&self, layer: usize) -> (&[f32], &[f32]) {
-        let (ks, vs) = &self.layers[layer];
-        (ks, vs)
-    }
-
-    fn push(&mut self, layer: usize, k: &[f32], v: &[f32]) {
-        let (ks, vs) = &mut self.layers[layer];
-        ks.extend_from_slice(k);
-        vs.extend_from_slice(v);
+        self.0.fp16_bytes()
     }
 }
 
@@ -380,8 +356,8 @@ impl BatchKvCache {
     }
 
     /// Gathers one slot's cached keys and values for one layer into
-    /// contiguous `len × d_model` row-major buffers — the logical view a
-    /// single-sequence [`KvCache`] would hold, whatever pages back it.
+    /// contiguous `len × d_model` row-major buffers — the logical view,
+    /// whatever pages back it.
     ///
     /// # Panics
     ///
@@ -400,8 +376,8 @@ impl BatchKvCache {
             d,
         };
         for j in 0..len {
-            ks.extend_from_slice(rows.k_row(j));
-            vs.extend_from_slice(rows.v_row(j));
+            ks.extend_from_slice(rows.row(0, j));
+            vs.extend_from_slice(rows.row(1, j));
         }
         (ks, vs)
     }
@@ -464,7 +440,7 @@ impl BatchKvCache {
     /// target, every shared page is read-only for the step, and the page
     /// tables themselves are frozen — the disjoint-write safety the
     /// parallel attention path rests on.
-    pub(crate) fn begin_step(&mut self, slots: &[usize]) {
+    fn begin_step(&mut self, slots: &[usize]) {
         for run in slot_runs(slots) {
             let slot = run[0];
             let reserve: Vec<usize> = self.pages_to_reserve(slot, run.len()).collect();
@@ -502,12 +478,11 @@ impl BatchKvCache {
     }
 
     /// Marks one decoded position committed per stepped row and records
-    /// the token that produced it — the end-of-step bookkeeping
-    /// shared by the transformer's and the sharded engine's batched steps
-    /// (both write per-layer K/V first, then commit the position once).
-    /// The recorded token ids are what [`BatchKvCache::share_prefix`]
-    /// matches new sequences against.
-    pub(crate) fn commit_step(&mut self, slots: &[usize], tokens: &[usize]) {
+    /// the token that produced it — the step body's end-of-step
+    /// bookkeeping, after every layer's K/V is written. The recorded token
+    /// ids are what [`BatchKvCache::share_prefix`] matches new sequences
+    /// against.
+    fn commit_step(&mut self, slots: &[usize], tokens: &[usize]) {
         for (&slot, &tok) in slots.iter().zip(tokens) {
             self.slots[slot].tokens.push(tok);
         }
@@ -533,32 +508,8 @@ impl PartialEq for BatchKvCache {
     }
 }
 
-/// Row access into one slot's cached K/V history for one layer — the
-/// seam that lets [`attend_one`] run identically over a contiguous
-/// [`KvCache`] and a paged [`BatchKvCache`] table walk.
-pub(crate) trait KvRows {
-    fn k_row(&self, j: usize) -> &[f32];
-    fn v_row(&self, j: usize) -> &[f32];
-}
-
-/// Contiguous rows: the single-sequence [`KvCache`] layout.
-struct ContigRows<'a> {
-    ks: &'a [f32],
-    vs: &'a [f32],
-    d: usize,
-}
-
-impl KvRows for ContigRows<'_> {
-    fn k_row(&self, j: usize) -> &[f32] {
-        &self.ks[j * self.d..(j + 1) * self.d]
-    }
-    fn v_row(&self, j: usize) -> &[f32] {
-        &self.vs[j * self.d..(j + 1) * self.d]
-    }
-}
-
-/// Paged rows: position `j` lives in page `table[j / page_tokens]` at
-/// in-page offset `j % page_tokens`.
+/// One slot's cached K/V history for one layer: position `j` lives in
+/// page `table[j / page_tokens]` at in-page offset `j % page_tokens`.
 struct PagedRows<'a> {
     pages: &'a [KvPage],
     table: &'a [usize],
@@ -568,19 +519,11 @@ struct PagedRows<'a> {
 }
 
 impl PagedRows<'_> {
+    /// Position `j`'s K (`kv = 0`) or V (`kv = 1`) row.
     fn row(&self, kv: usize, j: usize) -> &[f32] {
         let data = &self.pages[self.table[j / self.page_tokens]].data;
         let base = ((self.layer * 2 + kv) * self.page_tokens + j % self.page_tokens) * self.d;
         &data[base..base + self.d]
-    }
-}
-
-impl KvRows for PagedRows<'_> {
-    fn k_row(&self, j: usize) -> &[f32] {
-        self.row(0, j)
-    }
-    fn v_row(&self, j: usize) -> &[f32] {
-        self.row(1, j)
     }
 }
 
@@ -591,18 +534,12 @@ pub(crate) fn slot_runs(slots: &[usize]) -> impl Iterator<Item = &[usize]> {
     slots.chunk_by(|a, b| a == b)
 }
 
-/// Shared argument validation of the batched step entry points
-/// ([`Transformer::forward_step_batch_with`] and the sharded engine's
-/// mirror): shape agreement, vocabulary bounds, and **one contiguous run
-/// per slot** — `[0, 0, 1]` is a run of two and a run of one, `[0, 1, 0]`
-/// is rejected. Position arithmetic and the page reservation both walk
-/// runs, which is why it is asserted here for every caller.
-pub(crate) fn validate_batch_step(
-    cfg: &ModelConfig,
-    tokens: &[usize],
-    slots: &[usize],
-    cache: &BatchKvCache,
-) {
+/// Argument validation of the step body, so of every forward entry point:
+/// shape agreement, vocabulary bounds, and **one contiguous run per
+/// slot** — `[0, 0, 1]` is a run of two and a run of one, `[0, 1, 0]` is
+/// rejected. Position arithmetic and the page reservation both walk runs,
+/// which is why it is asserted here for every caller.
+fn validate_batch_step(cfg: &ModelConfig, tokens: &[usize], slots: &[usize], cache: &BatchKvCache) {
     assert_eq!(tokens.len(), slots.len(), "one cache slot per token");
     assert!(!tokens.is_empty(), "batch must contain at least one sequence");
     assert_eq!(cache.n_layers, cfg.n_layers, "cache layer count mismatch");
@@ -619,25 +556,19 @@ pub(crate) fn validate_batch_step(
     }
 }
 
-/// One new query attending over a sequence's cached keys/values (the new
-/// position's K/V already written): multi-head scores with ALiBi bias,
-/// softmax, weighted V accumulation into `ctx`.
-///
-/// This is the single attention inner loop shared by
-/// [`Transformer::forward_step`] and
-/// [`Transformer::forward_step_batch`] — sharing it is what guarantees the
-/// two paths are arithmetically identical per sequence. It is generic over
-/// [`KvRows`] so the contiguous single-sequence cache and the paged
-/// page-table walk run the *same* arithmetic in the same order — row
-/// addressing is the only thing that differs.
-fn attend_one<R: KvRows>(cfg: &ModelConfig, q: &[f32], rows: &R, t: usize, ctx: &mut [f32]) {
+/// One query at position `t` attending over positions `0..=t` of its
+/// slot's cached keys/values (its own K/V already written): multi-head
+/// scores with ALiBi bias, softmax, weighted V accumulation into `ctx`.
+/// The crate's only attention; the test-only reference in `model` checks
+/// it against whole-window Q/K/V matrices.
+fn attend_one(cfg: &ModelConfig, q: &[f32], rows: &PagedRows, t: usize, ctx: &mut [f32]) {
     let dh = cfg.d_head();
     let inv_sqrt = 1.0 / (dh as f32).sqrt();
     let mut scores = vec![0.0f32; t + 1];
     for (head, &slope) in cfg.alibi_slopes.iter().enumerate() {
         let off = head * dh;
         for (j, s) in scores.iter_mut().enumerate() {
-            let krow = &rows.k_row(j)[off..off + dh];
+            let krow = &rows.row(0, j)[off..off + dh];
             let mut dot = 0.0f32;
             for (a, b) in q[off..off + dh].iter().zip(krow) {
                 dot += a * b;
@@ -649,7 +580,7 @@ fn attend_one<R: KvRows>(cfg: &ModelConfig, q: &[f32], rows: &R, t: usize, ctx: 
             if a == 0.0 {
                 continue;
             }
-            let vrow = &rows.v_row(j)[off..off + dh];
+            let vrow = &rows.row(1, j)[off..off + dh];
             for (c, &vv) in ctx[off..off + dh].iter_mut().zip(vrow) {
                 *c += a * vv;
             }
@@ -660,7 +591,7 @@ fn attend_one<R: KvRows>(cfg: &ModelConfig, q: &[f32], rows: &R, t: usize, ctx: 
 /// One batched step's attention for one layer. Row `i` of a run on a slot
 /// with `len` cached positions is position `t = len + i`: all K/V rows
 /// land first, then each row's query attends over positions `0..=t` of its
-/// slot through the unchanged [`attend_one`], accumulating into `ctx` row
+/// slot through [`attend_one`], accumulating into `ctx` row
 /// `i` — it never reads the run's later rows, so its arithmetic is exactly
 /// what feeding the run one token per step computes.
 ///
@@ -676,7 +607,7 @@ fn attend_one<R: KvRows>(cfg: &ModelConfig, q: &[f32], rows: &R, t: usize, ctx: 
 /// are parallelized (the Amdahl remainder of the channel-parallel
 /// kernels).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn attend_batch(
+fn attend_batch(
     cfg: &ModelConfig,
     layer: usize,
     q: &Matrix,
@@ -745,14 +676,15 @@ pub(crate) fn attend_batch(
     }
 }
 
-/// The one batched decode-step body shared by
-/// [`Transformer::forward_step_batch_with`] and the sharded engine's
-/// mirror: validation, embedding lookup, the per-layer attention + FFN
+/// The one transformer step body — every forward path of every engine
+/// runs it: validation, embedding lookup, the per-layer attention + FFN
 /// loop with every linear site supplied by `site_forward`, end-of-step
-/// K/V commit, head readout. Sharing the body is what makes the two
-/// engines arithmetically identical **by construction** — the only thing
-/// an engine chooses is how a linear site executes (fused in-place
-/// kernels vs broadcast + shard-parallel gather).
+/// K/V commit, head readout. Returns the logits and the final normalized
+/// hidden state they were read out from. Sharing the body is what makes
+/// the engines and entry points arithmetically identical **by
+/// construction** — the only thing a caller chooses is how a linear site
+/// executes (fused in-place kernels vs broadcast + shard-parallel gather)
+/// and what it records of each site's input on the way.
 ///
 /// `site_forward` is fallible so a distributed engine can abort the step
 /// when a shard group dies; an `Err` propagates out **before**
@@ -777,7 +709,7 @@ pub(crate) fn batched_step_body<E>(
     cache: &mut BatchKvCache,
     pool: Option<&fineq_core::ThreadPool>,
     mut site_forward: impl FnMut(usize, &[WeightSite], &Matrix) -> Result<Vec<Matrix>, E>,
-) -> Result<Matrix, E> {
+) -> Result<(Matrix, Matrix), E> {
     validate_batch_step(cfg, tokens, slots, cache);
     // Reserve every run's write targets up front (fresh pages, CoW
     // copies): all pool mutation is serial and done before any layer's
@@ -828,27 +760,8 @@ pub(crate) fn batched_step_body<E>(
         h.add_in_place(&ffn_out);
     }
     cache.commit_step(slots, tokens);
-    Ok(rmsnorm_rows(&h).matmul_transpose(head))
-}
-
-/// Row-vector * transposed-matrix helper: `y = x @ Wᵀ` for one position.
-fn vec_matmul_t(x: &[f32], w: &fineq_tensor::Matrix) -> Vec<f32> {
-    assert_eq!(x.len(), w.cols(), "shape mismatch");
-    (0..w.rows())
-        .map(|r| {
-            let mut acc = 0.0f32;
-            for (a, b) in x.iter().zip(w.row(r)) {
-                acc += a * b;
-            }
-            acc
-        })
-        .collect()
-}
-
-fn rmsnorm_vec(x: &[f32]) -> Vec<f32> {
-    let ms: f32 = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
-    let inv = 1.0 / (ms + 1e-6).sqrt();
-    x.iter().map(|v| v * inv).collect()
+    let hidden = rmsnorm_rows(&h);
+    Ok((hidden.matmul_transpose(head), hidden))
 }
 
 /// Temperature sampling from one logits row: the single sampling
@@ -864,67 +777,19 @@ pub(crate) fn sample_token(logits: &[f32], temperature: f32, rng: &mut Rng) -> u
 
 impl Transformer {
     /// Decodes one token incrementally: appends this position's keys and
-    /// values to `cache` and returns the next-token logits.
+    /// values to `cache` and returns the next-token logits — a one-row
+    /// [`Transformer::forward_step_batch`] on the cache's one slot.
     ///
-    /// Equivalent to running [`Transformer::forward`] on the whole prefix
-    /// and taking the last logits row (asserted by tests), at
-    /// `O(T)` instead of `O(T^2)` attention cost for the new position.
+    /// Bit-identical to the last row of [`Transformer::forward`] over the
+    /// whole prefix (asserted by tests), at `O(T)` instead of `O(T^2)`
+    /// attention cost for the new position.
     ///
     /// # Panics
     ///
     /// Panics if `token` is out of vocabulary or the cache shape does not
     /// match the model.
     pub fn forward_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        let cfg = self.config();
-        assert!(token < cfg.vocab, "token id {token} out of vocabulary");
-        assert_eq!(cache.layers.len(), cfg.n_layers, "cache layer count mismatch");
-        assert_eq!(cache.d_model, cfg.d_model, "cache width mismatch");
-        let d = cfg.d_model;
-        let t = cache.len;
-
-        // Per-site output buffers hoisted out of the layer loop
-        // (`matvec_into` overwrites them whole), and the pool — if the
-        // model carries one — fans each packed site's channels out.
-        let pool = self.pool_ref();
-        let mut q = vec![0.0f32; d];
-        let mut k = vec![0.0f32; d];
-        let mut v = vec![0.0f32; d];
-        let mut ctx = vec![0.0f32; d];
-        let mut attn_out = vec![0.0f32; d];
-        let mut mid = vec![0.0f32; cfg.d_ff];
-        let mut ffn_out = vec![0.0f32; d];
-
-        let mut h = self.embedding().row(token).to_vec();
-        for l in 0..cfg.n_layers {
-            // ---- attention ----
-            let x = rmsnorm_vec(&h);
-            self.weight(l, WeightSite::AttnQ).matvec_into(&x, &mut q, pool);
-            self.weight(l, WeightSite::AttnK).matvec_into(&x, &mut k, pool);
-            self.weight(l, WeightSite::AttnV).matvec_into(&x, &mut v, pool);
-            cache.push(l, &k, &v);
-            let (ks, vs) = &cache.layers[l];
-            ctx.fill(0.0);
-            attend_one(cfg, &q, &ContigRows { ks, vs, d }, t, &mut ctx);
-            self.weight(l, WeightSite::AttnO).matvec_into(&ctx, &mut attn_out, pool);
-            for (hv, a) in h.iter_mut().zip(&attn_out) {
-                *hv += a;
-            }
-
-            // ---- FFN ----
-            let x2 = rmsnorm_vec(&h);
-            self.weight(l, WeightSite::FfnUp).matvec_into(&x2, &mut mid, pool);
-            match cfg.activation {
-                Activation::Relu => mid.iter_mut().for_each(|m| *m = activation::relu(*m)),
-                Activation::Silu => mid.iter_mut().for_each(|m| *m = activation::silu(*m)),
-            }
-            self.weight(l, WeightSite::FfnDown).matvec_into(&mid, &mut ffn_out, pool);
-            for (hv, f) in h.iter_mut().zip(&ffn_out) {
-                *hv += f;
-            }
-        }
-        cache.len += 1;
-        let hf = rmsnorm_vec(&h);
-        vec_matmul_t(&hf, self.head())
+        self.forward_step_batch(&[token], &[0], &mut cache.0).into_vec()
     }
 
     /// Decodes the next tokens of several independent sequences in a
@@ -943,11 +808,10 @@ impl Transformer {
     /// built on. Attention stays per-sequence against each slot's own K/V
     /// history.
     ///
-    /// Each row's arithmetic is independent of its batchmates and ordered
-    /// exactly as in [`Transformer::forward_step`], so its logits are
-    /// **bit-identical** to stepping that sequence alone one token at a
-    /// time (asserted by tests) — neither batch composition nor the split
-    /// of a sequence into runs can change its output.
+    /// Each row's arithmetic is independent of its batchmates, so its
+    /// logits are **bit-identical** to stepping that sequence alone one
+    /// token at a time (asserted by tests) — neither batch composition nor
+    /// the split of a sequence into runs can change its output.
     ///
     /// # Panics
     ///
@@ -980,6 +844,22 @@ impl Transformer {
         cache: &mut BatchKvCache,
         scratch: &mut KernelScratch,
     ) -> Matrix {
+        self.step_observing(tokens, slots, cache, scratch, |_| {}).0
+    }
+
+    /// [`Transformer::forward_step_batch_with`] that shows `observe` the
+    /// input of every site group in the order the step body runs them —
+    /// per layer: Q/K/V, O, up, down — and also returns the final
+    /// normalized hidden state: logits first. The in-process caller of the
+    /// step body; a full-window forward pass is one call of it.
+    pub(crate) fn step_observing(
+        &self,
+        tokens: &[usize],
+        slots: &[usize],
+        cache: &mut BatchKvCache,
+        scratch: &mut KernelScratch,
+        mut observe: impl FnMut(&Matrix),
+    ) -> (Matrix, Matrix) {
         // The caller-owned scratch is shared across every layer's six
         // linear sites; the model's pool (if any) fans packed channel
         // loops — and the per-row attention loop — across workers without
@@ -996,6 +876,7 @@ impl Transformer {
             // Site groups run in order — in-process there is nothing to
             // overlap.
             |l, sites, a| {
+                observe(a);
                 Ok(sites
                     .iter()
                     .map(|&site| self.weight(l, site).matmul_t_with(a, scratch, pool))
@@ -1210,9 +1091,8 @@ mod tests {
                 assert_eq!(batch.slot_len(s), seqs[s].len());
                 assert_eq!(batch.slot_tokens(s), &seqs[s][..], "fed tokens are recorded");
                 for l in 0..cfg.n_layers {
-                    let (ks, vs) = batch.slot_kv(s, l);
-                    let (sk, sv) = solo[s].layer_kv(l);
-                    assert_eq!((&ks[..], &vs[..]), (sk, sv), "cache contents must match too");
+                    let solo_kv = solo[s].0.slot_kv(0, l);
+                    assert_eq!(batch.slot_kv(s, l), solo_kv, "cache contents must match too");
                 }
             }
         }
@@ -1462,13 +1342,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_matmul_t_matches_matrix_path() {
-        let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![-0.5, 0.25]]);
-        let y = vec_matmul_t(&[3.0, 4.0], &w);
-        assert_eq!(y, vec![11.0, -0.5]);
-    }
-
-    #[test]
     fn page_size_is_invisible_to_decoding() {
         // The same ragged schedule through page sizes 1/2/3/16 must leave
         // logically equal caches and produce identical logits — page
@@ -1529,9 +1402,7 @@ mod tests {
         let solo1 = model.forward_step(b, &mut solo);
         assert_eq!(out.row(1), &solo1[..], "diverged shared slot matches its solo reference");
         for l in 0..cfg.n_layers {
-            let (ks, vs) = cache.slot_kv(1, l);
-            let (sk, sv) = solo.layer_kv(l);
-            assert_eq!((&ks[..], &vs[..]), (sk, sv), "layer {l} history");
+            assert_eq!(cache.slot_kv(1, l), solo.0.slot_kv(0, l), "layer {l} history");
         }
     }
 
@@ -1578,9 +1449,7 @@ mod tests {
                 let _ = model.forward_step(t, &mut solo);
             }
             for l in 0..cfg.n_layers {
-                let (ks, vs) = cache.slot_kv(slot, l);
-                let (sk, sv) = solo.layer_kv(l);
-                assert_eq!((&ks[..], &vs[..]), (sk, sv), "slot {slot} layer {l}");
+                assert_eq!(cache.slot_kv(slot, l), solo.0.slot_kv(0, l), "slot {slot} layer {l}");
             }
         }
 

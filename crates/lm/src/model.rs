@@ -11,9 +11,10 @@
 //! quantizer output can be written straight back into the model (see
 //! [`Transformer::weight_mut`]), dense or packed alike.
 
-use crate::config::{Activation, ModelConfig};
+use crate::config::ModelConfig;
+use crate::generate::BatchKvCache;
 use fineq_core::{KernelScratch, PackedMatrix, ThreadPool};
-use fineq_tensor::{activation, softmax_in_place, Matrix};
+use fineq_tensor::Matrix;
 use std::sync::Arc;
 
 /// Backend storage of one linear layer's weights.
@@ -144,41 +145,6 @@ impl LinearWeight {
                 p.matmul_t_into_with(a, &mut out, scratch, pool);
                 out
             }
-        }
-    }
-
-    /// `y = W x` for a single activation vector: the incremental-decoding
-    /// forward op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the weight columns.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.rows()];
-        self.matvec_into(x, &mut out, None);
-        out
-    }
-
-    /// In-place [`LinearWeight::matvec`]: `y = W x` written into a reused
-    /// `out`, with packed sites optionally distributing the channel loop
-    /// over `pool` (bit-identical to serial at any thread count). The
-    /// incremental decode loop calls this once per site per layer with
-    /// buffers hoisted out of the layer loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the weight columns or `out.len()`
-    /// from the weight rows.
-    pub fn matvec_into(&self, x: &[f32], out: &mut [f32], pool: Option<&ThreadPool>) {
-        match self {
-            LinearWeight::Dense(m) => {
-                assert_eq!(x.len(), m.cols(), "matvec shape mismatch");
-                assert_eq!(out.len(), m.rows(), "matvec output mismatch");
-                for (o, r) in out.iter_mut().zip(0..m.rows()) {
-                    *o = m.row(r).iter().zip(x).map(|(a, b)| a * b).sum();
-                }
-            }
-            LinearWeight::Packed(p) => p.matvec_into(x, out, pool),
         }
     }
 
@@ -385,8 +351,8 @@ impl PartialEq for Transformer {
 
 /// Row-wise RMS normalization (no learned gain; the constructed models do
 /// not need one and it keeps every quantizable parameter inside `Matrix`
-/// weights). Shared with the batched serving step in `generate`, whose
-/// per-row arithmetic must match the single-sequence path exactly.
+/// weights). Each row is normalized on its own, which the step body in
+/// `generate` relies on: a row's value never depends on its batchmates.
 pub(crate) fn rmsnorm_rows(m: &Matrix) -> Matrix {
     let cols = m.cols();
     let mut out = Matrix::zeros(m.rows(), cols);
@@ -527,112 +493,39 @@ impl Transformer {
     ///
     /// Panics if `tokens` is empty or contains an id `>= vocab`.
     pub fn forward(&self, tokens: &[usize]) -> Matrix {
-        self.forward_impl(tokens, None)
+        self.forward_window(tokens, |_| {}).0
     }
 
     /// Like [`Transformer::forward`], additionally returning the
     /// activation trace used to calibrate GPTQ/OWQ.
     pub fn forward_with_trace(&self, tokens: &[usize]) -> (Matrix, ActivationTrace) {
-        let mut trace = ActivationTrace { layers: Vec::new(), final_hidden: Matrix::zeros(1, 1) };
-        let logits = self.forward_impl(tokens, Some(&mut trace));
-        (logits, trace)
+        let mut inputs = Vec::with_capacity(4 * self.n_layers());
+        let (logits, final_hidden) = self.forward_window(tokens, |a| inputs.push(a.clone()));
+        let mut inputs = inputs.into_iter();
+        let mut next = || inputs.next().expect("four site groups per layer");
+        // Struct fields evaluate in source order: the body's group order.
+        let layers = (0..self.n_layers())
+            .map(|_| LayerTrace {
+                attn_input: next(),
+                attn_ctx: next(),
+                ffn_input: next(),
+                ffn_mid: next(),
+            })
+            .collect();
+        (logits, ActivationTrace { layers, final_hidden })
     }
 
-    fn forward_impl(&self, tokens: &[usize], mut trace: Option<&mut ActivationTrace>) -> Matrix {
+    /// The whole window as one run of `T` rows on a fresh one-slot cache
+    /// (a single `T`-position page): the serving step body, which shows
+    /// `observe` each site group's input. Returns the logits and the final
+    /// normalized hidden state.
+    fn forward_window(&self, tokens: &[usize], observe: impl FnMut(&Matrix)) -> (Matrix, Matrix) {
         assert!(!tokens.is_empty(), "token window must be non-empty");
         let t_len = tokens.len();
-        let d = self.cfg.d_model;
-
-        // Embedding lookup.
-        let mut h = Matrix::zeros(t_len, d);
-        for (t, &tok) in tokens.iter().enumerate() {
-            assert!(tok < self.cfg.vocab, "token id {tok} out of vocabulary");
-            h.row_mut(t).copy_from_slice(self.embedding.row(tok));
-        }
-
-        // One kernel scratch survives all layers' linear sites; the pool
-        // (if any) fans each packed site's channel loop across workers.
-        let mut scratch = KernelScratch::new();
-        let pool = self.pool_ref();
-        for block in &self.blocks {
-            // ---- attention sub-block ----
-            let x = rmsnorm_rows(&h);
-            let q = block.wq.matmul_t_with(&x, &mut scratch, pool);
-            let k = block.wk.matmul_t_with(&x, &mut scratch, pool);
-            let v = block.wv.matmul_t_with(&x, &mut scratch, pool);
-            let ctx = self.attention(&q, &k, &v);
-            let attn_out = block.wo.matmul_t_with(&ctx, &mut scratch, pool);
-            h.add_in_place(&attn_out);
-
-            // ---- FFN sub-block ----
-            let x2 = rmsnorm_rows(&h);
-            let mut mid = block.w1.matmul_t_with(&x2, &mut scratch, pool);
-            match self.cfg.activation {
-                Activation::Relu => {
-                    for m in mid.as_mut_slice() {
-                        *m = activation::relu(*m);
-                    }
-                }
-                Activation::Silu => {
-                    for m in mid.as_mut_slice() {
-                        *m = activation::silu(*m);
-                    }
-                }
-            }
-            let ffn_out = block.w2.matmul_t_with(&mid, &mut scratch, pool);
-            h.add_in_place(&ffn_out);
-
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.layers.push(LayerTrace {
-                    attn_input: x,
-                    attn_ctx: ctx,
-                    ffn_input: x2,
-                    ffn_mid: mid,
-                });
-            }
-        }
-
-        let hf = rmsnorm_rows(&h);
-        let logits = hf.matmul_transpose(&self.head);
-        if let Some(tr) = trace {
-            tr.final_hidden = hf;
-        }
-        logits
-    }
-
-    /// Multi-head causal attention with ALiBi bias.
-    fn attention(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        let t_len = q.rows();
-        let dh = self.cfg.d_head();
-        let inv_sqrt = 1.0 / (dh as f32).sqrt();
-        let mut ctx = Matrix::zeros(t_len, self.cfg.d_model);
-        let mut scores = vec![0.0f32; t_len];
-        for (head, &slope) in self.cfg.alibi_slopes.iter().enumerate() {
-            let off = head * dh;
-            for t in 0..t_len {
-                let qrow = &q.row(t)[off..off + dh];
-                for (j, s) in scores.iter_mut().enumerate().take(t + 1) {
-                    let krow = &k.row(j)[off..off + dh];
-                    let mut dot = 0.0f32;
-                    for (a, b) in qrow.iter().zip(krow) {
-                        dot += a * b;
-                    }
-                    *s = dot * inv_sqrt - slope * (t - j) as f32;
-                }
-                softmax_in_place(&mut scores[..t + 1]);
-                let crow = ctx.row_mut(t);
-                for (j, &a) in scores.iter().enumerate().take(t + 1) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let vrow = &v.row(j)[off..off + dh];
-                    for (c, &vv) in crow[off..off + dh].iter_mut().zip(vrow) {
-                        *c += a * vv;
-                    }
-                }
-            }
-        }
-        ctx
+        let mut cache =
+            BatchKvCache::with_page_tokens(self.cfg.n_layers, self.cfg.d_model, 1, t_len);
+        let slots = vec![0; t_len];
+        self.step_observing(tokens, &slots, &mut cache, &mut KernelScratch::new(), observe)
     }
 }
 
@@ -829,32 +722,10 @@ mod tests {
         let dense = LinearWeight::Dense(packed.dequantize());
         let lw = LinearWeight::Packed(packed);
         assert_eq!((lw.rows(), lw.cols(), lw.len()), (10, 21, 210));
-        let x: Vec<f32> = (0..21).map(|_| rng.normal(0.0, 1.0)).collect();
-        for (a, b) in lw.matvec(&x).iter().zip(dense.matvec(&x)) {
-            assert!((a - b).abs() < 1e-5);
-        }
         let a = Matrix::from_fn(4, 21, |_, _| rng.normal(0.0, 1.0));
         assert!(lw.matmul_t(&a).sub(&dense.matmul_t(&a)).abs_max() < 1e-5);
         assert_eq!(lw.to_dense(), dense.to_dense());
         assert!(lw.footprint_bytes() < dense.footprint_bytes() / 4);
-    }
-
-    #[test]
-    fn matmul_t_rows_are_bit_identical_to_matvec_on_both_backends() {
-        // The batched serving step runs every linear site through
-        // `matmul_t` on stacked activations; a batch-of-1 step is only
-        // token-identical to `forward_step` (which uses `matvec`) if each
-        // result row matches the single-vector path bit-for-bit.
-        let mut rng = Rng::seed_from(14);
-        let w = Matrix::from_fn(9, 23, |_, _| rng.laplace(0.0, 0.05));
-        let packed = fineq_core::FineQuantizer::paper().quantize_packed(&w);
-        for lw in [LinearWeight::Dense(w), LinearWeight::Packed(packed)] {
-            let a = Matrix::from_fn(5, 23, |_, _| rng.normal(0.0, 1.0));
-            let batched = lw.matmul_t(&a);
-            for t in 0..a.rows() {
-                assert_eq!(batched.row(t), &lw.matvec(a.row(t))[..], "row {t} of {lw:?}");
-            }
-        }
     }
 
     #[test]

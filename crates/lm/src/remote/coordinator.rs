@@ -1180,6 +1180,7 @@ impl ServeModel for RemoteShardedModel {
             None,
             |l, sites, a| self.try_site_gather_group(l, sites, a).map_err(StepError::from),
         )
+        .map(|(logits, _)| logits)
     }
 
     fn transport_health(&self) -> Option<TransportHealth> {

@@ -432,6 +432,7 @@ impl ShardedModel {
             },
         )
         .unwrap_or_else(|e| match e {})
+        .0
     }
 }
 

@@ -4,8 +4,9 @@
 //! The central property: batching is **invisible** to any single request.
 //! Whatever the batch size, admission order, or backfill timing, a request
 //! produces token-identical output to `Transformer::generate` on the same
-//! model with the same seed, because every per-sequence arithmetic step of
-//! `forward_step_batch` is ordered exactly as in `forward_step`.
+//! model with the same seed, because `forward_step` is itself a one-row
+//! `forward_step_batch` — one step body — and each row's arithmetic is
+//! independent of its batchmates.
 
 use fineq::core::FineQuantizer;
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
