@@ -375,10 +375,8 @@ impl BatchKvCache {
             page_tokens: self.page_tokens,
             d,
         };
-        for j in 0..len {
-            ks.extend_from_slice(rows.row(0, j));
-            vs.extend_from_slice(rows.row(1, j));
-        }
+        rows.rows(0, len).for_each(|r| ks.extend_from_slice(r));
+        rows.rows(1, len).for_each(|r| vs.extend_from_slice(r));
         (ks, vs)
     }
 
@@ -519,11 +517,14 @@ struct PagedRows<'a> {
 }
 
 impl PagedRows<'_> {
-    /// Position `j`'s K (`kv = 0`) or V (`kv = 1`) row.
-    fn row(&self, kv: usize, j: usize) -> &[f32] {
-        let data = &self.pages[self.table[j / self.page_tokens]].data;
-        let base = ((self.layer * 2 + kv) * self.page_tokens + j % self.page_tokens) * self.d;
-        &data[base..base + self.d]
+    /// Positions `0..n`'s K (`kv = 0`) or V (`kv = 1`) rows in order,
+    /// walked page by page (no per-row page arithmetic).
+    fn rows(&self, kv: usize, n: usize) -> impl Iterator<Item = &[f32]> + '_ {
+        let span = self.page_tokens * self.d;
+        let base = (self.layer * 2 + kv) * span;
+        let page_rows =
+            move |&p: &usize| self.pages[p].data[base..base + span].chunks_exact(self.d);
+        self.table.iter().flat_map(page_rows).take(n)
     }
 }
 
@@ -567,8 +568,8 @@ fn attend_one(cfg: &ModelConfig, q: &[f32], rows: &PagedRows, t: usize, ctx: &mu
     let mut scores = vec![0.0f32; t + 1];
     for (head, &slope) in cfg.alibi_slopes.iter().enumerate() {
         let off = head * dh;
-        for (j, s) in scores.iter_mut().enumerate() {
-            let krow = &rows.row(0, j)[off..off + dh];
+        for (j, (s, krow)) in scores.iter_mut().zip(rows.rows(0, t + 1)).enumerate() {
+            let krow = &krow[off..off + dh];
             let mut dot = 0.0f32;
             for (a, b) in q[off..off + dh].iter().zip(krow) {
                 dot += a * b;
@@ -576,11 +577,11 @@ fn attend_one(cfg: &ModelConfig, q: &[f32], rows: &PagedRows, t: usize, ctx: &mu
             *s = dot * inv_sqrt - slope * (t - j) as f32;
         }
         softmax_in_place(&mut scores);
-        for (j, &a) in scores.iter().enumerate() {
+        for (&a, vrow) in scores.iter().zip(rows.rows(1, t + 1)) {
             if a == 0.0 {
                 continue;
             }
-            let vrow = &rows.row(1, j)[off..off + dh];
+            let vrow = &vrow[off..off + dh];
             for (c, &vv) in ctx[off..off + dh].iter_mut().zip(vrow) {
                 *c += a * vv;
             }

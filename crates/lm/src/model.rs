@@ -503,7 +503,8 @@ impl Transformer {
         let (logits, final_hidden) = self.forward_window(tokens, |a| inputs.push(a.clone()));
         let mut inputs = inputs.into_iter();
         let mut next = || inputs.next().expect("four site groups per layer");
-        // Struct fields evaluate in source order: the body's group order.
+        // The body runs each layer's site groups Q/K/V, O, up, down, and
+        // struct fields evaluate in source order.
         let layers = (0..self.n_layers())
             .map(|_| LayerTrace {
                 attn_input: next(),
