@@ -338,6 +338,7 @@ impl IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng;
 
     #[test]
     fn zeros_has_correct_shape_and_content() {
@@ -383,13 +384,75 @@ mod tests {
         assert_eq!(y.row(0), &[35.0, 29.0, 26.0, 37.0]);
     }
 
+    /// `got == want` bit for bit: unlike `==`, tells `-0.0` from `+0.0`.
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows, got.cols), (want.rows, want.cols), "{what}: shape");
+        for (k, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {k} reads {g:e}, want {w:e}");
+        }
+    }
+
     #[test]
     fn matmul_transpose_agrees_with_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.25 - 1.0);
         let b = Matrix::from_fn(5, 4, |r, c| ((r + 2 * c) % 7) as f32 - 3.0);
-        let fast = a.matmul_transpose(&b);
-        let slow = a.matmul(&b.transpose());
-        assert_eq!(fast, slow);
+        assert_bits_eq(&a.matmul_transpose(&b), &a.matmul(&b.transpose()), "3x4 @ (5x4)^T");
+    }
+
+    /// The reference `matmul_transpose` must equal: one sequential chain
+    /// per output, starting from `+0.0`, multiply then add, in column
+    /// order.
+    fn scalar_chain_matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows, b.rows, |i, j| {
+            let mut acc = 0.0f32;
+            for (x, w) in a.row(i).iter().zip(b.row(j)) {
+                acc += x * w;
+            }
+            acc
+        })
+    }
+
+    #[test]
+    fn matmul_transpose_is_bit_equal_to_one_scalar_chain_per_output() {
+        // Every row count a panel split can meet (one row, each tile's
+        // padding, full panels, a panel plus one) against short, odd and
+        // model-sized reductions. A quarter of the entries are ±0.0 and
+        // three eighths small half-integers whose products cancel exactly;
+        // every seventh row of `a` is all -0.0 and every fourth row of `b`
+        // all 1.0, so those outputs are sums of -0.0 products alone — a
+        // kernel whose chains start anywhere but +0.0 reads -0.0 there.
+        let mut rng = Rng::seed_from(0xD07);
+        let entry = |rng: &mut Rng| match rng.below(8) {
+            0 => 0.0,
+            1 => -0.0,
+            2..=4 => (rng.below(7) as f32 - 3.0) * 0.5,
+            _ => rng.normal(0.0, 1.0),
+        };
+        for rows in [1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17, 32, 33] {
+            for cols in [1usize, 7, 96, 256] {
+                for others in [1usize, 5, 64, 256] {
+                    let a = Matrix::from_fn(rows, cols, |r, _| {
+                        if r % 7 == 2 {
+                            -0.0
+                        } else {
+                            entry(&mut rng)
+                        }
+                    });
+                    let b = Matrix::from_fn(others, cols, |r, _| {
+                        if r % 4 == 3 {
+                            1.0
+                        } else {
+                            entry(&mut rng)
+                        }
+                    });
+                    assert_bits_eq(
+                        &a.matmul_transpose(&b),
+                        &scalar_chain_matmul_transpose(&a, &b),
+                        &format!("{rows}x{cols} @ ({others}x{cols})^T"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]
