@@ -26,6 +26,15 @@ use std::time::Instant;
 
 /// Timed repeats of a `first_token` row; the median is reported.
 const SAMPLES: usize = 9;
+/// Timed repeats of a one-step row of `forward` and `attention`.
+const STEP_SAMPLES: usize = 31;
+
+/// The median of `n` samples of `sample`, each a µs reading.
+fn median_us(n: usize, mut sample: impl FnMut() -> f64) -> f64 {
+    let mut us: Vec<f64> = (0..n).map(|_| sample()).collect();
+    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    us[n / 2]
+}
 
 fn weights(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = Rng::seed_from(seed);
@@ -126,6 +135,24 @@ fn bench_matmul_t() {
     }
 }
 
+/// The fp32 logit readout `hidden · headᵀ` ([`Matrix::matmul_transpose`],
+/// the dense panel kernel) at the row counts that exercise each of its
+/// tiles, for the head of the Sim3B preset `quantize_pack` serves
+/// (256 × 96) and the gate-shape head (64 × 256).
+fn bench_head_readout() {
+    section("head readout: matmul_transpose, rows of hidden state");
+    let mut rng = Rng::seed_from(17);
+    for (name, vocab, d_model) in [("Sim3B 256x96", 256usize, 96usize), ("gate 64x256", 64, 256)] {
+        let head = Matrix::from_fn(vocab, d_model, |_, _| rng.normal(0.0, 0.3));
+        for t_len in [1usize, 10, 16, 32] {
+            let hidden = Matrix::from_fn(t_len, d_model, |_, _| rng.normal(0.0, 1.0));
+            bench(&format!("head readout {name} x{t_len}"), || {
+                black_box(&hidden).matmul_transpose(black_box(&head))
+            });
+        }
+    }
+}
+
 fn bench_arrays() {
     section("array GEMM 32x256x64");
     let w = weights(32, 256, 5);
@@ -156,21 +183,58 @@ fn bench_forward() {
     for &tok in &window[..64] {
         packed.forward_step(tok, &mut cache);
     }
-    const STEP_SAMPLES: usize = 31;
-    let mut us: Vec<f64> = (0..STEP_SAMPLES)
-        .map(|_| {
-            let mut c = cache.clone();
-            let t = Instant::now();
-            black_box(packed.forward_step(black_box(window[64]), &mut c));
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let us = median_us(STEP_SAMPLES, || {
+        let mut c = cache.clone();
+        let t = Instant::now();
+        black_box(packed.forward_step(black_box(window[64]), &mut c));
+        t.elapsed().as_secs_f64() * 1e6
+    });
     println!(
-        "{:<44} {:>10.0} us   (median of {STEP_SAMPLES})",
-        "forward_step solo packed gate shape, 64 cached",
-        us[STEP_SAMPLES / 2]
+        "{:<44} {us:>10.0} us   (median of {STEP_SAMPLES})",
+        "forward_step solo packed gate shape, 64 cached"
     );
+}
+
+/// Attention's cost per cached position, read from outside the step: a
+/// batch-16 step (one row per slot) and a one-row step of the packed gate
+/// shape with 16, 64 and 256 positions cached per stepped slot. The sites
+/// and the head cost the same at every context, so the slope between rows
+/// is attention's — printed per row count as µs per cached position.
+fn bench_attention() {
+    section("attention: packed gate-shape step vs cached positions per slot");
+    let model = fixture_model();
+    let cfg = model.config().clone();
+    for rows in [16usize, 1] {
+        let mut by_ctx = Vec::new();
+        for ctx in [16usize, 64, 256] {
+            let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 16);
+            for slot in 0..rows {
+                let prompt: Vec<usize> = (0..ctx).map(|i| (i * 5 + slot * 11 + 1) % 64).collect();
+                model.forward_step_batch(&prompt, &vec![slot; ctx], &mut cache);
+            }
+            let tokens: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % 64).collect();
+            let slots: Vec<usize> = (0..rows).collect();
+            // Every sample steps its own copy of the filled cache, so the
+            // context never grows.
+            let us = median_us(STEP_SAMPLES, || {
+                let mut c = cache.clone();
+                let t = Instant::now();
+                black_box(model.forward_step_batch(black_box(&tokens), &slots, &mut c));
+                t.elapsed().as_secs_f64() * 1e6
+            });
+            println!(
+                "{:<44} {us:>10.0} us   (median of {STEP_SAMPLES})",
+                format!("attention step x{rows}, {ctx} cached")
+            );
+            by_ctx.push((ctx, us));
+        }
+        let ((c0, us0), (c1, us1)) = (by_ctx[0], by_ctx[by_ctx.len() - 1]);
+        println!(
+            "{:<44} {:>10.2} us per cached position",
+            format!("attention slope x{rows}, {c0}..{c1} cached"),
+            (us1 - us0) / (c1 - c0) as f64
+        );
+    }
 }
 
 /// A serving-sized model (the `bench/` gate shape, 64-token vocabulary,
@@ -204,32 +268,28 @@ fn bench_first_token() {
     for decoding in [0usize, 15] {
         for prompt_len in [8usize, 24, 104] {
             let mut steps = 0;
-            let mut us: Vec<f64> = (0..SAMPLES)
-                .map(|_| {
-                    let mut sched = BatchScheduler::new(model.clone(), 16);
-                    for id in 0..decoding as u64 {
-                        let req = ServeRequest::new(id, vec![1 + id as usize], 1 << 20);
-                        sched.submit(req).expect("no page budget");
-                    }
-                    for _ in 0..8 {
-                        sched.step();
-                    }
-                    let prompt = (0..prompt_len).map(|i| (i * 5 + 1) % 64).collect();
-                    let t = Instant::now();
-                    sched.submit(ServeRequest::new(u64::MAX, prompt, 1)).expect("no page budget");
-                    steps = 0;
-                    while sched.take_finished().is_empty() {
-                        black_box(sched.step());
-                        steps += 1;
-                    }
-                    t.elapsed().as_secs_f64() * 1e6
-                })
-                .collect();
-            us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            let us = median_us(SAMPLES, || {
+                let mut sched = BatchScheduler::new(model.clone(), 16);
+                for id in 0..decoding as u64 {
+                    let req = ServeRequest::new(id, vec![1 + id as usize], 1 << 20);
+                    sched.submit(req).expect("no page budget");
+                }
+                for _ in 0..8 {
+                    sched.step();
+                }
+                let prompt = (0..prompt_len).map(|i| (i * 5 + 1) % 64).collect();
+                let t = Instant::now();
+                sched.submit(ServeRequest::new(u64::MAX, prompt, 1)).expect("no page budget");
+                steps = 0;
+                while sched.take_finished().is_empty() {
+                    black_box(sched.step());
+                    steps += 1;
+                }
+                t.elapsed().as_secs_f64() * 1e6
+            });
             println!(
-                "{:<44} {steps:>4} steps {:>10.0} us   (median of {SAMPLES})",
-                format!("first_token prompt {prompt_len}, {decoding} decoding"),
-                us[SAMPLES / 2]
+                "{:<44} {steps:>4} steps {us:>10.0} us   (median of {SAMPLES})",
+                format!("first_token prompt {prompt_len}, {decoding} decoding")
             );
         }
     }
@@ -334,8 +394,10 @@ fn main() {
         ("quantizers", bench_quantizers),
         ("pack_decode", bench_pack_decode),
         ("matmul_t", bench_matmul_t),
+        ("head_readout", bench_head_readout),
         ("arrays", bench_arrays),
         ("forward", bench_forward),
+        ("attention", bench_attention),
     ];
     let only = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     for &(name, run) in sections {
