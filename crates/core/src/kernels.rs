@@ -17,7 +17,9 @@
 //!   ([`matmul_t_sharded_into`]) and through it the remote worker run
 //!   `N ∈ {1, 4, 8, 16}` over activations restaged column-major in panels
 //!   of at most 16 rows, zero-padded to the tile — any batch of 1–16 rows
-//!   is one pass over the stream, each further 16 rows one more. Per block
+//!   is one pass over the stream, each further 16 rows one more. The panel
+//!   layout and the tile dispatch are [`fineq_tensor::panel`]'s, shared
+//!   with the dense `Matrix::matmul_transpose` (the fp32 head). Per block
 //!   it derives a *live-cluster* mask from the raw index byte and 48-bit
 //!   data word in about ten register ops (a field is dead iff its magnitude
 //!   bits are clear), then visits only the set bits: one [`DECODE_INTS`]
@@ -81,8 +83,13 @@ use crate::pack::{
     CLUSTERS_PER_BLOCK, CLUSTER_DATA_BITS, CODE_BITS, DECODE_INTS, WEIGHTS_PER_BLOCK,
 };
 use crate::pool::ThreadPool;
+use fineq_tensor::panel::{for_each_row, restage_columns, PanelKernel};
 use fineq_tensor::Matrix;
 use std::borrow::Borrow;
+
+// The walk's widest tile: the serving scheduler deals out the rows a
+// step leaves free in its last panel.
+pub use fineq_tensor::panel::MAX_TILE;
 
 // ---- SWAR wide-word block decode -----------------------------------------
 //
@@ -263,54 +270,6 @@ impl KernelScratch {
     }
 }
 
-/// The widest row tile the walk is instantiated at: a batch is cut into
-/// panels of at most this many activation rows, one stream walk each —
-/// which is why a serving step with fewer rows than a whole number of
-/// panels has rows to give away (the scheduler in `fineq-lm` deals them to
-/// sequences with prompt or replay tokens still to feed).
-pub const MAX_TILE: usize = 16;
-
-/// The row panels of a `t_len`-row batch as `(first_row, rows, tile)`:
-/// `rows <= MAX_TILE` rows served by the narrowest instantiated tile
-/// (1, 4, 8 or 16 columns) that holds them.
-fn row_panels(t_len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    (0..t_len).step_by(MAX_TILE).map(move |t0| {
-        let rows = (t_len - t0).min(MAX_TILE);
-        let tile = match rows {
-            1 => 1,
-            2..=4 => 4,
-            5..=8 => 8,
-            _ => MAX_TILE,
-        };
-        (t0, rows, tile)
-    })
-}
-
-/// Restages row-major activations `a` (`T x cols`) into `buf` as one
-/// column-major panel per [`row_panels`] entry, back to back: within a
-/// panel of tile width `n`, `panel[i * n + t] == a[(first_row + t, i)]`
-/// and the columns past the panel's rows are zero — the layout
-/// [`walk`] consumes (`n` contiguous values per weight index). Factored
-/// out of the batched GEMM so the sharded gather restages the batch
-/// **once** and broadcasts the same buffer to every shard.
-fn restage_columns<'s>(a: &Matrix, buf: &'s mut Vec<f32>) -> &'s [f32] {
-    let cols = a.cols();
-    let padded: usize = row_panels(a.rows()).map(|(_, _, tile)| tile).sum();
-    buf.clear();
-    buf.resize(cols * padded, 0.0);
-    let mut panels = &mut buf[..];
-    for (t0, rows, tile) in row_panels(a.rows()) {
-        let (panel, rest) = panels.split_at_mut(cols * tile);
-        for t in 0..rows {
-            for (i, &v) in a.row(t0 + t).iter().enumerate() {
-                panel[i * tile + t] = v;
-            }
-        }
-        panels = rest;
-    }
-    buf
-}
-
 /// Mutable access to disjoint ranges of one output buffer from concurrent
 /// workers. Safety rests on the caller: every index must be written by at
 /// most one worker (the kernels partition by channel, and each channel
@@ -451,30 +410,13 @@ fn walk<const N: usize>(ch: &PackedChannel, panel: &[f32]) -> [f32; N] {
     std::array::from_fn(|c| ch.scale2 * acc2[c] + ch.scale3 * acc3[c])
 }
 
-/// One channel against every panel of a restaged batch (the layout of
-/// [`restage_columns`]): one [`walk`] per panel at the panel's tile width,
-/// then `emit(t, y[t])` for each of the batch's rows.
-fn channel_rows(
-    ch: &PackedChannel,
-    staged: &[f32],
-    t_len: usize,
-    mut emit: impl FnMut(usize, f32),
-) {
-    let mut panels = staged;
-    for (t0, rows, tile) in row_panels(t_len) {
-        let (panel, rest) = panels.split_at(ch.len * tile);
-        panels = rest;
-        let mut emit_rows = |y: &[f32]| {
-            for (t, &v) in y[..rows].iter().enumerate() {
-                emit(t0 + t, v);
-            }
-        };
-        match tile {
-            1 => emit_rows(&walk::<1>(ch, panel)),
-            4 => emit_rows(&walk::<4>(ch, panel)),
-            8 => emit_rows(&walk::<8>(ch, panel)),
-            _ => emit_rows(&walk::<MAX_TILE>(ch, panel)),
-        }
+/// [`walk`] as a [`PanelKernel`]: one channel against a panel of any tile
+/// width.
+struct Walk<'c>(&'c PackedChannel);
+
+impl PanelKernel for Walk<'_> {
+    fn run<const N: usize>(&self, panel: &[f32]) -> [f32; N] {
+        walk(self.0, panel)
     }
 }
 
@@ -505,15 +447,13 @@ fn channel_loop<M: Borrow<PackedMatrix> + Sync>(
             let m = m.borrow();
             let lo = start.saturating_sub(base).min(m.rows());
             let hi = end.saturating_sub(base).min(m.rows());
-            for (r, ch) in m.channels()[lo..hi].iter().enumerate() {
-                let col = off + lo + r;
-                // Safety: a channel belongs to exactly one chunk of the flat
-                // range and writes only the `t * out_cols + col` entries of
-                // its own column.
-                channel_rows(ch, staged, t_len, |t, y| unsafe {
-                    writer.write(t * out_cols + col, y)
-                });
-            }
+            let channels = m.channels()[lo..hi].iter().map(Walk);
+            // Safety: a channel belongs to exactly one chunk of the flat
+            // range and writes only the `t * out_cols + col` entries of its
+            // own column `col = off + lo + r`.
+            for_each_row(channels, staged, t_len, m.cols(), |r, t, y| unsafe {
+                writer.write(t * out_cols + off + lo + r, y)
+            });
             base += m.rows();
         }
     };

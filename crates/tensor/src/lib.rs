@@ -23,6 +23,7 @@
 pub mod activation;
 pub mod linalg;
 pub mod matrix;
+pub mod panel;
 pub mod rng;
 pub mod stats;
 

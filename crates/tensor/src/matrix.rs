@@ -2,6 +2,7 @@
 //! reproduction needs: blocked matmul, transposed variants, row access and
 //! element-wise combinators.
 
+use crate::panel::{for_each_row, restage_columns, PanelKernel};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -194,6 +195,10 @@ impl Matrix {
 
     /// `self @ other.T` — useful when `other` stores weights row-major
     /// (one output feature per row), which is the layout quantizers use.
+    /// The dense twin of the packed `matmul_t`, on the same
+    /// [`panel`](crate::panel) layout; every output is still one chain from
+    /// `+0.0` in column order, multiply then add — `to_bits`-equal to a
+    /// scalar dot of the two rows, whatever else is in the batch.
     ///
     /// # Panics
     ///
@@ -204,18 +209,13 @@ impl Matrix {
             "matmul_transpose shape mismatch: {}x{} @ ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0f32;
-                for (a, b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
+        let n = other.rows;
+        let mut out = Matrix::zeros(self.rows, n);
+        let mut buf = Vec::new();
+        let staged = restage_columns(self, &mut buf);
+        // Zero columns yield no rows: every output stays the empty sum, +0.0.
+        let kernels = other.data.chunks_exact(self.cols.max(1)).map(DotRow);
+        for_each_row(kernels, staged, self.rows, self.cols, |j, t, y| out.data[t * n + j] = y);
         out
     }
 
@@ -319,6 +319,22 @@ impl Matrix {
     }
 }
 
+/// One weight row against a panel: `N` scalar dot chains side by side.
+struct DotRow<'w>(&'w [f32]);
+
+impl PanelKernel for DotRow<'_> {
+    fn run<const N: usize>(&self, panel: &[f32]) -> [f32; N] {
+        let (cols, _) = panel.as_chunks::<N>();
+        let mut acc = [0.0f32; N];
+        for (x, &w) in cols.iter().zip(self.0) {
+            for (a, &x) in acc.iter_mut().zip(x) {
+                *a += x * w;
+            }
+        }
+        acc
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -415,8 +431,8 @@ mod tests {
     #[test]
     fn matmul_transpose_is_bit_equal_to_one_scalar_chain_per_output() {
         // Every row count a panel split can meet (one row, each tile's
-        // padding, full panels, a panel plus one) against short, odd and
-        // model-sized reductions. A quarter of the entries are ±0.0 and
+        // padding, full panels, a panel plus one) against empty, short, odd
+        // and model-sized reductions. A quarter of the entries are ±0.0 and
         // three eighths small half-integers whose products cancel exactly;
         // every seventh row of `a` is all -0.0 and every fourth row of `b`
         // all 1.0, so those outputs are sums of -0.0 products alone — a
@@ -429,7 +445,7 @@ mod tests {
             _ => rng.normal(0.0, 1.0),
         };
         for rows in [1usize, 2, 3, 4, 5, 8, 9, 15, 16, 17, 32, 33] {
-            for cols in [1usize, 7, 96, 256] {
+            for cols in [0usize, 1, 7, 96, 256] {
                 for others in [1usize, 5, 64, 256] {
                     let a = Matrix::from_fn(rows, cols, |r, _| {
                         if r % 7 == 2 {
