@@ -87,8 +87,7 @@ use fineq_tensor::panel::{for_each_row, restage_columns, PanelKernel};
 use fineq_tensor::Matrix;
 use std::borrow::Borrow;
 
-// The walk's widest tile: the serving scheduler deals out the rows a
-// step leaves free in its last panel.
+// The walk's widest tile; the serving scheduler fills a step's last panel.
 pub use fineq_tensor::panel::MAX_TILE;
 
 // ---- SWAR wide-word block decode -----------------------------------------
