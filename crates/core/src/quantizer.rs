@@ -273,6 +273,8 @@ impl WeightQuantizer for FineQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serialize::{fnv1a32, to_bytes};
+    use fineq_lm::builder::{llm_like_matrix, BuilderSpec};
     use fineq_tensor::Rng;
 
     /// The full Fig. 4 walk-through from the paper.
@@ -436,6 +438,70 @@ mod tests {
             ..FineQConfig::paper()
         });
         assert!(ablate.name().contains("t=2"));
+    }
+
+    /// Hash of what `quantize_packed` stores for `w`.
+    fn packed_hash(w: &Matrix) -> u32 {
+        fnv1a32(&to_bytes(&FineQuantizer::paper().quantize_packed(w)))
+    }
+
+    /// The tie rows' abs max is 3, so the 2-bit step is 3 and the 3-bit
+    /// step 1: every value sits exactly on a half step of one grid.
+    fn edge_rows() -> Matrix {
+        Matrix::from_rows(&[
+            vec![0.0; 12],
+            vec![0.01, 0.02, 0.03, 0.02, 0.9, 0.01, 0.03, 0.02, 0.01, 0.02, 0.03, 0.01],
+            vec![3.0, 1.5, 0.5, -2.5, 1.5, -0.5, 0.5, -1.5, 2.5, 3.0, -3.0, 1.5],
+            vec![-1.5, 1.5, -1.5, 0.5, -0.5, 0.5, 2.5, -2.5, 0.0, 3.0, 1.5, -0.5],
+        ])
+    }
+
+    /// Bytes, code histograms and the no-pair-constraint ablation's output
+    /// pinned by hash: the quantizer may get faster, never different.
+    #[test]
+    fn quantizer_output_is_pinned_bit_for_bit() {
+        let llm_like = |seed| {
+            let mut rng = Rng::seed_from(seed);
+            llm_like_matrix(512, 1536, &BuilderSpec::tiny(), &mut rng)
+        };
+        let w1 = llm_like(1);
+        let mut rng = Rng::seed_from(7);
+        let narrow: Vec<u32> = [1usize, 2, 4, 5, 7, 25, 96]
+            .iter()
+            .map(|&cols| packed_hash(&Matrix::from_fn(5, cols, |_, _| rng.laplace(0.0, 0.05))))
+            .collect();
+        assert_eq!(packed_hash(&w1), 0xf25a_31ca, "llm-like seed 1");
+        assert_eq!(packed_hash(&llm_like(2)), 0xc3d2_b2f0, "llm-like seed 2");
+        let want = [
+            0xdf52_ed1b,
+            0xf5ea_bbd0,
+            0xba59_b4d0,
+            0xe844_dbfa,
+            0x7ae1_8ad0,
+            0x5d30_fc99,
+            0x2dbf_71da,
+        ];
+        assert_eq!(narrow, want, "columns 1, 2, 4, 5, 7, 25, 96");
+        assert_eq!(packed_hash(&edge_rows()), 0x01af_92a8, "zero, single-outlier and tie rows");
+
+        let histogram = |s: ClusterStats| (s.total_clusters, s.outlier_clusters, s.code_counts);
+        let paper = FineQuantizer::paper();
+        assert_eq!(
+            histogram(paper.stats(&w1)),
+            (262_144, 61_400, [200_744, 26_040, 21_106, 14_254])
+        );
+        assert_eq!(histogram(paper.stats(&edge_rows())), (16, 4, [12, 0, 0, 4]));
+
+        let free = FineQuantizer::with_config(FineQConfig {
+            pair_constraint: false,
+            ..FineQConfig::paper()
+        });
+        assert_eq!(histogram(free.stats(&w1)), (262_144, 14_198, [247_946, 8_758, 5_310, 130]));
+        let out = free.quantize(&w1, &Calibration::none());
+        let bits: Vec<u8> =
+            out.dequantized.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        assert_eq!(fnv1a32(&bits), 0x1646_4dd3, "no-pair-constraint dequantized bits");
+        assert_eq!(out.avg_bits.to_bits(), 0x4005_8000_0000_0000);
     }
 
     #[test]

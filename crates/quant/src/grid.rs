@@ -236,6 +236,50 @@ mod tests {
         }
     }
 
+    /// `SymmetricGrid::quantize` against the libm definition of Eq. 1,
+    /// `clamp(round(x / s))` with ties away from zero, compared exactly:
+    /// every half-step tie and its ±1-ulp neighbours, the special values,
+    /// seeded draws and a strided sweep of all 2³² f32 bit patterns.
+    #[test]
+    fn symmetric_quantize_equals_libm_round_then_clamp() {
+        const SWEEP_STRIDE: usize = 16_411;
+        let subnormals =
+            [f32::from_bits(1), f32::from_bits(0x0040_0000), f32::from_bits(0x007f_ffff)];
+        let specials = [0.0f32, f32::INFINITY, f32::NAN, f32::MIN_POSITIVE, f32::MAX, 0.5, 1.5]
+            .into_iter()
+            .chain(subnormals)
+            .flat_map(|x| [x, -x]);
+        let mut grids = Vec::new();
+        for bits in [2u8, 3, 4, 8, 16] {
+            let qmax = ((1i32 << (bits - 1)) - 1) as f32;
+            for abs_max in [qmax, 0.5 * qmax, 0.13, 1e-40, 1e30 * qmax] {
+                grids.push(SymmetricGrid::from_abs_max(abs_max, bits));
+            }
+        }
+        assert!(grids.iter().any(|g| g.scale().is_subnormal()));
+        assert!(grids.iter().any(|g| g.scale() == 1e30));
+
+        let mut rng = Rng::seed_from(0x0061_21d5);
+        for g in &grids {
+            let (s, qmax) = (g.scale(), g.qmax());
+            let check = |x: f32| {
+                let want = ((x / s).round() as i32).clamp(-qmax, qmax);
+                assert_eq!(g.quantize(x), want, "x = {x:e} ({:#010x}), {g:?}", x.to_bits());
+            };
+            for k in -qmax - 2..=qmax + 2 {
+                let tie = (k as f32 + 0.5) * s;
+                for x in [tie, tie.next_down(), tie.next_up()] {
+                    check(x);
+                }
+            }
+            specials.clone().for_each(check);
+            for _ in 0..100_000 / grids.len() {
+                check(rng.uniform_range(-1.25, 1.25) * (qmax as f32 * s));
+            }
+            (0..=u32::MAX).step_by(SWEEP_STRIDE).for_each(|b| check(f32::from_bits(b)));
+        }
+    }
+
     #[test]
     #[should_panic(expected = "bits must be in 2..=16")]
     fn symmetric_rejects_one_bit() {
