@@ -10,7 +10,7 @@ use fineq::core::frame::{frame_bytes, Listener};
 use fineq::core::{
     ClusterCode, FineQuantizer, KernelScratch, MetricsRegistry, PackedChannel, PackedMatrix,
 };
-use fineq::lm::builder::{build_fitted_model, BuilderSpec};
+use fineq::lm::builder::{build_fitted_model, llm_like_matrix, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::remote::{serve_connection, Worker};
 use fineq::lm::{
@@ -63,6 +63,13 @@ fn bench_quantizers() {
     bench("rtn2", || rtn.quantize(black_box(&w), &none));
     let gptq = Gptq::new(2);
     bench("gptq2", || gptq.quantize(black_box(&w), &calib));
+
+    // One matrix of the benchmark's `quantize_pack` loop: the per-layer
+    // before/after of a quantizer change (plan + pack, then plan only).
+    section("quantize 512x1536 llm-like");
+    let w = llm_like_matrix(512, 1536, &BuilderSpec::tiny(), &mut Rng::seed_from(1));
+    bench("fineq_packed", || fineq.quantize_packed(black_box(&w)));
+    bench("fineq_stats", || fineq.stats(black_box(&w)));
 }
 
 fn bench_pack_decode() {

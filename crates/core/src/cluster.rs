@@ -76,9 +76,9 @@ impl Cluster {
 
     /// Quantizes the cluster under `code` using the channel grids, returning
     /// the three signed integer codes (the zeroed position yields 0).
-    // This, `dequantize` and `reconstruction_error` are `#[inline]` so the
-    // quantizer's inner loop does not depend on the crate's codegen units.
-    #[inline]
+    // This and `reconstruction_error` are the per-code definitions: the
+    // quantizer grids each value once per grid and derives all four codes'
+    // ints and errors from that table, tested bit-equal to these.
     pub fn quantize(&self, code: ClusterCode, g2: &SymmetricGrid, g3: &SymmetricGrid) -> [i32; 3] {
         let mut out = [0i32; 3];
         for (pos, &v) in self.values.iter().enumerate() {
@@ -114,7 +114,6 @@ impl Cluster {
 
     /// Sum of squared reconstruction errors if this cluster is quantized
     /// under `code` — the objective the pair fine-tuning minimizes.
-    #[inline]
     pub fn reconstruction_error(
         &self,
         code: ClusterCode,

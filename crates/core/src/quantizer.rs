@@ -83,6 +83,72 @@ impl ChannelPlan {
     }
 }
 
+/// One cluster gridded once on each of its channel's grids: the ints
+/// every code stores and every code's squared reconstruction error.
+#[derive(Debug)]
+struct Candidates {
+    q2: [i32; 3],
+    q3: [i32; 3],
+    /// [`Cluster::reconstruction_error`] of each code, in wire order.
+    err: [f64; 4],
+}
+
+impl Candidates {
+    #[inline]
+    fn new(c: &Cluster, g2: &SymmetricGrid, g3: &SymmetricGrid) -> Self {
+        let v = c.values();
+        let q2 = v.map(|x| g2.quantize(x));
+        let q3 = v.map(|x| g3.quantize(x));
+        // The terms `reconstruction_error` sums: position `p` kept on the
+        // normal grid, kept on the outlier grid, or sacrificed.
+        let sq = |p: usize, r: f32| {
+            let d = (v[p] - r) as f64;
+            d * d
+        };
+        let e2: [f64; 3] = std::array::from_fn(|p| sq(p, g2.dequantize(q2[p])));
+        let e3: [f64; 3] = std::array::from_fn(|p| sq(p, g3.dequantize(q3[p])));
+        let e0: [f64; 3] = std::array::from_fn(|p| sq(p, 0.0));
+        // Added in position order, like its fold, so every sum is
+        // bit-equal to `reconstruction_error`'s.
+        let err = ClusterCode::ALL.map(|code| match code.zeroed_position() {
+            None => e2[0] + e2[1] + e2[2],
+            Some(k) => {
+                let at = |p: usize| if p == k { e0[p] } else { e3[p] };
+                at(0) + at(1) + at(2)
+            }
+        });
+        Self { q2, q3, err }
+    }
+
+    /// [`Cluster::quantize`] under `code`.
+    #[inline]
+    fn ints(&self, code: ClusterCode) -> [i32; 3] {
+        match code.zeroed_position() {
+            None => self.q2,
+            Some(k) => {
+                let mut q = self.q3;
+                q[k] = 0;
+                q
+            }
+        }
+    }
+}
+
+/// The code with the least error: a pair's summed errors for the paper's
+/// fine-tuning, one cluster's for the no-pair-constraint ablation. Ties
+/// resolve to the lowest wire value and a NaN error never wins.
+fn least_error_code(err: [f64; 4]) -> ClusterCode {
+    let mut best = ClusterCode::AllTwoBit;
+    let mut best_err = f64::INFINITY;
+    for (code, e) in ClusterCode::ALL.into_iter().zip(err) {
+        if e < best_err {
+            best_err = e;
+            best = code;
+        }
+    }
+    best
+}
+
 /// FineQ quantizer (Algorithm 1 of the paper).
 ///
 /// See the crate-level docs for the pipeline description and an example.
@@ -128,6 +194,10 @@ impl FineQuantizer {
         let (g2, g3) = self.grids(abs_max);
         let (clusters, len) = split_channel(channel);
         let threshold = self.config.outlier_threshold;
+        // Every value gridded once per grid; all code choices and the final
+        // ints below read this table instead of re-quantizing.
+        let table: Vec<Candidates> =
+            clusters.iter().map(|c| Candidates::new(c, &g2, &g3)).collect();
 
         // Preliminary per-cluster codes (Alg. 1 lines 5–14). Without the
         // pair constraint (ablation) every cluster instead picks its own
@@ -135,64 +205,25 @@ impl FineQuantizer {
         let mut codes: Vec<ClusterCode> = if self.config.pair_constraint {
             clusters.iter().map(|c| c.preliminary_code(threshold)).collect()
         } else {
-            clusters.iter().map(|c| Self::best_single_code(c, &g2, &g3)).collect()
+            table.iter().map(|t| least_error_code(t.err)).collect()
         };
 
         // Pair harmonization (Alg. 1 lines 15–25): adjacent clusters share
-        // one code; disagreements are fine-tuned by minimizing joint error.
+        // one code; disagreements are fine-tuned by minimizing the pair's
+        // total squared reconstruction error. A trailing lone cluster
+        // keeps its preliminary code.
         if self.config.pair_constraint {
-            let mut p = 0;
-            while p + 1 < clusters.len() {
-                if codes[p] != codes[p + 1] {
-                    let best = Self::best_joint_code(&clusters[p], &clusters[p + 1], &g2, &g3);
-                    codes[p] = best;
-                    codes[p + 1] = best;
+            for (pair, t) in codes.chunks_exact_mut(2).zip(table.chunks_exact(2)) {
+                if pair[0] != pair[1] {
+                    pair.fill(least_error_code(std::array::from_fn(|i| t[0].err[i] + t[1].err[i])));
                 }
-                p += 2;
             }
-            // A trailing lone cluster keeps its preliminary code.
         }
 
         let quantized: Vec<[i32; 3]> =
-            clusters.iter().zip(&codes).map(|(c, &code)| c.quantize(code, &g2, &g3)).collect();
+            table.iter().zip(&codes).map(|(t, &code)| t.ints(code)).collect();
 
         ChannelPlan { g2, g3, len, codes, quantized }
-    }
-
-    /// Exhaustive per-cluster code choice (used by the no-pair-constraint
-    /// ablation): the error-optimal layout for a single cluster.
-    fn best_single_code(c: &Cluster, g2: &SymmetricGrid, g3: &SymmetricGrid) -> ClusterCode {
-        let mut best = ClusterCode::AllTwoBit;
-        let mut best_err = f64::INFINITY;
-        for code in ClusterCode::ALL {
-            let err = c.reconstruction_error(code, g2, g3);
-            if err < best_err {
-                best_err = err;
-                best = code;
-            }
-        }
-        best
-    }
-
-    /// The paper's fine-tuning: evaluate all four codes on the pair and
-    /// keep the one minimizing total squared reconstruction error. Ties
-    /// resolve to the lowest wire value for determinism.
-    fn best_joint_code(
-        a: &Cluster,
-        b: &Cluster,
-        g2: &SymmetricGrid,
-        g3: &SymmetricGrid,
-    ) -> ClusterCode {
-        let mut best = ClusterCode::AllTwoBit;
-        let mut best_err = f64::INFINITY;
-        for code in ClusterCode::ALL {
-            let err = a.reconstruction_error(code, g2, g3) + b.reconstruction_error(code, g2, g3);
-            if err < best_err {
-                best_err = err;
-                best = code;
-            }
-        }
-        best
     }
 
     /// Quantizes a matrix into the bit-exact packed format.
@@ -438,6 +469,27 @@ mod tests {
             ..FineQConfig::paper()
         });
         assert!(ablate.name().contains("t=2"));
+    }
+
+    #[test]
+    fn candidate_table_equals_per_code_requantization() {
+        let mut rng = Rng::seed_from(9);
+        let specials = [0.0f32, -0.0, 0.5, -1.5, 1e-40, f32::NAN, f32::INFINITY];
+        for _ in 0..2000 {
+            let abs_max = rng.uniform_range(0.0, 2.0);
+            let mut draw = || match rng.below(8) {
+                0 => specials[rng.below(specials.len())],
+                _ => rng.uniform_range(-abs_max, abs_max),
+            };
+            let c = Cluster::new([draw(), draw(), draw()]);
+            let (g2, g3) = FineQuantizer::paper().grids(abs_max);
+            let t = Candidates::new(&c, &g2, &g3);
+            for (code, err) in ClusterCode::ALL.into_iter().zip(t.err) {
+                let want = c.reconstruction_error(code, &g2, &g3);
+                assert_eq!(err.to_bits(), want.to_bits(), "{c:?} {code}");
+                assert_eq!(t.ints(code), c.quantize(code, &g2, &g3), "{c:?} {code}");
+            }
+        }
     }
 
     /// Hash of what `quantize_packed` stores for `w`.

@@ -10,6 +10,35 @@
 //! * **Asymmetric** (RTN/GPTQ/OWQ grids): `scale = (max - min) / (2^b - 1)`
 //!   with an integer zero point, covering all `2^b` codes.
 
+/// `(v.round() as i32).clamp(lo, hi)` — round half away from zero, then
+/// clamp — for integer bounds with `lo <= 0 <= hi`, without `f32::round`:
+/// baseline x86-64 has no SSE4.1 `roundss`, so that is a libm call.
+///
+/// Clamping first is exact because the bounds are integers, and it keeps
+/// `|v| <= 2^16`, where `trunc(v)` and `v - trunc(v)` are exact. NaN fails
+/// both comparisons and truncates to 0, as through `f32::round`; ±inf
+/// clamp to the bounds instead of saturating the `i32`.
+#[inline]
+fn round_clamped(v: f32, lo: i32, hi: i32) -> i32 {
+    debug_assert!(lo <= 0 && 0 <= hi && hi - lo <= 1 << 17, "bounds {lo}..={hi}");
+    let v = if v < lo as f32 {
+        lo as f32
+    } else if v > hi as f32 {
+        hi as f32
+    } else {
+        v
+    };
+    let t = v as i32;
+    let frac = v - t as f32;
+    if frac >= 0.5 {
+        t + 1
+    } else if frac <= -0.5 {
+        t - 1
+    } else {
+        t
+    }
+}
+
 /// Symmetric uniform grid for a given bit-width (Eq. 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SymmetricGrid {
@@ -45,15 +74,18 @@ impl SymmetricGrid {
     }
 
     /// Quantizes a value to its signed integer code, clamped to the grid.
+    // `#[inline]` (with `dequantize`): the FineQ quantizer calls both from
+    // another crate, six times per cluster.
+    #[inline]
     pub fn quantize(&self, x: f32) -> i32 {
         if self.scale == 0.0 {
             return 0;
         }
-        let q = (x / self.scale).round() as i32;
-        q.clamp(-self.qmax, self.qmax)
+        round_clamped(x / self.scale, -self.qmax, self.qmax)
     }
 
     /// Reconstructs the real value of a code.
+    #[inline]
     pub fn dequantize(&self, q: i32) -> f32 {
         q as f32 * self.scale
     }
@@ -92,8 +124,7 @@ impl AsymmetricGrid {
         if scale == 0.0 {
             return Self { scale: 0.0, zero: 0, qmax };
         }
-        let zero = (-min / scale).round() as i32;
-        Self { scale, zero: zero.clamp(0, qmax), qmax }
+        Self { scale, zero: round_clamped(-min / scale, 0, qmax), qmax }
     }
 
     /// Builds the grid from a data slice (uses its min/max).
@@ -125,8 +156,7 @@ impl AsymmetricGrid {
         if self.scale == 0.0 {
             return self.zero;
         }
-        let q = (x / self.scale).round() as i32 + self.zero;
-        q.clamp(0, self.qmax)
+        round_clamped(x / self.scale, -self.zero, self.qmax - self.zero) + self.zero
     }
 
     /// Reconstructs the real value of a code.
@@ -277,6 +307,19 @@ mod tests {
                 check(rng.uniform_range(-1.25, 1.25) * (qmax as f32 * s));
             }
             (0..=u32::MAX).step_by(SWEEP_STRIDE).for_each(|b| check(f32::from_bits(b)));
+        }
+    }
+
+    #[test]
+    fn asymmetric_extremes_saturate_and_nan_maps_to_the_zero_point() {
+        for bits in [2u8, 4, 8, 16] {
+            let g = AsymmetricGrid::from_range(-0.3, 0.9, bits);
+            let qmax = (1 << bits) - 1;
+            assert_eq!(g.quantize(f32::INFINITY), qmax, "{bits} bits");
+            assert_eq!(g.quantize(1e30), qmax, "{bits} bits");
+            assert_eq!(g.quantize(f32::NEG_INFINITY), 0, "{bits} bits");
+            assert_eq!(g.quantize(-1e30), 0, "{bits} bits");
+            assert_eq!(g.quantize(f32::NAN), g.zero_point(), "{bits} bits");
         }
     }
 
