@@ -20,6 +20,7 @@ use fineq_core::frame::{
     Stream, FRAME_HEADER_BYTES,
 };
 use fineq_core::pool::default_threads;
+#[cfg(test)]
 use fineq_core::retry::RetryPolicy;
 use fineq_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use fineq_core::{KernelScratch, ThreadPool};
@@ -93,14 +94,8 @@ impl HealthReport {
 
 struct Replica {
     addr: String,
-    /// `None` once the replica is marked dead — or while the connection
-    /// is checked out (`borrowed`) for unlocked I/O.
+    /// `None` once the replica is marked dead. Live means connected.
     conn: Option<Stream>,
-    /// The connection is temporarily out of the table for lock-free
-    /// frame I/O (a gather, heartbeat probe or STATS scrape).
-    /// A borrowed replica is live: health counting and probe planning
-    /// treat it as connected, and only the borrower may kill it.
-    borrowed: bool,
     /// Failed reconnect attempts since the replica died.
     attempts: u32,
     /// Earliest tick at which the next background rejoin probe may run.
@@ -117,39 +112,31 @@ struct Replica {
     abandoned: HashSet<u64>,
 }
 
-impl Replica {
-    /// Live = reachable: either the connection is in the table or a
-    /// borrower is currently doing I/O on it.
-    fn is_live(&self) -> bool {
-        self.conn.is_some() || self.borrowed
-    }
-}
-
 struct Group {
     replicas: Vec<Replica>,
     primary: usize,
     /// The shard's FNQS slice envelopes, byte-identical to what setup
     /// shipped — re-shipped verbatim on rejoin so a returning replica is
-    /// indistinguishable from one that never left. Behind an `Arc` so
-    /// reconnect probes can ship them *without* holding the state lock.
-    envelopes: Arc<Vec<Vec<u8>>>,
+    /// indistinguishable from one that never left.
+    envelopes: Vec<Vec<u8>>,
 }
 
-/// One planned reconnect attempt for a dead replica, carried out of the
-/// state lock: the connect + envelope re-ship runs unlocked, then
-/// [`RemoteState::install_probe`] applies the outcome.
-struct RejoinProbe {
-    shard: usize,
-    replica: usize,
-    addr: String,
-    envelopes: Arc<Vec<Vec<u8>>>,
+impl Group {
+    /// The primary's index, connection and abandoned-nonce list. Called
+    /// only after an election or a send succeeded on the primary, and
+    /// only [`Fleet::mark_dead`] disconnects it (which clears the link's
+    /// `sent`), so the expect fires only on a programmer error.
+    fn primary_io(&mut self) -> (usize, &mut Stream, &mut HashSet<u64>) {
+        let r = &mut self.replicas[self.primary];
+        (self.primary, r.conn.as_mut().expect("elected primary is connected"), &mut r.abandoned)
+    }
 }
 
 /// Coordinator-side metrics handles, mirroring every [`TransportHealth`]
 /// counter into an installed [`MetricsRegistry`]. Defaults to a disabled
 /// registry, so un-instrumented deployments pay one relaxed atomic load
-/// per bump. Handles are `Arc`s: cloning out of the state lock is cheap,
-/// which is how the gather path records latency without holding it.
+/// per bump. Handles are `Arc`s: an operation clones them out of the
+/// ledger once and counts frames and latency without taking it again.
 #[derive(Clone)]
 struct TransportMetrics {
     registry: Arc<MetricsRegistry>,
@@ -205,9 +192,13 @@ impl TransportMetrics {
     }
 }
 
-struct RemoteState {
+/// The connection table and its clocks. One lock guards it, and each
+/// operation (gather, heartbeat, scrape, shutdown) holds that lock from
+/// start to end: a connection carries one in-flight request, so two
+/// operations must never interleave frame I/O, and connections stay in
+/// the table while I/O runs on them.
+struct Fleet {
     groups: Vec<Group>,
-    events: Vec<WorkerEvent>,
     /// Retry clock: one tick per gather or heartbeat — rejoin pacing
     /// without a wall clock.
     tick: u64,
@@ -217,13 +208,19 @@ struct RemoteState {
     /// Tick at which the previous heartbeat ran — replicas whose
     /// `last_ok_tick` is later had traffic since and are skipped.
     last_heartbeat_tick: u64,
-    deaths: u64,
-    failovers: u64,
-    rejoins: u64,
-    retry_attempts: u64,
-    timeouts: u64,
-    /// Mirrors the counters above into the metrics plane; bumped at the
-    /// same sites so the two views can never drift.
+}
+
+/// What observers read: the stored [`TransportHealth`], the
+/// [`WorkerEvent`] log and the registry mirror. Each death, failover,
+/// rejoin or retry is one method here that bumps the health field, its
+/// registry counter and the live gauge and pushes the event under one
+/// lock, so the views can never drift. `transport_health`, `take_events`
+/// and `set_telemetry` take only this lock, never the fleet's.
+struct Ledger {
+    health: TransportHealth,
+    /// Replicas in the fleet; the dead count is this minus the live one.
+    replicas: usize,
+    events: Vec<WorkerEvent>,
     metrics: TransportMetrics,
 }
 
@@ -281,217 +278,135 @@ fn connect_all(
     pool.run(jobs.len(), 1, &|_, start, end| {
         for i in start..end {
             let outcome = connect_replica(jobs[i].0, jobs[i].1, tc);
-            *slots[i].lock().expect("connect slot") = Some(outcome);
+            *lock(&slots[i]) = Some(outcome);
         }
     });
+    // `pool.run` returns after every index ran, and a slot's lock is
+    // held only to store, so an empty or poisoned slot is a pool bug.
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("connect slot").expect("connect job ran"))
+        .map(|s| s.into_inner().ok().flatten().expect("pool.run fills every slot"))
         .collect()
 }
 
-impl RemoteState {
-    fn mark_dead(&mut self, shard: usize, replica: usize, error: &TransportError) {
-        let r = &mut self.groups[shard].replicas[replica];
-        let had_conn = match r.conn.take() {
-            Some(conn) => {
-                let _ = conn.shutdown();
-                true
-            }
-            // A borrower shuts its checked-out stream down itself before
-            // reporting the death; the table just records it.
-            None => std::mem::take(&mut r.borrowed),
-        };
-        if had_conn {
-            r.borrowed = false;
-            r.attempts = 0;
-            r.next_attempt_tick = 0;
-            // A dead connection owes nothing: its buffered replies died
-            // with the stream, so the abandoned nonces are moot.
-            r.abandoned.clear();
-            self.deaths += 1;
-            self.metrics.deaths.inc();
-            self.metrics.live_replicas.add(-1);
-            if matches!(error, TransportError::Frame(FrameError::TimedOut)) {
-                self.timeouts += 1;
-                self.metrics.timeouts.inc();
-            }
-            self.events.push(WorkerEvent::WorkerDied {
-                shard,
-                replica,
-                addr: r.addr.clone(),
-                error: error.to_string(),
-            });
-        }
+/// Locks a coordinator mutex. Poisoned only by a panic while it was held
+/// — a bug, after which the fleet's connections may owe replies nobody
+/// recorded — so this refuses to carry on instead of serving from it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("coordinator lock poisoned by an earlier panic")
+}
+
+impl Fleet {
+    /// Connected replicas across all shards.
+    fn live(&self) -> usize {
+        self.groups.iter().flat_map(|g| &g.replicas).filter(|r| r.conn.is_some()).count()
     }
 
-    /// Takes `shard`'s primary connection out of the table for unlocked
-    /// frame I/O. The replica stays accounted live (`borrowed`); the op
-    /// lock plus the one-checkout-per-shard-per-operation discipline
-    /// guarantee the elected primary's connection is present.
-    fn checkout_primary(&mut self, shard: usize) -> Result<(usize, Stream), TransportError> {
-        let replica = self.elect_primary(shard)?;
+    /// Shuts `replica`'s connection down, drops it and publishes the
+    /// death (and timeout). Idempotent: a dead replica records nothing.
+    fn mark_dead(
+        &mut self,
+        shard: usize,
+        replica: usize,
+        error: &TransportError,
+        ledger: &Mutex<Ledger>,
+    ) {
         let r = &mut self.groups[shard].replicas[replica];
-        let conn = r.conn.take().expect("elected primary carries a connection");
-        r.borrowed = true;
-        Ok((replica, conn))
+        let Some(conn) = r.conn.take() else { return };
+        let _ = conn.shutdown();
+        r.attempts = 0;
+        r.next_attempt_tick = 0;
+        // A dead connection owes nothing: its buffered replies died
+        // with the stream, so the abandoned nonces are moot.
+        r.abandoned.clear();
+        let addr = r.addr.clone();
+        let live = self.live();
+        lock(ledger).died(live, shard, replica, addr, error);
     }
 
-    /// Returns a borrowed connection to the table after successful I/O,
-    /// stamping the traffic tick heartbeats key their piggyback skip on.
-    fn checkin(&mut self, shard: usize, replica: usize, conn: Stream) {
-        let tick = self.tick;
-        let r = &mut self.groups[shard].replicas[replica];
-        debug_assert!(r.borrowed, "checkin without checkout");
-        r.borrowed = false;
-        r.conn = Some(conn);
-        r.last_ok_tick = tick;
-    }
-
-    /// The replica the next request for `shard` should use: the current
-    /// primary when live, else the first live spare — promoting it (and
-    /// recording the failover) so later requests go there directly.
-    fn elect_primary(&mut self, shard: usize) -> Result<usize, TransportError> {
+    /// Points `shard` at the replica the next request should use: the
+    /// current primary when live, else the first live spare — promoting
+    /// it (and publishing the failover) so later requests go there
+    /// directly. False when the whole group is dead.
+    fn elect_primary(&mut self, shard: usize, ledger: &Mutex<Ledger>) -> bool {
         let group = &mut self.groups[shard];
         if group.replicas[group.primary].conn.is_some() {
-            return Ok(group.primary);
-        }
-        let Some(next) = group.replicas.iter().position(|r| r.conn.is_some()) else {
-            return Err(TransportError::NoLiveReplica { shard });
-        };
-        self.failovers += 1;
-        self.metrics.failovers.inc();
-        self.events.push(WorkerEvent::FailedOver {
-            shard,
-            from_replica: group.primary,
-            to_replica: next,
-        });
-        group.primary = next;
-        Ok(next)
-    }
-
-    /// Advances the retry clock and collects dead replicas to probe:
-    /// every one whose tick-gated backoff is due, or — for the blocking
-    /// recovery of one exhausted group (`only`) — every dead replica of
-    /// that group, backoff ignored. Pacing is pure tick arithmetic (no
-    /// wall clock), so a seeded run replays exactly. The connects
-    /// themselves run *without* the state lock
-    /// ([`RemoteShardedModel::run_probes`]); [`RemoteState::install_probe`]
-    /// applies the outcomes.
-    fn plan_probes(&mut self, only: Option<usize>) -> Vec<RejoinProbe> {
-        self.tick += 1;
-        let mut probes = Vec::new();
-        for (shard, group) in self.groups.iter().enumerate() {
-            for (replica, r) in group.replicas.iter().enumerate() {
-                let picked = match only {
-                    Some(exhausted) => shard == exhausted,
-                    None => self.tick >= r.next_attempt_tick,
-                };
-                if picked && !r.is_live() {
-                    probes.push(RejoinProbe {
-                        shard,
-                        replica,
-                        addr: r.addr.clone(),
-                        envelopes: Arc::clone(&group.envelopes),
-                    });
-                }
-            }
-        }
-        self.retry_attempts += probes.len() as u64;
-        self.metrics.retry_attempts.add(probes.len() as u64);
-        probes
-    }
-
-    /// Applies one probe outcome: success re-admits the replica as a
-    /// spare ([`WorkerEvent::Rejoined`]); failure advances its backoff
-    /// schedule. Returns whether the replica is live afterwards.
-    fn install_probe(
-        &mut self,
-        probe: RejoinProbe,
-        outcome: Result<Stream, TransportError>,
-        retry: &RetryPolicy,
-    ) -> bool {
-        let tick = self.tick;
-        let r = &mut self.groups[probe.shard].replicas[probe.replica];
-        if r.is_live() {
-            // Revived by someone else while the probe was in flight (the
-            // op lock makes this unreachable today; kept as a guard so a
-            // duplicate connection is dropped, never double-installed).
             return true;
         }
-        match outcome {
-            Ok(conn) => {
-                r.conn = Some(conn);
-                r.attempts = 0;
-                r.next_attempt_tick = 0;
-                // The LOAD handshake just proved liveness: fresh traffic
-                // for the heartbeat piggyback clock.
-                r.last_ok_tick = tick;
-                self.rejoins += 1;
-                self.metrics.rejoins.inc();
-                self.metrics.live_replicas.add(1);
-                self.events.push(WorkerEvent::Rejoined {
-                    shard: probe.shard,
-                    replica: probe.replica,
-                    addr: probe.addr,
-                });
-                true
-            }
-            Err(_) => {
-                r.attempts = r.attempts.saturating_add(1);
-                let salt = ((probe.shard as u64) << 32) | probe.replica as u64;
-                r.next_attempt_tick = tick + retry.backoff_ticks(r.attempts, salt);
-                false
-            }
-        }
+        let Some(next) = group.replicas.iter().position(|r| r.conn.is_some()) else {
+            return false;
+        };
+        lock(ledger).failed_over(shard, group.primary, next);
+        group.primary = next;
+        true
+    }
+}
+
+impl Ledger {
+    /// Stores the fleet's live count — the one value that both the
+    /// live/dead split of [`TransportHealth`] and the gauge read.
+    fn set_live(&mut self, live: usize) {
+        self.health.live_replicas = live;
+        self.health.dead_replicas = self.replicas - live;
+        self.metrics.live_replicas.set(live as i64);
     }
 
-    /// Live replicas of each shard group.
-    fn live_per_shard(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g.replicas.iter().filter(|r| r.is_live()).count()).collect()
+    fn died(
+        &mut self,
+        live: usize,
+        shard: usize,
+        replica: usize,
+        addr: String,
+        error: &TransportError,
+    ) {
+        self.health.deaths += 1;
+        self.metrics.deaths.inc();
+        if matches!(error, TransportError::Frame(FrameError::TimedOut)) {
+            self.health.timeouts += 1;
+            self.metrics.timeouts.inc();
+        }
+        self.set_live(live);
+        self.events.push(WorkerEvent::WorkerDied {
+            shard,
+            replica,
+            addr,
+            error: error.to_string(),
+        });
     }
 
-    fn health(&self, gather_timeout: Duration) -> TransportHealth {
-        let live_replicas = self.live_per_shard().iter().sum::<usize>();
-        let total = self.groups.iter().map(|g| g.replicas.len()).sum::<usize>();
-        TransportHealth {
-            live_replicas,
-            dead_replicas: total - live_replicas,
-            deaths: self.deaths,
-            failovers: self.failovers,
-            rejoins: self.rejoins,
-            retry_attempts: self.retry_attempts,
-            timeouts: self.timeouts,
-            deadline_ms: gather_timeout.as_millis().min(u128::from(u64::MAX)) as u64,
-        }
+    fn failed_over(&mut self, shard: usize, from_replica: usize, to_replica: usize) {
+        self.health.failovers += 1;
+        self.metrics.failovers.inc();
+        self.events.push(WorkerEvent::FailedOver { shard, from_replica, to_replica });
+    }
+
+    fn rejoined(&mut self, live: usize, shard: usize, replica: usize, addr: String) {
+        self.health.rejoins += 1;
+        self.metrics.rejoins.inc();
+        self.set_live(live);
+        self.events.push(WorkerEvent::Rejoined { shard, replica, addr });
+    }
+
+    fn retried(&mut self, attempts: usize) {
+        self.health.retry_attempts += attempts as u64;
+        self.metrics.retry_attempts.add(attempts as u64);
     }
 }
 
 /// One involved shard's side of a group exchange: what its `PARTIAL`
-/// must contain, the checked-out primary connection, and how far the
-/// exchange got on that connection — the whole in-flight window of a
-/// link is this one request.
+/// must contain and how far the exchange got on the group's primary —
+/// the whole in-flight window of a link is this one request.
 struct ShardLink {
     shard: usize,
     /// Which of the group's sealed request frames this shard is sent.
     frame: usize,
     wanted: Vec<SiteWant>,
-    /// `(replica, connection)` once checked out; taken again when the
-    /// connection fails, until a failover installs the replacement.
-    conn: Option<(usize, Stream)>,
-    /// The request was written on the current connection. Cleared by a
-    /// failover, so the same bytes are written again on the replacement.
+    /// The request was written on the primary's connection. Cleared when
+    /// that replica dies, so the same bytes are written again on the
+    /// replacement.
     sent: bool,
     /// The matching `PARTIAL` was received and decoded.
     done: bool,
-}
-
-/// One heartbeat/STATS probe's checked-out connection, carried through
-/// the plan → unlocked I/O → install sequence.
-struct ControlProbe {
-    shard: usize,
-    replica: usize,
-    conn: Stream,
 }
 
 /// The coordinator of a multi-process sharded deployment: embedding,
@@ -503,14 +418,16 @@ struct ControlProbe {
 /// count, any replica count, and across worker crashes that leave at
 /// least one live replica per shard.
 ///
-/// Two locks, two jobs. `op` serializes whole *logical operations*
-/// (site gather, heartbeat, shutdown): connections carry one in-flight
-/// request, so two operations must never interleave frame I/O on the
-/// same fleet. `state` protects the connection table itself and is the
-/// only lock `transport_health`/`take_events` need — it is **released**
-/// during reconnect probes and backoff sleeps, so observability calls
-/// never stall behind a dead-but-slow replica. Lock order: `op` before
-/// `state`, always.
+/// One lock owns the fleet; a ledger serves observers. `fleet` is held
+/// for a whole *logical operation* (site gather, heartbeat, scrape,
+/// shutdown — reconnects and backoff sleeps included): connections
+/// carry one in-flight request, so two operations must never interleave
+/// frame I/O, and they stay in the table while it runs. `ledger` holds
+/// the stored [`TransportHealth`], the event log and the metrics handles;
+/// every state change is published there, and it is the only lock
+/// `transport_health`, `take_events` and `set_telemetry` take — so
+/// observability calls never stall behind a dead-but-slow replica. Lock
+/// order: `fleet`, then `ledger`, always.
 pub struct RemoteShardedModel {
     cfg: ModelConfig,
     embedding: Matrix,
@@ -521,8 +438,8 @@ pub struct RemoteShardedModel {
     /// rejoin (sized to the fleet, capped by the host's cores). Never
     /// used on the gather hot path.
     pool: Arc<ThreadPool>,
-    op: Mutex<()>,
-    state: Mutex<RemoteState>,
+    fleet: Mutex<Fleet>,
+    ledger: Mutex<Ledger>,
 }
 
 impl RemoteShardedModel {
@@ -565,11 +482,12 @@ impl RemoteShardedModel {
         let plan = ShardPlan::new(model, n_shards);
         let mut shard_envelopes = Vec::with_capacity(n_shards);
         for (shard, addrs) in replica_addrs.iter().enumerate() {
+            // A documented precondition (# Panics): only a caller bug trips it.
             assert!(!addrs.is_empty(), "shard {shard} needs at least one replica address");
             // Slice once per shard; every replica receives the identical
             // envelope bytes (what makes replay — and rejoin — bit-
             // identical). Kept for the life of the deployment.
-            shard_envelopes.push(Arc::new(plan.envelopes(model, shard)));
+            shard_envelopes.push(plan.envelopes(model, shard));
         }
         // Connect + LOAD every replica of every shard in parallel. The
         // pool is kept for rejoin re-ships.
@@ -583,26 +501,22 @@ impl RemoteShardedModel {
         // failure in that order is the reported one.
         let mut outcomes = connect_all(&pool, &jobs, &transport).into_iter();
         let mut groups = Vec::with_capacity(n_shards);
-        for (shard, addrs) in replica_addrs.iter().enumerate() {
+        for (addrs, envelopes) in replica_addrs.iter().zip(shard_envelopes) {
             let mut replicas = Vec::with_capacity(addrs.len());
-            for addr in addrs {
-                let conn = outcomes.next().expect("one outcome per job")?;
+            for (addr, conn) in addrs.iter().zip(&mut outcomes) {
                 replicas.push(Replica {
                     addr: addr.clone(),
-                    conn: Some(conn),
-                    borrowed: false,
+                    conn: Some(conn?),
                     attempts: 0,
                     next_attempt_tick: 0,
                     last_ok_tick: 0,
                     abandoned: HashSet::new(),
                 });
             }
-            groups.push(Group {
-                replicas,
-                primary: 0,
-                envelopes: Arc::clone(&shard_envelopes[shard]),
-            });
+            groups.push(Group { replicas, primary: 0, envelopes });
         }
+        let replicas = groups.iter().map(|g| g.replicas.len()).sum();
+        let deadline_ms = transport.gather_timeout.as_millis().min(u128::from(u64::MAX)) as u64;
         Ok(Self {
             cfg: model.config().clone(),
             embedding: model.embedding().clone(),
@@ -610,18 +524,15 @@ impl RemoteShardedModel {
             plan,
             transport,
             pool,
-            op: Mutex::new(()),
-            state: Mutex::new(RemoteState {
-                groups,
+            fleet: Mutex::new(Fleet { groups, tick: 0, next_nonce: 1, last_heartbeat_tick: 0 }),
+            ledger: Mutex::new(Ledger {
+                health: TransportHealth {
+                    live_replicas: replicas,
+                    deadline_ms,
+                    ..TransportHealth::default()
+                },
+                replicas,
                 events: Vec::new(),
-                tick: 0,
-                next_nonce: 1,
-                last_heartbeat_tick: 0,
-                deaths: 0,
-                failovers: 0,
-                rejoins: 0,
-                retry_attempts: 0,
-                timeouts: 0,
                 metrics: TransportMetrics::new(Arc::new(MetricsRegistry::disabled())),
             }),
         })
@@ -656,9 +567,9 @@ impl RemoteShardedModel {
     /// round-trip. **STATS-as-heartbeat:** with telemetry installed the
     /// probe is a `STATS` exchange whose reply refreshes that worker's
     /// metrics snapshot — liveness and cluster scraping share one
-    /// round-trip; without it heartbeats stay PING/PONG. Probe I/O runs
-    /// with the connections checked out and **no state lock held**, so
-    /// observability readers never stall behind a slow replica.
+    /// round-trip; without it heartbeats stay PING/PONG. Probe I/O holds
+    /// only the fleet lock and observability readers read the ledger, so
+    /// they never stall behind a slow replica.
     ///
     /// Heartbeats double as keep-alives: a cadence shorter than **half**
     /// the workers' idle deadline stops idle workers from hanging up
@@ -666,25 +577,25 @@ impl RemoteShardedModel {
     /// documents — half, because the piggyback skip may leave a
     /// just-active replica unprobed for one extra heartbeat interval).
     pub fn heartbeat(&self) -> HealthReport {
-        let _op = self.op.lock().expect("transport op");
-        self.maybe_rejoin();
-        let (floor, scrape) = {
-            let mut st = self.lock_state();
-            let floor = st.last_heartbeat_tick;
-            st.last_heartbeat_tick = st.tick;
-            (floor, st.metrics.registry.enabled())
-        };
+        let mut fleet = lock(&self.fleet);
+        let fleet = &mut *fleet;
+        self.rejoin(fleet, None);
+        let floor = std::mem::replace(&mut fleet.last_heartbeat_tick, fleet.tick);
+        let tm = lock(&self.ledger).metrics.clone();
         // Replicas active since the previous heartbeat sit this one out:
         // their traffic already proved liveness.
-        self.control_round(|r| r.last_ok_tick <= floor, scrape);
-        let mut st = self.lock_state();
-        for shard in 0..st.groups.len() {
-            let _ = st.elect_primary(shard);
+        self.control_round(fleet, |r| r.last_ok_tick <= floor, &tm);
+        for shard in 0..fleet.groups.len() {
+            fleet.elect_primary(shard, &self.ledger);
         }
-        let live_per_shard = st.live_per_shard();
-        let dead = st.groups.iter().map(|g| g.replicas.len()).sum::<usize>()
+        let live_per_shard: Vec<usize> = fleet
+            .groups
+            .iter()
+            .map(|g| g.replicas.iter().filter(|r| r.conn.is_some()).count())
+            .collect();
+        let dead = fleet.groups.iter().map(|g| g.replicas.len()).sum::<usize>()
             - live_per_shard.iter().sum::<usize>();
-        let primary_per_shard = st.groups.iter().map(|g| g.primary).collect();
+        let primary_per_shard = fleet.groups.iter().map(|g| g.primary).collect();
         HealthReport { live_per_shard, dead, primary_per_shard }
     }
 
@@ -692,12 +603,7 @@ impl RemoteShardedModel {
     /// retry attempts, deadline expiries, and current live/dead replica
     /// counts. Cumulative since connect; cheap to call.
     pub fn transport_health(&self) -> TransportHealth {
-        self.state.lock().expect("remote state").health(self.transport.gather_timeout)
-    }
-
-    /// The deadlines and retry policy this coordinator runs under.
-    pub fn transport_config(&self) -> &TransportConfig {
-        &self.transport
+        lock(&self.ledger).health
     }
 
     /// Installs a [`MetricsRegistry`]: every future death, failover,
@@ -708,10 +614,10 @@ impl RemoteShardedModel {
     /// Counters in the registry start at zero — the pre-install history
     /// stays visible through [`RemoteShardedModel::transport_health`].
     pub fn set_telemetry(&self, registry: Arc<MetricsRegistry>) {
-        let mut st = self.lock_state();
-        let live = st.live_per_shard().iter().sum::<usize>();
-        st.metrics = TransportMetrics::new(registry);
-        st.metrics.live_replicas.set(live as i64);
+        let mut ledger = lock(&self.ledger);
+        ledger.metrics = TransportMetrics::new(registry);
+        let live = ledger.health.live_replicas;
+        ledger.set_live(live);
     }
 
     /// Scrapes every live replica's local registry with a [`KIND_STATS`]
@@ -726,78 +632,70 @@ impl RemoteShardedModel {
     /// bring it back. No-op while telemetry is disabled. Returns the
     /// number of replicas scraped.
     pub fn scrape_worker_stats(&self) -> usize {
-        let _op = self.op.lock().expect("transport op");
-        if !self.lock_state().metrics.registry.enabled() {
+        let mut fleet = lock(&self.fleet);
+        let tm = lock(&self.ledger).metrics.clone();
+        if !tm.registry.enabled() {
             return 0;
         }
-        self.control_round(|_| true, true)
+        self.control_round(&mut fleet, |_| true, &tm)
     }
 
     /// One round of control probes over every connected replica `pick`
-    /// selects, in the rejoin-probe plan/IO/install pattern: connections
-    /// are checked out under the state lock, probed with **no state lock
-    /// held**, then checked back in (a `STATS` snapshot folded into the
-    /// registry as source `shard{s}_replica{r}`) or marked dead. A slow
-    /// or hung replica therefore stalls only this call, never
-    /// [`RemoteShardedModel::transport_health`] or
-    /// [`RemoteShardedModel::take_events`] readers on other threads.
-    /// Returns the number of replicas that answered.
-    fn control_round(&self, pick: impl Fn(&Replica) -> bool, scrape: bool) -> usize {
-        let mut probes = Vec::new();
-        let tm = {
-            let mut st = self.lock_state();
-            for (shard, group) in st.groups.iter_mut().enumerate() {
-                for (replica, r) in group.replicas.iter_mut().enumerate() {
-                    if !pick(r) {
-                        continue;
-                    }
-                    // Dead replicas are the rejoin probes' to revive.
-                    let Some(conn) = r.conn.take() else { continue };
-                    r.borrowed = true;
-                    probes.push(ControlProbe { shard, replica, conn });
-                }
-            }
-            st.metrics.clone()
-        };
-        let outcomes: Vec<Result<Option<MetricsSnapshot>, TransportError>> =
-            probes.iter_mut().map(|p| self.probe_replica(p, scrape, &tm)).collect();
-        let mut st = self.lock_state();
+    /// selects: a `STATS` exchange while `tm`'s registry is enabled (the
+    /// snapshot folded into it as source `shard{s}_replica{r}`), else a
+    /// `PING`/`PONG` echo. A replica that fails or hangs is marked dead.
+    /// The probe I/O holds only the fleet lock, so a slow or hung replica
+    /// stalls this call, never [`RemoteShardedModel::transport_health`]
+    /// or [`RemoteShardedModel::take_events`] readers on other threads —
+    /// they read the ledger. Returns the number of replicas that answered.
+    fn control_round(
+        &self,
+        fleet: &mut Fleet,
+        pick: impl Fn(&Replica) -> bool,
+        tm: &TransportMetrics,
+    ) -> usize {
+        let (tick, scrape) = (fleet.tick, tm.registry.enabled());
         let mut answered = 0;
-        for (p, outcome) in probes.into_iter().zip(outcomes) {
-            match outcome {
-                Ok(snap) => {
-                    if let Some(snap) = snap {
-                        st.metrics
-                            .registry
-                            .ingest_remote(&format!("shard{}_replica{}", p.shard, p.replica), snap);
-                    }
-                    st.checkin(p.shard, p.replica, p.conn);
-                    answered += 1;
+        for shard in 0..fleet.groups.len() {
+            for replica in 0..fleet.groups[shard].replicas.len() {
+                let r = &mut fleet.groups[shard].replicas[replica];
+                if !pick(r) {
+                    continue;
                 }
-                Err(e) => {
-                    let _ = p.conn.shutdown();
-                    st.mark_dead(p.shard, p.replica, &e);
+                // Dead replicas are the rejoin sweep's to revive.
+                let Some(conn) = r.conn.as_mut() else { continue };
+                match self.probe_replica(conn, &mut r.abandoned, scrape, tm) {
+                    Ok(snap) => {
+                        if let Some(snap) = snap {
+                            tm.registry
+                                .ingest_remote(&format!("shard{shard}_replica{replica}"), snap);
+                        }
+                        r.last_ok_tick = tick;
+                        answered += 1;
+                    }
+                    Err(e) => fleet.mark_dead(shard, replica, &e, &self.ledger),
                 }
             }
         }
         answered
     }
 
-    /// One heartbeat/scrape round-trip on a checked-out connection:
+    /// One heartbeat/scrape round-trip on a replica's connection:
     /// `STATS` (returning the decoded snapshot) when `scrape`, else
     /// `PING`/`PONG` echo.
     fn probe_replica(
         &self,
-        p: &mut ControlProbe,
+        conn: &mut Stream,
+        abandoned: &mut HashSet<u64>,
         scrape: bool,
         tm: &TransportMetrics,
     ) -> Result<Option<MetricsSnapshot>, TransportError> {
         let timeout = self.transport.heartbeat_timeout;
         let (kind, body): (u8, &[u8]) =
             if scrape { (KIND_STATS, &[]) } else { (KIND_PING, b"fineq-heartbeat") };
-        write_frame_deadline(&mut p.conn, kind, body, timeout)?;
+        write_frame_deadline(conn, kind, body, timeout)?;
         tm.sent(body.len());
-        let (got, payload) = self.read_fresh(&mut p.conn, p.shard, p.replica, timeout, tm)?;
+        let (got, payload) = Self::read_fresh(conn, abandoned, timeout, tm)?;
         match (scrape, got) {
             (true, KIND_STATS) => MetricsSnapshot::decode(&payload)
                 .map(Some)
@@ -811,16 +709,14 @@ impl RemoteShardedModel {
     }
 
     /// Reads the next frame that is not a stale reply: a `PARTIAL` whose
-    /// nonce is on the replica's abandoned list is what an aborted
+    /// nonce is on the replica's `abandoned` list is what an aborted
     /// operation was still owed — discarded by that match, read again.
     /// Every reader of a worker connection (gather, heartbeat, scrape)
     /// reads through here, so an abort can never leave a reply to be
     /// taken for the answer to a later request.
     fn read_fresh(
-        &self,
         conn: &mut Stream,
-        shard: usize,
-        replica: usize,
+        abandoned: &mut HashSet<u64>,
         timeout: Duration,
         tm: &TransportMetrics,
     ) -> Result<(u8, Vec<u8>), TransportError> {
@@ -829,7 +725,7 @@ impl RemoteShardedModel {
             tm.received(payload.len());
             if kind == KIND_PARTIAL {
                 let nonce = get_u64(&payload, 0)?;
-                if self.lock_state().groups[shard].replicas[replica].abandoned.remove(&nonce) {
+                if abandoned.remove(&nonce) {
                     continue;
                 }
             }
@@ -839,15 +735,15 @@ impl RemoteShardedModel {
 
     /// Drains the failover/death events recorded since the last call.
     pub fn take_events(&self) -> Vec<WorkerEvent> {
-        std::mem::take(&mut self.state.lock().expect("remote state").events)
+        std::mem::take(&mut lock(&self.ledger).events)
     }
 
     /// Sends `SHUTDOWN` to every live worker and drops the connections
-    /// (best-effort: unreachable workers are ignored).
+    /// (best-effort: unreachable workers are ignored). Every replica then
+    /// reads dead; no death is counted and no event logged.
     pub fn shutdown_workers(&self) {
-        let _op = self.op.lock().expect("transport op");
-        let mut st = self.lock_state();
-        for group in &mut st.groups {
+        let mut fleet = lock(&self.fleet);
+        for group in &mut fleet.groups {
             for replica in &mut group.replicas {
                 if let Some(mut conn) = replica.conn.take() {
                     let _ = write_frame(&mut conn, KIND_SHUTDOWN, &[]);
@@ -855,123 +751,124 @@ impl RemoteShardedModel {
                 }
             }
         }
+        lock(&self.ledger).set_live(0);
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, RemoteState> {
-        self.state.lock().expect("remote state")
-    }
-
-    /// Runs reconnect probes with **no lock held** during the connect +
-    /// envelope re-ship, reacquiring the state lock only to install each
-    /// outcome. Probes run in parallel on the coordinator's pool — a
-    /// rejoin sweep over many due replicas costs one slowest-replica
-    /// handshake, not the sum — and outcomes install in probe order, so
-    /// the event log stays deterministic. Returns whether any probe
-    /// revived its replica.
-    fn run_probes(&self, probes: Vec<RejoinProbe>) -> bool {
-        if probes.is_empty() {
+    /// Advances the retry clock and reconnects dead replicas: every one
+    /// whose tick-gated backoff is due, or — for the blocking recovery of
+    /// one exhausted group (`only`) — every dead replica of that group,
+    /// backoff ignored. Pacing is pure tick arithmetic (no wall clock),
+    /// so a seeded run replays exactly. The connects and envelope
+    /// re-ships run in parallel on the coordinator's pool — a sweep over
+    /// many due replicas costs one slowest-replica handshake, not the sum
+    /// — and outcomes apply in (shard, replica) order, so the event log
+    /// stays deterministic: success re-admits the replica as a spare
+    /// ([`WorkerEvent::Rejoined`]), failure advances its backoff
+    /// schedule. Called once per gather and per heartbeat. Returns
+    /// whether any replica came back.
+    fn rejoin(&self, fleet: &mut Fleet, only: Option<usize>) -> bool {
+        fleet.tick += 1;
+        let tick = fleet.tick;
+        let mut due = Vec::new();
+        for (shard, group) in fleet.groups.iter().enumerate() {
+            for (replica, r) in group.replicas.iter().enumerate() {
+                let picked = match only {
+                    Some(exhausted) => shard == exhausted,
+                    None => tick >= r.next_attempt_tick,
+                };
+                if picked && r.conn.is_none() {
+                    due.push((shard, replica));
+                }
+            }
+        }
+        if due.is_empty() {
             return false;
         }
-        let jobs: Vec<(&str, &[Vec<u8>])> =
-            probes.iter().map(|p| (p.addr.as_str(), p.envelopes.as_slice())).collect();
+        lock(&self.ledger).retried(due.len());
+        let jobs: Vec<(&str, &[Vec<u8>])> = due
+            .iter()
+            .map(|&(s, r)| {
+                let group = &fleet.groups[s];
+                (group.replicas[r].addr.as_str(), group.envelopes.as_slice())
+            })
+            .collect();
         let outcomes = connect_all(&self.pool, &jobs, &self.transport);
         let mut any = false;
-        for (probe, outcome) in probes.into_iter().zip(outcomes) {
-            any |= self.lock_state().install_probe(probe, outcome, &self.transport.retry);
+        for ((shard, replica), outcome) in due.into_iter().zip(outcomes) {
+            let r = &mut fleet.groups[shard].replicas[replica];
+            match outcome {
+                Ok(conn) => {
+                    r.conn = Some(conn);
+                    r.attempts = 0;
+                    r.next_attempt_tick = 0;
+                    // The LOAD handshake just proved liveness: fresh
+                    // traffic for the heartbeat piggyback clock.
+                    r.last_ok_tick = tick;
+                    let addr = r.addr.clone();
+                    let live = fleet.live();
+                    lock(&self.ledger).rejoined(live, shard, replica, addr);
+                    any = true;
+                }
+                Err(_) => {
+                    r.attempts = r.attempts.saturating_add(1);
+                    let salt = ((shard as u64) << 32) | replica as u64;
+                    r.next_attempt_tick =
+                        tick + self.transport.retry.backoff_ticks(r.attempts, salt);
+                }
+            }
         }
         any
     }
 
-    /// Advances the retry clock and probes whichever dead replicas are
-    /// due. Called once per gather and per heartbeat, under the op lock
-    /// but never the state lock while connecting.
-    fn maybe_rejoin(&self) {
-        let probes = self.lock_state().plan_probes(None);
-        self.run_probes(probes);
-    }
-
-    /// Last-ditch *blocking* recovery for a group with no live replica:
-    /// up to `budget` rounds of backoff-sleep-then-probe across the
-    /// group's dead replicas. The budget is shared across one logical
-    /// operation (one site gather), so a gather can never stall longer
-    /// than the policy's full schedule. Sleeps and connects hold no
-    /// lock but the op lock.
-    fn blocking_recover(&self, shard: usize, budget: &mut u32) -> Result<(), TransportError> {
-        while *budget > 0 {
+    /// Elects `shard`'s primary, publishing a failover when it moves to a
+    /// spare. When the whole group is dead, first makes up to `budget`
+    /// rounds of backoff-sleep-then-reconnect across its dead replicas.
+    /// The budget is shared across one logical operation (one site
+    /// gather), so a gather can never stall longer than the policy's
+    /// full schedule; observers read the ledger meanwhile.
+    fn elect_recovering(
+        &self,
+        fleet: &mut Fleet,
+        shard: usize,
+        budget: &mut u32,
+    ) -> Result<(), TransportError> {
+        while !fleet.elect_primary(shard, &self.ledger) {
+            if *budget == 0 {
+                return Err(TransportError::NoLiveReplica { shard });
+            }
             let attempt = self.transport.retry.max_attempts.saturating_sub(*budget) + 1;
             *budget -= 1;
             std::thread::sleep(self.transport.retry.backoff(attempt, shard as u64));
-            let probes = self.lock_state().plan_probes(Some(shard));
-            if self.run_probes(probes) {
-                return Ok(());
-            }
+            self.rejoin(fleet, Some(shard));
         }
-        Err(TransportError::NoLiveReplica { shard })
+        Ok(())
     }
 
-    /// Checks out `shard`'s primary connection, electing (and recording
-    /// a failover to) a spare when the primary is dead, with bounded
-    /// blocking recovery when the whole group is exhausted.
-    fn checkout_recovering(
-        &self,
-        shard: usize,
-        budget: &mut u32,
-    ) -> Result<(usize, Stream), TransportError> {
-        loop {
-            // Bind the attempt first: a `match` on `self.lock_state().…`
-            // would keep the state guard alive across the arms, and the
-            // recovery arm re-locks state — instant self-deadlock.
-            let attempt = self.lock_state().checkout_primary(shard);
-            match attempt {
-                Ok(pair) => return Ok(pair),
-                Err(TransportError::NoLiveReplica { .. }) => {
-                    self.blocking_recover(shard, budget)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reports a checked-out connection's death: shuts the stream down,
-    /// records the death (and timeout) against the replica.
-    fn return_dead(&self, shard: usize, replica: usize, conn: Stream, error: &TransportError) {
-        let _ = conn.shutdown();
-        self.lock_state().mark_dead(shard, replica, error);
-    }
-
-    /// Kills `link`'s current connection: the dead replica is recorded
-    /// and the request marked unsent, so the next send elects a
-    /// replacement primary and writes the same bytes there.
-    fn fail_link(&self, link: &mut ShardLink, error: &TransportError) {
-        let (replica, conn) = link.conn.take().expect("failing a live link");
-        self.return_dead(link.shard, replica, conn, error);
-        link.sent = false;
-    }
-
-    /// Writes the group's sealed request on `link`'s connection —
-    /// checking the shard's primary out first, with bounded blocking
-    /// recovery when the whole group is dead — and fails over until a
-    /// write succeeds. The frame is nonce-complete, so a write after a
-    /// failover is byte-identical to the first.
+    /// Writes the group's sealed request on `link`'s shard primary —
+    /// electing a spare when it is dead, with bounded blocking recovery
+    /// when the whole group is — and fails over until a write succeeds.
+    /// The frame is nonce-complete, so a write after a failover is
+    /// byte-identical to the first.
     fn send_group(
         &self,
+        fleet: &mut Fleet,
         link: &mut ShardLink,
         frame: &[u8],
         tm: &TransportMetrics,
         budget: &mut u32,
     ) -> Result<(), TransportError> {
         loop {
-            if link.conn.is_none() {
-                link.conn = Some(self.checkout_recovering(link.shard, budget)?);
-            }
-            let (_, conn) = link.conn.as_mut().expect("just checked out");
+            self.elect_recovering(fleet, link.shard, budget)?;
+            let (replica, conn, _) = fleet.groups[link.shard].primary_io();
             match write_sealed_deadline(conn, frame, self.transport.gather_timeout) {
                 Ok(()) => {
                     tm.sent(frame.len() - FRAME_HEADER_BYTES);
                     link.sent = true;
                     return Ok(());
                 }
-                Err(e) => self.fail_link(link, &TransportError::Frame(e)),
+                Err(e) => {
+                    fleet.mark_dead(link.shard, replica, &TransportError::Frame(e), &self.ledger)
+                }
             }
         }
     }
@@ -979,9 +876,12 @@ impl RemoteShardedModel {
     /// Awaits the `PARTIAL` carrying `nonce` on `link` and decodes it into
     /// `outs`. Every failure — stream, deadline, worker `ERROR`, a reply
     /// that is not the answer to what was asked — kills the replica and
-    /// replays the request on a spare under the same nonce.
+    /// marks the request unsent, so the next send replays it on the
+    /// elected spare under the same nonce.
+    #[allow(clippy::too_many_arguments)]
     fn await_group(
         &self,
+        fleet: &mut Fleet,
         link: &mut ShardLink,
         frame: &[u8],
         nonce: u64,
@@ -991,11 +891,11 @@ impl RemoteShardedModel {
     ) -> Result<(), TransportError> {
         loop {
             if !link.sent {
-                self.send_group(link, frame, tm, budget)?;
+                self.send_group(fleet, link, frame, tm, budget)?;
             }
-            let (shard, timeout) = (link.shard, self.transport.gather_timeout);
-            let (replica, conn) = link.conn.as_mut().expect("sent on a live link");
-            let failure = match self.read_fresh(conn, shard, *replica, timeout, tm) {
+            let timeout = self.transport.gather_timeout;
+            let (replica, conn, abandoned) = fleet.groups[link.shard].primary_io();
+            let failure = match Self::read_fresh(conn, abandoned, timeout, tm) {
                 Ok((KIND_PARTIAL, rx)) => match decode_partial(&rx, nonce, &link.wanted, outs) {
                     Ok(()) => {
                         link.done = true;
@@ -1012,24 +912,26 @@ impl RemoteShardedModel {
                 )),
                 Err(e) => e,
             };
-            self.fail_link(link, &failure);
+            fleet.mark_dead(link.shard, replica, &failure, &self.ledger);
+            link.sent = false;
         }
     }
 
-    /// Returns every checked-out connection to the state table. A
-    /// request sent but never answered still owes a `PARTIAL` on that
-    /// connection: its nonce goes on the replica's abandoned list, and
-    /// whatever read next touches the connection (gather, heartbeat,
-    /// scrape) discards the stale reply by nonce match.
-    fn release_links(&self, links: Vec<ShardLink>, nonce: u64) {
-        let mut st = self.lock_state();
-        for link in links {
-            if let Some((replica, conn)) = link.conn {
-                if link.sent && !link.done {
-                    st.groups[link.shard].replicas[replica].abandoned.insert(nonce);
-                }
-                st.checkin(link.shard, replica, conn);
+    /// Ends a gather's links. A request sent but never answered still
+    /// owes a `PARTIAL` on the primary's connection: its nonce goes on
+    /// that replica's abandoned list, and whatever read next touches the
+    /// connection (gather, heartbeat, scrape) discards the stale reply by
+    /// nonce match. Every sent link stamps the traffic tick heartbeats
+    /// key their piggyback skip on.
+    fn release_links(fleet: &mut Fleet, links: &[ShardLink], nonce: u64) {
+        let tick = fleet.tick;
+        for link in links.iter().filter(|link| link.sent) {
+            let group = &mut fleet.groups[link.shard];
+            let r = &mut group.replicas[group.primary];
+            if !link.done {
+                r.abandoned.insert(nonce);
             }
+            r.last_ok_tick = tick;
         }
     }
 
@@ -1047,7 +949,7 @@ impl RemoteShardedModel {
     /// Each call ticks the rejoin clock, so dead replicas whose backoff
     /// is due get probed on the way in. Any mid-flight failure replays
     /// the request on a spare under the original nonce
-    /// ([`RemoteShardedModel::fail_link`]). On abort, owed replies become
+    /// ([`RemoteShardedModel::await_group`]). On abort, owed replies become
     /// abandoned nonces ([`RemoteShardedModel::release_links`]) and can
     /// never be misread by a later operation.
     ///
@@ -1063,15 +965,14 @@ impl RemoteShardedModel {
         sites: &[WeightSite],
         a: &Matrix,
     ) -> Result<Vec<Matrix>, TransportError> {
-        let _op = self.op.lock().expect("transport op");
-        self.maybe_rejoin();
-        // Clone the handles out of the state lock: recording must not
-        // hold it across the broadcast/gather I/O below.
-        let (tm, nonce) = {
-            let mut st = self.lock_state();
-            st.next_nonce += 1;
-            (st.metrics.clone(), st.next_nonce - 1)
-        };
+        let mut fleet = lock(&self.fleet);
+        let fleet = &mut *fleet;
+        self.rejoin(fleet, None);
+        let nonce = fleet.next_nonce;
+        fleet.next_nonce += 1;
+        // Clone the handles out of the ledger once: frames and latency
+        // record without taking it again.
+        let tm = lock(&self.ledger).metrics.clone();
         let started = tm.registry.enabled().then(|| tm.registry.now_micros());
         // One blocking-recovery budget for the whole group: a
         // repeatedly-failing fleet cannot stall a step forever.
@@ -1107,19 +1008,19 @@ impl RemoteShardedModel {
                 frames.push((mask, encode_gather(nonce, &ids, a)));
                 frames.len() - 1
             });
-            links.push(ShardLink { shard, frame, wanted, conn: None, sent: false, done: false });
+            links.push(ShardLink { shard, frame, wanted, sent: false, done: false });
         }
         let result: Result<(), TransportError> = (|| {
             for link in &mut links {
-                self.send_group(link, &frames[link.frame].1, &tm, &mut budget)?;
+                self.send_group(fleet, link, &frames[link.frame].1, &tm, &mut budget)?;
             }
             for link in &mut links {
                 let frame = &frames[link.frame].1;
-                self.await_group(link, frame, nonce, &mut outs, &tm, &mut budget)?;
+                self.await_group(fleet, link, frame, nonce, &mut outs, &tm, &mut budget)?;
             }
             Ok(())
         })();
-        self.release_links(links, nonce);
+        Self::release_links(fleet, &links, nonce);
         result?;
         if let Some(t0) = started {
             let us = tm.registry.now_micros().saturating_sub(t0);
@@ -1329,7 +1230,7 @@ mod tests {
         let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
         let mut scratch = KernelScratch::new();
         remote.forward_step_batch_with(&[1], &[0], &mut cache, &mut scratch);
-        remote.lock_state().groups[0].replicas[0]
+        lock(&remote.fleet).groups[0].replicas[0]
             .conn
             .as_mut()
             .expect("live")
@@ -1521,7 +1422,7 @@ mod tests {
         // connection by shutting down the socket worker-side via a bogus
         // frame (the worker drops corrupted connections).
         {
-            let mut st = remote.state.lock().expect("state");
+            let mut st = remote.fleet.lock().expect("state");
             let conn = st.groups[0].replicas[0].conn.as_mut().expect("live");
             conn.shutdown().expect("shutdown primary connection");
         }
@@ -1581,7 +1482,7 @@ mod tests {
         let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
         let mut scratch = KernelScratch::new();
         let kill = |replica: usize| {
-            let mut st = remote.state.lock().expect("state");
+            let mut st = remote.fleet.lock().expect("state");
             let conn = st.groups[0].replicas[replica].conn.as_mut().expect("live");
             conn.shutdown().expect("sever connection");
         };
@@ -1717,7 +1618,7 @@ mod tests {
         // coordinator does not know yet, so the next step's broadcast
         // reaches shard 0 before shard 1's failure aborts the gather.
         {
-            let mut st = remote.state.lock().expect("state");
+            let mut st = remote.fleet.lock().expect("state");
             let mut conn = st.groups[1].replicas[0].conn.take().expect("live");
             write_frame(&mut conn, KIND_SHUTDOWN, &[]).expect("shutdown shard 1");
         }
@@ -1833,5 +1734,79 @@ mod tests {
         assert!(th.rejoins >= 1, "the reconnect must be recorded: {th:?}");
         remote.shutdown_workers();
         handle.join().expect("worker thread");
+    }
+
+    /// One stored live count feeds every observer: through a kill, the
+    /// failover, a heartbeat rejoin and `shutdown_workers`, the live/dead
+    /// split of `transport_health()`, the fleet table's connected count
+    /// and the registry's `fineq_live_replicas` gauge agree at every
+    /// stage, and the death, failover and rejoin counters equal the
+    /// drained events.
+    #[test]
+    fn live_count_agrees_across_health_table_and_gauge_through_shutdown() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let model = packed_tiny(25);
+        let cfg = model.config().clone();
+        // Replica 0 refuses every rejoin handshake until healed, so the
+        // failed-over stage is observable between steps.
+        let healed = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&healed);
+        let fleet = [
+            spawn_scripted_worker(Box::new(move |conn, kind, _, real| {
+                (conn == 0 || kind != KIND_LOAD || gate.load(Ordering::SeqCst)).then_some(real)
+            })),
+            spawn_scripted_worker(Box::new(|_, _, _, real| Some(real))),
+        ];
+        let addrs = vec![fleet.iter().map(|(addr, _)| addr.clone()).collect::<Vec<_>>()];
+        let remote = RemoteShardedModel::connect_with(&model, &addrs, fast_retry()).expect("up");
+        let registry = Arc::new(MetricsRegistry::new());
+        remote.set_telemetry(Arc::clone(&registry));
+        let mut events = Vec::new();
+        let mut check = |stage: &str, live: usize, counters: (u64, u64, u64)| {
+            let th = remote.transport_health();
+            let table =
+                lock(&remote.fleet).groups[0].replicas.iter().filter(|r| r.conn.is_some()).count();
+            let gauge = registry.snapshot().gauges.get("fineq_live_replicas").copied();
+            assert_eq!(
+                (th.live_replicas, th.dead_replicas, table, gauge),
+                (live, 2 - live, live, Some(live as i64)),
+                "{stage}: {th:?}"
+            );
+            assert_eq!((th.deaths, th.failovers, th.rejoins), counters, "{stage}: {th:?}");
+            events.extend(remote.take_events());
+            let count =
+                |pick: fn(&WorkerEvent) -> bool| events.iter().filter(|e| pick(e)).count() as u64;
+            let drained = (
+                count(|e| matches!(e, WorkerEvent::WorkerDied { .. })),
+                count(|e| matches!(e, WorkerEvent::FailedOver { .. })),
+                count(|e| matches!(e, WorkerEvent::Rejoined { .. })),
+            );
+            assert_eq!(drained, counters, "{stage}: {events:?}");
+        };
+        check("connected", 2, (0, 0, 0));
+        let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
+        let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
+        let mut scratch = KernelScratch::new();
+        for tok in [1, 2] {
+            if tok == 2 {
+                lock(&remote.fleet).groups[0].replicas[0]
+                    .conn
+                    .as_mut()
+                    .expect("live")
+                    .shutdown()
+                    .expect("sever the primary");
+            }
+            let got = remote.forward_step_batch_with(&[tok], &[0], &mut cache_r, &mut scratch);
+            assert_eq!(got, model.forward_step_batch(&[tok], &[0], &mut cache_u));
+        }
+        check("failed over", 1, (1, 1, 0));
+        healed.store(true, Ordering::SeqCst);
+        assert!((0..200).any(|_| remote.heartbeat().live() == 2), "the replica must rejoin");
+        check("rejoined", 2, (1, 1, 1));
+        remote.shutdown_workers();
+        check("shut down", 0, (1, 1, 1));
+        for (addr, handle) in fleet {
+            stop_worker(&addr, handle);
+        }
     }
 }

@@ -126,10 +126,12 @@
 //! parallel** on the coordinator's thread pool, so a fleet connects (and
 //! a healed partition re-ships) in one slowest-replica round instead of
 //! the sum. Reconnect probes, recovery backoff sleeps, heartbeat probes
-//! and STATS scrapes all run with **no state lock held**: a
-//! dead-but-slow replica never blocks
-//! [`RemoteShardedModel::transport_health`] or
-//! [`RemoteShardedModel::take_events`] readers.
+//! and STATS scrapes hold the coordinator's fleet lock for the whole
+//! operation, and observers never take it: every death, failover,
+//! rejoin and retry is published to a separate ledger, which is all
+//! [`RemoteShardedModel::transport_health`] and
+//! [`RemoteShardedModel::take_events`] read — so a dead-but-slow replica
+//! never blocks them.
 //! [`RemoteShardedModel::transport_health`] exposes the counters
 //! (deaths, failovers, rejoins, retries, timeouts) that `SchedulerStats`
 //! republishes.
