@@ -80,11 +80,6 @@ impl CostModel {
         Self { rows, cols }
     }
 
-    /// Array dimensions.
-    pub fn array_dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     fn pe_scale(&self) -> f64 {
         (self.rows * self.cols) as f64 / 4096.0
     }

@@ -156,11 +156,6 @@ impl FaultPlan {
         FaultPlan { connections }
     }
 
-    /// A permanently dead peer: every connection is refused.
-    pub fn refuse_all() -> Self {
-        FaultPlan { connections: vec![None] }
-    }
-
     /// The script for accepted connection `idx` (`None` = refuse).
     pub fn script_for(&self, idx: usize) -> Option<FaultScript> {
         if self.connections.is_empty() {

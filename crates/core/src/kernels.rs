@@ -13,19 +13,19 @@
 //!
 //! * **One accumulate loop.** The private const-generic `walk::<N>` is the
 //!   body of every kernel: [`PackedChannel::dot`] is `N = 1`, the batched
-//!   GEMM ([`PackedMatrix::matmul_t_into_with`]), the sharded gather
-//!   ([`matmul_t_sharded_into`]) and through it the remote worker run
-//!   `N ∈ {1, 4, 8, 16}` over activations restaged column-major in panels
-//!   of at most 16 rows, zero-padded to the tile — any batch of 1–16 rows
-//!   is one pass over the stream, each further 16 rows one more. The panel
-//!   layout and the tile dispatch are [`fineq_tensor::panel`]'s, shared
-//!   with the dense `Matrix::matmul_transpose` (the fp32 head). Per block
-//!   it derives a *live-cluster* mask from the raw index byte and 48-bit
-//!   data word in about ten register ops (a field is dead iff its magnitude
-//!   bits are clear), then visits only the set bits: one [`DECODE_INTS`]
-//!   lookup per live cluster, the accumulator chosen once per cluster (a
-//!   cluster is single-class), the sacrificed lane skipped by position, the
-//!   accumulators `[f32; N]` locals that stay in registers.
+//!   GEMM ([`PackedMatrix::matmul_t_into_with`]) and through it the remote
+//!   worker run `N ∈ {1, 4, 8, 16}` over activations restaged column-major
+//!   in panels of at most 16 rows, zero-padded to the tile — any batch of
+//!   1–16 rows is one pass over the stream, each further 16 rows one more.
+//!   The panel layout and the tile dispatch are [`fineq_tensor::panel`]'s,
+//!   shared with the dense `Matrix::matmul_transpose` (the fp32 head). Per
+//!   block it derives a *live-cluster* mask from the raw index byte and
+//!   48-bit data word in about ten register ops (a field is dead iff its
+//!   magnitude bits are clear), then visits only the set bits: one
+//!   [`DECODE_INTS`] lookup per live cluster, the accumulator chosen once
+//!   per cluster (a cluster is single-class), the sacrificed lane skipped
+//!   by position, the accumulators `[f32; N]` locals that stay in
+//!   registers.
 //! * **Why.** On the model every `BENCHMARK.json` workload serves, 0.2 % of
 //!   the 1 081 344 stored lanes are live 2-bit lanes, 8.4 % live 3-bit
 //!   lanes, and 22 % of clusters hold any nonzero lane (pinned by
@@ -67,14 +67,15 @@
 //!   all-lanes case too.
 //!
 //! Channels are independent, so the matrix-level kernels
-//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`],
-//! [`matmul_t_sharded_into`]) are one private channel loop over
-//! `(offset, slice)` pairs whose flat channel range is optionally
-//! distributed over a [`ThreadPool`]: GEMV is its one-row case, the
-//! unsharded GEMM its one-slice case. Each channel's accumulation order is
-//! untouched by the distribution, so parallel output is **bit-identical to
-//! the serial path at any thread and shard count** — the invariant the
-//! batched serving engine's composition guarantee rests on.
+//! ([`PackedMatrix::matvec_into`], [`PackedMatrix::matmul_t_into_with`])
+//! are one private channel loop over one matrix, channel `r` writing
+//! output column `r`, its channel range optionally distributed over a
+//! [`ThreadPool`]: GEMV is its one-row case. Each channel's accumulation
+//! order is untouched by the distribution, so parallel output is
+//! **bit-identical to the serial path at any thread count** — the
+//! invariant the batched serving engine's composition guarantee rests on.
+//! A channel also computes the same bits in any matrix that holds it, so
+//! a row shard of a site needs no kernel of its own.
 //! [`KernelScratch`] lets a caller reuse the restaging buffer across calls
 //! (e.g. across a transformer's layers).
 
@@ -85,7 +86,6 @@ use crate::pack::{
 use crate::pool::ThreadPool;
 use fineq_tensor::panel::{for_each_row, restage_columns, PanelKernel};
 use fineq_tensor::Matrix;
-use std::borrow::Borrow;
 
 // The walk's widest tile; the serving scheduler fills a step's last panel.
 pub use fineq_tensor::panel::MAX_TILE;
@@ -419,47 +419,35 @@ impl PanelKernel for Walk<'_> {
     }
 }
 
-/// The one channel loop of the module: `Y[t, offset + r]` = channel `r` of
-/// `slice` against batch row `t`, for every `(offset, slice)` pair. `staged`
-/// is the batch in [`restage_columns`] layout and `out` the row-major
-/// `t_len x out_cols` result. The slices' channels form one flat range
-/// that `pool`, when given, distributes; each channel is computed whole by
-/// one worker and owns its output column, so the result is bit-identical
-/// at any thread count and under any slicing of the same channels.
-///
-/// The caller guarantees every `offset..offset + rows` lies within
-/// `out_cols` and that the ranges are pairwise disjoint — the safety
-/// contract of the concurrent writes ([`assert_shard_ranges`]).
-fn channel_loop<M: Borrow<PackedMatrix> + Sync>(
-    shards: &[(usize, M)],
+/// The one channel loop of the module: `Y[t, r]` = channel `r` of `m`
+/// against batch row `t`. `staged` is the batch in [`restage_columns`]
+/// layout and `out` the row-major `t_len x m.rows()` result. `pool`, when
+/// given, distributes the channels; each channel is computed whole by one
+/// worker and owns output column `r`, so the result is bit-identical at
+/// any thread count.
+fn channel_loop(
+    m: &PackedMatrix,
     staged: &[f32],
     t_len: usize,
     out: &mut [f32],
-    out_cols: usize,
     pool: Option<&ThreadPool>,
 ) {
-    debug_assert_eq!(out.len(), t_len * out_cols);
+    let rows = m.rows();
+    assert_eq!(out.len(), t_len * rows, "the output holds t_len x rows values");
     let writer = SendSlice::new(out);
     let channel_range = |start: usize, end: usize| {
-        let mut base = 0;
-        for (off, m) in shards {
-            let m = m.borrow();
-            let lo = start.saturating_sub(base).min(m.rows());
-            let hi = end.saturating_sub(base).min(m.rows());
-            let channels = m.channels()[lo..hi].iter().map(Walk);
-            // Safety: a channel belongs to exactly one chunk of the flat
-            // range and writes only the `t * out_cols + col` entries of its
-            // own column `col = off + lo + r`.
-            for_each_row(channels, staged, t_len, m.cols(), |r, t, y| unsafe {
-                writer.write(t * out_cols + off + lo + r, y)
-            });
-            base += m.rows();
-        }
+        let channels = m.channels()[start..end].iter().map(Walk);
+        // SAFETY: `t < t_len` and `r = start + k < rows`, so the index is
+        // within the `t_len * rows` values asserted above; channel `r`
+        // belongs to exactly one chunk of `0..rows` and alone writes
+        // column `r`.
+        for_each_row(channels, staged, t_len, m.cols(), |k, t, y| unsafe {
+            writer.write(t * rows + start + k, y)
+        });
     };
-    let total = shards.iter().map(|(_, m)| m.borrow().rows()).sum();
     match pool {
-        Some(pool) => pool.run(total, 1, &|_, start, end| channel_range(start, end)),
-        None => channel_range(0, total),
+        Some(pool) => pool.run(rows, 1, &|_, start, end| channel_range(start, end)),
+        None => channel_range(0, rows),
     }
 }
 
@@ -577,7 +565,7 @@ impl PackedMatrix {
     pub fn matvec_into(&self, x: &[f32], out: &mut [f32], pool: Option<&ThreadPool>) {
         assert_eq!(x.len(), self.cols(), "input length must equal cols");
         assert_eq!(out.len(), self.rows(), "output length must equal rows");
-        channel_loop(&[(0, self)], x, 1, out, self.rows(), pool);
+        channel_loop(self, x, 1, out, pool);
     }
 
     /// Fused `Y = A Wᵀ` (`A` is `T x cols`, `Y` is `T x rows`) — the
@@ -656,7 +644,7 @@ impl PackedMatrix {
         // Column-major restaging: a_t holds activation column i across the
         // batch rows of each panel, contiguous for the walk's lane tiles.
         let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
-        channel_loop(&[(0, self)], a_t, t_len, out.as_mut_slice(), rows, pool);
+        channel_loop(self, a_t, t_len, out.as_mut_slice(), pool);
     }
 
     /// Decodes the whole matrix: allocates the result, then
@@ -689,53 +677,6 @@ impl PackedMatrix {
     pub fn storage_bytes(&self) -> usize {
         self.channels().iter().map(|c| c.storage_bytes()).sum()
     }
-}
-
-/// Validates a shard list: every slice's columns match the activations,
-/// every output range `offset..offset + rows` is in bounds, and ranges are
-/// pairwise disjoint (the safety contract of the concurrent writes).
-fn assert_shard_ranges(shards: &[(usize, PackedMatrix)], a_cols: usize, out_cols: usize) {
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(shards.len());
-    for (off, m) in shards {
-        let off = *off;
-        assert_eq!(m.cols(), a_cols, "shard columns must match the activations");
-        let end = off.checked_add(m.rows()).expect("shard range overflows");
-        assert!(end <= out_cols, "shard range {off}..{end} exceeds output {out_cols}");
-        ranges.push((off, end));
-    }
-    ranges.sort_unstable();
-    for w in ranges.windows(2) {
-        assert!(w[0].1 <= w[1].0, "shard ranges {:?} and {:?} overlap", w[0], w[1]);
-    }
-}
-
-/// Shard-parallel fused gather GEMM: `Y[:, offset..offset + rows] =
-/// A @ sliceᵀ` for every `(offset, slice)` — the batched serving op of a
-/// row-sharded weight site. The activations are restaged column-major
-/// **once** (the broadcast half of a sharded step) and every shard reads
-/// the same buffer; the shards' channels fan out over `pool` as one flat
-/// range, each writing its own output column. It is the loop of
-/// [`PackedMatrix::matmul_t_into_with`] over more than one slice, so
-/// gathering row slices of one matrix reproduces the unsharded output
-/// **bit for bit** at any shard and thread count.
-///
-/// # Panics
-///
-/// Panics if `out.rows() != a.rows()`, a slice's columns differ from
-/// `a.cols()`, a range exceeds `out.cols()`, or ranges overlap.
-pub fn matmul_t_sharded_into(
-    shards: &[(usize, PackedMatrix)],
-    a: &Matrix,
-    out: &mut Matrix,
-    scratch: &mut KernelScratch,
-    pool: Option<&ThreadPool>,
-) {
-    let t_len = a.rows();
-    let out_cols = out.cols();
-    assert_eq!(out.rows(), t_len, "matmul_t_sharded output must have {t_len} rows");
-    assert_shard_ranges(shards, a.cols(), out_cols);
-    let a_t: &[f32] = restage_columns(a, &mut scratch.a_t);
-    channel_loop(shards, a_t, t_len, out.as_mut_slice(), out_cols, pool);
 }
 
 #[cfg(test)]
@@ -910,9 +851,10 @@ mod tests {
 
     #[test]
     fn sharded_gathers_are_bit_identical_to_unsharded() {
-        // Row slices of one matrix, gathered shard-parallel, must equal the
-        // unsharded kernel exactly — uneven splits, a 1-row slice, and a
-        // split finer than the channel count all included.
+        // Row slices of one matrix, each run on its own, must equal the
+        // matching columns of the unsharded kernel exactly — uneven
+        // splits, a 1-row slice, and a split finer than the channel count
+        // all included.
         for (rows, cols, seed) in [(13usize, 67usize, 51u64), (4, 24, 52), (1, 9, 53)] {
             let (_, packed) = random_packed(rows, cols, seed);
             let mut rng = Rng::seed_from(seed ^ 0x5A5A);
@@ -921,32 +863,31 @@ mod tests {
             for n_shards in [1usize, 2, 3, 5] {
                 // Contiguous split, deliberately uneven: ceil-sized head.
                 let chunk = rows.div_ceil(n_shards);
-                let mut slices = Vec::new();
-                let mut start = 0;
-                while start < rows {
-                    let end = (start + chunk).min(rows);
-                    slices.push((start, packed.slice_rows(start, end)));
-                    start = end;
-                }
                 for threads in [1usize, 3] {
                     let pool = ThreadPool::new(threads);
                     let mut scratch = KernelScratch::new();
-                    let mut mt = Matrix::zeros(5, rows);
-                    matmul_t_sharded_into(&slices, &a, &mut mt, &mut scratch, Some(&pool));
-                    assert_eq!(mt, serial_mt, "{rows}x{cols} shards {n_shards} t {threads}");
+                    let mut start = 0;
+                    while start < rows {
+                        let end = (start + chunk).min(rows);
+                        let mut mt = Matrix::zeros(5, end - start);
+                        packed.slice_rows(start, end).matmul_t_into_with(
+                            &a,
+                            &mut mt,
+                            &mut scratch,
+                            Some(&pool),
+                        );
+                        for r in start..end {
+                            assert_eq!(
+                                mt.col(r - start),
+                                serial_mt.col(r),
+                                "{rows}x{cols} shards {n_shards} t {threads} channel {r}"
+                            );
+                        }
+                        start = end;
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges")]
-    fn overlapping_shard_ranges_are_rejected() {
-        let (_, packed) = random_packed(6, 24, 54);
-        let a = packed.slice_rows(0, 4);
-        let b = packed.slice_rows(2, 6);
-        let (x, mut out) = (Matrix::zeros(1, 24), Matrix::zeros(1, 6));
-        matmul_t_sharded_into(&[(0, a), (2, b)], &x, &mut out, &mut KernelScratch::new(), None);
     }
 
     #[test]
@@ -1028,13 +969,6 @@ mod tests {
             let pool = ThreadPool::new(2);
             packed.matmul_t_into_with(&a, &mut out, &mut KernelScratch::new(), Some(&pool));
             assert_eq!(out, Matrix::zeros(2, rows));
-            let mut out = Matrix::from_fn(2, rows + 1, |_, _| 9.0);
-            let shards = [(1, packed)];
-            matmul_t_sharded_into(&shards, &a, &mut out, &mut KernelScratch::new(), None);
-            assert_eq!(out.col(0), vec![9.0; 2], "columns outside every shard are untouched");
-            for r in 0..rows {
-                assert_eq!(out.col(1 + r), vec![0.0; 2]);
-            }
         }
     }
 }

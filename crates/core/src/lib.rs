@@ -56,7 +56,7 @@ pub use cluster::{split_channel, Cluster};
 pub use encoding::ClusterCode;
 pub use fault::{FaultAction, FaultPlan, FaultProxy, FaultScript, FaultStream};
 pub use frame::{read_frame, write_frame, FrameError, Listener, Stream};
-pub use kernels::{decode_block_swar, matmul_t_sharded_into, KernelScratch};
+pub use kernels::{decode_block_swar, KernelScratch};
 pub use pack::{block_data_word, block_index_byte, PackedChannel, PackedMatrix};
 pub use pool::ThreadPool;
 pub use quantizer::{FineQConfig, FineQuantizer};

@@ -684,7 +684,7 @@ fn attend_batch(
 /// hidden state they were read out from. Sharing the body is what makes
 /// the engines and entry points arithmetically identical **by
 /// construction** — the only thing a caller chooses is how a linear site
-/// executes (fused in-place kernels vs broadcast + shard-parallel gather)
+/// executes (fused in-place kernels vs a broadcast to remote shards)
 /// and what it records of each site's input on the way.
 ///
 /// `site_forward` is fallible so a distributed engine can abort the step

@@ -31,10 +31,10 @@
 //!   token-identically.
 //! * [`shard`] — row-sharded serving: a [`ShardPlan`] partitions every
 //!   packed weight site's output channels across worker shards (balanced
-//!   by packed bytes), a [`ShardedModel`] holds the slices (each
-//!   round-tripped through the versioned shard wire format), and
-//!   [`ShardedScheduler`] serves batches shard-parallel, bit-identical to
-//!   the unsharded scheduler at any shard count.
+//!   by packed bytes) and encodes each shard's slices in the versioned
+//!   shard wire format; a [`ShardedModel`] serves the packed model
+//!   rebuilt from those bytes, and [`ShardedScheduler`] serves it
+//!   bit-identically to the unsharded scheduler at any shard count.
 //! * [`remote`] — multi-process sharded serving: workers over
 //!   `std::net` (TCP or Unix sockets) load FNQS shard envelopes and serve
 //!   batched gather requests; the [`RemoteShardedModel`] coordinator

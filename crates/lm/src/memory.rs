@@ -81,13 +81,6 @@ impl ServingMemory {
         self
     }
 
-    /// Same deployment with an explicit measured weight byte count, e.g.
-    /// from [`Transformer::weight_footprint_bytes`] of a packed model.
-    pub fn with_measured_bytes(mut self, bytes: f64) -> Self {
-        self.weights = WeightStore::MeasuredBytes(bytes);
-        self
-    }
-
     /// Effective stored bits per weight (derived for measured stores).
     pub fn weight_bits(&self) -> f64 {
         match self.weights {

@@ -19,11 +19,10 @@ use fineq_core::frame::{
     read_frame_deadline, write_frame, write_frame_deadline, write_sealed_deadline, FrameError,
     Stream, FRAME_HEADER_BYTES,
 };
-use fineq_core::pool::default_threads;
 #[cfg(test)]
 use fineq_core::retry::RetryPolicy;
 use fineq_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use fineq_core::{KernelScratch, ThreadPool};
+use fineq_core::KernelScratch;
 use fineq_tensor::Matrix;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -265,28 +264,25 @@ fn connect_replica(
     Ok(conn)
 }
 
-/// [`connect_replica`] for every `(address, envelopes)` job at once on
-/// `pool` — a fleet (or a rejoin sweep) is up after one slowest-replica
-/// handshake instead of the sum. Outcomes come back in job order.
+/// [`connect_replica`] for every `(address, envelopes)` job at once, one
+/// scoped thread per job — a fleet (or a rejoin sweep) is up after one
+/// slowest-replica handshake instead of the sum, however many replicas
+/// there are per core. Outcomes come back in job order; a panicking
+/// handshake re-panics here.
 fn connect_all(
-    pool: &ThreadPool,
     jobs: &[(&str, &[Vec<u8>])],
     tc: &TransportConfig,
 ) -> Vec<Result<Stream, TransportError>> {
-    let slots: Vec<Mutex<Option<Result<Stream, TransportError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    pool.run(jobs.len(), 1, &|_, start, end| {
-        for i in start..end {
-            let outcome = connect_replica(jobs[i].0, jobs[i].1, tc);
-            *lock(&slots[i]) = Some(outcome);
-        }
-    });
-    // `pool.run` returns after every index ran, and a slot's lock is
-    // held only to store, so an empty or poisoned slot is a pool bug.
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().ok().flatten().expect("pool.run fills every slot"))
-        .collect()
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|&(addr, envelopes)| scope.spawn(move || connect_replica(addr, envelopes, tc)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// Locks a coordinator mutex. Poisoned only by a panic while it was held
@@ -434,10 +430,6 @@ pub struct RemoteShardedModel {
     head: Matrix,
     plan: ShardPlan,
     transport: TransportConfig,
-    /// Ships LOAD envelopes to replicas in parallel at connect and
-    /// rejoin (sized to the fleet, capped by the host's cores). Never
-    /// used on the gather hot path.
-    pool: Arc<ThreadPool>,
     fleet: Mutex<Fleet>,
     ledger: Mutex<Ledger>,
 }
@@ -489,17 +481,15 @@ impl RemoteShardedModel {
             // identical). Kept for the life of the deployment.
             shard_envelopes.push(plan.envelopes(model, shard));
         }
-        // Connect + LOAD every replica of every shard in parallel. The
-        // pool is kept for rejoin re-ships.
+        // Connect + LOAD every replica of every shard in parallel.
         let jobs: Vec<(&str, &[Vec<u8>])> = replica_addrs
             .iter()
             .zip(&shard_envelopes)
             .flat_map(|(addrs, env)| addrs.iter().map(move |a| (a.as_str(), env.as_slice())))
             .collect();
-        let pool = Arc::new(ThreadPool::new(default_threads().min(jobs.len()).max(1)));
         // Assemble in deterministic (shard, replica) order; the first
         // failure in that order is the reported one.
-        let mut outcomes = connect_all(&pool, &jobs, &transport).into_iter();
+        let mut outcomes = connect_all(&jobs, &transport).into_iter();
         let mut groups = Vec::with_capacity(n_shards);
         for (addrs, envelopes) in replica_addrs.iter().zip(shard_envelopes) {
             let mut replicas = Vec::with_capacity(addrs.len());
@@ -523,7 +513,6 @@ impl RemoteShardedModel {
             head: model.head().clone(),
             plan,
             transport,
-            pool,
             fleet: Mutex::new(Fleet { groups, tick: 0, next_nonce: 1, last_heartbeat_tick: 0 }),
             ledger: Mutex::new(Ledger {
                 health: TransportHealth {
@@ -759,7 +748,7 @@ impl RemoteShardedModel {
     /// one exhausted group (`only`) — every dead replica of that group,
     /// backoff ignored. Pacing is pure tick arithmetic (no wall clock),
     /// so a seeded run replays exactly. The connects and envelope
-    /// re-ships run in parallel on the coordinator's pool — a sweep over
+    /// re-ships run in parallel, one thread per replica — a sweep over
     /// many due replicas costs one slowest-replica handshake, not the sum
     /// — and outcomes apply in (shard, replica) order, so the event log
     /// stays deterministic: success re-admits the replica as a spare
@@ -792,7 +781,7 @@ impl RemoteShardedModel {
                 (group.replicas[r].addr.as_str(), group.envelopes.as_slice())
             })
             .collect();
-        let outcomes = connect_all(&self.pool, &jobs, &self.transport);
+        let outcomes = connect_all(&jobs, &self.transport);
         let mut any = false;
         for ((shard, replica), outcome) in due.into_iter().zip(outcomes) {
             let r = &mut fleet.groups[shard].replicas[replica];
@@ -1211,6 +1200,37 @@ mod tests {
                     && msg.contains(&format!("coordinator v{PROTOCOL_VERSION}")),
                 "case {case}: {msg}"
             );
+            stop_worker(&addr, handle);
+        }
+    }
+
+    /// Every replica's handshake runs at once, however many replicas there
+    /// are per core: one more replica than the host has threads, each
+    /// stalling `D` before its first `LOADED`, connects in about `D`. A
+    /// pool of `default_threads()` workers would run two of them back to
+    /// back (at least `2·D`).
+    #[test]
+    fn connect_waits_for_the_slowest_handshake_not_the_sum() {
+        const D: Duration = Duration::from_millis(300);
+        let model = packed_tiny(24);
+        let workers: Vec<_> = (0..fineq_core::pool::default_threads() + 1)
+            .map(|_| {
+                let mut stalled = false;
+                spawn_scripted_worker(Box::new(move |_, kind, _, real| {
+                    if kind == KIND_LOAD && !std::mem::replace(&mut stalled, true) {
+                        std::thread::sleep(D);
+                    }
+                    Some(real)
+                }))
+            })
+            .collect();
+        let addrs = vec![workers.iter().map(|(addr, _)| addr.clone()).collect()];
+        let started = std::time::Instant::now();
+        let remote = RemoteShardedModel::connect(&model, &addrs).expect("every replica loads");
+        let took = started.elapsed();
+        assert!(took < D * 3 / 2, "connect took {took:?} for stalls of {D:?} each");
+        remote.shutdown_workers();
+        for (addr, handle) in workers {
             stop_worker(&addr, handle);
         }
     }

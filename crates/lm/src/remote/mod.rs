@@ -123,7 +123,7 @@
 //! stale `PARTIAL`s are discarded by nonce match on the next read, so an
 //! abort can never leave one to be misread as the answer to a later
 //! request. Setup and rejoin ship FNQS envelopes to all replicas **in
-//! parallel** on the coordinator's thread pool, so a fleet connects (and
+//! parallel**, one scoped thread per replica, so a fleet connects (and
 //! a healed partition re-ships) in one slowest-replica round instead of
 //! the sum. Reconnect probes, recovery backoff sleeps, heartbeat probes
 //! and STATS scrapes hold the coordinator's fleet lock for the whole

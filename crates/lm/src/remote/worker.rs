@@ -11,7 +11,7 @@ use super::{
 use fineq_core::frame::{read_frame, write_frame, FrameError, Listener, Stream};
 use fineq_core::serialize::shard_from_bytes;
 use fineq_core::telemetry::{Counter, Histogram, MetricsRegistry};
-use fineq_core::{matmul_t_sharded_into, KernelScratch, PackedMatrix};
+use fineq_core::{KernelScratch, PackedMatrix};
 use fineq_tensor::Matrix;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -21,9 +21,7 @@ use std::time::Duration;
 /// One loaded weight-site slice on a worker.
 struct SiteSlice {
     row_start: usize,
-    /// Single-entry gather list at offset 0 — the form
-    /// [`matmul_t_sharded_into`] consumes without a per-request clone.
-    gather: Vec<(usize, PackedMatrix)>,
+    slice: PackedMatrix,
 }
 
 /// What a worker does with one handled frame.
@@ -142,10 +140,7 @@ impl Worker {
             Err(e) => return error_reply(format!("shard envelope rejected: {e}")),
         };
         let sid = header.site_id;
-        self.sites.insert(
-            sid,
-            SiteSlice { row_start: header.row_start as usize, gather: vec![(0, slice)] },
-        );
+        self.sites.insert(sid, SiteSlice { row_start: header.row_start as usize, slice });
         self.metrics.loads.inc();
         // The ack names the protocol this worker speaks, so a coordinator
         // of another version refuses the replica at connect — not at the
@@ -180,7 +175,7 @@ impl Worker {
             let Some(site) = self.sites.get(&sid) else {
                 return Err(format!("gather for unloaded site {sid}"));
             };
-            let expects = site.gather[0].1.cols();
+            let expects = site.slice.cols();
             if expects != req.cols {
                 return Err(format!(
                     "gather activations have {} columns, site {sid} expects {expects}",
@@ -194,23 +189,21 @@ impl Worker {
         begin_partial(&mut reply, req.nonce, req.n_sites(), req.t_len);
         let timed = self.metrics.registry.enabled();
         for sid in req.site_ids() {
-            let site = &self.sites[&sid];
-            let slice = &site.gather[0].1;
+            let SiteSlice { row_start, slice } = &self.sites[&sid];
             let mut out = Matrix::zeros(req.t_len, slice.rows());
             // The partial product this shard owes the step: `a @ sliceᵀ`,
-            // per-channel arithmetic identical to the in-process gather
-            // (and therefore to the unsharded engine) at any execution
-            // shape — and the same whether its site travels alone or in
-            // a group.
+            // per-channel arithmetic identical to the same channels of the
+            // unsharded matrix at any execution shape — and the same
+            // whether its site travels alone or in a group.
             let started = timed.then(|| self.metrics.registry.now_micros());
-            matmul_t_sharded_into(&site.gather, &a, &mut out, &mut self.scratch, None);
+            slice.matmul_t_into_with(&a, &mut out, &mut self.scratch, None);
             if let Some(t0) = started {
                 let us = self.metrics.registry.now_micros().saturating_sub(t0);
                 self.metrics.gather_us.record(us);
                 self.metrics.gathers.inc();
                 self.metrics.packed_bytes.add(slice.storage_bytes() as u64);
             }
-            put_partial_site(&mut reply, sid, site.row_start, &out);
+            put_partial_site(&mut reply, sid, *row_start, &out);
         }
         Ok(reply)
     }
@@ -326,7 +319,7 @@ mod tests {
     use super::super::wire::{decode_partial, encode_gather, get_u32, get_u64, SiteWant};
     use super::*;
     use crate::model::{Transformer, WeightSite};
-    use crate::shard::{site_id, ShardPlan, ShardedModel};
+    use crate::shard::{site_id, ShardPlan};
     use fineq_core::frame::FRAME_HEADER_BYTES;
     use fineq_core::telemetry::MetricsSnapshot;
     use fineq_tensor::Rng;
@@ -387,8 +380,8 @@ mod tests {
     }
 
     /// One group `GATHER` for Q/K/V is answered by one `PARTIAL` whose
-    /// sections are, bit for bit, the matching columns of the in-process
-    /// gather of each site.
+    /// sections are, bit for bit, the matching columns of each site's
+    /// unsharded product.
     #[test]
     fn worker_group_partial_matches_local_slice_products() {
         let model = packed_tiny(13);
@@ -415,16 +408,13 @@ mod tests {
             .collect();
         decode_partial(&partial, 0xDEAD_BEEF_CAFE, &wanted, &mut outs)
             .expect("the worker's own reply decodes");
-        let local = ShardedModel::new(&model, 2);
-        let mut scratch = KernelScratch::new();
         for (w, &site) in wanted.iter().zip(&QKV) {
-            let mut full = Matrix::zeros(3, plan.site(0, site).rows);
-            matmul_t_sharded_into(local.site_slices(0, site), &a, &mut full, &mut scratch, None);
+            let full = model.weight(0, site).matmul_t(&a);
             for t in 0..3 {
                 assert_eq!(
                     &outs[w.out].row(t)[w.start..w.end],
                     &full.row(t)[w.start..w.end],
-                    "{site:?} row {t} must be bit-identical to the in-process gather"
+                    "{site:?} row {t} must be bit-identical to the unsharded product"
                 );
             }
         }

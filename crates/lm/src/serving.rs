@@ -38,7 +38,8 @@
 //! One generic [`Scheduler`] serves every execution topology through the
 //! [`ServeModel`] trait: [`BatchScheduler`] (`Scheduler<Transformer>`)
 //! drives the unsharded fused kernels, [`ShardedScheduler`]
-//! (`Scheduler<ShardedModel>`) drives the row-sharded broadcast + gather.
+//! (`Scheduler<ShardedModel>`) drives the packed model rebuilt from its
+//! row shards' wire envelopes.
 //! Scheduling, sampling and retirement are one shared state machine and
 //! the two steps share one step body, so whole scheduler runs are
 //! **identical at any shard count**.
@@ -392,8 +393,8 @@ fn check_pages_feasible(
 /// A model a continuous-batching scheduler can serve: one batched decode
 /// step over slot-addressed K/V histories. Implemented by the unsharded
 /// [`Transformer`] (fused in-place kernels) and the row-sharded
-/// [`ShardedModel`] (broadcast +
-/// shard-parallel gather). Both run the same shared step body, so any two
+/// [`ShardedModel`] (the same step on the model rebuilt from its shard
+/// envelopes). Both run the same shared step body, so any two
 /// implementations over the same weights are bit-identical — which is why
 /// one generic [`Scheduler`] serves both.
 pub trait ServeModel {
@@ -513,9 +514,6 @@ pub struct Scheduler<M> {
     failed_steps: u64,
     steps: u64,
     stepped_tokens: u64,
-    /// Physical-page pool cap; installed by `set_page_budget` together
-    /// with the cache-side capacity.
-    page_budget: Option<usize>,
     prefix_sharing: bool,
     preemptions: u64,
     preemption_events: Vec<PreemptionEvent>,
@@ -531,11 +529,10 @@ pub struct Scheduler<M> {
 pub type BatchScheduler = Scheduler<Transformer>;
 
 /// The sharded scheduler: a [`Scheduler`] over a
-/// [`ShardedModel`] — each step broadcasts
-/// the batch's activations, runs worker shards on the thread pool, and
-/// gathers per-shard partial outputs into the full channel range. Output
-/// is **bit-identical** to [`BatchScheduler`] for the same requests at
-/// any shard count (asserted by tests and gated in CI).
+/// [`ShardedModel`] — each step runs on the packed model rebuilt from
+/// the shard envelopes its plan ships. Output is **bit-identical** to
+/// [`BatchScheduler`] for the same requests at any shard count (asserted
+/// by tests and gated in CI).
 pub type ShardedScheduler = Scheduler<ShardedModel>;
 
 /// The multi-process scheduler: a [`Scheduler`] over a
@@ -586,7 +583,6 @@ impl<M: ServeModel> Scheduler<M> {
             failed_steps: 0,
             steps: 0,
             stepped_tokens: 0,
-            page_budget: None,
             prefix_sharing: false,
             preemptions: 0,
             preemption_events: Vec::new(),
@@ -688,14 +684,13 @@ impl<M: ServeModel> Scheduler<M> {
         for (id, bound) in bounds {
             check_pages_feasible(id, bound, self.cache.page_tokens(), max_pages)?;
         }
-        self.page_budget = Some(max_pages);
         self.cache.set_capacity_pages(Some(max_pages));
         Ok(())
     }
 
     /// The configured page-pool cap, if any.
     pub fn page_budget(&self) -> Option<usize> {
-        self.page_budget
+        self.cache.capacity_pages()
     }
 
     /// Enables (or disables) copy-on-write prefix sharing: a newly
@@ -794,7 +789,7 @@ impl<M: ServeModel> Scheduler<M> {
         }
         assert!(request.temperature > 0.0, "temperature must be positive");
         assert!(request.max_new_tokens > 0, "max_new_tokens must be positive");
-        if let Some(budget_pages) = self.page_budget {
+        if let Some(budget_pages) = self.cache.capacity_pages() {
             check_pages_feasible(
                 request.id,
                 bound_tokens(request.prompt.len(), request.max_new_tokens),

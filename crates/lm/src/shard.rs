@@ -5,28 +5,26 @@
 //! pool's channel-range chunking exploits within one host. This module
 //! takes the split one topology level up: a [`ShardPlan`] partitions every
 //! packed weight site's output channels across `N` worker shards (balanced
-//! by **packed bytes**, not row count), a [`ShardedModel`] holds each
-//! shard's weight slices — every slice round-tripped through the versioned
-//! shard **wire format** of `fineq_core::serialize` at construction, so a
-//! multi-process or multi-host deployment is a transport away — and the
-//! batched step broadcasts the batch's activations to all shards and
-//! gathers their partial outputs into the full channel range.
+//! by **packed bytes**, not row count) and encodes each shard's slices as
+//! the versioned shard **wire format** of `fineq_core::serialize`
+//! ([`ShardPlan::envelopes`]). Those bytes are what the multi-process
+//! coordinator ships its workers, and what the in-process
+//! [`ShardedModel`] decodes and reassembles into the packed model it
+//! serves.
 //!
-//! Worker shards run on the in-tree [`ThreadPool`]: a shard is one whole
-//! work item, it reads the shared activation broadcast, and it writes only
-//! its own output columns. Because a slice's channels are byte-identical
-//! to the same channels of the unsharded matrix and each channel's
-//! accumulation order is untouched by where it executes, a sharded step is
-//! **bit-identical to the unsharded step at any shard count and any thread
-//! count** — the same determinism contract the thread pool established,
-//! lifted to the sharding topology (asserted kernel → step → scheduler by
-//! `tests/sharded_serving.rs` and gated in CI).
+//! A slice's channels are byte-identical to the same channels of the
+//! unsharded matrix, and a channel's accumulation order does not depend on
+//! the matrix that holds it. So the split of a site's rows is known only to
+//! the plan and the wire protocol — no kernel sees it — and a sharded step
+//! is **bit-identical to the unsharded step at any shard count and any
+//! thread count** (asserted site by site in this module's tests, step →
+//! scheduler by `tests/sharded_serving.rs`, and gated in CI).
 
-use crate::generate::{batched_step_body, BatchKvCache};
+use crate::generate::BatchKvCache;
 use crate::memory::{ServingMemory, WeightStore};
 use crate::model::{Transformer, WeightSite};
 use fineq_core::serialize::{shard_from_bytes, shard_to_bytes, ShardHeader};
-use fineq_core::{matmul_t_sharded_into, KernelScratch, PackedMatrix, ThreadPool};
+use fineq_core::{KernelScratch, PackedMatrix, ThreadPool};
 use fineq_tensor::Matrix;
 use std::sync::Arc;
 
@@ -220,48 +218,34 @@ impl ShardPlan {
     }
 }
 
-/// A packed transformer with every block weight site row-sharded across
-/// worker shards, serving batched steps shard-parallel.
+/// A packed transformer whose every block weight site was rebuilt from the
+/// FNQS envelopes its [`ShardPlan`] ships.
 ///
-/// Construction slices each site by its [`ShardPlan`] range and
-/// round-trips every slice through the versioned shard wire format
-/// ([`fineq_core::serialize::shard_to_bytes`] /
-/// [`fineq_core::serialize::shard_from_bytes`]) — the matrices held here
-/// are literally what came off the bytes a deployment would ship each
-/// worker. Embedding, readout head and the KV cache stay on the
-/// orchestrator (the paper's protocol keeps them fp32, and attention is
-/// not channel-sharded in this topology).
+/// Construction decodes every shard's envelopes ([`ShardPlan::envelopes`]
+/// through [`fineq_core::serialize::shard_from_bytes`]) and concatenates
+/// each site's decoded slices, in shard order, back into one
+/// [`PackedMatrix`]: the weights served here are literally what came off
+/// the bytes a deployment would ship its workers. A step is
+/// [`Transformer::forward_step_batch_with`] on that model. A channel
+/// computes the same bits in whichever matrix holds it, so the split of a
+/// site's rows needs no kernel of its own, and the output is bit-identical
+/// to the unsharded model at any shard and thread count. Embedding,
+/// readout head and the KV cache stay on the orchestrator (the paper's
+/// protocol keeps them fp32, and attention is not channel-sharded in this
+/// topology).
 ///
-/// Like [`Transformer`], the model may carry an execution [`ThreadPool`];
-/// shards fan out over it as whole work items. [`PartialEq`] ignores the
-/// pool — shard count and thread count are pure execution configuration
-/// and never change output.
-#[derive(Debug, Clone)]
+/// The execution [`ThreadPool`] is the inner model's, inherited from the
+/// source; [`PartialEq`] ignores it, as [`Transformer`]'s does.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedModel {
-    cfg: crate::config::ModelConfig,
-    embedding: Matrix,
-    head: Matrix,
+    model: Transformer,
     plan: ShardPlan,
-    /// `site_slices[site_id] = (row_offset, slice)` pairs in ascending
-    /// offset order, one per shard with a non-empty range.
-    site_slices: Vec<Vec<(usize, PackedMatrix)>>,
-    pool: Option<Arc<ThreadPool>>,
-}
-
-impl PartialEq for ShardedModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.cfg == other.cfg
-            && self.embedding == other.embedding
-            && self.head == other.head
-            && self.plan == other.plan
-            && self.site_slices == other.site_slices
-    }
 }
 
 impl ShardedModel {
-    /// Plans and builds a row shard of `model` across `n_shards` workers
-    /// (every slice round-tripped through the wire format). The model's
-    /// thread pool, if any, is inherited.
+    /// Plans a row shard of `model` across `n_shards` workers and builds
+    /// the model from its envelopes. The model's thread pool, if any, is
+    /// inherited.
     ///
     /// # Panics
     ///
@@ -277,30 +261,32 @@ impl ShardedModel {
     ///
     /// Panics if the plan does not describe `model`'s sites exactly.
     pub fn from_plan(model: &Transformer, plan: ShardPlan) -> Self {
-        let mut site_slices = vec![Vec::new(); plan.sites().len()];
+        let mut channels = vec![Vec::new(); plan.sites().len()];
         for shard in 0..plan.n_shards() {
             for bytes in plan.envelopes(model, shard) {
-                // The wire round trip: what this worker serves is exactly
-                // what decodes from the shipped bytes. Shards ascend, so
-                // each site's slices land in ascending offset order.
+                // The wire round trip: what this model serves is exactly
+                // what decodes from the shipped bytes.
                 let (header, slice) =
                     shard_from_bytes(&bytes).expect("self-produced shard bytes must decode");
-                site_slices[header.site_id as usize].push((header.row_start as usize, slice));
+                // Shards ascend, so a site's slices arrive in row order: each
+                // starts where the last ended, and `PackedMatrix::new` below
+                // checks that together they cover the site.
+                let site = &mut channels[header.site_id as usize];
+                assert_eq!(site.len(), header.row_start as usize, "slices must tile in order");
+                site.extend_from_slice(slice.channels());
             }
         }
-        Self {
-            cfg: model.config().clone(),
-            embedding: model.embedding().clone(),
-            head: model.head().clone(),
-            plan,
-            site_slices,
-            pool: model.thread_pool().cloned(),
+        let mut served = model.clone();
+        for (sp, channels) in plan.sites().iter().zip(channels) {
+            *served.weight_mut(sp.layer, sp.site) =
+                PackedMatrix::new(sp.rows, sp.cols, channels).into();
         }
+        Self { model: served, plan }
     }
 
     /// The architecture.
     pub fn config(&self) -> &crate::config::ModelConfig {
-        &self.cfg
+        self.model.config()
     }
 
     /// Number of worker shards.
@@ -313,39 +299,14 @@ impl ShardedModel {
         &self.plan
     }
 
-    /// One site's slices as ascending `(row_offset, slice)` pairs (shards
-    /// with empty ranges are absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn site_slices(&self, layer: usize, site: WeightSite) -> &[(usize, PackedMatrix)] {
-        &self.site_slices[layer * WeightSite::ALL.len() + site.index()]
-    }
-
-    /// Installs (or removes) the pool the shard fan-out runs on; see
-    /// [`Transformer::set_thread_pool`] — same sharing and determinism
-    /// contract.
+    /// See [`Transformer::set_thread_pool`].
     pub fn set_thread_pool(&mut self, pool: Option<Arc<ThreadPool>>) {
-        self.pool = pool;
+        self.model.set_thread_pool(pool);
     }
 
     /// The installed execution thread pool, if any.
     pub fn thread_pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.pool.as_ref()
-    }
-
-    fn pool_ref(&self) -> Option<&ThreadPool> {
-        self.pool.as_deref()
-    }
-
-    /// Measured weight bytes shard `shard` holds (delegates to the plan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= n_shards()`.
-    pub fn shard_weight_bytes(&self, shard: usize) -> usize {
-        self.plan.shard_weight_bytes(shard)
+        self.model.thread_pool()
     }
 
     /// Serving-memory plan for one worker shard on a device of
@@ -360,33 +321,15 @@ impl ShardedModel {
     pub fn shard_memory(&self, shard: usize, device_bytes: f64) -> ServingMemory {
         ServingMemory {
             params: self.plan.shard_params(shard) as f64,
-            n_layers: self.cfg.n_layers,
-            d_model: self.cfg.d_model,
+            n_layers: self.config().n_layers,
+            d_model: self.config().d_model,
             device_bytes,
-            weights: WeightStore::MeasuredBytes(self.shard_weight_bytes(shard) as f64),
+            weights: WeightStore::MeasuredBytes(self.plan.shard_weight_bytes(shard) as f64),
             kv_bytes_per_elem: 2.0,
         }
     }
 
-    /// One linear site's batched forward: broadcast `a` to the site's
-    /// shards, gather their partial outputs into the full channel range.
-    fn site_matmul_t(
-        &self,
-        layer: usize,
-        site: WeightSite,
-        a: &Matrix,
-        scratch: &mut KernelScratch,
-    ) -> Matrix {
-        let sp = self.plan.site(layer, site);
-        let mut out = Matrix::zeros(a.rows(), sp.rows);
-        matmul_t_sharded_into(self.site_slices(layer, site), a, &mut out, scratch, self.pool_ref());
-        out
-    }
-
-    /// Sharded mirror of [`Transformer::forward_step_batch`]: decodes the
-    /// step's rows (one contiguous run per slot) with every linear site
-    /// gathered from its worker shards. Allocating form of
-    /// [`ShardedModel::forward_step_batch_with`].
+    /// See [`Transformer::forward_step_batch`].
     ///
     /// # Panics
     ///
@@ -397,16 +340,10 @@ impl ShardedModel {
         slots: &[usize],
         cache: &mut BatchKvCache,
     ) -> Matrix {
-        self.forward_step_batch_with(tokens, slots, cache, &mut KernelScratch::new())
+        self.model.forward_step_batch(tokens, slots, cache)
     }
 
-    /// Sharded mirror of [`Transformer::forward_step_batch_with`]: the
-    /// **same step body** runs (validation, embedding, attention,
-    /// activations, K/V commit, head — shared code, not a copy), with
-    /// each linear site executed as broadcast + shard-parallel gather.
-    /// Logits are therefore **bit-identical** to the unsharded step at
-    /// any shard count and thread count (asserted by tests and gated in
-    /// CI).
+    /// See [`Transformer::forward_step_batch_with`].
     ///
     /// # Panics
     ///
@@ -418,21 +355,7 @@ impl ShardedModel {
         cache: &mut BatchKvCache,
         scratch: &mut KernelScratch,
     ) -> Matrix {
-        let pool = self.pool_ref();
-        batched_step_body::<std::convert::Infallible>(
-            &self.cfg,
-            &self.embedding,
-            &self.head,
-            tokens,
-            slots,
-            cache,
-            pool,
-            |l, sites, a| {
-                Ok(sites.iter().map(|&site| self.site_matmul_t(l, site, a, scratch)).collect())
-            },
-        )
-        .unwrap_or_else(|e| match e {})
-        .0
+        self.model.forward_step_batch_with(tokens, slots, cache, scratch)
     }
 }
 
@@ -442,8 +365,8 @@ mod tests {
     use crate::model::pack_all_sites;
     use fineq_tensor::Rng;
 
-    fn packed_tiny(seed: u64) -> Transformer {
-        let cfg = crate::config::ModelConfig::new(16, 8, 2, 2, 16);
+    fn packed_tiny(d_ff: usize, seed: u64) -> Transformer {
+        let cfg = crate::config::ModelConfig::new(16, 8, 2, 2, d_ff);
         let mut m = Transformer::zeros(cfg.clone());
         let mut rng = Rng::seed_from(seed);
         *m.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.5));
@@ -472,7 +395,7 @@ mod tests {
 
     #[test]
     fn plan_covers_every_site_and_sums_bytes() {
-        let model = packed_tiny(1);
+        let model = packed_tiny(16, 1);
         for n_shards in [1usize, 2, 3, 5] {
             let plan = ShardPlan::new(&model, n_shards);
             assert_eq!(plan.sites().len(), model.n_layers() * 6);
@@ -489,24 +412,41 @@ mod tests {
         }
     }
 
+    /// The model a `ShardedModel` serves is the source model rebuilt site
+    /// by site from the plan's envelopes, including sites where some
+    /// shards own no rows (`d_ff = 1`: a one-channel FFN-up site). A slice
+    /// dropped or placed out of order changes a site and fails here.
     #[test]
-    fn sharded_model_round_trips_and_compares_equal() {
-        let model = packed_tiny(2);
-        let a = ShardedModel::new(&model, 3);
-        let b = ShardedModel::from_plan(&model, a.plan().clone());
-        assert_eq!(a, b, "same plan, same model, same slices");
-        // Slices tile each site's rows exactly.
-        for l in 0..model.n_layers() {
-            for site in WeightSite::ALL {
-                let rows: usize = a.site_slices(l, site).iter().map(|(_, m)| m.rows()).sum();
-                assert_eq!(rows, model.weight(l, site).rows());
+    fn rebuilt_model_equals_the_source_site_by_site() {
+        let mut model = packed_tiny(1, 4);
+        model.set_thread_pool(Some(Arc::new(ThreadPool::new(2))));
+        for n_shards in [1usize, 2, 3, 5] {
+            let sharded = ShardedModel::new(&model, n_shards);
+            let up = sharded.plan().site(0, WeightSite::FfnUp);
+            assert_eq!(up.rows, 1);
+            if n_shards > 1 {
+                assert_eq!(up.range(n_shards - 1), (1, 1), "the last shard owns no FFN-up row");
             }
+            for l in 0..model.n_layers() {
+                for site in WeightSite::ALL {
+                    assert_eq!(
+                        sharded.model.weight(l, site),
+                        model.weight(l, site),
+                        "{n_shards} shards, layer {l} {site:?}"
+                    );
+                }
+            }
+            assert_eq!(sharded.model, model);
+            let rebuilt = ShardedModel::from_plan(&model, sharded.plan().clone());
+            assert_eq!(rebuilt, sharded, "same plan, same model, same decoded sites");
+            let (inherited, source) = (sharded.thread_pool(), model.thread_pool());
+            assert!(Arc::ptr_eq(inherited.expect("pool"), source.expect("pool")));
         }
     }
 
     #[test]
     fn shard_memory_measures_the_shard_alone() {
-        let model = packed_tiny(3);
+        let model = packed_tiny(16, 3);
         let sharded = ShardedModel::new(&model, 2);
         let m0 = sharded.shard_memory(0, 1e6);
         let m1 = sharded.shard_memory(1, 1e6);

@@ -149,11 +149,6 @@ impl Matrix {
         (0..self.rows).map(|r| self.data[r * self.cols + c]).collect()
     }
 
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
-    }
-
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

@@ -1,8 +1,8 @@
 //! Row-sharded serving: plan → shard → serve. Every packed weight site's
 //! output channels are partitioned across worker shards (balanced by
-//! packed bytes), each slice is round-tripped through the versioned shard
-//! wire format, and the scheduler steps batches shard-parallel — with
-//! output bit-identical to the unsharded scheduler.
+//! packed bytes), each slice is encoded in the versioned shard wire
+//! format, and the scheduler serves the model rebuilt from those bytes —
+//! with output bit-identical to the unsharded scheduler.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -105,7 +105,7 @@ fn main() {
         );
     }
     println!(
-        "\n{} sequences, {} shard-parallel steps, {} stepped tokens in {:.1} ms ({:.0} tokens/sec)",
+        "\n{} sequences, {} steps, {} stepped tokens in {:.1} ms ({:.0} tokens/sec)",
         done.len(),
         sched.steps(),
         sched.stepped_tokens(),

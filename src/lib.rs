@@ -40,7 +40,7 @@ pub use fineq_tensor as tensor;
 pub mod pipeline;
 
 pub use pipeline::{
-    collect_calibration, observe, quantize_model, quantize_model_packed, serve_distributed,
-    serve_packed, serve_packed_with_threads, serve_sharded, serve_sharded_with_threads,
-    ModelCalibration, PipelineConfig, QuantizeReport,
+    collect_calibration, quantize_model, quantize_model_packed, serve_distributed, serve_packed,
+    serve_packed_with_threads, serve_sharded, serve_sharded_with_threads, ModelCalibration,
+    PipelineConfig, QuantizeReport,
 };

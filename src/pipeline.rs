@@ -7,7 +7,7 @@
 //! Embeddings and the readout head stay in full precision, the standard
 //! protocol of the GPTQ/OWQ line of work the paper compares against.
 
-use fineq_core::{pool::default_threads, FineQuantizer, MetricsRegistry, ThreadPool};
+use fineq_core::{pool::default_threads, FineQuantizer, ThreadPool};
 use fineq_lm::{
     BatchScheduler, DistributedScheduler, LinearWeight, RemoteShardedModel, ShardedModel,
     ShardedScheduler, Transformer, TransportError, WeightSite,
@@ -301,14 +301,14 @@ pub fn serve_packed_with_threads(
 }
 
 /// Quantizes `model` to the packed serving format, row-shards every weight
-/// site across `n_shards` workers (each slice round-tripped through the
-/// versioned shard wire format), and wraps the result in a
-/// [`ShardedScheduler`] — the one-call **sharded** serving entry point.
+/// site across `n_shards` workers, rebuilds each site from the shards'
+/// wire envelopes, and wraps the result in a [`ShardedScheduler`] — the
+/// one-call **sharded** serving entry point.
 ///
 /// The scheduler's output is bit-identical to [`serve_packed`]'s for the
 /// same requests at any shard count: sharding, like threading, is pure
 /// execution topology. One shared [`ThreadPool`] sized by
-/// [`default_threads`] runs the worker shards; use
+/// [`default_threads`] runs the packed kernels' channel loops; use
 /// [`serve_sharded_with_threads`] to pick the count explicitly.
 ///
 /// # Panics
@@ -325,8 +325,8 @@ pub fn serve_sharded(
     serve_sharded_with_threads(model, quantizer, config, max_batch, n_shards, default_threads())
 }
 
-/// [`serve_sharded`] with an explicit thread count for the shard workers
-/// (`threads == 1` installs no pool: shards run serially, same output).
+/// [`serve_sharded`] with an explicit kernel thread count (`threads == 1`
+/// installs no pool: channels run serially, same output).
 ///
 /// # Panics
 ///
@@ -384,31 +384,6 @@ pub fn serve_distributed(
     let (packed, report) = quantize_model_packed(model, quantizer, config);
     let remote = RemoteShardedModel::connect(&packed, replica_addrs)?;
     Ok((DistributedScheduler::new(remote, max_batch), report))
-}
-
-/// Switches a scheduler's telemetry on: installs a fresh enabled
-/// [`MetricsRegistry`] (request-lifecycle histograms, transport counters
-/// when the model is distributed) and returns the handle — scrape it
-/// with [`MetricsRegistry::render_text`] or serve it over HTTP with
-/// [`fineq_core::MetricsServer`]. One call makes any `serve_*` entry
-/// observable:
-///
-/// ```no_run
-/// # use fineq::pipeline::*;
-/// # let (mut scheduler, _) = serve_packed(
-/// #     &fineq_lm::Transformer::zeros(fineq_lm::ModelConfig::new(8, 8, 1, 1, 8)),
-/// #     &fineq_core::FineQuantizer::paper(), &PipelineConfig::default(), 4);
-/// let registry = observe(&mut scheduler);
-/// let _server = fineq_core::MetricsServer::serve("127.0.0.1:9185", move || {
-///     registry.render_text()
-/// });
-/// ```
-pub fn observe<M: fineq_lm::ServeModel>(
-    scheduler: &mut fineq_lm::Scheduler<M>,
-) -> Arc<MetricsRegistry> {
-    let registry = Arc::new(MetricsRegistry::new());
-    scheduler.set_telemetry(Arc::clone(&registry));
-    registry
 }
 
 #[cfg(test)]

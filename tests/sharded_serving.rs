@@ -3,10 +3,9 @@
 //! `assert_eq!`, not approximate comparison — from the gather kernels
 //! through batched steps to whole scheduler runs, at shard counts covering
 //! the trivial (1), even (2), uneven (3) and more-shards-than-some-sites-
-//! have-rows (5) cases. The wire format is on the same path: every
-//! `ShardedModel` slice is round-tripped through the versioned shard
-//! header at construction, and this suite additionally corrupts those
-//! bytes on purpose.
+//! have-rows (5) cases. The wire format is on the same path: a
+//! `ShardedModel` serves the sites it decoded from the envelopes its plan
+//! ships, and this suite additionally corrupts those bytes on purpose.
 
 use fineq::core::serialize::{
     fnv1a32, fnv1a32_chain, shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader,
@@ -124,7 +123,7 @@ fn sharded_scheduler_runs_equal_unsharded_at_every_shard_count() {
 }
 
 /// The pipeline entry (`serve_sharded_with_threads`) against the unsharded
-/// pipeline on a quantized-from-dense model, shard-parallel pool installed.
+/// pipeline on a quantized-from-dense model, kernel pool installed.
 #[test]
 fn pipeline_sharded_serving_matches_packed_serving() {
     use fineq::lm::builder::{build_fitted_model, BuilderSpec};
@@ -160,26 +159,38 @@ fn sharded_model_wire_round_trip() {
     let model = packed_model(16, 6);
     let sharded = ShardedModel::new(&model, 3);
     let plan = sharded.plan().clone();
+    // Each shard ships one envelope per site it owns rows of, in plan
+    // order: take them site by site.
+    let mut shipped: Vec<_> =
+        (0..plan.n_shards()).map(|s| plan.envelopes(&model, s).into_iter()).collect();
     for l in 0..model.n_layers() {
         for site in WeightSite::ALL {
             let sp = plan.site(l, site);
             let mut covered = 0usize;
-            for (offset, slice) in sharded.site_slices(l, site) {
+            for (s, envelopes) in shipped.iter_mut().enumerate() {
+                let (start, end) = sp.range(s);
+                if start == end {
+                    continue; // this shard ships nothing for the site
+                }
+                let envelope = envelopes.next().expect("one envelope per owned site");
+                let (shipped_header, slice) = shard_from_bytes(&envelope).expect("shipped bytes");
+                let offset = shipped_header.row_start as usize;
                 // Find this slice's shard to rebuild its header.
                 let shard = (0..plan.n_shards())
-                    .find(|&s| sp.range(s) == (*offset, offset + slice.rows()))
+                    .find(|&s| sp.range(s) == (offset, offset + slice.rows()))
                     .expect("slice matches a planned range");
                 let header = ShardHeader {
                     shard_index: shard as u16,
                     n_shards: plan.n_shards() as u16,
                     site_id: site_id(l, site),
-                    row_start: *offset as u32,
+                    row_start: offset as u32,
                     total_rows: sp.rows as u32,
                 };
-                let bytes = shard_to_bytes(slice, &header);
+                assert_eq!(shipped_header, header, "the plan's envelope carries the plan's header");
+                let bytes = shard_to_bytes(&slice, &header);
                 let (got, back) = shard_from_bytes(&bytes).expect("round trip");
                 assert_eq!(got, header);
-                assert_eq!(&back, slice);
+                assert_eq!(back, slice);
                 // The decoded site_id maps back to the exact weight site.
                 let id = got.site_id as usize;
                 assert_eq!(
@@ -194,6 +205,7 @@ fn sharded_model_wire_round_trip() {
             assert_eq!(covered, sp.rows, "slices tile layer {l} {site:?}");
         }
     }
+    assert!(shipped.iter_mut().all(|envelopes| envelopes.next().is_none()), "nothing unplanned");
     // Rebuilding from the same plan yields an equal model (and PartialEq
     // ignores the pool, like Transformer's).
     let rebuilt = ShardedModel::from_plan(&model, plan);
@@ -206,16 +218,23 @@ fn sharded_model_wire_round_trip() {
 fn sharded_wire_rejects_tampered_bytes() {
     let model = packed_model(16, 7);
     let sharded = ShardedModel::new(&model, 2);
-    let (offset, slice) = &sharded.site_slices(0, WeightSite::AttnQ)[1];
+    // Shard 1's slice of layer 0's Q, decoded from the envelope it ships.
+    let (shipped, slice) = sharded
+        .plan()
+        .envelopes(&model, 1)
+        .iter()
+        .map(|envelope| shard_from_bytes(envelope).expect("shipped bytes"))
+        .find(|(h, _)| h.site_id == site_id(0, WeightSite::AttnQ))
+        .expect("shard 1 owns rows of layer 0's Q");
     let sp = sharded.plan().site(0, WeightSite::AttnQ);
     let header = ShardHeader {
         shard_index: 1,
         n_shards: 2,
         site_id: site_id(0, WeightSite::AttnQ),
-        row_start: *offset as u32,
+        row_start: shipped.row_start,
         total_rows: sp.rows as u32,
     };
-    let bytes = shard_to_bytes(slice, &header);
+    let bytes = shard_to_bytes(&slice, &header);
 
     let mut wrong_version = bytes.clone();
     wrong_version[4..6].copy_from_slice(&7u16.to_le_bytes());
