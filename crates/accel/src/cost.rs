@@ -112,8 +112,10 @@ impl CostModel {
         }
     }
 
-    /// Total area of one accelerator kind in mm².
-    pub fn total_area_mm2(&self, kind: AcceleratorKind) -> f64 {
+    /// Total area of one accelerator kind in mm²: the area oracle of the
+    /// tests.
+    #[cfg(test)]
+    fn total_area_mm2(&self, kind: AcceleratorKind) -> f64 {
         self.modules(kind).iter().map(|m| m.area_mm2).sum()
     }
 

@@ -92,12 +92,6 @@ impl ClusterCode {
             Some(_) => 3,
         }
     }
-
-    /// Total data bits of a cluster under this code. Always 6 — the
-    /// alignment property the paper's packing relies on.
-    pub fn data_bits(self) -> u8 {
-        (0..3).map(|p| self.bit_width_at(p)).sum()
-    }
 }
 
 impl std::fmt::Display for ClusterCode {
@@ -135,13 +129,6 @@ mod tests {
     #[should_panic(expected = "2 bits")]
     fn from_bits_rejects_wide_values() {
         let _ = ClusterCode::from_bits(4);
-    }
-
-    #[test]
-    fn every_code_costs_six_data_bits() {
-        for code in ClusterCode::ALL {
-            assert_eq!(code.data_bits(), 6, "{code}");
-        }
     }
 
     #[test]

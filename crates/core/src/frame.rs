@@ -46,6 +46,10 @@
 //! (`tcp:host:port`, `unix:/path`) covering both `std::net` TCP and
 //! Unix domain sockets.
 //!
+//! [`Link`] is the seam above the bytes (send a sealed frame, receive a
+//! frame, each before an absolute deadline; shut down), which [`Stream`]
+//! implements over a socket.
+//!
 //! The frame layer itself carries no version or correlation fields —
 //! `kind` and the payload are opaque here. Payload-level protocols
 //! version themselves on top: the serving transport names its version in
@@ -298,46 +302,47 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
     Ok((kind, payload))
 }
 
-/// Draws every read of one frame from a single absolute deadline: the
-/// remaining budget is re-armed as the socket timeout before each
-/// syscall, so a peer trickling one byte per interval spends the budget
-/// down instead of resetting it (per-syscall `SO_RCVTIMEO` alone would
-/// restart on every byte).
-struct DeadlineRead<'a> {
+/// A stream whose every read and write draws on one absolute deadline
+/// (`None`: no bound): the remaining budget is re-armed as the socket
+/// timeout before each syscall, so a peer trickling one byte per interval
+/// spends the budget down instead of resetting it (per-syscall
+/// `SO_RCVTIMEO` alone would restart on every byte).
+struct Deadlined<'a> {
     stream: &'a mut Stream,
-    deadline: Instant,
+    deadline: Option<Instant>,
 }
 
-impl Read for DeadlineRead<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
+impl Deadlined<'_> {
+    /// The budget left to arm (`None`: no bound), or `TimedOut` once spent.
+    fn left(&self) -> io::Result<Option<Duration>> {
+        match self.deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(left) if left.is_zero() => Err(io::ErrorKind::TimedOut.into()),
+            left => Ok(left),
         }
-        self.stream.set_read_timeout(Some(left))?;
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(self.left()?)?;
         self.stream.read(buf)
     }
 }
 
-/// The write-side mirror of [`DeadlineRead`].
-struct DeadlineWrite<'a> {
-    stream: &'a mut Stream,
-    deadline: Instant,
-}
-
-impl Write for DeadlineWrite<'_> {
+impl Write for Deadlined<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        self.stream.set_write_timeout(Some(left))?;
+        self.stream.set_write_timeout(self.left()?)?;
         self.stream.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
         self.stream.flush()
     }
+}
+
+/// The absolute deadline `timeout` from now; a zero `timeout` is no bound.
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    (!timeout.is_zero()).then(|| Instant::now() + timeout)
 }
 
 /// [`read_frame`] under an absolute end-to-end deadline: the whole frame
@@ -355,15 +360,10 @@ impl Write for DeadlineWrite<'_> {
 /// As [`read_frame`], with [`FrameError::TimedOut`] when the budget runs
 /// out mid-frame.
 pub fn read_frame_deadline(
-    stream: &mut Stream,
+    link: &mut (impl Link + ?Sized),
     timeout: Duration,
 ) -> Result<(u8, Vec<u8>), FrameError> {
-    if timeout.is_zero() {
-        stream.set_read_timeout(None).map_err(FrameError::Io)?;
-        return read_frame(stream);
-    }
-    let deadline = Instant::now() + timeout;
-    read_frame(&mut DeadlineRead { stream, deadline })
+    link.recv(deadline_after(timeout))
 }
 
 /// Writes an already sealed frame ([`seal_frame`]) under an absolute
@@ -377,15 +377,11 @@ pub fn read_frame_deadline(
 /// [`FrameError::TimedOut`] when the budget runs out mid-frame, and
 /// [`FrameError::Io`] when the stream fails.
 pub fn write_sealed_deadline(
-    stream: &mut Stream,
+    link: &mut (impl Link + ?Sized),
     frame: &[u8],
     timeout: Duration,
 ) -> Result<(), FrameError> {
-    if timeout.is_zero() {
-        stream.set_write_timeout(None).map_err(FrameError::Io)?;
-        return write_flushed(stream, frame);
-    }
-    write_flushed(&mut DeadlineWrite { stream, deadline: Instant::now() + timeout }, frame)
+    link.send(frame, deadline_after(timeout))
 }
 
 /// [`write_frame`] under the absolute deadline of
@@ -396,13 +392,57 @@ pub fn write_sealed_deadline(
 /// As [`write_frame`], with [`FrameError::TimedOut`] when the budget
 /// runs out mid-frame.
 pub fn write_frame_deadline(
-    stream: &mut Stream,
+    link: &mut (impl Link + ?Sized),
     kind: u8,
     payload: &[u8],
     timeout: Duration,
 ) -> Result<(), FrameError> {
     check_payload_len(payload)?;
-    write_sealed_deadline(stream, &frame_bytes(kind, payload), timeout)
+    write_sealed_deadline(link, &frame_bytes(kind, payload), timeout)
+}
+
+/// One frame-level connection to a peer: everything a serving
+/// coordinator does with a worker connection. [`Stream`] implements it
+/// over a socket; anything else that moves whole frames (an in-memory
+/// simulator) can stand in.
+pub trait Link: Send {
+    /// Writes one sealed frame ([`seal_frame`]) before `deadline`
+    /// (`None`: no bound).
+    ///
+    /// # Errors
+    ///
+    /// As [`write_frame`], with [`FrameError::TimedOut`] past `deadline`.
+    fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError>;
+
+    /// Reads one whole frame before `deadline` (`None`: no bound).
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`], with [`FrameError::TimedOut`] past `deadline`.
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError>;
+
+    /// Shuts both directions of the connection down.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying shutdown error.
+    fn shutdown(&mut self) -> io::Result<()>;
+}
+
+/// The socket [`Link`]: each frame's reads or writes draw on its one
+/// deadline.
+impl Link for Stream {
+    fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError> {
+        write_flushed(&mut Deadlined { stream: self, deadline }, frame)
+    }
+
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError> {
+        read_frame(&mut Deadlined { stream: self, deadline })
+    }
+
+    fn shutdown(&mut self) -> io::Result<()> {
+        Stream::shutdown(self)
+    }
 }
 
 /// A connected byte stream under one address syntax: `tcp:host:port`
@@ -453,7 +493,8 @@ impl Stream {
     /// plain connect path, which also walks the full list — so a
     /// dual-stack hostname reachable only on its second address still
     /// connects. For `unix:` paths connect is local and effectively
-    /// instant, so the plain connect is used.
+    /// instant, so the plain connect is used — as it is for a zero
+    /// `timeout`, which waits as long as the platform does.
     ///
     /// # Errors
     ///
@@ -461,7 +502,7 @@ impl Stream {
     /// deadline expires and `InvalidInput` when the host resolves to no
     /// address. The error reported is the last attempt's.
     pub fn connect_timeout(addr: &str, timeout: std::time::Duration) -> io::Result<Self> {
-        if let Some(hostport) = addr.strip_prefix("tcp:") {
+        if let Some(hostport) = addr.strip_prefix("tcp:").filter(|_| !timeout.is_zero()) {
             use std::net::ToSocketAddrs;
             let mut last_err = None;
             for sock in hostport.to_socket_addrs()? {
@@ -518,8 +559,8 @@ impl Stream {
         }
     }
 
-    /// Clones the handle: both values refer to the same connection (the
-    /// fault-injection proxy uses one per relay direction).
+    /// Clones the handle: both values refer to the same connection (one
+    /// per direction, for a relay).
     ///
     /// # Errors
     ///

@@ -41,7 +41,6 @@
 
 pub mod cluster;
 pub mod encoding;
-pub mod fault;
 pub mod frame;
 pub mod kernels;
 pub mod pack;
@@ -54,8 +53,7 @@ pub mod telemetry;
 
 pub use cluster::{split_channel, Cluster};
 pub use encoding::ClusterCode;
-pub use fault::{FaultAction, FaultPlan, FaultProxy, FaultScript, FaultStream};
-pub use frame::{read_frame, write_frame, FrameError, Listener, Stream};
+pub use frame::{read_frame, write_frame, FrameError, Link, Listener, Stream};
 pub use kernels::{decode_block_swar, KernelScratch};
 pub use pack::{block_data_word, block_index_byte, PackedChannel, PackedMatrix};
 pub use pool::ThreadPool;

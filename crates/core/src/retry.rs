@@ -11,8 +11,8 @@
 //!   died together do not thunder back together, but the spread comes
 //!   from a seeded [splitmix64] hash of `(seed, salt, attempt)`, **not**
 //!   from `SystemTime` or a global RNG. The same seed always yields the
-//!   same schedule, which is what lets the chaos harness
-//!   (`tests/chaos_serving.rs`) replay a failure scenario bit-for-bit.
+//!   same schedule, which is what lets the seeded fleet simulator
+//!   (`tests/common/sim.rs`) replay a failure schedule bit-for-bit.
 //!
 //! [`RetryPolicy::backoff`] gives the schedule in wall-clock time for
 //! blocking recovery loops; [`RetryPolicy::backoff_ticks`] gives the
@@ -25,8 +25,7 @@
 use std::time::Duration;
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mix used as
-/// the deterministic jitter source (and by [`crate::fault`] to derive
-/// seeded fault scripts).
+/// the deterministic jitter source.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

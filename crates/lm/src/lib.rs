@@ -78,8 +78,8 @@ pub use generate::{BatchKvCache, KvCache, PAGE_TOKENS};
 pub use memory::ServingMemory;
 pub use model::{LinearWeight, Transformer, WeightSite};
 pub use remote::{
-    run_worker_configured, HealthReport, RemoteShardedModel, TransportConfig, TransportError,
-    TransportHealth, Worker, WorkerEvent,
+    run_worker_configured, Dialer, HealthReport, RemoteShardedModel, TransportConfig,
+    TransportError, TransportHealth, Worker, WorkerEvent,
 };
 pub use serving::{
     AdmissionError, BatchScheduler, DistributedScheduler, FailedSequence, FinishReason,

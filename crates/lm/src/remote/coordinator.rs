@@ -16,8 +16,8 @@ use crate::model::{Transformer, WeightSite};
 use crate::serving::{ServeModel, StepError};
 use crate::shard::{site_id, ShardPlan};
 use fineq_core::frame::{
-    read_frame_deadline, write_frame, write_frame_deadline, write_sealed_deadline, FrameError,
-    Stream, FRAME_HEADER_BYTES,
+    read_frame_deadline, write_frame_deadline, write_sealed_deadline, FrameError, Link, Stream,
+    FRAME_HEADER_BYTES,
 };
 #[cfg(test)]
 use fineq_core::retry::RetryPolicy;
@@ -94,7 +94,7 @@ impl HealthReport {
 struct Replica {
     addr: String,
     /// `None` once the replica is marked dead. Live means connected.
-    conn: Option<Stream>,
+    conn: Option<Box<dyn Link>>,
     /// Failed reconnect attempts since the replica died.
     attempts: u32,
     /// Earliest tick at which the next background rejoin probe may run.
@@ -125,9 +125,9 @@ impl Group {
     /// only after an election or a send succeeded on the primary, and
     /// only [`Fleet::mark_dead`] disconnects it (which clears the link's
     /// `sent`), so the expect fires only on a programmer error.
-    fn primary_io(&mut self) -> (usize, &mut Stream, &mut HashSet<u64>) {
+    fn primary_io(&mut self) -> (usize, &mut dyn Link, &mut HashSet<u64>) {
         let r = &mut self.replicas[self.primary];
-        (self.primary, r.conn.as_mut().expect("elected primary is connected"), &mut r.abandoned)
+        (self.primary, r.conn.as_deref_mut().expect("primary is connected"), &mut r.abandoned)
     }
 }
 
@@ -223,25 +223,31 @@ struct Ledger {
     metrics: TransportMetrics,
 }
 
-/// Connects to one replica and ships it the shard's envelopes: the whole
+/// Opens the [`Link`] to a replica address: setup and every rejoin dial.
+pub type Dialer =
+    dyn Fn(&str, &TransportConfig) -> Result<Box<dyn Link>, TransportError> + Send + Sync;
+
+/// The socket [`Dialer`] of [`RemoteShardedModel::connect`].
+fn dial_socket(addr: &str, tc: &TransportConfig) -> Result<Box<dyn Link>, TransportError> {
+    Ok(Box::new(Stream::connect_timeout(addr, tc.connect_timeout).map_err(FrameError::from)?))
+}
+
+/// Dials one replica and ships it the shard's envelopes: the whole
 /// setup (and rejoin) handshake, each frame bounded end to end by the
 /// load deadline. Every `LOADED` ack must name the slice's site and this
 /// coordinator's [`PROTOCOL_VERSION`], so a worker of another protocol
 /// version is refused here, typed, instead of failing its first gather
 /// as an anonymous codec error.
 fn connect_replica(
+    dial: &Dialer,
     addr: &str,
     envelopes: &[Vec<u8>],
     tc: &TransportConfig,
-) -> Result<Stream, TransportError> {
-    let mut conn = if tc.connect_timeout.is_zero() {
-        Stream::connect(addr).map_err(FrameError::from)?
-    } else {
-        Stream::connect_timeout(addr, tc.connect_timeout).map_err(FrameError::from)?
-    };
+) -> Result<Box<dyn Link>, TransportError> {
+    let mut conn = dial(addr, tc)?;
     for envelope in envelopes {
-        write_frame_deadline(&mut conn, KIND_LOAD, envelope, tc.load_timeout)?;
-        let (kind, payload) = read_frame_deadline(&mut conn, tc.load_timeout)?;
+        write_frame_deadline(&mut *conn, KIND_LOAD, envelope, tc.load_timeout)?;
+        let (kind, payload) = read_frame_deadline(&mut *conn, tc.load_timeout)?;
         // site_id sits after the envelope's magic, version, shard_index
         // and n_shards fields.
         let expect = get_u32(envelope, 10)?;
@@ -270,13 +276,14 @@ fn connect_replica(
 /// there are per core. Outcomes come back in job order; a panicking
 /// handshake re-panics here.
 fn connect_all(
+    dial: &Dialer,
     jobs: &[(&str, &[Vec<u8>])],
     tc: &TransportConfig,
-) -> Vec<Result<Stream, TransportError>> {
+) -> Vec<Result<Box<dyn Link>, TransportError>> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .iter()
-            .map(|&(addr, envelopes)| scope.spawn(move || connect_replica(addr, envelopes, tc)))
+            .map(|&(addr, env)| scope.spawn(move || connect_replica(dial, addr, env, tc)))
             .collect();
         handles
             .into_iter()
@@ -308,7 +315,7 @@ impl Fleet {
         ledger: &Mutex<Ledger>,
     ) {
         let r = &mut self.groups[shard].replicas[replica];
-        let Some(conn) = r.conn.take() else { return };
+        let Some(mut conn) = r.conn.take() else { return };
         let _ = conn.shutdown();
         r.attempts = 0;
         r.next_attempt_tick = 0;
@@ -430,6 +437,7 @@ pub struct RemoteShardedModel {
     head: Matrix,
     plan: ShardPlan,
     transport: TransportConfig,
+    dial: Box<Dialer>,
     fleet: Mutex<Fleet>,
     ledger: Mutex<Ledger>,
 }
@@ -458,17 +466,23 @@ impl RemoteShardedModel {
     }
 
     /// [`RemoteShardedModel::connect`] with explicit deadlines and retry
-    /// policy.
-    ///
-    /// # Errors
-    ///
-    /// # Panics
-    ///
-    /// As [`RemoteShardedModel::connect`].
+    /// policy. Errors and panics as `connect`.
     pub fn connect_with(
         model: &Transformer,
         replica_addrs: &[Vec<String>],
         transport: TransportConfig,
+    ) -> Result<Self, TransportError> {
+        Self::connect_via(model, replica_addrs, transport, Box::new(dial_socket))
+    }
+
+    /// [`RemoteShardedModel::connect_with`] over any [`Dialer`]: the
+    /// gather, failover, replay and rejoin code runs unchanged over
+    /// whatever [`Link`]s `dial` opens. Errors and panics as `connect`.
+    pub fn connect_via(
+        model: &Transformer,
+        replica_addrs: &[Vec<String>],
+        transport: TransportConfig,
+        dial: Box<Dialer>,
     ) -> Result<Self, TransportError> {
         let n_shards = replica_addrs.len();
         let plan = ShardPlan::new(model, n_shards);
@@ -489,7 +503,7 @@ impl RemoteShardedModel {
             .collect();
         // Assemble in deterministic (shard, replica) order; the first
         // failure in that order is the reported one.
-        let mut outcomes = connect_all(&jobs, &transport).into_iter();
+        let mut outcomes = connect_all(&*dial, &jobs, &transport).into_iter();
         let mut groups = Vec::with_capacity(n_shards);
         for (addrs, envelopes) in replica_addrs.iter().zip(shard_envelopes) {
             let mut replicas = Vec::with_capacity(addrs.len());
@@ -513,6 +527,7 @@ impl RemoteShardedModel {
             head: model.head().clone(),
             plan,
             transport,
+            dial,
             fleet: Mutex::new(Fleet { groups, tick: 0, next_nonce: 1, last_heartbeat_tick: 0 }),
             ledger: Mutex::new(Ledger {
                 health: TransportHealth {
@@ -652,7 +667,7 @@ impl RemoteShardedModel {
                     continue;
                 }
                 // Dead replicas are the rejoin sweep's to revive.
-                let Some(conn) = r.conn.as_mut() else { continue };
+                let Some(conn) = r.conn.as_deref_mut() else { continue };
                 match self.probe_replica(conn, &mut r.abandoned, scrape, tm) {
                     Ok(snap) => {
                         if let Some(snap) = snap {
@@ -674,7 +689,7 @@ impl RemoteShardedModel {
     /// `PING`/`PONG` echo.
     fn probe_replica(
         &self,
-        conn: &mut Stream,
+        conn: &mut dyn Link,
         abandoned: &mut HashSet<u64>,
         scrape: bool,
         tm: &TransportMetrics,
@@ -704,7 +719,7 @@ impl RemoteShardedModel {
     /// reads through here, so an abort can never leave a reply to be
     /// taken for the answer to a later request.
     fn read_fresh(
-        conn: &mut Stream,
+        conn: &mut dyn Link,
         abandoned: &mut HashSet<u64>,
         timeout: Duration,
         tm: &TransportMetrics,
@@ -727,15 +742,17 @@ impl RemoteShardedModel {
         std::mem::take(&mut lock(&self.ledger).events)
     }
 
-    /// Sends `SHUTDOWN` to every live worker and drops the connections
-    /// (best-effort: unreachable workers are ignored). Every replica then
-    /// reads dead; no death is counted and no event logged.
+    /// Sends `SHUTDOWN` to every live worker under the heartbeat deadline
+    /// and drops the connections (best-effort: unreachable workers are
+    /// ignored). Every replica then reads dead; no death is counted and
+    /// no event logged.
     pub fn shutdown_workers(&self) {
         let mut fleet = lock(&self.fleet);
+        let timeout = self.transport.heartbeat_timeout;
         for group in &mut fleet.groups {
             for replica in &mut group.replicas {
                 if let Some(mut conn) = replica.conn.take() {
-                    let _ = write_frame(&mut conn, KIND_SHUTDOWN, &[]);
+                    let _ = write_frame_deadline(&mut *conn, KIND_SHUTDOWN, &[], timeout);
                     let _ = conn.shutdown();
                 }
             }
@@ -781,7 +798,7 @@ impl RemoteShardedModel {
                 (group.replicas[r].addr.as_str(), group.envelopes.as_slice())
             })
             .collect();
-        let outcomes = connect_all(&jobs, &self.transport);
+        let outcomes = connect_all(&*self.dial, &jobs, &self.transport);
         let mut any = false;
         for ((shard, replica), outcome) in due.into_iter().zip(outcomes) {
             let r = &mut fleet.groups[shard].replicas[replica];
@@ -1101,7 +1118,7 @@ mod tests {
     use super::super::{serve_connection, Worker, WorkerReply, KIND_GATHER, PROTOCOL_VERSION};
     use super::*;
     use crate::shard::ShardedModel;
-    use fineq_core::frame::{frame_bytes, read_frame, Listener};
+    use fineq_core::frame::{frame_bytes, read_frame, write_frame, Listener};
 
     /// In-process worker threads: each binds a loopback TCP listener and
     /// serves [`serve_connection`] loops — the subprocess path without
@@ -1640,7 +1657,7 @@ mod tests {
         {
             let mut st = remote.fleet.lock().expect("state");
             let mut conn = st.groups[1].replicas[0].conn.take().expect("live");
-            write_frame(&mut conn, KIND_SHUTDOWN, &[]).expect("shutdown shard 1");
+            conn.send(&frame_bytes(KIND_SHUTDOWN, &[]), None).expect("shutdown shard 1");
         }
         h1.join().expect("shard 1 worker");
         let err = remote

@@ -22,6 +22,10 @@
 //! The module is three files behind this one: `wire` (the payload
 //! codec), `worker` ([`Worker`], [`serve_connection`],
 //! [`run_worker_configured`]) and `coordinator` ([`RemoteShardedModel`]).
+//! The coordinator reaches a worker only through a
+//! [`Link`](fineq_core::frame::Link) its [`Dialer`] opens: a socket from
+//! `connect`, anything else through `connect_via` — the test suites'
+//! seeded in-process fleet simulator, which answers with [`Worker::handle`].
 //!
 //! ## Protocol (version 3)
 //!
@@ -138,32 +142,22 @@
 //!
 //! ## Telemetry
 //!
-//! Installing a [`MetricsRegistry`] (via
-//! [`RemoteShardedModel::set_telemetry`], or transitively through
-//! `Scheduler::set_telemetry`) mirrors every robustness counter into the
-//! metrics plane (`fineq_transport_*_total`), counts the frames and
-//! payload bytes it writes to and reads from workers
-//! (`fineq_transport_{frames,payload_bytes}_{sent,received}_total`,
-//! bumped where the frame is written or read), tracks live replicas as a
-//! gauge, and records a per-site-kind gather-latency histogram
-//! (`fineq_gather_us_attn_q` … `fineq_gather_us_ffn_down`; the sites of
-//! one group share their exchange's latency). Workers keep their own
-//! registry —
-//! [`Worker::handle`] counts loads/gathers/pings and times each gather
-//! kernel — and answer `STATS` frames with an encoded
-//! [`MetricsSnapshot`], which
-//! [`RemoteShardedModel::scrape_worker_stats`] folds into the
-//! coordinator's registry under per-replica source keys so one scrape
-//! endpoint serves the whole cluster view. The counters are bumped at
-//! exactly the sites that mutate the existing [`TransportHealth`]
-//! numbers, so the two planes always agree — and seeded chaos runs
-//! reproduce the metrics bit-for-bit along with the output.
+//! Installing a [`MetricsRegistry`] ([`RemoteShardedModel::set_telemetry`]
+//! or `Scheduler::set_telemetry`) mirrors every robustness counter, the
+//! frames and payload bytes exchanged with workers, the live-replica
+//! gauge and per-site-kind gather latency into the metrics plane (the
+//! README's metric catalogue names each). Workers keep their own registry
+//! and answer `STATS` frames with an encoded [`MetricsSnapshot`], which
+//! [`RemoteShardedModel::scrape_worker_stats`] folds in under per-replica
+//! source keys: one scrape endpoint serves the cluster. Counters bump at
+//! exactly the sites that mutate [`TransportHealth`], so the two planes
+//! always agree, and a seeded simulation reproduces both bit for bit.
 
 mod coordinator;
 mod wire;
 mod worker;
 
-pub use coordinator::{HealthReport, RemoteShardedModel, WorkerEvent};
+pub use coordinator::{Dialer, HealthReport, RemoteShardedModel, WorkerEvent};
 pub use worker::{run_worker_configured, serve_connection, Worker, WorkerReply};
 
 use fineq_core::frame::FrameError;

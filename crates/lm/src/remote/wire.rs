@@ -13,16 +13,17 @@ fn truncated(off: usize) -> TransportError {
 }
 
 pub(super) fn get_u32(payload: &[u8], off: usize) -> Result<u32, TransportError> {
-    let bytes = payload.get(off..).and_then(|p| p.get(..4)).ok_or_else(|| truncated(off))?;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    let bytes = payload.get(off..).and_then(|p| p.get(..4)?.try_into().ok());
+    bytes.map(u32::from_le_bytes).ok_or_else(|| truncated(off))
 }
 
 pub(super) fn get_u64(payload: &[u8], off: usize) -> Result<u64, TransportError> {
-    let bytes = payload.get(off..).and_then(|p| p.get(..8)).ok_or_else(|| truncated(off))?;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    let bytes = payload.get(off..).and_then(|p| p.get(..8)?.try_into().ok());
+    bytes.map(u64::from_le_bytes).ok_or_else(|| truncated(off))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: usize) {
+    // Cannot fire: a local count past u32::MAX overflows the frame cap.
     let v = u32::try_from(v).expect("wire field exceeds u32");
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -52,8 +53,10 @@ fn field_bytes(
 
 /// Decodes f32 LE `bytes` into `dst` (equal element counts).
 pub(super) fn copy_f32s(bytes: &[u8], dst: &mut [f32]) {
+    // Cannot fire: both callers slice `bytes` to `dst`'s length.
     debug_assert_eq!(bytes.len(), dst.len() * 4);
     for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+        // Cannot fire: `chunks_exact(4)` yields 4-byte chunks.
         *d = f32::from_le_bytes(c.try_into().expect("4 bytes"));
     }
 }
@@ -74,7 +77,7 @@ pub(super) fn check_loaded(ack: &[u8], sid: u32) -> Result<(), String> {
     if got != sid {
         return Err(format!("LOADED names site {got}, expected {sid}"));
     }
-    match ack.get(4..6).map(|v| u16::from_le_bytes(v.try_into().expect("2 bytes"))) {
+    match ack.get(4..6).and_then(|v| v.try_into().ok()).map(u16::from_le_bytes) {
         Some(PROTOCOL_VERSION) => Ok(()),
         Some(v) => Err(format!("worker speaks v{v}, coordinator v{PROTOCOL_VERSION}")),
         None => Err(format!(
@@ -145,6 +148,7 @@ impl<'a> GatherRequest<'a> {
 
     /// The requested site ids, in request order.
     pub fn site_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        // Cannot fire: `chunks_exact(4)` yields 4-byte chunks.
         self.site_ids.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
     }
 }

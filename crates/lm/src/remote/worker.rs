@@ -100,7 +100,8 @@ impl Worker {
     }
 
     /// Number of weight-site slices loaded so far.
-    pub fn loaded_sites(&self) -> usize {
+    #[cfg(test)]
+    fn loaded_sites(&self) -> usize {
         self.sites.len()
     }
 

@@ -8,7 +8,6 @@
 //! | Method | Module | Grid | Avg. bits (paper) |
 //! |---|---|---|---|
 //! | Uniform | [`uniform`] | per-tensor symmetric | 2 |
-//! | AWQ | [`awq`] | activation-aware scaling + group RTN | (related work) |
 //! | RTN | [`rtn`] | per-row asymmetric | 2 |
 //! | GPTQ | [`gptq`] | per-row asymmetric + Hessian error propagation | 2 |
 //! | PB-LLM | [`pbllm`] | 10 % salient fp16 + binarized residual | 2.7 |
@@ -30,7 +29,6 @@
 //! assert!(out.dequantized.sub(&w).abs_max() < 0.01);
 //! ```
 
-pub mod awq;
 pub mod calibration;
 pub mod gptq;
 pub mod grid;
@@ -40,7 +38,6 @@ pub mod pbllm;
 pub mod rtn;
 pub mod uniform;
 
-pub use awq::Awq;
 pub use calibration::Calibration;
 pub use gptq::Gptq;
 pub use grid::{AsymmetricGrid, SymmetricGrid};

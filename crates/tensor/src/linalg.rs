@@ -165,44 +165,6 @@ pub fn cholesky_inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
     solve_spd(a, &Matrix::identity(n))
 }
 
-/// Orthonormalizes the rows of a matrix by modified Gram–Schmidt.
-///
-/// Rows that become numerically zero (linearly dependent input) are
-/// replaced by zero rows rather than amplified noise.
-///
-/// # Panics
-///
-/// Panics if the matrix has more rows than columns (cannot orthonormalize).
-pub fn orthonormalize_rows(m: &Matrix) -> Matrix {
-    assert!(m.rows() <= m.cols(), "need rows <= cols to orthonormalize rows");
-    let mut out = m.clone();
-    let cols = out.cols();
-    for r in 0..out.rows() {
-        for prev in 0..r {
-            let mut dot = 0.0f64;
-            for c in 0..cols {
-                dot += out[(r, c)] as f64 * out[(prev, c)] as f64;
-            }
-            for c in 0..cols {
-                let v = out[(prev, c)] as f64 * dot;
-                out[(r, c)] -= v as f32;
-            }
-        }
-        let norm: f64 = (0..cols).map(|c| (out[(r, c)] as f64).powi(2)).sum::<f64>().sqrt();
-        if norm > 1e-9 {
-            let inv = (1.0 / norm) as f32;
-            for c in 0..cols {
-                out[(r, c)] *= inv;
-            }
-        } else {
-            for c in 0..cols {
-                out[(r, c)] = 0.0;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,32 +239,5 @@ mod tests {
         let b = Matrix::from_rows(&[vec![8.0]]);
         let x = solve_spd(&a, &b).expect("solve");
         assert!((x[(0, 0)] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn orthonormalize_rows_yields_orthonormal_basis() {
-        let mut rng = Rng::seed_from(77);
-        let m = Matrix::from_fn(12, 20, |_, _| rng.normal(0.0, 1.0));
-        let q = orthonormalize_rows(&m);
-        for i in 0..12 {
-            for j in 0..12 {
-                let dot: f32 = q.row(i).iter().zip(q.row(j)).map(|(a, b)| a * b).sum();
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((dot - expect).abs() < 1e-4, "({i},{j}) dot {dot}");
-            }
-        }
-    }
-
-    #[test]
-    fn orthonormalize_zeroes_dependent_rows() {
-        let m = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![2.0, 0.0, 0.0]]);
-        let q = orthonormalize_rows(&m);
-        assert_eq!(q.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rows <= cols")]
-    fn orthonormalize_rejects_tall_matrices() {
-        let _ = orthonormalize_rows(&Matrix::zeros(3, 2));
     }
 }

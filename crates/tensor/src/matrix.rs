@@ -298,20 +298,6 @@ impl Matrix {
             .sum();
         sum / self.data.len() as f64
     }
-
-    /// Extracts a contiguous block of rows `[start, start+count)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn row_block(&self, start: usize, count: usize) -> Matrix {
-        assert!(start + count <= self.rows, "row block out of bounds");
-        Matrix {
-            rows: count,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + count) * self.cols].to_vec(),
-        }
-    }
 }
 
 /// One weight row against a panel: `N` scalar dot chains side by side.
@@ -496,15 +482,6 @@ mod tests {
     fn abs_max_finds_negative_extreme() {
         let m = Matrix::from_rows(&[vec![1.0, -5.0, 3.0]]);
         assert_eq!(m.abs_max(), 5.0);
-    }
-
-    #[test]
-    fn row_block_extracts_middle_rows() {
-        let m = Matrix::from_fn(5, 2, |r, _| r as f32);
-        let b = m.row_block(1, 3);
-        assert_eq!(b.rows(), 3);
-        assert_eq!(b.row(0), &[1.0, 1.0]);
-        assert_eq!(b.row(2), &[3.0, 3.0]);
     }
 
     #[test]

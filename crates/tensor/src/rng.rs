@@ -176,13 +176,6 @@ impl Rng {
     pub fn normal_vec(&mut self, n: usize, mean: f32, std_dev: f32) -> Vec<f32> {
         (0..n).map(|_| self.normal(mean, std_dev)).collect()
     }
-
-    /// Forks an independent generator (for reproducible parallel streams):
-    /// the child is seeded from the parent's output so distinct forks are
-    /// decorrelated, and the parent state advances.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from(self.next_u64() ^ 0xA5A5_A5A5_DEAD_BEEF)
-    }
 }
 
 /// Zipfian sampler over `{0, .., n-1}` with exponent `s`
@@ -344,13 +337,5 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| rng.gamma(2.5, 2.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_produces_decorrelated_streams() {
-        let mut parent = Rng::seed_from(31);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

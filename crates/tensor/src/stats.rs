@@ -128,11 +128,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Count of values below the range.
-    pub fn underflow(&self) -> usize {
-        self.below
-    }
-
     /// Count of values above the range.
     pub fn overflow(&self) -> usize {
         self.above
@@ -201,7 +196,6 @@ mod tests {
     #[test]
     fn histogram_bins_and_overflow() {
         let h = Histogram::build(&[-1.0, 0.05, 0.15, 0.95, 2.0], 0.0, 1.0, 10);
-        assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[1], 1);

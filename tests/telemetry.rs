@@ -2,8 +2,9 @@
 //!
 //! The contract: telemetry is a pure *observer*. A distributed
 //! 2-shard × 2-replica deployment with one scripted replica cut must
-//! serve **bit-identically** to the in-process engine (the existing
-//! chaos oracle) while the scraped cluster metrics tell the whole story:
+//! serve **bit-identically** to the in-process engine (the simulated
+//! fleet of `tests/common/sim.rs`, the chaos oracle) while the scraped
+//! cluster metrics tell the whole story:
 //!
 //! * nonzero gather-latency histogram counts for every site kind,
 //! * exactly one death and one failover — in the registry counters, in
@@ -22,296 +23,171 @@
 //! `take_preemption_events` — drained exactly once, in step order, under
 //! interleaved stepping.
 
-use fineq::core::{
-    FakeClock, FaultPlan, FaultProxy, FaultScript, FineQuantizer, MetricsRegistry, MetricsServer,
-    RetryPolicy,
-};
+mod common;
+
+use common::sim::{Fault, SimFleet};
+use common::{packed_model, sim_transport, workload, THIRD_GATHER};
+use fineq::core::{FakeClock, MetricsRegistry, MetricsServer};
 use fineq::lm::{
-    BatchKvCache, BatchScheduler, DistributedScheduler, KernelScratch, ModelConfig,
-    RemoteShardedModel, Scheduler, ServeModel, ServeRequest, StepError, Transformer,
-    TransportConfig, WeightSite,
+    BatchKvCache, BatchScheduler, DistributedScheduler, KernelScratch, ModelConfig, Scheduler,
+    ServeModel, ServeRequest, StepError, Transformer, WeightSite, WorkerEvent,
 };
-use fineq::tensor::{Matrix, Rng};
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use fineq::tensor::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Past the LOAD envelopes, inside gather traffic (see chaos_serving.rs).
-const FAULT_AFTER: usize = 25_000;
-
-struct ChaosWorker {
-    child: Child,
-    addr: String,
-    proxy: Option<FaultProxy>,
-}
-
-static NEXT_SOCKET: AtomicU64 = AtomicU64::new(0);
-
-impl ChaosWorker {
-    fn spawn(plan: Option<FaultPlan>) -> Self {
-        let n = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
-        let path: PathBuf =
-            std::env::temp_dir().join(format!("fineq-telem-{}-{n}.sock", std::process::id()));
-        let addr = format!("unix:{}", path.display());
-        let mut child = Command::new(env!("CARGO_BIN_EXE_fineq-worker"))
-            .arg(&addr)
-            .arg("1000")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn fineq-worker");
-        // Wait for the worker's own announcement, not for the socket file:
-        // the file appears at bind(), one syscall before listen(), and a
-        // connect landing in between is refused.
-        let mut announced = String::new();
-        BufReader::new(child.stdout.as_mut().expect("piped stdout"))
-            .read_line(&mut announced)
-            .expect("worker stdout");
-        assert!(announced.contains("listening on"), "worker never bound {addr}: {announced:?}");
-        let proxy = plan.map(|p| FaultProxy::spawn(&addr, p).expect("spawn fault proxy"));
-        Self { child, addr, proxy }
-    }
-
-    fn dial_addr(&self) -> String {
-        match &self.proxy {
-            Some(p) => p.addr().to_string(),
-            None => self.addr.clone(),
-        }
-    }
-}
-
-impl Drop for ChaosWorker {
-    fn drop(&mut self) {
-        if let Some(p) = &self.proxy {
-            p.stop();
-        }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        if let Some(path) = self.addr.strip_prefix("unix:") {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-fn with_watchdog<T: Send + 'static>(
-    name: &str,
-    limit: Duration,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            handle.join().expect("scenario thread");
-            v
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
-            Ok(_) => unreachable!("sender dropped without sending"),
-            Err(panic) => std::panic::resume_unwind(panic),
-        },
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("telemetry scenario `{name}` exceeded its {limit:?} watchdog (hang)")
-        }
-    }
-}
-
-fn packed_model(seed: u64) -> Transformer {
-    let cfg = ModelConfig::new(24, 8, 2, 2, 16);
-    let mut m = Transformer::zeros(cfg.clone());
-    let mut rng = Rng::seed_from(seed);
-    *m.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.4));
-    *m.head_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.4));
-    let q = FineQuantizer::paper();
-    for l in 0..m.n_layers() {
-        for site in WeightSite::ALL {
-            let (r, c) = {
-                let w = m.weight(l, site);
-                (w.rows(), w.cols())
-            };
-            let dense = Matrix::from_fn(r, c, |_, _| rng.laplace(0.0, 0.04));
-            *m.weight_mut(l, site) = q.quantize_packed(&dense).into();
-        }
-    }
-    m
-}
-
-fn workload(vocab: usize, mut submit: impl FnMut(ServeRequest)) {
-    for id in 0..6u64 {
-        let prompt: Vec<usize> =
-            (0..3 + id as usize % 3).map(|i| (id as usize * 7 + i * 3 + 1) % vocab).collect();
-        submit(ServeRequest {
-            temperature: 0.9,
-            seed: 500 + id,
-            eos: Some(0),
-            ..ServeRequest::new(id, prompt, 6 + id as usize % 3)
-        });
-    }
-}
-
-fn fast_transport() -> TransportConfig {
-    TransportConfig {
-        connect_timeout: Duration::from_secs(2),
-        load_timeout: Duration::from_secs(10),
-        gather_timeout: Duration::from_millis(500),
-        heartbeat_timeout: Duration::from_millis(300),
-        retry: RetryPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(120),
-            max_attempts: 3,
-            jitter_seed: 0xC4A0_5EED,
-        },
-    }
-}
-
-/// The acceptance scenario: a 2-shard × 2-replica deployment, shard 0's
-/// primary cut mid-serving through a scripted proxy, fully observed.
+/// The acceptance scenario: a simulated 2-shard × 2-replica deployment,
+/// shard 0's primary cut mid-serving, fully observed.
 #[test]
 fn distributed_replica_cut_is_bit_identical_and_fully_observed() {
-    with_watchdog("observed-cut", Duration::from_secs(120), || {
-        let model = packed_model(21);
-        let vocab = model.config().vocab;
-        let reference = {
-            let mut sched = BatchScheduler::new(model.clone(), 4);
-            workload(vocab, |r| sched.submit(r).expect("no KV budget"));
-            sched.run()
-        };
-        let total_generated: usize = reference.iter().map(|f| f.generated.len()).sum();
-
-        let mut workers: Vec<ChaosWorker> = Vec::new();
-        let mut groups: Vec<Vec<String>> = Vec::new();
-        for s in 0..2 {
-            let mut addrs = Vec::new();
-            for r in 0..2 {
-                let plan = (s == 0 && r == 0)
-                    .then(|| FaultPlan::first_connection(FaultScript::cut_after(FAULT_AFTER)));
-                let w = ChaosWorker::spawn(plan);
-                addrs.push(w.dial_addr());
-                workers.push(w);
-            }
-            groups.push(addrs);
-        }
-        let remote = RemoteShardedModel::connect_with(&model, &groups, fast_transport())
-            .expect("connect through the fault proxy");
-        let mut sched = DistributedScheduler::new(remote, 4);
-
-        // Deterministic clock: every step advances time by 250us, so
-        // every TTFT/inter-token sample is a known multiple of 250 and
-        // lands in a known power-of-two bucket.
-        let clock = Arc::new(FakeClock::new());
-        let registry = Arc::new(MetricsRegistry::with_clock(clock.clone()));
-        sched.set_telemetry(Arc::clone(&registry));
-
+    let model = packed_model(21, false);
+    let vocab = model.config().vocab;
+    let reference = {
+        let mut sched = BatchScheduler::new(model.clone(), 4);
         workload(vocab, |r| sched.submit(r).expect("no KV budget"));
-        while !sched.is_idle() {
-            clock.advance(250);
-            sched.step();
+        sched.run()
+    };
+    let total_generated: usize = reference.iter().map(|f| f.generated.len()).sum();
+
+    let fleet = SimFleet::new(2, 2, 0, 0.0);
+    fleet.script(0, 0, THIRD_GATHER, Fault::Cut { reply: true, at: 25 });
+    let mut sched = DistributedScheduler::new(fleet.connect(&model, sim_transport()), 4);
+
+    // Deterministic clock: every step advances time by 250us, so
+    // every TTFT/inter-token sample is a known multiple of 250 and
+    // lands in a known power-of-two bucket.
+    let clock = Arc::new(FakeClock::new());
+    let registry = Arc::new(MetricsRegistry::with_clock(clock.clone()));
+    sched.set_telemetry(Arc::clone(&registry));
+
+    workload(vocab, |r| sched.submit(r).expect("no KV budget"));
+    while !sched.is_idle() {
+        clock.advance(250);
+        sched.step();
+    }
+    let finished = sched.take_finished();
+
+    // 1. The oracle: the cut is output-invisible, bit for bit.
+    assert_eq!(finished, reference, "the replica cut must be output-invisible");
+    assert_eq!(sched.take_failed(), vec![], "a live spare must mask the fault");
+
+    // 2. Exactly one death, one failover — and the three planes
+    // (registry counters, TransportHealth, WorkerEvents) agree.
+    let th = sched.stats().transport.expect("transport health");
+    assert_eq!((th.deaths, th.failovers), (1, 1), "{th:?}");
+    assert_eq!(registry.counter("fineq_transport_deaths_total").get(), 1);
+    assert_eq!(registry.counter("fineq_transport_failovers_total").get(), 1);
+    assert_eq!(registry.counter("fineq_transport_rejoins_total").get(), th.rejoins);
+    assert_eq!(registry.counter("fineq_transport_timeouts_total").get(), th.timeouts);
+    assert_eq!(registry.counter("fineq_transport_retry_attempts_total").get(), th.retry_attempts);
+    let events = sched.model().take_events();
+    let died = events.iter().filter(|e| matches!(e, WorkerEvent::WorkerDied { .. })).count();
+    let failed_over = events.iter().filter(|e| matches!(e, WorkerEvent::FailedOver { .. })).count();
+    assert_eq!((died, failed_over), (1, 1), "events must agree with counters: {events:?}");
+    assert_eq!(sched.model().take_events(), vec![], "take_events drains once");
+
+    // 3. Gather latency: every site kind was observed. The count per
+    // site equals the successful site gathers; the FakeClock did not
+    // advance inside a gather, so the latencies land in bucket 0 —
+    // counts, not values, are the deterministic signal.
+    let mut coordinator_gathers = 0u64;
+    for site in WeightSite::ALL {
+        let h = registry.histogram(&format!("fineq_gather_us_{}", site.metric_label()));
+        assert!(h.count() > 0, "no gather latency recorded for {}", site.metric_label());
+        coordinator_gathers += h.count();
+    }
+
+    // 4. Per-request lifecycle histograms: one TTFT sample per
+    // finished request, one inter-token sample per follow-on token.
+    let ttft = registry.histogram("fineq_ttft_us");
+    let inter = registry.histogram("fineq_inter_token_us");
+    assert_eq!(ttft.count(), finished.len() as u64, "one TTFT per finished request");
+    assert_eq!(
+        inter.count(),
+        (total_generated - finished.len()) as u64,
+        "one inter-token sample per token after the first"
+    );
+    // Each step advanced the clock 250us, so every TTFT is >= 250
+    // and its bucket upper bound >= 256: deterministic placement.
+    assert!(ttft.p50() >= 256, "TTFT p50 must sit in a >=256us bucket, got {}", ttft.p50());
+    assert_eq!(inter.p50(), 256, "inter-token latency is exactly one 250us step per token");
+    assert_eq!(registry.counter("fineq_requests_finished_total").get(), finished.len() as u64);
+
+    // 5. Worker STATS scrapes: heal the fleet, scrape all four
+    // replicas, and check the cluster view covers the coordinator's
+    // gathers (shard 1's primary alone serves every successful
+    // gather once, and replays/pre-cut traffic only add).
+    let mut live = 0;
+    for _ in 0..50 {
+        live = sched.model().heartbeat().live();
+        if live == 4 {
+            break;
         }
-        let finished = sched.take_finished();
+    }
+    assert_eq!(live, 4, "the cut replica must rejoin through a clean link");
+    assert_eq!(sched.model().scrape_worker_stats(), 4, "all four replicas must answer STATS");
+    let cluster = registry.cluster_snapshot();
+    let worker_gathers = *cluster.counters.get("fineq_worker_gathers_total").expect("scraped");
+    assert!(
+        worker_gathers >= coordinator_gathers,
+        "worker-side gathers ({worker_gathers}) must cover coordinator-side successful \
+         gathers ({coordinator_gathers})"
+    );
+    assert!(*cluster.counters.get("fineq_worker_loads_total").expect("scraped") > 0);
 
-        // 1. The oracle: the cut is output-invisible, bit for bit.
-        assert_eq!(finished, reference, "the replica cut must be output-invisible");
-        assert_eq!(sched.take_failed(), vec![], "a live spare must mask the fault");
+    // 6. The scrape endpoint, end to end over real HTTP.
+    let render_registry = Arc::clone(&registry);
+    let server = MetricsServer::serve("127.0.0.1:0", move || render_registry.render_text())
+        .expect("bind metrics endpoint");
+    let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect scrape");
+    use std::io::{Read as _, Write as _};
+    conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("send scrape");
+    let mut body = String::new();
+    conn.read_to_string(&mut body).expect("read scrape");
+    assert!(body.starts_with("HTTP/1.0 200 OK"), "scrape must answer 200: {body:.0?}");
+    for needle in [
+        "fineq_transport_deaths_total 1",
+        "fineq_transport_failovers_total 1",
+        "fineq_ttft_us_count 6",
+        "fineq_worker_gathers_total",
+        "fineq_live_replicas 4",
+    ] {
+        assert!(body.contains(needle), "scrape body must contain {needle:?}:\n{body}");
+    }
 
-        // 2. Exactly one death, one failover — and the three planes
-        // (registry counters, TransportHealth, WorkerEvents) agree.
-        let th = sched.stats().transport.expect("transport health");
-        assert_eq!((th.deaths, th.failovers), (1, 1), "{th:?}");
-        assert_eq!(registry.counter("fineq_transport_deaths_total").get(), 1);
-        assert_eq!(registry.counter("fineq_transport_failovers_total").get(), 1);
-        assert_eq!(registry.counter("fineq_transport_rejoins_total").get(), th.rejoins);
-        assert_eq!(registry.counter("fineq_transport_timeouts_total").get(), th.timeouts);
-        assert_eq!(
-            registry.counter("fineq_transport_retry_attempts_total").get(),
-            th.retry_attempts
-        );
-        let events = sched.model().take_events();
-        let died = events
-            .iter()
-            .filter(|e| matches!(e, fineq::lm::WorkerEvent::WorkerDied { .. }))
-            .count();
-        let failed_over = events
-            .iter()
-            .filter(|e| matches!(e, fineq::lm::WorkerEvent::FailedOver { .. }))
-            .count();
-        assert_eq!((died, failed_over), (1, 1), "events must agree with counters: {events:?}");
-        assert_eq!(sched.model().take_events(), vec![], "take_events drains once");
+    sched.model().shutdown_workers();
+}
 
-        // 3. Gather latency: every site kind was observed. The count per
-        // site equals the successful site gathers; the FakeClock did not
-        // advance inside a gather, so the latencies land in bucket 0 —
-        // counts, not values, are the deterministic signal.
-        let mut coordinator_gathers = 0u64;
-        for site in WeightSite::ALL {
-            let h = registry.histogram(&format!("fineq_gather_us_{}", site.metric_label()));
-            assert!(h.count() > 0, "no gather latency recorded for {}", site.metric_label());
-            coordinator_gathers += h.count();
-        }
-
-        // 4. Per-request lifecycle histograms: one TTFT sample per
-        // finished request, one inter-token sample per follow-on token.
-        let ttft = registry.histogram("fineq_ttft_us");
-        let inter = registry.histogram("fineq_inter_token_us");
-        assert_eq!(ttft.count(), finished.len() as u64, "one TTFT per finished request");
-        assert_eq!(
-            inter.count(),
-            (total_generated - finished.len()) as u64,
-            "one inter-token sample per token after the first"
-        );
-        // Each step advanced the clock 250us, so every TTFT is >= 250
-        // and its bucket upper bound >= 256: deterministic placement.
-        assert!(ttft.p50() >= 256, "TTFT p50 must sit in a >=256us bucket, got {}", ttft.p50());
-        assert_eq!(inter.p50(), 256, "inter-token latency is exactly one 250us step per token");
-        assert_eq!(registry.counter("fineq_requests_finished_total").get(), finished.len() as u64);
-
-        // 5. Worker STATS scrapes: heal the fleet, scrape all four
-        // replicas, and check the cluster view covers the coordinator's
-        // gathers (shard 1's primary alone serves every successful
-        // gather once, and replays/pre-cut traffic only add).
-        let mut live = 0;
-        for _ in 0..50 {
-            live = sched.model().heartbeat().live();
-            if live == 4 {
-                break;
-            }
-        }
-        assert_eq!(live, 4, "the cut replica must rejoin through the healed proxy");
-        assert_eq!(sched.model().scrape_worker_stats(), 4, "all four replicas must answer STATS");
-        let cluster = registry.cluster_snapshot();
-        let worker_gathers = *cluster.counters.get("fineq_worker_gathers_total").expect("scraped");
-        assert!(
-            worker_gathers >= coordinator_gathers,
-            "worker-side gathers ({worker_gathers}) must cover coordinator-side successful \
-             gathers ({coordinator_gathers})"
-        );
-        assert!(*cluster.counters.get("fineq_worker_loads_total").expect("scraped") > 0);
-
-        // 6. The scrape endpoint, end to end over real HTTP.
-        let render_registry = Arc::clone(&registry);
-        let server = MetricsServer::serve("127.0.0.1:0", move || render_registry.render_text())
-            .expect("bind metrics endpoint");
-        let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect scrape");
-        use std::io::{Read as _, Write as _};
-        conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("send scrape");
-        let mut body = String::new();
-        conn.read_to_string(&mut body).expect("read scrape");
-        assert!(body.starts_with("HTTP/1.0 200 OK"), "scrape must answer 200: {body:.0?}");
-        for needle in [
-            "fineq_transport_deaths_total 1",
-            "fineq_transport_failovers_total 1",
-            "fineq_ttft_us_count 6",
-            "fineq_worker_gathers_total",
-            "fineq_live_replicas 4",
-        ] {
-            assert!(body.contains(needle), "scrape body must contain {needle:?}:\n{body}");
-        }
-
-        sched.model().shutdown_workers();
-    });
+/// The README's metric catalogue is complete: a telemetry-enabled
+/// scheduler over a simulated 2×2 fleet registers every scheduler,
+/// transport and (scraped) worker metric, and each name in the cluster
+/// view appears in the catalogue table.
+#[test]
+fn every_registered_metric_is_catalogued_in_the_readme() {
+    const README: &str = include_str!("../README.md");
+    let model = packed_model(25, false);
+    let fleet = SimFleet::new(2, 2, 0, 0.0);
+    let mut sched = DistributedScheduler::new(fleet.connect(&model, sim_transport()), 4);
+    let registry = Arc::new(MetricsRegistry::with_clock(Arc::new(FakeClock::new())));
+    sched.set_telemetry(Arc::clone(&registry));
+    workload(model.config().vocab, |r| sched.submit(r).expect("no KV budget"));
+    sched.run();
+    assert_eq!(sched.model().scrape_worker_stats(), 4, "every worker's registry is scraped");
+    let cluster = registry.cluster_snapshot();
+    let names: Vec<&String> = cluster
+        .counters
+        .keys()
+        .chain(cluster.gauges.keys())
+        .chain(cluster.histograms.keys())
+        .collect();
+    for layer in ["fineq_ttft_us", "fineq_live_replicas", "fineq_worker_gather_us"] {
+        assert!(names.iter().any(|n| n.as_str() == layer), "{layer} must register: {names:?}");
+    }
+    let missing: Vec<&&String> =
+        names.iter().filter(|n| !README.contains(&format!("| `{n}` |"))).collect();
+    assert!(missing.is_empty(), "metrics missing from the README catalogue: {missing:?}");
+    sched.model().shutdown_workers();
 }
 
 /// A wrapper model whose steps fail during a scripted window — the
@@ -360,7 +236,7 @@ impl ServeModel for FailingModel {
 /// regardless of whether the caller drains per step or once at the end.
 #[test]
 fn take_failed_drains_once_and_preserves_order() {
-    let model = packed_model(22);
+    let model = packed_model(22, false);
     let vocab = model.config().vocab;
     let run = |drain_each_step: bool| -> Vec<u64> {
         let failing = FailingModel { inner: model.clone(), steps: AtomicUsize::new(0), fail_on: 2 };
@@ -390,7 +266,7 @@ fn take_failed_drains_once_and_preserves_order() {
 /// once, and per-step drains concatenate to the end-of-run drain.
 #[test]
 fn take_preemption_events_drain_once_and_preserve_order() {
-    let model = packed_model(23);
+    let model = packed_model(23, false);
     let vocab = model.config().vocab;
     let submit_pressure = |sched: &mut BatchScheduler| {
         for id in 0..8u64 {
@@ -436,7 +312,7 @@ fn take_preemption_events_drain_once_and_preserve_order() {
 /// one identical token stream.
 #[test]
 fn telemetry_is_output_invisible_in_process() {
-    let model = packed_model(24);
+    let model = packed_model(24, false);
     let vocab = model.config().vocab;
     let run = |registry: Option<MetricsRegistry>| {
         let mut sched = BatchScheduler::new(model.clone(), 4);
