@@ -17,6 +17,7 @@ use fineq::lm::{
     BatchKvCache, BatchScheduler, KvCache, ModelConfig, RemoteShardedModel, ServeModel,
     ServeRequest, ShardedModel, Transformer, WeightSite,
 };
+use fineq::pipeline::{quantize_model_packed, PipelineConfig};
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
 use fineq::tensor::{Matrix, Rng};
 use fineq_bench::timing::{bench, section};
@@ -70,6 +71,31 @@ fn bench_quantizers() {
     let w = llm_like_matrix(512, 1536, &BuilderSpec::tiny(), &mut Rng::seed_from(1));
     bench("fineq_packed", || fineq.quantize_packed(black_box(&w)));
     bench("fineq_stats", || fineq.stats(black_box(&w)));
+
+    // The quantizer part of every `bench/` workload's set-up: all 14 block
+    // sites of the dense gate model packed, the fp32 head kept.
+    section("quantize gate model 64x256x2");
+    let dense = dense_gate_model();
+    let config = PipelineConfig::default();
+    bench("quantize_model_packed", || quantize_model_packed(black_box(&dense), &fineq, &config));
+}
+
+/// The `bench/` gate model (`ModelConfig::new(64, 256, 2, 4, 512)`) with
+/// seeded LLM-like dense weights at every block site.
+fn dense_gate_model() -> Transformer {
+    let cfg = ModelConfig::new(64, 256, 2, 4, 512);
+    let mut rng = Rng::seed_from(41);
+    let mut dense = Transformer::zeros(cfg.clone());
+    *dense.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.3));
+    *dense.head_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.3));
+    for l in 0..dense.n_layers() {
+        for site in WeightSite::ALL {
+            let (r, c) = (dense.weight(l, site).rows(), dense.weight(l, site).cols());
+            *dense.weight_mut(l, site) =
+                llm_like_matrix(r, c, &BuilderSpec::tiny(), &mut rng).into();
+        }
+    }
+    dense
 }
 
 fn bench_pack_decode() {

@@ -76,9 +76,10 @@ impl Cluster {
 
     /// Quantizes the cluster under `code` using the channel grids, returning
     /// the three signed integer codes (the zeroed position yields 0).
-    // This and `reconstruction_error` are the per-code definitions: the
-    // quantizer grids each value once per grid and derives all four codes'
-    // ints and errors from that table, tested bit-equal to these.
+    // This, `preliminary_code` and `reconstruction_error` are the per-cluster
+    // definitions: the quantizer walks a channel in columns (each value
+    // gridded once per grid, every code's error summed per cluster) and is
+    // tested bit-equal to these composed by hand.
     pub fn quantize(&self, code: ClusterCode, g2: &SymmetricGrid, g3: &SymmetricGrid) -> [i32; 3] {
         let mut out = [0i32; 3];
         for (pos, &v) in self.values.iter().enumerate() {

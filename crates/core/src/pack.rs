@@ -81,29 +81,31 @@ pub fn block_data_word(block: &[u8]) -> u64 {
 /// Encodes a signed value into an `n`-bit sign-magnitude field
 /// (`n - 1` magnitude bits, sign in the top bit). Negative zero is
 /// normalized to `+0`.
-fn to_sign_mag(q: i32, bits: u32) -> u8 {
+#[inline]
+fn to_sign_mag(q: i32, bits: u32) -> u32 {
     let mag_bits = bits - 1;
     let max_mag = (1u32 << mag_bits) - 1;
     let mag = q.unsigned_abs().min(max_mag);
-    let sign = if q < 0 && mag != 0 { 1u32 } else { 0 };
-    ((sign << mag_bits) | mag) as u8
+    let sign = u32::from(q < 0 && mag != 0);
+    (sign << mag_bits) | mag
 }
 
-/// Packs a cluster's three integer codes into its 6 data bits.
-fn pack_cluster(q: [i32; 3], code: ClusterCode) -> u8 {
-    match code.zeroed_position() {
-        None => {
-            let f0 = to_sign_mag(q[0], 2);
-            let f1 = to_sign_mag(q[1], 2);
-            let f2 = to_sign_mag(q[2], 2);
-            f0 | (f1 << 2) | (f2 << 4)
-        }
-        Some(z) => {
-            let stored: Vec<u8> =
-                (0..3).filter(|&p| p != z).map(|p| to_sign_mag(q[p], 3)).collect();
-            stored[0] | (stored[1] << 3)
-        }
-    }
+/// A cluster's 6 data bits under the 2-bit wire `code`: the normal layout
+/// stores the 2-bit ints `q2`, an outlier layout the 3-bit ints `q3` of
+/// the two positions it keeps, in order. Selects, not branches, so the
+/// quantizer's loop over a channel's clusters vectorizes.
+#[inline]
+pub(crate) fn pack_cluster(q2: [i32; 3], q3: [i32; 3], code: u8) -> u8 {
+    let [a, b, c] = q2.map(|q| to_sign_mag(q, 2));
+    let [x, y, z] = q3.map(|q| to_sign_mag(q, 3));
+    let first = if code == ClusterCode::ZeroFirst.bits() { y } else { x };
+    let second = if code == ClusterCode::ZeroThird.bits() { y } else { z };
+    let six = if code == ClusterCode::AllTwoBit.bits() {
+        a | (b << 2) | (c << 4)
+    } else {
+        first | (second << 3)
+    };
+    six as u8
 }
 
 /// Decodes an `n`-bit sign-magnitude field in a `const` context.
@@ -185,33 +187,39 @@ impl PackedChannel {
         let n_clusters = quantized.len();
         assert_eq!(n_clusters, len.div_ceil(3), "one cluster per three weights required");
         assert_eq!(codes.len(), n_clusters.div_ceil(2), "one code per cluster pair required");
-        let n_blocks = n_clusters.div_ceil(CLUSTERS_PER_BLOCK);
-        let mut blocks = vec![0u8; n_blocks * BLOCK_BYTES];
-        for b in 0..n_blocks {
-            let base = b * BLOCK_BYTES;
-            // Index byte: 4 pair codes.
+        Self::from_fields(
+            scale2,
+            scale3,
+            len,
+            |p| codes[p].bits(),
+            |k| pack_cluster(quantized[k], quantized[k], codes[k / 2].bits()),
+        )
+    }
+
+    /// Assembles the blocks of a `len`-weight channel from pair `p`'s
+    /// 2-bit code `code(p)` and cluster `k`'s 6 data bits `six(k)`.
+    pub(crate) fn from_fields(
+        scale2: f32,
+        scale3: f32,
+        len: usize,
+        code: impl Fn(usize) -> u8,
+        six: impl Fn(usize) -> u8,
+    ) -> Self {
+        let n_clusters = len.div_ceil(3);
+        let n_pairs = n_clusters.div_ceil(2);
+        let mut blocks = vec![0u8; n_clusters.div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES];
+        for (b, block) in blocks.chunks_exact_mut(BLOCK_BYTES).enumerate() {
+            let (first_pair, first) = (b * CLUSTERS_PER_BLOCK / 2, b * CLUSTERS_PER_BLOCK);
             let mut idx = 0u8;
-            for p_in_block in 0..4 {
-                let pair = b * 4 + p_in_block;
-                if pair < codes.len() {
-                    idx |= codes[pair].bits() << (CODE_BITS * p_in_block);
-                }
+            for i in 0..(CLUSTERS_PER_BLOCK / 2).min(n_pairs - first_pair) {
+                idx |= code(first_pair + i) << (CODE_BITS * i);
             }
-            blocks[base] = idx;
-            // 48 data bits.
             let mut data = 0u64;
-            for k_in_block in 0..CLUSTERS_PER_BLOCK {
-                let k = b * CLUSTERS_PER_BLOCK + k_in_block;
-                if k >= n_clusters {
-                    break;
-                }
-                let code = codes[k / 2];
-                let six = pack_cluster(quantized[k], code) as u64;
-                data |= six << (6 * k_in_block);
+            for j in 0..CLUSTERS_PER_BLOCK.min(n_clusters - first) {
+                data |= u64::from(six(first + j)) << (CLUSTER_DATA_BITS * j);
             }
-            for (i, byte) in blocks[base + 1..base + 7].iter_mut().enumerate() {
-                *byte = ((data >> (8 * i)) & 0xFF) as u8;
-            }
+            block[0] = idx;
+            block[1..].copy_from_slice(&data.to_le_bytes()[..BLOCK_DATA_BYTES]);
         }
         Self { scale2, scale3, len, blocks }
     }
@@ -390,7 +398,7 @@ mod tests {
                         if let Some(z) = code.zeroed_position() {
                             q[z] = 0;
                         }
-                        let six = pack_cluster(q, code);
+                        let six = pack_cluster(q, q, code.bits());
                         assert!(six < 64, "6 bits only");
                         assert_eq!(table[six as usize].map(i32::from), q, "{code} {q:?}");
                     }
@@ -399,7 +407,8 @@ mod tests {
             // Every bit pattern decodes to integers that pack back to the
             // same integers (negative-zero fields normalize to +0).
             for (six, ints) in table.iter().enumerate() {
-                let again = pack_cluster(ints.map(i32::from), code);
+                let ints32 = ints.map(i32::from);
+                let again = pack_cluster(ints32, ints32, code.bits());
                 assert_eq!(&table[again as usize], ints, "{code} six {six:06b}");
             }
         }

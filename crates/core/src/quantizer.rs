@@ -1,8 +1,19 @@
 //! The [`FineQuantizer`]: Algorithm 1 of the paper, end to end.
+//!
+//! A channel is quantized in columns, not one cluster at a time. Its values
+//! are laid out by cluster position and pair half, gridded in one
+//! vectorized pass per grid ([`SymmetricGrid::quantize_into`]), and every
+//! later step — each code's squared error per cluster, the preliminary
+//! codes, the pair fine-tuning, the stored data bits — is one pass over
+//! whole columns, written with selects rather than branches on the data.
+//! The packed path, [`FineQuantizer::stats`] and the no-pair-constraint
+//! ablation share that walk. The per-cluster definitions in
+//! [`crate::cluster`] stay the reference: the tests compose them by hand
+//! and compare the bytes.
 
-use crate::cluster::{split_channel, Cluster};
+use crate::cluster::Cluster;
 use crate::encoding::ClusterCode;
-use crate::pack::{PackedChannel, PackedMatrix};
+use crate::pack::{pack_cluster, PackedChannel, PackedMatrix};
 use crate::stats::ClusterStats;
 use fineq_quant::{Calibration, QuantResult, SymmetricGrid, WeightQuantizer};
 use fineq_tensor::Matrix;
@@ -56,95 +67,231 @@ impl Default for FineQConfig {
     }
 }
 
-/// Result of quantizing one channel before packing.
-#[derive(Debug, Clone)]
-struct ChannelPlan {
-    /// The channel's 2-bit and 3-bit grids (their steps are the stored
-    /// Eq. 1 scales).
-    g2: SymmetricGrid,
-    g3: SymmetricGrid,
-    len: usize,
-    /// One code per cluster (duplicated across a pair when the constraint
-    /// is active).
-    codes: Vec<ClusterCode>,
-    quantized: Vec<[i32; 3]>,
+/// One channel laid out in columns, the buffers Algorithm 1 runs in.
+///
+/// Cluster `k` sits in *slot* `(k % 2) * pairs + k / 2`: the first
+/// clusters of the pairs fill the first half of every per-slot column, the
+/// second clusters the second half, so pair `j` reads slots `j` and
+/// `pairs + j`. Position `p` of the cluster in slot `s` is entry
+/// `p * 2 * pairs + s` of every per-value column, so each step of the
+/// algorithm is one pass over contiguous columns. A channel whose cluster
+/// count is odd leaves the last slot as zero padding. The buffers are
+/// reused across a matrix's rows: a channel allocates only its packed
+/// blocks once the widest has been seen.
+#[derive(Debug, Default)]
+struct Columns {
+    pairs: usize,
+    n_clusters: usize,
+    /// The channel's values, zero-padded to whole pairs.
+    xs: Vec<f32>,
+    /// Each value's int on the normal (2-bit) and outlier (3-bit) grid.
+    q2: Vec<i32>,
+    q3: Vec<i32>,
+    /// [`Cluster::reconstruction_error`] of each slot's cluster under each
+    /// code, one column per code in wire order.
+    err: [Vec<f64>; 4],
+    /// Each slot's final 2-bit code (duplicated across a pair when the
+    /// constraint is active).
+    codes: Vec<u8>,
+    /// Each slot's stored data bits under its code.
+    six: Vec<u8>,
 }
 
-impl ChannelPlan {
-    /// The plan's real-valued reconstruction (padding stripped), straight
-    /// from the integers and grids. Only configurations the packed format
-    /// cannot hold read it; packable ones dequantize the packed bytes.
-    fn dequantized(&self) -> Vec<f32> {
-        let lanes = self.quantized.iter().zip(&self.codes);
-        lanes
-            .flat_map(|(&q, &code)| Cluster::dequantize(q, code, &self.g2, &self.g3))
-            .take(self.len)
+impl Columns {
+    /// Lays `channel` out in slots, grids it on `g2` and `g3` and fills the
+    /// error columns; the codes are left to the caller.
+    fn grid(&mut self, channel: &[f32], g2: &SymmetricGrid, g3: &SymmetricGrid) {
+        self.n_clusters = channel.len().div_ceil(3);
+        self.pairs = self.n_clusters.div_ceil(2);
+        let slots = 2 * self.pairs;
+        self.xs.clear();
+        self.xs.resize(3 * slots, 0.0);
+        self.codes.clear();
+        self.codes.resize(slots, 0);
+        if slots > 0 {
+            // Lane `3h + p` of pair `j` (position `p` of its cluster `h`)
+            // goes to slot `h * pairs + j` of position column `p`, which is
+            // column chunk `2p + h`.
+            let mut chunks = self.xs.chunks_exact_mut(self.pairs);
+            let col: [&mut [f32]; 6] = std::array::from_fn(|_| chunks.next().unwrap());
+            let pairs = channel.chunks_exact(6);
+            let (tail, last) = (pairs.remainder(), self.pairs - 1);
+            for (j, pair) in pairs.enumerate() {
+                for (l, &x) in pair.iter().enumerate() {
+                    col[2 * (l % 3) + l / 3][j] = x;
+                }
+            }
+            for (l, &x) in tail.iter().enumerate() {
+                col[2 * (l % 3) + l / 3][last] = x;
+            }
+        }
+        for col in [&mut self.q2, &mut self.q3] {
+            col.resize(3 * slots, 0);
+        }
+        g2.quantize_into(&self.xs, &mut self.q2);
+        g3.quantize_into(&self.xs, &mut self.q3);
+
+        let xs = positions(&self.xs, slots);
+        let [q2, q3] = [&self.q2, &self.q3].map(|c| positions(c, slots));
+        for col in &mut self.err {
+            col.resize(slots, 0.0);
+        }
+        let [err0, err1, err2, err3] = self.err.each_mut().map(|c| &mut c[..slots]);
+        let (s2, s3) = (g2.scale(), g3.scale());
+        for s in 0..slots {
+            // The terms `reconstruction_error` sums: position `p` kept on
+            // the normal grid, kept on the outlier grid, or sacrificed.
+            let sq = |x: f32, r: f32| {
+                let d = (x - r) as f64;
+                d * d
+            };
+            let e2: [f64; 3] = std::array::from_fn(|p| sq(xs[p][s], q2[p][s] as f32 * s2));
+            let e3: [f64; 3] = std::array::from_fn(|p| sq(xs[p][s], q3[p][s] as f32 * s3));
+            let e0: [f64; 3] = std::array::from_fn(|p| sq(xs[p][s], 0.0));
+            // Added in position order, like that fold, so every sum is
+            // bit-equal to `reconstruction_error`'s.
+            err0[s] = e2[0] + e2[1] + e2[2];
+            err1[s] = e0[0] + e3[1] + e3[2];
+            err2[s] = e3[0] + e0[1] + e3[2];
+            err3[s] = e3[0] + e3[1] + e0[2];
+        }
+    }
+
+    /// The per-value column index of position `p` of cluster `k`.
+    fn at(&self, k: usize, p: usize) -> usize {
+        p * 2 * self.pairs + self.slot(k)
+    }
+
+    fn slot(&self, k: usize) -> usize {
+        (k % 2) * self.pairs + k / 2
+    }
+
+    /// The final codes of the real clusters (in slot order).
+    fn codes(&self) -> &[u8] {
+        &self.codes[..self.n_clusters]
+    }
+
+    /// [`Cluster::preliminary_code`] of every slot's cluster (Alg. 1
+    /// lines 5–14), in place of the codes.
+    fn preliminary_codes(&mut self, threshold: f32) {
+        let slots = self.codes.len();
+        let [x0, x1, x2] = positions(&self.xs, slots);
+        for (s, code) in self.codes.iter_mut().enumerate() {
+            let [a0, a1, a2] = [x0[s], x1[s], x2[s]].map(f32::abs);
+            // The folds of `abs_max` and `abs_min`, in the same order.
+            let max = 0.0f32.max(a0).max(a1).max(a2);
+            let min = f32::INFINITY.min(a0).min(a1).min(a2);
+            // `weakest_position`: the first strictly smaller magnitude.
+            let first = a1 < a0;
+            let weakest01 = if first { a1 } else { a0 };
+            let weakest = if a2 < weakest01 { 2 } else { u8::from(first) };
+            *code = if max > threshold * min { weakest + 1 } else { 0 };
+        }
+    }
+
+    /// Pair harmonization (Alg. 1 lines 15–25) over the preliminary codes:
+    /// a pair keeps the code both its clusters chose, and a disagreeing
+    /// pair is fine-tuned to the code with the least total squared
+    /// reconstruction error. A trailing lone cluster keeps its preliminary
+    /// code.
+    fn harmonize_pairs(&mut self) {
+        let pairs = self.pairs;
+        let (first, second) = self.codes.split_at_mut(pairs);
+        let lone = (self.n_clusters % 2 == 1).then(|| first[pairs - 1]);
+        let [e0, e1, e2, e3] = &self.err;
+        for j in 0..pairs {
+            let at = |col: &[f64]| col[j] + col[pairs + j];
+            let tuned = least_error_code([at(e0), at(e1), at(e2), at(e3)]);
+            let code = if first[j] == second[j] { first[j] } else { tuned };
+            first[j] = code;
+            second[j] = code;
+        }
+        if let Some(code) = lone {
+            first[pairs - 1] = code;
+        }
+    }
+
+    /// Every cluster's own least-error code: the no-pair-constraint
+    /// ablation, the best any per-cluster scheme can do.
+    fn least_error_codes(&mut self) {
+        let [e0, e1, e2, e3] = &self.err;
+        for (s, code) in self.codes.iter_mut().enumerate() {
+            *code = least_error_code([e0[s], e1[s], e2[s], e3[s]]);
+        }
+    }
+
+    /// [`Cluster::reconstruction_error`] of cluster `k` under each code.
+    #[cfg(test)]
+    fn err(&self, k: usize) -> [f64; 4] {
+        self.err.each_ref().map(|col| col[self.slot(k)])
+    }
+
+    /// [`Cluster::quantize`] of cluster `k` under `code`.
+    fn ints(&self, k: usize, code: ClusterCode) -> [i32; 3] {
+        let col = if code.is_outlier() { &self.q3 } else { &self.q2 };
+        let mut q: [i32; 3] = std::array::from_fn(|p| col[self.at(k, p)]);
+        if let Some(z) = code.zeroed_position() {
+            q[z] = 0;
+        }
+        q
+    }
+
+    /// Packs the planned channel: each slot's stored data bits are encoded
+    /// in one pass over the int columns, then laid into the block words.
+    fn pack(&mut self, g2: &SymmetricGrid, g3: &SymmetricGrid, len: usize) -> PackedChannel {
+        let slots = self.codes.len();
+        let [q2, q3] = [&self.q2, &self.q3].map(|c| positions(c, slots));
+        let codes = &self.codes[..slots];
+        self.six.resize(slots, 0);
+        let six = &mut self.six[..slots];
+        for s in 0..slots {
+            let at = |col: [&[i32]; 3]| [col[0][s], col[1][s], col[2][s]];
+            six[s] = pack_cluster(at(q2), at(q3), codes[s]);
+        }
+        // Slot `p` holds the first cluster of pair `p`, so its code.
+        let this = &*self;
+        PackedChannel::from_fields(
+            g2.scale(),
+            g3.scale(),
+            len,
+            |p| this.codes[p],
+            |k| this.six[this.slot(k)],
+        )
+    }
+
+    /// The planned channel's real-valued reconstruction (padding
+    /// stripped), straight from the ints and grids. Only configurations
+    /// the packed format cannot hold read it; packable ones dequantize the
+    /// packed bytes.
+    fn dequantized(&self, g2: &SymmetricGrid, g3: &SymmetricGrid, len: usize) -> Vec<f32> {
+        (0..self.n_clusters)
+            .flat_map(|k| {
+                let code = ClusterCode::from_bits(self.codes[self.slot(k)]);
+                Cluster::dequantize(self.ints(k, code), code, g2, g3)
+            })
+            .take(len)
             .collect()
     }
 }
 
-/// One cluster gridded once on each of its channel's grids: the ints
-/// every code stores and every code's squared reconstruction error.
-#[derive(Debug)]
-struct Candidates {
-    q2: [i32; 3],
-    q3: [i32; 3],
-    /// [`Cluster::reconstruction_error`] of each code, in wire order.
-    err: [f64; 4],
+/// A per-value column split into its three position columns of `slots`
+/// entries each.
+fn positions<T>(col: &[T], slots: usize) -> [&[T]; 3] {
+    [&col[..slots], &col[slots..][..slots], &col[2 * slots..][..slots]]
 }
 
-impl Candidates {
-    #[inline]
-    fn new(c: &Cluster, g2: &SymmetricGrid, g3: &SymmetricGrid) -> Self {
-        let v = c.values();
-        let q2 = v.map(|x| g2.quantize(x));
-        let q3 = v.map(|x| g3.quantize(x));
-        // The terms `reconstruction_error` sums: position `p` kept on the
-        // normal grid, kept on the outlier grid, or sacrificed.
-        let sq = |p: usize, r: f32| {
-            let d = (v[p] - r) as f64;
-            d * d
-        };
-        let e2: [f64; 3] = std::array::from_fn(|p| sq(p, g2.dequantize(q2[p])));
-        let e3: [f64; 3] = std::array::from_fn(|p| sq(p, g3.dequantize(q3[p])));
-        let e0: [f64; 3] = std::array::from_fn(|p| sq(p, 0.0));
-        // Added in position order, like its fold, so every sum is
-        // bit-equal to `reconstruction_error`'s.
-        let err = ClusterCode::ALL.map(|code| match code.zeroed_position() {
-            None => e2[0] + e2[1] + e2[2],
-            Some(k) => {
-                let at = |p: usize| if p == k { e0[p] } else { e3[p] };
-                at(0) + at(1) + at(2)
-            }
-        });
-        Self { q2, q3, err }
-    }
-
-    /// [`Cluster::quantize`] under `code`.
-    #[inline]
-    fn ints(&self, code: ClusterCode) -> [i32; 3] {
-        match code.zeroed_position() {
-            None => self.q2,
-            Some(k) => {
-                let mut q = self.q3;
-                q[k] = 0;
-                q
-            }
-        }
-    }
-}
-
-/// The code with the least error: a pair's summed errors for the paper's
-/// fine-tuning, one cluster's for the no-pair-constraint ablation. Ties
-/// resolve to the lowest wire value and a NaN error never wins.
-fn least_error_code(err: [f64; 4]) -> ClusterCode {
-    let mut best = ClusterCode::AllTwoBit;
+/// The wire value of the code with the least error: a pair's summed errors
+/// for the paper's fine-tuning, one cluster's for the no-pair-constraint
+/// ablation. Ties resolve to the lowest wire value and a NaN error never
+/// wins.
+#[inline]
+fn least_error_code(err: [f64; 4]) -> u8 {
+    let mut best = 0;
     let mut best_err = f64::INFINITY;
-    for (code, e) in ClusterCode::ALL.into_iter().zip(err) {
-        if e < best_err {
-            best_err = e;
-            best = code;
-        }
+    for (code, e) in (0..).zip(err) {
+        let wins = e < best_err;
+        best = if wins { code } else { best };
+        best_err = if wins { e } else { best_err };
     }
     best
 }
@@ -188,42 +335,20 @@ impl FineQuantizer {
         )
     }
 
-    /// Runs Algorithm 1 on one channel.
-    fn plan_channel(&self, channel: &[f32]) -> ChannelPlan {
+    /// Runs Algorithm 1 on one channel into `cols`, leaving every
+    /// cluster's final code in its code column; returns the channel's
+    /// grids.
+    fn plan_channel(&self, channel: &[f32], cols: &mut Columns) -> (SymmetricGrid, SymmetricGrid) {
         let abs_max = channel.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let (g2, g3) = self.grids(abs_max);
-        let (clusters, len) = split_channel(channel);
-        let threshold = self.config.outlier_threshold;
-        // Every value gridded once per grid; all code choices and the final
-        // ints below read this table instead of re-quantizing.
-        let table: Vec<Candidates> =
-            clusters.iter().map(|c| Candidates::new(c, &g2, &g3)).collect();
-
-        // Preliminary per-cluster codes (Alg. 1 lines 5–14). Without the
-        // pair constraint (ablation) every cluster instead picks its own
-        // error-minimizing code — the best any per-cluster scheme can do.
-        let mut codes: Vec<ClusterCode> = if self.config.pair_constraint {
-            clusters.iter().map(|c| c.preliminary_code(threshold)).collect()
-        } else {
-            table.iter().map(|t| least_error_code(t.err)).collect()
-        };
-
-        // Pair harmonization (Alg. 1 lines 15–25): adjacent clusters share
-        // one code; disagreements are fine-tuned by minimizing the pair's
-        // total squared reconstruction error. A trailing lone cluster
-        // keeps its preliminary code.
+        cols.grid(channel, &g2, &g3);
         if self.config.pair_constraint {
-            for (pair, t) in codes.chunks_exact_mut(2).zip(table.chunks_exact(2)) {
-                if pair[0] != pair[1] {
-                    pair.fill(least_error_code(std::array::from_fn(|i| t[0].err[i] + t[1].err[i])));
-                }
-            }
+            cols.preliminary_codes(self.config.outlier_threshold);
+            cols.harmonize_pairs();
+        } else {
+            cols.least_error_codes();
         }
-
-        let quantized: Vec<[i32; 3]> =
-            table.iter().zip(&codes).map(|(t, &code)| t.ints(code)).collect();
-
-        ChannelPlan { g2, g3, len, codes, quantized }
+        (g2, g3)
     }
 
     /// Quantizes a matrix into the bit-exact packed format.
@@ -238,18 +363,11 @@ impl FineQuantizer {
             self.config.is_packable(),
             "packed format requires the paper configuration (2/3-bit, pair constraint)"
         );
+        let mut cols = Columns::default();
         let channels: Vec<PackedChannel> = (0..w.rows())
             .map(|r| {
-                let plan = self.plan_channel(w.row(r));
-                // Collapse duplicated per-cluster codes into per-pair codes.
-                let pair_codes: Vec<ClusterCode> = plan.codes.iter().step_by(2).copied().collect();
-                PackedChannel::pack(
-                    plan.g2.scale(),
-                    plan.g3.scale(),
-                    plan.len,
-                    &pair_codes,
-                    &plan.quantized,
-                )
+                let (g2, g3) = self.plan_channel(w.row(r), &mut cols);
+                cols.pack(&g2, &g3, w.cols())
             })
             .collect();
         PackedMatrix::new(w.rows(), w.cols(), channels)
@@ -259,9 +377,12 @@ impl FineQuantizer {
     /// fraction) without packing.
     pub fn stats(&self, w: &Matrix) -> ClusterStats {
         let mut stats = ClusterStats::default();
+        let (mut cols, mut codes) = (Columns::default(), Vec::new());
         for r in 0..w.rows() {
-            let plan = self.plan_channel(w.row(r));
-            stats.absorb_channel(&plan.codes);
+            self.plan_channel(w.row(r), &mut cols);
+            codes.clear();
+            codes.extend(cols.codes().iter().map(|&bits| ClusterCode::from_bits(bits)));
+            stats.absorb_channel(&codes);
         }
         stats
     }
@@ -291,9 +412,10 @@ impl WeightQuantizer for FineQuantizer {
             QuantResult { dequantized, avg_bits: packed.avg_bits_total() }
         } else {
             let mut dq = Matrix::zeros(w.rows(), w.cols());
+            let mut cols = Columns::default();
             for r in 0..w.rows() {
-                let plan = self.plan_channel(w.row(r));
-                dq.row_mut(r).copy_from_slice(&plan.dequantized());
+                let (g2, g3) = self.plan_channel(w.row(r), &mut cols);
+                dq.row_mut(r).copy_from_slice(&cols.dequantized(&g2, &g3, w.cols()));
             }
             let scale_overhead = 32.0 / w.cols().max(1) as f64;
             QuantResult { dequantized: dq, avg_bits: self.config.nominal_bits() + scale_overhead }
@@ -304,6 +426,7 @@ impl WeightQuantizer for FineQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::split_channel;
     use crate::serialize::{fnv1a32, to_bytes};
     use fineq_lm::builder::{llm_like_matrix, BuilderSpec};
     use fineq_tensor::Rng;
@@ -373,9 +496,10 @@ mod tests {
         let packed = q.quantize_packed(&w).dequantize();
         let direct = {
             let mut dq = Matrix::zeros(w.rows(), w.cols());
+            let mut cols = Columns::default();
             for r in 0..w.rows() {
-                let plan = q.plan_channel(w.row(r));
-                dq.row_mut(r).copy_from_slice(&plan.dequantized());
+                let (g2, g3) = q.plan_channel(w.row(r), &mut cols);
+                dq.row_mut(r).copy_from_slice(&cols.dequantized(&g2, &g3, w.cols()));
             }
             dq
         };
@@ -475,19 +599,104 @@ mod tests {
     fn candidate_table_equals_per_code_requantization() {
         let mut rng = Rng::seed_from(9);
         let specials = [0.0f32, -0.0, 0.5, -1.5, 1e-40, f32::NAN, f32::INFINITY];
-        for _ in 0..2000 {
+        let mut cols = Columns::default();
+        // 2 000 clusters, gridded five to a channel so every slot of a pair
+        // and the padding beside a lone cluster are read.
+        for _ in 0..2000 / 5 {
             let abs_max = rng.uniform_range(0.0, 2.0);
             let mut draw = || match rng.below(8) {
                 0 => specials[rng.below(specials.len())],
                 _ => rng.uniform_range(-abs_max, abs_max),
             };
-            let c = Cluster::new([draw(), draw(), draw()]);
+            let channel: Vec<f32> = (0..15).map(|_| draw()).collect();
             let (g2, g3) = FineQuantizer::paper().grids(abs_max);
-            let t = Candidates::new(&c, &g2, &g3);
-            for (code, err) in ClusterCode::ALL.into_iter().zip(t.err) {
-                let want = c.reconstruction_error(code, &g2, &g3);
-                assert_eq!(err.to_bits(), want.to_bits(), "{c:?} {code}");
-                assert_eq!(t.ints(code), c.quantize(code, &g2, &g3), "{c:?} {code}");
+            cols.grid(&channel, &g2, &g3);
+            for (k, values) in channel.chunks_exact(3).enumerate() {
+                let c = Cluster::new([values[0], values[1], values[2]]);
+                for (code, err) in ClusterCode::ALL.into_iter().zip(cols.err(k)) {
+                    let want = c.reconstruction_error(code, &g2, &g3);
+                    assert_eq!(err.to_bits(), want.to_bits(), "{c:?} {code}");
+                    assert_eq!(cols.ints(k, code), c.quantize(code, &g2, &g3), "{c:?} {code}");
+                }
+            }
+        }
+    }
+
+    /// What `quantize_packed` stores for one channel, composed from the
+    /// per-cluster definitions: preliminary codes, pair fine-tuning on
+    /// summed `reconstruction_error`s (ties to the lowest wire value, NaN
+    /// never wins), `Cluster::quantize` and `PackedChannel::pack`.
+    fn per_cluster_reference(row: &[f32]) -> PackedChannel {
+        let q = FineQuantizer::paper();
+        let abs_max = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let (g2, g3) = q.grids(abs_max);
+        let (clusters, len) = split_channel(row);
+        let threshold = q.config().outlier_threshold;
+        let mut codes: Vec<ClusterCode> =
+            clusters.iter().map(|c| c.preliminary_code(threshold)).collect();
+        for (pair, cs) in codes.chunks_exact_mut(2).zip(clusters.chunks_exact(2)) {
+            if pair[0] != pair[1] {
+                let err = |code| {
+                    cs[0].reconstruction_error(code, &g2, &g3)
+                        + cs[1].reconstruction_error(code, &g2, &g3)
+                };
+                let mut best = (ClusterCode::AllTwoBit, f64::INFINITY);
+                for code in ClusterCode::ALL {
+                    if err(code) < best.1 {
+                        best = (code, err(code));
+                    }
+                }
+                pair.fill(best.0);
+            }
+        }
+        let ints: Vec<[i32; 3]> =
+            clusters.iter().zip(&codes).map(|(c, &code)| c.quantize(code, &g2, &g3)).collect();
+        let pair_codes: Vec<ClusterCode> = codes.iter().step_by(2).copied().collect();
+        PackedChannel::pack(g2.scale(), g3.scale(), len, &pair_codes, &ints)
+    }
+
+    /// Every width from 1 to 50 columns — padding tails, lone trailing
+    /// clusters, odd and even pair counts — on random, all-zero,
+    /// single-outlier, half-step tie and special-value rows.
+    #[test]
+    fn quantize_packed_equals_the_per_cluster_composition_at_every_width() {
+        let mut rng = Rng::seed_from(50);
+        let ties = [3.0f32, -3.0, 1.5, -1.5, 0.5, -0.5, 2.5, -2.5, 0.0, -0.0];
+        let specials = [f32::NAN, -0.0, 1e-40, 0.5, -1.5, f32::MIN_POSITIVE];
+        for cols in 1..=50 {
+            let mut draw = |f: &mut dyn FnMut(&mut Rng, usize) -> f32| -> Vec<f32> {
+                (0..cols).map(|i| f(&mut rng, i)).collect()
+            };
+            let rows = [
+                draw(&mut |rng, _| rng.laplace(0.0, 0.05)),
+                vec![0.0; cols],
+                draw(&mut |rng, i| {
+                    if i == cols / 2 {
+                        0.9
+                    } else {
+                        rng.uniform_range(-0.03, 0.03)
+                    }
+                }),
+                draw(&mut |rng, i| if i == 0 { 3.0 } else { ties[rng.below(ties.len())] }),
+                draw(&mut |rng, _| match rng.below(3) {
+                    0 => specials[rng.below(specials.len())],
+                    _ => rng.normal(0.0, 0.1),
+                }),
+                draw(&mut |rng, i| {
+                    if i == cols - 1 {
+                        f32::INFINITY
+                    } else {
+                        rng.normal(0.0, 0.1)
+                    }
+                }),
+            ];
+            let packed = FineQuantizer::paper().quantize_packed(&Matrix::from_rows(&rows));
+            for (r, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    packed.channels()[r],
+                    per_cluster_reference(row),
+                    "{cols} columns, row {r}"
+                );
             }
         }
     }

@@ -84,6 +84,29 @@ impl SymmetricGrid {
         round_clamped(x / self.scale, -self.qmax, self.qmax)
     }
 
+    /// Quantizes every value of `xs` into `out`, element-wise equal to
+    /// [`quantize`](Self::quantize).
+    ///
+    /// The 2- and 3-bit grids (`qmax` 1 and 3, FineQ's only ones) round in
+    /// one branch-free loop the compiler vectorizes; other grids quantize
+    /// value by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `xs` and `out` have the same length.
+    pub fn quantize_into(&self, xs: &[f32], out: &mut [i32]) {
+        assert_eq!(xs.len(), out.len(), "one output per input");
+        if self.scale == 0.0 {
+            out.fill(0);
+            return;
+        }
+        match self.qmax {
+            1 => round_by_thresholds::<1>(xs, self.scale, out),
+            3 => round_by_thresholds::<3>(xs, self.scale, out),
+            _ => out.iter_mut().zip(xs).for_each(|(q, &x)| *q = self.quantize(x)),
+        }
+    }
+
     /// Reconstructs the real value of a code.
     #[inline]
     pub fn dequantize(&self, q: i32) -> f32 {
@@ -93,6 +116,29 @@ impl SymmetricGrid {
     /// Quantize-dequantize round trip.
     pub fn roundtrip(&self, x: f32) -> f32 {
         self.dequantize(self.quantize(x))
+    }
+}
+
+/// `round_clamped(x / scale, -QMAX, QMAX)` for every value, by counting the
+/// half-step thresholds `v` reaches on each side of zero:
+/// `Σ_{k=1..=QMAX} [v ≥ k − ½] − [v ≤ −(k − ½)]`.
+///
+/// That count is the clamped round half away from zero: `k − ½` is exact,
+/// so `v ≥ k − ½` holds exactly when `v − trunc(v) ≥ ½` carries `v` to `k`
+/// or beyond. NaN fails every compare and counts 0; ±inf reach every
+/// threshold on their side and count ±`QMAX`. Compares and masks only, so
+/// the loop has no per-value branch or float-to-int conversion.
+fn round_by_thresholds<const QMAX: i32>(xs: &[f32], scale: f32, out: &mut [i32]) {
+    for (q, &x) in out.iter_mut().zip(xs) {
+        let v = x / scale;
+        let mut n = 0i32;
+        // `0..QMAX`, not `1..=QMAX`: the exclusive range unrolls before
+        // the loop vectorizer runs, the inclusive one only after it.
+        for k in 0..QMAX {
+            let half = k as f32 + 0.5;
+            n += i32::from(v >= half) - i32::from(v <= -half);
+        }
+        *q = n;
     }
 }
 
@@ -308,6 +354,28 @@ mod tests {
                 check(rng.uniform_range(-1.25, 1.25) * (qmax as f32 * s));
             }
             (0..=u32::MAX).step_by(SWEEP_STRIDE).for_each(|b| check(f32::from_bits(b)));
+        }
+
+        // `quantize_into` against per-value `quantize` on the same inputs,
+        // plus a zero-scale grid.
+        grids.extend([2u8, 3, 8].map(|bits| SymmetricGrid::from_abs_max(0.0, bits)));
+        assert!(grids.iter().any(|g| g.scale() == 0.0));
+        let mut rng = Rng::seed_from(0x0061_21d5);
+        for g in &grids {
+            let (s, qmax) = (g.scale(), g.qmax());
+            let mut xs: Vec<f32> = (-qmax - 2..=qmax + 2)
+                .map(|k| (k as f32 + 0.5) * s)
+                .flat_map(|tie| [tie, tie.next_down(), tie.next_up()])
+                .chain(specials.clone())
+                .collect();
+            let span = if s > 0.0 { qmax as f32 * s } else { 1.0 };
+            xs.extend((0..100_000 / grids.len()).map(|_| rng.uniform_range(-1.25, 1.25) * span));
+            xs.extend((0..=u32::MAX).step_by(SWEEP_STRIDE).map(f32::from_bits));
+            let mut got = vec![i32::MIN; xs.len()];
+            g.quantize_into(&xs, &mut got);
+            for (&x, &q) in xs.iter().zip(&got) {
+                assert_eq!(q, g.quantize(x), "x = {x:e} ({:#010x}), {g:?}", x.to_bits());
+            }
         }
     }
 
