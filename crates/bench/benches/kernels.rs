@@ -15,7 +15,7 @@ use fineq::lm::corpus::Corpus;
 use fineq::lm::remote::{serve_connection, Worker};
 use fineq::lm::{
     BatchKvCache, BatchScheduler, KvCache, ModelConfig, RemoteShardedModel, ServeModel,
-    ServeRequest, ShardedModel, Transformer, WeightSite,
+    ServeRequest, ShardPlan, Transformer, WeightSite,
 };
 use fineq::pipeline::{quantize_model_packed, PipelineConfig};
 use fineq::quant::{Calibration, Gptq, Rtn, WeightQuantizer};
@@ -354,8 +354,9 @@ fn batch16_step_us(
 /// The transport's own before/after: the frame codec on a gather-sized
 /// payload, and one batched step through [`RemoteShardedModel`] — two
 /// worker threads of this process behind Unix sockets — beside the same
-/// step through the in-process [`ShardedModel`]. The difference between
-/// the two step rows is what the wire costs.
+/// step through the in-process model [`ShardPlan::rebuild`] decodes from
+/// the same envelopes. The difference between the two step rows is what
+/// the wire costs.
 #[cfg(unix)]
 fn bench_wire() {
     section("wire: frame codec; batch-16 step, 2 shards, in-process vs over Unix sockets");
@@ -366,11 +367,10 @@ fn bench_wire() {
 
     let model = fixture_model();
     let cfg = model.config().clone();
-    let mut sharded = ShardedModel::new(&model, 2);
-    sharded.set_thread_pool(None);
+    let rebuilt = ShardPlan::new(&model, 2).rebuild(&model);
     let mut scratch = KernelScratch::new();
     let local_us =
-        batch16_step_us(&cfg, |t, s, c| sharded.forward_step_batch_with(t, s, c, &mut scratch));
+        batch16_step_us(&cfg, |t, s, c| rebuilt.forward_step_batch_with(t, s, c, &mut scratch));
 
     let dir = std::env::temp_dir().join(format!("fineq-bench-wire-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
@@ -405,7 +405,7 @@ fn bench_wire() {
         w.join().expect("worker thread");
     }
     let _ = std::fs::remove_dir_all(&dir);
-    println!("{:<44} {local_us:>10.0} us/step", "wire step in-process ShardedModel");
+    println!("{:<44} {local_us:>10.0} us/step", "wire step in-process rebuilt model");
     println!("{:<44} {remote_us:>10.0} us/step", "wire step RemoteShardedModel");
     println!(
         "{:<44} {:>10.1} sent + {:.1} received frames/step, {:.1} + {:.1} payload KB/step",

@@ -32,9 +32,9 @@
 //! * [`shard`] — row-sharded serving: a [`ShardPlan`] partitions every
 //!   packed weight site's output channels across worker shards (balanced
 //!   by packed bytes) and encodes each shard's slices in the versioned
-//!   shard wire format; a [`ShardedModel`] serves the packed model
-//!   rebuilt from those bytes, and [`ShardedScheduler`] serves it
-//!   bit-identically to the unsharded scheduler at any shard count.
+//!   shard wire format; [`ShardPlan::rebuild`] reassembles the packed
+//!   model from those bytes, and a [`BatchScheduler`] serves it
+//!   bit-identically to the source model at any shard count.
 //! * [`remote`] — multi-process sharded serving: workers over
 //!   `std::net` (TCP or Unix sockets) load FNQS shard envelopes and serve
 //!   batched gather requests; the [`RemoteShardedModel`] coordinator
@@ -84,6 +84,6 @@ pub use remote::{
 pub use serving::{
     AdmissionError, BatchScheduler, DistributedScheduler, FailedSequence, FinishReason,
     FinishedSequence, PreemptionEvent, Scheduler, SchedulerStats, ServeModel, ServeRequest,
-    ShardedScheduler, StepError,
+    StepError,
 };
 pub use shard::{ShardPlan, ShardedModel, SitePlan};

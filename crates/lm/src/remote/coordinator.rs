@@ -1117,7 +1117,6 @@ mod tests {
     use super::super::testutil::packed_tiny;
     use super::super::{serve_connection, Worker, WorkerReply, KIND_GATHER, PROTOCOL_VERSION};
     use super::*;
-    use crate::shard::ShardedModel;
     use fineq_core::frame::{frame_bytes, read_frame, write_frame, Listener};
 
     /// In-process worker threads: each binds a loopback TCP listener and
@@ -1414,7 +1413,7 @@ mod tests {
         let (addrs, handles) = spawn_worker_threads(3);
         let remote = RemoteShardedModel::connect(&model, &addrs).expect("connect");
         assert_eq!(remote.n_shards(), 3);
-        let local = ShardedModel::new(&model, 3);
+        let local = remote.plan().rebuild(&model);
         let steps: [(Vec<usize>, Vec<usize>); 3] =
             [(vec![1, 2, 3], vec![0, 1, 2]), (vec![4, 5], vec![0, 2]), (vec![6], vec![1])];
         let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 3);

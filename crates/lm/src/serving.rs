@@ -37,12 +37,12 @@
 //!
 //! One generic [`Scheduler`] serves every execution topology through the
 //! [`ServeModel`] trait: [`BatchScheduler`] (`Scheduler<Transformer>`)
-//! drives the unsharded fused kernels, [`ShardedScheduler`]
-//! (`Scheduler<ShardedModel>`) drives the packed model rebuilt from its
-//! row shards' wire envelopes.
-//! Scheduling, sampling and retirement are one shared state machine and
-//! the two steps share one step body, so whole scheduler runs are
-//! **identical at any shard count**.
+//! drives the fused kernels in process, whether over the packed model or
+//! over the one [`ShardPlan::rebuild`](crate::shard::ShardPlan::rebuild)
+//! reassembled from its row shards' wire envelopes, and
+//! [`DistributedScheduler`] drives remote worker shards. Scheduling,
+//! sampling and retirement are one shared state machine, so whole
+//! scheduler runs are **identical at any shard count**.
 //!
 //! The cache behind every scheduler is **paged** (fixed-size token pages
 //! from a shared pool — see [`BatchKvCache`]), and pages are the one KV
@@ -66,7 +66,6 @@
 
 use crate::generate::{sample_token, slot_runs, BatchKvCache};
 use crate::model::Transformer;
-use crate::shard::ShardedModel;
 use fineq_core::kernels::MAX_TILE;
 use fineq_core::telemetry::{Counter, Histogram, MetricsRegistry};
 use fineq_core::KernelScratch;
@@ -391,12 +390,13 @@ fn check_pages_feasible(
 }
 
 /// A model a continuous-batching scheduler can serve: one batched decode
-/// step over slot-addressed K/V histories. Implemented by the unsharded
-/// [`Transformer`] (fused in-place kernels) and the row-sharded
-/// [`ShardedModel`] (the same step on the model rebuilt from its shard
-/// envelopes). Both run the same shared step body, so any two
-/// implementations over the same weights are bit-identical — which is why
-/// one generic [`Scheduler`] serves both.
+/// step over slot-addressed K/V histories. Implemented by the in-process
+/// [`Transformer`] (fused in-place kernels; a model rebuilt from its shard
+/// envelopes is one too) and the multi-process
+/// [`RemoteShardedModel`](crate::remote::RemoteShardedModel) (worker
+/// shards over the frame protocol). Every channel computes the same bits
+/// wherever it runs, so any two implementations over the same weights are
+/// bit-identical — which is why one generic [`Scheduler`] serves both.
 pub trait ServeModel {
     /// The architecture of the served model.
     fn config(&self) -> &crate::config::ModelConfig;
@@ -468,26 +468,6 @@ impl ServeModel for Transformer {
     }
 }
 
-impl ServeModel for ShardedModel {
-    fn config(&self) -> &crate::config::ModelConfig {
-        ShardedModel::config(self)
-    }
-
-    fn forward_step_batch_with(
-        &self,
-        tokens: &[usize],
-        slots: &[usize],
-        cache: &mut BatchKvCache,
-        scratch: &mut KernelScratch,
-    ) -> Matrix {
-        ShardedModel::forward_step_batch_with(self, tokens, slots, cache, scratch)
-    }
-
-    fn thread_pool(&self) -> Option<&std::sync::Arc<fineq_core::ThreadPool>> {
-        ShardedModel::thread_pool(self)
-    }
-}
-
 /// Continuous-batching engine: a queue of requests, `max_batch` sequence
 /// slots, and one batched decode step that drives them all. Generic over
 /// the [`ServeModel`] computing each step's logits — the request queue,
@@ -525,15 +505,9 @@ pub struct Scheduler<M> {
     metrics: ServingMetrics,
 }
 
-/// The unsharded scheduler: a [`Scheduler`] over a [`Transformer`].
+/// The in-process scheduler: a [`Scheduler`] over a [`Transformer`], the
+/// packed model or its [`ShardPlan::rebuild`](crate::shard::ShardPlan::rebuild).
 pub type BatchScheduler = Scheduler<Transformer>;
-
-/// The sharded scheduler: a [`Scheduler`] over a
-/// [`ShardedModel`] — each step runs on the packed model rebuilt from
-/// the shard envelopes its plan ships. Output is **bit-identical** to
-/// [`BatchScheduler`] for the same requests at any shard count (asserted
-/// by tests and gated in CI).
-pub type ShardedScheduler = Scheduler<ShardedModel>;
 
 /// The multi-process scheduler: a [`Scheduler`] over a
 /// [`RemoteShardedModel`](crate::remote::RemoteShardedModel) — each step's
@@ -1087,13 +1061,6 @@ impl<M: ServeModel> Scheduler<M> {
             self.step();
         }
         self.take_finished()
-    }
-}
-
-impl Scheduler<ShardedModel> {
-    /// Worker shards serving each weight site.
-    pub fn n_shards(&self) -> usize {
-        self.model.n_shards()
     }
 }
 

@@ -8,8 +8,8 @@
 //! by **packed bytes**, not row count) and encodes each shard's slices as
 //! the versioned shard **wire format** of `fineq_core::serialize`
 //! ([`ShardPlan::envelopes`]). Those bytes are what the multi-process
-//! coordinator ships its workers, and what the in-process
-//! [`ShardedModel`] decodes and reassembles into the packed model it
+//! coordinator ships its workers, and what [`ShardPlan::rebuild`] decodes
+//! and reassembles into the packed [`Transformer`] an in-process scheduler
 //! serves.
 //!
 //! A slice's channels are byte-identical to the same channels of the
@@ -20,6 +20,7 @@
 //! thread count** (asserted site by site in this module's tests, step →
 //! scheduler by `tests/sharded_serving.rs`, and gated in CI).
 
+use crate::config::ModelConfig;
 use crate::generate::BatchKvCache;
 use crate::memory::{ServingMemory, WeightStore};
 use crate::model::{Transformer, WeightSite};
@@ -164,16 +165,23 @@ impl ShardPlan {
 
     /// The bytes shard `shard` holds: one FNQS envelope
     /// ([`shard_to_bytes`]) per site the shard owns rows of, in
-    /// [`ShardPlan::sites`] order. The in-process [`ShardedModel`] decodes
-    /// them and the multi-process coordinator ships them, so every
-    /// topology serves exactly these bytes.
+    /// [`ShardPlan::sites`] order. [`ShardPlan::rebuild`] decodes them and
+    /// the multi-process coordinator ships them, so every topology serves
+    /// exactly these bytes.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= n_shards()` or the plan does not describe
-    /// `model`'s sites exactly.
+    /// `model`'s sites exactly (site count and every site's shape).
     pub fn envelopes(&self, model: &Transformer, shard: usize) -> Vec<Vec<u8>> {
         assert!(shard < self.n_shards, "shard {shard} out of plan");
+        let model_sites = model.n_layers() * WeightSite::ALL.len();
+        assert_eq!(
+            self.sites.len(),
+            model_sites,
+            "plan of {} sites for a model of {model_sites} sites",
+            self.sites.len()
+        );
         let mut envelopes = Vec::new();
         for sp in &self.sites {
             let p = model.weight(sp.layer, sp.site).as_packed().expect("fully packed model");
@@ -216,56 +224,22 @@ impl ShardPlan {
             })
             .sum()
     }
-}
 
-/// A packed transformer whose every block weight site was rebuilt from the
-/// FNQS envelopes its [`ShardPlan`] ships.
-///
-/// Construction decodes every shard's envelopes ([`ShardPlan::envelopes`]
-/// through [`fineq_core::serialize::shard_from_bytes`]) and concatenates
-/// each site's decoded slices, in shard order, back into one
-/// [`PackedMatrix`]: the weights served here are literally what came off
-/// the bytes a deployment would ship its workers. A step is
-/// [`Transformer::forward_step_batch_with`] on that model. A channel
-/// computes the same bits in whichever matrix holds it, so the split of a
-/// site's rows needs no kernel of its own, and the output is bit-identical
-/// to the unsharded model at any shard and thread count. Embedding,
-/// readout head and the KV cache stay on the orchestrator (the paper's
-/// protocol keeps them fp32, and attention is not channel-sharded in this
-/// topology).
-///
-/// The execution [`ThreadPool`] is the inner model's, inherited from the
-/// source; [`PartialEq`] ignores it, as [`Transformer`]'s does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedModel {
-    model: Transformer,
-    plan: ShardPlan,
-}
-
-impl ShardedModel {
-    /// Plans a row shard of `model` across `n_shards` workers and builds
-    /// the model from its envelopes. The model's thread pool, if any, is
-    /// inherited.
+    /// `model` with every block weight site decoded from the envelopes
+    /// this plan ships ([`ShardPlan::envelopes`] through [`shard_from_bytes`])
+    /// and its slices concatenated, in shard order, back into one
+    /// [`PackedMatrix`]. A channel computes the same bits in whichever
+    /// matrix holds it, so the result steps bit-identically to `model` at
+    /// any shard and thread count. Embedding, head and thread pool are
+    /// `model`'s.
     ///
     /// # Panics
     ///
-    /// As [`ShardPlan::new`].
-    pub fn new(model: &Transformer, n_shards: usize) -> Self {
-        let plan = ShardPlan::new(model, n_shards);
-        Self::from_plan(model, plan)
-    }
-
-    /// Builds the sharded model from an existing plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not describe `model`'s sites exactly.
-    pub fn from_plan(model: &Transformer, plan: ShardPlan) -> Self {
-        let mut channels = vec![Vec::new(); plan.sites().len()];
-        for shard in 0..plan.n_shards() {
-            for bytes in plan.envelopes(model, shard) {
-                // The wire round trip: what this model serves is exactly
-                // what decodes from the shipped bytes.
+    /// As [`ShardPlan::envelopes`].
+    pub fn rebuild(&self, model: &Transformer) -> Transformer {
+        let mut channels = vec![Vec::new(); self.sites.len()];
+        for shard in 0..self.n_shards {
+            for bytes in self.envelopes(model, shard) {
                 let (header, slice) =
                     shard_from_bytes(&bytes).expect("self-produced shard bytes must decode");
                 // Shards ascend, so a site's slices arrive in row order: each
@@ -276,78 +250,60 @@ impl ShardedModel {
                 site.extend_from_slice(slice.channels());
             }
         }
-        let mut served = model.clone();
-        for (sp, channels) in plan.sites().iter().zip(channels) {
-            *served.weight_mut(sp.layer, sp.site) =
+        let mut rebuilt = model.clone();
+        for (sp, channels) in self.sites.iter().zip(channels) {
+            *rebuilt.weight_mut(sp.layer, sp.site) =
                 PackedMatrix::new(sp.rows, sp.cols, channels).into();
         }
-        Self { model: served, plan }
+        rebuilt
     }
 
-    /// The architecture.
-    pub fn config(&self) -> &crate::config::ModelConfig {
-        self.model.config()
-    }
-
-    /// Number of worker shards.
-    pub fn n_shards(&self) -> usize {
-        self.plan.n_shards()
-    }
-
-    /// The row partition this model was built from.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// See [`Transformer::set_thread_pool`].
-    pub fn set_thread_pool(&mut self, pool: Option<Arc<ThreadPool>>) {
-        self.model.set_thread_pool(pool);
-    }
-
-    /// The installed execution thread pool, if any.
-    pub fn thread_pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.model.thread_pool()
-    }
-
-    /// Serving-memory plan for one worker shard on a device of
-    /// `device_bytes`: measured weights are the shard's packed slices alone
-    /// (embedding, head and the KV cache live on the orchestrator), while
-    /// the KV shape matches the full model so the orchestrator's
-    /// KV-headroom arithmetic can be evaluated against any worker's budget.
+    /// Serving-memory plan for one worker shard of a model of architecture
+    /// `config` on a device of `device_bytes`: measured weights are the
+    /// shard's packed slices alone (embedding, head and the KV cache live
+    /// on the orchestrator), while the KV shape matches the full model so
+    /// the orchestrator's KV-headroom arithmetic can be evaluated against
+    /// any worker's budget.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= n_shards()`.
-    pub fn shard_memory(&self, shard: usize, device_bytes: f64) -> ServingMemory {
+    pub fn shard_memory(
+        &self,
+        shard: usize,
+        config: &ModelConfig,
+        device_bytes: f64,
+    ) -> ServingMemory {
         ServingMemory {
-            params: self.plan.shard_params(shard) as f64,
-            n_layers: self.config().n_layers,
-            d_model: self.config().d_model,
+            params: self.shard_params(shard) as f64,
+            n_layers: config.n_layers,
+            d_model: config.d_model,
             device_bytes,
-            weights: WeightStore::MeasuredBytes(self.plan.shard_weight_bytes(shard) as f64),
+            weights: WeightStore::MeasuredBytes(self.shard_weight_bytes(shard) as f64),
             kv_bytes_per_elem: 2.0,
         }
     }
+}
 
-    /// See [`Transformer::forward_step_batch`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Transformer::forward_step_batch`].
-    pub fn forward_step_batch(
-        &self,
-        tokens: &[usize],
-        slots: &[usize],
-        cache: &mut BatchKvCache,
-    ) -> Matrix {
-        self.model.forward_step_batch(tokens, slots, cache)
+/// A model rebuilt by [`ShardPlan::rebuild`], with exactly the three
+/// methods the benchmark crate's (`bench/`) probes call; everything else
+/// serves the rebuilt [`Transformer`] directly. It is deleted when the
+/// benchmark is next revised.
+#[derive(Debug)]
+pub struct ShardedModel(Transformer);
+
+impl ShardedModel {
+    /// `ShardPlan::new(model, n_shards).rebuild(model)`.
+    pub fn new(model: &Transformer, n_shards: usize) -> Self {
+        Self(ShardPlan::new(model, n_shards).rebuild(model))
+    }
+
+    /// See [`Transformer::set_thread_pool`].
+    pub fn set_thread_pool(&mut self, pool: Option<Arc<ThreadPool>>) {
+        self.0.set_thread_pool(pool);
     }
 
     /// See [`Transformer::forward_step_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Transformer::forward_step_batch`].
     pub fn forward_step_batch_with(
         &self,
         tokens: &[usize],
@@ -355,7 +311,7 @@ impl ShardedModel {
         cache: &mut BatchKvCache,
         scratch: &mut KernelScratch,
     ) -> Matrix {
-        self.model.forward_step_batch_with(tokens, slots, cache, scratch)
+        self.0.forward_step_batch_with(tokens, slots, cache, scratch)
     }
 }
 
@@ -366,7 +322,10 @@ mod tests {
     use fineq_tensor::Rng;
 
     fn packed_tiny(d_ff: usize, seed: u64) -> Transformer {
-        let cfg = crate::config::ModelConfig::new(16, 8, 2, 2, d_ff);
+        packed(ModelConfig::new(16, 8, 2, 2, d_ff), seed)
+    }
+
+    fn packed(cfg: ModelConfig, seed: u64) -> Transformer {
         let mut m = Transformer::zeros(cfg.clone());
         let mut rng = Rng::seed_from(seed);
         *m.embedding_mut() = Matrix::from_fn(cfg.vocab, cfg.d_model, |_, _| rng.normal(0.0, 0.5));
@@ -412,17 +371,18 @@ mod tests {
         }
     }
 
-    /// The model a `ShardedModel` serves is the source model rebuilt site
-    /// by site from the plan's envelopes, including sites where some
-    /// shards own no rows (`d_ff = 1`: a one-channel FFN-up site). A slice
-    /// dropped or placed out of order changes a site and fails here.
+    /// `rebuild` returns the source model rebuilt site by site from the
+    /// plan's envelopes, including sites where some shards own no rows
+    /// (`d_ff = 1`: a one-channel FFN-up site). A slice dropped or placed
+    /// out of order changes a site and fails here.
     #[test]
     fn rebuilt_model_equals_the_source_site_by_site() {
         let mut model = packed_tiny(1, 4);
         model.set_thread_pool(Some(Arc::new(ThreadPool::new(2))));
         for n_shards in [1usize, 2, 3, 5] {
-            let sharded = ShardedModel::new(&model, n_shards);
-            let up = sharded.plan().site(0, WeightSite::FfnUp);
+            let plan = ShardPlan::new(&model, n_shards);
+            let rebuilt = plan.rebuild(&model);
+            let up = plan.site(0, WeightSite::FfnUp);
             assert_eq!(up.rows, 1);
             if n_shards > 1 {
                 assert_eq!(up.range(n_shards - 1), (1, 1), "the last shard owns no FFN-up row");
@@ -430,16 +390,15 @@ mod tests {
             for l in 0..model.n_layers() {
                 for site in WeightSite::ALL {
                     assert_eq!(
-                        sharded.model.weight(l, site),
+                        rebuilt.weight(l, site),
                         model.weight(l, site),
                         "{n_shards} shards, layer {l} {site:?}"
                     );
                 }
             }
-            assert_eq!(sharded.model, model);
-            let rebuilt = ShardedModel::from_plan(&model, sharded.plan().clone());
-            assert_eq!(rebuilt, sharded, "same plan, same model, same decoded sites");
-            let (inherited, source) = (sharded.thread_pool(), model.thread_pool());
+            assert_eq!(rebuilt, model);
+            assert_eq!(plan.rebuild(&model), rebuilt, "same plan, same model, same decoded sites");
+            let (inherited, source) = (rebuilt.thread_pool(), model.thread_pool());
             assert!(Arc::ptr_eq(inherited.expect("pool"), source.expect("pool")));
         }
     }
@@ -447,9 +406,9 @@ mod tests {
     #[test]
     fn shard_memory_measures_the_shard_alone() {
         let model = packed_tiny(16, 3);
-        let sharded = ShardedModel::new(&model, 2);
-        let m0 = sharded.shard_memory(0, 1e6);
-        let m1 = sharded.shard_memory(1, 1e6);
+        let plan = ShardPlan::new(&model, 2);
+        let m0 = plan.shard_memory(0, model.config(), 1e6);
+        let m1 = plan.shard_memory(1, model.config(), 1e6);
         assert_eq!(
             m0.weight_bytes() + m1.weight_bytes(),
             model.body_weight_bytes() as f64,
@@ -458,10 +417,28 @@ mod tests {
         assert!(m0.params > 0.0 && m1.params > 0.0);
     }
 
+    /// A plan of a 2-layer model covers 12 sites; a 3-layer model of the
+    /// same widths has 18, and its third layer would never be shipped.
+    #[test]
+    #[should_panic(expected = "plan of 12 sites for a model of 18 sites")]
+    fn rebuild_rejects_a_plan_of_fewer_layers() {
+        let shallow = packed(ModelConfig::new(16, 8, 2, 2, 16), 5);
+        let deep = packed(ModelConfig::new(16, 8, 3, 2, 16), 5);
+        let _ = ShardPlan::new(&shallow, 2).rebuild(&deep);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan shape mismatch at layer 0")]
+    fn rebuild_rejects_a_plan_of_another_width() {
+        let narrow = packed(ModelConfig::new(16, 8, 2, 2, 16), 6);
+        let wide = packed(ModelConfig::new(16, 12, 2, 2, 16), 6);
+        let _ = ShardPlan::new(&narrow, 2).rebuild(&wide);
+    }
+
     #[test]
     #[should_panic(expected = "fully packed")]
     fn planning_a_dense_model_is_rejected() {
-        let cfg = crate::config::ModelConfig::new(16, 8, 1, 2, 16);
+        let cfg = ModelConfig::new(16, 8, 1, 2, 16);
         let model = Transformer::zeros(cfg);
         let _ = ShardPlan::new(&model, 2);
     }

@@ -1,8 +1,8 @@
 //! Row-sharded serving: plan → shard → serve. Every packed weight site's
 //! output channels are partitioned across worker shards (balanced by
 //! packed bytes), each slice is encoded in the versioned shard wire
-//! format, and the scheduler serves the model rebuilt from those bytes —
-//! with output bit-identical to the unsharded scheduler.
+//! format, and a plain `BatchScheduler` serves the model rebuilt from
+//! those bytes — with output bit-identical to the unsharded scheduler.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -11,8 +11,8 @@
 use fineq::core::FineQuantizer;
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
-use fineq::lm::{ServeRequest, WeightSite};
-use fineq::pipeline::{serve_packed_with_threads, serve_sharded, PipelineConfig};
+use fineq::lm::{BatchScheduler, ServeRequest, ShardPlan, WeightSite};
+use fineq::pipeline::{quantize_model_packed, serve_packed_with_threads, PipelineConfig};
 use std::time::Instant;
 
 fn main() {
@@ -22,24 +22,15 @@ fn main() {
 
     let n_shards = 3;
     let max_batch = 4;
-    let (mut sched, report) = serve_sharded(
-        &model,
-        &FineQuantizer::paper(),
-        &PipelineConfig::default(),
-        max_batch,
-        n_shards,
-    );
+    let (packed, report) =
+        quantize_model_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default());
     println!("serving a row-sharded packed model : {:.2} bits/weight", report.avg_bits);
     println!("worker shards                      : {n_shards}");
     println!("batch slots                        : {max_batch}");
-    println!(
-        "kernel threads                     : {}",
-        sched.thread_pool().map_or(1, |p| p.threads())
-    );
 
     // The plan: each site's channels split by packed bytes. Show one site
     // and the per-shard weight totals a worker's device must hold.
-    let plan = sched.model().plan();
+    let plan = ShardPlan::new(&packed, n_shards);
     let sp = plan.site(0, WeightSite::FfnUp);
     println!("\nlayer 0 ffn.up ({} x {}) channel ranges:", sp.rows, sp.cols);
     for shard in 0..n_shards {
@@ -49,19 +40,24 @@ fn main() {
             sp.shard_bytes[shard]
         );
     }
-    println!("\nper-shard packed weight bytes (all sites):");
+    println!("\nper-shard packed weight bytes (all sites) and shipped envelopes:");
     for shard in 0..n_shards {
-        let mem = sched.model().shard_memory(shard, 64.0 * 1024.0 * 1024.0);
+        let mem = plan.shard_memory(shard, packed.config(), 64.0 * 1024.0 * 1024.0);
+        let envelopes = plan.envelopes(&packed, shard);
         println!(
-            "  shard {shard}: {:>8.0} bytes  ({:.0} params at {:.2} bits/weight effective)",
+            "  shard {shard}: {:>8.0} bytes  ({:.0} params at {:.2} bits/weight effective), \
+             {} envelopes, {} wire bytes",
             mem.weight_bytes(),
             mem.params,
             mem.weight_bits(),
+            envelopes.len(),
+            envelopes.iter().map(Vec::len).sum::<usize>(),
         );
     }
 
-    // Same requests through the sharded and the unsharded scheduler: the
-    // outputs must be identical token for token.
+    // Serve the model decoded from those envelopes; the same requests
+    // through the unsharded scheduler must agree token for token.
+    let mut sched = BatchScheduler::new(plan.rebuild(&packed), max_batch);
     let requests: Vec<ServeRequest> = (0..10u64)
         .map(|id| {
             let prompt = corpus.generate(4 + id as usize % 5, 40 + id).tokens().to_vec();

@@ -41,6 +41,5 @@ pub mod pipeline;
 
 pub use pipeline::{
     collect_calibration, quantize_model, quantize_model_packed, serve_distributed, serve_packed,
-    serve_packed_with_threads, serve_sharded, serve_sharded_with_threads, ModelCalibration,
-    PipelineConfig, QuantizeReport,
+    serve_packed_with_threads, ModelCalibration, PipelineConfig, QuantizeReport,
 };

@@ -9,8 +9,8 @@
 
 use fineq_core::{pool::default_threads, FineQuantizer, ThreadPool};
 use fineq_lm::{
-    BatchScheduler, DistributedScheduler, LinearWeight, RemoteShardedModel, ShardedModel,
-    ShardedScheduler, Transformer, TransportError, WeightSite,
+    BatchScheduler, DistributedScheduler, LinearWeight, RemoteShardedModel, Transformer,
+    TransportError, WeightSite,
 };
 use fineq_quant::{Calibration, QuantMetrics, QuantResult, WeightQuantizer};
 use fineq_tensor::Matrix;
@@ -301,56 +301,6 @@ pub fn serve_packed_with_threads(
 }
 
 /// Quantizes `model` to the packed serving format, row-shards every weight
-/// site across `n_shards` workers, rebuilds each site from the shards'
-/// wire envelopes, and wraps the result in a [`ShardedScheduler`] — the
-/// one-call **sharded** serving entry point.
-///
-/// The scheduler's output is bit-identical to [`serve_packed`]'s for the
-/// same requests at any shard count: sharding, like threading, is pure
-/// execution topology. One shared [`ThreadPool`] sized by
-/// [`default_threads`] runs the packed kernels' channel loops; use
-/// [`serve_sharded_with_threads`] to pick the count explicitly.
-///
-/// # Panics
-///
-/// Panics if the quantizer configuration is not packable, the source model
-/// is not dense, `max_batch` is zero, or `n_shards` is zero.
-pub fn serve_sharded(
-    model: &Transformer,
-    quantizer: &FineQuantizer,
-    config: &PipelineConfig,
-    max_batch: usize,
-    n_shards: usize,
-) -> (ShardedScheduler, QuantizeReport) {
-    serve_sharded_with_threads(model, quantizer, config, max_batch, n_shards, default_threads())
-}
-
-/// [`serve_sharded`] with an explicit kernel thread count (`threads == 1`
-/// installs no pool: channels run serially, same output).
-///
-/// # Panics
-///
-/// As [`serve_sharded`], plus if `threads` is zero.
-pub fn serve_sharded_with_threads(
-    model: &Transformer,
-    quantizer: &FineQuantizer,
-    config: &PipelineConfig,
-    max_batch: usize,
-    n_shards: usize,
-    threads: usize,
-) -> (ShardedScheduler, QuantizeReport) {
-    assert!(threads > 0, "serving needs at least one kernel thread");
-    let (packed, report) = quantize_model_packed(model, quantizer, config);
-    let mut sharded = ShardedModel::new(&packed, n_shards);
-    if threads > 1 {
-        sharded.set_thread_pool(Some(Arc::new(ThreadPool::new(threads))));
-    } else {
-        sharded.set_thread_pool(None);
-    }
-    (ShardedScheduler::new(sharded, max_batch), report)
-}
-
-/// Quantizes `model` to the packed serving format, row-shards every weight
 /// site across `replica_addrs.len()` **worker processes** (shipping each
 /// replica of a shard the identical FNQS slice envelopes over the frame
 /// protocol), and wraps the coordinator in a [`DistributedScheduler`] —
@@ -504,33 +454,6 @@ mod tests {
             .expect("no KV budget configured");
         let done = sched.run();
         assert_eq!(done[0].generated, expect);
-    }
-
-    #[test]
-    fn serve_sharded_matches_serve_packed_output() {
-        let (model, corpus) = tiny_model();
-        let cfg = PipelineConfig::default();
-        let q = FineQuantizer::paper();
-        let submit = |sub: &mut dyn FnMut(ServeRequest)| {
-            for id in 0..3u64 {
-                let prompt = corpus.generate(4, 200 + id).tokens().to_vec();
-                sub(ServeRequest {
-                    temperature: 0.8,
-                    seed: 50 + id,
-                    ..ServeRequest::new(id, prompt, 5)
-                });
-            }
-        };
-        let (mut plain, _) = serve_packed_with_threads(&model, &q, &cfg, 2, 1);
-        submit(&mut |r| plain.submit(r).expect("no KV budget configured"));
-        let reference = plain.run();
-        for n_shards in [1usize, 3] {
-            let (mut sched, report) = serve_sharded_with_threads(&model, &q, &cfg, 2, n_shards, 2);
-            assert_eq!(sched.n_shards(), n_shards);
-            assert_eq!(report.sites.len(), model.n_layers() * 6);
-            submit(&mut |r| sched.submit(r).expect("no KV budget configured"));
-            assert_eq!(sched.run(), reference, "{n_shards} shards");
-        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use fineq::core::{FineQuantizer, ThreadPool};
 use fineq::lm::{
-    BatchScheduler, FinishedSequence, ModelConfig, Scheduler, ServeRequest, ShardedModel,
-    Transformer, WeightSite,
+    BatchScheduler, FinishedSequence, ModelConfig, ServeRequest, ShardPlan, Transformer, WeightSite,
 };
 use fineq::tensor::{Matrix, Rng};
 use std::sync::Arc;
@@ -65,7 +64,7 @@ fn requests() -> Vec<ServeRequest> {
         .collect()
 }
 
-fn run_sorted<M: fineq::lm::ServeModel>(sched: &mut Scheduler<M>) -> Vec<FinishedSequence> {
+fn run_sorted(sched: &mut BatchScheduler) -> Vec<FinishedSequence> {
     for req in requests() {
         sched.submit(req).expect("request fits every tested budget");
     }
@@ -110,9 +109,9 @@ fn preempted_runs_are_token_identical_across_threads_and_shards() {
 
             // Row-sharded at this thread count × every shard count.
             for n_shards in [1usize, 2, 3] {
-                let mut sharded = ShardedModel::new(&model, n_shards);
+                let mut sharded = ShardPlan::new(&model, n_shards).rebuild(&model);
                 sharded.set_thread_pool(pool.clone());
-                let mut sched = Scheduler::with_page_tokens(sharded, 3, 2);
+                let mut sched = BatchScheduler::with_page_tokens(sharded, 3, 2);
                 if let Some(pages) = budget {
                     sched.set_page_budget(pages).expect("nothing queued yet");
                     sched.enable_prefix_sharing(true);

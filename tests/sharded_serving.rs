@@ -3,9 +3,10 @@
 //! `assert_eq!`, not approximate comparison — from the gather kernels
 //! through batched steps to whole scheduler runs, at shard counts covering
 //! the trivial (1), even (2), uneven (3) and more-shards-than-some-sites-
-//! have-rows (5) cases. The wire format is on the same path: a
-//! `ShardedModel` serves the sites it decoded from the envelopes its plan
-//! ships, and this suite additionally corrupts those bytes on purpose.
+//! have-rows (5) cases. The wire format is on the same path:
+//! `ShardPlan::rebuild` returns the model whose sites it decoded from the
+//! envelopes the plan ships, and this suite additionally corrupts those
+//! bytes on purpose.
 
 use fineq::core::serialize::{
     fnv1a32, fnv1a32_chain, shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader,
@@ -13,10 +14,9 @@ use fineq::core::serialize::{
 use fineq::core::{FineQuantizer, ThreadPool};
 use fineq::lm::shard::site_id;
 use fineq::lm::{
-    BatchKvCache, BatchScheduler, ModelConfig, ServeRequest, ShardedModel, ShardedScheduler,
-    Transformer, WeightSite,
+    BatchKvCache, BatchScheduler, ModelConfig, ServeRequest, ShardPlan, Transformer, WeightSite,
 };
-use fineq::pipeline::{serve_packed_with_threads, serve_sharded_with_threads, PipelineConfig};
+use fineq::pipeline::{serve_packed_with_threads, PipelineConfig};
 use fineq::tensor::{Matrix, Rng};
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ fn packed_model(d_ff: usize, seed: u64) -> Transformer {
     m
 }
 
-/// Batched steps of the sharded model equal the unsharded transformer's
+/// Batched steps of the rebuilt model equal the source transformer's
 /// bit for bit — ragged slots, every shard count, with and without a pool,
 /// including the 1-channel weight site where shards sit out.
 #[test]
@@ -71,7 +71,7 @@ fn sharded_batch_steps_are_bit_identical_to_unsharded() {
             .collect();
         for n_shards in SHARD_COUNTS {
             for threads in [1usize, 3] {
-                let mut sharded = ShardedModel::new(&model, n_shards);
+                let mut sharded = ShardPlan::new(&model, n_shards).rebuild(&model);
                 sharded.set_thread_pool((threads > 1).then(|| Arc::new(ThreadPool::new(threads))));
                 let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 3);
                 for (i, (t, s)) in steps.iter().enumerate() {
@@ -88,8 +88,8 @@ fn sharded_batch_steps_are_bit_identical_to_unsharded() {
 }
 
 /// Whole scheduler runs — admission, sampling, eos retirement, backfill —
-/// are identical between `BatchScheduler` and `ShardedScheduler` at every
-/// shard count (the acceptance contract, also gated in CI).
+/// are identical between a `BatchScheduler` over the source model and one
+/// over its rebuild at every shard count (the acceptance contract).
 #[test]
 fn sharded_scheduler_runs_equal_unsharded_at_every_shard_count() {
     let model = packed_model(16, 3);
@@ -113,8 +113,7 @@ fn sharded_scheduler_runs_equal_unsharded_at_every_shard_count() {
     };
     assert_eq!(reference.len(), 6);
     for n_shards in SHARD_COUNTS {
-        let mut sched = ShardedScheduler::new(ShardedModel::new(&model, n_shards), 2);
-        assert_eq!(sched.n_shards(), n_shards);
+        let mut sched = BatchScheduler::new(ShardPlan::new(&model, n_shards).rebuild(&model), 2);
         submit_all(Box::new(|r| sched.submit(r).expect("admitted")));
         let done = sched.run();
         assert_eq!(done, reference, "sharding must be invisible at {n_shards} shards");
@@ -122,8 +121,9 @@ fn sharded_scheduler_runs_equal_unsharded_at_every_shard_count() {
     }
 }
 
-/// The pipeline entry (`serve_sharded_with_threads`) against the unsharded
-/// pipeline on a quantized-from-dense model, kernel pool installed.
+/// The pipeline's packed model, rebuilt from its shards, against the
+/// unsharded pipeline on a quantized-from-dense model: the rebuild
+/// inherits the pipeline's kernel pool.
 #[test]
 fn pipeline_sharded_serving_matches_packed_serving() {
     use fineq::lm::builder::{build_fitted_model, BuilderSpec};
@@ -143,9 +143,11 @@ fn pipeline_sharded_serving_matches_packed_serving() {
         requests.iter().for_each(|r| sched.submit(r.clone()).expect("fits the budget"));
         sched.run()
     };
+    let (threaded, _) = serve_packed_with_threads(&model, &q, &cfg, 3, 3);
+    let packed = threaded.model();
     for n_shards in [2usize, 5] {
-        let (mut sched, _) = serve_sharded_with_threads(&model, &q, &cfg, 3, n_shards, 3);
-        assert_eq!(sched.thread_pool().expect("pool installed").threads(), 3);
+        let mut sched = BatchScheduler::new(ShardPlan::new(packed, n_shards).rebuild(packed), 3);
+        assert_eq!(sched.thread_pool().expect("pool inherited").threads(), 3);
         requests.iter().for_each(|r| sched.submit(r.clone()).expect("fits the budget"));
         assert_eq!(sched.run(), reference, "{n_shards} shards");
     }
@@ -153,12 +155,11 @@ fn pipeline_sharded_serving_matches_packed_serving() {
 
 /// Wire-format round trip of a whole sharded model: every slice
 /// re-serializes under its plan header and decodes back identical; headers
-/// carry the right ranges; rebuilt models compare equal.
+/// carry the right ranges; the rebuilt model equals the source.
 #[test]
 fn sharded_model_wire_round_trip() {
     let model = packed_model(16, 6);
-    let sharded = ShardedModel::new(&model, 3);
-    let plan = sharded.plan().clone();
+    let plan = ShardPlan::new(&model, 3);
     // Each shard ships one envelope per site it owns rows of, in plan
     // order: take them site by site.
     let mut shipped: Vec<_> =
@@ -206,10 +207,8 @@ fn sharded_model_wire_round_trip() {
         }
     }
     assert!(shipped.iter_mut().all(|envelopes| envelopes.next().is_none()), "nothing unplanned");
-    // Rebuilding from the same plan yields an equal model (and PartialEq
-    // ignores the pool, like Transformer's).
-    let rebuilt = ShardedModel::from_plan(&model, plan);
-    assert_eq!(rebuilt, sharded);
+    // Rebuilding from the shipped bytes yields the source model.
+    assert_eq!(plan.rebuild(&model), model);
 }
 
 /// Shipped bytes that lie are rejected: wrong version, corrupt payload,
@@ -217,16 +216,15 @@ fn sharded_model_wire_round_trip() {
 #[test]
 fn sharded_wire_rejects_tampered_bytes() {
     let model = packed_model(16, 7);
-    let sharded = ShardedModel::new(&model, 2);
+    let plan = ShardPlan::new(&model, 2);
     // Shard 1's slice of layer 0's Q, decoded from the envelope it ships.
-    let (shipped, slice) = sharded
-        .plan()
+    let (shipped, slice) = plan
         .envelopes(&model, 1)
         .iter()
         .map(|envelope| shard_from_bytes(envelope).expect("shipped bytes"))
         .find(|(h, _)| h.site_id == site_id(0, WeightSite::AttnQ))
         .expect("shard 1 owns rows of layer 0's Q");
-    let sp = sharded.plan().site(0, WeightSite::AttnQ);
+    let sp = plan.site(0, WeightSite::AttnQ);
     let header = ShardHeader {
         shard_index: 1,
         n_shards: 2,

@@ -23,9 +23,9 @@
 //! 4. matrix level — seeded-random whole-matrix sweeps (odd shapes,
 //!    1-row, 1-col) of `matvec` and the batched `matmul_t` against the
 //!    `dot_scalar` reference;
-//! 5. serving level — whole `BatchScheduler` / `ShardedScheduler` runs at
-//!    threads {1, 2, 4, 7} × shards {1, 2, 3, 5}, all bit-identical to
-//!    the serial unsharded reference.
+//! 5. serving level — whole `BatchScheduler` runs over the packed model
+//!    and its `ShardPlan::rebuild` at threads {1, 2, 4, 7} × shards
+//!    {1, 2, 3, 5}, all bit-identical to the serial unsharded reference.
 //!
 //! Together these are the proof obligation the kernels carry: the
 //! batch-composition, thread-count and shard-count determinism contracts
@@ -38,8 +38,8 @@ use fineq::core::{
 };
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
-use fineq::lm::ServeRequest;
-use fineq::pipeline::{serve_packed_with_threads, serve_sharded_with_threads, PipelineConfig};
+use fineq::lm::{BatchScheduler, ServeRequest, ShardPlan};
+use fineq::pipeline::{serve_packed_with_threads, PipelineConfig};
 use fineq::tensor::{Matrix, Rng};
 
 /// The scalar reference for one whole block: the per-cluster table walk,
@@ -354,8 +354,10 @@ fn scheduler_runs_are_identical_at_all_thread_and_shard_counts() {
         let (mut sched, _) = serve_packed_with_threads(&model, &q, &cfg, 2, threads);
         submit_all(&mut |r| sched.submit(r).expect("no KV budget configured"));
         assert_eq!(sched.run(), reference, "unsharded @ {threads} threads");
+        // The rebuild inherits the packed model's pool of `threads`.
+        let packed = sched.model();
         for shards in [1usize, 2, 3, 5] {
-            let (mut sched, _) = serve_sharded_with_threads(&model, &q, &cfg, 2, shards, threads);
+            let mut sched = BatchScheduler::new(ShardPlan::new(packed, shards).rebuild(packed), 2);
             submit_all(&mut |r| sched.submit(r).expect("no KV budget configured"));
             assert_eq!(sched.run(), reference, "{shards} shards @ {threads} threads");
         }
