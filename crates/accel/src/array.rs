@@ -91,7 +91,7 @@ impl TemporalArray {
         // Decode every weight channel once (the decode pipeline stage).
         let decoded: Vec<Vec<DecodedWeight>> = (0..m)
             .map(|r| {
-                let ch = &w.channels()[r];
+                let ch = w.channel(r);
                 let mut lanes = Vec::with_capacity(k);
                 for block in ch.blocks().chunks(7) {
                     let block_lanes = decoder.decode_block(block);
@@ -121,7 +121,7 @@ impl TemporalArray {
                     stats.broadcast_steps += 1;
                     stats.stream_cycles += cycles as u64;
                     // Bit-serial accumulation with dual scale classes.
-                    let ch = &w.channels()[r];
+                    let ch = w.channel(r);
                     let (s2, s3) = (ch.scale2() as f64, ch.scale3() as f64);
                     for j in n0..n1 {
                         let mut acc2 = 0.0f64;

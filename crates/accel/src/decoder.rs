@@ -102,12 +102,12 @@ impl HardwareDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fineq_core::{ClusterCode, PackedChannel};
+    use fineq_core::{ClusterCode, PackedMatrix};
 
-    fn packed_demo() -> PackedChannel {
+    fn packed_demo() -> PackedMatrix {
         let codes = [ClusterCode::AllTwoBit, ClusterCode::ZeroSecond, ClusterCode::ZeroThird];
         let q = [[1, -1, 0], [0, 1, 1], [3, 0, -2], [-3, 0, 1], [2, -2, 0]];
-        PackedChannel::pack(0.3, 0.1, 15, &codes, &q)
+        PackedMatrix::pack_channel(0.3, 0.1, 15, &codes, &q)
     }
 
     /// Exhaustive cross-check of the Fig. 6 MUX network against the
@@ -185,7 +185,8 @@ mod tests {
 
     #[test]
     fn decoder_agrees_with_software_unpacker() {
-        let ch = packed_demo();
+        let m = packed_demo();
+        let ch = m.channel(0);
         let mut dec = HardwareDecoder::new();
         let lanes = dec.decode_block(&ch.blocks()[0..7]);
         for (k, cluster) in lanes.iter().enumerate().take(ch.n_clusters()) {
@@ -198,7 +199,8 @@ mod tests {
 
     #[test]
     fn scale_class_follows_the_code() {
-        let ch = packed_demo();
+        let m = packed_demo();
+        let ch = m.channel(0);
         let mut dec = HardwareDecoder::new();
         let lanes = dec.decode_block(&ch.blocks()[0..7]);
         // Cluster 0 is 2-bit; cluster 2 is an outlier cluster.
@@ -208,7 +210,8 @@ mod tests {
 
     #[test]
     fn sacrificed_lane_is_constant_zero() {
-        let ch = packed_demo();
+        let m = packed_demo();
+        let ch = m.channel(0);
         let mut dec = HardwareDecoder::new();
         let lanes = dec.decode_block(&ch.blocks()[0..7]);
         // Cluster 2 uses code 10 (second value zeroed).
@@ -218,7 +221,8 @@ mod tests {
 
     #[test]
     fn activity_counter_tracks_clusters() {
-        let ch = packed_demo();
+        let m = packed_demo();
+        let ch = m.channel(0);
         let mut dec = HardwareDecoder::new();
         let _ = dec.decode_block(&ch.blocks()[0..7]);
         assert_eq!(dec.clusters_decoded(), 8);
@@ -235,7 +239,8 @@ mod tests {
     fn all_two_bit_magnitudes_fit_one_bit() {
         let codes = [ClusterCode::AllTwoBit];
         let q = [[1, 0, -1], [0, 0, 0]];
-        let ch = PackedChannel::pack(1.0, 1.0 / 3.0, 6, &codes, &q[..2]);
+        let m = PackedMatrix::pack_channel(1.0, 1.0 / 3.0, 6, &codes, &q[..2]);
+        let ch = m.channel(0);
         let mut dec = HardwareDecoder::new();
         let lanes = dec.decode_block(&ch.blocks()[0..7]);
         for lane in &lanes[0] {

@@ -245,8 +245,7 @@ impl PipelineSim {
         // DMA: FineQ reads packed weights (7 bytes / 24 weights); the
         // baseline reads int8 weights; both read fp16 activations once and
         // write fp16 outputs.
-        let weight_bytes_fineq = (packed.channels().iter().map(|c| c.data_bytes()).sum::<usize>()
-            as f64
+        let weight_bytes_fineq = (packed.channels().map(|c| c.data_bytes()).sum::<usize>() as f64
             * row_scale
             * inst) as u64;
         let weight_bytes_base = (gemm.m * gemm.k) as u64 * gemm.count as u64;

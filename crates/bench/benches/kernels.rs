@@ -7,8 +7,10 @@
 
 use fineq::accel::{SystolicArray, TemporalArray};
 use fineq::core::frame::{frame_bytes, Listener};
+use fineq::core::serialize::{from_bytes, to_bytes};
 use fineq::core::{
-    ClusterCode, FineQuantizer, KernelScratch, MetricsRegistry, PackedChannel, PackedMatrix,
+    shard_from_bytes, shard_to_bytes, ClusterCode, FineQuantizer, KernelScratch, MetricsRegistry,
+    PackedMatrix, ShardHeader,
 };
 use fineq::lm::builder::{build_fitted_model, llm_like_matrix, BuilderSpec};
 use fineq::lm::corpus::Corpus;
@@ -131,8 +133,8 @@ fn all_live(rows: usize, cols: usize, seed: u64) -> PackedMatrix {
             mag
         }
     };
-    let channels = (0..rows)
-        .map(|_| {
+    let body = (0..rows)
+        .flat_map(|_| {
             let codes: Vec<ClusterCode> =
                 (0..n_clusters.div_ceil(2)).map(|_| ClusterCode::ALL[rng.below(4)]).collect();
             let q: Vec<[i32; 3]> = (0..n_clusters)
@@ -141,10 +143,10 @@ fn all_live(rows: usize, cols: usize, seed: u64) -> PackedMatrix {
                     Some(z) => [0, 1, 2].map(|p| if p == z { 0 } else { nonzero(&mut rng, 3) }),
                 })
                 .collect();
-            PackedChannel::pack(0.02, 0.05, cols, &codes, &q)
+            PackedMatrix::pack_channel(0.02, 0.05, cols, &codes, &q).body().to_vec()
         })
         .collect();
-    PackedMatrix::new(rows, cols, channels)
+    PackedMatrix::from_body(rows, cols, body)
 }
 
 /// The batched GEMM at the row counts that exercise each tile of the lane
@@ -230,16 +232,19 @@ fn bench_forward() {
 
 /// Attention's cost per cached position, read from outside the step: a
 /// batch-16 step (one row per slot) and a one-row step of the packed gate
-/// shape with 16, 64 and 256 positions cached per stepped slot. The sites
+/// shape with 24, 72 and 264 positions cached per stepped slot. The sites
 /// and the head cost the same at every context, so the slope between rows
-/// is attention's — printed per row count as µs per cached position.
+/// is attention's — printed per row count as µs per cached position. The
+/// contexts sit mid-page: at a multiple of the 16-position KV page every
+/// stepped slot would open a fresh page in each sample, and that cost
+/// would read as attention's.
 fn bench_attention() {
     section("attention: packed gate-shape step vs cached positions per slot");
     let model = fixture_model();
     let cfg = model.config().clone();
     for rows in [16usize, 1] {
         let mut by_ctx = Vec::new();
-        for ctx in [16usize, 64, 256] {
+        for ctx in [24usize, 72, 264] {
             let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 16);
             for slot in 0..rows {
                 let prompt: Vec<usize> = (0..ctx).map(|i| (i * 5 + slot * 11 + 1) % 64).collect();
@@ -417,6 +422,26 @@ fn bench_wire() {
     );
 }
 
+/// The load path of one matrix of `bench/`'s `quantize_pack` loop (512 ×
+/// 1536 LLM-like, quantized): parse, serialize, the shard envelope round
+/// trip and a half-height row slice — the copies a matrix pays between the
+/// bytes on disk or on the wire and the kernels.
+fn bench_load() {
+    section("load 512x1536 llm-like: serialize / parse / slice");
+    let w = llm_like_matrix(512, 1536, &BuilderSpec::tiny(), &mut Rng::seed_from(1));
+    let packed = FineQuantizer::paper().quantize_packed(&w);
+    let bytes = to_bytes(&packed);
+    let header =
+        ShardHeader { shard_index: 0, n_shards: 1, site_id: 0, row_start: 0, total_rows: 512 };
+    let r = bench("from_bytes", || from_bytes(black_box(&bytes)).expect("parses"));
+    println!("{:<44} {:>12.0} Mweights/s", "from_bytes", (512 * 1536) as f64 / r.ns_per_iter * 1e3);
+    bench("to_bytes", || to_bytes(black_box(&packed)));
+    bench("shard_to_bytes + shard_from_bytes", || {
+        shard_from_bytes(&shard_to_bytes(black_box(&packed), &header)).expect("parses")
+    });
+    bench("slice_rows(0, 256)", || black_box(&packed).slice_rows(0, 256));
+}
+
 /// `cargo bench -p fineq-bench --bench kernels [-- <name>]`: every section,
 /// or only those whose name contains `<name>` (`wire`, `first_token`, ...).
 fn main() {
@@ -426,6 +451,7 @@ fn main() {
         ("first_token", bench_first_token),
         ("quantizers", bench_quantizers),
         ("pack_decode", bench_pack_decode),
+        ("load", bench_load),
         ("matmul_t", bench_matmul_t),
         ("head_readout", bench_head_readout),
         ("arrays", bench_arrays),

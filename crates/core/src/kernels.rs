@@ -391,31 +391,31 @@ fn accumulate_block<const N: usize>(
 /// against both forms in `tests/swar_decode.rs`). Non-finite activations
 /// are outside the kernels' contract — there `0·inf = NaN` makes the forms
 /// diverge, as it would any rearrangement of float accumulation.
-fn walk<const N: usize>(ch: &PackedChannel, panel: &[f32]) -> [f32; N] {
+fn walk<const N: usize>(ch: &PackedChannel<'_>, panel: &[f32]) -> [f32; N] {
     let (cols, _) = panel.as_chunks::<N>();
-    debug_assert_eq!(cols.len(), ch.len);
+    let len = ch.len();
+    debug_assert_eq!(cols.len(), len);
     let (mut acc2, mut acc3) = ([0.0f32; N], [0.0f32; N]);
-    let full = ch.len / WEIGHTS_PER_BLOCK;
-    let mut blocks = ch.blocks.chunks_exact(BLOCK_BYTES);
+    let full = len / WEIGHTS_PER_BLOCK;
+    let mut blocks = ch.blocks().chunks_exact(BLOCK_BYTES);
     for (block, cols) in blocks.by_ref().take(full).zip(cols.chunks_exact(WEIGHTS_PER_BLOCK)) {
         accumulate_block(block, cols, &mut acc2, &mut acc3);
     }
     if let Some(block) = blocks.next() {
-        // `..ch.len` rather than `..`: it is the explicit bound that shows
+        // `..len` rather than `..`: it is the explicit bound that shows
         // the optimizer a tail of fewer than 24 lanes (measured: the open
         // range costs 15-20 % of a 512-column GEMV).
-        accumulate_block(block, &cols[full * WEIGHTS_PER_BLOCK..ch.len], &mut acc2, &mut acc3);
+        accumulate_block(block, &cols[full * WEIGHTS_PER_BLOCK..len], &mut acc2, &mut acc3);
     }
-    std::array::from_fn(|c| ch.scale2 * acc2[c] + ch.scale3 * acc3[c])
+    let (s2, s3) = (ch.scale2(), ch.scale3());
+    std::array::from_fn(|c| s2 * acc2[c] + s3 * acc3[c])
 }
 
-/// [`walk`] as a [`PanelKernel`]: one channel against a panel of any tile
+/// A channel is a [`PanelKernel`]: `walk` against a panel of any tile
 /// width.
-struct Walk<'c>(&'c PackedChannel);
-
-impl PanelKernel for Walk<'_> {
+impl PanelKernel for PackedChannel<'_> {
     fn run<const N: usize>(&self, panel: &[f32]) -> [f32; N] {
-        walk(self.0, panel)
+        walk(self, panel)
     }
 }
 
@@ -436,12 +436,11 @@ fn channel_loop(
     assert_eq!(out.len(), t_len * rows, "the output holds t_len x rows values");
     let writer = SendSlice::new(out);
     let channel_range = |start: usize, end: usize| {
-        let channels = m.channels()[start..end].iter().map(Walk);
         // SAFETY: `t < t_len` and `r = start + k < rows`, so the index is
         // within the `t_len * rows` values asserted above; channel `r`
         // belongs to exactly one chunk of `0..rows` and alone writes
         // column `r`.
-        for_each_row(channels, staged, t_len, m.cols(), |k, t, y| unsafe {
+        for_each_row(m.channel_range(start, end), staged, t_len, m.cols(), |k, t, y| unsafe {
             writer.write(t * rows + start + k, y)
         });
     };
@@ -451,7 +450,7 @@ fn channel_loop(
     }
 }
 
-impl PackedChannel {
+impl PackedChannel<'_> {
     /// Fused dot product `wᵀx` computed straight from the packed blocks —
     /// the serving GEMV inner loop, the single-column instance of the
     /// `walk` every batched kernel runs. Never materializes the
@@ -461,7 +460,7 @@ impl PackedChannel {
     ///
     /// Panics if `x.len()` differs from the channel length.
     pub fn dot(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.len, "input length must equal channel length");
+        assert_eq!(x.len(), self.len(), "input length must equal channel length");
         let [y] = walk::<1>(self, x);
         y
     }
@@ -477,7 +476,7 @@ impl PackedChannel {
     /// Decodes the channel back to real weights (padding stripped):
     /// allocates the result, then [`PackedChannel::dequantize_into`].
     pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
+        let mut out = vec![0.0f32; self.len()];
         self.dequantize_into(&mut out);
         out
     }
@@ -495,13 +494,14 @@ impl PackedChannel {
     ///
     /// Panics if `out.len()` differs from the channel length.
     pub fn dequantize_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len, "output length must equal channel length");
+        assert_eq!(out.len(), self.len(), "output length must equal channel length");
+        let (s2, s3) = (self.scale2(), self.scale3());
         let weight = |d: &DecodedBlockBytes, k: usize, j: usize| {
             let (two, three) = d.lanes(k, j);
-            two as f32 * self.scale2 + three as f32 * self.scale3
+            two as f32 * s2 + three as f32 * s3
         };
         let (full, tail) = out.as_chunks_mut::<WEIGHTS_PER_BLOCK>();
-        let mut blocks = self.blocks.chunks_exact(BLOCK_BYTES);
+        let mut blocks = self.blocks().chunks_exact(BLOCK_BYTES);
         for (os, block) in full.iter_mut().zip(blocks.by_ref()) {
             let d = DecodedBlockBytes::decode(block);
             for k in 0..CLUSTERS_PER_BLOCK {
@@ -528,12 +528,7 @@ impl PackedChannel {
     /// held as `f32` at runtime for arithmetic convenience; the *serving
     /// format* cost is the fp16 figure reported here.
     pub fn storage_bytes(&self) -> usize {
-        debug_assert_eq!(
-            self.blocks.len() % BLOCK_BYTES,
-            0,
-            "packed channel must hold whole 7-byte blocks"
-        );
-        self.blocks.len() + 2 * 2
+        self.data_bytes() + 2 * 2
     }
 }
 
@@ -667,7 +662,7 @@ impl PackedMatrix {
             (self.rows(), self.cols()),
             "output shape must match the packed matrix"
         );
-        for (r, ch) in self.channels().iter().enumerate() {
+        for (r, ch) in self.channels().enumerate() {
             ch.dequantize_into(out.row_mut(r));
         }
     }
@@ -675,7 +670,7 @@ impl PackedMatrix {
     /// Total serving-form storage bytes (blocks + per-channel fp16 scales);
     /// see [`PackedChannel::storage_bytes`] for the accounting.
     pub fn storage_bytes(&self) -> usize {
-        self.channels().iter().map(|c| c.storage_bytes()).sum()
+        self.channels().map(|c| c.storage_bytes()).sum()
     }
 }
 
@@ -763,7 +758,7 @@ mod tests {
             let mut rng = Rng::seed_from(seed ^ 0xABC);
             let x: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
             let dq = packed.dequantize();
-            for (r, ch) in packed.channels().iter().enumerate() {
+            for (r, ch) in packed.channels().enumerate() {
                 let reference: f32 = dq.row(r).iter().zip(&x).map(|(a, b)| a * b).sum();
                 let fused = ch.dot(&x);
                 assert!(
@@ -817,7 +812,7 @@ mod tests {
         let a = Matrix::from_fn(16, 67, |_, _| rng.normal(0.0, 1.0));
         let batched = packed.matmul_t(&a);
         for t in 0..a.rows() {
-            for (r, ch) in packed.channels().iter().enumerate() {
+            for (r, ch) in packed.channels().enumerate() {
                 assert_eq!(batched[(t, r)], ch.dot(a.row(t)), "row {t} channel {r}");
             }
         }
@@ -947,13 +942,13 @@ mod tests {
     #[should_panic(expected = "input length")]
     fn dot_rejects_wrong_length() {
         let (_, packed) = random_packed(2, 12, 17);
-        let _ = packed.channels()[0].dot(&[0.0; 11]);
+        let _ = packed.channel(0).dot(&[0.0; 11]);
     }
 
     #[test]
     fn empty_channel_dot_is_zero() {
-        let ch = crate::PackedChannel::pack(0.0, 0.0, 0, &[], &[]);
-        assert_eq!(ch.dot(&[]), 0.0);
+        let m = PackedMatrix::pack_channel(0.0, 0.0, 0, &[], &[]);
+        assert_eq!(m.channel(0).dot(&[]), 0.0);
     }
 
     #[test]
@@ -961,9 +956,9 @@ mod tests {
         // `dot` on an empty channel is 0.0; the batched kernels must agree
         // instead of panicking in the restage (`chunks_exact(0)`).
         let a = Matrix::zeros(2, 0);
-        let empty = || crate::PackedChannel::pack(0.0, 0.0, 0, &[], &[]);
+        let empty = || PackedMatrix::pack_channel(0.0, 0.0, 0, &[], &[]);
         for rows in [0usize, 3] {
-            let packed = PackedMatrix::new(rows, 0, (0..rows).map(|_| empty()).collect());
+            let packed = PackedMatrix::from_body(rows, 0, empty().body().repeat(rows));
             assert_eq!(packed.matmul_t(&a), Matrix::zeros(2, rows));
             let mut out = Matrix::from_fn(2, rows, |_, _| 9.0);
             let pool = ThreadPool::new(2);

@@ -55,7 +55,7 @@ pub use cluster::{split_channel, Cluster};
 pub use encoding::ClusterCode;
 pub use frame::{read_frame, write_frame, FrameError, Link, Listener, Stream};
 pub use kernels::{decode_block_swar, KernelScratch};
-pub use pack::{block_data_word, block_index_byte, PackedChannel, PackedMatrix};
+pub use pack::{block_data_word, block_index_byte, Channels, PackedChannel, PackedMatrix};
 pub use pool::ThreadPool;
 pub use quantizer::{FineQConfig, FineQuantizer};
 pub use retry::RetryPolicy;

@@ -20,17 +20,22 @@
 //! paper reports, and every block starts on a byte boundary (the paper's
 //! "aligned memory access").
 //!
+//! A [`PackedMatrix`] is held as its wire body: each row's two scales and
+//! blocks, back to back at one fixed stride, in one buffer — the bytes
+//! [`crate::serialize`] ships after its header, so parsing is one copy.
+//! A [`PackedChannel`] is a `Copy` view of one row.
+//!
 //! This module is the one place that knows the cluster bit layout in both
-//! directions: the encoder ([`PackedChannel::pack`]) and [`DECODE_INTS`],
-//! the table every per-cluster software reader goes through
-//! ([`PackedChannel::code_of`], [`PackedChannel::cluster_ints`], the
-//! kernels' live-cluster walk). The only other software reader is the SWAR
-//! whole-block decode in [`crate::kernels`], used where all 24 lanes of a
-//! block are wanted (`dequantize`, `dequantize_into`) and checked
-//! exhaustively against the table. The same bytes are consumed by the
-//! hardware decoder model in `fineq-accel`, which re-implements the Fig. 6
-//! MUX datapath on this layout independently and is checked exhaustively
-//! against the table too.
+//! directions: the encoder (the row writer behind the quantizer and
+//! [`PackedMatrix::pack_channel`]) and [`DECODE_INTS`], the table every
+//! per-cluster software reader goes through ([`PackedChannel::code_of`],
+//! [`PackedChannel::cluster_ints`], the kernels' live-cluster walk). The
+//! only other software reader is the SWAR whole-block decode in
+//! [`crate::kernels`], used where all 24 lanes of a block are wanted
+//! (`dequantize`, `dequantize_into`) and checked exhaustively against the
+//! table. The same bytes are consumed by the hardware decoder model in
+//! `fineq-accel`, which re-implements the Fig. 6 MUX datapath on this
+//! layout independently and is checked exhaustively against the table too.
 
 use crate::encoding::ClusterCode;
 
@@ -155,95 +160,65 @@ pub const DECODE_INTS: [[[i8; 3]; 64]; 4] = {
     table
 };
 
-/// One packed weight channel: two fp16-accounted Eq. 1 scales plus the
-/// 7-byte cluster blocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedChannel {
-    pub(crate) scale2: f32,
-    pub(crate) scale3: f32,
-    pub(crate) len: usize,
-    pub(crate) blocks: Vec<u8>,
+/// Bytes of a row's two Eq. 1 scales (`scale2`, `scale3`: LE `f32`).
+pub const SCALE_BYTES: usize = 8;
+
+/// Bytes of a `len`-weight channel's row of a body: the scales, then
+/// `ceil(ceil(len / 3) / 8)` blocks.
+pub(crate) fn channel_stride(len: usize) -> usize {
+    SCALE_BYTES + len.div_ceil(3).div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES
 }
 
-impl PackedChannel {
-    /// Packs a channel from its final per-pair codes and per-cluster
-    /// integer values.
-    ///
-    /// `codes[p]` applies to clusters `2p` and `2p + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `quantized` holds exactly the `ceil(len / 3)` clusters
-    /// of a `len`-weight channel (the invariant
-    /// [`PackedChannel::from_raw_parts`] enforces on stored bytes) and
-    /// `codes` covers every cluster pair.
-    pub fn pack(
-        scale2: f32,
-        scale3: f32,
-        len: usize,
-        codes: &[ClusterCode],
-        quantized: &[[i32; 3]],
-    ) -> Self {
-        let n_clusters = quantized.len();
-        assert_eq!(n_clusters, len.div_ceil(3), "one cluster per three weights required");
-        assert_eq!(codes.len(), n_clusters.div_ceil(2), "one code per cluster pair required");
-        Self::from_fields(
-            scale2,
-            scale3,
-            len,
-            |p| codes[p].bits(),
-            |k| pack_cluster(quantized[k], quantized[k], codes[k / 2].bits()),
-        )
-    }
-
-    /// Assembles the blocks of a `len`-weight channel from pair `p`'s
-    /// 2-bit code `code(p)` and cluster `k`'s 6 data bits `six(k)`.
-    pub(crate) fn from_fields(
-        scale2: f32,
-        scale3: f32,
-        len: usize,
-        code: impl Fn(usize) -> u8,
-        six: impl Fn(usize) -> u8,
-    ) -> Self {
-        let n_clusters = len.div_ceil(3);
-        let n_pairs = n_clusters.div_ceil(2);
-        let mut blocks = vec![0u8; n_clusters.div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES];
-        for (b, block) in blocks.chunks_exact_mut(BLOCK_BYTES).enumerate() {
-            let (first_pair, first) = (b * CLUSTERS_PER_BLOCK / 2, b * CLUSTERS_PER_BLOCK);
-            let mut idx = 0u8;
-            for i in 0..(CLUSTERS_PER_BLOCK / 2).min(n_pairs - first_pair) {
-                idx |= code(first_pair + i) << (CODE_BITS * i);
-            }
-            let mut data = 0u64;
-            for j in 0..CLUSTERS_PER_BLOCK.min(n_clusters - first) {
-                data |= u64::from(six(first + j)) << (CLUSTER_DATA_BITS * j);
-            }
-            block[0] = idx;
-            block[1..].copy_from_slice(&data.to_le_bytes()[..BLOCK_DATA_BYTES]);
+/// Writes every byte of a `len`-weight channel's row of a body: the two
+/// scales, then the blocks assembled from pair `p`'s 2-bit code `code(p)`
+/// and cluster `k`'s 6 data bits `six(k)`.
+pub(crate) fn write_channel(
+    row: &mut [u8],
+    scale2: f32,
+    scale3: f32,
+    len: usize,
+    code: impl Fn(usize) -> u8,
+    six: impl Fn(usize) -> u8,
+) {
+    let n_clusters = len.div_ceil(3);
+    let n_pairs = n_clusters.div_ceil(2);
+    let (scales, blocks) = row.split_at_mut(SCALE_BYTES);
+    scales[..4].copy_from_slice(&scale2.to_le_bytes());
+    scales[4..].copy_from_slice(&scale3.to_le_bytes());
+    for (b, block) in blocks.chunks_exact_mut(BLOCK_BYTES).enumerate() {
+        let (first_pair, first) = (b * CLUSTERS_PER_BLOCK / 2, b * CLUSTERS_PER_BLOCK);
+        let mut idx = 0u8;
+        for i in 0..(CLUSTERS_PER_BLOCK / 2).min(n_pairs - first_pair) {
+            idx |= code(first_pair + i) << (CODE_BITS * i);
         }
-        Self { scale2, scale3, len, blocks }
+        let mut data = 0u64;
+        for j in 0..CLUSTERS_PER_BLOCK.min(n_clusters - first) {
+            data |= u64::from(six(first + j)) << (CLUSTER_DATA_BITS * j);
+        }
+        block[0] = idx;
+        block[1..].copy_from_slice(&data.to_le_bytes()[..BLOCK_DATA_BYTES]);
     }
+}
 
-    /// Reassembles a channel from its stored parts (deserialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block byte count does not match the cluster count
-    /// implied by `len`.
-    pub fn from_raw_parts(scale2: f32, scale3: f32, len: usize, blocks: Vec<u8>) -> Self {
-        let expect = len.div_ceil(3).div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES;
-        assert_eq!(blocks.len(), expect, "block bytes must match channel length");
-        Self { scale2, scale3, len, blocks }
-    }
+/// One packed weight channel: a `Copy` view of its row of a
+/// [`PackedMatrix`] body — two fp16-accounted Eq. 1 scales plus the 7-byte
+/// cluster blocks. Equality is byte equality, like the matrix's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedChannel<'a> {
+    len: usize,
+    /// The row: [`SCALE_BYTES`] of scales, then the blocks.
+    bytes: &'a [u8],
+}
 
+impl<'a> PackedChannel<'a> {
     /// Eq. 1 scale for 2-bit fields (`absmax / 1`).
     pub fn scale2(&self) -> f32 {
-        self.scale2
+        f32::from_le_bytes(self.bytes[..4].try_into().expect("4 bytes"))
     }
 
     /// Eq. 1 scale for 3-bit fields (`absmax / 3`).
     pub fn scale3(&self) -> f32 {
-        self.scale3
+        f32::from_le_bytes(self.bytes[4..SCALE_BYTES].try_into().expect("4 bytes"))
     }
 
     /// Logical (unpadded) number of weights in the channel.
@@ -263,8 +238,8 @@ impl PackedChannel {
 
     /// The raw packed bytes (`n_blocks * 7`), exactly what the accelerator's
     /// weight buffer would hold.
-    pub fn blocks(&self) -> &[u8] {
-        &self.blocks
+    pub fn blocks(&self) -> &'a [u8] {
+        &self.bytes[SCALE_BYTES..]
     }
 
     /// The code governing cluster `k`.
@@ -275,8 +250,7 @@ impl PackedChannel {
     pub fn code_of(&self, k: usize) -> ClusterCode {
         assert!(k < self.n_clusters(), "cluster {k} out of range");
         let pair = k / 2;
-        let block = pair / 4;
-        let idx = self.blocks[block * BLOCK_BYTES];
+        let idx = self.blocks()[pair / 4 * BLOCK_BYTES];
         ClusterCode::from_bits((idx >> (CODE_BITS * (pair % 4))) & 0b11)
     }
 
@@ -288,38 +262,102 @@ impl PackedChannel {
     pub fn cluster_ints(&self, k: usize) -> [i32; 3] {
         let code = self.code_of(k);
         let base = k / CLUSTERS_PER_BLOCK * BLOCK_BYTES;
-        let data = block_data_word(&self.blocks[base..base + BLOCK_BYTES]);
+        let data = block_data_word(&self.blocks()[base..base + BLOCK_BYTES]);
         let six = (data >> (CLUSTER_DATA_BITS * (k % CLUSTERS_PER_BLOCK))) & 0x3F;
         DECODE_INTS[code.bits() as usize][six as usize].map(i32::from)
     }
 
     /// Storage bytes of the packed blocks.
     pub fn data_bytes(&self) -> usize {
-        self.blocks.len()
+        self.bytes.len() - SCALE_BYTES
     }
 }
 
-/// A fully packed weight matrix: one [`PackedChannel`] per row.
-#[derive(Debug, Clone, PartialEq)]
+/// The channels of a matrix in row order: an iterator of [`PackedChannel`]
+/// views that clones in O(1), [`Channels::iter`] being that clone.
+#[derive(Debug, Clone)]
+pub struct Channels<'a> {
+    len: usize,
+    rows: std::slice::ChunksExact<'a, u8>,
+}
+
+impl Channels<'_> {
+    /// A fresh iterator over the same channels.
+    pub fn iter(&self) -> Self {
+        self.clone()
+    }
+}
+
+impl<'a> Iterator for Channels<'a> {
+    type Item = PackedChannel<'a>;
+
+    fn next(&mut self) -> Option<PackedChannel<'a>> {
+        self.rows.next().map(|bytes| PackedChannel { len: self.len, bytes })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Channels<'_> {}
+
+/// A fully packed weight matrix, held as its wire body: for each row,
+/// `scale2` and `scale3` as little-endian `f32`, then the row's 7-byte
+/// blocks — byte for byte what [`crate::serialize::to_bytes`] writes after
+/// its 12-byte header. Every row has the same stride, so a channel is a
+/// view ([`PackedMatrix::channel`]) and no channel owns an allocation.
+///
+/// Equality is byte equality of `(rows, cols, body)`: a scale of `-0.0`
+/// differs from `+0.0`, and a NaN scale equals the same NaN bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedMatrix {
     rows: usize,
     cols: usize,
-    channels: Vec<PackedChannel>,
+    body: Vec<u8>,
 }
 
 impl PackedMatrix {
-    /// Assembles a matrix from its packed channels.
+    /// A matrix over its body (see the type docs for the layout).
     ///
     /// # Panics
     ///
-    /// Panics if channel lengths disagree with `cols` or the channel count
-    /// with `rows`.
-    pub fn new(rows: usize, cols: usize, channels: Vec<PackedChannel>) -> Self {
-        assert_eq!(channels.len(), rows, "one packed channel per row");
-        for ch in &channels {
-            assert_eq!(ch.len(), cols, "channel length must equal cols");
-        }
-        Self { rows, cols, channels }
+    /// Panics unless `body` holds exactly `rows` channels of `cols`
+    /// weights.
+    pub fn from_body(rows: usize, cols: usize, body: Vec<u8>) -> Self {
+        let stride = channel_stride(cols);
+        assert_eq!(Some(body.len()), rows.checked_mul(stride), "body must hold rows x stride");
+        Self { rows, cols, body }
+    }
+
+    /// A one-row matrix packed from its final per-pair codes and
+    /// per-cluster integer values; `codes[p]` applies to clusters `2p` and
+    /// `2p + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `quantized` holds exactly the `ceil(len / 3)` clusters
+    /// of a `len`-weight channel and `codes` covers every cluster pair.
+    pub fn pack_channel(
+        scale2: f32,
+        scale3: f32,
+        len: usize,
+        codes: &[ClusterCode],
+        quantized: &[[i32; 3]],
+    ) -> Self {
+        let n_clusters = quantized.len();
+        assert_eq!(n_clusters, len.div_ceil(3), "one cluster per three weights required");
+        assert_eq!(codes.len(), n_clusters.div_ceil(2), "one code per cluster pair required");
+        let mut body = vec![0; channel_stride(len)];
+        write_channel(
+            &mut body,
+            scale2,
+            scale3,
+            len,
+            |p| codes[p].bits(),
+            |k| pack_cluster(quantized[k], quantized[k], codes[k / 2].bits()),
+        );
+        Self { rows: 1, cols: len, body }
     }
 
     /// Number of rows (output channels).
@@ -332,13 +370,35 @@ impl PackedMatrix {
         self.cols
     }
 
-    /// The packed channels.
-    pub fn channels(&self) -> &[PackedChannel] {
-        &self.channels
+    /// The body: every row's scales and blocks, back to back.
+    pub fn body(&self) -> &[u8] {
+        &self.body
     }
 
-    /// A new matrix holding copies of channels `start..end` — the row
-    /// shard a worker serves. Channel bytes and scales are copied
+    /// The packed channels, as views.
+    pub fn channels(&self) -> Channels<'_> {
+        self.channel_range(0, self.rows)
+    }
+
+    /// Channels `start..end`, as views.
+    pub(crate) fn channel_range(&self, start: usize, end: usize) -> Channels<'_> {
+        let stride = channel_stride(self.cols);
+        let rows = self.body[start * stride..end * stride].chunks_exact(stride);
+        Channels { len: self.cols, rows }
+    }
+
+    /// Channel `r`, as a view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    pub fn channel(&self, r: usize) -> PackedChannel<'_> {
+        assert!(r < self.rows, "channel {r} out of range");
+        self.channel_range(r, r + 1).next().expect("one channel")
+    }
+
+    /// A new matrix holding a copy of rows `start..end` of the body — the
+    /// row shard a worker serves. Channel bytes and scales are copied
     /// verbatim, so every per-channel kernel result computed from a slice
     /// is bit-identical to computing the same channel in the source
     /// matrix.
@@ -348,17 +408,15 @@ impl PackedMatrix {
     /// Panics if the range is empty, reversed, or out of bounds.
     pub fn slice_rows(&self, start: usize, end: usize) -> PackedMatrix {
         assert!(start < end && end <= self.rows, "invalid row slice {start}..{end}");
-        PackedMatrix {
-            rows: end - start,
-            cols: self.cols,
-            channels: self.channels[start..end].to_vec(),
-        }
+        let stride = channel_stride(self.cols);
+        let body = self.body[start * stride..end * stride].to_vec();
+        PackedMatrix { rows: end - start, cols: self.cols, body }
     }
 
     /// Data-only storage cost in bits per weight (the paper's 2.33 for
     /// matrices whose rows are multiples of 24).
     pub fn avg_bits_data(&self) -> f64 {
-        let bytes: usize = self.channels.iter().map(|c| c.data_bytes()).sum();
+        let bytes = self.rows * (channel_stride(self.cols) - SCALE_BYTES);
         (bytes * 8) as f64 / (self.rows * self.cols).max(1) as f64
     }
 
@@ -414,26 +472,39 @@ mod tests {
         }
     }
 
-    fn demo_channel() -> PackedChannel {
+    fn demo_channel() -> PackedMatrix {
         // 5 clusters (15 weights), mixed codes: pairs (00, 10, 11-single).
         let codes = [ClusterCode::AllTwoBit, ClusterCode::ZeroSecond, ClusterCode::ZeroThird];
         let q = [[1, -1, 0], [0, 1, 1], [3, 0, -2], [-3, 0, 1], [2, -2, 0]];
-        PackedChannel::pack(0.3, 0.1, 15, &codes, &q)
+        PackedMatrix::pack_channel(0.3, 0.1, 15, &codes, &q)
+    }
+
+    /// The one-row matrices `parts`, stacked in order.
+    fn stack(parts: &[PackedMatrix]) -> PackedMatrix {
+        let body = parts.iter().flat_map(|m| m.body()).copied().collect();
+        PackedMatrix::from_body(parts.len(), parts[0].cols(), body)
     }
 
     #[test]
     fn block_layout_is_seven_bytes_per_eight_clusters() {
-        let ch = demo_channel();
+        let m = demo_channel();
+        let ch = m.channel(0);
         assert_eq!(ch.n_clusters(), 5);
         assert_eq!(ch.data_bytes(), BLOCK_BYTES); // 5 clusters fit one block
-        let ch2 =
-            PackedChannel::pack(1.0, 1.0 / 3.0, 27, &[ClusterCode::AllTwoBit; 5], &[[0, 0, 0]; 9]);
-        assert_eq!(ch2.data_bytes(), 2 * BLOCK_BYTES); // 9 clusters -> 2 blocks
+        let m2 = PackedMatrix::pack_channel(
+            1.0,
+            1.0 / 3.0,
+            27,
+            &[ClusterCode::AllTwoBit; 5],
+            &[[0, 0, 0]; 9],
+        );
+        assert_eq!(m2.channel(0).data_bytes(), 2 * BLOCK_BYTES); // 9 clusters -> 2 blocks
     }
 
     #[test]
     fn block_word_accessors_mirror_the_layout() {
-        let ch = demo_channel();
+        let m = demo_channel();
+        let ch = m.channel(0);
         let block = &ch.blocks()[0..BLOCK_BYTES];
         assert_eq!(block_index_byte(block), block[0]);
         let data = block_data_word(block);
@@ -452,7 +523,8 @@ mod tests {
 
     #[test]
     fn code_of_reads_back_pair_codes() {
-        let ch = demo_channel();
+        let m = demo_channel();
+        let ch = m.channel(0);
         assert_eq!(ch.code_of(0), ClusterCode::AllTwoBit);
         assert_eq!(ch.code_of(1), ClusterCode::AllTwoBit);
         assert_eq!(ch.code_of(2), ClusterCode::ZeroSecond);
@@ -462,7 +534,8 @@ mod tests {
 
     #[test]
     fn cluster_ints_read_back_quantized_values() {
-        let ch = demo_channel();
+        let m = demo_channel();
+        let ch = m.channel(0);
         assert_eq!(ch.cluster_ints(0), [1, -1, 0]);
         assert_eq!(ch.cluster_ints(2), [3, 0, -2]);
         assert_eq!(ch.cluster_ints(4), [2, -2, 0]);
@@ -470,8 +543,8 @@ mod tests {
 
     #[test]
     fn dequantize_applies_correct_scales() {
-        let ch = demo_channel();
-        let dq = ch.dequantize();
+        let m = demo_channel();
+        let dq = m.channel(0).dequantize();
         assert_eq!(dq.len(), 15);
         // Cluster 0 (code 00, scale2 = 0.3): [0.3, -0.3, 0].
         assert!((dq[0] - 0.3).abs() < 1e-6);
@@ -488,8 +561,8 @@ mod tests {
         // 24 weights per row -> exactly one block per row -> 56/24 bits.
         let codes = vec![ClusterCode::AllTwoBit; 4];
         let q = vec![[0i32, 0, 0]; 8];
-        let ch = PackedChannel::pack(1.0, 1.0 / 3.0, 24, &codes, &q);
-        let m = PackedMatrix::new(2, 24, vec![ch.clone(), ch]);
+        let ch = PackedMatrix::pack_channel(1.0, 1.0 / 3.0, 24, &codes, &q);
+        let m = stack(&[ch.clone(), ch]);
         assert!((m.avg_bits_data() - 7.0 / 3.0).abs() < 1e-12);
         assert!(m.avg_bits_total() > m.avg_bits_data());
     }
@@ -498,11 +571,11 @@ mod tests {
     fn slice_rows_copies_channels_verbatim() {
         let codes = vec![ClusterCode::AllTwoBit; 4];
         let q = vec![[1i32, -1, 0]; 8];
-        let ch = |s2: f32| PackedChannel::pack(s2, s2 / 3.0, 24, &codes, &q);
-        let m = PackedMatrix::new(3, 24, vec![ch(0.3), ch(0.6), ch(0.9)]);
+        let ch = |s2: f32| PackedMatrix::pack_channel(s2, s2 / 3.0, 24, &codes, &q);
+        let m = stack(&[ch(0.3), ch(0.6), ch(0.9)]);
         let s = m.slice_rows(1, 3);
         assert_eq!((s.rows(), s.cols()), (2, 24));
-        assert_eq!(s.channels(), &m.channels()[1..3]);
+        assert_eq!(s.channels().collect::<Vec<_>>(), m.channels().skip(1).collect::<Vec<_>>());
         assert_eq!(s.dequantize().row(0), m.dequantize().row(1));
     }
 
@@ -511,15 +584,14 @@ mod tests {
     fn empty_row_slice_is_rejected() {
         let codes = vec![ClusterCode::AllTwoBit; 4];
         let q = vec![[0i32, 0, 0]; 8];
-        let ch = PackedChannel::pack(1.0, 1.0 / 3.0, 24, &codes, &q);
-        let m = PackedMatrix::new(1, 24, vec![ch]);
+        let m = PackedMatrix::pack_channel(1.0, 1.0 / 3.0, 24, &codes, &q);
         let _ = m.slice_rows(1, 1);
     }
 
     #[test]
     #[should_panic(expected = "one code per cluster pair")]
     fn pack_rejects_missing_codes() {
-        let _ = PackedChannel::pack(1.0, 0.3, 9, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 3]);
+        let _ = PackedMatrix::pack_channel(1.0, 0.3, 9, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 3]);
     }
 
     #[test]
@@ -527,12 +599,14 @@ mod tests {
     fn pack_rejects_a_cluster_count_that_disagrees_with_len() {
         // 30 weights need 10 clusters; with 2 the readers used to disagree
         // (`dot` summed 6 lanes, `dequantize_into` left `out[24..30]` stale).
-        let _ = PackedChannel::pack(1.0, 0.3, 30, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 2]);
+        let _ =
+            PackedMatrix::pack_channel(1.0, 0.3, 30, &[ClusterCode::AllTwoBit], &[[0, 0, 0]; 2]);
     }
 
     #[test]
     fn empty_channel_packs_to_nothing() {
-        let ch = PackedChannel::pack(0.0, 0.0, 0, &[], &[]);
+        let m = PackedMatrix::pack_channel(0.0, 0.0, 0, &[], &[]);
+        let ch = m.channel(0);
         assert!(ch.is_empty());
         assert_eq!(ch.data_bytes(), 0);
         assert!(ch.dequantize().is_empty());

@@ -13,7 +13,7 @@
 
 use crate::cluster::Cluster;
 use crate::encoding::ClusterCode;
-use crate::pack::{pack_cluster, PackedChannel, PackedMatrix};
+use crate::pack::{channel_stride, pack_cluster, write_channel, PackedMatrix};
 use crate::stats::ClusterStats;
 use fineq_quant::{Calibration, QuantResult, SymmetricGrid, WeightQuantizer};
 use fineq_tensor::Matrix;
@@ -76,8 +76,8 @@ impl Default for FineQConfig {
 /// `p * 2 * pairs + s` of every per-value column, so each step of the
 /// algorithm is one pass over contiguous columns. A channel whose cluster
 /// count is odd leaves the last slot as zero padding. The buffers are
-/// reused across a matrix's rows: a channel allocates only its packed
-/// blocks once the widest has been seen.
+/// reused across a matrix's rows, and a channel is packed straight into its
+/// row of the matrix body, so a matrix allocates nothing per row.
 #[derive(Debug, Default)]
 struct Columns {
     pairs: usize,
@@ -220,12 +220,6 @@ impl Columns {
         }
     }
 
-    /// [`Cluster::reconstruction_error`] of cluster `k` under each code.
-    #[cfg(test)]
-    fn err(&self, k: usize) -> [f64; 4] {
-        self.err.each_ref().map(|col| col[self.slot(k)])
-    }
-
     /// [`Cluster::quantize`] of cluster `k` under `code`.
     fn ints(&self, k: usize, code: ClusterCode) -> [i32; 3] {
         let col = if code.is_outlier() { &self.q3 } else { &self.q2 };
@@ -236,9 +230,10 @@ impl Columns {
         q
     }
 
-    /// Packs the planned channel: each slot's stored data bits are encoded
-    /// in one pass over the int columns, then laid into the block words.
-    fn pack(&mut self, g2: &SymmetricGrid, g3: &SymmetricGrid, len: usize) -> PackedChannel {
+    /// Packs the planned channel into `row` of a body: each slot's stored
+    /// data bits are encoded in one pass over the int columns, then laid
+    /// into the block words.
+    fn pack(&mut self, g2: &SymmetricGrid, g3: &SymmetricGrid, len: usize, row: &mut [u8]) {
         let slots = self.codes.len();
         let [q2, q3] = [&self.q2, &self.q3].map(|c| positions(c, slots));
         let codes = &self.codes[..slots];
@@ -250,13 +245,14 @@ impl Columns {
         }
         // Slot `p` holds the first cluster of pair `p`, so its code.
         let this = &*self;
-        PackedChannel::from_fields(
+        write_channel(
+            row,
             g2.scale(),
             g3.scale(),
             len,
             |p| this.codes[p],
             |k| this.six[this.slot(k)],
-        )
+        );
     }
 
     /// The planned channel's real-valued reconstruction (padding
@@ -364,13 +360,13 @@ impl FineQuantizer {
             "packed format requires the paper configuration (2/3-bit, pair constraint)"
         );
         let mut cols = Columns::default();
-        let channels: Vec<PackedChannel> = (0..w.rows())
-            .map(|r| {
-                let (g2, g3) = self.plan_channel(w.row(r), &mut cols);
-                cols.pack(&g2, &g3, w.cols())
-            })
-            .collect();
-        PackedMatrix::new(w.rows(), w.cols(), channels)
+        let stride = channel_stride(w.cols());
+        let mut body = vec![0; w.rows() * stride];
+        for (r, row) in body.chunks_exact_mut(stride).enumerate() {
+            let (g2, g3) = self.plan_channel(w.row(r), &mut cols);
+            cols.pack(&g2, &g3, w.cols(), row);
+        }
+        PackedMatrix::from_body(w.rows(), w.cols(), body)
     }
 
     /// Computes per-cluster statistics (encoding histogram, outlier
@@ -431,6 +427,13 @@ mod tests {
     use fineq_lm::builder::{llm_like_matrix, BuilderSpec};
     use fineq_tensor::Rng;
 
+    impl Columns {
+        /// [`Cluster::reconstruction_error`] of cluster `k` under each code.
+        fn err(&self, k: usize) -> [f64; 4] {
+            self.err.each_ref().map(|col| col[self.slot(k)])
+        }
+    }
+
     /// The full Fig. 4 walk-through from the paper.
     #[test]
     fn paper_walkthrough_fig4() {
@@ -452,28 +455,28 @@ mod tests {
             ClusterCode::ZeroThird,
         ];
         for (r, &code) in expect_codes.iter().enumerate() {
-            assert_eq!(packed.channels()[r].code_of(0), code, "row {r} cluster 0");
-            assert_eq!(packed.channels()[r].code_of(1), code, "row {r} cluster 1");
+            assert_eq!(packed.channel(r).code_of(0), code, "row {r} cluster 0");
+            assert_eq!(packed.channel(r).code_of(1), code, "row {r} cluster 1");
         }
 
         // Step 4: quantized integers.
-        assert_eq!(packed.channels()[0].cluster_ints(0), [1, 1, 1]);
-        assert_eq!(packed.channels()[0].cluster_ints(1), [1, 1, 0]);
-        assert_eq!(packed.channels()[1].cluster_ints(0), [3, 0, 1]);
-        assert_eq!(packed.channels()[1].cluster_ints(1), [2, 0, 2]);
-        assert_eq!(packed.channels()[2].cluster_ints(0), [1, 1, 1]);
-        assert_eq!(packed.channels()[2].cluster_ints(1), [1, 1, 1]);
+        assert_eq!(packed.channel(0).cluster_ints(0), [1, 1, 1]);
+        assert_eq!(packed.channel(0).cluster_ints(1), [1, 1, 0]);
+        assert_eq!(packed.channel(1).cluster_ints(0), [3, 0, 1]);
+        assert_eq!(packed.channel(1).cluster_ints(1), [2, 0, 2]);
+        assert_eq!(packed.channel(2).cluster_ints(0), [1, 1, 1]);
+        assert_eq!(packed.channel(2).cluster_ints(1), [1, 1, 1]);
         // Row 4 under code 11 with s3 = 0.24/3 = 0.08:
         // (0.17, 0.12, —) -> (2, 2, 0); (0.01, 0.24, —) -> (0, 3, 0).
         // (The paper's figure prints "2 3 0" for the second cluster, which
         // is inconsistent with its own Eq. 1 scale; see DESIGN.md.)
-        assert_eq!(packed.channels()[3].cluster_ints(0), [2, 2, 0]);
-        assert_eq!(packed.channels()[3].cluster_ints(1), [0, 3, 0]);
+        assert_eq!(packed.channel(3).cluster_ints(0), [2, 2, 0]);
+        assert_eq!(packed.channel(3).cluster_ints(1), [0, 3, 0]);
 
         // Step 5: the index byte of each row's block is the row code
         // repeated for the single stored pair... codes occupy bits [0,2).
         for (r, &code) in expect_codes.iter().enumerate() {
-            assert_eq!(packed.channels()[r].blocks()[0] & 0b11, code.bits(), "row {r}");
+            assert_eq!(packed.channel(r).blocks()[0] & 0b11, code.bits(), "row {r}");
         }
     }
 
@@ -485,7 +488,7 @@ mod tests {
         let q = FineQuantizer::paper();
         let w = Matrix::from_rows(&[vec![0.17, 0.12, 0.01, 0.01, 0.24, 0.03]]);
         let packed = q.quantize_packed(&w);
-        assert_eq!(packed.channels()[0].code_of(0), packed.channels()[0].code_of(1));
+        assert_eq!(packed.channel(0).code_of(0), packed.channel(0).code_of(1));
     }
 
     #[test]
@@ -625,8 +628,8 @@ mod tests {
     /// What `quantize_packed` stores for one channel, composed from the
     /// per-cluster definitions: preliminary codes, pair fine-tuning on
     /// summed `reconstruction_error`s (ties to the lowest wire value, NaN
-    /// never wins), `Cluster::quantize` and `PackedChannel::pack`.
-    fn per_cluster_reference(row: &[f32]) -> PackedChannel {
+    /// never wins), `Cluster::quantize` and `PackedMatrix::pack_channel`.
+    fn per_cluster_reference(row: &[f32]) -> PackedMatrix {
         let q = FineQuantizer::paper();
         let abs_max = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let (g2, g3) = q.grids(abs_max);
@@ -652,7 +655,7 @@ mod tests {
         let ints: Vec<[i32; 3]> =
             clusters.iter().zip(&codes).map(|(c, &code)| c.quantize(code, &g2, &g3)).collect();
         let pair_codes: Vec<ClusterCode> = codes.iter().step_by(2).copied().collect();
-        PackedChannel::pack(g2.scale(), g3.scale(), len, &pair_codes, &ints)
+        PackedMatrix::pack_channel(g2.scale(), g3.scale(), len, &pair_codes, &ints)
     }
 
     /// Every width from 1 to 50 columns — padding tails, lone trailing
@@ -693,8 +696,8 @@ mod tests {
             let packed = FineQuantizer::paper().quantize_packed(&Matrix::from_rows(&rows));
             for (r, row) in rows.iter().enumerate() {
                 assert_eq!(
-                    packed.channels()[r],
-                    per_cluster_reference(row),
+                    packed.channel(r),
+                    per_cluster_reference(row).channel(0),
                     "{cols} columns, row {r}"
                 );
             }

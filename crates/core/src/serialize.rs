@@ -16,15 +16,18 @@
 //! ```
 //!
 //! Channel lengths and block counts are implied by `cols`, so the format
-//! has no per-channel framing and a fixed, seekable stride.
+//! has no per-channel framing and a fixed, seekable stride. Everything
+//! after the 12-byte header is a [`PackedMatrix`]'s in-memory body
+//! ([`PackedMatrix::body`]), so [`to_bytes`] is the header plus one copy
+//! of the body and [`from_bytes`] the header, length and shape checks plus
+//! one copy back — one allocation whatever the row count.
 //!
 //! On top of the matrix blob sits the **shard wire format**
 //! ([`shard_to_bytes`] / [`shard_from_bytes`]): a versioned header naming
 //! which row range of which weight site a payload carries, plus a checksum
 //! over the payload. It is what a row-sharded deployment ships to each
-//! worker — the single-host sharded engine in `fineq-lm` round-trips every
-//! slice through these bytes, so a multi-process deployment is a transport
-//! away:
+//! worker — `ShardPlan::rebuild` in `fineq-lm` round-trips every slice
+//! through these bytes, so a multi-process deployment is a transport away:
 //!
 //! ```text
 //! magic      : 4 bytes  "FNQS"
@@ -40,7 +43,7 @@
 //! payload    : a whole `to_bytes` blob (the slice itself)
 //! ```
 
-use crate::pack::{PackedChannel, PackedMatrix, BLOCK_BYTES, CLUSTERS_PER_BLOCK};
+use crate::pack::{channel_stride, PackedMatrix};
 
 /// Magic header identifying the format (version 1).
 pub const MAGIC: &[u8; 4] = b"FNQ1";
@@ -54,6 +57,9 @@ pub const SHARD_VERSION: u16 = 1;
 
 /// Fixed byte length of the shard header preceding the payload.
 pub const SHARD_HEADER_BYTES: usize = 26;
+
+/// Byte length of the `FNQ1` header (magic, rows, cols) before the body.
+const HEADER_BYTES: usize = 12;
 
 /// Errors from [`from_bytes`] / [`shard_from_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,9 +108,9 @@ pub fn byte_size(rows: usize, cols: usize) -> usize {
 /// so a hostile header can never wrap the expected size into a small
 /// number that happens to match the input.
 pub fn checked_byte_size(rows: usize, cols: usize) -> Option<usize> {
-    let blocks = cols.div_ceil(3).div_ceil(CLUSTERS_PER_BLOCK);
-    let stride = blocks.checked_mul(BLOCK_BYTES)?.checked_add(8)?;
-    rows.checked_mul(stride)?.checked_add(12)
+    // A row's stride is under a third of `cols` bytes plus 15: never itself
+    // an overflow.
+    rows.checked_mul(channel_stride(cols))?.checked_add(HEADER_BYTES)
 }
 
 /// FNV-1a over `bytes`: the dependency-free checksum of the shard
@@ -123,17 +129,18 @@ pub fn fnv1a32_chain(mut h: u32, bytes: &[u8]) -> u32 {
     h
 }
 
-/// Serializes a packed matrix to bytes.
-pub fn to_bytes(m: &PackedMatrix) -> Vec<u8> {
-    let mut out = Vec::with_capacity(byte_size(m.rows(), m.cols()));
+/// Appends the `FNQ1` blob of `m` to `out`: the header, then the body.
+fn write_matrix(out: &mut Vec<u8>, m: &PackedMatrix) {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
     out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-    for ch in m.channels() {
-        out.extend_from_slice(&ch.scale2().to_le_bytes());
-        out.extend_from_slice(&ch.scale3().to_le_bytes());
-        out.extend_from_slice(ch.blocks());
-    }
+    out.extend_from_slice(m.body());
+}
+
+/// Serializes a packed matrix to bytes.
+pub fn to_bytes(m: &PackedMatrix) -> Vec<u8> {
+    let mut out = Vec::with_capacity(byte_size(m.rows(), m.cols()));
+    write_matrix(&mut out, m);
     out
 }
 
@@ -144,7 +151,7 @@ pub fn to_bytes(m: &PackedMatrix) -> Vec<u8> {
 /// Returns a [`DecodeError`] on truncated input, wrong magic, or a
 /// degenerate shape.
 pub fn from_bytes(bytes: &[u8]) -> Result<PackedMatrix, DecodeError> {
-    if bytes.len() < 12 {
+    if bytes.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated);
     }
     if &bytes[0..4] != MAGIC {
@@ -164,18 +171,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<PackedMatrix, DecodeError> {
     if bytes.len() != expect {
         return Err(DecodeError::Truncated);
     }
-    let n_clusters = cols.div_ceil(3);
-    let block_bytes = n_clusters.div_ceil(CLUSTERS_PER_BLOCK) * BLOCK_BYTES;
-    let stride = 8 + block_bytes;
-    let mut channels = Vec::with_capacity(rows);
-    for r in 0..rows {
-        let base = 12 + r * stride;
-        let scale2 = f32::from_le_bytes(bytes[base..base + 4].try_into().expect("4 bytes"));
-        let scale3 = f32::from_le_bytes(bytes[base + 4..base + 8].try_into().expect("4 bytes"));
-        let blocks = &bytes[base + 8..base + 8 + block_bytes];
-        channels.push(PackedChannel::from_raw_parts(scale2, scale3, cols, blocks.to_vec()));
-    }
-    Ok(PackedMatrix::new(rows, cols, channels))
+    Ok(PackedMatrix::from_body(rows, cols, bytes[HEADER_BYTES..].to_vec()))
 }
 
 /// Header of one shard wire message: which row range of which weight site
@@ -217,8 +213,7 @@ pub fn shard_to_bytes(m: &PackedMatrix, header: &ShardHeader) -> Vec<u8> {
         header.row_start as usize + m.rows(),
         header.total_rows
     );
-    let payload = to_bytes(m);
-    let mut out = Vec::with_capacity(SHARD_HEADER_BYTES + payload.len());
+    let mut out = Vec::with_capacity(SHARD_HEADER_BYTES + byte_size(m.rows(), m.cols()));
     out.extend_from_slice(SHARD_MAGIC);
     out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
     out.extend_from_slice(&header.shard_index.to_le_bytes());
@@ -226,12 +221,14 @@ pub fn shard_to_bytes(m: &PackedMatrix, header: &ShardHeader) -> Vec<u8> {
     out.extend_from_slice(&header.site_id.to_le_bytes());
     out.extend_from_slice(&header.row_start.to_le_bytes());
     out.extend_from_slice(&header.total_rows.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the checksum, once the payload is in
+    write_matrix(&mut out, m);
     // The checksum covers the header fields AND the payload, so corrupted
     // routing metadata (site_id, row range) is caught, not just corrupted
     // weight bytes.
-    let checksum = fnv1a32_chain(fnv1a32(&out[..SHARD_HEADER_BYTES - 4]), &payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.extend_from_slice(&payload);
+    let (header_bytes, payload) = out.split_at(SHARD_HEADER_BYTES);
+    let checksum = fnv1a32_chain(fnv1a32(&header_bytes[..SHARD_HEADER_BYTES - 4]), payload);
+    out[SHARD_HEADER_BYTES - 4..SHARD_HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -258,11 +255,9 @@ pub fn shard_from_bytes(bytes: &[u8]) -> Result<(ShardHeader, PackedMatrix), Dec
     if version != SHARD_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    // Checksum first (it covers the 22 preceding bytes — magic, version
-    // and every header field — plus the payload): any in-transit flip,
-    // routing metadata included, is BadChecksum before the fields are
-    // even interpreted. (Magic/version mismatches report their own errors
-    // above for diagnosability.)
+    // Checksum before the fields are interpreted: any in-transit flip,
+    // routing metadata included, is BadChecksum (magic and version report
+    // their own errors above).
     let checksum = u32_at(22);
     let payload = &bytes[SHARD_HEADER_BYTES..];
     if fnv1a32_chain(fnv1a32(&bytes[..SHARD_HEADER_BYTES - 4]), payload) != checksum {

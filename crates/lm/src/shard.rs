@@ -116,7 +116,7 @@ impl ShardPlan {
         let mut sites = Vec::with_capacity(model.n_layers() * WeightSite::ALL.len());
         model.visit_weights(|layer, site, w| {
             let p = w.as_packed().expect("fully packed model");
-            let bytes: Vec<usize> = p.channels().iter().map(|c| c.storage_bytes()).collect();
+            let bytes: Vec<usize> = p.channels().map(|c| c.storage_bytes()).collect();
             let starts = byte_balanced_starts(&bytes, n_shards);
             let shard_bytes =
                 (0..n_shards).map(|s| bytes[starts[s]..starts[s + 1]].iter().sum()).collect();
@@ -227,7 +227,7 @@ impl ShardPlan {
 
     /// `model` with every block weight site decoded from the envelopes
     /// this plan ships ([`ShardPlan::envelopes`] through [`shard_from_bytes`])
-    /// and its slices concatenated, in shard order, back into one
+    /// and its slices' bodies appended, in shard order, into one
     /// [`PackedMatrix`]. A channel computes the same bits in whichever
     /// matrix holds it, so the result steps bit-identically to `model` at
     /// any shard and thread count. Embedding, head and thread pool are
@@ -237,23 +237,25 @@ impl ShardPlan {
     ///
     /// As [`ShardPlan::envelopes`].
     pub fn rebuild(&self, model: &Transformer) -> Transformer {
-        let mut channels = vec![Vec::new(); self.sites.len()];
+        // Per site: the rows appended so far and their body.
+        let mut bodies = vec![(0, Vec::new()); self.sites.len()];
         for shard in 0..self.n_shards {
             for bytes in self.envelopes(model, shard) {
                 let (header, slice) =
                     shard_from_bytes(&bytes).expect("self-produced shard bytes must decode");
                 // Shards ascend, so a site's slices arrive in row order: each
-                // starts where the last ended, and `PackedMatrix::new` below
-                // checks that together they cover the site.
-                let site = &mut channels[header.site_id as usize];
-                assert_eq!(site.len(), header.row_start as usize, "slices must tile in order");
-                site.extend_from_slice(slice.channels());
+                // starts where the last ended, and `PackedMatrix::from_body`
+                // below checks that together they cover the site.
+                let (rows, body) = &mut bodies[header.site_id as usize];
+                assert_eq!(*rows, header.row_start as usize, "slices must tile in order");
+                *rows += slice.rows();
+                body.extend_from_slice(slice.body());
             }
         }
         let mut rebuilt = model.clone();
-        for (sp, channels) in self.sites.iter().zip(channels) {
+        for (sp, (_, body)) in self.sites.iter().zip(bodies) {
             *rebuilt.weight_mut(sp.layer, sp.site) =
-                PackedMatrix::new(sp.rows, sp.cols, channels).into();
+                PackedMatrix::from_body(sp.rows, sp.cols, body).into();
         }
         rebuilt
     }

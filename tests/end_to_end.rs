@@ -32,14 +32,14 @@ fn fig4_walkthrough_through_hardware_decoder() {
         ([2, 2, 0], [0, 3, 0]),
     ];
     for (r, (c0, c1)) in expected.iter().enumerate() {
-        let lanes = dec.decode_block(&packed.channels()[r].blocks()[0..7]);
+        let lanes = dec.decode_block(&packed.channel(r).blocks()[0..7]);
         for j in 0..3 {
             assert_eq!(lanes[0][j].signed(), c0[j], "row {r} cluster 0 lane {j}");
             assert_eq!(lanes[1][j].signed(), c1[j], "row {r} cluster 1 lane {j}");
         }
     }
     // Index codes match the paper's "00 10 00 11".
-    let codes: Vec<u8> = (0..4).map(|r| packed.channels()[r].code_of(0).bits()).collect();
+    let codes: Vec<u8> = (0..4).map(|r| packed.channel(r).code_of(0).bits()).collect();
     assert_eq!(codes, vec![0b00, 0b10, 0b00, 0b11]);
 }
 
@@ -53,7 +53,7 @@ fn fig7_temporal_coding_walkthrough() {
     // the channel absmax 0.18 = 3 * s3.
     let w = Matrix::from_rows(&[vec![0.06, 0.005, 0.06, 0.12, 0.005, 0.12, 0.18, 0.0, 0.0]]);
     let packed = FineQuantizer::paper().quantize_packed(&w);
-    let ch = &packed.channels()[0];
+    let ch = packed.channel(0);
     assert_eq!(ch.cluster_ints(0), [1, 0, 1]);
     assert_eq!(ch.cluster_ints(1), [2, 0, 2]);
     assert_eq!(ch.cluster_ints(2), [3, 0, 0]);

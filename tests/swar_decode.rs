@@ -98,17 +98,17 @@ fn swar_decode_matches_lut_walk_on_random_mixed_blocks() {
 }
 
 /// A packed channel of exactly `len` weights with seeded-random codes and
-/// in-range field values — constructed through `PackedChannel::pack`, so
-/// every cluster code (not just the ones a real quantizer favours) lands
+/// in-range field values — constructed through `PackedMatrix::pack_channel`,
+/// so every cluster code (not just the ones a real quantizer favours) lands
 /// in the tail.
-fn random_channel(len: usize, rng: &mut Rng) -> PackedChannel {
+fn random_channel(len: usize, rng: &mut Rng) -> PackedMatrix {
     let n_clusters = len.div_ceil(3);
     let codes: Vec<ClusterCode> = (0..n_clusters.div_ceil(2))
         .map(|_| ClusterCode::ALL[rng.below(ClusterCode::ALL.len())])
         .collect();
     let quantized: Vec<[i32; 3]> =
         (0..n_clusters).map(|_| [0, 1, 2].map(|_| rng.below(7) as i32 - 3)).collect();
-    PackedChannel::pack(0.3, 0.1, len, &codes, &quantized)
+    PackedMatrix::pack_channel(0.3, 0.1, len, &codes, &quantized)
 }
 
 /// Channel-level differential: `dot` (the lane walk, which `dot_scalar`
@@ -123,7 +123,8 @@ fn dot_equals_scalar_reference_for_every_tail_length() {
         for lead_blocks in [0usize, 1, 2] {
             for round in 0..8 {
                 let len = lead_blocks * WEIGHTS_PER_BLOCK + tail;
-                let ch = random_channel(len, &mut rng);
+                let m = random_channel(len, &mut rng);
+                let ch = m.channel(0);
                 assert_eq!(ch.data_bytes(), len.div_ceil(3).div_ceil(8) * BLOCK_BYTES);
                 let x: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
                 let at = format!("tail {tail} lead {lead_blocks} round {round}");
@@ -209,9 +210,11 @@ fn reference_dot(ch: &PackedChannel, x: &[f32], every_term: bool) -> f32 {
     ch.scale2() * acc2 + ch.scale3() * acc3
 }
 
-/// The channel `pack` builds, with every padding bit of its last block
-/// (the clusters past `n_clusters`) set: what a peer's bytes may contain.
-fn with_padding_set(ch: PackedChannel) -> PackedChannel {
+/// The one-channel matrix `pack_channel` builds, with every padding bit of
+/// its last block (the clusters past `n_clusters`) set: what a peer's bytes
+/// may contain.
+fn with_padding_set(m: PackedMatrix) -> PackedMatrix {
+    let ch = m.channel(0);
     let mut blocks = ch.blocks().to_vec();
     let used = ch.n_clusters() % CLUSTERS_PER_BLOCK;
     if used != 0 {
@@ -219,7 +222,13 @@ fn with_padding_set(ch: PackedChannel) -> PackedChannel {
         let data = block_data_word(&blocks[last..]) | (!0u64 << (6 * used));
         blocks[last + 1..].copy_from_slice(&data.to_le_bytes()[..BLOCK_BYTES - 1]);
     }
-    PackedChannel::from_raw_parts(ch.scale2(), ch.scale3(), ch.len(), blocks)
+    one_channel(ch.scale2(), ch.scale3(), ch.len(), &blocks)
+}
+
+/// A one-channel matrix over stored scales and blocks.
+fn one_channel(scale2: f32, scale3: f32, len: usize, blocks: &[u8]) -> PackedMatrix {
+    let body = [&scale2.to_le_bytes()[..], &scale3.to_le_bytes(), blocks].concat();
+    PackedMatrix::from_body(1, len, body)
 }
 
 /// Four channels of `len` weights, one per lane population the walk must
@@ -231,7 +240,7 @@ fn population_channels(len: usize, rng: &mut Rng) -> PackedMatrix {
     let n_clusters = len.div_ceil(3);
     let pairs = n_clusters.div_ceil(2);
     let pack = |codes: &[ClusterCode], q: &[[i32; 3]]| {
-        with_padding_set(PackedChannel::pack(0.3, 0.1, len, codes, q))
+        with_padding_set(PackedMatrix::pack_channel(0.3, 0.1, len, codes, q))
     };
     let dead = pack(&vec![ClusterCode::ALL[rng.below(4)]; pairs], &vec![[0; 3]; n_clusters]);
     let sign = |rng: &mut Rng| if rng.chance(0.5) { -1 } else { 1 };
@@ -243,9 +252,10 @@ fn population_channels(len: usize, rng: &mut Rng) -> PackedMatrix {
     let outlier = pack(&codes, &q);
     let fixture = match len {
         0 => pack(&[], &[]),
-        _ => with_padding_set(random_packed(1, len, 0xF1C + len as u64).channels()[0].clone()),
+        _ => with_padding_set(random_packed(1, len, 0xF1C + len as u64)),
     };
-    PackedMatrix::new(4, len, vec![dead, live2, outlier, fixture])
+    let rows = [dead, live2, outlier, fixture];
+    PackedMatrix::from_body(4, len, rows.iter().flat_map(|m| m.body()).copied().collect())
 }
 
 /// Tile-level differential, the proof obligation of the sparse walk: at
@@ -273,9 +283,9 @@ fn every_tile_is_bit_equal_to_dot_and_dot_to_both_lane_references() {
                     let dot = ch.dot(a.row(t));
                     let at = format!("len {len} t_len {t_len} row {t} population {r}");
                     assert_eq!(batched[(t, r)].to_bits(), dot.to_bits(), "{at}: tile vs dot");
-                    let every = reference_dot(ch, a.row(t), true);
+                    let every = reference_dot(&ch, a.row(t), true);
                     assert_eq!(dot.to_bits(), every.to_bits(), "{at}: dot vs every-term walk");
-                    let nonzero = reference_dot(ch, a.row(t), false);
+                    let nonzero = reference_dot(&ch, a.row(t), false);
                     assert_eq!(dot.to_bits(), nonzero.to_bits(), "{at}: dot vs nonzero-term walk");
                 }
             }
@@ -302,7 +312,8 @@ fn both_dequantizers_are_bit_equal_to_the_table_at_every_length() {
     for len in 0..=2 * WEIGHTS_PER_BLOCK + 1 {
         for (p, ch) in population_channels(len, &mut rng).channels().iter().enumerate() {
             for (s2, s3) in [(ch.scale2(), ch.scale3()), (0.0, 0.0), (0.7, 0.0), (0.0, 0.2)] {
-                let ch = PackedChannel::from_raw_parts(s2, s3, len, ch.blocks().to_vec());
+                let m = one_channel(s2, s3, len, ch.blocks());
+                let ch = m.channel(0);
                 let fold = s2 == 0.0 || s3 == 0.0;
                 let bits = |v: &[f32]| -> Vec<u32> {
                     v.iter().map(|&x| if fold { x + 0.0 } else { x }.to_bits()).collect()
