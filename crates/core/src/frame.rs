@@ -17,23 +17,23 @@
 //!
 //! The checksum covers the kind and length fields as well as the payload,
 //! so corrupt routing metadata is caught exactly like corrupt payload
-//! bytes — the same policy as the shard envelope. It is built from one
-//! step, `mix(h, w) = rotl15((h ^ w) · 0x9E3779B1)` on `u32`s: the payload
-//! is read as little-endian words, 16 bytes a round, word `i` of a round
-//! absorbed by lane `i` of four (`lane = mix(lane, word)`); then one fold
-//! state absorbs, in order, the kind, the length, the four lanes and —
-//! one step each — the up to 15 bytes past the last whole round. Every
-//! step is a bijection in the state and in the absorbed word, so two
-//! frames of one length that differ inside a single word (any one byte,
-//! any one bit) differ in that lane, hence in the fold, hence in the
-//! checksum: single-byte corruption is rejected *deterministically*, as
-//! it was under the bytewise FNV-1a this replaces (which the FNQS / FQMS
-//! envelopes of [`crate::serialize`] keep) — at eleven times the speed
-//! (≈ 9 against ≈ 0.8 GB/s on the recorded host), because four lanes keep
-//! four multiplies in flight. The length field is
-//! capped at [`MAX_FRAME_PAYLOAD`] before any allocation, so a corrupt
-//! length can never balloon memory or stall a reader waiting for bytes
-//! that will never come.
+//! bytes. It is [`checksum`]`(kind, payload)`, the crate's one integrity
+//! check (the FNQS shard envelope chains it over header, then payload),
+//! built from one step `mix(h, w) = rotl15((h ^ w) · 0x9E3779B1)` on
+//! `u32`s: the bytes are read as little-endian words, 16
+//! bytes a round, word `i` of a round absorbed by lane `i` of four
+//! (`lane = mix(lane, word)`); then one fold state absorbs, in order, the
+//! seed, the length, the four lanes and — one step each — the up to 15
+//! bytes past the last whole round. Every step is a bijection in the
+//! state and in the absorbed word, so two inputs of one length and seed
+//! that differ inside a single word (any one byte, any one bit) differ in
+//! that lane, hence in the fold, hence in the checksum: single-byte
+//! corruption is rejected *deterministically*, as under a bytewise FNV-1a
+//! — at eleven times its speed (≈ 9 against ≈ 0.8 GB/s on the recorded
+//! host), because four lanes keep four multiplies in flight. The length
+//! field is capped at [`MAX_FRAME_PAYLOAD`] before any allocation, so a
+//! corrupt length can never balloon memory or stall a reader waiting for
+//! bytes that will never come.
 //!
 //! [`read_frame`] / [`write_frame`] run over any [`Read`] / [`Write`],
 //! looping internally on short reads and short writes — a throttling
@@ -156,20 +156,21 @@ fn mix(h: u32, w: u32) -> u32 {
     (h ^ w).wrapping_mul(MIX_K).rotate_left(15)
 }
 
-/// The integrity check every frame carries, over kind, length and every
-/// payload byte — defined in the module docs. Four independent lanes
-/// keep four multiplies in flight where a bytewise hash waits on one.
-fn frame_checksum(kind: u8, payload: &[u8]) -> u32 {
+/// The integrity check of every byte on the wire, over `seed`, the
+/// length and every byte of `bytes` — defined in the module docs. Four
+/// independent lanes keep four multiplies in flight where a bytewise hash
+/// waits on one.
+pub fn checksum(seed: u32, bytes: &[u8]) -> u32 {
     let [mut a, mut b, mut c, mut d, fold] = MIX_SEEDS;
     let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-    let mut rounds = payload.chunks_exact(16);
+    let mut rounds = bytes.chunks_exact(16);
     for r in &mut rounds {
         a = mix(a, word(&r[0..4]));
         b = mix(b, word(&r[4..8]));
         c = mix(c, word(&r[8..12]));
         d = mix(d, word(&r[12..16]));
     }
-    let head = [u32::from(kind), payload.len() as u32, a, b, c, d];
+    let head = [seed, bytes.len() as u32, a, b, c, d];
     let tail = rounds.remainder().iter().map(|&byte| u32::from(byte));
     head.into_iter().chain(tail).fold(fold, mix)
 }
@@ -201,7 +202,7 @@ pub fn seal_frame(frame: &mut [u8], kind: u8) {
     header[0..4].copy_from_slice(FRAME_MAGIC);
     header[4] = kind;
     header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[9..13].copy_from_slice(&frame_checksum(kind, payload).to_le_bytes());
+    header[9..13].copy_from_slice(&checksum(u32::from(kind), payload).to_le_bytes());
 }
 
 /// Serializes one frame to bytes (header followed by payload).
@@ -290,13 +291,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
     }
     let kind = header[4];
     let len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
-    let checksum = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes"));
+    let expect = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes"));
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::TooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
     fill(r, &mut payload, false)?;
-    if frame_checksum(kind, &payload) != checksum {
+    if checksum(u32::from(kind), &payload) != expect {
         return Err(FrameError::BadChecksum);
     }
     Ok((kind, payload))
@@ -790,7 +791,7 @@ mod tests {
 
     /// The module-doc definition spelled out a byte at a time: words
     /// assembled by shifts, lanes picked by index arithmetic.
-    fn reference_checksum(kind: u8, payload: &[u8]) -> u32 {
+    fn reference_checksum(seed: u32, payload: &[u8]) -> u32 {
         let step = |h: u32, w: u32| (h ^ w).wrapping_mul(0x9E37_79B1).rotate_left(15);
         let mut lanes = [0x811C_9DC5u32, 0xEC4B_A7BA, 0x577B_51AF, 0xC2AA_FBA4];
         let whole = payload.len() / 16 * 16;
@@ -798,24 +799,35 @@ mod tests {
             let w = quad.iter().rev().fold(0u32, |w, &b| (w << 8) | u32::from(b));
             lanes[i % 4] = step(lanes[i % 4], w);
         }
-        let mut h = step(step(0x2DDA_A599, u32::from(kind)), payload.len() as u32);
+        let mut h = step(step(0x2DDA_A599, seed), payload.len() as u32);
         h = lanes.iter().fold(h, |h, &lane| step(h, lane));
         payload[whole..].iter().fold(h, |h, &b| step(h, u32::from(b)))
     }
 
     /// Payload lengths covering zero to four whole rounds plus every
-    /// tail length, each at every alignment of the first payload byte.
+    /// tail length, each at every alignment of the first payload byte —
+    /// under frame kinds, the extreme seeds and a chained seed (the
+    /// checksum of a 22-byte shard header, as the envelope seeds its
+    /// payload's).
     #[test]
     fn word_at_a_time_checksum_equals_the_bytewise_reference() {
         let backing: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        let chained = reference_checksum(0, &backing[..22]);
         for len in 0..=67usize {
             for offset in 0..4usize {
                 let payload = &backing[offset..offset + len];
                 for kind in [0u8, 3, 0xEE] {
                     assert_eq!(
-                        frame_checksum(kind, payload),
-                        reference_checksum(kind, payload),
+                        checksum(u32::from(kind), payload),
+                        reference_checksum(u32::from(kind), payload),
                         "len {len} offset {offset} kind {kind}"
+                    );
+                }
+                for seed in [0u32, 0xFFFF_FFFF, chained] {
+                    assert_eq!(
+                        checksum(seed, payload),
+                        reference_checksum(seed, payload),
+                        "len {len} offset {offset} seed {seed:#x}"
                     );
                 }
             }
@@ -861,12 +873,12 @@ mod tests {
     #[test]
     fn top_bit_flips_in_one_lane_do_not_cancel() {
         let payload = vec![0u8; 64];
-        let good = frame_checksum(1, &payload);
+        let good = checksum(1, &payload);
         for (first, second) in [(3usize, 19usize), (3, 35), (19, 51), (15, 63)] {
             let mut bad = payload.clone();
             bad[first] ^= 0x80;
             bad[second] ^= 0x80;
-            assert_ne!(frame_checksum(1, &bad), good, "bytes {first} and {second}");
+            assert_ne!(checksum(1, &bad), good, "bytes {first} and {second}");
         }
     }
 

@@ -31,18 +31,22 @@
 //!
 //! ```text
 //! magic      : 4 bytes  "FNQS"
-//! version    : u16 LE   (currently 1; other versions are rejected)
+//! version    : u16 LE   (currently 2; other versions are rejected)
 //! shard_index: u16 LE   which worker this slice belongs to
 //! n_shards   : u16 LE   total workers in the plan
 //! site_id    : u32 LE   opaque weight-site id assigned by the planner
 //! row_start  : u32 LE   first output channel of the slice
 //! total_rows : u32 LE   rows of the unsharded site matrix
-//! checksum   : u32 LE   FNV-1a over the 22 preceding header bytes and
-//!                       the payload (corrupt routing metadata is caught,
+//! checksum   : u32 LE   checksum(checksum(0, 22 preceding header bytes),
+//!                       payload) (corrupt routing metadata is caught,
 //!                       not just corrupt weight bytes)
 //! payload    : a whole `to_bytes` blob (the slice itself)
 //! ```
+//!
+//! The checksum is the frame layer's [`checksum`]; a version-1 envelope
+//! (bytewise FNV-1a) is rejected as [`DecodeError::BadVersion`]`(1)`.
 
+use crate::frame::checksum;
 use crate::pack::{channel_stride, PackedMatrix};
 
 /// Magic header identifying the format (version 1).
@@ -53,7 +57,7 @@ pub const SHARD_MAGIC: &[u8; 4] = b"FNQS";
 
 /// Shard wire-format version emitted by [`shard_to_bytes`]; any other
 /// version on the wire is rejected with [`DecodeError::BadVersion`].
-pub const SHARD_VERSION: u16 = 1;
+pub const SHARD_VERSION: u16 = 2;
 
 /// Fixed byte length of the shard header preceding the payload.
 pub const SHARD_HEADER_BYTES: usize = 26;
@@ -113,20 +117,11 @@ pub fn checked_byte_size(rows: usize, cols: usize) -> Option<usize> {
     rows.checked_mul(channel_stride(cols))?.checked_add(HEADER_BYTES)
 }
 
-/// FNV-1a over `bytes`: the dependency-free checksum of the shard
-/// envelope (error detection for shipped slices, not cryptography).
+/// FNV-1a over `bytes`: the pinned-output hash of the quantizer's
+/// bit-identity oracles, nothing more. No byte on the wire is guarded by
+/// it — frames and shard envelopes use [`checksum`].
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    fnv1a32_chain(0x811c_9dc5, bytes)
-}
-
-/// Continues an FNV-1a hash over another byte run — how the shard
-/// envelope checksums header-then-payload without concatenating them.
-pub fn fnv1a32_chain(mut h: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+    bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// Appends the `FNQ1` blob of `m` to `out`: the header, then the body.
@@ -193,9 +188,9 @@ pub struct ShardHeader {
 }
 
 /// Serializes one shard slice: the versioned envelope header followed by
-/// the [`to_bytes`] payload, with an FNV-1a checksum over the 22 header
-/// bytes that precede it (magic, version and every header field) plus the
-/// whole payload.
+/// the [`to_bytes`] payload, with a [`checksum`] over the 22 header bytes
+/// that precede it (magic, version and every header field), chained into
+/// one over the whole payload.
 ///
 /// # Panics
 ///
@@ -227,8 +222,8 @@ pub fn shard_to_bytes(m: &PackedMatrix, header: &ShardHeader) -> Vec<u8> {
     // routing metadata (site_id, row range) is caught, not just corrupted
     // weight bytes.
     let (header_bytes, payload) = out.split_at(SHARD_HEADER_BYTES);
-    let checksum = fnv1a32_chain(fnv1a32(&header_bytes[..SHARD_HEADER_BYTES - 4]), payload);
-    out[SHARD_HEADER_BYTES - 4..SHARD_HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
+    let sum = checksum(checksum(0, &header_bytes[..SHARD_HEADER_BYTES - 4]), payload);
+    out[SHARD_HEADER_BYTES - 4..SHARD_HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -258,9 +253,8 @@ pub fn shard_from_bytes(bytes: &[u8]) -> Result<(ShardHeader, PackedMatrix), Dec
     // Checksum before the fields are interpreted: any in-transit flip,
     // routing metadata included, is BadChecksum (magic and version report
     // their own errors above).
-    let checksum = u32_at(22);
     let payload = &bytes[SHARD_HEADER_BYTES..];
-    if fnv1a32_chain(fnv1a32(&bytes[..SHARD_HEADER_BYTES - 4]), payload) != checksum {
+    if checksum(checksum(0, &bytes[..SHARD_HEADER_BYTES - 4]), payload) != u32_at(22) {
         return Err(DecodeError::BadChecksum);
     }
     let header = ShardHeader {
@@ -414,8 +408,8 @@ mod tests {
     fn shard_rejects_wrong_version() {
         let bytes = shard_to_bytes(&sample_packed(2, 12, 12), &sample_header());
         let mut wrong = bytes.clone();
-        wrong[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert_eq!(shard_from_bytes(&wrong).unwrap_err(), DecodeError::BadVersion(2));
+        wrong[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(shard_from_bytes(&wrong).unwrap_err(), DecodeError::BadVersion(1));
         let mut magic = bytes;
         magic[3] = b'X';
         assert_eq!(shard_from_bytes(&magic).unwrap_err(), DecodeError::BadMagic);
@@ -424,7 +418,7 @@ mod tests {
     /// Recomputes a mutated envelope's checksum so header-semantics tests
     /// reach the validation they target instead of tripping BadChecksum.
     fn refix_checksum(bytes: &mut [u8]) {
-        let c = fnv1a32_chain(fnv1a32(&bytes[..22]), &bytes[26..]);
+        let c = checksum(checksum(0, &bytes[..22]), &bytes[26..]);
         bytes[22..26].copy_from_slice(&c.to_le_bytes());
     }
 
@@ -446,6 +440,35 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[14] ^= 0x01;
         assert_eq!(shard_from_bytes(&corrupt).unwrap_err(), DecodeError::BadChecksum);
+    }
+
+    /// Exhaustive, not sampled: every single-bit flip of every byte of an
+    /// envelope, header and payload alike, is a typed rejection, with no
+    /// re-checksumming after the flip. Magic and version report their
+    /// own errors; anything else is `BadChecksum`, deterministically: a
+    /// payload flip changes one word of one lane of the outer checksum; a
+    /// header flip changes the inner checksum, which is the outer one's
+    /// seed; a flip of the stored checksum leaves both sums as they were.
+    /// Every step of the chain is a bijection in the word it absorbs and
+    /// in its state, so no flip can be absorbed back to the stored value.
+    #[test]
+    fn every_single_bit_flip_of_an_envelope_is_rejected() {
+        for (rows, cols, seed) in [(2usize, 12usize, 18u64), (3, 24, 19)] {
+            let good = shard_to_bytes(&sample_packed(rows, cols, seed), &sample_header());
+            for idx in 0..good.len() {
+                for bit in 0..8 {
+                    let mut bad = good.clone();
+                    bad[idx] ^= 1 << bit;
+                    let err = shard_from_bytes(&bad).expect_err("a flipped bit must not decode");
+                    let ok = match idx {
+                        0..=3 => err == DecodeError::BadMagic,
+                        4..=5 => matches!(err, DecodeError::BadVersion(v) if v != SHARD_VERSION),
+                        _ => err == DecodeError::BadChecksum,
+                    };
+                    assert!(ok, "{rows}x{cols} byte {idx} bit {bit}: {err:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::model::{Transformer, WeightSite};
 use crate::serving::{ServeModel, StepError};
 use crate::shard::{site_id, ShardPlan};
 use fineq_core::frame::{
-    read_frame_deadline, write_frame_deadline, write_sealed_deadline, FrameError, Link, Stream,
-    FRAME_HEADER_BYTES,
+    frame_bytes, read_frame_deadline, write_frame_deadline, write_sealed_deadline, FrameError,
+    Link, Stream, FRAME_HEADER_BYTES,
 };
 #[cfg(test)]
 use fineq_core::retry::RetryPolicy;
@@ -114,10 +114,10 @@ struct Replica {
 struct Group {
     replicas: Vec<Replica>,
     primary: usize,
-    /// The shard's FNQS slice envelopes, byte-identical to what setup
-    /// shipped — re-shipped verbatim on rejoin so a returning replica is
-    /// indistinguishable from one that never left.
-    envelopes: Vec<Vec<u8>>,
+    /// The shard's FNQS envelopes, each sealed once at setup as its `LOAD`
+    /// frame and written verbatim at setup and on every rejoin, so a
+    /// returning replica is indistinguishable from one that never left.
+    loads: Vec<Vec<u8>>,
 }
 
 impl Group {
@@ -232,31 +232,30 @@ fn dial_socket(addr: &str, tc: &TransportConfig) -> Result<Box<dyn Link>, Transp
     Ok(Box::new(Stream::connect_timeout(addr, tc.connect_timeout).map_err(FrameError::from)?))
 }
 
-/// Dials one replica and ships it the shard's envelopes: the whole
-/// setup (and rejoin) handshake, each frame bounded end to end by the
-/// load deadline. Every `LOADED` ack must name the slice's site and this
+/// Dials one replica and ships it the shard's sealed `LOAD` frames: the
+/// whole setup (and rejoin) handshake, each frame bounded end to end by
+/// the load deadline. Every `LOADED` ack must name the slice's site and this
 /// coordinator's [`PROTOCOL_VERSION`], so a worker of another protocol
 /// version is refused here, typed, instead of failing its first gather
 /// as an anonymous codec error.
 fn connect_replica(
     dial: &Dialer,
     addr: &str,
-    envelopes: &[Vec<u8>],
+    loads: &[Vec<u8>],
     tc: &TransportConfig,
 ) -> Result<Box<dyn Link>, TransportError> {
     let mut conn = dial(addr, tc)?;
-    for envelope in envelopes {
-        write_frame_deadline(&mut *conn, KIND_LOAD, envelope, tc.load_timeout)?;
+    for load in loads {
+        write_sealed_deadline(&mut *conn, load, tc.load_timeout)?;
         let (kind, payload) = read_frame_deadline(&mut *conn, tc.load_timeout)?;
-        // site_id sits after the envelope's magic, version, shard_index
-        // and n_shards fields.
-        let expect = get_u32(envelope, 10)?;
+        // The envelope's site_id follows magic, version, shard_index, n_shards.
+        let expect = get_u32(load, FRAME_HEADER_BYTES + 10)?;
         match kind {
             KIND_LOADED => check_loaded(&payload, expect)
                 .map_err(|e| TransportError::Protocol(format!("worker {addr}: {e}")))?,
             KIND_ERROR => {
                 return Err(TransportError::Protocol(format!(
-                    "worker {addr} rejected slice: {}",
+                    "worker {addr} rejected the slice of site {expect}: {}",
                     String::from_utf8_lossy(&payload)
                 )))
             }
@@ -270,7 +269,7 @@ fn connect_replica(
     Ok(conn)
 }
 
-/// [`connect_replica`] for every `(address, envelopes)` job at once, one
+/// [`connect_replica`] for every `(address, loads)` job at once, one
 /// scoped thread per job — a fleet (or a rejoin sweep) is up after one
 /// slowest-replica handshake instead of the sum, however many replicas
 /// there are per core. Outcomes come back in job order; a panicking
@@ -283,7 +282,7 @@ fn connect_all(
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .iter()
-            .map(|&(addr, env)| scope.spawn(move || connect_replica(dial, addr, env, tc)))
+            .map(|&(addr, loads)| scope.spawn(move || connect_replica(dial, addr, loads, tc)))
             .collect();
         handles
             .into_iter()
@@ -486,26 +485,27 @@ impl RemoteShardedModel {
     ) -> Result<Self, TransportError> {
         let n_shards = replica_addrs.len();
         let plan = ShardPlan::new(model, n_shards);
-        let mut shard_envelopes = Vec::with_capacity(n_shards);
+        let mut shard_loads = Vec::with_capacity(n_shards);
         for (shard, addrs) in replica_addrs.iter().enumerate() {
             // A documented precondition (# Panics): only a caller bug trips it.
             assert!(!addrs.is_empty(), "shard {shard} needs at least one replica address");
-            // Slice once per shard; every replica receives the identical
-            // envelope bytes (what makes replay — and rejoin — bit-
+            // Slice and seal once per shard; every replica receives the
+            // identical frame bytes (what makes replay — and rejoin — bit-
             // identical). Kept for the life of the deployment.
-            shard_envelopes.push(plan.envelopes(model, shard));
+            let envelopes = plan.envelopes(model, shard).into_iter();
+            shard_loads.push(envelopes.map(|e| frame_bytes(KIND_LOAD, &e)).collect::<Vec<_>>());
         }
         // Connect + LOAD every replica of every shard in parallel.
         let jobs: Vec<(&str, &[Vec<u8>])> = replica_addrs
             .iter()
-            .zip(&shard_envelopes)
-            .flat_map(|(addrs, env)| addrs.iter().map(move |a| (a.as_str(), env.as_slice())))
+            .zip(&shard_loads)
+            .flat_map(|(addrs, loads)| addrs.iter().map(move |a| (a.as_str(), loads.as_slice())))
             .collect();
         // Assemble in deterministic (shard, replica) order; the first
         // failure in that order is the reported one.
         let mut outcomes = connect_all(&*dial, &jobs, &transport).into_iter();
         let mut groups = Vec::with_capacity(n_shards);
-        for (addrs, envelopes) in replica_addrs.iter().zip(shard_envelopes) {
+        for (addrs, loads) in replica_addrs.iter().zip(shard_loads) {
             let mut replicas = Vec::with_capacity(addrs.len());
             for (addr, conn) in addrs.iter().zip(&mut outcomes) {
                 replicas.push(Replica {
@@ -517,7 +517,7 @@ impl RemoteShardedModel {
                     abandoned: HashSet::new(),
                 });
             }
-            groups.push(Group { replicas, primary: 0, envelopes });
+            groups.push(Group { replicas, primary: 0, loads });
         }
         let replicas = groups.iter().map(|g| g.replicas.len()).sum();
         let deadline_ms = transport.gather_timeout.as_millis().min(u128::from(u64::MAX)) as u64;
@@ -795,7 +795,7 @@ impl RemoteShardedModel {
             .iter()
             .map(|&(s, r)| {
                 let group = &fleet.groups[s];
-                (group.replicas[r].addr.as_str(), group.envelopes.as_slice())
+                (group.replicas[r].addr.as_str(), group.loads.as_slice())
             })
             .collect();
         let outcomes = connect_all(&*self.dial, &jobs, &self.transport);
@@ -1117,7 +1117,8 @@ mod tests {
     use super::super::testutil::packed_tiny;
     use super::super::{serve_connection, Worker, WorkerReply, KIND_GATHER, PROTOCOL_VERSION};
     use super::*;
-    use fineq_core::frame::{frame_bytes, read_frame, write_frame, Listener};
+    use fineq_core::frame::{read_frame, seal_frame, write_frame, Listener};
+    use std::time::Instant;
 
     /// In-process worker threads: each binds a loopback TCP listener and
     /// serves [`serve_connection`] loops — the subprocess path without
@@ -1284,6 +1285,57 @@ mod tests {
             "a v2 worker must not rejoin"
         );
         stop_worker(&addr, handle);
+    }
+
+    /// A link that ships every slice as a coordinator of another
+    /// `SHARD_VERSION` would: each `LOAD`'s envelope version rewritten,
+    /// the frame resealed.
+    struct OtherShardVersion(Box<dyn Link>, u16);
+
+    impl Link for OtherShardVersion {
+        fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError> {
+            let mut frame = frame.to_vec();
+            if frame[4] == KIND_LOAD {
+                let version = FRAME_HEADER_BYTES + 4..FRAME_HEADER_BYTES + 6;
+                frame[version].copy_from_slice(&self.1.to_le_bytes());
+                seal_frame(&mut frame, KIND_LOAD);
+            }
+            self.0.send(&frame, deadline)
+        }
+
+        fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError> {
+            self.0.recv(deadline)
+        }
+
+        fn shutdown(&mut self) -> std::io::Result<()> {
+            self.0.shutdown()
+        }
+    }
+
+    /// A mixed fleet fails at the handshake, typed: a worker handed an
+    /// envelope of another `SHARD_VERSION` answers `ERROR`, and
+    /// `connect_via` reports which slice it rejected and why.
+    #[test]
+    fn envelope_of_another_shard_version_is_refused_at_connect() {
+        let model = packed_tiny(25);
+        let first_site = get_u32(&ShardPlan::new(&model, 1).envelopes(&model, 0)[0], 10)
+            .expect("envelope site id");
+        for version in [1, fineq_core::serialize::SHARD_VERSION + 1] {
+            let (addr, handle) = spawn_scripted_worker(Box::new(|_, _, _, real| Some(real)));
+            let dial: Box<Dialer> = Box::new(move |addr, tc| {
+                Ok(Box::new(OtherShardVersion(dial_socket(addr, tc)?, version)))
+            });
+            let err =
+                RemoteShardedModel::connect_via(&model, &[vec![addr.clone()]], fast_retry(), dial)
+                    .expect_err("a slice of another shard version must not load");
+            let TransportError::Protocol(msg) = &err else { panic!("v{version}: {err}") };
+            assert!(
+                msg.contains(&format!("rejected the slice of site {first_site}"))
+                    && msg.contains(&format!("unsupported shard wire version {version}")),
+                "v{version}: {msg}"
+            );
+            stop_worker(&addr, handle);
+        }
     }
 
     /// A failover replays the request it interrupted **byte for byte**:

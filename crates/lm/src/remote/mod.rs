@@ -114,8 +114,8 @@
 //! (capped exponential backoff with deterministic seeded jitter — no
 //! `SystemTime` in any decision) gates background reconnect probes,
 //! ticked once per gather or heartbeat. On success the coordinator
-//! re-ships the **identical FNQS envelope bytes** it kept from setup and
-//! the replica returns to the group as a hot spare
+//! re-ships the **identical `LOAD` frames** it sealed around the FNQS
+//! envelopes at setup and the replica returns to the group as a hot spare
 //! ([`WorkerEvent::Rejoined`]); the primary does not move, so a healed
 //! partition restores capacity without perturbing routing. When a gather
 //! finds a whole group dead it makes a bounded number of *blocking*

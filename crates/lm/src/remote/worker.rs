@@ -322,6 +322,7 @@ mod tests {
     use crate::model::{Transformer, WeightSite};
     use crate::shard::{site_id, ShardPlan};
     use fineq_core::frame::FRAME_HEADER_BYTES;
+    use fineq_core::serialize::SHARD_VERSION;
     use fineq_core::telemetry::MetricsSnapshot;
     use fineq_tensor::Rng;
 
@@ -378,6 +379,27 @@ mod tests {
         let (kind, msg) = reply(&mut worker, KIND_GATHER, &gather_payload(2, &[sid], &narrow));
         assert_eq!(kind, KIND_ERROR);
         assert!(String::from_utf8_lossy(&msg).contains("columns"));
+    }
+
+    /// A mixed fleet fails typed at `LOAD`: an envelope of another
+    /// `SHARD_VERSION` (an older coordinator's v1, or a newer one's) is
+    /// answered `ERROR` naming the version, and nothing loads. This is
+    /// why the frame-level `PROTOCOL_VERSION` did not move with the
+    /// envelope's checksum.
+    #[test]
+    fn envelope_of_another_shard_version_is_answered_error_and_loads_nothing() {
+        let model = packed_tiny(14);
+        let envelope = ShardPlan::new(&model, 2).envelopes(&model, 1).swap_remove(0);
+        for version in [1, SHARD_VERSION + 1] {
+            let mut worker = Worker::new();
+            let mut other = envelope.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            let (kind, msg) = reply(&mut worker, KIND_LOAD, &other);
+            assert_eq!(kind, KIND_ERROR, "v{version}");
+            let msg = String::from_utf8_lossy(&msg);
+            assert!(msg.contains(&format!("unsupported shard wire version {version}")), "{msg}");
+            assert_eq!(worker.loaded_sites(), 0, "v{version}");
+        }
     }
 
     /// One group `GATHER` for Q/K/V is answered by one `PARTIAL` whose

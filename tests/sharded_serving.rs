@@ -8,9 +8,8 @@
 //! envelopes the plan ships, and this suite additionally corrupts those
 //! bytes on purpose.
 
-use fineq::core::serialize::{
-    fnv1a32, fnv1a32_chain, shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader,
-};
+use fineq::core::frame::checksum;
+use fineq::core::serialize::{shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader};
 use fineq::core::{FineQuantizer, ThreadPool};
 use fineq::lm::shard::site_id;
 use fineq::lm::{
@@ -251,7 +250,7 @@ fn sharded_wire_rejects_tampered_bytes() {
 
     let mut bad_range = bytes.clone();
     bad_range[18..22].copy_from_slice(&1u32.to_le_bytes()); // total_rows < slice
-    let c = fnv1a32_chain(fnv1a32(&bad_range[..22]), &bad_range[26..]);
+    let c = checksum(checksum(0, &bad_range[..22]), &bad_range[26..]);
     bad_range[22..26].copy_from_slice(&c.to_le_bytes()); // valid checksum, lying range
     assert_eq!(shard_from_bytes(&bad_range).unwrap_err(), DecodeError::BadRange);
 
