@@ -2,8 +2,8 @@
 //!
 //! Experiment harness: one module per table/figure of the paper's
 //! evaluation section, each returning structured results plus a rendered
-//! text table. Binaries under `src/bin` print single experiments;
-//! `benches/paper_tables.rs` regenerates everything under `cargo bench`.
+//! text table. The `fineq-paper [name|all]` binary prints one
+//! experiment or, by default, every one in a single pass.
 //!
 //! Set `FINEQ_FAST=1` to shrink workloads for smoke runs (sizes drop by
 //! roughly an order of magnitude; shapes of the results are preserved).

@@ -38,17 +38,15 @@
 //! [`read_frame`] / [`write_frame`] run over any [`Read`] / [`Write`],
 //! looping internally on short reads and short writes — a throttling
 //! socket that delivers one byte per call produces the identical result
-//! (asserted by tests). [`read_frame_deadline`] / [`write_frame_deadline`]
-//! add an **absolute** per-frame deadline on top: the budget shrinks
-//! across those internal retries, so even a slow-drip peer cannot
-//! stretch one frame past the bound. [`Stream`] and [`Listener`] are
-//! the std-only socket layer beneath them: one address syntax
-//! (`tcp:host:port`, `unix:/path`) covering both `std::net` TCP and
-//! Unix domain sockets.
+//! (asserted by tests). [`Stream`] and [`Listener`] are the std-only
+//! socket layer beneath them: one address syntax (`tcp:host:port`,
+//! `unix:/path`) covering both `std::net` TCP and Unix domain sockets.
 //!
-//! [`Link`] is the seam above the bytes (send a sealed frame, receive a
-//! frame, each before an absolute deadline; shut down), which [`Stream`]
-//! implements over a socket.
+//! [`Link`] is the seam above the bytes: send a sealed frame, receive a
+//! frame, each within the operation's budget (zero: no bound); shut
+//! down. [`Stream`] implements it over a socket with an **absolute**
+//! per-frame deadline: the budget shrinks across the internal retries,
+//! so even a slow-drip peer cannot stretch one frame past the bound.
 //!
 //! The frame layer itself carries no version or correlation fields —
 //! `kind` and the payload are opaque here. Payload-level protocols
@@ -57,9 +55,8 @@
 //! module, whose `GATHER`/`PARTIAL` payloads lead with a `u64` request
 //! nonce so replies are self-identifying). A sender that fans one payload
 //! out builds it in place behind a reserved header ([`begin_frame`] /
-//! [`seal_frame`]) and writes the sealed bytes as often as it needs
-//! ([`write_sealed_deadline`]): the payload is copied and checksummed
-//! once.
+//! [`seal_frame`]) and sends the sealed bytes as often as it needs
+//! ([`Link::send`]): the payload is copied and checksummed once.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -94,9 +91,9 @@ pub enum FrameError {
     BadChecksum,
     /// A deadline expired before the frame completed: either a
     /// per-syscall socket timeout armed via [`Stream::set_read_timeout`]
-    /// / [`Stream::set_write_timeout`], or the absolute end-to-end bound
-    /// of [`read_frame_deadline`] / [`write_frame_deadline`]. A hung
-    /// peer surfaces here instead of blocking forever.
+    /// / [`Stream::set_write_timeout`], or the absolute end-to-end budget
+    /// of a [`Link::send`] / [`Link::recv`]. A hung peer surfaces here
+    /// instead of blocking forever.
     TimedOut,
     /// The underlying stream failed.
     Io(io::Error),
@@ -219,14 +216,6 @@ pub fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// [`FrameError::TooLarge`] for a payload no peer would accept.
-fn check_payload_len(payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_PAYLOAD as usize {
-        return Err(FrameError::TooLarge(u32::try_from(payload.len()).unwrap_or(u32::MAX)));
-    }
-    Ok(())
-}
-
 /// Writes one frame and flushes the stream. Short writes are retried
 /// internally (`write_all`), so a throttling sink receives the identical
 /// byte sequence.
@@ -238,7 +227,9 @@ fn check_payload_len(payload: &[u8]) -> Result<(), FrameError> {
 /// [`FrameError::TimedOut`] when an armed write deadline expires; and
 /// [`FrameError::Io`] when the stream fails.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), FrameError> {
-    check_payload_len(payload)?;
+    if payload.len() > MAX_FRAME_PAYLOAD as usize {
+        return Err(FrameError::TooLarge(u32::try_from(payload.len()).unwrap_or(u32::MAX)));
+    }
     write_flushed(w, &frame_bytes(kind, payload))
 }
 
@@ -313,7 +304,12 @@ struct Deadlined<'a> {
     deadline: Option<Instant>,
 }
 
-impl Deadlined<'_> {
+impl<'a> Deadlined<'a> {
+    /// `stream` under the deadline `timeout` from now (zero: no bound).
+    fn new(stream: &'a mut Stream, timeout: Duration) -> Self {
+        Deadlined { stream, deadline: (!timeout.is_zero()).then(|| Instant::now() + timeout) }
+    }
+
     /// The budget left to arm (`None`: no bound), or `TimedOut` once spent.
     fn left(&self) -> io::Result<Option<Duration>> {
         match self.deadline.map(|d| d.saturating_duration_since(Instant::now())) {
@@ -341,86 +337,30 @@ impl Write for Deadlined<'_> {
     }
 }
 
-/// The absolute deadline `timeout` from now; a zero `timeout` is no bound.
-fn deadline_after(timeout: Duration) -> Option<Instant> {
-    (!timeout.is_zero()).then(|| Instant::now() + timeout)
-}
-
-/// [`read_frame`] under an absolute end-to-end deadline: the whole frame
-/// must arrive within `timeout`, measured from this call, no matter how
-/// the bytes are paced. Unlike a socket timeout armed once with
-/// [`Stream::set_read_timeout`] — which bounds each *syscall* and so
-/// resets whenever a slow-drip peer delivers a single byte — the budget
-/// here only shrinks. A zero `timeout` disarms the socket deadline and
-/// blocks forever. The socket's read timeout is left at whatever the
-/// last re-arm set; callers using deadline-aware I/O throughout never
-/// observe it.
-///
-/// # Errors
-///
-/// As [`read_frame`], with [`FrameError::TimedOut`] when the budget runs
-/// out mid-frame.
-pub fn read_frame_deadline(
-    link: &mut (impl Link + ?Sized),
-    timeout: Duration,
-) -> Result<(u8, Vec<u8>), FrameError> {
-    link.recv(deadline_after(timeout))
-}
-
-/// Writes an already sealed frame ([`seal_frame`]) under an absolute
-/// end-to-end deadline, the mirror of [`read_frame_deadline`]: a
-/// peer that drains its socket one byte per interval cannot stretch the
-/// write past `timeout`. A zero `timeout` disarms the socket deadline and
-/// blocks forever.
-///
-/// # Errors
-///
-/// [`FrameError::TimedOut`] when the budget runs out mid-frame, and
-/// [`FrameError::Io`] when the stream fails.
-pub fn write_sealed_deadline(
-    link: &mut (impl Link + ?Sized),
-    frame: &[u8],
-    timeout: Duration,
-) -> Result<(), FrameError> {
-    link.send(frame, deadline_after(timeout))
-}
-
-/// [`write_frame`] under the absolute deadline of
-/// [`write_sealed_deadline`].
-///
-/// # Errors
-///
-/// As [`write_frame`], with [`FrameError::TimedOut`] when the budget
-/// runs out mid-frame.
-pub fn write_frame_deadline(
-    link: &mut (impl Link + ?Sized),
-    kind: u8,
-    payload: &[u8],
-    timeout: Duration,
-) -> Result<(), FrameError> {
-    check_payload_len(payload)?;
-    write_sealed_deadline(link, &frame_bytes(kind, payload), timeout)
-}
-
 /// One frame-level connection to a peer: everything a serving
 /// coordinator does with a worker connection. [`Stream`] implements it
 /// over a socket; anything else that moves whole frames (an in-memory
 /// simulator) can stand in.
+///
+/// Each call takes the operation's budget, measured from the call: the
+/// whole frame must cross within it, however its bytes are paced. A zero
+/// budget is no bound.
 pub trait Link: Send {
-    /// Writes one sealed frame ([`seal_frame`]) before `deadline`
-    /// (`None`: no bound).
+    /// Writes one sealed frame ([`seal_frame`]) within `timeout`.
     ///
     /// # Errors
     ///
-    /// As [`write_frame`], with [`FrameError::TimedOut`] past `deadline`.
-    fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError>;
+    /// As [`write_frame`], with [`FrameError::TimedOut`] once `timeout`
+    /// is spent.
+    fn send(&mut self, frame: &[u8], timeout: Duration) -> Result<(), FrameError>;
 
-    /// Reads one whole frame before `deadline` (`None`: no bound).
+    /// Reads one whole frame within `timeout`.
     ///
     /// # Errors
     ///
-    /// As [`read_frame`], with [`FrameError::TimedOut`] past `deadline`.
-    fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError>;
+    /// As [`read_frame`], with [`FrameError::TimedOut`] once `timeout`
+    /// is spent.
+    fn recv(&mut self, timeout: Duration) -> Result<(u8, Vec<u8>), FrameError>;
 
     /// Shuts both directions of the connection down.
     ///
@@ -430,15 +370,20 @@ pub trait Link: Send {
     fn shutdown(&mut self) -> io::Result<()>;
 }
 
-/// The socket [`Link`]: each frame's reads or writes draw on its one
-/// deadline.
+/// The socket [`Link`]: the budget becomes one absolute deadline that
+/// each frame's reads or writes draw on. Unlike a socket timeout armed
+/// once with [`Stream::set_read_timeout`] — which bounds each *syscall*
+/// and so resets whenever a slow-drip peer delivers a single byte — the
+/// budget only shrinks. The socket's timeout is left at whatever the last
+/// re-arm set; callers that use the [`Link`] methods throughout never
+/// observe it.
 impl Link for Stream {
-    fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError> {
-        write_flushed(&mut Deadlined { stream: self, deadline }, frame)
+    fn send(&mut self, frame: &[u8], timeout: Duration) -> Result<(), FrameError> {
+        write_flushed(&mut Deadlined::new(self, timeout), frame)
     }
 
-    fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError> {
-        read_frame(&mut Deadlined { stream: self, deadline })
+    fn recv(&mut self, timeout: Duration) -> Result<(u8, Vec<u8>), FrameError> {
+        read_frame(&mut Deadlined::new(self, timeout))
     }
 
     fn shutdown(&mut self) -> io::Result<()> {
@@ -529,8 +474,8 @@ impl Stream {
     /// This is a **per-syscall** bound (`SO_RCVTIMEO`): every byte that
     /// arrives restarts the clock, so a slow-drip peer can stretch one
     /// frame to `timeout × bytes` in the worst case. For an absolute
-    /// end-to-end bound on a whole frame use [`read_frame_deadline`],
-    /// which shrinks the armed timeout as the budget drains.
+    /// end-to-end bound on a whole frame use [`Link::recv`], which
+    /// shrinks the armed timeout as the budget drains.
     ///
     /// # Errors
     ///
@@ -545,7 +490,7 @@ impl Stream {
 
     /// Arms a timeout on every subsequent write syscall, the mirror of
     /// [`Stream::set_read_timeout`] (and per-syscall in the same way —
-    /// see [`write_frame_deadline`] for the absolute bound): a peer that
+    /// see [`Link::send`] for the absolute bound): a peer that
     /// stops draining its socket surfaces as [`FrameError::TimedOut`]
     /// instead of blocking [`write_frame`] forever.
     ///
@@ -557,20 +502,6 @@ impl Stream {
             Stream::Tcp(s) => s.set_write_timeout(timeout),
             #[cfg(unix)]
             Stream::Unix(s) => s.set_write_timeout(timeout),
-        }
-    }
-
-    /// Clones the handle: both values refer to the same connection (one
-    /// per direction, for a relay).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `try_clone` error.
-    pub fn try_clone(&self) -> io::Result<Self> {
-        match self {
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
         }
     }
 
@@ -1005,12 +936,11 @@ mod tests {
         server.join().expect("server thread");
     }
 
-    /// The review-driven slow-drip contract: a peer trickling one byte
-    /// per interval restarts a per-syscall socket timeout on every byte,
-    /// but must NOT be able to stretch [`read_frame_deadline`] past its
-    /// absolute budget.
+    /// The slow-drip contract: a peer trickling one byte per interval
+    /// restarts a per-syscall socket timeout on every byte, but must NOT
+    /// be able to stretch [`Link::recv`] past its absolute budget.
     #[test]
-    fn read_frame_deadline_bounds_slow_drip_peers_end_to_end() {
+    fn link_recv_bounds_slow_drip_peers_end_to_end() {
         let listener = Listener::bind("tcp:127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
@@ -1027,7 +957,8 @@ mod tests {
         });
         let mut client = Stream::connect(&addr).expect("connect");
         let start = Instant::now();
-        let err = read_frame_deadline(&mut client, Duration::from_millis(150))
+        let err = client
+            .recv(Duration::from_millis(150))
             .expect_err("the drip must not beat the absolute deadline");
         assert!(matches!(err, FrameError::TimedOut), "{err:?}");
         // The full drip takes ~1.5 s; giving up well before that proves
@@ -1038,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_deadline_accepts_frames_that_arrive_in_time() {
+    fn link_recv_accepts_frames_that_arrive_in_time() {
         let listener = Listener::bind("tcp:127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
@@ -1052,14 +983,14 @@ mod tests {
             }
         });
         let mut client = Stream::connect(&addr).expect("connect");
-        let got = read_frame_deadline(&mut client, Duration::from_secs(10)).expect("in-budget");
+        let got = client.recv(Duration::from_secs(10)).expect("in-budget");
         assert_eq!(got, (6, b"on time".to_vec()));
         // Zero disarms: a plain exchange still works afterwards.
         server.join().expect("server thread");
     }
 
     #[test]
-    fn write_frame_deadline_round_trips_and_zero_disarms() {
+    fn link_send_round_trips_and_zero_disarms() {
         let listener = Listener::bind("tcp:127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
@@ -1070,15 +1001,12 @@ mod tests {
             }
         });
         let mut client = Stream::connect(&addr).expect("connect");
-        write_frame_deadline(&mut client, 9, b"bounded", Duration::from_secs(5)).expect("write");
+        client.send(&frame_bytes(9, b"bounded"), Duration::from_secs(5)).expect("write");
         assert_eq!(read_frame(&mut client).expect("echo"), (9, b"bounded".to_vec()));
         // A zero deadline disarms any armed socket timeout and blocks
         // like the plain path.
-        write_frame_deadline(&mut client, 9, b"unbounded", Duration::ZERO).expect("write");
-        assert_eq!(
-            read_frame_deadline(&mut client, Duration::ZERO).expect("echo"),
-            (9, b"unbounded".to_vec())
-        );
+        client.send(&frame_bytes(9, b"unbounded"), Duration::ZERO).expect("write");
+        assert_eq!(client.recv(Duration::ZERO).expect("echo"), (9, b"unbounded".to_vec()));
         server.join().expect("server thread");
     }
 
@@ -1095,23 +1023,6 @@ mod tests {
             Stream::connect_timeout(&format!("tcp:localhost:{port}"), Duration::from_secs(5))
                 .expect("must fall through to the reachable resolved address");
         drop(conn);
-    }
-
-    #[test]
-    fn cloned_stream_handles_share_one_connection() {
-        let listener = Listener::bind("tcp:127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("bound address");
-        let server = std::thread::spawn(move || {
-            let mut conn = listener.accept().expect("accept");
-            let (kind, payload) = read_frame(&mut conn).expect("server read");
-            write_frame(&mut conn, kind, &payload).expect("server write");
-        });
-        let client = Stream::connect(&addr).expect("connect");
-        let mut writer = client.try_clone().expect("clone handle");
-        let mut reader = client;
-        write_frame(&mut writer, 6, b"via clone").expect("write on clone");
-        assert_eq!(read_frame(&mut reader).expect("read on original"), (6, b"via clone".to_vec()));
-        server.join().expect("server thread");
     }
 
     #[test]

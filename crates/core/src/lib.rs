@@ -63,5 +63,5 @@ pub use serialize::{shard_from_bytes, shard_to_bytes, DecodeError, ShardHeader};
 pub use stats::ClusterStats;
 pub use telemetry::{
     Clock, Counter, FakeClock, Gauge, Histogram, MetricsRegistry, MetricsServer, MetricsSnapshot,
-    MonotonicClock, Span,
+    MonotonicClock,
 };

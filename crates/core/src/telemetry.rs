@@ -1,13 +1,12 @@
 //! Dependency-free serving telemetry: atomic counters, gauges,
-//! fixed-bucket latency histograms, span timing guards, a Prometheus-style
-//! text exposition, and a tiny `std::net` scrape endpoint.
+//! fixed-bucket latency histograms, a Prometheus-style text exposition,
+//! and a tiny `std::net` scrape endpoint.
 //!
 //! Design contract (what every instrumented hot path may rely on):
 //!
 //! * **Disabled is one relaxed load.** Every handle embeds the registry's
-//!   shared `enabled` flag; `Counter::add`, `Histogram::record` and
-//!   `Histogram::span` check it first and touch nothing else when it is
-//!   off.
+//!   shared `enabled` flag; `Counter::add` and `Histogram::record` check
+//!   it first and touch nothing else when it is off.
 //! * **Deterministic under test.** Time comes from a pluggable [`Clock`]:
 //!   [`MonotonicClock`] in production, [`FakeClock`] (manually advanced)
 //!   in tests, so histogram bucket placement is exactly reproducible.
@@ -31,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Monotonic microsecond time source for spans and histograms.
+/// Monotonic microsecond time source for measured latencies.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Microseconds since an arbitrary fixed origin.
     fn now_micros(&self) -> u64;
@@ -62,7 +61,7 @@ impl Clock for MonotonicClock {
 }
 
 /// Test clock: time is a plain atomic the test advances by hand, so every
-/// span duration — and therefore every histogram bucket — is chosen by
+/// measured duration — and therefore every histogram bucket — is chosen by
 /// the test, not the host.
 #[derive(Debug, Default)]
 pub struct FakeClock {
@@ -217,13 +216,6 @@ impl Histogram {
         }
     }
 
-    /// Starts a drop-timed span over this histogram. When the registry is
-    /// disabled the span is inert: no clock read, no record on drop.
-    pub fn span<'a>(&'a self, clock: &'a dyn Clock) -> Span<'a> {
-        let on = armed(&self.enabled);
-        Span { hist: self, clock, start: if on { clock.now_micros() } else { 0 }, armed: on }
-    }
-
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -248,38 +240,6 @@ impl Histogram {
 
     pub fn p50(&self) -> u64 {
         self.percentile(50.0)
-    }
-
-    pub fn p95(&self) -> u64 {
-        self.percentile(95.0)
-    }
-
-    pub fn p99(&self) -> u64 {
-        self.percentile(99.0)
-    }
-}
-
-/// Drop guard that records elapsed time into a histogram.
-#[derive(Debug)]
-pub struct Span<'a> {
-    hist: &'a Histogram,
-    clock: &'a dyn Clock,
-    start: u64,
-    armed: bool,
-}
-
-impl Span<'_> {
-    /// Discards the span without recording.
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.clock.now_micros().saturating_sub(self.start));
-        }
     }
 }
 
@@ -581,10 +541,6 @@ impl MetricsRegistry {
         self.clock.now_micros()
     }
 
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -803,7 +759,6 @@ mod tests {
         let h = reg.histogram("h");
         c.add(5);
         h.record(10);
-        drop(h.span(reg.clock().as_ref()));
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
         reg.set_enabled(true);
@@ -814,36 +769,17 @@ mod tests {
     }
 
     #[test]
-    fn fake_clock_drives_span_buckets_deterministically() {
-        let clock = Arc::new(FakeClock::new());
-        let reg = MetricsRegistry::with_clock(clock.clone());
-        let h = reg.histogram("lat");
-        {
-            let _s = h.span(reg.clock().as_ref());
-            clock.advance(100); // lands in the le="128" bucket
-        }
-        {
-            let _s = h.span(reg.clock().as_ref());
-            clock.advance(3000); // lands in the le="4096" bucket
-        }
+    fn recorded_latencies_land_in_power_of_two_buckets() {
+        let h = MetricsRegistry::new().histogram("lat");
+        h.record(100); // lands in the le="128" bucket
+        h.record(3000); // lands in the le="4096" bucket
         let data = h.data();
         assert_eq!(data.count, 2);
         assert_eq!(data.sum, 3100);
         assert_eq!(data.buckets[bucket_index(100)], 1);
         assert_eq!(data.buckets[bucket_index(3000)], 1);
         assert_eq!(h.p50(), 128);
-        assert_eq!(h.p99(), 4096);
-    }
-
-    #[test]
-    fn cancelled_span_records_nothing() {
-        let clock = Arc::new(FakeClock::new());
-        let reg = MetricsRegistry::with_clock(clock.clone());
-        let h = reg.histogram("lat");
-        let s = h.span(reg.clock().as_ref());
-        clock.advance(10);
-        s.cancel();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.percentile(99.0), 4096);
     }
 
     #[test]
@@ -853,7 +789,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.p50(), 1);
-        assert_eq!(h.p95(), 1024);
+        assert_eq!(h.percentile(95.0), 1024);
         assert_eq!(h.percentile(90.0), 1);
     }
 

@@ -15,10 +15,7 @@ use crate::generate::{batched_step_body, BatchKvCache};
 use crate::model::{Transformer, WeightSite};
 use crate::serving::{ServeModel, StepError};
 use crate::shard::{site_id, ShardPlan};
-use fineq_core::frame::{
-    frame_bytes, read_frame_deadline, write_frame_deadline, write_sealed_deadline, FrameError,
-    Link, Stream, FRAME_HEADER_BYTES,
-};
+use fineq_core::frame::{frame_bytes, FrameError, Link, Stream, FRAME_HEADER_BYTES};
 #[cfg(test)]
 use fineq_core::retry::RetryPolicy;
 use fineq_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -99,10 +96,6 @@ struct Replica {
     attempts: u32,
     /// Earliest tick at which the next background rejoin probe may run.
     next_attempt_tick: u64,
-    /// Tick of the last successful frame exchange on this connection.
-    /// Heartbeats skip replicas with traffic since the previous
-    /// heartbeat — serving gathers double as keep-alives.
-    last_ok_tick: u64,
     /// Nonces of `GATHER` requests sent on this connection whose replies
     /// were abandoned (the operation aborted before reading them). The
     /// worker still owes each one a `PARTIAL`; whatever read next
@@ -204,9 +197,6 @@ struct Fleet {
     /// Coordinator-assigned request nonce source: one fresh u64 per
     /// gather request, never reused for the life of the deployment.
     next_nonce: u64,
-    /// Tick at which the previous heartbeat ran — replicas whose
-    /// `last_ok_tick` is later had traffic since and are skipped.
-    last_heartbeat_tick: u64,
 }
 
 /// What observers read: the stored [`TransportHealth`], the
@@ -246,8 +236,8 @@ fn connect_replica(
 ) -> Result<Box<dyn Link>, TransportError> {
     let mut conn = dial(addr, tc)?;
     for load in loads {
-        write_sealed_deadline(&mut *conn, load, tc.load_timeout)?;
-        let (kind, payload) = read_frame_deadline(&mut *conn, tc.load_timeout)?;
+        conn.send(load, tc.load_timeout)?;
+        let (kind, payload) = conn.recv(tc.load_timeout)?;
         // The envelope's site_id follows magic, version, shard_index, n_shards.
         let expect = get_u32(load, FRAME_HEADER_BYTES + 10)?;
         match kind {
@@ -513,7 +503,6 @@ impl RemoteShardedModel {
                     conn: Some(conn?),
                     attempts: 0,
                     next_attempt_tick: 0,
-                    last_ok_tick: 0,
                     abandoned: HashSet::new(),
                 });
             }
@@ -528,7 +517,7 @@ impl RemoteShardedModel {
             plan,
             transport,
             dial,
-            fleet: Mutex::new(Fleet { groups, tick: 0, next_nonce: 1, last_heartbeat_tick: 0 }),
+            fleet: Mutex::new(Fleet { groups, tick: 0, next_nonce: 1 }),
             ledger: Mutex::new(Ledger {
                 health: TransportHealth {
                     live_replicas: replicas,
@@ -557,38 +546,28 @@ impl RemoteShardedModel {
         &self.plan
     }
 
-    /// Probes live replicas under the heartbeat deadline, marking
-    /// non-responders (including *hung* ones) dead and re-pointing each
-    /// group's primary at a live spare, so the next step pays no
-    /// failover latency. Also probes dead replicas whose backoff is due
-    /// — heartbeats drive rejoin even when no traffic flows. Returns the
+    /// Probes dead replicas whose backoff is due (heartbeats drive
+    /// rejoin even when no traffic flows), then every connected replica
+    /// under the heartbeat deadline, marking non-responders (including
+    /// *hung* ones) dead and re-pointing each group's primary at a live
+    /// spare, so the next step pays no failover latency. Returns the
     /// liveness snapshot.
     ///
-    /// Two round-trip economies ride along. **Piggyback skip:** a
-    /// replica with successful traffic since the previous heartbeat
-    /// (gathers are keep-alives too) already proved liveness, so it is
-    /// not probed — during steady serving only idle spares pay a
-    /// round-trip. **STATS-as-heartbeat:** with telemetry installed the
-    /// probe is a `STATS` exchange whose reply refreshes that worker's
-    /// metrics snapshot — liveness and cluster scraping share one
-    /// round-trip; without it heartbeats stay PING/PONG. Probe I/O holds
-    /// only the fleet lock and observability readers read the ledger, so
-    /// they never stall behind a slow replica.
+    /// With telemetry installed the probe is a `STATS` exchange whose
+    /// reply refreshes that worker's metrics snapshot — liveness and
+    /// cluster scraping share one round-trip; without it heartbeats stay
+    /// PING/PONG. Probe I/O holds only the fleet lock and observability
+    /// readers read the ledger, so they never stall behind a slow replica.
     ///
-    /// Heartbeats double as keep-alives: a cadence shorter than **half**
-    /// the workers' idle deadline stops idle workers from hanging up
-    /// between requests (the coupling [`run_worker_configured`]
-    /// documents — half, because the piggyback skip may leave a
-    /// just-active replica unprobed for one extra heartbeat interval).
+    /// Heartbeats double as keep-alives: a cadence shorter than the
+    /// workers' idle deadline stops idle workers from hanging up between
+    /// requests (the coupling [`run_worker_configured`] documents).
     pub fn heartbeat(&self) -> HealthReport {
         let mut fleet = lock(&self.fleet);
         let fleet = &mut *fleet;
         self.rejoin(fleet, None);
-        let floor = std::mem::replace(&mut fleet.last_heartbeat_tick, fleet.tick);
         let tm = lock(&self.ledger).metrics.clone();
-        // Replicas active since the previous heartbeat sit this one out:
-        // their traffic already proved liveness.
-        self.control_round(fleet, |r| r.last_ok_tick <= floor, &tm);
+        self.control_round(fleet, &tm);
         for shard in 0..fleet.groups.len() {
             fleet.elect_primary(shard, &self.ledger);
         }
@@ -625,7 +604,8 @@ impl RemoteShardedModel {
     }
 
     /// Scrapes every live replica's local registry with a [`KIND_STATS`]
-    /// frame (under the heartbeat deadline) and folds the snapshots into
+    /// frame (under the heartbeat deadline: the heartbeat's probe round
+    /// without its rejoin sweep) and folds the snapshots into
     /// the installed registry as remote sources keyed
     /// `shard{s}_replica{r}` — [`MetricsRegistry::cluster_snapshot`] /
     /// `render_text` then serve the whole cluster from one endpoint.
@@ -641,31 +621,23 @@ impl RemoteShardedModel {
         if !tm.registry.enabled() {
             return 0;
         }
-        self.control_round(&mut fleet, |_| true, &tm)
+        self.control_round(&mut fleet, &tm)
     }
 
-    /// One round of control probes over every connected replica `pick`
-    /// selects: a `STATS` exchange while `tm`'s registry is enabled (the
+    /// One round of control probes over every connected replica: a
+    /// `STATS` exchange while `tm`'s registry is enabled (the
     /// snapshot folded into it as source `shard{s}_replica{r}`), else a
     /// `PING`/`PONG` echo. A replica that fails or hangs is marked dead.
     /// The probe I/O holds only the fleet lock, so a slow or hung replica
     /// stalls this call, never [`RemoteShardedModel::transport_health`]
     /// or [`RemoteShardedModel::take_events`] readers on other threads —
     /// they read the ledger. Returns the number of replicas that answered.
-    fn control_round(
-        &self,
-        fleet: &mut Fleet,
-        pick: impl Fn(&Replica) -> bool,
-        tm: &TransportMetrics,
-    ) -> usize {
-        let (tick, scrape) = (fleet.tick, tm.registry.enabled());
+    fn control_round(&self, fleet: &mut Fleet, tm: &TransportMetrics) -> usize {
+        let scrape = tm.registry.enabled();
         let mut answered = 0;
         for shard in 0..fleet.groups.len() {
             for replica in 0..fleet.groups[shard].replicas.len() {
                 let r = &mut fleet.groups[shard].replicas[replica];
-                if !pick(r) {
-                    continue;
-                }
                 // Dead replicas are the rejoin sweep's to revive.
                 let Some(conn) = r.conn.as_deref_mut() else { continue };
                 match self.probe_replica(conn, &mut r.abandoned, scrape, tm) {
@@ -674,7 +646,6 @@ impl RemoteShardedModel {
                             tm.registry
                                 .ingest_remote(&format!("shard{shard}_replica{replica}"), snap);
                         }
-                        r.last_ok_tick = tick;
                         answered += 1;
                     }
                     Err(e) => fleet.mark_dead(shard, replica, &e, &self.ledger),
@@ -697,7 +668,7 @@ impl RemoteShardedModel {
         let timeout = self.transport.heartbeat_timeout;
         let (kind, body): (u8, &[u8]) =
             if scrape { (KIND_STATS, &[]) } else { (KIND_PING, b"fineq-heartbeat") };
-        write_frame_deadline(conn, kind, body, timeout)?;
+        conn.send(&frame_bytes(kind, body), timeout)?;
         tm.sent(body.len());
         let (got, payload) = Self::read_fresh(conn, abandoned, timeout, tm)?;
         match (scrape, got) {
@@ -725,7 +696,7 @@ impl RemoteShardedModel {
         tm: &TransportMetrics,
     ) -> Result<(u8, Vec<u8>), TransportError> {
         loop {
-            let (kind, payload) = read_frame_deadline(conn, timeout)?;
+            let (kind, payload) = conn.recv(timeout)?;
             tm.received(payload.len());
             if kind == KIND_PARTIAL {
                 let nonce = get_u64(&payload, 0)?;
@@ -752,7 +723,7 @@ impl RemoteShardedModel {
         for group in &mut fleet.groups {
             for replica in &mut group.replicas {
                 if let Some(mut conn) = replica.conn.take() {
-                    let _ = write_frame_deadline(&mut *conn, KIND_SHUTDOWN, &[], timeout);
+                    let _ = conn.send(&frame_bytes(KIND_SHUTDOWN, &[]), timeout);
                     let _ = conn.shutdown();
                 }
             }
@@ -807,9 +778,6 @@ impl RemoteShardedModel {
                     r.conn = Some(conn);
                     r.attempts = 0;
                     r.next_attempt_tick = 0;
-                    // The LOAD handshake just proved liveness: fresh
-                    // traffic for the heartbeat piggyback clock.
-                    r.last_ok_tick = tick;
                     let addr = r.addr.clone();
                     let live = fleet.live();
                     lock(&self.ledger).rejoined(live, shard, replica, addr);
@@ -866,7 +834,7 @@ impl RemoteShardedModel {
         loop {
             self.elect_recovering(fleet, link.shard, budget)?;
             let (replica, conn, _) = fleet.groups[link.shard].primary_io();
-            match write_sealed_deadline(conn, frame, self.transport.gather_timeout) {
+            match conn.send(frame, self.transport.gather_timeout) {
                 Ok(()) => {
                     tm.sent(frame.len() - FRAME_HEADER_BYTES);
                     link.sent = true;
@@ -927,17 +895,11 @@ impl RemoteShardedModel {
     /// owes a `PARTIAL` on the primary's connection: its nonce goes on
     /// that replica's abandoned list, and whatever read next touches the
     /// connection (gather, heartbeat, scrape) discards the stale reply by
-    /// nonce match. Every sent link stamps the traffic tick heartbeats
-    /// key their piggyback skip on.
+    /// nonce match.
     fn release_links(fleet: &mut Fleet, links: &[ShardLink], nonce: u64) {
-        let tick = fleet.tick;
-        for link in links.iter().filter(|link| link.sent) {
+        for link in links.iter().filter(|link| link.sent && !link.done) {
             let group = &mut fleet.groups[link.shard];
-            let r = &mut group.replicas[group.primary];
-            if !link.done {
-                r.abandoned.insert(nonce);
-            }
-            r.last_ok_tick = tick;
+            group.replicas[group.primary].abandoned.insert(nonce);
         }
     }
 
@@ -1118,7 +1080,6 @@ mod tests {
     use super::super::{serve_connection, Worker, WorkerReply, KIND_GATHER, PROTOCOL_VERSION};
     use super::*;
     use fineq_core::frame::{read_frame, seal_frame, write_frame, Listener};
-    use std::time::Instant;
 
     /// In-process worker threads: each binds a loopback TCP listener and
     /// serves [`serve_connection`] loops — the subprocess path without
@@ -1293,18 +1254,18 @@ mod tests {
     struct OtherShardVersion(Box<dyn Link>, u16);
 
     impl Link for OtherShardVersion {
-        fn send(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<(), FrameError> {
+        fn send(&mut self, frame: &[u8], timeout: Duration) -> Result<(), FrameError> {
             let mut frame = frame.to_vec();
             if frame[4] == KIND_LOAD {
                 let version = FRAME_HEADER_BYTES + 4..FRAME_HEADER_BYTES + 6;
                 frame[version].copy_from_slice(&self.1.to_le_bytes());
                 seal_frame(&mut frame, KIND_LOAD);
             }
-            self.0.send(&frame, deadline)
+            self.0.send(&frame, timeout)
         }
 
-        fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError> {
-            self.0.recv(deadline)
+        fn recv(&mut self, timeout: Duration) -> Result<(u8, Vec<u8>), FrameError> {
+            self.0.recv(timeout)
         }
 
         fn shutdown(&mut self) -> std::io::Result<()> {
@@ -1708,7 +1669,7 @@ mod tests {
         {
             let mut st = remote.fleet.lock().expect("state");
             let mut conn = st.groups[1].replicas[0].conn.take().expect("live");
-            conn.send(&frame_bytes(KIND_SHUTDOWN, &[]), None).expect("shutdown shard 1");
+            conn.send(&frame_bytes(KIND_SHUTDOWN, &[]), Duration::ZERO).expect("shutdown shard 1");
         }
         h1.join().expect("shard 1 worker");
         let err = remote

@@ -22,10 +22,10 @@
 //! The module is three files behind this one: `wire` (the payload
 //! codec), `worker` ([`Worker`], [`serve_connection`],
 //! [`run_worker_configured`]) and `coordinator` ([`RemoteShardedModel`]).
-//! The coordinator reaches a worker only through a
-//! [`Link`](fineq_core::frame::Link) its [`Dialer`] opens: a socket from
-//! `connect`, anything else through `connect_via` — the test suites'
-//! seeded in-process fleet simulator, which answers with [`Worker::handle`].
+//! The coordinator reaches a worker only through a [`Link`] its
+//! [`Dialer`] opens: a socket from `connect`, anything else through
+//! `connect_via` — the test suites' seeded in-process fleet simulator,
+//! which answers with [`Worker::handle`].
 //!
 //! ## Protocol (version 3)
 //!
@@ -84,8 +84,8 @@
 //!
 //! Each shard is a **replica group**: N worker processes loaded with the
 //! identical slice bytes. Requests go to the group's primary; the other
-//! replicas idle as hot spares, health-checked by
-//! [`RemoteShardedModel::heartbeat`]. When any send or receive fails, the
+//! replicas idle as hot spares. [`RemoteShardedModel::heartbeat`] probes
+//! every connected replica, primary included. When any send or receive fails, the
 //! coordinator marks that replica dead (a [`WorkerEvent::WorkerDied`]
 //! event), promotes the next live replica
 //! ([`WorkerEvent::FailedOver`]), and **replays the in-flight request**
@@ -105,8 +105,8 @@
 //! ## Deadlines, retry and rejoin
 //!
 //! Every coordinator operation — connect, LOAD, gather, heartbeat —
-//! carries a per-operation deadline from [`TransportConfig`], enforced
-//! end to end by [`read_frame_deadline`] / [`write_frame_deadline`] (the
+//! hands its per-operation budget from [`TransportConfig`] to each
+//! [`Link::send`] / [`Link::recv`], which enforces it end to end (the
 //! budget is absolute, so even a peer trickling one byte per interval
 //! cannot stretch a frame past it), so a replica that *hangs* surfaces
 //! as [`FrameError::TimedOut`] and takes the identical failover path as
@@ -162,7 +162,7 @@ pub use worker::{run_worker_configured, serve_connection, Worker, WorkerReply};
 
 use fineq_core::frame::FrameError;
 #[cfg(doc)]
-use fineq_core::frame::{read_frame_deadline, write_frame_deadline};
+use fineq_core::frame::Link;
 use fineq_core::retry::RetryPolicy;
 use fineq_core::serialize::DecodeError;
 #[cfg(doc)]
@@ -205,7 +205,7 @@ pub const KIND_ERROR: u8 = 0xEE;
 /// Per-operation deadlines and the retry policy of a coordinator.
 ///
 /// Each field bounds one protocol operation end to end — the bound is
-/// absolute ([`read_frame_deadline`] / [`write_frame_deadline`]), not a
+/// absolute (the budget of one [`Link::send`] / [`Link::recv`]), not a
 /// per-syscall socket timeout, so slow-drip peers cannot stretch it. A
 /// deadline of zero disarms that bound (block forever — useful under a
 /// debugger, never in production). The defaults are generous enough

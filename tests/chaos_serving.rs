@@ -364,6 +364,29 @@ fn hung_stats_scrape_never_blocks_health_readers_and_replica_rejoins() {
     sched.model().shutdown_workers();
 }
 
+/// A heartbeat probes every connected replica, primaries that served
+/// gathers since the previous heartbeat included: after three rounds of
+/// one step and one heartbeat, the worker behind each of two primaries
+/// has answered three `PING`s, as its scraped
+/// `fineq_worker_pings_total` shows.
+#[test]
+fn heartbeat_probes_primaries_that_served_since_the_previous_one() {
+    let model = packed_model(13, false);
+    let fleet = SimFleet::new(2, 1, 0, 0.0);
+    let mut sched = DistributedScheduler::new(fleet.connect(&model, sim_transport()), 4);
+    workload(model.config().vocab, |r| sched.submit(r).expect("no KV budget"));
+    for _ in 0..3 {
+        sched.step();
+        assert!(sched.model().heartbeat().serviceable(), "a clean fleet stays serviceable");
+    }
+    let registry = Arc::new(MetricsRegistry::new());
+    sched.model().set_telemetry(Arc::clone(&registry));
+    assert_eq!(sched.model().scrape_worker_stats(), 2, "both primaries answer STATS");
+    let pings = registry.cluster_snapshot().counters.get("fineq_worker_pings_total").copied();
+    assert_eq!(pings, Some(2 * 3), "every heartbeat must probe both serving primaries");
+    sched.model().shutdown_workers();
+}
+
 /// Seeded schedules the property test runs: a constant, so every run
 /// costs the same.
 const SCHEDULES: u64 = 500;

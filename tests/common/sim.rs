@@ -17,8 +17,8 @@
 //!
 //! There is no wall clock: a blackholed read or write, and a reply held
 //! past its deadline, fail with [`FrameError::TimedOut`] at once. The one
-//! exception is [`Fault::Stall`], whose read really blocks until its
-//! deadline — what an observer thread needs to prove it never waits on
+//! exception is [`Fault::Stall`], whose read really blocks for its whole
+//! budget — what an observer thread needs to prove it never waits on
 //! the coordinator's fleet I/O.
 //!
 //! The fleet also keeps the books the invariants are checked against:
@@ -32,7 +32,7 @@ use fineq::lm::{Dialer, RemoteShardedModel, Transformer, TransportConfig, Transp
 use fineq::tensor::Rng;
 use std::io::{self, Read};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::Duration;
 
 /// One fault on one exchange (a request frame and its reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub enum Fault {
     /// passes the checksum.
     UnknownNonce,
     /// The worker handles the request, and the read of its reply blocks
-    /// until the read's deadline, then times out.
+    /// for the read's whole budget, then times out.
     Stall,
 }
 
@@ -324,7 +324,7 @@ pub struct SimLink {
     inbox: Vec<u8>,
     read: usize,
     state: State,
-    /// The next read blocks until its deadline ([`Fault::Stall`]).
+    /// The next read blocks for its whole budget ([`Fault::Stall`]).
     stalled: bool,
     faulted: bool,
     other_version_acked: bool,
@@ -344,7 +344,7 @@ impl SimLink {
 }
 
 impl Link for SimLink {
-    fn send(&mut self, frame: &[u8], _: Option<Instant>) -> Result<(), FrameError> {
+    fn send(&mut self, frame: &[u8], _: Duration) -> Result<(), FrameError> {
         let fleet = Arc::clone(&self.fleet);
         let mut f = lock(&fleet);
         let (armed, rate) = (f.armed, f.rate);
@@ -468,12 +468,10 @@ impl Link for SimLink {
         Ok(())
     }
 
-    fn recv(&mut self, deadline: Option<Instant>) -> Result<(u8, Vec<u8>), FrameError> {
+    fn recv(&mut self, timeout: Duration) -> Result<(u8, Vec<u8>), FrameError> {
         if std::mem::take(&mut self.stalled) {
             self.state = State::Hung;
-            if let Some(deadline) = deadline {
-                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-            }
+            std::thread::sleep(timeout);
             return Err(FrameError::TimedOut);
         }
         if self.state == State::Hung {
