@@ -7,8 +7,8 @@
 //! area/power reduction percentages, the Fig. 8 power split, and the
 //! Fig. 9 workload-dependent energy-efficiency ratios (which depend on
 //! simulated cycle counts) — are consequences, not inputs; the Table III
-//! totals themselves are reproduced by construction and labelled as such
-//! in EXPERIMENTS.md.
+//! totals themselves are reproduced by construction, so `fineq-paper
+//! table3` checks consistency rather than measuring anything.
 
 /// Clock frequency used throughout the paper's evaluation.
 pub const CLOCK_HZ: f64 = 400.0e6;

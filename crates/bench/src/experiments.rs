@@ -1,5 +1,5 @@
-//! Experiment implementations. See DESIGN.md §4 for the experiment index
-//! and EXPERIMENTS.md for paper-vs-measured results.
+//! Experiment implementations, one function per paper table or figure;
+//! the `fineq-paper` binary runs them by name (see the README's Notes).
 
 use fineq::accel::sim::{PipelineSim, SimConfig};
 use fineq::accel::workload::Workload;
@@ -41,7 +41,7 @@ impl EvalSizes {
 /// The quantization method suite of Table I (everything except fp16).
 ///
 /// OWQ's group size is scaled from the paper's 128 (at width 4096) to 32
-/// so a sim-width row still holds several groups; see EXPERIMENTS.md.
+/// so a sim-width row still holds several groups.
 pub fn method_suite() -> Vec<Box<dyn WeightQuantizer>> {
     vec![
         Box::new(Rtn::new(2)),

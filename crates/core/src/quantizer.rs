@@ -21,7 +21,7 @@ use fineq_tensor::Matrix;
 /// Configuration of the FineQ algorithm.
 ///
 /// The defaults are the paper's settings; the other knobs exist for the
-/// ablation studies in `EXPERIMENTS.md`.
+/// ablation sweeps of `fineq-paper ablations`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FineQConfig {
     /// Outlier rule: a cluster is an outlier cluster when
@@ -469,7 +469,7 @@ mod tests {
         // Row 4 under code 11 with s3 = 0.24/3 = 0.08:
         // (0.17, 0.12, —) -> (2, 2, 0); (0.01, 0.24, —) -> (0, 3, 0).
         // (The paper's figure prints "2 3 0" for the second cluster, which
-        // is inconsistent with its own Eq. 1 scale; see DESIGN.md.)
+        // is inconsistent with its own Eq. 1 scale.)
         assert_eq!(packed.channel(3).cluster_ints(0), [2, 2, 0]);
         assert_eq!(packed.channel(3).cluster_ints(1), [0, 3, 0]);
 

@@ -108,12 +108,6 @@ impl Counter {
         Self { enabled, value: AtomicU64::new(0) }
     }
 
-    /// A counter not tied to any registry, always enabled — for tests and
-    /// ad-hoc accounting.
-    pub fn standalone() -> Arc<Self> {
-        Arc::new(Self::with_flag(Arc::new(AtomicBool::new(true))))
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -147,13 +141,6 @@ impl Gauge {
     pub fn set(&self, v: i64) {
         if armed(&self.enabled) {
             self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if armed(&self.enabled) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
         }
     }
 

@@ -75,12 +75,6 @@ pub struct BuilderSpec {
     pub ridge_lambda: f64,
     /// Training window length used when collecting head-fit features.
     pub fit_window: usize,
-    /// Restrict the fitted head to the *processed* feature bands, masking
-    /// the raw bigram band `[0, rank)` (on by default). Real LLM readouts
-    /// consume deeply transformed features rather than raw embeddings;
-    /// without this mask the ridge fit would bypass the quantizable body
-    /// entirely and no quantizer could be told apart.
-    pub mask_raw_band: bool,
 }
 
 impl BuilderSpec {
@@ -112,7 +106,6 @@ impl BuilderSpec {
             carrier_amp: 2.0,
             ridge_lambda: 3e-3,
             fit_window,
-            mask_raw_band: true,
         }
     }
 }
@@ -398,10 +391,12 @@ pub fn build_fitted_model(
     );
 
     // Collect final hidden states (features) and teacher targets over
-    // non-overlapping windows. With `mask_raw_band` the raw bigram band
-    // [0, k) is excluded from the features.
-    let k = corpus.bigram_factors().cols().min(d);
-    let feat_lo = if spec.mask_raw_band { k } else { 0 };
+    // non-overlapping windows. The fitted head reads only the *processed*
+    // feature bands: the raw bigram band [0, rank) is masked. Real LLM
+    // readouts consume deeply transformed features rather than raw
+    // embeddings; without this mask the ridge fit would bypass the
+    // quantizable body entirely and no quantizer could be told apart.
+    let feat_lo = corpus.bigram_factors().cols().min(d);
     let n_feats = d - feat_lo;
     let mut feats: Vec<f32> = Vec::new();
     let mut targs: Vec<f32> = Vec::new();

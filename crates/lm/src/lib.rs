@@ -5,7 +5,7 @@
 //! The paper evaluates quantization on pretrained LLaMA-2 checkpoints and
 //! the WikiText-2 / C4 corpora, none of which can ship with this
 //! repository. This crate provides the closest synthetic equivalents that
-//! exercise the same code paths (see DESIGN.md §2):
+//! exercise the same code paths:
 //!
 //! * [`corpus`] — seeded *topical Markov* corpora ([`Corpus::wiki_like`],
 //!   [`Corpus::c4_like`]): Zipfian marginals, Dirichlet-peaked bigram

@@ -451,22 +451,13 @@ impl RemoteShardedModel {
         model: &Transformer,
         replica_addrs: &[Vec<String>],
     ) -> Result<Self, TransportError> {
-        Self::connect_with(model, replica_addrs, TransportConfig::default())
+        Self::connect_via(model, replica_addrs, TransportConfig::default(), Box::new(dial_socket))
     }
 
     /// [`RemoteShardedModel::connect`] with explicit deadlines and retry
-    /// policy. Errors and panics as `connect`.
-    pub fn connect_with(
-        model: &Transformer,
-        replica_addrs: &[Vec<String>],
-        transport: TransportConfig,
-    ) -> Result<Self, TransportError> {
-        Self::connect_via(model, replica_addrs, transport, Box::new(dial_socket))
-    }
-
-    /// [`RemoteShardedModel::connect_with`] over any [`Dialer`]: the
-    /// gather, failover, replay and rejoin code runs unchanged over
-    /// whatever [`Link`]s `dial` opens. Errors and panics as `connect`.
+    /// policy, over any [`Dialer`]: the gather, failover, replay and rejoin
+    /// code runs unchanged over whatever [`Link`]s `dial` opens. Errors and
+    /// panics as `connect`.
     pub fn connect_via(
         model: &Transformer,
         replica_addrs: &[Vec<String>],
@@ -1170,8 +1161,13 @@ mod tests {
             let (addr, handle) = spawn_scripted_worker(Box::new(move |_, kind, _, real| {
                 Some(if kind == KIND_LOAD { rewrite(real) } else { real })
             }));
-            let err = RemoteShardedModel::connect_with(&model, &[vec![addr.clone()]], fast_retry())
-                .expect_err("a worker of another protocol version must be refused");
+            let err = RemoteShardedModel::connect_via(
+                &model,
+                &[vec![addr.clone()]],
+                fast_retry(),
+                Box::new(dial_socket),
+            )
+            .expect_err("a worker of another protocol version must be refused");
             let TransportError::Protocol(msg) = &err else { panic!("case {case}: {err}") };
             assert!(
                 msg.contains("worker speaks")
@@ -1223,8 +1219,13 @@ mod tests {
         let (addr, handle) = spawn_scripted_worker(Box::new(|conn, kind, _, real| {
             Some(if conn > 0 && kind == KIND_LOAD { real[..4].to_vec() } else { real })
         }));
-        let remote = RemoteShardedModel::connect_with(&model, &[vec![addr.clone()]], fast_retry())
-            .expect("the first connection speaks the current protocol");
+        let remote = RemoteShardedModel::connect_via(
+            &model,
+            &[vec![addr.clone()]],
+            fast_retry(),
+            Box::new(dial_socket),
+        )
+        .expect("the first connection speaks the current protocol");
         let mut cache = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
         let mut scratch = KernelScratch::new();
         remote.forward_step_batch_with(&[1], &[0], &mut cache, &mut scratch);
@@ -1323,7 +1324,9 @@ mod tests {
             })));
         }
         let addrs = vec![fleet.iter().map(|(addr, _)| addr.clone()).collect::<Vec<_>>()];
-        let remote = RemoteShardedModel::connect_with(&model, &addrs, fast_retry()).expect("up");
+        let remote =
+            RemoteShardedModel::connect_via(&model, &addrs, fast_retry(), Box::new(dial_socket))
+                .expect("up");
         let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
         let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
         let mut scratch = KernelScratch::new();
@@ -1656,7 +1659,8 @@ mod tests {
             vec![format!("unix:{}", sock0.display())],
             vec![format!("unix:{}", sock1.display())],
         ];
-        let remote = RemoteShardedModel::connect_with(&model, &addrs, tc).expect("connect");
+        let remote = RemoteShardedModel::connect_via(&model, &addrs, tc, Box::new(dial_socket))
+            .expect("connect");
         let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
         let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 2);
         let mut scratch = KernelScratch::new();
@@ -1749,7 +1753,9 @@ mod tests {
             },
             ..TransportConfig::default()
         };
-        let remote = RemoteShardedModel::connect_with(&model, &[vec![addr]], tc).expect("connect");
+        let remote =
+            RemoteShardedModel::connect_via(&model, &[vec![addr]], tc, Box::new(dial_socket))
+                .expect("connect");
         let mut cache_r = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
         let mut cache_u = BatchKvCache::new(cfg.n_layers, cfg.d_model, 1);
         let mut scratch = KernelScratch::new();
@@ -1807,7 +1813,9 @@ mod tests {
             spawn_scripted_worker(Box::new(|_, _, _, real| Some(real))),
         ];
         let addrs = vec![fleet.iter().map(|(addr, _)| addr.clone()).collect::<Vec<_>>()];
-        let remote = RemoteShardedModel::connect_with(&model, &addrs, fast_retry()).expect("up");
+        let remote =
+            RemoteShardedModel::connect_via(&model, &addrs, fast_retry(), Box::new(dial_socket))
+                .expect("up");
         let registry = Arc::new(MetricsRegistry::new());
         remote.set_telemetry(Arc::clone(&registry));
         let mut events = Vec::new();

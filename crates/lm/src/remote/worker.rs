@@ -80,17 +80,10 @@ impl Default for Worker {
 impl Worker {
     /// An empty worker (no slices loaded) with a fresh enabled registry.
     pub fn new() -> Self {
-        Self::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// An empty worker recording into `registry` — the form
-    /// [`run_worker_configured`] uses so a metrics endpoint can render
-    /// the same registry the serving loop writes to.
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             sites: HashMap::new(),
             scratch: KernelScratch::new(),
-            metrics: WorkerMetrics::new(registry),
+            metrics: WorkerMetrics::new(Arc::new(MetricsRegistry::new())),
         }
     }
 

@@ -490,8 +490,6 @@ pub struct Scheduler<M> {
     /// Sequences killed by a transport failure, drained through
     /// `take_failed` — the graceful-degradation ledger.
     failed: Vec<FailedSequence>,
-    /// Batched steps that died in flight (each fails its whole batch).
-    failed_steps: u64,
     steps: u64,
     stepped_tokens: u64,
     prefix_sharing: bool,
@@ -554,7 +552,6 @@ impl<M: ServeModel> Scheduler<M> {
             preempted: VecDeque::new(),
             finished: Vec::new(),
             failed: Vec::new(),
-            failed_steps: 0,
             steps: 0,
             stepped_tokens: 0,
             prefix_sharing: false,
@@ -570,16 +567,6 @@ impl<M: ServeModel> Scheduler<M> {
         &self.model
     }
 
-    /// The thread pool the served model executes with, if one is
-    /// installed (see [`Transformer::set_thread_pool`]). The unsharded
-    /// engine fans packed channel loops over it, the sharded engine fans
-    /// whole worker shards; both are bit-identical to serial, so the
-    /// thread count never affects served tokens — it stacks
-    /// multiplicatively with batching as pure throughput.
-    pub fn thread_pool(&self) -> Option<&std::sync::Arc<fineq_core::ThreadPool>> {
-        self.model.thread_pool()
-    }
-
     /// The live batch cache (for memory accounting; in the sharded
     /// topology it lives on the orchestrator, not the shards).
     pub fn cache(&self) -> &BatchKvCache {
@@ -591,13 +578,8 @@ impl<M: ServeModel> Scheduler<M> {
         self.slots.len()
     }
 
-    /// Requests waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Sequences currently occupying slots.
-    pub fn active(&self) -> usize {
+    fn active(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
@@ -662,11 +644,6 @@ impl<M: ServeModel> Scheduler<M> {
         Ok(())
     }
 
-    /// The configured page-pool cap, if any.
-    pub fn page_budget(&self) -> Option<usize> {
-        self.cache.capacity_pages()
-    }
-
     /// Enables (or disables) copy-on-write prefix sharing: a newly
     /// admitted sequence maps the physical pages of any resident sequence
     /// with the same token prefix instead of recomputing and re-caching
@@ -677,17 +654,9 @@ impl<M: ServeModel> Scheduler<M> {
         self.prefix_sharing = on;
     }
 
-    /// Whether copy-on-write prefix sharing is enabled.
-    pub fn prefix_sharing(&self) -> bool {
-        self.prefix_sharing
-    }
-
-    /// Sequences evicted under pool pressure, currently parked for resume.
-    pub fn preempted(&self) -> usize {
-        self.preempted.len()
-    }
-
-    /// Total preemptions so far (one sequence may be evicted repeatedly).
+    /// Total preemptions so far (one sequence may be evicted repeatedly);
+    /// the same count as [`SchedulerStats::preemptions`], kept because the
+    /// load benchmark's oracle reads it.
     pub fn preemptions(&self) -> u64 {
         self.preemptions
     }
@@ -708,12 +677,6 @@ impl<M: ServeModel> Scheduler<M> {
     pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         self.model.install_telemetry(&registry);
         self.metrics = ServingMetrics::new(registry);
-    }
-
-    /// The scheduler's metrics registry (the default is a disabled one:
-    /// instrumented but free).
-    pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
     }
 
     /// A point-in-time occupancy snapshot: request states and page-pool
@@ -991,7 +954,6 @@ impl<M: ServeModel> Scheduler<M> {
     /// audit timelines (preemption events) stay monotone.
     fn fail_step(&mut self, slot_ids: &[usize], error: &StepError) {
         self.steps += 1;
-        self.failed_steps += 1;
         self.metrics.steps.inc();
         for run in slot_runs(slot_ids) {
             let mut seq = self.slots[run[0]].take().expect("stepped slot is occupied");
@@ -1043,11 +1005,6 @@ impl<M: ServeModel> Scheduler<M> {
         std::mem::take(&mut self.finished)
     }
 
-    /// Sequences killed by a transport failure, not yet drained.
-    pub fn failed(&self) -> usize {
-        self.failed.len()
-    }
-
     /// Drains the sequences killed by transport failures (oldest first),
     /// each carrying its partial output and the typed [`StepError`].
     pub fn take_failed(&mut self) -> Vec<FailedSequence> {
@@ -1061,13 +1018,6 @@ impl<M: ServeModel> Scheduler<M> {
             self.step();
         }
         self.take_finished()
-    }
-}
-
-impl Scheduler<crate::remote::RemoteShardedModel> {
-    /// Worker shard groups serving each weight site.
-    pub fn n_shards(&self) -> usize {
-        self.model.n_shards()
     }
 }
 
@@ -1136,7 +1086,7 @@ mod tests {
             expected.push(model.generate(&prompt, n, 0.9, &mut rng));
             sched.submit(request(id, prompt, n)).expect("no KV budget configured");
         }
-        assert_eq!(sched.queued(), 5);
+        assert_eq!(sched.stats().queued, 5);
         let mut done = sched.run();
         assert_eq!(done.len(), 5);
         done.sort_by_key(|f| f.id);
@@ -1161,7 +1111,7 @@ mod tests {
         let mut last_active = 0;
         while !sched.is_idle() {
             sched.step();
-            last_active = sched.active();
+            last_active = sched.stats().active;
         }
         assert_eq!(last_active, 0, "final step must retire every slot");
         let done = sched.take_finished();
@@ -1205,7 +1155,7 @@ mod tests {
         }
         while !sched.is_idle() {
             sched.step();
-            assert!(sched.active() <= 2, "batch must never exceed max_batch");
+            assert!(sched.stats().active <= 2, "batch must never exceed max_batch");
             assert!(sched.cache().total_tokens() <= 2 * (3 + 3));
         }
         assert_eq!(sched.take_finished().len(), 6);
@@ -1266,7 +1216,7 @@ mod tests {
         // any single sequence fits, three concurrent ones do not.
         let mut sched = BatchScheduler::with_page_tokens(model, 3, 2);
         sched.set_page_budget(8).expect("nothing queued yet");
-        assert_eq!(sched.page_budget(), Some(8));
+        assert_eq!(sched.cache().capacity_pages(), Some(8));
         submit_all(&mut sched);
         while !sched.is_idle() {
             sched.step();
@@ -1387,7 +1337,8 @@ mod tests {
             [PreemptionEvent { id: 1, step: 17, dropped_cached_tokens: dropped }],
             "dropped_cached_tokens is the evicted slot's cached length"
         );
-        assert_eq!((sched.active(), sched.preempted()), (0, 1), "the older finished that step");
+        let s = sched.stats();
+        assert_eq!((s.active, s.preempted), (0, 1), "the older finished that step");
         let (steps_before, rows_before) = (sched.steps(), sched.stepped_tokens());
         while sched.cache().total_tokens() < dropped {
             assert_eq!(sched.step(), 1, "the resumed sequence is alone");
@@ -1423,7 +1374,7 @@ mod tests {
             matches!(err, AdmissionError::PageBudgetExceeded { id: 12, required_pages: 3, .. }),
             "{err:?}"
         );
-        assert_eq!(sched.page_budget(), Some(3), "failed tightening is a no-op");
+        assert_eq!(sched.cache().capacity_pages(), Some(3), "failed tightening is a no-op");
         assert_eq!(sched.run().len(), 1, "the queued request still runs");
 
         // The reverse order — submit first, then install a too-small pool
@@ -1434,9 +1385,9 @@ mod tests {
         sched.submit(ServeRequest::new(0, vec![1, 2, 3], 8)).expect("no budget yet");
         let err = sched.set_page_budget(2).unwrap_err();
         assert!(matches!(err, AdmissionError::PageBudgetExceeded { id: 0, .. }), "{err:?}");
-        assert_eq!(sched.page_budget(), None, "a rejected budget must not install");
+        assert_eq!(sched.cache().capacity_pages(), None, "a rejected budget must not install");
         assert_eq!(sched.stats().free_pages, None, "nor cap the cache");
-        assert_eq!(sched.queued(), 1, "the queued request survives the failed installation");
+        assert_eq!(sched.stats().queued, 1, "the queued request survives the failed installation");
         assert_eq!(sched.run().len(), 1, "and still runs to completion without a budget");
 
         // A rejection submitted mid-decode must change nothing — not the
@@ -1456,11 +1407,11 @@ mod tests {
         let mut sched = start();
         sched.step();
         sched.step();
-        let (active, queued) = (sched.active(), sched.queued());
-        assert!(active > 0, "sequences must be in flight before the rejection");
+        let before = sched.stats();
+        assert!(before.active > 0, "sequences must be in flight before the rejection");
         let err = sched.submit(ServeRequest::new(99, vec![1; 30], 30));
         assert!(matches!(err, Err(AdmissionError::PageBudgetExceeded { id: 99, .. })), "{err:?}");
-        assert_eq!((sched.active(), sched.queued()), (active, queued), "rejection is a no-op");
+        assert_eq!(sched.stats(), before, "rejection is a no-op");
         assert_eq!(sched.run(), expect, "in-flight output must be untouched by the rejection");
     }
 
@@ -1487,7 +1438,6 @@ mod tests {
 
         let mut sched = BatchScheduler::with_page_tokens(model, 2, 4);
         sched.enable_prefix_sharing(true);
-        assert!(sched.prefix_sharing());
         submit_all(&mut sched);
         let mut max_saved = 0isize;
         while !sched.is_idle() {

@@ -214,7 +214,7 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `shard >= n_shards()`.
-    pub fn shard_params(&self, shard: usize) -> usize {
+    fn shard_params(&self, shard: usize) -> usize {
         assert!(shard < self.n_shards, "shard {shard} out of plan");
         self.sites
             .iter()

@@ -15,11 +15,14 @@
 use crate::{AsymmetricGrid, Calibration, QuantResult, WeightQuantizer};
 use fineq_tensor::{cholesky, cholesky_inverse, Matrix};
 
+/// The reference implementation's percent damping: `λ` is 1 % of the
+/// Hessian's mean diagonal.
+const DAMP_FRAC: f64 = 0.01;
+
 /// GPTQ quantizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gptq {
     bits: u8,
-    damp_frac: f64,
 }
 
 impl Gptq {
@@ -29,18 +32,8 @@ impl Gptq {
     ///
     /// Panics unless `2 <= bits <= 16`.
     pub fn new(bits: u8) -> Self {
-        Self::with_damping(bits, 0.01)
-    }
-
-    /// Creates a GPTQ quantizer with an explicit percent-damping fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= bits <= 16` and `damp_frac > 0`.
-    pub fn with_damping(bits: u8, damp_frac: f64) -> Self {
         assert!((2..=16).contains(&bits), "bits must be in 2..=16");
-        assert!(damp_frac > 0.0, "damping must be positive");
-        Self { bits, damp_frac }
+        Self { bits }
     }
 
     /// Bit-width of the grid.
@@ -56,7 +49,7 @@ impl WeightQuantizer for Gptq {
 
     fn quantize(&self, w: &Matrix, calib: &Calibration) -> QuantResult {
         let (rows, cols) = (w.rows(), w.cols());
-        let h = calib.hessian(cols, self.damp_frac);
+        let h = calib.hessian(cols, DAMP_FRAC);
         // Reference formulation: U = upper Cholesky factor of H⁻¹, i.e.
         // H⁻¹ = UᵀU with U = Lᵀ where L is our lower factor.
         let hinv = cholesky_inverse(&h).expect("damped Hessian is SPD");

@@ -6,12 +6,13 @@
 //! cargo run --release --example batched_serving
 //! ```
 
+use fineq::core::pool::default_threads;
 use fineq::core::FineQuantizer;
 use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::memory::ServingMemory;
 use fineq::lm::{KvCache, ServeRequest};
-use fineq::pipeline::{serve_packed, PipelineConfig};
+use fineq::pipeline::{serve_packed_with_threads, PipelineConfig};
 use std::time::Instant;
 
 fn main() {
@@ -22,13 +23,19 @@ fn main() {
     // Quantize to the packed serving format and wrap it in a scheduler
     // with 4 sequence slots.
     let max_batch = 4;
-    let (mut sched, report) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), max_batch);
+    let (mut sched, report) = serve_packed_with_threads(
+        &model,
+        &FineQuantizer::paper(),
+        &PipelineConfig::default(),
+        max_batch,
+        default_threads(),
+    );
     println!("serving a fully packed model : {:.2} bits/weight", report.avg_bits);
     println!("batch slots                  : {max_batch}");
-    // serve_packed sizes one shared kernel pool from FINEQ_THREADS (else
-    // available parallelism); thread count never changes served tokens.
-    println!("kernel threads               : {}", sched.thread_pool().map_or(1, |p| p.threads()));
+    // One shared kernel pool sized from FINEQ_THREADS (else available
+    // parallelism); thread count never changes served tokens.
+    let threads = sched.model().thread_pool().map_or(1, |p| p.threads());
+    println!("kernel threads               : {threads}");
 
     // Page-granular serving: cap the KV pool at a page budget sized like
     // a deployment would (whole pages of the plan's headroom), and share
@@ -57,7 +64,7 @@ fn main() {
         };
         sched.submit(request).expect("fits the page budget");
     }
-    println!("requests queued              : {}", sched.queued());
+    println!("requests queued              : {}", sched.stats().queued);
 
     // Drive the batch step by step, watching slots fill, drain and refill.
     let t0 = Instant::now();

@@ -40,6 +40,6 @@ pub use fineq_tensor as tensor;
 pub mod pipeline;
 
 pub use pipeline::{
-    collect_calibration, quantize_model, quantize_model_packed, serve_distributed, serve_packed,
+    collect_calibration, quantize_model, quantize_model_packed, serve_distributed,
     serve_packed_with_threads, ModelCalibration, PipelineConfig, QuantizeReport,
 };

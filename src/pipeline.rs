@@ -7,7 +7,7 @@
 //! Embeddings and the readout head stay in full precision, the standard
 //! protocol of the GPTQ/OWQ line of work the paper compares against.
 
-use fineq_core::{pool::default_threads, FineQuantizer, ThreadPool};
+use fineq_core::{FineQuantizer, ThreadPool};
 use fineq_lm::{
     BatchScheduler, DistributedScheduler, LinearWeight, RemoteShardedModel, Transformer,
     TransportError, WeightSite,
@@ -17,20 +17,10 @@ use fineq_tensor::Matrix;
 use std::sync::Arc;
 
 /// Pipeline options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
-    /// Calibration tokens to run through the model.
-    pub calib_tokens: usize,
-    /// Window length of the calibration forward passes.
-    pub calib_window: usize,
     /// Also quantize the readout head (off by default; kept for ablation).
     pub quantize_head: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self { calib_tokens: 1024, calib_window: 256, quantize_head: false }
-    }
 }
 
 /// Calibration activations of one block. Q, K and V all read the same
@@ -249,7 +239,7 @@ pub fn quantize_model_packed(
 
 /// Quantizes `model` to the packed serving format and wraps it in a
 /// continuous-batching [`BatchScheduler`] with `max_batch` sequence slots —
-/// the one-call serving entry point.
+/// the one-call in-process serving entry point.
 ///
 /// The returned scheduler owns the packed model: submit
 /// [`fineq_lm::ServeRequest`]s and drive it with
@@ -258,28 +248,12 @@ pub fn quantize_model_packed(
 /// request's output is token-identical to
 /// [`Transformer::generate`] on the same packed model with the same seed.
 ///
-/// The packed model is given one shared channel-parallel [`ThreadPool`]
-/// sized by [`default_threads`] (`FINEQ_THREADS` override, else the
-/// machine's available parallelism); parallel kernels are bit-identical to
-/// serial, so the thread count is pure throughput, never output. Use
-/// [`serve_packed_with_threads`] to pick the count explicitly.
-///
-/// # Panics
-///
-/// Panics if the quantizer configuration is not packable, the source model
-/// is not dense, or `max_batch` is zero.
-pub fn serve_packed(
-    model: &Transformer,
-    quantizer: &FineQuantizer,
-    config: &PipelineConfig,
-    max_batch: usize,
-) -> (BatchScheduler, QuantizeReport) {
-    serve_packed_with_threads(model, quantizer, config, max_batch, default_threads())
-}
-
-/// [`serve_packed`] with an explicit kernel thread count. The pool is
-/// constructed **once** and shared by every forward pass the scheduler
-/// runs (`threads == 1` installs no pool: the serial path, same output).
+/// The packed model gets one channel-parallel [`ThreadPool`] of `threads`
+/// workers, built **once** and shared by every forward pass the scheduler
+/// runs (`threads == 1` installs no pool: the serial path). Parallel
+/// kernels are bit-identical to serial, so the count is pure throughput,
+/// never output; [`fineq_core::pool::default_threads`] reads the
+/// `FINEQ_THREADS` override, else the machine's available parallelism.
 ///
 /// # Panics
 ///
@@ -310,7 +284,7 @@ pub fn serve_packed_with_threads(
 /// `unix:/path`, each running [`fineq_lm::run_worker_configured`] — the
 /// `fineq-worker` binary) that replicate shard `shard`; the first is the
 /// initial primary, the rest are hot spares for failover. The scheduler's
-/// output is bit-identical to [`serve_packed`]'s for the same requests at
+/// output is bit-identical to [`serve_packed_with_threads`]'s for the same requests at
 /// any shard/replica count, worker crashes included, as long as every
 /// shard keeps one live replica.
 ///
@@ -440,8 +414,13 @@ mod tests {
     #[test]
     fn serve_packed_returns_a_scheduler_over_the_packed_model() {
         let (model, corpus) = tiny_model();
-        let (mut sched, report) =
-            serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 4);
+        let (mut sched, report) = serve_packed_with_threads(
+            &model,
+            &FineQuantizer::paper(),
+            &PipelineConfig::default(),
+            4,
+            2,
+        );
         assert!(sched.model().is_fully_packed());
         assert_eq!(sched.max_batch(), 4);
         assert_eq!(report.sites.len(), model.n_layers() * 6);
@@ -459,7 +438,7 @@ mod tests {
     #[test]
     fn quantize_head_option_touches_head() {
         let (model, _) = tiny_model();
-        let cfg = PipelineConfig { quantize_head: true, ..PipelineConfig::default() };
+        let cfg = PipelineConfig { quantize_head: true };
         let (qmodel, _) = quantize_model(&model, &Rtn::new(4), None, &cfg);
         assert_ne!(qmodel.head(), model.head());
     }

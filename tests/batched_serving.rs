@@ -13,8 +13,15 @@ use fineq::lm::builder::{build_fitted_model, BuilderSpec};
 use fineq::lm::corpus::Corpus;
 use fineq::lm::memory::ServingMemory;
 use fineq::lm::{BatchKvCache, BatchScheduler, FinishReason, KvCache, ServeRequest};
-use fineq::pipeline::{serve_packed, PipelineConfig};
+use fineq::pipeline::{serve_packed_with_threads, PipelineConfig};
 use fineq::tensor::Rng;
+
+/// The packed serving entry with two kernel threads, so the pooled path
+/// is covered whatever the host's core count.
+fn serve(model: &fineq::lm::Transformer, max_batch: usize) -> BatchScheduler {
+    let (q, cfg) = (FineQuantizer::paper(), PipelineConfig::default());
+    serve_packed_with_threads(model, &q, &cfg, max_batch, 2).0
+}
 
 fn fitted_tiny() -> (fineq::lm::Transformer, Corpus) {
     let corpus = Corpus::wiki_like(64, 5);
@@ -27,8 +34,7 @@ fn fitted_tiny() -> (fineq::lm::Transformer, Corpus) {
 #[test]
 fn batch_of_one_packed_is_token_identical_to_generate() {
     let (model, corpus) = fitted_tiny();
-    let (mut sched, _) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 1);
+    let mut sched = serve(&model, 1);
     let prompt = corpus.generate(7, 91).tokens().to_vec();
     let mut rng = Rng::seed_from(4242);
     let expect = sched.model().generate(&prompt, 10, 0.9, &mut rng);
@@ -46,8 +52,7 @@ fn batch_of_one_packed_is_token_identical_to_generate() {
 #[test]
 fn packed_continuous_batching_matches_solo_references() {
     let (model, corpus) = fitted_tiny();
-    let (mut sched, _) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 3);
+    let mut sched = serve(&model, 3);
     let mut expected = Vec::new();
     for id in 0..8u64 {
         let prompt = corpus.generate(3 + id as usize % 4, 200 + id).tokens().to_vec();
@@ -75,8 +80,7 @@ fn packed_continuous_batching_matches_solo_references() {
 #[test]
 fn scheduler_drains_and_accepts_a_second_wave() {
     let (model, corpus) = fitted_tiny();
-    let (mut sched, _) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 2);
+    let mut sched = serve(&model, 2);
     for wave in 0..2u64 {
         for id in 0..4u64 {
             let prompt = corpus.generate(4, 300 + 10 * wave + id).tokens().to_vec();
@@ -89,7 +93,7 @@ fn scheduler_drains_and_accepts_a_second_wave() {
         }
         while !sched.is_idle() {
             sched.step();
-            assert!(sched.active() <= 2);
+            assert!(sched.stats().active <= 2);
         }
         assert_eq!(sched.take_finished().len(), 4, "wave {wave}");
     }
@@ -103,8 +107,7 @@ fn scheduler_drains_and_accepts_a_second_wave() {
 #[test]
 fn batch_cache_bytes_track_the_serving_plan() {
     let (model, corpus) = fitted_tiny();
-    let (mut sched, _) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 2);
+    let mut sched = serve(&model, 2);
     let plan = ServingMemory::from_model(sched.model(), 1e9);
     for id in 0..3u64 {
         let prompt = corpus.generate(5, 400 + id).tokens().to_vec();
@@ -140,8 +143,7 @@ fn batch_cache_bytes_track_the_serving_plan() {
 fn dense_and_packed_schedulers_step_identically() {
     let (model, corpus) = fitted_tiny();
     let mut dense = BatchScheduler::new(model.clone(), 2);
-    let (mut packed, _) =
-        serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 2);
+    let mut packed = serve(&model, 2);
     for id in 0..4u64 {
         let prompt = corpus.generate(4, 600 + id).tokens().to_vec();
         let req = ServeRequest { temperature: 0.9, ..ServeRequest::new(id, prompt, 5) };
@@ -160,7 +162,7 @@ fn dense_and_packed_schedulers_step_identically() {
 #[test]
 fn packed_forward_step_batch_is_bitwise_consistent_with_forward_step() {
     let (model, corpus) = fitted_tiny();
-    let (sched, _) = serve_packed(&model, &FineQuantizer::paper(), &PipelineConfig::default(), 2);
+    let sched = serve(&model, 2);
     let packed = sched.model();
     let cfg = packed.config();
     let tokens = corpus.generate(10, 700).tokens().to_vec();

@@ -24,10 +24,12 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker subprocess bound to a Unix socket, killed on drop so a failed
-/// assertion never leaks processes.
+/// assertion never leaks processes, and its socket file removed so a
+/// killed worker never leaks one either.
 struct WorkerProc {
     child: Child,
     addr: String,
+    path: PathBuf,
 }
 
 static NEXT_SOCKET: AtomicU64 = AtomicU64::new(0);
@@ -54,7 +56,7 @@ impl WorkerProc {
             .read_line(&mut announced)
             .expect("worker stdout");
         assert!(announced.contains("listening on"), "worker never bound {addr}: {announced:?}");
-        Self { child, addr }
+        Self { child, addr, path }
     }
 
     fn sigkill(&mut self) {
@@ -67,6 +69,8 @@ impl Drop for WorkerProc {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        // A clean SHUTDOWN already unlinked it; a killed worker could not.
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -192,7 +196,7 @@ fn multi_process_stream_matches_in_process() {
         let remote = RemoteShardedModel::connect(&model, &solo_groups(&workers))
             .expect("connect coordinator");
         let mut sched = DistributedScheduler::new(remote, 4);
-        assert_eq!(sched.n_shards(), n_workers);
+        assert_eq!(sched.model().n_shards(), n_workers);
         submit_gate_workload(vocab, |r| sched.submit(r).expect("no KV budget"));
         let done = sched.run();
         assert_eq!(done, reference, "{n_workers} worker processes");
@@ -331,8 +335,21 @@ fn worker_survives_corrupt_frames_and_rejects_garbage() {
     );
 }
 
+/// A SIGKILLed worker cannot unlink its own socket file; dropping its
+/// handle must, or every killed worker leaves one in the temp dir.
+#[test]
+fn dropping_a_killed_worker_removes_its_socket_file() {
+    let mut worker = WorkerProc::spawn();
+    let path = worker.path.clone();
+    assert!(path.exists(), "a listening worker has a socket file at {}", path.display());
+    worker.sigkill();
+    assert!(path.exists(), "SIGKILL leaves the socket file behind");
+    drop(worker);
+    assert!(!path.exists(), "dropping the handle must remove {}", path.display());
+}
+
 /// `serve_distributed` — the one-call pipeline entry — quantizes, ships
-/// shards and matches `serve_packed` exactly.
+/// shards and matches `serve_packed_with_threads` exactly.
 #[test]
 fn serve_distributed_matches_serve_packed() {
     use fineq::pipeline::{serve_distributed, serve_packed_with_threads, PipelineConfig};
@@ -356,7 +373,7 @@ fn serve_distributed_matches_serve_packed() {
     let workers = spawn_workers(2);
     let (mut sched, report) =
         serve_distributed(&model, &q, &cfg, 2, &solo_groups(&workers)).expect("serve_distributed");
-    assert_eq!(sched.n_shards(), 2);
+    assert_eq!(sched.model().n_shards(), 2);
     assert_eq!(report.sites.len(), model.n_layers() * 6);
     submit(&mut |r| sched.submit(r).expect("no KV budget"));
     assert_eq!(sched.run(), reference);

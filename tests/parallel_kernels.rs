@@ -176,7 +176,7 @@ fn batch_scheduler_runs_are_bit_identical_at_every_thread_count() {
     };
     let reference = {
         let (mut sched, _) = serve_packed_with_threads(&model, &FineQuantizer::paper(), &cfg, 2, 1);
-        assert!(sched.thread_pool().is_none(), "threads == 1 installs no pool");
+        assert!(sched.model().thread_pool().is_none(), "threads == 1 installs no pool");
         submit_all(&mut sched);
         sched.run()
     };
@@ -184,7 +184,7 @@ fn batch_scheduler_runs_are_bit_identical_at_every_thread_count() {
         let (mut sched, _) =
             serve_packed_with_threads(&model, &FineQuantizer::paper(), &cfg, 2, threads);
         assert_eq!(
-            sched.thread_pool().expect("pool installed").threads(),
+            sched.model().thread_pool().expect("pool installed").threads(),
             threads,
             "scheduler must expose the serving pool"
         );

@@ -146,7 +146,7 @@ fn pipeline_sharded_serving_matches_packed_serving() {
     let packed = threaded.model();
     for n_shards in [2usize, 5] {
         let mut sched = BatchScheduler::new(ShardPlan::new(packed, n_shards).rebuild(packed), 3);
-        assert_eq!(sched.thread_pool().expect("pool inherited").threads(), 3);
+        assert_eq!(sched.model().thread_pool().expect("pool inherited").threads(), 3);
         requests.iter().for_each(|r| sched.submit(r.clone()).expect("fits the budget"));
         assert_eq!(sched.run(), reference, "{n_shards} shards");
     }
