@@ -335,6 +335,17 @@ mod tests {
     }
 
     #[test]
+    fn small_workload_reports_are_pinned_bit_for_bit() {
+        // The paper's 64x64 hardware at the default sample: cycles, energy
+        // and stream cycles per step of both accelerators, to the bit.
+        let cmp = PipelineSim::new(SimConfig::default()).run(&small_workload());
+        let bits =
+            |r: &SimReport| (r.total_cycles, r.energy_mj.to_bits(), r.cycles_per_step.to_bits());
+        assert_eq!(bits(&cmp.baseline), (7680, 4563670448526197716, 4607182418800017408));
+        assert_eq!(bits(&cmp.fineq), (10114, 4560815764013894378, 4611757486683193344));
+    }
+
+    #[test]
     fn bottleneck_is_max_stage() {
         let s = StageCycles { dma_in: 5, decode: 7, preload: 2, matmul: 10, vector: 1, dma_out: 3 };
         assert_eq!(s.bottleneck(), 12); // preload + matmul
