@@ -11,8 +11,8 @@
 //! Large GEMMs are simulated by **row sampling**: a deterministic sample
 //! of weight rows runs through the bit-serial array model, and cycle
 //! counts scale linearly to the full matrix (weight rows are i.i.d. by
-//! construction, so the estimator is unbiased; the sample size is
-//! configurable).
+//! construction, so the estimator is unbiased; the sample size is the
+//! one setting).
 
 use crate::array::TemporalArray;
 use crate::cost::{AcceleratorKind, CostModel, CLOCK_HZ};
@@ -21,33 +21,30 @@ use crate::workload::{sample_weights, Gemm, Workload};
 use fineq_core::FineQuantizer;
 use fineq_tensor::{Matrix, Rng};
 
-/// Simulator configuration.
+/// PE array rows of the paper's 64x64 array (Table III), one decoder per
+/// row.
+const ARRAY_ROWS: u64 = 64;
+/// PE array columns.
+const ARRAY_COLS: usize = 64;
+/// Off-chip bandwidth in bytes per cycle.
+const DMA_BYTES_PER_CYCLE: u64 = 64;
+/// Vector (SIMD) unit lanes.
+const SIMD_LANES: u64 = 64;
+/// Seed for the synthetic weights.
+const SEED: u64 = 7;
+
+/// Simulator configuration. The hardware is the paper's (a 64x64 array,
+/// 64 decoders, 64 bytes of DMA and 64 vector lanes per cycle); only the
+/// row sample is set here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// PE array dimensions (paper: 64x64).
-    pub array_rows: usize,
-    /// PE array columns.
-    pub array_cols: usize,
-    /// Off-chip bandwidth in bytes per cycle.
-    pub dma_bytes_per_cycle: usize,
-    /// Vector (SIMD) unit lanes.
-    pub simd_lanes: usize,
     /// Weight rows sampled per GEMM for bit-serial simulation.
     pub sample_rows: usize,
-    /// Seed for the synthetic weights.
-    pub seed: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        Self {
-            array_rows: 64,
-            array_cols: 64,
-            dma_bytes_per_cycle: 64,
-            simd_lanes: 64,
-            sample_rows: 96,
-            seed: 7,
-        }
+        Self { sample_rows: 96 }
     }
 }
 
@@ -132,31 +129,23 @@ impl Comparison {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSim {
     config: SimConfig,
-    cost: CostModel,
 }
 
 impl PipelineSim {
-    /// Builds a simulator with the paper's cost model.
+    /// Builds a simulator of the paper's hardware and cost model.
     ///
     /// # Panics
     ///
-    /// Panics on zero-sized configuration values.
+    /// Panics if `config.sample_rows` is zero.
     pub fn new(config: SimConfig) -> Self {
-        assert!(config.array_rows > 0 && config.array_cols > 0);
-        assert!(config.dma_bytes_per_cycle > 0 && config.simd_lanes > 0);
         assert!(config.sample_rows > 0);
-        let cost = CostModel::with_array(config.array_rows, config.array_cols);
-        Self { config, cost }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
+        Self { config }
     }
 
     /// Runs a workload on both accelerators.
     pub fn run(&self, workload: &Workload) -> Comparison {
-        let mut rng = Rng::seed_from(self.config.seed);
+        let cost = CostModel::paper();
+        let mut rng = Rng::seed_from(SEED);
         let mut base_stages = StageCycles::default();
         let mut fineq_stages = StageCycles::default();
         let mut base_total = 0u64;
@@ -179,7 +168,7 @@ impl PipelineSim {
             kind: AcceleratorKind::BaselineSystolic,
             stages: base_stages,
             total_cycles: base_total,
-            energy_mj: self.cost.energy_mj(
+            energy_mj: cost.energy_mj(
                 AcceleratorKind::BaselineSystolic,
                 base_stages.preload + base_stages.matmul,
             ),
@@ -188,8 +177,7 @@ impl PipelineSim {
         };
         let fineq_matmul_cycles = fineq_stages.preload + fineq_stages.matmul;
         let decoder_energy = {
-            let decoder_power: f64 = self
-                .cost
+            let decoder_power: f64 = cost
                 .modules(AcceleratorKind::FineqTemporal)
                 .iter()
                 .filter(|m| m.name.contains("Decoder"))
@@ -197,8 +185,7 @@ impl PipelineSim {
                 .sum();
             decoder_power * (fineq_stages.decode as f64 / CLOCK_HZ)
         };
-        let array_power: f64 = self
-            .cost
+        let array_power: f64 = cost
             .modules(AcceleratorKind::FineqTemporal)
             .iter()
             .filter(|m| m.name.contains("PE Array"))
@@ -221,19 +208,15 @@ impl PipelineSim {
         let rows = gemm.m.min(self.config.sample_rows);
         let w = sample_weights(rows, gemm.k, rng);
         let packed = FineQuantizer::paper().quantize_packed(&w);
-        let x = Matrix::from_fn(gemm.k, self.config.array_cols.min(gemm.n), |_, _| {
-            rng.normal(0.0, 1.0)
-        });
+        let x = Matrix::from_fn(gemm.k, ARRAY_COLS.min(gemm.n), |_, _| rng.normal(0.0, 1.0));
 
-        let (_, tstats) =
-            TemporalArray::new(self.config.array_rows, self.config.array_cols).matmul(&packed, &x);
-        let (_, sstats) =
-            SystolicArray::new(self.config.array_rows, self.config.array_cols).matmul(&w, &x);
+        let (_, tstats) = TemporalArray::paper().matmul(&packed, &x);
+        let (_, sstats) = SystolicArray::paper().matmul(&w, &x);
 
         // Scale sampled counts to the full GEMM: rows scale the broadcast
         // work; n-tiles and instance count multiply everything.
         let row_scale = gemm.m as f64 / rows as f64;
-        let n_tiles_full = gemm.n.div_ceil(self.config.array_cols) as f64;
+        let n_tiles_full = gemm.n.div_ceil(ARRAY_COLS) as f64;
         let inst = gemm.count as f64;
         let scale_rows = row_scale * n_tiles_full * inst;
         let scale_tiles = n_tiles_full * inst;
@@ -251,12 +234,12 @@ impl PipelineSim {
         let weight_bytes_base = (gemm.m * gemm.k) as u64 * gemm.count as u64;
         let act_bytes = (gemm.k * gemm.n * 2) as u64 * gemm.count as u64;
         let out_bytes = (gemm.m * gemm.n * 2) as u64 * gemm.count as u64;
-        let bw = self.config.dma_bytes_per_cycle as u64;
+        let bw = DMA_BYTES_PER_CYCLE;
 
         let clusters_full = (gemm.m as u64) * (gemm.k as u64).div_ceil(3) * gemm.count as u64;
-        let decoders = self.config.array_rows as u64;
+        let decoders = ARRAY_ROWS;
 
-        let vector = (gemm.m * gemm.n) as u64 * gemm.count as u64 / self.config.simd_lanes as u64;
+        let vector = (gemm.m * gemm.n) as u64 * gemm.count as u64 / SIMD_LANES;
 
         let base = StageCycles {
             dma_in: (weight_bytes_base + act_bytes) / bw,
@@ -296,7 +279,7 @@ mod tests {
     }
 
     fn small_sim() -> PipelineSim {
-        PipelineSim::new(SimConfig { sample_rows: 48, ..SimConfig::default() })
+        PipelineSim::new(SimConfig { sample_rows: 48 })
     }
 
     #[test]

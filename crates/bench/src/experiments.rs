@@ -297,14 +297,14 @@ pub fn fig2b() -> String {
         100.0 * l16.weights_frac,
         100.0 * l16.kv_frac,
         100.0 * l16.other_frac,
-        fp16.weight_bytes() / 1e9
+        fp16.weight_bytes / 1e9
     );
     s += &format!(
         "FineQ: weights {:>5.1}%  kv-cache {:>5.1}%  others {:>4.1}%  ({:.1} GB weights)\n",
         100.0 * lq.weights_frac,
         100.0 * lq.kv_frac,
         100.0 * lq.other_frac,
-        fineq.weight_bytes() / 1e9
+        fineq.weight_bytes / 1e9
     );
     s
 }

@@ -38,9 +38,9 @@
 //!   dead. It is not fitted to that census: with *every* lane live it is
 //!   still faster than the full-block kernels at 1, 10, 16 and 32 rows
 //!   (`matmul_t` rows of `cargo bench -p fineq-bench --bench kernels`).
-//!   A batch-16 step at short context is now ≈ 1.3 ms, ≈ 0.9 ms of it these
-//!   sites; at 256 cached positions attention, not the weights, is most of
-//!   a ≈ 4.7 ms step.
+//!   What a whole step costs, and how much of it attention takes as the
+//!   context grows, are the `-- forward` and `-- attention` rows of the
+//!   same bench.
 //! * **Bit identity.** For any fixed activation column the float sequence
 //!   is the same at every `N`, thread count and shard count: each
 //!   accumulator receives its live lanes in index order, mul then add.

@@ -28,51 +28,54 @@ use crate::corpus::Corpus;
 use crate::model::{Transformer, WeightSite};
 use fineq_tensor::{solve_spd, Matrix, Rng};
 
-/// Parameters of the constructed model.
+/// Target output rms of an ordinary (bulk) weight row.
+const BULK_RMS: f32 = 0.10;
+/// Fraction of rows that are **salient channels**: the rows that carry
+/// the body's function, with large, spiky weights. This mirrors the
+/// empirical structure behind the paper's Fig. 3b (and the AWQ /
+/// SqueezeLLM observation that a few channels dominate model quality).
+const STRONG_ROW_FRAC: f64 = 0.06;
+/// Target output rms of a salient row.
+const STRONG_RMS: f32 = 1.0;
+/// Fraction of entries inside a salient row that are spikes; the rest
+/// stay at the bulk scale, so the intra-cluster max/min ratio is large
+/// and FineQ's outlier rule fires.
+const SPIKE_DENSITY: f64 = 0.20;
+/// Fraction of columns boosted across all rows (the input-channel
+/// outliers OWQ protects).
+const OUTLIER_COL_FRAC: f64 = 0.015;
+/// Magnitude multiplier of column outliers.
+const COL_MAG: f32 = 8.0;
+/// Random background spike fraction (paper Fig. 3b: ~0.3 %).
+const SPRINKLE_FRAC: f64 = 0.003;
+/// Magnitude multiplier of background spikes.
+const SPRINKLE_MAG: f32 = 12.0;
+/// Target rms of the topic-path (head-0 value/output) contribution.
+const TOPIC_RMS: f32 = 0.85;
+/// Scale of the per-topic embedding directions planted on topic-member
+/// tokens.
+const TOPIC_EMBED_GAIN: f32 = 1.6;
+/// Gain of the last-layer FFN *re-embedding carrier* that rotates the
+/// bigram dims through dense quantizable weights and back. With the
+/// raw band masked from the readout, this carrier is the only path to
+/// the bigram information — making body quantization error reach the
+/// logits, as it does in a trained LLM where every layer is
+/// load-bearing.
+const COPY_GAIN: f32 = 4.0;
+/// Output rms of the carrier's up-projection (sets the carrier weight
+/// magnitude `amp / sqrt(rank)` — dense and moderate, the regime the
+/// paper's Fig. 3b bulk occupies).
+const CARRIER_AMP: f32 = 2.0;
+/// Ridge regularization as a fraction of `mean(diag(HᵀH))`.
+const RIDGE_LAMBDA: f64 = 3e-3;
+
+/// What to construct: an architecture and the head fit's window. The
+/// synthetic weight shape (bulk, salient rows, outlier columns, topic
+/// path, carrier) and the ridge strength are the builder's constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuilderSpec {
     /// Architecture to build.
     pub config: ModelConfig,
-    /// Target output rms of an ordinary (bulk) weight row.
-    pub bulk_rms: f32,
-    /// Fraction of rows that are **salient channels**: the rows that carry
-    /// the body's function, with large, spiky weights. This mirrors the
-    /// empirical structure behind the paper's Fig. 3b (and the AWQ /
-    /// SqueezeLLM observation that a few channels dominate model quality).
-    pub strong_row_frac: f64,
-    /// Target output rms of a salient row.
-    pub strong_rms: f32,
-    /// Fraction of entries inside a salient row that are spikes; the rest
-    /// stay at the bulk scale, so the intra-cluster max/min ratio is large
-    /// and FineQ's outlier rule fires.
-    pub spike_density: f64,
-    /// Fraction of columns boosted across all rows (the input-channel
-    /// outliers OWQ protects).
-    pub outlier_col_frac: f64,
-    /// Magnitude multiplier of column outliers.
-    pub col_mag: f32,
-    /// Random background spike fraction (paper Fig. 3b: ~0.3 %).
-    pub sprinkle_frac: f64,
-    /// Magnitude multiplier of background spikes.
-    pub sprinkle_mag: f32,
-    /// Target rms of the topic-path (head-0 value/output) contribution.
-    pub topic_rms: f32,
-    /// Scale of the per-topic embedding directions planted on topic-member
-    /// tokens.
-    pub topic_embed_gain: f32,
-    /// Gain of the last-layer FFN *re-embedding carrier* that rotates the
-    /// bigram dims through dense quantizable weights and back. With the
-    /// raw band masked from the readout, this carrier is the only path to
-    /// the bigram information — making body quantization error reach the
-    /// logits, as it does in a trained LLM where every layer is
-    /// load-bearing.
-    pub copy_gain: f32,
-    /// Output rms of the carrier's up-projection (sets the carrier weight
-    /// magnitude `amp / sqrt(rank)` — dense and moderate, the regime the
-    /// paper's Fig. 3b bulk occupies).
-    pub carrier_amp: f32,
-    /// Ridge regularization as a fraction of `mean(diag(HᵀH))`.
-    pub ridge_lambda: f64,
     /// Training window length used when collecting head-fit features.
     pub fit_window: usize,
 }
@@ -80,33 +83,13 @@ pub struct BuilderSpec {
 impl BuilderSpec {
     /// A tiny spec for unit tests and doc examples.
     pub fn tiny() -> Self {
-        Self::from_config(ModelConfig::new(64, 32, 1, 2, 48), 128)
+        Self { config: ModelConfig::new(64, 32, 1, 2, 48), fit_window: 128 }
     }
 
     /// The spec used by the Table I / Table II experiments for a given
     /// model preset.
     pub fn for_preset(preset: SimPreset) -> Self {
-        Self::from_config(preset.model_config(), 512)
-    }
-
-    fn from_config(config: ModelConfig, fit_window: usize) -> Self {
-        Self {
-            config,
-            bulk_rms: 0.10,
-            strong_row_frac: 0.06,
-            strong_rms: 1.0,
-            spike_density: 0.20,
-            outlier_col_frac: 0.015,
-            col_mag: 8.0,
-            sprinkle_frac: 0.003,
-            sprinkle_mag: 12.0,
-            topic_rms: 0.85,
-            topic_embed_gain: 1.6,
-            copy_gain: 4.0,
-            carrier_amp: 2.0,
-            ridge_lambda: 3e-3,
-            fit_window,
-        }
+        Self { config: preset.model_config(), fit_window: 512 }
     }
 }
 
@@ -124,40 +107,45 @@ pub struct FitReport {
 /// Structure (paper Fig. 3b and the salient-channel literature):
 ///
 /// * **bulk rows** (the vast majority): narrow Laplace weights sized so
-///   the row's output rms is `bulk_rms`;
-/// * **salient rows** (`strong_row_frac`): a `spike_density` fraction of
+///   the row's output rms is `BULK_RMS`;
+/// * **salient rows** (`STRONG_ROW_FRAC`): a `SPIKE_DENSITY` fraction of
 ///   entries are large spikes (sized so the row's output rms is
-///   `strong_rms`), the rest stay at the bulk scale — these rows carry the
+///   `STRONG_RMS`), the rest stay at the bulk scale — these rows carry the
 ///   body's function, and their intra-cluster max/min ratios trip FineQ's
 ///   outlier rule;
-/// * **outlier columns** (`outlier_col_frac`): boosted across all rows,
+/// * **outlier columns** (`OUTLIER_COL_FRAC`): boosted across all rows,
 ///   the input-channel outliers OWQ protects;
 /// * a sprinkle of isolated background spikes.
-pub fn llm_like_matrix(rows: usize, cols: usize, spec: &BuilderSpec, rng: &mut Rng) -> Matrix {
+///
+/// The shape is the builder's constants: the function reads no field of
+/// `_spec`. The parameter stays only because the benchmark crate
+/// (`bench/`) passes a spec; ROADMAP 1a drops it when the benchmark is
+/// next revised.
+pub fn llm_like_matrix(rows: usize, cols: usize, _spec: &BuilderSpec, rng: &mut Rng) -> Matrix {
     // y = Wx with E[x_j^2] = 1: Var(y_i) = cols * Var(w_ij). Laplace(0, s)
     // has variance 2s^2, so s = rms / sqrt(2 cols) for a dense row and
     // s = rms / sqrt(2 * density * cols) for a sparse spiky row.
-    let bulk = spec.bulk_rms / (2.0 * cols as f32).sqrt();
-    let spike = spec.strong_rms / (2.0 * spec.spike_density.max(1e-6) as f32 * cols as f32).sqrt();
+    let bulk = BULK_RMS / (2.0 * cols as f32).sqrt();
+    let spike = STRONG_RMS / (2.0 * SPIKE_DENSITY as f32 * cols as f32).sqrt();
     let mut strong_row = vec![false; rows];
     let mut out_col = vec![false; cols];
     for flag in strong_row.iter_mut() {
-        *flag = rng.chance(spec.strong_row_frac);
+        *flag = rng.chance(STRONG_ROW_FRAC);
     }
     for flag in out_col.iter_mut() {
-        *flag = rng.chance(spec.outlier_col_frac);
+        *flag = rng.chance(OUTLIER_COL_FRAC);
     }
     Matrix::from_fn(rows, cols, |r, c| {
-        let mut v = if strong_row[r] && rng.chance(spec.spike_density) {
+        let mut v = if strong_row[r] && rng.chance(SPIKE_DENSITY) {
             rng.laplace(0.0, spike)
         } else {
             rng.laplace(0.0, bulk)
         };
         if out_col[c] {
-            v *= spec.col_mag;
+            v *= COL_MAG;
         }
-        if rng.chance(spec.sprinkle_frac) {
-            v *= spec.sprinkle_mag;
+        if rng.chance(SPRINKLE_FRAC) {
+            v *= SPRINKLE_MAG;
         }
         v
     })
@@ -185,9 +173,8 @@ fn build_body(spec: &BuilderSpec, corpus: &Corpus, rng: &mut Rng) -> Transformer
     let topics = corpus.topic_matrix();
     let free_lo = k;
     let free_hi = (d - k).max(free_lo + 1).min(d);
-    let topic_dirs = Matrix::from_fn(topics.rows(), free_hi - free_lo, |_, _| {
-        rng.normal(0.0, spec.topic_embed_gain)
-    });
+    let topic_dirs =
+        Matrix::from_fn(topics.rows(), free_hi - free_lo, |_, _| rng.normal(0.0, TOPIC_EMBED_GAIN));
     for v in 0..cfg.vocab {
         for z in 0..topics.rows() {
             if topics[(z, v)] != 0.0 {
@@ -214,7 +201,7 @@ fn build_body(spec: &BuilderSpec, corpus: &Corpus, rng: &mut Rng) -> Transformer
             {
                 let wv = m.weight_mut(l, WeightSite::AttnV).dense_mut();
                 let cols = wv.cols();
-                let s = spec.topic_rms / (cols as f32).sqrt();
+                let s = TOPIC_RMS / (cols as f32).sqrt();
                 for r in 0..dh {
                     for c in 0..cols {
                         wv[(r, c)] = rng.normal(0.0, s);
@@ -226,7 +213,7 @@ fn build_body(spec: &BuilderSpec, corpus: &Corpus, rng: &mut Rng) -> Transformer
             {
                 let wo = m.weight_mut(l, WeightSite::AttnO).dense_mut();
                 let rows = wo.rows();
-                let s = spec.topic_rms / (dh as f32).sqrt();
+                let s = TOPIC_RMS / (dh as f32).sqrt();
                 for r in 0..rows {
                     for c in 0..dh {
                         wo[(r, c)] = rng.normal(0.0, s);
@@ -238,7 +225,7 @@ fn build_body(spec: &BuilderSpec, corpus: &Corpus, rng: &mut Rng) -> Transformer
             // Re-embedding carrier: the last FFN maps the bigram band
             // x[0..k] through an invertible block matrix S of **signed,
             // varied-magnitude spikes** (3x3 blocks) and back into the
-            // band [d-k, d) with gain `copy_gain`, via the ReLU pair trick
+            // band [d-k, d) with gain `COPY_GAIN`, via the ReLU pair trick
             // (relu(s·x) - relu(-s·x) = s·x).
             //
             // Spiky channels with varied spike magnitudes are exactly the
@@ -246,8 +233,8 @@ fn build_body(spec: &BuilderSpec, corpus: &Corpus, rng: &mut Rng) -> Transformer
             // regime where FineQ's 3-bit outlier protection beats a flat
             // 2-bit grid: a 7-level grid over the spike range quantizes
             // mid-range spikes with half the step of a 4-level grid.
-            let amp = spec.carrier_amp;
-            let g_over = spec.copy_gain;
+            let amp = CARRIER_AMP;
+            let g_over = COPY_GAIN;
             {
                 let w1_rows = m.weight(l, WeightSite::FfnUp).rows();
                 assert!(w1_rows >= 2 * k, "d_ff must be at least 2*rank for the carrier");
@@ -434,7 +421,7 @@ pub fn build_fitted_model(
         diag_mean += a[(i, i)] as f64;
     }
     diag_mean /= n_feats as f64;
-    let lambda = (spec.ridge_lambda * diag_mean).max(1e-6) as f32;
+    let lambda = (RIDGE_LAMBDA * diag_mean).max(1e-6) as f32;
     for i in 0..n_feats {
         a[(i, i)] += lambda;
     }
@@ -481,9 +468,8 @@ mod tests {
     #[test]
     fn salient_rows_trip_the_fineq_outlier_rule() {
         // Spike-to-bulk magnitude ratio must exceed the paper's 4x rule.
-        let spec = BuilderSpec::tiny();
-        let bulk = spec.bulk_rms / (2.0 * 96.0f32).sqrt();
-        let spike = spec.strong_rms / (2.0 * spec.spike_density as f32 * 96.0).sqrt();
+        let bulk = BULK_RMS / (2.0 * 96.0f32).sqrt();
+        let spike = STRONG_RMS / (2.0 * SPIKE_DENSITY as f32 * 96.0).sqrt();
         assert!(spike / bulk > 4.0, "ratio {}", spike / bulk);
     }
 
@@ -495,7 +481,7 @@ mod tests {
         let x = Matrix::from_fn(64, 1, |_, _| rng.normal(0.0, 1.0));
         let y = w.matmul(&x);
         let rms = (y.as_slice().iter().map(|v| v * v).sum::<f32>() / 64.0).sqrt();
-        // Mostly bulk rows at bulk_rms, a few salient rows pull it up.
+        // Mostly bulk rows at BULK_RMS, a few salient rows pull it up.
         assert!(rms > 0.03 && rms < 2.0, "rms {rms}");
     }
 

@@ -9,16 +9,9 @@
 //!   dimensions, used as GEMM workloads by the accelerator experiments
 //!   (Fig. 9), where only shapes matter and no forward pass is run.
 
-/// FFN activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit (the paper's Fig. 2a block diagram).
-    Relu,
-    /// SiLU / swish (what LLaMA-family models actually use).
-    Silu,
-}
-
-/// Architecture of a decoder-only transformer.
+/// Architecture of a decoder-only transformer: its sizes. Every block
+/// has the paper's Fig. 2a shape — a ReLU FFN — and attention head `h`
+/// carries the ALiBi slope [`ModelConfig::alibi_slope`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Vocabulary size.
@@ -31,16 +24,10 @@ pub struct ModelConfig {
     pub n_heads: usize,
     /// FFN hidden width.
     pub d_ff: usize,
-    /// FFN activation.
-    pub activation: Activation,
-    /// Per-head ALiBi slopes (length `n_heads`). Slope 0 gives a head
-    /// uniform attention over the whole prefix (the "topic" head of the
-    /// constructed model); larger slopes localize attention.
-    pub alibi_slopes: Vec<f32>,
 }
 
 impl ModelConfig {
-    /// A small config with sensible defaults for the given sizes.
+    /// A config of the given sizes.
     ///
     /// # Panics
     ///
@@ -48,11 +35,19 @@ impl ModelConfig {
     pub fn new(vocab: usize, d_model: usize, n_layers: usize, n_heads: usize, d_ff: usize) -> Self {
         assert!(vocab > 0 && d_model > 0 && n_layers > 0 && n_heads > 0 && d_ff > 0);
         assert_eq!(d_model % n_heads, 0, "d_model must be divisible by n_heads");
-        // Head 0: global (slope 0). Remaining heads: geometrically
-        // increasing locality, the standard ALiBi recipe.
-        let alibi_slopes =
-            (0..n_heads).map(|h| if h == 0 { 0.0 } else { 0.5_f32.powi(h as i32 - 1) }).collect();
-        Self { vocab, d_model, n_layers, n_heads, d_ff, activation: Activation::Relu, alibi_slopes }
+        Self { vocab, d_model, n_layers, n_heads, d_ff }
+    }
+
+    /// ALiBi slope of attention head `head`. Head 0 has slope 0: uniform
+    /// attention over the whole prefix (the "topic" head of the
+    /// constructed model). The remaining heads localize geometrically,
+    /// the standard ALiBi recipe: `0.5^(head - 1)`, exact in `f32`.
+    pub fn alibi_slope(head: usize) -> f32 {
+        if head == 0 {
+            0.0
+        } else {
+            0.5_f32.powi(head as i32 - 1)
+        }
     }
 
     /// Head dimension.
@@ -120,10 +115,8 @@ mod tests {
 
     #[test]
     fn head_zero_is_global_rest_local() {
-        let c = ModelConfig::new(64, 32, 1, 4, 64);
-        assert_eq!(c.alibi_slopes.len(), 4);
-        assert_eq!(c.alibi_slopes[0], 0.0);
-        assert!(c.alibi_slopes[1] > c.alibi_slopes[2]);
+        assert_eq!(ModelConfig::alibi_slope(0), 0.0);
+        assert!(ModelConfig::alibi_slope(1) > ModelConfig::alibi_slope(2));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! construction. The sharded and remote engines run the same body with
 //! their own linear sites.
 
-use crate::config::{Activation, ModelConfig};
+use crate::config::ModelConfig;
 use crate::model::{rmsnorm_rows, Transformer, WeightSite};
 use fineq_core::KernelScratch;
 use fineq_tensor::{activation, softmax_in_place, Matrix, Rng};
@@ -266,17 +266,17 @@ impl BatchKvCache {
         self.capacity
     }
 
-    /// Bounds (or unbounds) the physical page pool. A capacity below the
-    /// currently allocated page count is allowed — no page is dropped; the
-    /// pool just refuses growth, and the serving layer's preemption
-    /// restores headroom before the next step needs it.
+    /// Bounds the physical page pool. A capacity below the currently
+    /// allocated page count is allowed — no page is dropped; the pool just
+    /// refuses growth, and the serving layer's preemption restores
+    /// headroom before the next step needs it.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is `Some(0)`.
-    pub fn set_capacity_pages(&mut self, capacity: Option<usize>) {
-        assert!(capacity != Some(0), "a bounded pool needs at least one page");
-        self.capacity = capacity;
+    /// Panics if `capacity` is zero.
+    pub fn set_capacity_pages(&mut self, capacity: usize) {
+        assert!(capacity > 0, "a bounded pool needs at least one page");
+        self.capacity = Some(capacity);
     }
 
     /// Pages the pool can still hand out before hitting the capacity
@@ -566,7 +566,8 @@ fn attend_one(cfg: &ModelConfig, q: &[f32], rows: &PagedRows, t: usize, ctx: &mu
     let dh = cfg.d_head();
     let inv_sqrt = 1.0 / (dh as f32).sqrt();
     let mut scores = vec![0.0f32; t + 1];
-    for (head, &slope) in cfg.alibi_slopes.iter().enumerate() {
+    for head in 0..cfg.n_heads {
+        let slope = ModelConfig::alibi_slope(head);
         let off = head * dh;
         for (j, (s, krow)) in scores.iter_mut().zip(rows.rows(0, t + 1)).enumerate() {
             let krow = &krow[off..off + dh];
@@ -749,14 +750,7 @@ pub(crate) fn batched_step_body<E>(
         // ---- FFN ----
         let x2 = rmsnorm_rows(&h);
         let mut mid = one(site_forward(l, &[WeightSite::FfnUp], &x2)?)?;
-        match cfg.activation {
-            Activation::Relu => {
-                mid.as_mut_slice().iter_mut().for_each(|m| *m = activation::relu(*m))
-            }
-            Activation::Silu => {
-                mid.as_mut_slice().iter_mut().for_each(|m| *m = activation::silu(*m))
-            }
-        }
+        mid.as_mut_slice().iter_mut().for_each(|m| *m = activation::relu(*m));
         let ffn_out = one(site_forward(l, &[WeightSite::FfnDown], &mid)?)?;
         h.add_in_place(&ffn_out);
     }
@@ -1318,7 +1312,7 @@ mod tests {
                             + capped.pages_to_reserve(1, rows).count()
                     );
                     let before = capped.allocated_pages();
-                    capped.set_capacity_pages(Some(before + needed));
+                    capped.set_capacity_pages(before + needed);
                     let _ = model.forward_step_batch(&tokens, &slots, &mut capped);
                     let grown = capped.allocated_pages() - before;
                     assert!(grown <= needed, "page_tokens {page_tokens}: {grown} > {needed}");
@@ -1469,7 +1463,7 @@ mod tests {
         let (model, _) = fitted_tiny();
         let cfg = model.config().clone();
         let mut cache = BatchKvCache::with_page_tokens(cfg.n_layers, cfg.d_model, 2, 2);
-        cache.set_capacity_pages(Some(1));
+        cache.set_capacity_pages(1);
         for t in 0..3 {
             let _ = model.forward_step_batch(&[t], &[0], &mut cache);
         }

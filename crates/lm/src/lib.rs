@@ -69,7 +69,7 @@ pub mod serving;
 pub mod shard;
 
 pub use builder::{build_fitted_model, BuilderSpec};
-pub use config::{Activation, ModelConfig, SimPreset};
+pub use config::{ModelConfig, SimPreset};
 pub use corpus::{Corpus, TokenStream};
 pub use eval::{cross_entropy, perplexity};
 pub use fineq_core::{FakeClock, MetricsRegistry, MetricsServer, MetricsSnapshot};

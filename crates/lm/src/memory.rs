@@ -17,18 +17,15 @@ use crate::model::Transformer;
 /// (an "A100 40GB" exposes 40e9 bytes).
 pub const GB: f64 = 1e9;
 
-/// How the weight bytes of a deployment are determined.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightStore {
-    /// Analytic: `params * bits / 8`. Used for paper-scale what-if plans
-    /// (LLaMA-2-13B does not fit in this repository).
-    AnalyticBits(f64),
-    /// Measured: bytes counted from a real [`Transformer`]'s buffers —
-    /// packed blocks + fp16 scales for packed sites, fp32 elsewhere.
-    MeasuredBytes(f64),
-}
+/// Bytes per KV-cache element: the plan's KV cache is fp16.
+const KV_BYTES_PER_ELEM: f64 = 2.0;
 
-/// Analytic memory model of an LLM serving deployment.
+/// Fraction of device memory reserved for activations and workspace (the
+/// paper's Fig. 2b "others").
+const OTHER_FRAC: f64 = 0.05;
+
+/// Analytic memory model of an LLM serving deployment: an fp16 KV cache
+/// and 5 % of the device reserved for activations and workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingMemory {
     /// Total parameters.
@@ -39,10 +36,12 @@ pub struct ServingMemory {
     pub d_model: usize,
     /// Device memory in bytes.
     pub device_bytes: f64,
-    /// Weight storage accounting.
-    pub weights: WeightStore,
-    /// Bytes per KV-cache element (2 for fp16).
-    pub kv_bytes_per_elem: f64,
+    /// Bytes used by the model weights: measured from a real
+    /// [`Transformer`]'s buffers (packed blocks + fp16 scales for packed
+    /// sites, fp32 elsewhere), or `params * bits / 8` for paper-scale
+    /// what-if plans ([`ServingMemory::with_weight_bits`]; LLaMA-2-13B
+    /// does not fit in this repository).
+    pub weight_bytes: f64,
 }
 
 impl ServingMemory {
@@ -54,9 +53,9 @@ impl ServingMemory {
             n_layers: 40,
             d_model: 5120,
             device_bytes: 40.0 * GB,
-            weights: WeightStore::AnalyticBits(16.0),
-            kv_bytes_per_elem: 2.0,
+            weight_bytes: 0.0,
         }
+        .with_weight_bits(16.0)
     }
 
     /// A deployment whose weight bytes are **measured from the model's
@@ -69,41 +68,26 @@ impl ServingMemory {
             n_layers: cfg.n_layers,
             d_model: cfg.d_model,
             device_bytes,
-            weights: WeightStore::MeasuredBytes(model.weight_footprint_bytes() as f64),
-            kv_bytes_per_elem: 2.0,
+            weight_bytes: model.weight_footprint_bytes() as f64,
         }
     }
 
     /// Same deployment with weights stored at an analytic bit-width
     /// (16 for fp16; 2.33 for FineQ's nominal figure).
     pub fn with_weight_bits(mut self, bits: f64) -> Self {
-        self.weights = WeightStore::AnalyticBits(bits);
+        self.weight_bytes = self.params * bits / 8.0;
         self
     }
 
-    /// Effective stored bits per weight (derived for measured stores).
+    /// Effective stored bits per weight.
     pub fn weight_bits(&self) -> f64 {
-        match self.weights {
-            WeightStore::AnalyticBits(bits) => bits,
-            WeightStore::MeasuredBytes(bytes) => 8.0 * bytes / self.params.max(1.0),
-        }
-    }
-
-    /// Bytes used by the model weights.
-    pub fn weight_bytes(&self) -> f64 {
-        match self.weights {
-            WeightStore::AnalyticBits(bits) => self.params * bits / 8.0,
-            WeightStore::MeasuredBytes(bytes) => bytes,
-        }
+        8.0 * self.weight_bytes / self.params.max(1.0)
     }
 
     /// Bytes used by the KV cache for `concurrent_tokens` total cached
     /// tokens (sum over all sequences in flight): K and V per layer.
     pub fn kv_cache_bytes(&self, concurrent_tokens: f64) -> f64 {
-        2.0 * self.n_layers as f64
-            * self.d_model as f64
-            * concurrent_tokens
-            * self.kv_bytes_per_elem
+        2.0 * self.n_layers as f64 * self.d_model as f64 * concurrent_tokens * KV_BYTES_PER_ELEM
     }
 
     /// **Physical** bytes a batched serving cache occupies under this
@@ -112,8 +96,7 @@ impl ServingMemory {
     /// the device actually spends — partial tail pages are charged in
     /// full, pages shared copy-on-write across sequences are charged
     /// once. Equals the cache's own
-    /// [`BatchKvCache::allocated_fp16_bytes`] when `kv_bytes_per_elem`
-    /// is 2 (asserted by tests).
+    /// [`BatchKvCache::allocated_fp16_bytes`] (asserted by tests).
     ///
     /// # Panics
     ///
@@ -127,8 +110,7 @@ impl ServingMemory {
     /// **Logical** bytes a batched serving cache holds: the per-copy sum
     /// over slots of their cached tokens, ignoring page rounding and
     /// sharing — each sequence charged as if it owned its whole history.
-    /// Equals the cache's own [`BatchKvCache::fp16_bytes`] when
-    /// `kv_bytes_per_elem` is 2. The gap to
+    /// Equals the cache's own [`BatchKvCache::fp16_bytes`]. The gap to
     /// [`ServingMemory::kv_cache_bytes_for`] is what prefix sharing
     /// saves (minus page-rounding waste).
     ///
@@ -147,30 +129,28 @@ impl ServingMemory {
     }
 
     /// How many sequences of `seq_len` cached tokens fit simultaneously
-    /// after weights and `other_frac` of the device are reserved — the
-    /// batch-size ceiling of a [`crate::serving::BatchScheduler`]
-    /// deployment.
-    pub fn max_concurrent_sequences(&self, seq_len: usize, other_frac: f64) -> f64 {
-        self.max_concurrent_tokens(other_frac) / seq_len.max(1) as f64
+    /// after weights and 5 % of the device are reserved — the batch-size
+    /// ceiling of a [`crate::serving::BatchScheduler`] deployment.
+    pub fn max_concurrent_sequences(&self, seq_len: usize) -> f64 {
+        self.max_concurrent_tokens() / seq_len.max(1) as f64
     }
 
-    /// How many cached tokens fit after weights and `other_frac` of the
-    /// device are reserved.
-    pub fn max_concurrent_tokens(&self, other_frac: f64) -> f64 {
-        let free = self.device_bytes * (1.0 - other_frac) - self.weight_bytes();
-        (free / (2.0 * self.n_layers as f64 * self.d_model as f64 * self.kv_bytes_per_elem))
-            .max(0.0)
+    /// How many cached tokens fit after weights and 5 % of the device are
+    /// reserved.
+    pub fn max_concurrent_tokens(&self) -> f64 {
+        let free = self.device_bytes * (1.0 - OTHER_FRAC) - self.weight_bytes;
+        (free / (2.0 * self.n_layers as f64 * self.d_model as f64 * KV_BYTES_PER_ELEM)).max(0.0)
     }
 
     /// How many whole KV pages of `page_tokens` tokens fit after weights
-    /// and `other_frac` of the device are reserved — the integer pool cap
-    /// to hand [`crate::serving::Scheduler::set_page_budget`]. Unlike the
+    /// and 5 % of the device are reserved — the integer pool cap to hand
+    /// [`crate::serving::Scheduler::set_page_budget`]. Unlike the
     /// fractional [`ServingMemory::max_concurrent_tokens`], this is the
     /// exact granule admission allocates at, so the plan and the
     /// scheduler cannot drift.
-    pub fn max_pages(&self, other_frac: f64, page_tokens: usize) -> usize {
+    pub fn max_pages(&self, page_tokens: usize) -> usize {
         assert!(page_tokens > 0, "page granule must be positive");
-        (self.max_concurrent_tokens(other_frac) / page_tokens as f64).floor() as usize
+        (self.max_concurrent_tokens() / page_tokens as f64).floor() as usize
     }
 
     /// How many sequences of `seq_len` cached tokens fit simultaneously
@@ -178,23 +158,17 @@ impl ServingMemory {
     /// page-rounded counterpart of
     /// [`ServingMemory::max_concurrent_sequences`] (without prefix
     /// sharing, which only raises the count).
-    pub fn max_concurrent_sequences_paged(
-        &self,
-        seq_len: usize,
-        other_frac: f64,
-        page_tokens: usize,
-    ) -> usize {
+    pub fn max_concurrent_sequences_paged(&self, seq_len: usize, page_tokens: usize) -> usize {
         let pages_per_seq = seq_len.max(1).div_ceil(page_tokens);
-        self.max_pages(other_frac, page_tokens) / pages_per_seq
+        self.max_pages(page_tokens) / pages_per_seq
     }
 
     /// The Fig. 2b layout: fractions of device memory used by weights, KV
     /// cache and "others" when the device is filled (others fixed at 5 %).
     pub fn layout(&self) -> MemoryLayout {
-        let other_frac = 0.05;
-        let weights = self.weight_bytes() / self.device_bytes;
-        let kv = (1.0 - other_frac - weights).max(0.0);
-        MemoryLayout { weights_frac: weights, kv_frac: kv, other_frac }
+        let weights = self.weight_bytes / self.device_bytes;
+        let kv = (1.0 - OTHER_FRAC - weights).max(0.0);
+        MemoryLayout { weights_frac: weights, kv_frac: kv, other_frac: OTHER_FRAC }
     }
 }
 
@@ -218,7 +192,7 @@ mod tests {
     #[test]
     fn fp16_weights_are_26_gb() {
         let m = ServingMemory::llama2_13b_a100();
-        assert!((m.weight_bytes() / 1e9 - 26.0).abs() < 0.5);
+        assert!((m.weight_bytes / 1e9 - 26.0).abs() < 0.5);
     }
 
     #[test]
@@ -235,7 +209,7 @@ mod tests {
     fn fineq_bits_shrink_weights_by_almost_7x() {
         let fp16 = ServingMemory::llama2_13b_a100();
         let fineq = fp16.clone().with_weight_bits(7.0 / 3.0);
-        let ratio = fp16.weight_bytes() / fineq.weight_bytes();
+        let ratio = fp16.weight_bytes / fineq.weight_bytes;
         assert!((ratio - 48.0 / 7.0).abs() < 1e-6);
     }
 
@@ -243,7 +217,7 @@ mod tests {
     fn quantization_frees_kv_capacity() {
         let fp16 = ServingMemory::llama2_13b_a100();
         let fineq = fp16.clone().with_weight_bits(7.0 / 3.0);
-        assert!(fineq.max_concurrent_tokens(0.05) > 2.0 * fp16.max_concurrent_tokens(0.05));
+        assert!(fineq.max_concurrent_tokens() > 2.0 * fp16.max_concurrent_tokens());
     }
 
     #[test]
@@ -259,8 +233,8 @@ mod tests {
     fn oversized_model_reports_zero_kv_capacity() {
         let mut m = ServingMemory::llama2_13b_a100();
         m.params = 100.0e9; // does not fit in 40 GB
-        m.weights = WeightStore::AnalyticBits(16.0);
-        assert_eq!(m.max_concurrent_tokens(0.05), 0.0);
+        let m = m.with_weight_bits(16.0);
+        assert_eq!(m.max_concurrent_tokens(), 0.0);
     }
 
     #[test]
@@ -268,7 +242,7 @@ mod tests {
         let corpus = Corpus::wiki_like(64, 40);
         let (model, _) = build_fitted_model(&BuilderSpec::tiny(), &corpus, 2_000, 6);
         let m = ServingMemory::from_model(&model, 1.0 * GB);
-        assert_eq!(m.weight_bytes(), model.weight_footprint_bytes() as f64);
+        assert_eq!(m.weight_bytes, model.weight_footprint_bytes() as f64);
         // Dense fp32 model: 32 effective bits per weight.
         assert!((m.weight_bits() - 32.0).abs() < 1e-9);
         assert_eq!(m.params, model.param_count() as f64);
@@ -317,25 +291,24 @@ mod tests {
     #[test]
     fn paged_capacity_variants_are_integer_and_conservative() {
         let m = ServingMemory::llama2_13b_a100();
-        let pages = m.max_pages(0.05, 16);
+        let pages = m.max_pages(16);
         // Whole pages: never more tokens than the fractional capacity.
-        assert!((pages * 16) as f64 <= m.max_concurrent_tokens(0.05));
-        assert!((pages + 1) as f64 * 16.0 > m.max_concurrent_tokens(0.05));
+        assert!((pages * 16) as f64 <= m.max_concurrent_tokens());
+        assert!((pages + 1) as f64 * 16.0 > m.max_concurrent_tokens());
         // Page-rounded sequences: 2048-token sequences cost exactly 128
         // pages of 16, so the paged and fractional counts agree here...
-        assert_eq!(m.max_concurrent_sequences_paged(2048, 0.05, 16), pages / 128);
+        assert_eq!(m.max_concurrent_sequences_paged(2048, 16), pages / 128);
         // ...but a 2049-token sequence pays a whole extra page.
-        assert_eq!(m.max_concurrent_sequences_paged(2049, 0.05, 16), pages / 129);
+        assert_eq!(m.max_concurrent_sequences_paged(2049, 16), pages / 129);
         assert!(
-            (m.max_concurrent_sequences_paged(2049, 0.05, 16) as f64)
-                <= m.max_concurrent_sequences(2049, 0.05)
+            (m.max_concurrent_sequences_paged(2049, 16) as f64) <= m.max_concurrent_sequences(2049)
         );
     }
 
     #[test]
     #[should_panic(expected = "page granule must be positive")]
     fn zero_page_granule_is_rejected() {
-        let _ = ServingMemory::llama2_13b_a100().max_pages(0.05, 0);
+        let _ = ServingMemory::llama2_13b_a100().max_pages(0);
     }
 
     #[test]
@@ -352,8 +325,8 @@ mod tests {
     #[test]
     fn sequence_capacity_divides_token_capacity() {
         let m = ServingMemory::llama2_13b_a100();
-        let tokens = m.max_concurrent_tokens(0.05);
-        assert!((m.max_concurrent_sequences(2048, 0.05) - tokens / 2048.0).abs() < 1e-9);
+        let tokens = m.max_concurrent_tokens();
+        assert!((m.max_concurrent_sequences(2048) - tokens / 2048.0).abs() < 1e-9);
     }
 
     #[test]
@@ -364,7 +337,7 @@ mod tests {
         let device = 2.0 * model.weight_footprint_bytes() as f64;
         let dense_plan = ServingMemory::from_model(&model, device);
         let packed_plan = ServingMemory::from_model(&packed, device);
-        assert!(packed_plan.weight_bytes() < dense_plan.weight_bytes());
-        assert!(packed_plan.max_concurrent_tokens(0.05) > dense_plan.max_concurrent_tokens(0.05));
+        assert!(packed_plan.weight_bytes < dense_plan.weight_bytes);
+        assert!(packed_plan.max_concurrent_tokens() > dense_plan.max_concurrent_tokens());
     }
 }

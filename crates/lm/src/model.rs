@@ -746,7 +746,8 @@ mod tests {
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
         let mut ctx = Matrix::zeros(t_len, cfg.d_model);
         let mut scores = vec![0.0f32; t_len];
-        for (head, &slope) in cfg.alibi_slopes.iter().enumerate() {
+        for head in 0..cfg.n_heads {
+            let slope = ModelConfig::alibi_slope(head);
             let off = head * dh;
             for t in 0..t_len {
                 let qrow = &q.row(t)[off..off + dh];

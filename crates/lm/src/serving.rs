@@ -640,7 +640,7 @@ impl<M: ServeModel> Scheduler<M> {
         for (id, bound) in bounds {
             check_pages_feasible(id, bound, self.cache.page_tokens(), max_pages)?;
         }
-        self.cache.set_capacity_pages(Some(max_pages));
+        self.cache.set_capacity_pages(max_pages);
         Ok(())
     }
 

@@ -22,7 +22,7 @@
 
 use crate::config::ModelConfig;
 use crate::generate::BatchKvCache;
-use crate::memory::{ServingMemory, WeightStore};
+use crate::memory::ServingMemory;
 use crate::model::{Transformer, WeightSite};
 use fineq_core::serialize::{shard_from_bytes, shard_to_bytes, ShardHeader};
 use fineq_core::{KernelScratch, PackedMatrix, ThreadPool};
@@ -281,8 +281,7 @@ impl ShardPlan {
             n_layers: config.n_layers,
             d_model: config.d_model,
             device_bytes,
-            weights: WeightStore::MeasuredBytes(self.shard_weight_bytes(shard) as f64),
-            kv_bytes_per_elem: 2.0,
+            weight_bytes: self.shard_weight_bytes(shard) as f64,
         }
     }
 }
@@ -412,7 +411,7 @@ mod tests {
         let m0 = plan.shard_memory(0, model.config(), 1e6);
         let m1 = plan.shard_memory(1, model.config(), 1e6);
         assert_eq!(
-            m0.weight_bytes() + m1.weight_bytes(),
+            m0.weight_bytes + m1.weight_bytes,
             model.body_weight_bytes() as f64,
             "the shards hold exactly the packed body, nothing twice"
         );

@@ -1,5 +1,5 @@
-//! Numerically stable activation functions used by the transformer substrate
-//! and the accelerator's vector (SIMD) unit model.
+//! Numerically stable activation functions used by the transformer
+//! substrate.
 
 /// In-place, numerically stable softmax over a slice.
 ///
@@ -25,24 +25,8 @@ pub fn softmax_in_place(xs: &mut [f32]) {
     xs.iter_mut().for_each(|x| *x *= inv);
 }
 
-/// Logistic sigmoid.
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// SiLU / swish activation (`x * sigmoid(x)`), the FFN activation used by
-/// LLaMA-family models.
-pub fn silu(x: f32) -> f32 {
-    x * sigmoid(x)
-}
-
-/// Rectified linear unit. The paper's Fig. 2a FFN shows ReLU; both are
-/// supported by the model configuration.
+/// Rectified linear unit, the FFN activation of the paper's Fig. 2a
+/// block diagram.
 pub fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
@@ -92,21 +76,6 @@ mod tests {
         let mut xs: Vec<f32> = vec![];
         softmax_in_place(&mut xs);
         assert!(xs.is_empty());
-    }
-
-    #[test]
-    fn sigmoid_symmetry() {
-        for &x in &[-5.0f32, -1.0, 0.0, 1.0, 5.0] {
-            assert!((sigmoid(x) + sigmoid(-x) - 1.0).abs() < 1e-6);
-        }
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn silu_matches_definition() {
-        let x = 1.7f32;
-        assert!((silu(x) - x * sigmoid(x)).abs() < 1e-7);
-        assert_eq!(silu(0.0), 0.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod panel;
 pub mod rng;
 pub mod stats;
 
-pub use activation::{sigmoid, silu, softmax_in_place};
+pub use activation::softmax_in_place;
 pub use linalg::{cholesky, cholesky_inverse, solve_spd};
 pub use matrix::Matrix;
 pub use rng::{Rng, Zipf};

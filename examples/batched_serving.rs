@@ -118,15 +118,15 @@ fn main() {
     let plan = ServingMemory::from_model(sched.model(), 64.0 * 1024.0 * 1024.0);
     println!("\npeak KV (logical, per-copy)  : {peak_kv} bytes at fp16");
     println!("peak KV (physical pages)     : {peak_allocated} bytes at fp16");
-    println!("weights (measured, packed)   : {:.0} bytes", plan.weight_bytes());
+    println!("weights (measured, packed)   : {:.0} bytes", plan.weight_bytes);
     println!(
         "KV capacity on a 64 MiB device: {:.0} tokens ({:.0} sequences of 256, \
          {} pages of {}, {} paged sequences)",
-        plan.max_concurrent_tokens(0.05),
-        plan.max_concurrent_sequences(256, 0.05),
-        plan.max_pages(0.05, sched.cache().page_tokens()),
+        plan.max_concurrent_tokens(),
+        plan.max_concurrent_sequences(256),
+        plan.max_pages(sched.cache().page_tokens()),
         sched.cache().page_tokens(),
-        plan.max_concurrent_sequences_paged(256, 0.05, sched.cache().page_tokens()),
+        plan.max_concurrent_sequences_paged(256, sched.cache().page_tokens()),
     );
 
     // Single-sequence decoding still works and costs the same bytes per

@@ -30,17 +30,17 @@ fn main() {
         println!(
             "{:<22} {:>12.1} {:>9.1}% {:>9.1}% {:>16.0}",
             name,
-            m.weight_bytes() / 1e9,
+            m.weight_bytes / 1e9,
             100.0 * layout.weights_frac,
             100.0 * layout.kv_frac,
-            m.max_concurrent_tokens(0.05)
+            m.max_concurrent_tokens()
         );
     }
     println!(
         "\nFineQ fits the 13B model in {:.1} GB — {:.1}x more concurrent KV tokens than fp16.",
-        base.clone().with_weight_bits(7.0 / 3.0).weight_bytes() / 1e9,
-        base.clone().with_weight_bits(7.0 / 3.0).max_concurrent_tokens(0.05)
-            / base.max_concurrent_tokens(0.05)
+        base.clone().with_weight_bits(7.0 / 3.0).weight_bytes / 1e9,
+        base.clone().with_weight_bits(7.0 / 3.0).max_concurrent_tokens()
+            / base.max_concurrent_tokens()
     );
 
     // The rows above are analytic what-ifs at paper scale. For models this
@@ -59,9 +59,9 @@ fn main() {
         println!(
             "{:<24} {:>10.0} weight bytes ({:>5.2} bits/weight) -> {:>8.0} max KV tokens",
             name,
-            m.weight_bytes(),
+            m.weight_bytes,
             m.weight_bits(),
-            m.max_concurrent_tokens(0.05)
+            m.max_concurrent_tokens()
         );
     }
 }

@@ -47,7 +47,7 @@ fn main() {
         println!(
             "  shard {shard}: {:>8.0} bytes  ({:.0} params at {:.2} bits/weight effective), \
              {} envelopes, {} wire bytes",
-            mem.weight_bytes(),
+            mem.weight_bytes,
             mem.params,
             mem.weight_bits(),
             envelopes.len(),
